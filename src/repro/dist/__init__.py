@@ -4,7 +4,9 @@ The subsystem in one sentence: campaigns submit cells to a
 :class:`~repro.dist.queue.TaskQueue` (claim/ack/nack with lease
 timeouts, at-least-once delivery), workers drain it through one of
 three interchangeable backends, and results flow through a shared
-artifact store so a cell computed anywhere is a warm hit everywhere.
+artifact store so a cell computed anywhere is a warm hit everywhere —
+written by whoever sits next to it: the work-stealing workers
+themselves, the socket backend's coordinator on its workers' behalf.
 
 Select a backend per call (``run_cells(..., backend="socket")``), per
 process (``REPRO_DIST_BACKEND=work-stealing``), or per campaign CLI
@@ -93,10 +95,11 @@ def run_dist_cells(
     campaigns never import this directly).
 
     The parent still does the cache precheck, so warm cells short-
-    circuit without touching the backend; pending cells ship with their
-    artifact key and the *workers* publish results into the shared
-    store (no parent-side ``cache.put`` — by the time a result is
-    acked, the store already has it).
+    circuit without touching the backend; pending cells are queued
+    with their artifact key and the backend publishes results into the
+    shared store as they land — work-stealing workers directly, the
+    socket *coordinator* as each ack arrives (no ``cache.put`` here: by
+    the time a result is acked, the store already has it).
     """
     from . import backends
 

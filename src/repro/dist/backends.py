@@ -17,7 +17,9 @@ its spec, and results travel as the same pickles the cache stores).
   :class:`~repro.dist.coordinator.CoordinatorServer`; workers are
   separate ``python -m repro.dist.worker`` processes (spawned locally
   here, or attached from anywhere the URL reaches) with heartbeats and
-  lease-expiry re-enqueue.
+  lease-expiry re-enqueue.  The coordinator owns the artifact store:
+  it settles stored cells at claim time and publishes results as their
+  acks arrive, so the workers never talk to it.
 
 Both multiprocess backends prefer **fork** for locally spawned workers
 when it is safe (POSIX, and no other threads live in this process —
@@ -54,7 +56,7 @@ from ..parallel.executor import (
 )
 from . import batching_enabled, default_max_batch
 from .queue import FAILED, TaskQueue
-from .store import ArtifactStore, MemoryArtifactStore
+from .store import ArtifactStore
 from .wire import PayloadTable, encode_cell
 from .worker import TARGET_BATCH_SECONDS, next_batch_size
 
@@ -237,8 +239,16 @@ def run_work_stealing(
             process.join(timeout=max(0.0, deadline - time.monotonic()))
             if process.is_alive():
                 process.terminate()
-        task_q.close()
-        result_q.close()
+                kill = True
+        for mp_queue in (task_q, result_q):
+            mp_queue.close()
+            if kill:
+                # A killed fleet reads nothing: never wait on the feeder.
+                mp_queue.cancel_join_thread()
+            else:
+                # The feeder thread must not outlive the campaign, or
+                # the next one sees a threaded parent and cannot fork.
+                mp_queue.join_thread()
 
     try:
         while len(results) < len(by_index):
@@ -343,10 +353,10 @@ def _forked_worker_main(url: str, worker_id: str, lease: float,
                         max_batch: Optional[int]) -> None:
     """Entry point for fork-context local socket workers.
 
-    Same loop as the CLI (claim over HTTP, shared store, batched acks)
-    minus the interpreter + import bill — the fork inherited everything
-    warm.  The shared HTTP pool cleared itself at fork, so this child
-    opens its own coordinator connection.
+    Same loop as the CLI (claim over HTTP, batched acks) minus the
+    interpreter + import bill — the fork inherited everything warm.
+    The shared HTTP pool cleared itself at fork, so this child opens
+    its own coordinator connection.
     """
     from ..obs.push import resolve_push_url
     from .worker import worker_loop
@@ -416,7 +426,8 @@ def run_socket(
     told otherwise); workers are separate interpreters that could as
     well be on other machines.  Lease expiry re-enqueues the cells of
     any worker that stops heartbeating; results come back through acks,
-    already decoded.
+    already decoded, and the coordinator publishes each into ``cache``
+    before the ack settles.
 
     Local workers fork from this (warm) process when that is safe —
     the decision and the forks both happen *before* the coordinator's
@@ -426,8 +437,8 @@ def run_socket(
     from .coordinator import CoordinatorServer
 
     task_queue = TaskQueue(lease=lease, max_attempts=MAX_ATTEMPTS)
-    store = (ArtifactStore(cache) if cache is not None
-             else MemoryArtifactStore())
+    # Without a cache no cell carries an artifact key: nothing to store.
+    store = ArtifactStore(cache) if cache is not None else None
     payloads = PayloadTable() if batching_enabled() else None
     task_index: dict[str, int] = {}
     for index, spec, artifact in items:

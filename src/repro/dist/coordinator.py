@@ -12,7 +12,7 @@ The worker protocol (all JSON unless noted)::
                                                        -> 200 {"tasks": [...]}
                                                        |  204 idle
                                                        |  410 drained
-    POST /queue/tasks/{id}/ack   {"worker", "result", "source"}
+    POST /queue/tasks/{id}/ack   {"worker", "result", "source"?}
     POST /queue/tasks/{id}/nack  {"worker", "error", "requeue"?}
     POST /queue/ack_many         {"worker", "acks": [{task_id, result,
                                   source}]}  -> {"acked": [...], "stale": [...]}
@@ -21,8 +21,6 @@ The worker protocol (all JSON unless noted)::
     POST /queue/heartbeat        {"worker"}            -> {"extended": n}
     GET  /queue/status           queue + store + wire counters, task states
     GET  /payload/{digest}       cached cell payload (text/plain) | 404
-    GET  /artifacts/{key}        pickled artifact (octet-stream) | 404
-    PUT  /artifacts/{key}        publish a pickled artifact      -> 204
     GET  /healthz                liveness
 
 This is wire-protocol **v2**: a claim carrying ``"max"`` leases up to
@@ -40,7 +38,15 @@ on the queue for someone else — at-least-once delivery, the paper's
 retry discipline applied to our own executor.  410 on claim is the
 drain signal: workers exit cleanly when the campaign is over.
 
-Security: task payloads and artifacts are pickles.  Bind loopback (the
+The artifact store never crosses the wire: the coordinator owns it.  A
+claimed task whose artifact is already stored is settled ``source:
+"store"`` on the spot and the claim keeps filling from the queue, so
+workers only ever see cells that need computing; a ``computed`` result
+is published when its ack arrives, *before* the queue marks the task
+done — by the time a result is acked the store has it, and each result
+travels once.
+
+Security: task payloads and results are pickles.  Bind loopback (the
 default) or a network you trust end-to-end; this protocol authenticates
 nobody.
 """
@@ -48,16 +54,15 @@ nobody.
 from __future__ import annotations
 
 import json
-import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from ..obs.metrics import MetricsRegistry
-from .queue import QueueError, Task, TaskQueue
+from ..service.http import serve_in_thread
+from .queue import CLAIMED, QueueError, Task, TaskQueue
 from .wire import PayloadTable, WireError, decode_blob_ex
 
 JSON = "application/json"
-BINARY = "application/octet-stream"
 TEXT = "text/plain"
 
 #: Longest lease a worker may ask for, as a multiple of the queue default.
@@ -100,6 +105,10 @@ class CoordinatorApp:
             "dist_blob_bytes_total",
             "result/payload blob bytes, as shipped vs decompressed",
             labels=("encoding",))
+        self._store_errors = self.metrics.counter(
+            "dist_store_errors_total",
+            "store calls that raised; the cell shipped or acked anyway",
+            labels=("op",))
 
     # ------------------------------------------------------------------
     def handle(self, method: str, target: str,
@@ -129,13 +138,86 @@ class CoordinatorApp:
         return {
             "task_id": task.task_id,
             "attempt": task.attempts,
-            "artifact": task.artifact,
             "cell": task.payload,
         }
 
-    def _count_blob(self, text: str, raw: int) -> None:
+    def _claim(self, worker: str, want: int,
+               lease: Optional[float]) -> list[Task]:
+        """Lease up to ``want`` tasks that still need computing.
+
+        A claimed task whose artifact the store already holds is acked
+        ``source: "store"`` here and never shipped; the claim then
+        refills from the queue, so an all-hits batch over a non-empty
+        queue still hands out work.
+        """
+        shipped: list[Task] = []
+        while len(shipped) < want:
+            tasks = self.queue.claim_many(worker, want - len(shipped),
+                                          lease=lease)
+            if not tasks:
+                break
+            hits: list[tuple[str, Any, str]] = []
+            for task in tasks:
+                hit, value = self._stored(task)
+                if hit:
+                    hits.append((task.task_id, value, "store"))
+                else:
+                    shipped.append(task)
+            if hits:
+                # ack_many, not ack: a lease lost since the claim is
+                # reported stale instead of raised.
+                self.queue.ack_many(worker, hits)
+        return shipped
+
+    def _uses_store(self, task: Task) -> bool:
+        return (self.store is not None and bool(task.artifact)
+                and task.cacheable)
+
+    def _stored(self, task: Task) -> tuple[bool, Any]:
+        """``(True, value)`` if the store already has ``task``'s result;
+        a store that raises reads as a miss and the task ships."""
+        if not self._uses_store(task):
+            return False, None
+        try:
+            return self.store.fetch(task.artifact)
+        except Exception:  # noqa: BLE001 - store never poisons
+            self._store_errors.labels(op="fetch").inc()
+            return False, None
+
+    def _publish(self, worker: str, task_id: str, result: Any) -> None:
+        """Store a freshly computed result, if its task is cacheable and
+        still leased to ``worker`` (a stale ack publishes nothing).  A
+        store that raises costs the warm entry, never the ack."""
+        try:
+            task = self.queue.get(task_id)
+        except QueueError:
+            return
+        if (task.state != CLAIMED or task.worker != worker
+                or not self._uses_store(task)):
+            return
+        try:
+            self.store.publish(task.artifact, result)
+        except Exception:  # noqa: BLE001 - degrade to an unstored ack
+            self._store_errors.labels(op="publish").inc()
+
+    def _acked_result(self, worker: str, task_id: str,
+                      doc: dict[str, Any]) -> tuple[Any, str]:
+        """Decode one ack's ``(result, source)``; both ack routes settle
+        through here.  Raises WireError/_BadRequest when undecodable.
+
+        A ``computed`` result is published *before* the caller acks the
+        queue, so a finished campaign never races its own store — and
+        only ever from the decoded result of a pure cell, so a
+        duplicate publish is byte-identical to the first.
+        """
+        text = _require_str(doc, "result")
+        result, _, raw = decode_blob_ex(text)
         self._blob_bytes.labels(encoding="wire").inc(len(text))
         self._blob_bytes.labels(encoding="raw").inc(raw)
+        source = str(doc.get("source") or "computed")
+        if source == "computed":
+            self._publish(worker, task_id, result)
+        return result, source
 
     def _dispatch(self, method: str, parts: list[str],
                   body: bytes) -> tuple[int, str, bytes]:
@@ -149,24 +231,19 @@ class CoordinatorApp:
             if lease is not None:
                 lease = min(float(lease),
                             self.queue.lease * MAX_LEASE_FACTOR)
-            if "max" in doc:
-                batch = max(1, min(int(doc["max"]), MAX_CLAIM_BATCH))
-                tasks = self.queue.claim_many(worker, batch, lease=lease)
-                if not tasks:
-                    if self.queue.draining:
-                        return 410, JSON, _error(
-                            "drained", "queue is drained")
-                    return 204, JSON, b""
-                self._ops.labels(worker=worker, op="claim").inc(len(tasks))
-                return 200, JSON, _dumps(
-                    {"tasks": [self._task_doc(task) for task in tasks]})
-            task = self.queue.claim(worker, lease=lease)
-            if task is None:
+            batched = "max" in doc
+            want = (max(1, min(int(doc["max"]), MAX_CLAIM_BATCH))
+                    if batched else 1)
+            tasks = self._claim(worker, want, lease)
+            if not tasks:
                 if self.queue.draining:
                     return 410, JSON, _error("drained", "queue is drained")
                 return 204, JSON, b""
-            self._ops.labels(worker=worker, op="claim").inc()
-            return 200, JSON, _dumps(self._task_doc(task))
+            self._ops.labels(worker=worker, op="claim").inc(len(tasks))
+            if batched:
+                return 200, JSON, _dumps(
+                    {"tasks": [self._task_doc(task) for task in tasks]})
+            return 200, JSON, _dumps(self._task_doc(tasks[0]))
 
         if (len(parts) == 4 and parts[:2] == ["queue", "tasks"]
                 and method == "POST"):
@@ -174,10 +251,7 @@ class CoordinatorApp:
             doc = _json_body(body)
             worker = _worker_id(doc)
             if action == "ack":
-                text = _require_str(doc, "result")
-                result, wire_chars, raw = decode_blob_ex(text)
-                self._count_blob(text, raw)
-                source = str(doc.get("source") or "computed")
+                result, source = self._acked_result(worker, task_id, doc)
                 self.queue.ack(task_id, worker, result=result, source=source)
                 self._ops.labels(worker=worker, op="ack").inc()
                 return 200, JSON, _dumps({"ok": True})
@@ -201,15 +275,13 @@ class CoordinatorApp:
                     raise _BadRequest("each ack must be an object")
                 task_id = _require_str(entry, "task_id")
                 try:
-                    text = _require_str(entry, "result")
-                    result, _, raw = decode_blob_ex(text)
+                    result, source = self._acked_result(
+                        worker, task_id, entry)
                 except (WireError, _BadRequest):
                     # One undecodable result must not void the batch;
                     # the task stays leased and expires back to pending.
                     rejected.append(task_id)
                     continue
-                self._count_blob(text, raw)
-                source = str(entry.get("source") or "computed")
                 triples.append((task_id, result, source))
             acked, stale = self.queue.ack_many(worker, triples)
             self._ops.labels(worker=worker, op="ack").inc(len(acked))
@@ -250,23 +322,6 @@ class CoordinatorApp:
                     "miss", f"no payload {parts[1][:12]}...")
             return 200, TEXT, text.encode("ascii")
 
-        if len(parts) == 2 and parts[0] == "artifacts":
-            key = parts[1]
-            if self.store is None:
-                return 404, JSON, _error("no-store",
-                                         "coordinator has no artifact store")
-            if method == "GET":
-                blob = self.store.fetch_bytes(key)
-                if blob is None:
-                    return 404, JSON, _error("miss", f"no artifact {key}")
-                return 200, BINARY, blob
-            if method == "PUT":
-                try:
-                    self.store.publish_bytes(key, body)
-                except Exception as exc:  # noqa: BLE001 - bad blob
-                    raise _BadRequest(f"unstorable artifact: {exc}")
-                return 204, JSON, b""
-
         return 404, JSON, _error(
             "unknown-route", f"no route {method} /{'/'.join(parts)}")
 
@@ -293,6 +348,10 @@ class CoordinatorApp:
             "stats": self.queue.stats.as_dict(),
             "store": (self.store.stats()
                       if self.store is not None else None),
+            "store_errors": {
+                "fetch": _count(self._store_errors, op="fetch"),
+                "publish": _count(self._store_errors, op="publish"),
+            },
             "payloads": (self.payloads.stats()
                          if self.payloads is not None else None),
             "workers": workers,
@@ -379,9 +438,6 @@ class _Handler(BaseHTTPRequestHandler):
     def do_POST(self) -> None:  # noqa: N802
         self._serve("POST")
 
-    def do_PUT(self) -> None:  # noqa: N802
-        self._serve("PUT")
-
     def log_message(self, format: str, *args: Any) -> None:
         """Quiet: /queue/status is the observable surface."""
 
@@ -415,25 +471,23 @@ class CoordinatorServer:
         self.server = make_server(self.app, host=host, port=port)
         bound_host, bound_port = self.server.server_address[:2]
         self.url = f"http://{bound_host}:{bound_port}"
-        self._thread: Optional[threading.Thread] = None
+        self._stop: Optional[Callable[[], None]] = None
 
     def start(self) -> str:
-        if self._thread is None:
-            self._thread = threading.Thread(
-                target=self.server.serve_forever,
-                name="repro-dist-coordinator", daemon=True)
-            self._thread.start()
+        if self._stop is None:
+            self._stop = serve_in_thread(
+                self.server, name="repro-dist-coordinator")
         return self.url
 
     def close(self) -> None:
-        if self._thread is not None:
-            # shutdown() blocks on serve_forever's exit handshake, so
-            # only call it when the serve thread actually ran.
-            self.server.shutdown()
-        self.server.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
+        """Stop serving, promptly: a campaign pays this once."""
+        if self._stop is not None:
+            self._stop()
+            self._stop = None
+        else:
+            # Never started: shutdown() would block on a handshake with
+            # a serve loop that does not exist.
+            self.server.server_close()
 
     def __enter__(self) -> str:
         return self.start()

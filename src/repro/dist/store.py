@@ -2,13 +2,18 @@
 
 This promotes the content-addressed result cache
 (:class:`repro.parallel.cache.ResultCache`) to a *publish/fetch*
-interface that distributed workers write into.  The key recipe is the
+interface that distributed campaigns write into.  The key recipe is the
 cache's own (function + canonical params + seed + code fingerprint), so
-artifacts published by a worker are indistinguishable from entries a
+artifacts published by a fleet are indistinguishable from entries a
 local ``run_cells`` wrote — a campaign run on a worker fleet leaves the
 same warm cache behind as a serial run, and vice versa.
 
-Three implementations, one protocol (``key_for`` / ``fetch`` /
+The store lives on the side of the wire that owns it: work-stealing
+workers open the cache directory themselves, and the socket
+coordinator fetches on claim and publishes on ack (see
+:mod:`repro.dist.coordinator`), so socket workers never touch it.
+
+Two implementations, one protocol (``key_for`` / ``fetch`` /
 ``publish``):
 
 * :class:`ArtifactStore` — the real thing, over a ``ResultCache``
@@ -16,17 +21,14 @@ Three implementations, one protocol (``key_for`` / ``fetch`` /
   guarantees atomic writes), so a crashed worker can never poison the
   store;
 * :class:`MemoryArtifactStore` — a dict, for coordinators running
-  without a cache directory (artifacts then live for one campaign);
-* :class:`HttpArtifactStore` — the client side of the coordinator's
-  ``/artifacts/{key}`` endpoints, for workers that do not share a
-  filesystem with the store.
+  without a cache directory (artifacts then live for one campaign).
 """
 
 from __future__ import annotations
 
 import pickle
 import threading
-from typing import Any, Optional
+from typing import Any
 
 from ..parallel.cache import ResultCache
 from ..parallel.executor import CellSpec
@@ -61,17 +63,6 @@ class ArtifactStore:
         self.cache.put(key, value)
         self.published += 1
 
-    # -- raw views, for serving artifacts over HTTP --------------------
-    def fetch_bytes(self, key: str) -> Optional[bytes]:
-        """The pickled artifact, or None; never raises on corruption."""
-        hit, value = self.fetch(key)
-        if not hit:
-            return None
-        return pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-
-    def publish_bytes(self, key: str, blob: bytes) -> None:
-        self.publish(key, pickle.loads(blob))
-
     def stats(self) -> dict[str, int]:
         return {"fetched": self.fetched, "published": self.published}
 
@@ -96,93 +87,20 @@ class MemoryArtifactStore:
         return f"mem/{spec.key}"
 
     def fetch(self, key: str) -> tuple[bool, Any]:
-        blob = self.fetch_bytes(key)
+        with self._lock:
+            blob = self._blobs.get(key)
+            if blob is not None:
+                self.fetched += 1
         if blob is None:
             return False, None
         return True, pickle.loads(blob)
 
     def publish(self, key: str, value: Any) -> None:
-        self.publish_bytes(
-            key, pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
-
-    def fetch_bytes(self, key: str) -> Optional[bytes]:
-        with self._lock:
-            blob = self._blobs.get(key)
-        if blob is not None:
-            self.fetched += 1
-        return blob
-
-    def publish_bytes(self, key: str, blob: bytes) -> None:
-        pickle.loads(blob)  # reject undecodable uploads at the door
+        # Pickled like the disk store: every fetch is a private copy.
+        blob = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
         with self._lock:
             self._blobs[key] = blob
-        self.published += 1
+            self.published += 1
 
     def stats(self) -> dict[str, int]:
         return {"fetched": self.fetched, "published": self.published}
-
-
-class HttpArtifactStore:
-    """Worker-side store client: the coordinator's ``/artifacts`` API.
-
-    Keys are assigned by the coordinator (they ride on the task), so
-    this class never computes one — ``key_for`` is deliberately absent.
-    Transport failures degrade to misses/no-ops and are *counted*, not
-    raised: a worker that cannot reach the store computes the cell
-    itself and acks it ``source: "computed"`` — exactly the fallback
-    the at-least-once queue expects, and one store outage mid-batch
-    must never poison the rest of the chunk.
-
-    Requests ride the shared keep-alive pool in
-    :mod:`repro.service.http`, so store traffic reuses the worker's
-    coordinator connection instead of opening a fresh socket per
-    artifact.
-    """
-
-    def __init__(self, url: str, timeout: float = 30.0) -> None:
-        from ..service.http import HttpTransportError, http_request
-
-        self._request = http_request
-        self._transport_error = HttpTransportError
-        self.url = url.rstrip("/")
-        self.timeout = timeout
-        self.fetched = 0
-        self.published = 0
-        self.errors = 0
-
-    def fetch(self, key: str) -> tuple[bool, Any]:
-        try:
-            response = self._request(
-                f"{self.url}/artifacts/{key}", timeout=self.timeout,
-                retries=2)
-        except self._transport_error:
-            self.errors += 1
-            return False, None
-        if response.status != 200:
-            return False, None
-        try:
-            value = pickle.loads(response.body)
-        except Exception:  # noqa: BLE001 - corrupt blob is a miss
-            self.errors += 1
-            return False, None
-        self.fetched += 1
-        return True, value
-
-    def publish(self, key: str, value: Any) -> None:
-        blob = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-        try:
-            response = self._request(
-                f"{self.url}/artifacts/{key}", method="PUT", body=blob,
-                headers={"Content-Type": "application/octet-stream"},
-                timeout=self.timeout)
-        except self._transport_error:
-            self.errors += 1
-            return  # the ack still carries the result; nothing is lost
-        if response.status not in (200, 204):
-            self.errors += 1
-            return
-        self.published += 1
-
-    def stats(self) -> dict[str, int]:
-        return {"fetched": self.fetched, "published": self.published,
-                "errors": self.errors}

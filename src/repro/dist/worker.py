@@ -4,9 +4,8 @@
 
     python -m repro.dist.worker http://127.0.0.1:8777 --id w0
 
-The loop is deliberately boring — claim a batch, maybe fetch from the
-shared store, compute, publish, ack the batch — with the paper's client
-discipline wired into every edge:
+The loop is deliberately boring — claim a batch, compute, ack the batch
+— with the paper's client discipline wired into every edge:
 
 * transient transport errors back off exponentially (capped) and retry;
 * an idle queue (204) is polled with *jittered* Ethernet-style
@@ -16,12 +15,7 @@ discipline wired into every edge:
 * while a batch runs, a heartbeat thread extends the leases (and every
   claim/ack piggybacks one), so slow cells survive short lease windows
   but a *crashed* worker's leases expire and the coordinator re-queues
-  its tasks;
-* a cell whose artifact is already in the store is acked as
-  ``source: "store"`` without recomputing — one worker's work is every
-  worker's warm hit.  Store trouble (a transport failure mid-batch,
-  say) degrades that one cell to ``source: "computed"``; it never
-  poisons its batchmates.
+  its tasks.
 
 Batching is the wire-protocol v2 throughput lever: the worker claims a
 *chunk* of cells sized from the observed per-cell cost (aiming for
@@ -31,8 +25,10 @@ amortize round trips; expensive cells shrink the chunk back toward one
 so lease granularity stays honest.  ``REPRO_DIST_BATCH=0`` pins the
 loop to the v1 single-claim protocol.
 
-Workers share the coordinator's artifact store through its
-``/artifacts`` endpoints, so nothing assumes a shared filesystem.
+The shared artifact store is the coordinator's business, not the
+worker's: cells already in it are settled before a claim is answered,
+and an acked result is published on arrival — a worker only ever sees
+cells that need computing, and each result crosses the wire once.
 """
 
 from __future__ import annotations
@@ -55,7 +51,6 @@ from ..service.http import (
     jittered_delay,
 )
 from . import default_max_batch
-from .store import HttpArtifactStore
 from .wire import PayloadCache, WireError, decode_cell, encode_blob
 
 #: Base seconds between claim attempts while the queue is idle.
@@ -309,18 +304,16 @@ def execute_cell(spec: CellSpec) -> Any:
 
 def process_batch(
     client: CoordinatorClient,
-    store: HttpArtifactStore,
     docs: list[dict[str, Any]],
     payloads: Optional[PayloadCache] = None,
     batched: bool = True,
 ) -> dict[str, str]:
-    """Execute a claimed chunk; returns ``{task_id: source}`` outcomes.
+    """Execute a claimed chunk; returns ``{task_id: outcome}``
+    (``"computed"`` or ``"error"``).
 
     Every guard is per-cell: an undecodable cell nacks terminally, a
-    crashed cell nacks for retry, and store trouble — including an
-    :class:`HttpTransportError` surfacing mid-batch — quietly degrades
-    that one cell to ``source: "computed"``.  Nothing a single cell
-    does can void its batchmates' results.
+    crashed cell nacks for retry.  Nothing a single cell does can void
+    its batchmates' results.
     """
     acks: list[tuple[str, Any, str]] = []
     nacks: list[tuple[str, str, bool]] = []
@@ -338,28 +331,12 @@ def process_batch(
                 nacks.append((task_id, f"wire: {exc}", False))
                 outcomes[task_id] = "error"
                 continue
-            artifact = doc.get("artifact")
-            use_store = bool(artifact) and spec.cacheable
-            if use_store:
-                try:
-                    hit, value = store.fetch(str(artifact))
-                except Exception:  # noqa: BLE001 - store never poisons
-                    hit = False
-                if hit:
-                    acks.append((task_id, value, "store"))
-                    outcomes[task_id] = "store"
-                    continue
             try:
                 value = execute_cell(spec)
             except Exception as exc:  # noqa: BLE001 - cell isolation
                 nacks.append((task_id, f"{type(exc).__name__}: {exc}", True))
                 outcomes[task_id] = "error"
                 continue
-            if use_store:
-                try:
-                    store.publish(str(artifact), value)
-                except Exception:  # noqa: BLE001 - degrade to computed
-                    pass
             acks.append((task_id, value, "computed"))
             outcomes[task_id] = "computed"
         if batched:
@@ -371,13 +348,6 @@ def process_batch(
             for task_id, error, requeue in nacks:
                 client.nack(task_id, error, requeue=requeue)
     return outcomes
-
-
-def run_task(client: CoordinatorClient, store: HttpArtifactStore,
-             doc: dict[str, Any]) -> str:
-    """Execute one claimed task document; returns the result source."""
-    outcomes = process_batch(client, store, [doc], batched=False)
-    return outcomes.get(str(doc.get("task_id")), "error")
 
 
 def next_batch_size(elapsed: float, handled: int, max_batch: int,
@@ -413,7 +383,6 @@ def worker_loop(
         max_batch = default_max_batch()
     rng = rng or random.Random()
     client = CoordinatorClient(url, worker_id, lease=lease)
-    store = HttpArtifactStore(url)
     payloads = PayloadCache()
     telemetry = WorkerTelemetry(obs_push, worker_id)
     handled = 0
@@ -452,7 +421,7 @@ def worker_loop(
             continue
         idle_streak = 0
         started = time.perf_counter()
-        outcomes = process_batch(client, store, docs, payloads=payloads,
+        outcomes = process_batch(client, docs, payloads=payloads,
                                  batched=max_batch > 1)
         elapsed = time.perf_counter() - started
         for task_id, source in outcomes.items():

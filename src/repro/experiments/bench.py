@@ -686,7 +686,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--compare", metavar="OLD.json", default=None,
         help="diff this run against a saved benchmark document and exit "
-             f"non-zero on a >{COMPARE_TOLERANCE:.0%} throughput drop",
+             f"non-zero on a >{COMPARE_TOLERANCE:.0%}% throughput drop",
     )
     args = parser.parse_args(argv)
 

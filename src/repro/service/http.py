@@ -1,9 +1,9 @@
 """The shared HTTP core: one connection pool, one retry discipline.
 
 :class:`~repro.service.client.ServiceClient`, the
-:mod:`repro.dist.worker` loop, and the coordinator's artifact client
-all speak HTTP through :func:`http_request`.  It separates the two
-failure planes cleanly:
+:mod:`repro.dist.worker` loop and the telemetry pusher all speak HTTP
+through :func:`http_request`.  It separates the two failure planes
+cleanly:
 
 * an HTTP *response* — any status, including 4xx/5xx — is returned as
   an :class:`HttpResponse`; interpreting the status is the caller's
@@ -53,6 +53,11 @@ DEFAULT_BACKOFF_CAP = 2.0
 
 #: Idle sockets kept per (scheme, host, port) before extras are closed.
 DEFAULT_MAX_IDLE = 4
+
+#: Seconds between ``serve_forever`` looks at its shutdown flag.  The
+#: stdlib's 0.5 made every short-lived server (a socket campaign's
+#: coordinator, a test fixture) take up to half a second to stop.
+SERVE_POLL = 0.01
 
 
 class HttpTransportError(Exception):
@@ -264,6 +269,27 @@ def http_request(
             backoff_cap=backoff_cap, sleep=sleep)
     return _urllib_request(url, method, body, headers, timeout,
                            retries, backoff, backoff_cap, sleep)
+
+
+def serve_in_thread(server, name: str = "repro-http-server"
+                    ) -> Callable[[], None]:
+    """Serve a bound ``socketserver`` server on a daemon thread.
+
+    Returns ``stop()``: it ends the loop within :data:`SERVE_POLL`
+    (not the stdlib's half second), closes the listening socket and
+    joins the thread.
+    """
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": SERVE_POLL},
+        name=name, daemon=True)
+    thread.start()
+
+    def stop() -> None:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5.0)
+
+    return stop
 
 
 def _urllib_request(url, method, body, headers, timeout, retries,

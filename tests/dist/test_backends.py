@@ -2,11 +2,12 @@
 fault tolerance, and the shared artifact store's cross-worker serves."""
 
 import threading
+import time
 
 import pytest
 
-from repro.dist import BACKEND_ENV, resolve_backend, run_dist_cells
-from repro.dist.backends import BackendError
+from repro.dist import BACKEND_ENV, BATCH_ENV, resolve_backend, run_dist_cells
+from repro.dist.backends import BackendError, _fork_allowed
 from repro.dist.coordinator import CoordinatorServer
 from repro.dist.queue import TaskQueue
 from repro.dist.store import ArtifactStore
@@ -85,6 +86,31 @@ class TestWorkStealingBackend:
             run_dist_cells("work-stealing", cells_for([1, 2, 3]),
                            jobs=2, cancel=cancel)
 
+    def test_no_thread_outlives_the_campaign(self, monkeypatch):
+        """The task queue's feeder thread used to be closed but not
+        joined, so for a moment after the return the parent was still
+        threaded — and the *next* campaign then spawned fresh
+        interpreters instead of forking.  A feeder made slow to die
+        turns that race into a certainty."""
+        from multiprocessing import queues as mp_queues
+
+        real_feed = mp_queues.Queue._feed
+
+        def slow_to_die(*args, **kwargs):
+            real_feed(*args, **kwargs)
+            time.sleep(0.1)
+
+        monkeypatch.setattr(mp_queues.Queue, "_feed",
+                            staticmethod(slow_to_die))
+        monkeypatch.delenv("REPRO_DIST_FORK", raising=False)
+        if threading.active_count() != 1:
+            pytest.skip("needs a single-threaded parent to begin with")
+        assert run_cells(cells_for(range(12)), jobs=2,
+                         backend="work-stealing") \
+            == [v * v for v in range(12)]
+        assert threading.active_count() == 1
+        assert _fork_allowed()
+
 
 class TestSocketBackend:
     def test_matches_serial(self, tmp_path):
@@ -100,12 +126,41 @@ class TestSocketBackend:
             run_cells(cells, jobs=1, cache=ResultCache(str(tmp_path)),
                       backend="socket")
 
+    @pytest.mark.parametrize("batch", [None, "0"],
+                             ids=["batched", "unbatched"])
+    def test_coordinator_publishes_into_the_shared_store(
+            self, batch, tmp_path, monkeypatch):
+        """By the time run_cells returns, every result is in the cache:
+        the coordinator published each before its ack settled."""
+        if batch is None:
+            monkeypatch.delenv(BATCH_ENV, raising=False)
+        else:
+            monkeypatch.setenv(BATCH_ENV, batch)
+        cells = cells_for(range(20))
+        cache = ResultCache(str(tmp_path))
+        expected = [v * v for v in range(20)]
+        assert run_cells(cells, jobs=2, cache=cache,
+                         backend="socket") == expected
+        statuses = []
+        assert run_cells(cells, cache=cache,
+                         progress=lambda _k, s: statuses.append(s)) \
+            == expected
+        assert statuses == ["hit"] * 20
+
+    def test_uncacheable_cells_leave_no_artifacts(self, tmp_path):
+        cache = ResultCache(str(tmp_path))
+        assert run_cells(cells_for([3, 4], cacheable=False), jobs=2,
+                         cache=cache, backend="socket") == [9, 16]
+        assert list(cache.entries()) == []
+
 
 class TestCrossWorkerWarmth:
     def test_cell_computed_by_one_worker_serves_another(self, tmp_path):
         """The acceptance criterion, at the protocol level: worker A
-        computes a cell into the shared store; worker B, handed the same
-        cell later, acks it as ``source: "store"`` without recomputing."""
+        computes a cell and the coordinator publishes it; when worker B
+        claims the same cell later the coordinator settles it as
+        ``source: "store"`` without shipping it, and hands B the next
+        cell in the same exchange."""
         store = ArtifactStore(ResultCache(str(tmp_path)))
         spec_one, spec_two = cells_for([6, 8])
 
@@ -125,7 +180,8 @@ class TestCrossWorkerWarmth:
         task_b1 = enqueue(second, spec_one)  # same cell, different worker
         task_b2 = enqueue(second, spec_two)
         with CoordinatorServer(second, store) as url:
-            worker_loop(url, "worker-b", poll=0.05, max_tasks=2)
+            # One task: the stored cell never reaches the worker.
+            worker_loop(url, "worker-b", poll=0.05, max_tasks=1)
         assert (task_b1.source, task_b1.result) == ("store", 36)
         assert (task_b2.source, task_b2.result) == ("computed", 64)
         assert store.stats() == {"fetched": 1, "published": 2}

@@ -1,8 +1,11 @@
 """The coordinator HTTP app: worker protocol over handle(), no socket."""
 
 import json
+import sys
+import threading
+import time
 
-from repro.dist.coordinator import CoordinatorApp
+from repro.dist.coordinator import CoordinatorApp, CoordinatorServer
 from repro.dist.queue import TaskQueue
 from repro.dist.store import MemoryArtifactStore
 from repro.dist.wire import PayloadTable, encode_blob, encode_cell
@@ -251,20 +254,271 @@ class TestValidationAndStatus:
         assert json.loads(payload.decode()) == {"status": "ok"}
 
 
-class TestArtifacts:
-    def test_miss_then_put_then_hit(self):
-        app, _ = make_app()
-        status, _, _ = app.handle("GET", "/artifacts/k")
-        assert status == 404
-        import pickle
-        status, _, _ = app.handle("PUT", "/artifacts/k", pickle.dumps(7))
-        assert status == 204
-        status, content_type, payload = app.handle("GET", "/artifacts/k")
-        assert status == 200
-        assert content_type == "application/octet-stream"
-        assert pickle.loads(payload) == 7
+class RaisingStore:
+    """A store that is down: every call raises, and is counted."""
 
-    def test_unpicklable_put_is_400(self):
-        app, _ = make_app()
-        status, _, _ = app.handle("PUT", "/artifacts/k", b"garbage")
-        assert status == 400
+    def __init__(self, on):
+        self.on = on
+        self.calls = []
+
+    def fetch(self, key):
+        self.calls.append(("fetch", key))
+        if "fetch" in self.on:
+            raise OSError("store is down")
+        return False, None
+
+    def publish(self, key, value):
+        self.calls.append(("publish", key))
+        if "publish" in self.on:
+            raise OSError("store is down")
+
+    def stats(self):
+        return {}
+
+
+class TestCoordinatorSideStore:
+    """The store sits behind the coordinator: hits are settled at claim
+    time and never shipped, computed results are published on ack."""
+
+    def make(self, store=None, lease=10.0):
+        queue = TaskQueue(lease=lease)
+        store = MemoryArtifactStore() if store is None else store
+        return CoordinatorApp(queue, store), queue, store
+
+    def submit(self, queue, value, artifact="auto", cacheable=True):
+        spec = CellSpec(key=f"t/sq/{value}", fn=square, args=(value,),
+                        cacheable=cacheable)
+        if artifact == "auto":
+            artifact = f"art-{value}"
+        return queue.submit(encode_cell(spec), key=spec.key,
+                            artifact=artifact, cacheable=cacheable)
+
+    def ack_doc(self, task, value, source="computed"):
+        return {"task_id": task.task_id, "result": encode_blob(value),
+                "source": source}
+
+    def store_errors(self, app):
+        _, _, payload = app.handle("GET", "/queue/status")
+        return json.loads(payload.decode())["store_errors"]
+
+    # -- claim side ----------------------------------------------------
+    def test_stored_task_is_settled_and_the_claim_refills(self):
+        app, queue, store = self.make()
+        store.publish("art-2", 4)
+        warm, cold = self.submit(queue, 2), self.submit(queue, 3)
+        status, doc = post(app, "/queue/claim", {"worker": "w0"})
+        assert status == 200  # not 204: the queue was not empty
+        assert doc["task_id"] == cold.task_id
+        assert "artifact" not in doc
+        assert (warm.state, warm.source, warm.result) == ("done", "store", 4)
+        assert cold.state == "claimed"
+
+    def test_batched_claim_skips_hits_and_keeps_filling(self):
+        app, queue, store = self.make()
+        for value in (1, 3):
+            store.publish(f"art-{value}", value * value)
+        tasks = [self.submit(queue, value) for value in (1, 2, 3, 4, 5)]
+        status, body = post(app, "/queue/claim", {"worker": "w0", "max": 2})
+        assert status == 200
+        assert [t["task_id"] for t in body["tasks"]] \
+            == [tasks[1].task_id, tasks[3].task_id]
+        assert [t.source for t in tasks] \
+            == ["store", None, "store", None, None]
+        assert tasks[4].state == "pending"
+        # Settled-from-store tasks are the coordinator's, not the
+        # worker's: only shipped claims are counted against it.
+        _, _, payload = app.handle("GET", "/queue/status")
+        assert json.loads(payload.decode())["workers"] \
+            == {"w0": {"claims": 2, "acks": 0, "nacks": 0}}
+
+    def test_all_hits_is_204_until_drained_then_410(self):
+        app, queue, store = self.make()
+        store.publish("art-7", 49)
+        task = self.submit(queue, 7)
+        status, _ = post(app, "/queue/claim", {"worker": "w0", "max": 4})
+        assert status == 204
+        assert (task.state, task.source) == ("done", "store")
+        assert queue.finished()
+        queue.drain()
+        status, _ = post(app, "/queue/claim", {"worker": "w0", "max": 4})
+        assert status == 410
+
+    def test_all_hits_over_a_drained_queue_is_410(self):
+        app, queue, store = self.make()
+        store.publish("art-7", 49)
+        task = self.submit(queue, 7)
+        queue.drain()  # draining refuses submissions, not claims
+        status, _ = post(app, "/queue/claim", {"worker": "w0"})
+        assert status == 410
+        assert (task.state, task.source) == ("done", "store")
+
+    def test_uncacheable_and_artifactless_tasks_never_consult_the_store(self):
+        app, queue, _ = self.make(store=RaisingStore(on=()))
+        self.submit(queue, 2, cacheable=False)
+        self.submit(queue, 3, artifact=None)
+        status, body = post(app, "/queue/claim", {"worker": "w0", "max": 2})
+        assert status == 200 and len(body["tasks"]) == 2
+        assert app.store.calls == []
+
+    def test_store_that_raises_on_fetch_ships_the_task(self):
+        app, queue, store = self.make(store=RaisingStore(on=("fetch",)))
+        task = self.submit(queue, 2)
+        status, doc = post(app, "/queue/claim", {"worker": "w0"})
+        assert (status, doc["task_id"]) == (200, task.task_id)
+        assert store.calls == [("fetch", "art-2")]
+        assert self.store_errors(app) == {"fetch": 1, "publish": 0}
+
+    # -- ack side ------------------------------------------------------
+    def test_ack_publishes_a_computed_result_exactly_once(self):
+        app, queue, store = self.make()
+        task = self.submit(queue, 5)
+        post(app, "/queue/claim", {"worker": "w0"})
+        status, _ = post(app, f"/queue/tasks/{task.task_id}/ack",
+                         {"worker": "w0", "result": encode_blob(25)})
+        assert status == 200
+        assert store.fetch("art-5") == (True, 25)
+        assert store.published == 1
+
+    def test_ack_many_publishes_only_computed_cacheable_artifacts(self):
+        app, queue, store = self.make()
+        plain = self.submit(queue, 1)
+        uncacheable = self.submit(queue, 2, cacheable=False)
+        artifactless = self.submit(queue, 3, artifact=None)
+        from_store = self.submit(queue, 4)
+        post(app, "/queue/claim", {"worker": "w0", "max": 4})
+        status, body = post(app, "/queue/ack_many", {
+            "worker": "w0",
+            "acks": [self.ack_doc(plain, 1),
+                     self.ack_doc(uncacheable, 4),
+                     self.ack_doc(artifactless, 9),
+                     self.ack_doc(from_store, 16, source="store")]})
+        assert status == 200
+        assert len(body["acked"]) == 4
+        assert store.published == 1
+        assert store.fetch("art-1") == (True, 1)
+        assert store.fetch("art-2") == (False, None)
+        assert store.fetch("art-4") == (False, None)
+
+    def test_stale_and_rejected_acks_publish_nothing(self):
+        app, queue, store = self.make()
+        good, stale, bad = (self.submit(queue, v) for v in (1, 2, 3))
+        post(app, "/queue/claim", {"worker": "w0", "max": 3})
+        queue.nack(stale.task_id, "w0", "lost it")  # back to pending
+        status, body = post(app, "/queue/ack_many", {
+            "worker": "w0",
+            "acks": [self.ack_doc(good, 1),
+                     self.ack_doc(stale, 4),
+                     {"task_id": bad.task_id, "result": "not a blob!!"}]})
+        assert status == 200
+        assert body == {"acked": [good.task_id],
+                        "stale": [stale.task_id],
+                        "rejected": [bad.task_id]}
+        # A re-delivered settle (the client retries ack_many) is stale.
+        _, again = post(app, "/queue/ack_many", {
+            "worker": "w0", "acks": [self.ack_doc(good, 1)]})
+        assert again["stale"] == [good.task_id]
+        assert store.published == 1
+        assert store.fetch("art-2") == (False, None)
+        assert store.fetch("art-3") == (False, None)
+        assert (stale.state, bad.state) == ("pending", "claimed")
+
+    def test_stale_v1_ack_is_409_and_publishes_nothing(self):
+        app, queue, store = self.make()
+        task = self.submit(queue, 6)
+        post(app, "/queue/claim", {"worker": "w0"})
+        status, _ = post(app, f"/queue/tasks/{task.task_id}/ack",
+                         {"worker": "intruder", "result": encode_blob(36)})
+        assert status == 409
+        assert store.published == 0
+
+    def test_store_that_raises_on_publish_still_acks(self):
+        for route in ("ack", "ack_many"):
+            app, queue, store = self.make(
+                store=RaisingStore(on=("publish",)))
+            task = self.submit(queue, 2)
+            post(app, "/queue/claim", {"worker": "w0"})
+            if route == "ack":
+                status, _ = post(app, f"/queue/tasks/{task.task_id}/ack",
+                                 {"worker": "w0", "result": encode_blob(4)})
+            else:
+                status, _ = post(app, "/queue/ack_many", {
+                    "worker": "w0", "acks": [self.ack_doc(task, 4)]})
+            assert status == 200
+            assert (task.state, task.result, task.source) \
+                == ("done", 4, "computed")
+            assert ("publish", "art-2") in store.calls
+            assert self.store_errors(app) == {"fetch": 0, "publish": 1}
+
+    def test_artifact_routes_are_gone(self):
+        app, _, _ = self.make()
+        for method in ("GET", "PUT"):
+            status, _, _ = app.handle(method, "/artifacts/k", b"x")
+            assert status == 404
+
+
+class TestConcurrentClaims:
+    def test_no_task_lost_or_settled_twice_under_contention(self):
+        """More claimers than cores, half the cells already stored:
+        every task is settled exactly once — stored ones by the
+        coordinator, the rest by exactly one worker each."""
+        queue = TaskQueue(lease=30.0)
+        store = MemoryArtifactStore()
+        app = CoordinatorApp(queue, store)
+        tasks = []
+        for value in range(200):
+            if value % 2 == 0:
+                store.publish(f"art-{value}", value)
+            tasks.append(queue.submit({}, key=str(value),
+                                      artifact=f"art-{value}"))
+        shipped = []
+
+        def claimer(name):
+            while True:
+                status, body = post(app, "/queue/claim",
+                                    {"worker": name, "max": 5})
+                if status != 200:
+                    return
+                ids = [doc["task_id"] for doc in body["tasks"]]
+                shipped.extend(ids)
+                post(app, "/queue/ack_many", {
+                    "worker": name,
+                    "acks": [{"task_id": task_id,
+                              "result": encode_blob(int(task_id[1:]))}
+                             for task_id in ids]})
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=claimer, args=(f"w{i}",))
+                       for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert queue.finished()
+        assert sorted(shipped) == sorted(
+            task.task_id for task in tasks[1::2])
+        assert [task.source for task in tasks] \
+            == ["store", "computed"] * 100
+        assert [task.result for task in tasks] == list(range(200))
+        assert queue.stats.acks == 200
+        assert store.stats() == {"fetched": 100, "published": 200}
+
+
+class TestServerLifecycle:
+    def test_close_after_start_is_prompt(self):
+        """Not the stdlib's 0.5 s shutdown poll: a socket campaign pays
+        this once, and used to pay half a second for it."""
+        server = CoordinatorServer(TaskQueue())
+        server.start()
+        started = time.perf_counter()
+        server.close()
+        assert time.perf_counter() - started < 0.1
+
+    def test_close_without_start_does_not_block(self):
+        server = CoordinatorServer(TaskQueue())
+        server.close()
+        server.close()  # idempotent

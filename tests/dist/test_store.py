@@ -1,14 +1,7 @@
-"""The shared artifact store: cache-backed, in-memory, and over HTTP."""
+"""The shared artifact store: cache-backed and in-memory.  (How the
+coordinator uses it on its workers' behalf is in test_coordinator.)"""
 
-import pickle
-
-from repro.dist.coordinator import CoordinatorServer
-from repro.dist.queue import TaskQueue
-from repro.dist.store import (
-    ArtifactStore,
-    HttpArtifactStore,
-    MemoryArtifactStore,
-)
+from repro.dist.store import ArtifactStore, MemoryArtifactStore
 from repro.parallel.cache import ResultCache
 from repro.parallel.executor import CellSpec
 
@@ -36,12 +29,6 @@ class TestArtifactStore:
         hit, value = cache.get(cache.key_for(square, (4,), {}))
         assert (hit, value) == (True, 16)
 
-    def test_bytes_views_roundtrip(self, tmp_path):
-        store = ArtifactStore(ResultCache(str(tmp_path)))
-        store.publish_bytes("k", pickle.dumps({"a": 1}))
-        assert pickle.loads(store.fetch_bytes("k")) == {"a": 1}
-        assert store.fetch_bytes("missing") is None
-
 
 class TestMemoryArtifactStore:
     def test_publish_then_fetch(self):
@@ -49,23 +36,13 @@ class TestMemoryArtifactStore:
         store.publish("k", [1, 2])
         assert store.fetch("k") == (True, [1, 2])
         assert store.fetch("other") == (False, None)
+        assert store.stats() == {"fetched": 1, "published": 1}
 
-
-class TestHttpArtifactStore:
-    def test_roundtrip_through_a_live_coordinator(self, tmp_path):
-        backing = ArtifactStore(ResultCache(str(tmp_path)))
-        with CoordinatorServer(TaskQueue(), backing) as url:
-            client = HttpArtifactStore(url)
-            assert client.fetch("k") == (False, None)
-            client.publish("k", {"answer": 42})
-            assert client.fetch("k") == (True, {"answer": 42})
-        # The publish really landed in the backing cache.
-        assert backing.fetch("k") == (True, {"answer": 42})
-
-    def test_unreachable_coordinator_degrades_to_miss(self):
-        client = HttpArtifactStore("http://127.0.0.1:9", timeout=0.2)
-        assert client.fetch("k") == (False, None)
-        client.publish("k", 1)  # no-op, no raise
-        # Both failures were transport errors: counted, not raised.
-        assert client.stats() == {"fetched": 0, "published": 0,
-                                  "errors": 2}
+    def test_fetch_is_a_private_copy(self):
+        store = MemoryArtifactStore()
+        value = [1, 2]
+        store.publish("k", value)
+        value.append(3)
+        _, first = store.fetch("k")
+        first.append(4)
+        assert store.fetch("k") == (True, [1, 2])

@@ -1,9 +1,10 @@
-"""The worker loop's batched hot path: chunk sizing, per-cell guards,
-and the store-degradation contract.
+"""The worker loop's batched hot path: chunk sizing and per-cell guards.
 
-``process_batch`` is exercised against stub clients/stores so every
-edge is deterministic; the live-wire paths are covered by the backend
-and determinism suites.
+``process_batch`` is exercised against a stub client so every edge is
+deterministic; the live-wire paths are covered by the backend and
+determinism suites.  The worker has no store side any more — the
+coordinator settles stored cells before it answers a claim and
+publishes on ack (test_coordinator).
 """
 
 import pytest
@@ -11,7 +12,6 @@ import pytest
 from repro.dist.wire import encode_cell
 from repro.dist.worker import next_batch_size, process_batch
 from repro.parallel.executor import CellSpec
-from repro.service.http import HttpTransportError
 
 
 def square(x):
@@ -52,32 +52,8 @@ class StubClient:
         raise AssertionError(f"unexpected payload fetch: {digest}")
 
 
-class StubStore:
-    """A store whose fetch/publish behaviour is scripted per test."""
-
-    def __init__(self, contents=None, fetch_raises=None,
-                 publish_raises=None):
-        self.contents = dict(contents or {})
-        self.fetch_raises = fetch_raises
-        self.publish_raises = publish_raises
-        self.published = []
-
-    def fetch(self, key):
-        if self.fetch_raises is not None:
-            raise self.fetch_raises
-        if key in self.contents:
-            return True, self.contents[key]
-        return False, None
-
-    def publish(self, key, value):
-        if self.publish_raises is not None:
-            raise self.publish_raises
-        self.published.append((key, value))
-
-
-def task_doc(task_id, spec, artifact=None):
-    return {"task_id": task_id, "cell": encode_cell(spec),
-            "artifact": artifact}
+def task_doc(task_id, spec):
+    return {"task_id": task_id, "cell": encode_cell(spec)}
 
 
 class TestNextBatchSize:
@@ -102,52 +78,21 @@ class TestNextBatchSize:
 class TestProcessBatch:
     def test_mixed_batch_settles_each_cell_on_its_own_terms(self):
         client = StubClient()
-        store = StubStore(contents={"art-hit": 99})
         docs = [
-            task_doc("t1", CellSpec(key="hit", fn=square, args=(2,)),
-                     artifact="art-hit"),
-            task_doc("t2", CellSpec(key="compute", fn=square, args=(3,)),
-                     artifact="art-miss"),
+            task_doc("t1", CellSpec(key="a", fn=square, args=(2,))),
+            task_doc("t2", CellSpec(key="nc", fn=square, args=(3,),
+                                    cacheable=False)),
             task_doc("t3", CellSpec(key="crash", fn=boom, args=(1,))),
             {"task_id": "t4", "cell": {"key": "bad"}},  # undecodable
         ]
-        outcomes = process_batch(client, store, docs)
-        assert outcomes == {"t1": "store", "t2": "computed",
+        outcomes = process_batch(client, docs)
+        assert outcomes == {"t1": "computed", "t2": "computed",
                             "t3": "error", "t4": "error"}
-        assert client.acked == [("t1", 99, "store"), ("t2", 9, "computed")]
+        # Every result the worker sends is one it just computed.
+        assert client.acked == [("t1", 4, "computed"), ("t2", 9, "computed")]
         # The crash retries; the wire-bad doc is terminal.
         assert [(t, r) for t, _e, r in client.nacked] \
             == [("t3", True), ("t4", False)]
-        assert store.published == [("art-miss", 9)]
-
-    def test_store_transport_failure_degrades_to_computed(self):
-        """The bugfix satellite's regression test: an
-        HttpTransportError from the store mid-batch must not poison the
-        batch — every cell still settles, that cell as ``computed``."""
-        client = StubClient()
-        store = StubStore(
-            fetch_raises=HttpTransportError("http://dead:9", "refused"),
-            publish_raises=HttpTransportError("http://dead:9", "refused"))
-        docs = [
-            task_doc("t1", CellSpec(key="a", fn=square, args=(4,)),
-                     artifact="art-a"),
-            task_doc("t2", CellSpec(key="b", fn=square, args=(5,)),
-                     artifact="art-b"),
-        ]
-        outcomes = process_batch(client, store, docs)
-        assert outcomes == {"t1": "computed", "t2": "computed"}
-        assert client.acked == [("t1", 16, "computed"),
-                                ("t2", 25, "computed")]
-        assert client.nacked == []
-
-    def test_uncacheable_cells_skip_the_store_entirely(self):
-        client = StubClient()
-        store = StubStore(fetch_raises=AssertionError("must not be called"))
-        spec = CellSpec(key="nc", fn=square, args=(6,), cacheable=False)
-        outcomes = process_batch(
-            client, store, [task_doc("t1", spec, artifact="art")])
-        assert outcomes == {"t1": "computed"}
-        assert client.acked == [("t1", 36, "computed")]
 
     def test_unbatched_mode_settles_per_task(self):
         client = StubClient()
@@ -158,5 +103,5 @@ class TestProcessBatch:
         client.nack_many = lambda nacks: pytest.fail("batched verb used")
         docs = [task_doc("t1", CellSpec(key="a", fn=square, args=(2,))),
                 task_doc("t2", CellSpec(key="b", fn=boom, args=(1,)))]
-        process_batch(client, StubStore(), docs, batched=False)
+        process_batch(client, docs, batched=False)
         assert singles == [("ack", "t1"), ("nack", "t2")]

@@ -1,11 +1,10 @@
 """WorkerTelemetry: the dist fleet measuring its own contention."""
 
-import threading
-
 import pytest
 
 from repro.dist.worker import WorkerTelemetry
 from repro.obs.aggregator import FleetAggregator, make_obs_server
+from repro.service.http import serve_in_thread
 
 
 @pytest.fixture
@@ -13,13 +12,11 @@ def live_aggregator():
     agg = FleetAggregator()
     server = make_obs_server(agg, port=0)
     host, port = server.server_address[:2]
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
+    stop = serve_in_thread(server)
     try:
         yield agg, f"http://{host}:{port}"
     finally:
-        server.shutdown()
-        server.server_close()
+        stop()
 
 
 class TestDisabled:

@@ -251,15 +251,12 @@ class TestSnapshot:
 
 class TestStandaloneServer:
     def test_ingest_and_fleet_over_http(self):
-        import threading
-
-        from repro.service.http import http_request
+        from repro.service.http import http_request, serve_in_thread
 
         agg = FleetAggregator(clock=FakeClock())
         server = make_obs_server(agg, port=0)
         host, port = server.server_address[:2]
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
+        stop = serve_in_thread(server)
         try:
             url = f"http://{host}:{port}"
             posted = http_request(url + "/obs/ingest", method="POST",
@@ -277,5 +274,4 @@ class TestStandaloneServer:
                                     body=b"")
             assert bad_post.status == 404
         finally:
-            server.shutdown()
-            server.server_close()
+            stop()

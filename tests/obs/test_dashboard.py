@@ -1,7 +1,6 @@
 """Dashboard rendering and fetch: pure functions plus the CLI gate."""
 
 import json
-import threading
 
 import pytest
 
@@ -13,7 +12,7 @@ from repro.obs.dashboard import (
     render_html,
     render_text,
 )
-from repro.service.http import HttpTransportError
+from repro.service.http import HttpTransportError, serve_in_thread
 
 SNAPSHOT = {
     "version": 1,
@@ -114,13 +113,11 @@ class TestFetchAndCli:
                    b'"labels":{},"clock":"sim"}\n')
         server = make_obs_server(agg, port=0)
         host, port = server.server_address[:2]
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
+        stop = serve_in_thread(server)
         try:
             yield f"http://{host}:{port}"
         finally:
-            server.shutdown()
-            server.server_close()
+            stop()
 
     def test_normalize_fleet_url(self):
         assert normalize_fleet_url("http://h:1") == "http://h:1/obs/fleet"

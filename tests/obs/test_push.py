@@ -7,7 +7,6 @@ returns False, never raises.
 """
 
 import json
-import threading
 
 import pytest
 
@@ -24,6 +23,7 @@ from repro.obs.push import (
     push_observability,
     resolve_push_url,
 )
+from repro.service.http import serve_in_thread
 
 
 @pytest.fixture
@@ -42,13 +42,11 @@ def live_aggregator():
     agg = FleetAggregator()
     server = make_obs_server(agg, port=0)
     host, port = server.server_address[:2]
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
+    stop = serve_in_thread(server)
     try:
         yield agg, f"http://{host}:{port}"
     finally:
-        server.shutdown()
-        server.server_close()
+        stop()
 
 
 class TestUrls:

@@ -3,7 +3,6 @@ a campaign over a real socket whose result is byte-identical to a direct
 ``run_cells`` call, with the second identical submission a cache hit."""
 
 import json
-import threading
 import time
 import urllib.error
 import urllib.request
@@ -15,6 +14,7 @@ from repro.parallel.cache import ResultCache
 from repro.parallel.executor import run_cells
 from repro.parallel.transport import to_jsonable
 from repro.service.app import ServiceApp, make_server
+from repro.service.http import serve_in_thread
 from repro.service.jobs import JobStore
 from repro.service.sandbox import SandboxPolicy, admit_campaign, cells_for
 from repro.service.schemas import CampaignSubmission, TERMINAL
@@ -191,9 +191,7 @@ class TestSocketEndToEnd:
             server = make_server(store, port=0)
             host, port = server.server_address[:2]
             url = f"http://{host}:{port}"
-            thread = threading.Thread(target=server.serve_forever,
-                                      daemon=True)
-            thread.start()
+            stop = serve_in_thread(server)
             try:
                 status, doc = self._post(url, "/campaigns", CAMPAIGN_DOC)
                 assert status == 202
@@ -224,8 +222,7 @@ class TestSocketEndToEnd:
                 _, warm_served = self._get(url, f"/jobs/{job_id}/result")
                 assert warm_served["result"] == served["result"]
             finally:
-                server.shutdown()
-                server.server_close()
+                stop()
 
     def test_rejection_over_socket(self):
         with JobStore(policy=SandboxPolicy(lint_warn_as_error=True),
@@ -233,8 +230,7 @@ class TestSocketEndToEnd:
             server = make_server(store, port=0)
             host, port = server.server_address[:2]
             url = f"http://{host}:{port}"
-            threading.Thread(target=server.serve_forever,
-                             daemon=True).start()
+            stop = serve_in_thread(server)
             try:
                 aloha = ('try for 5 minutes\n'
                          '    condor_submit submit.job\nend\n')
@@ -245,8 +241,7 @@ class TestSocketEndToEnd:
                 assert error["code"] == "lint"
                 assert any("FTL010" in line for line in error["details"])
             finally:
-                server.shutdown()
-                server.server_close()
+                stop()
 
 
 class TestFastApiAdapter:

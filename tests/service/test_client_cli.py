@@ -1,7 +1,6 @@
 """Client + CLI against a live in-process server, and ``ftsh --submit``."""
 
 import json
-import threading
 
 import pytest
 
@@ -11,6 +10,7 @@ from repro.parallel.cache import ResultCache
 from repro.service.app import make_server
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.client import main as client_main
+from repro.service.http import serve_in_thread
 from repro.service.jobs import JobStore
 from repro.service.sandbox import SandboxPolicy
 
@@ -26,12 +26,11 @@ def service(tmp_path):
                   workers=2, obs=Observability()) as store:
         server = make_server(store, port=0)
         host, port = server.server_address[:2]
-        threading.Thread(target=server.serve_forever, daemon=True).start()
+        stop = serve_in_thread(server)
         try:
             yield f"http://{host}:{port}", store
         finally:
-            server.shutdown()
-            server.server_close()
+            stop()
 
 
 class TestServiceClient:
@@ -156,8 +155,7 @@ class TestFtshSubmit:
                       workers=1, obs=Observability()) as store:
             server = make_server(store, port=0)
             host, port = server.server_address[:2]
-            threading.Thread(target=server.serve_forever,
-                             daemon=True).start()
+            stop = serve_in_thread(server)
             try:
                 script = tmp_path / "aloha.ftsh"
                 script.write_text(ALOHA_ONLY)
@@ -167,5 +165,4 @@ class TestFtshSubmit:
                 assert rc == 2
                 assert "FTL010" in err
             finally:
-                server.shutdown()
-                server.server_close()
+                stop()

@@ -20,6 +20,7 @@ from repro.service.http import (
     backoff_delay,
     http_request,
     jittered_delay,
+    serve_in_thread,
 )
 from repro.service.jobs import JobStore
 from repro.service.sandbox import SandboxPolicy
@@ -153,12 +154,11 @@ def service(tmp_path):
                   workers=2, obs=Observability()) as store:
         server = make_server(store, port=0)
         host, port = server.server_address[:2]
-        threading.Thread(target=server.serve_forever, daemon=True).start()
+        stop = serve_in_thread(server)
         try:
             yield f"http://{host}:{port}", store
         finally:
-            server.shutdown()
-            server.server_close()
+            stop()
 
 
 class TestClientRetries:
