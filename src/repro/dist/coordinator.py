@@ -7,15 +7,13 @@ and an artifact store through the same framework-agnostic
 
 The worker protocol (all JSON unless noted)::
 
-    POST /queue/claim            {"worker", "lease"?}  -> 200 task
-                                 {"worker", "max", "lease"?}
+    POST /queue/claim            {"worker", "max", "lease"?}
                                                        -> 200 {"tasks": [...]}
                                                        |  204 idle
                                                        |  410 drained
-    POST /queue/tasks/{id}/ack   {"worker", "result", "source"?}
-    POST /queue/tasks/{id}/nack  {"worker", "error", "requeue"?}
     POST /queue/ack_many         {"worker", "acks": [{task_id, result,
-                                  source}]}  -> {"acked": [...], "stale": [...]}
+                                  source}]}  -> {"acked": [...], "stale": [...],
+                                                 "rejected": [...]}
     POST /queue/nack_many        {"worker", "nacks": [{task_id, error,
                                   requeue}]} -> {"states": {...}}
     POST /queue/heartbeat        {"worker"}            -> {"extended": n}
@@ -23,14 +21,11 @@ The worker protocol (all JSON unless noted)::
     GET  /payload/{digest}       cached cell payload (text/plain) | 404
     GET  /healthz                liveness
 
-This is wire-protocol **v2**: a claim carrying ``"max"`` leases up to
-that many tasks in one exchange (each under its *own* per-task lease),
-``ack_many``/``nack_many`` settle whole batches, every batched call
-piggybacks a heartbeat on the worker's other leases, and large cell
-payloads travel by content digest through ``/payload/<digest>`` (see
-:mod:`repro.dist.wire`).  The v1 single-task routes remain served —
-``REPRO_DIST_BATCH=0`` runs the fleet on them — and are the degenerate
-batch of one.
+A claim leases up to ``"max"`` tasks in one exchange (each under its
+*own* per-task lease), ``ack_many``/``nack_many`` settle whole batches,
+every batched call piggybacks a heartbeat on the worker's other leases,
+and large cell payloads travel by content digest through
+``/payload/<digest>`` (see :mod:`repro.dist.wire`).
 
 A claim leases each task for ``lease`` seconds (bounded by the queue
 default); ack/nack/heartbeat before the deadline or the task goes back
@@ -164,8 +159,8 @@ class CoordinatorApp:
                 else:
                     shipped.append(task)
             if hits:
-                # ack_many, not ack: a lease lost since the claim is
-                # reported stale instead of raised.
+                # A lease lost since the claim is reported stale, not
+                # raised.
                 self.queue.ack_many(worker, hits)
         return shipped
 
@@ -202,8 +197,8 @@ class CoordinatorApp:
 
     def _acked_result(self, worker: str, task_id: str,
                       doc: dict[str, Any]) -> tuple[Any, str]:
-        """Decode one ack's ``(result, source)``; both ack routes settle
-        through here.  Raises WireError/_BadRequest when undecodable.
+        """Decode one ack's ``(result, source)``.  Raises
+        WireError/_BadRequest when undecodable.
 
         A ``computed`` result is published *before* the caller acks the
         queue, so a finished campaign never races its own store — and
@@ -231,38 +226,18 @@ class CoordinatorApp:
             if lease is not None:
                 lease = min(float(lease),
                             self.queue.lease * MAX_LEASE_FACTOR)
-            batched = "max" in doc
-            want = (max(1, min(int(doc["max"]), MAX_CLAIM_BATCH))
-                    if batched else 1)
-            tasks = self._claim(worker, want, lease)
+            want = doc.get("max")
+            if not isinstance(want, int) or isinstance(want, bool):
+                raise _BadRequest("field 'max' must be an integer")
+            tasks = self._claim(
+                worker, max(1, min(want, MAX_CLAIM_BATCH)), lease)
             if not tasks:
                 if self.queue.draining:
                     return 410, JSON, _error("drained", "queue is drained")
                 return 204, JSON, b""
             self._ops.labels(worker=worker, op="claim").inc(len(tasks))
-            if batched:
-                return 200, JSON, _dumps(
-                    {"tasks": [self._task_doc(task) for task in tasks]})
-            return 200, JSON, _dumps(self._task_doc(tasks[0]))
-
-        if (len(parts) == 4 and parts[:2] == ["queue", "tasks"]
-                and method == "POST"):
-            task_id, action = parts[2], parts[3]
-            doc = _json_body(body)
-            worker = _worker_id(doc)
-            if action == "ack":
-                result, source = self._acked_result(worker, task_id, doc)
-                self.queue.ack(task_id, worker, result=result, source=source)
-                self._ops.labels(worker=worker, op="ack").inc()
-                return 200, JSON, _dumps({"ok": True})
-            if action == "nack":
-                error = _require_str(doc, "error")
-                requeue = bool(doc.get("requeue", True))
-                task = self.queue.nack(task_id, worker, error,
-                                       requeue=requeue)
-                self._ops.labels(worker=worker, op="nack").inc()
-                return 200, JSON, _dumps(
-                    {"ok": True, "state": task.state})
+            return 200, JSON, _dumps(
+                {"tasks": [self._task_doc(task) for task in tasks]})
 
         if parts == ["queue", "ack_many"] and method == "POST":
             doc = _json_body(body)

@@ -1,18 +1,16 @@
 """The work queue at the heart of ``repro.dist``.
 
 :class:`TaskQueue` is a small, lock-guarded, in-memory queue with the
-semantics every backend shares:
+semantics the socket backend is built on:
 
 * **submit** — tasks enter in submission order and are handed out FIFO;
-* **claim** — a worker takes the next pending task under a *lease*: a
-  deadline by which it must ack, nack, or heartbeat.  Batched variants
-  (:meth:`~TaskQueue.claim_many`, :meth:`~TaskQueue.ack_many`,
-  :meth:`~TaskQueue.nack_many`) move whole chunks per call — the wire
-  win — while leases, worker-id guards, and max-attempts bounds stay
-  strictly per-task, and every batched call piggybacks a heartbeat on
-  the worker's other leases;
-* **ack / nack** — terminal outcomes.  An ack stores the result; a nack
-  either re-enqueues the task (transient failure) or fails it for good;
+* **claim_many** — a worker takes the next pending tasks, each under
+  its own *lease*: a deadline by which it must ack, nack, or heartbeat;
+* **ack_many / nack_many** — terminal outcomes for a whole chunk per
+  call, with worker-id guards and max-attempts bounds strictly
+  per-task.  An ack stores the result; a nack either re-enqueues the
+  task (transient failure) or fails it for good.  Every batched call
+  piggybacks a heartbeat on the worker's other leases;
 * **heartbeat** — extends every lease a worker holds, so long-running
   cells survive short lease windows;
 * **reap** — expired leases (a worker that stopped heartbeating: crashed,
@@ -28,8 +26,7 @@ land in the content-addressed artifact store, so a re-run converges on
 the same bytes.
 
 The queue itself never executes anything and never talks to sockets —
-the work-stealing backend drives it from a parent process, and the
-socket coordinator exposes it over HTTP.
+the socket coordinator exposes it over HTTP.
 """
 
 from __future__ import annotations
@@ -64,9 +61,8 @@ class QueueError(Exception):
 class Task:
     """One unit of queued work (mutable; guarded by the queue lock).
 
-    ``payload`` is opaque to the queue — backends put a
-    :class:`~repro.parallel.executor.CellSpec` (work-stealing) or a wire
-    document (socket) in it.  ``artifact`` optionally names the shared-
+    ``payload`` is opaque to the queue — the socket backend puts a
+    wire document in it.  ``artifact`` optionally names the shared-
     store key where the result should be published/fetched.
     """
 
@@ -187,29 +183,18 @@ class TaskQueue:
     # ------------------------------------------------------------------
     # Worker side
     # ------------------------------------------------------------------
-    def claim(self, worker: str,
-              lease: Optional[float] = None) -> Optional[Task]:
-        """Hand the next pending task to ``worker``, or None if idle.
-
-        The caller gets the task under a lease of ``lease`` seconds
-        (queue default if omitted); it must ack, nack, or heartbeat
-        before the deadline or the task is reaped back to pending.
-        Expired leases are collected on the way in, so a single-threaded
-        driver never needs a separate reaper.
-        """
-        tasks = self.claim_many(worker, 1, lease=lease)
-        return tasks[0] if tasks else None
-
     def claim_many(self, worker: str, max_tasks: int,
                    lease: Optional[float] = None) -> list[Task]:
         """Hand up to ``max_tasks`` pending tasks to ``worker``, FIFO.
 
         Each task gets its *own* lease deadline — expiry, re-delivery,
         and poison bounds remain per-task even when delivery is
-        batched.  The claim also piggybacks a heartbeat: any lease the
-        worker already holds is extended, so a worker busy with a long
-        batch need not make a separate heartbeat call just because it
-        came back for more work.
+        batched.  Expired leases are collected on the way in, so a
+        single-threaded driver never needs a separate reaper.  The
+        claim also piggybacks a heartbeat: any lease the worker already
+        holds is extended, so a worker busy with a long batch need not
+        make a separate heartbeat call just because it came back for
+        more work.
         """
         if not worker:
             raise QueueError("claim needs a worker id")
@@ -231,50 +216,17 @@ class TaskQueue:
                 claimed.append(task)
             return claimed
 
-    def ack(self, task_id: str, worker: str, result: Any = None,
-            source: str = "computed") -> Task:
-        """Complete a claimed task with its result."""
-        with self._lock:
-            task = self._claimed_by(task_id, worker)
-            task.state = DONE
-            task.result = result
-            task.source = source
-            task.worker = None
-            task.deadline = None
-            self.stats.acks += 1
-            self._done.notify_all()
-            return task
-
-    def nack(self, task_id: str, worker: str, error: str,
-             requeue: bool = True) -> Task:
-        """Report a failure.  ``requeue=True`` puts the task back on the
-        queue (until ``max_attempts`` is exhausted); ``requeue=False``
-        fails it immediately — for errors retrying cannot fix."""
-        with self._lock:
-            task = self._claimed_by(task_id, worker)
-            task.worker = None
-            task.deadline = None
-            self.stats.nacks += 1
-            if requeue and task.attempts < self.max_attempts:
-                task.state = PENDING
-                task.error = error
-                self._pending.append(task.task_id)
-            else:
-                task.state = FAILED
-                task.error = error
-                self._done.notify_all()
-            return task
-
     def ack_many(self, worker: str,
                  acks: list[tuple[str, Any, str]]
                  ) -> tuple[list[str], list[str]]:
         """Complete a batch of claimed tasks: ``(task_id, result,
         source)`` triples.  Returns ``(acked, stale)`` task-id lists.
 
-        Unlike :meth:`ack`, a stale entry — lease expired mid-batch and
-        the task moved on — is *skipped*, not raised: one slow cell
-        must not void its batchmates' perfectly good results.  The call
-        piggybacks a heartbeat on any lease the worker still holds.
+        A stale entry — the lease expired and someone else holds (or
+        already finished) the task — is *skipped*, not raised: one slow
+        cell must not void its batchmates' perfectly good results, and
+        the store made the re-run identical.  The call piggybacks a
+        heartbeat on any lease the worker still holds.
         """
         acked: list[str] = []
         stale: list[str] = []
@@ -301,9 +253,11 @@ class TaskQueue:
                   nacks: list[tuple[str, str, bool]]) -> dict[str, str]:
         """Report a batch of failures: ``(task_id, error, requeue)``
         triples.  Returns each task's resulting state (``"stale"`` for
-        entries the worker no longer holds).  Poison bounds stay
-        per-task: one cell exhausting ``max_attempts`` fails alone,
-        its batchmates re-enqueue as usual.
+        entries the worker no longer holds).  ``requeue=True`` puts the
+        task back on the queue; ``requeue=False`` fails it immediately,
+        for errors retrying cannot fix.  Poison bounds stay per-task:
+        one cell exhausting ``max_attempts`` fails alone, its
+        batchmates re-enqueue as usual.
         """
         states: dict[str, str] = {}
         with self._lock:
@@ -344,19 +298,6 @@ class TaskQueue:
                 task.deadline = now + self.lease
                 extended += 1
         return extended
-
-    def _claimed_by(self, task_id: str, worker: str) -> Task:
-        task = self._tasks.get(task_id)
-        if task is None:
-            raise QueueError(f"unknown task: {task_id}")
-        if task.state != CLAIMED or task.worker != worker:
-            # At-least-once in action: the lease expired and someone else
-            # holds (or already finished) the task.  The late worker's
-            # outcome is dropped; the store made the re-run identical.
-            raise QueueError(
-                f"task {task_id} is not leased to {worker} "
-                f"(state={task.state}, worker={task.worker})")
-        return task
 
     # ------------------------------------------------------------------
     # Fault tolerance

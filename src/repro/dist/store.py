@@ -8,10 +8,9 @@ artifacts published by a fleet are indistinguishable from entries a
 local ``run_cells`` wrote — a campaign run on a worker fleet leaves the
 same warm cache behind as a serial run, and vice versa.
 
-The store lives on the side of the wire that owns it: work-stealing
-workers open the cache directory themselves, and the socket
-coordinator fetches on claim and publishes on ack (see
-:mod:`repro.dist.coordinator`), so socket workers never touch it.
+The store lives on the coordinator's side of the wire: it fetches on
+claim and publishes on ack (see :mod:`repro.dist.coordinator`), so
+workers never touch it.
 
 Two implementations, one protocol (``key_for`` / ``fetch`` /
 ``publish``):

@@ -9,12 +9,11 @@ encoded pickles.  Pickle is the repo's canonical result transport (the
 cache stores the same pickles), which is exactly what makes a worker's
 ack byte-identical to a local computation.
 
-Wire-protocol v2 adds two bandwidth levers on top of that base:
+Two bandwidth levers sit on top of that base:
 
 * **compression** — a pickle at or past :data:`COMPRESS_MIN` bytes
   ships zlib-compressed when that actually helps, marked by a ``z:``
-  prefix on the base64 text; plain blobs stay prefix-free, so v1
-  documents still decode;
+  prefix on the base64 text; plain blobs stay prefix-free;
 * **payload digests** — a large cell payload is published once into a
   coordinator-side :class:`PayloadTable` and referenced from the task
   document by its sha256 digest (``blob_digest``).  A worker resolves
@@ -116,8 +115,7 @@ def encode_blob(value: Any) -> str:
 
     Pickles at or past :data:`COMPRESS_MIN` bytes go through zlib first
     when that is a net win, marked with a ``z:`` prefix (base64 never
-    contains ``:``, so the prefix is unambiguous and v1 blobs decode
-    unchanged).
+    contains ``:``, so the prefix is unambiguous).
     """
     buffer = io.BytesIO()
     _Pickler(buffer, protocol=pickle.HIGHEST_PROTOCOL).dump(value)

@@ -17,13 +17,13 @@ The loop is deliberately boring — claim a batch, compute, ack the batch
   but a *crashed* worker's leases expire and the coordinator re-queues
   its tasks.
 
-Batching is the wire-protocol v2 throughput lever: the worker claims a
-*chunk* of cells sized from the observed per-cell cost (aiming for
-:data:`TARGET_BATCH_SECONDS` of work per round trip), executes them
-all, and settles the whole chunk with one ``ack_many``.  Cheap cells
-amortize round trips; expensive cells shrink the chunk back toward one
-so lease granularity stays honest.  ``REPRO_DIST_BATCH=0`` pins the
-loop to the v1 single-claim protocol.
+Batching is the throughput lever: the worker claims a *chunk* of cells
+sized from the observed per-cell cost (aiming for
+:data:`TARGET_BATCH_SECONDS` of work per round trip, at most
+:data:`MAX_BATCH` cells), executes them all, and settles the whole
+chunk with one ``ack_many``.  Cheap cells amortize round trips;
+expensive cells shrink the chunk back toward one so lease granularity
+stays honest.
 
 The shared artifact store is the coordinator's business, not the
 worker's: cells already in it are settled before a claim is answered,
@@ -50,7 +50,6 @@ from ..service.http import (
     http_request,
     jittered_delay,
 )
-from . import default_max_batch
 from .wire import PayloadCache, WireError, decode_cell, encode_blob
 
 #: Base seconds between claim attempts while the queue is idle.
@@ -58,6 +57,9 @@ DEFAULT_POLL = 0.1
 
 #: Lease the worker requests per task.
 DEFAULT_LEASE = 30.0
+
+#: Most cells a worker claims per exchange.
+MAX_BATCH = 16
 
 #: Seconds of work a batch should carry: the adaptive chunker divides
 #: this by the observed mean cell cost to size the next claim.
@@ -131,50 +133,23 @@ class CoordinatorClient:
     # claim/heartbeat are idempotent and ack_many/nack_many are
     # duplicate-safe (a re-delivered settle just reports stale), so all
     # of them retry on transport failures.
-    def claim(self, max_tasks: Optional[int] = None
+    def claim(self, max_tasks: int = 1
               ) -> tuple[str, list[dict[str, Any]]]:
-        """``("tasks", docs)``, ``("idle", [])`` or ``("drained", [])``.
-
-        ``max_tasks`` > 1 asks the v2 batched route for a chunk; omitted
-        (or 1 with batching off) it stays on the v1 single-task wire.
-        """
-        doc: dict[str, Any] = {"worker": self.worker_id,
-                               "lease": self.lease}
-        if max_tasks is not None and max_tasks > 1:
-            doc["max"] = max_tasks
-        status, payload = self._post("/queue/claim", doc, retries=3)
+        """``("tasks", docs)``, ``("idle", [])`` or ``("drained", [])``."""
+        status, payload = self._post(
+            "/queue/claim",
+            {"worker": self.worker_id, "lease": self.lease,
+             "max": max_tasks},
+            retries=3)
         if status == 200 and isinstance(payload, dict):
-            if "tasks" in payload:
-                tasks = payload["tasks"]
-                if isinstance(tasks, list):
-                    return "tasks", [t for t in tasks if isinstance(t, dict)]
-            else:
-                return "tasks", [payload]
+            tasks = payload.get("tasks")
+            if isinstance(tasks, list):
+                return "tasks", [t for t in tasks if isinstance(t, dict)]
         if status == 204:
             return "idle", []
         if status == 410:
             return "drained", []
         raise WorkerError(f"claim failed: HTTP {status} {payload!r}")
-
-    def ack(self, task_id: str, result: Any, source: str) -> None:
-        status, doc = self._post(
-            f"/queue/tasks/{task_id}/ack",
-            {"worker": self.worker_id, "result": encode_blob(result),
-             "source": source})
-        if status == 409:
-            # Lease lost: another worker owns (or finished) the task.
-            # At-least-once means this is a dropped duplicate, not an
-            # error worth dying over.
-            return
-        if status != 200:
-            raise WorkerError(f"ack {task_id} failed: HTTP {status} {doc!r}")
-
-    def nack(self, task_id: str, error: str, requeue: bool = True) -> None:
-        status, doc = self._post(
-            f"/queue/tasks/{task_id}/nack",
-            {"worker": self.worker_id, "error": error, "requeue": requeue})
-        if status not in (200, 409):
-            raise WorkerError(f"nack {task_id} failed: HTTP {status} {doc!r}")
 
     def ack_many(self, acks: list[tuple[str, Any, str]]) -> list[str]:
         """Settle a batch of results; returns the stale task ids."""
@@ -306,7 +281,6 @@ def process_batch(
     client: CoordinatorClient,
     docs: list[dict[str, Any]],
     payloads: Optional[PayloadCache] = None,
-    batched: bool = True,
 ) -> dict[str, str]:
     """Execute a claimed chunk; returns ``{task_id: outcome}``
     (``"computed"`` or ``"error"``).
@@ -339,32 +313,24 @@ def process_batch(
                 continue
             acks.append((task_id, value, "computed"))
             outcomes[task_id] = "computed"
-        if batched:
-            client.ack_many(acks)
-            client.nack_many(nacks)
-        else:
-            for task_id, value, source in acks:
-                client.ack(task_id, value, source)
-            for task_id, error, requeue in nacks:
-                client.nack(task_id, error, requeue=requeue)
+        client.ack_many(acks)
+        client.nack_many(nacks)
     return outcomes
 
 
-def next_batch_size(elapsed: float, handled: int, max_batch: int,
+def next_batch_size(elapsed: float, handled: int,
                     target: float = TARGET_BATCH_SECONDS) -> int:
     """Size the next claim from the chunk just finished.
 
-    ``target / mean_cell_seconds``, clamped to ``[1, max_batch]`` —
+    ``target / mean_cell_seconds``, clamped to ``[1, MAX_BATCH]`` —
     cheap cells grow the chunk until round trips amortize, expensive
     cells shrink it back to one so a lost lease re-runs one cell, not
     sixteen.
     """
-    if max_batch <= 1:
-        return 1
     mean = elapsed / max(handled, 1)
     if mean <= 0:
-        return max_batch
-    return max(1, min(max_batch, int(target / mean) or 1))
+        return MAX_BATCH
+    return max(1, min(MAX_BATCH, int(target / mean) or 1))
 
 
 def worker_loop(
@@ -374,13 +340,10 @@ def worker_loop(
     lease: float = DEFAULT_LEASE,
     max_tasks: Optional[int] = None,
     say=lambda line: None,
-    max_batch: Optional[int] = None,
     rng: Optional[random.Random] = None,
     obs_push: Optional[str] = None,
 ) -> int:
     """Claim and execute until the queue drains; returns tasks handled."""
-    if max_batch is None:
-        max_batch = default_max_batch()
     rng = rng or random.Random()
     client = CoordinatorClient(url, worker_id, lease=lease)
     payloads = PayloadCache()
@@ -393,8 +356,7 @@ def worker_loop(
         if max_tasks is not None:
             want = min(want, max_tasks - handled)
         try:
-            kind, docs = client.claim(
-                max_tasks=want if max_batch > 1 else None)
+            kind, docs = client.claim(max_tasks=want)
         except HttpTransportError as exc:
             # The coordinator is gone (shutdown race or crash).  Its
             # queue state outlives us either way; exit instead of
@@ -421,13 +383,12 @@ def worker_loop(
             continue
         idle_streak = 0
         started = time.perf_counter()
-        outcomes = process_batch(client, docs, payloads=payloads,
-                                 batched=max_batch > 1)
+        outcomes = process_batch(client, docs, payloads=payloads)
         elapsed = time.perf_counter() - started
         for task_id, source in outcomes.items():
             say(f"task {task_id} [{source}]")
         handled += len(docs)
-        batch = next_batch_size(elapsed, len(docs), max_batch)
+        batch = next_batch_size(elapsed, len(docs))
         telemetry.batch_done(outcomes, elapsed, batch)
     telemetry.push()
     return handled
@@ -446,9 +407,6 @@ def main(argv: Optional[list[str]] = None) -> int:
                         help="requested lease seconds per task")
     parser.add_argument("--max-tasks", type=int, default=None,
                         help="exit after handling N tasks")
-    parser.add_argument("--max-batch", type=int, default=None,
-                        help="cells claimed per exchange ceiling "
-                             "(default: $REPRO_DIST_BATCH toggle)")
     parser.add_argument("--obs-push", default=None, metavar="URL",
                         help="push worker telemetry to a fleet "
                              "aggregator (default $REPRO_OBS_PUSH, or "
@@ -462,7 +420,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         handled = worker_loop(
             args.url, worker_id, poll=args.poll, lease=args.lease,
-            max_tasks=args.max_tasks, max_batch=args.max_batch, say=say,
+            max_tasks=args.max_tasks, say=say,
             obs_push=resolve_push_url(args.obs_push))
     except WorkerError as exc:
         print(f"worker {worker_id}: fatal: {exc}", file=sys.stderr)

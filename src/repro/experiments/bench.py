@@ -17,12 +17,9 @@ root by convention) so performance is a tracked number from PR to PR:
   "speedup" is pure overhead);
 * **cache** — the same grid against a cold then a warm content-
   addressed result cache, asserting the warm run served every cell;
-* **dist** — the same grid once per ``repro.dist`` backend (in-process,
-  work-stealing, socket) at a 2-worker fleet, each against a fresh
-  cache, asserting every backend reproduced the serial results; plus a
-  ``throughput`` sub-section rerunning the multiprocess backends with
-  the wire-protocol v2 batching on (``$REPRO_DIST_BATCH=1``) and off
-  (``=0``), so the batched-lease speedup is itself a tracked number;
+* **dist** — the same grid once per ``run_cells`` backend (in-process,
+  socket) at a 2-worker fleet, each against a fresh cache, asserting
+  both reproduced the serial results;
 * **interp** — the interpreter-dispatch micro: a retry-heavy and a
   forall-heavy script driven tree-walk vs over compiled plans
   (``repro.core.compile``) against a canned-effect driver, plus cold vs
@@ -50,7 +47,6 @@ import time
 from dataclasses import dataclass
 
 from ..clients.base import ETHERNET
-from ..dist import BATCH_ENV
 from ..clients.scripts import reader_script
 from ..core.compile import compile_cached, compile_script
 from ..core.effects import (
@@ -75,7 +71,7 @@ from ..sim.engine import Engine
 from ..sim.events import Interrupt
 from .runall import SCALES, Scale, campaign_cells
 
-SCHEMA = "repro.bench.campaign/5"
+SCHEMA = "repro.bench.campaign/6"
 
 #: Keys every benchmark document must carry (checked by ``--check``).
 REQUIRED = {
@@ -101,8 +97,7 @@ COMPARE_METRICS = (
     ("engine", "interrupt_churn", "interrupts_per_s"),
     ("interp", "dispatch", "retry", "compiled_attempts_per_s"),
     ("interp", "dispatch", "retry", "speedup"),
-    ("dist", "throughput", "work-stealing", "batched", "cells_per_s"),
-    ("dist", "throughput", "socket", "batched", "cells_per_s"),
+    ("dist", "backend_overhead", "socket", "cells_per_s"),
 )
 
 #: Fractional throughput drop tolerated by ``--compare`` before failing.
@@ -498,26 +493,18 @@ def bench_dist(scale: Scale, seed: int, serial: list,
     the cross-backend determinism contract as a tracked number.
     Wall-clock overhead vs in-process is machine noise on small grids;
     the ``identical`` flags are the part that must never change.
-
-    ``throughput`` reruns the two multiprocess backends with the wire-
-    protocol v2 batch path forced on and off, so the batching win (and
-    the v1 fallback's health) are both tracked numbers.
     """
     cells = _flat_cells(scale, seed)
     reference = _fingerprint(serial)
 
-    def timed_run(backend: str) -> tuple[float, bool]:
+    doc: dict = {"jobs": 2, "backend_overhead": {}}
+    for backend in ("inprocess", "socket"):
         with tempfile.TemporaryDirectory(
                 prefix=f"repro-bench-dist-{backend}-") as tmp:
             cache = ResultCache(tmp)
             started = time.perf_counter()
             results = run_cells(cells, jobs=2, cache=cache, backend=backend)
             seconds = time.perf_counter() - started
-        return seconds, _fingerprint(results) == reference
-
-    doc: dict = {"jobs": 2, "backend_overhead": {}, "throughput": {}}
-    for backend in ("inprocess", "work-stealing", "socket"):
-        seconds, identical = timed_run(backend)
         doc["backend_overhead"][backend] = {
             "cells": len(cells),
             "seconds": round(seconds, 3),
@@ -525,36 +512,8 @@ def bench_dist(scale: Scale, seed: int, serial: list,
                             if seconds else None),
             "overhead_vs_serial": (round(seconds / serial_s, 2)
                                    if serial_s else None),
-            "identical": identical,
+            "identical": _fingerprint(results) == reference,
         }
-
-    # Batched vs unbatched wire protocol on the multiprocess backends:
-    # the lease-batching speedup as a tracked number.  $REPRO_DIST_BATCH
-    # is restored afterwards so the caller's choice survives the bench.
-    saved = os.environ.get(BATCH_ENV)
-    try:
-        for backend in ("work-stealing", "socket"):
-            entry: dict = {}
-            for mode, value in (("batched", "1"), ("unbatched", "0")):
-                os.environ[BATCH_ENV] = value
-                seconds, identical = timed_run(backend)
-                entry[mode] = {
-                    "cells": len(cells),
-                    "seconds": round(seconds, 3),
-                    "cells_per_s": (round(len(cells) / seconds, 2)
-                                    if seconds else None),
-                    "identical": identical,
-                }
-            batched_s = entry["batched"]["seconds"]
-            entry["speedup"] = (
-                round(entry["unbatched"]["seconds"] / batched_s, 2)
-                if batched_s else None)
-            doc["throughput"][backend] = entry
-    finally:
-        if saved is None:
-            os.environ.pop(BATCH_ENV, None)
-        else:
-            os.environ[BATCH_ENV] = saved
     return doc
 
 
@@ -590,11 +549,7 @@ def run_bench(scale_name: str, seed: int, jobs: int | None) -> dict:
             "cache_vs_serial": cache_doc["identical"],
             "dist_vs_serial": all(
                 entry["identical"]
-                for entry in dist_doc["backend_overhead"].values()
-            ) and all(
-                entry[mode]["identical"]
-                for entry in dist_doc["throughput"].values()
-                for mode in ("batched", "unbatched")),
+                for entry in dist_doc["backend_overhead"].values()),
             "interp_compiled_vs_tree": interp_doc["identical"],
         },
     }

@@ -231,7 +231,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--backend", default=None,
-        choices=("inprocess", "work-stealing", "socket"),
+        choices=("inprocess", "socket"),
         help="cell executor backend (repro.dist; default inprocess, "
              "or $REPRO_DIST_BACKEND)",
     )

@@ -111,36 +111,30 @@ def run_cells(
     values are identical whether computed serially, in parallel, or
     served from a warm cache.
 
-    ``backend`` selects the executor: ``"inprocess"`` (default) is this
-    function's own serial/process-pool path; ``"work-stealing"`` and
-    ``"socket"`` hand the pending cells to :mod:`repro.dist`, where
-    ``jobs`` doubles as the worker-fleet size.  ``$REPRO_DIST_BACKEND``
-    applies when no explicit backend is passed.  Every backend honours
-    the same contract, scorecards included.
+    ``backend`` selects the executor: ``"inprocess"`` (default) is the
+    serial/process-pool path below; ``"socket"`` hands the pending cells
+    to the :mod:`repro.dist` coordinator and a fleet of ``jobs``
+    workers, whose leases re-run the cells of a worker that dies.
+    ``$REPRO_DIST_BACKEND`` applies when no explicit backend is passed.
+    Both honour the same contract, scorecards included.
 
-    Dist backends run the wire-protocol v2 hot path by default: workers
-    claim adaptively sized *chunks* of cheap cells, settle them with
-    batched acks over keep-alive connections, and resolve repeated
-    payloads by content digest — all transparent to this contract,
-    since leases, retries, and poison bounds stay per-cell.  Set
-    ``$REPRO_DIST_BATCH=0`` to pin the fleet to the v1 one-request-
-    per-cell protocol (the CI equivalence runs do exactly that).
+    The cache is consulted once, here, for every backend, and filled as
+    results land (by the socket coordinator on each ack), so a campaign
+    that is cancelled, or loses a cell or a worker, keeps what it
+    finished: the rerun reports those cells ``hit``.
 
     ``cancel`` (a ``threading.Event`` or bool-returning callable) stops
     the campaign between cells: pending work is cancelled, the pool shuts
     down without leaking workers, and :class:`CampaignCancelled` is
-    raised.  A KeyboardInterrupt (or SystemExit) gets the same clean
-    shutdown — ``cancel_futures=True`` instead of orphaned workers —
-    before re-raising; the service plane reuses both paths for job
+    raised.  Anything else that ends the pool early — an interrupt, a
+    cell that raised, a worker that died — gets the same clean shutdown
+    (``cancel_futures=True`` instead of orphaned workers) before
+    re-raising; the service plane reuses both paths for job
     cancellation.
     """
-    from ..dist import resolve_backend, run_dist_cells
+    from ..dist import resolve_backend
 
     resolved = resolve_backend(backend)
-    if resolved != "inprocess":
-        return run_dist_cells(resolved, cells, jobs=jobs, cache=cache,
-                              progress=progress, cancel=cancel)
-
     say = progress if progress is not None else (lambda _key, _status: None)
     results: list[Any] = [None] * len(cells)
     pending: list[int] = []
@@ -157,14 +151,30 @@ def run_cells(
                 continue
         pending.append(index)
 
+    if resolved == "socket":
+        if pending:
+            from ..dist import backends
+
+            computed = backends.run_socket(
+                [(index, cells[index], keys.get(index)) for index in pending],
+                jobs, cache, say, cancel)
+            for index, value in computed.items():
+                results[index] = value
+        return results
+
+    def landed(index: int, value: Any) -> None:
+        results[index] = value
+        say(cells[index].key, "done")
+        if index in keys:
+            cache.put(keys[index], value)
+
     workers = resolve_jobs(jobs)
     if workers <= 1 or len(pending) <= 1:
         for index in pending:
             if _cancelled(cancel):
                 raise CampaignCancelled(cells[index].key)
             say(cells[index].key, "run")
-            results[index] = _execute(cells[index])
-            say(cells[index].key, "done")
+            landed(index, _execute(cells[index]))
     else:
         pool = ProcessPoolExecutor(max_workers=min(workers, len(pending)))
         try:
@@ -177,25 +187,22 @@ def run_cells(
                     if _cancelled(cancel):
                         raise CampaignCancelled(cells[index].key)
                     try:
-                        results[index] = futures[index].result(
+                        value = futures[index].result(
                             timeout=_CANCEL_POLL if cancel is not None
                             else None)
                         break
                     except FutureTimeout:
                         continue
-                say(cells[index].key, "done")
-        except (KeyboardInterrupt, SystemExit, CampaignCancelled):
+                landed(index, value)
+        except BaseException:
             # The paper's discipline applied to ourselves: release the
-            # shared resource on the way out.  cancel_futures drops the
-            # queued cells; the one mid-flight finishes (POSIX gives no
-            # safe preemption), then every worker exits.
+            # shared resource on the way out, whatever ended the
+            # campaign — a cancel, an interrupt, a cell that raised, a
+            # worker that died.  cancel_futures drops the queued cells;
+            # the ones mid-flight finish (POSIX gives no safe
+            # preemption), then every worker exits.
             pool.shutdown(wait=False, cancel_futures=True)
             raise
         else:
             pool.shutdown(wait=True)
-
-    if cache is not None:
-        for index in pending:
-            if index in keys:
-                cache.put(keys[index], results[index])
     return results

@@ -39,7 +39,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                         help="processes per job (repro.parallel; "
                         "0 = one per CPU, default serial)")
     parser.add_argument("--backend", default=None,
-                        choices=("inprocess", "work-stealing", "socket"),
+                        choices=("inprocess", "socket"),
                         help="cell executor backend (repro.dist; default "
                         "inprocess, or $REPRO_DIST_BACKEND)")
     parser.add_argument("--cache-dir", default=None,

@@ -1,13 +1,18 @@
-"""The pluggable backends behind run_cells: selection, execution,
-fault tolerance, and the shared artifact store's cross-worker serves."""
+"""The backends behind run_cells: selection, execution, fault
+tolerance, and the shared artifact store's cross-worker serves."""
 
+import functools
+import multiprocessing
+import os
+import signal
 import threading
 import time
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from repro.dist import BACKEND_ENV, BATCH_ENV, resolve_backend, run_dist_cells
-from repro.dist.backends import BackendError, _fork_allowed
+from repro.dist import BACKEND_ENV, backend_names, backends, resolve_backend
+from repro.dist.backends import BackendError
 from repro.dist.coordinator import CoordinatorServer
 from repro.dist.queue import TaskQueue
 from repro.dist.store import ArtifactStore
@@ -25,6 +30,18 @@ def boom(x):
     raise RuntimeError(f"cell exploded on {x}")
 
 
+def die_once(marker, x):
+    """SIGKILL the process running this cell, mid-cell, the first time
+    only: ``marker`` remembers that it happened."""
+    try:
+        os.close(os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+    except FileExistsError:
+        return x * x
+    # Long enough for a neighbour's finished cell to reach the parent.
+    time.sleep(0.2)
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
 def cells_for(values, cacheable=True):
     return [CellSpec(key=f"t/sq/{v}", fn=square, args=(v,),
                      cacheable=cacheable) for v in values]
@@ -37,14 +54,28 @@ class TestResolveBackend:
 
     def test_aliases_normalize(self):
         assert resolve_backend("in-process") == "inprocess"
-        assert resolve_backend("WORKSTEALING") == "work-stealing"
-        assert resolve_backend("http") == "socket"
+        assert resolve_backend("HTTP") == "socket"
 
     def test_env_var_applies_without_explicit_arg(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "work-stealing")
-        assert resolve_backend(None) == "work-stealing"
+        monkeypatch.setenv(BACKEND_ENV, "socket")
+        assert resolve_backend(None) == "socket"
         # An explicit argument always wins over the environment.
         assert resolve_backend("inprocess") == "inprocess"
+
+    def test_work_stealing_is_the_local_executor(self, monkeypatch,
+                                                 tmp_path):
+        """The retired backend's name still resolves (the perf ledger
+        passes it) — to the pool, which leaves no thread behind."""
+        assert "work-stealing" not in backend_names()
+        cells = cells_for(range(12))
+        serial = run_cells(cells)
+        threads = threading.active_count()
+        assert run_cells(cells, jobs=2, cache=ResultCache(str(tmp_path)),
+                         backend="work-stealing") == serial
+        monkeypatch.setenv(BACKEND_ENV, "work-stealing")
+        assert resolve_backend(None) == "inprocess"
+        assert run_cells(cells, jobs=2) == serial
+        assert threading.active_count() <= threads
 
     def test_unknown_name_rejected(self, monkeypatch):
         with pytest.raises(ValueError, match="unknown dist backend"):
@@ -52,64 +83,6 @@ class TestResolveBackend:
         monkeypatch.setenv(BACKEND_ENV, "carrier-pigeon")
         with pytest.raises(ValueError, match="unknown dist backend"):
             run_cells(cells_for([1]))
-
-
-class TestWorkStealingBackend:
-    def test_matches_serial(self, tmp_path):
-        cells = cells_for([4, 2, 9, 7])
-        serial = run_cells(cells)
-        cache = ResultCache(str(tmp_path))
-        assert run_cells(cells, jobs=2, cache=cache,
-                         backend="work-stealing") == serial
-
-    def test_workers_publish_into_the_shared_store(self, tmp_path):
-        """A distributed run leaves the same warm cache a local run does."""
-        cells = cells_for([3, 5])
-        cache = ResultCache(str(tmp_path))
-        run_cells(cells, jobs=2, cache=cache, backend="work-stealing")
-        statuses = []
-        rerun = run_cells(cells, cache=cache,
-                          progress=lambda _k, s: statuses.append(s))
-        assert rerun == [9, 25]
-        assert statuses == ["hit", "hit"]
-
-    def test_cell_failure_propagates(self, tmp_path):
-        cells = [CellSpec(key="t/boom", fn=boom, args=(1,))] + cells_for([2])
-        with pytest.raises(BackendError, match="t/boom"):
-            run_cells(cells, jobs=2, cache=ResultCache(str(tmp_path)),
-                      backend="work-stealing")
-
-    def test_cancel_raises_campaign_cancelled(self):
-        cancel = threading.Event()
-        cancel.set()
-        with pytest.raises(CampaignCancelled):
-            run_dist_cells("work-stealing", cells_for([1, 2, 3]),
-                           jobs=2, cancel=cancel)
-
-    def test_no_thread_outlives_the_campaign(self, monkeypatch):
-        """The task queue's feeder thread used to be closed but not
-        joined, so for a moment after the return the parent was still
-        threaded — and the *next* campaign then spawned fresh
-        interpreters instead of forking.  A feeder made slow to die
-        turns that race into a certainty."""
-        from multiprocessing import queues as mp_queues
-
-        real_feed = mp_queues.Queue._feed
-
-        def slow_to_die(*args, **kwargs):
-            real_feed(*args, **kwargs)
-            time.sleep(0.1)
-
-        monkeypatch.setattr(mp_queues.Queue, "_feed",
-                            staticmethod(slow_to_die))
-        monkeypatch.delenv("REPRO_DIST_FORK", raising=False)
-        if threading.active_count() != 1:
-            pytest.skip("needs a single-threaded parent to begin with")
-        assert run_cells(cells_for(range(12)), jobs=2,
-                         backend="work-stealing") \
-            == [v * v for v in range(12)]
-        assert threading.active_count() == 1
-        assert _fork_allowed()
 
 
 class TestSocketBackend:
@@ -126,16 +99,16 @@ class TestSocketBackend:
             run_cells(cells, jobs=1, cache=ResultCache(str(tmp_path)),
                       backend="socket")
 
-    @pytest.mark.parametrize("batch", [None, "0"],
-                             ids=["batched", "unbatched"])
-    def test_coordinator_publishes_into_the_shared_store(
-            self, batch, tmp_path, monkeypatch):
+    def test_cancel_raises_campaign_cancelled(self):
+        cancel = threading.Event()
+        cancel.set()
+        with pytest.raises(CampaignCancelled):
+            run_cells(cells_for([1, 2, 3]), jobs=2, cancel=cancel,
+                      backend="socket")
+
+    def test_coordinator_publishes_into_the_shared_store(self, tmp_path):
         """By the time run_cells returns, every result is in the cache:
         the coordinator published each before its ack settled."""
-        if batch is None:
-            monkeypatch.delenv(BATCH_ENV, raising=False)
-        else:
-            monkeypatch.setenv(BATCH_ENV, batch)
         cells = cells_for(range(20))
         cache = ResultCache(str(tmp_path))
         expected = [v * v for v in range(20)]
@@ -152,6 +125,70 @@ class TestSocketBackend:
         assert run_cells(cells_for([3, 4], cacheable=False), jobs=2,
                          cache=cache, backend="socket") == [9, 16]
         assert list(cache.entries()) == []
+
+    def test_cache_precheck_short_circuits_the_fleet(self, tmp_path,
+                                                     monkeypatch):
+        """Warm cells never reach the backend at all."""
+        cells = cells_for([2, 4])
+        cache = ResultCache(str(tmp_path))
+        run_cells(cells, cache=cache)
+        monkeypatch.setattr(
+            backends, "run_socket",
+            lambda *args, **kwargs: pytest.fail("fleet started"))
+        statuses = []
+        results = run_cells(cells, jobs=2, cache=cache, backend="socket",
+                            progress=lambda _k, s: statuses.append(s))
+        assert results == [4, 16]
+        assert statuses == ["hit", "hit"]
+
+
+class TestKilledWorker:
+    """Break our own planes: a cell whose worker is SIGKILLed under it."""
+
+    def cells(self, tmp_path):
+        killer = CellSpec(key="t/die", fn=die_once,
+                          args=(str(tmp_path / "died"), 7))
+        return cells_for([1, 2]) + [killer] + cells_for(range(3, 9))
+
+    def test_socket_fleet_recovers_the_cell_by_lease_expiry(
+            self, tmp_path, monkeypatch):
+        made = []
+
+        class Recording(backends.TaskQueue):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(backends, "TaskQueue", Recording)
+        monkeypatch.setattr(
+            backends, "run_socket",
+            functools.partial(backends.run_socket, lease=1.0))
+        cells = self.cells(tmp_path)
+        cache = ResultCache(str(tmp_path / "cache"))
+        results = run_cells(cells, jobs=2, cache=cache, backend="socket")
+        # The marker exists now, so the serial run survives the cell.
+        assert results == run_cells(cells)
+        (queue,) = made
+        assert queue.stats.expired >= 1
+        assert queue.failures() == []
+
+    def test_pool_fails_promptly_and_keeps_what_it_finished(self, tmp_path):
+        cells = self.cells(tmp_path)
+        cache = ResultCache(str(tmp_path / "cache"))
+        started = time.perf_counter()
+        with pytest.raises(BrokenProcessPool):
+            run_cells(cells, jobs=2, cache=cache)
+        assert time.perf_counter() - started < 5.0
+        deadline = time.monotonic() + 5.0
+        while multiprocessing.active_children() \
+                and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert multiprocessing.active_children() == []
+        statuses = []
+        rerun = run_cells(cells, jobs=2, cache=cache,
+                          progress=lambda k, s: statuses.append((k, s)))
+        assert rerun == [1, 4, 49] + [v * v for v in range(3, 9)]
+        assert statuses[:2] == [("t/sq/1", "hit"), ("t/sq/2", "hit")]
 
 
 class TestCrossWorkerWarmth:
@@ -185,20 +222,3 @@ class TestCrossWorkerWarmth:
         assert (task_b1.source, task_b1.result) == ("store", 36)
         assert (task_b2.source, task_b2.result) == ("computed", 64)
         assert store.stats() == {"fetched": 1, "published": 2}
-
-
-class TestRunDistCells:
-    def test_cache_precheck_short_circuits_backend(self, tmp_path):
-        """Warm cells never reach the backend at all."""
-        cells = cells_for([2, 4])
-        cache = ResultCache(str(tmp_path))
-        run_cells(cells, cache=cache)
-        statuses = []
-        results = run_dist_cells("socket", cells, jobs=2, cache=cache,
-                                 progress=lambda _k, s: statuses.append(s))
-        assert results == [4, 16]
-        assert statuses == ["hit", "hit"]
-
-    def test_inprocess_is_not_a_dist_backend(self):
-        with pytest.raises(ValueError, match="run_cells handles"):
-            run_dist_cells("inprocess", cells_for([1]))

@@ -29,16 +29,25 @@ def post(app, path, doc):
     return status, body
 
 
+def claim(app, worker, want=1):
+    return post(app, "/queue/claim", {"worker": worker, "max": want})
+
+
+def ack_doc(task, value, source="computed"):
+    return {"task_id": task.task_id, "result": encode_blob(value),
+            "source": source}
+
+
 class TestClaimCycle:
     def test_idle_queue_is_204(self):
         app, _ = make_app()
-        status, _ = post(app, "/queue/claim", {"worker": "w0"})
+        status, _ = claim(app, "w0")
         assert status == 204
 
     def test_drained_queue_is_410(self):
         app, queue = make_app()
         queue.drain()
-        status, body = post(app, "/queue/claim", {"worker": "w0"})
+        status, body = claim(app, "w0")
         assert status == 410
         assert body["error"]["code"] == "drained"
 
@@ -46,48 +55,73 @@ class TestClaimCycle:
         app, queue = make_app()
         spec = CellSpec(key="t/sq/5", fn=square, args=(5,))
         task = queue.submit(encode_cell(spec), key=spec.key)
-        status, doc = post(app, "/queue/claim", {"worker": "w0"})
+        status, body = claim(app, "w0")
         assert status == 200
+        (doc,) = body["tasks"]
         assert doc["task_id"] == task.task_id
         assert doc["cell"]["key"] == "t/sq/5"
-        status, _ = post(app, f"/queue/tasks/{task.task_id}/ack",
-                         {"worker": "w0", "result": encode_blob(25),
-                          "source": "computed"})
-        assert status == 200
+        status, body = post(app, "/queue/ack_many",
+                            {"worker": "w0", "acks": [ack_doc(task, 25)]})
+        assert (status, body["acked"]) == (200, [task.task_id])
         assert task.result == 25
         assert queue.finished()
 
-    def test_stale_ack_is_409(self):
+    def test_claim_without_max_is_400(self):
+        app, queue = make_app()
+        queue.submit({}, key="a")
+        for doc in ({"worker": "w0"}, {"worker": "w0", "max": "2"},
+                    {"worker": "w0", "max": True}):
+            status, body = post(app, "/queue/claim", doc)
+            assert status == 400
+            assert body["error"]["code"] == "bad-request"
+        assert queue.depth() == 1
+
+    def test_stale_ack_is_reported_not_raised(self):
         """At-least-once: a reaped worker's late ack is dropped."""
         app, queue = make_app()
         task = queue.submit({}, key="a")
-        post(app, "/queue/claim", {"worker": "w0"})
-        queue.nack(task.task_id, "w0", "retry me")  # back to pending
-        status, body = post(app, f"/queue/tasks/{task.task_id}/ack",
-                            {"worker": "w0", "result": encode_blob(1)})
-        assert status == 409
-        assert body["error"]["code"] == "queue"
+        claim(app, "w0")
+        queue.nack_many("w0", [(task.task_id, "retry me", True)])
+        status, body = post(app, "/queue/ack_many",
+                            {"worker": "w0", "acks": [ack_doc(task, 1)]})
+        assert status == 200
+        assert body == {"acked": [], "stale": [task.task_id],
+                        "rejected": []}
+        assert task.state == "pending"
 
     def test_nack_requeue_false_fails_task(self):
         app, queue = make_app()
         task = queue.submit({}, key="a")
-        post(app, "/queue/claim", {"worker": "w0"})
-        status, body = post(app, f"/queue/tasks/{task.task_id}/nack",
-                            {"worker": "w0", "error": "undecodable",
-                             "requeue": False})
+        claim(app, "w0")
+        status, body = post(app, "/queue/nack_many", {
+            "worker": "w0",
+            "nacks": [{"task_id": task.task_id, "error": "undecodable",
+                       "requeue": False}]})
         assert status == 200
-        assert body["state"] == "failed"
+        assert body["states"] == {task.task_id: "failed"}
 
     def test_heartbeat_reports_extensions(self):
         app, queue = make_app()
         queue.submit({}, key="a")
-        post(app, "/queue/claim", {"worker": "w0"})
+        claim(app, "w0")
         status, body = post(app, "/queue/heartbeat", {"worker": "w0"})
         assert (status, body["extended"]) == (200, 1)
 
+    def test_v1_routes_are_gone(self):
+        app, queue = make_app()
+        task = queue.submit({}, key="a")
+        claim(app, "w0")
+        for action, doc in (("ack", {"result": encode_blob(1)}),
+                            ("nack", {"error": "boom"})):
+            status, body = post(app, f"/queue/tasks/{task.task_id}/{action}",
+                                {"worker": "w0", **doc})
+            assert status == 404
+            assert body["error"]["code"] == "unknown-route"
+        assert task.state == "claimed"
+
 
 class TestBatchedProtocol:
-    """Wire-protocol v2: chunked claims, batched settles, payloads."""
+    """Chunked claims, batched settles, payloads."""
 
     def submit_squares(self, queue, values):
         return [queue.submit(encode_cell(
@@ -97,7 +131,7 @@ class TestBatchedProtocol:
     def test_claim_with_max_returns_a_chunk(self):
         app, queue = make_app()
         tasks = self.submit_squares(queue, [1, 2, 3])
-        status, body = post(app, "/queue/claim", {"worker": "w0", "max": 2})
+        status, body = claim(app, "w0", 2)
         assert status == 200
         assert [t["task_id"] for t in body["tasks"]] \
             == [t.task_id for t in tasks[:2]]
@@ -114,16 +148,16 @@ class TestBatchedProtocol:
 
     def test_batched_claim_of_empty_queue_is_204_then_410(self):
         app, queue = make_app()
-        status, _ = post(app, "/queue/claim", {"worker": "w0", "max": 8})
+        status, _ = claim(app, "w0", 8)
         assert status == 204
         queue.drain()
-        status, _ = post(app, "/queue/claim", {"worker": "w0", "max": 8})
+        status, _ = claim(app, "w0", 8)
         assert status == 410
 
     def test_ack_many_settles_and_reports_stale(self):
         app, queue = make_app()
         claimed, unclaimed = self.submit_squares(queue, [4, 5])
-        post(app, "/queue/claim", {"worker": "w0"})
+        claim(app, "w0")
         status, body = post(app, "/queue/ack_many", {
             "worker": "w0",
             "acks": [
@@ -142,7 +176,7 @@ class TestBatchedProtocol:
         reported in ``rejected`` while its batchmates land."""
         app, queue = make_app()
         good, bad = self.submit_squares(queue, [6, 7])
-        post(app, "/queue/claim", {"worker": "w0", "max": 2})
+        claim(app, "w0", 2)
         status, body = post(app, "/queue/ack_many", {
             "worker": "w0",
             "acks": [
@@ -160,7 +194,7 @@ class TestBatchedProtocol:
     def test_nack_many_returns_per_task_states(self):
         app, queue = make_app()
         (task,) = self.submit_squares(queue, [8])
-        post(app, "/queue/claim", {"worker": "w0"})
+        claim(app, "w0")
         status, body = post(app, "/queue/nack_many", {
             "worker": "w0",
             "nacks": [{"task_id": task.task_id, "error": "boom",
@@ -229,7 +263,7 @@ class TestValidationAndStatus:
         task = queue.submit(encode_cell(spec), key=spec.key)
         queue.submit(encode_cell(
             CellSpec(key="t/sq/10", fn=square, args=(10,))), key="t/sq/10")
-        post(app, "/queue/claim", {"worker": "w0"})
+        claim(app, "w0")
         post(app, "/queue/ack_many", {
             "worker": "w0",
             "acks": [{"task_id": task.task_id,
@@ -293,10 +327,6 @@ class TestCoordinatorSideStore:
         return queue.submit(encode_cell(spec), key=spec.key,
                             artifact=artifact, cacheable=cacheable)
 
-    def ack_doc(self, task, value, source="computed"):
-        return {"task_id": task.task_id, "result": encode_blob(value),
-                "source": source}
-
     def store_errors(self, app):
         _, _, payload = app.handle("GET", "/queue/status")
         return json.loads(payload.decode())["store_errors"]
@@ -306,8 +336,9 @@ class TestCoordinatorSideStore:
         app, queue, store = self.make()
         store.publish("art-2", 4)
         warm, cold = self.submit(queue, 2), self.submit(queue, 3)
-        status, doc = post(app, "/queue/claim", {"worker": "w0"})
+        status, body = claim(app, "w0")
         assert status == 200  # not 204: the queue was not empty
+        (doc,) = body["tasks"]
         assert doc["task_id"] == cold.task_id
         assert "artifact" not in doc
         assert (warm.state, warm.source, warm.result) == ("done", "store", 4)
@@ -318,7 +349,7 @@ class TestCoordinatorSideStore:
         for value in (1, 3):
             store.publish(f"art-{value}", value * value)
         tasks = [self.submit(queue, value) for value in (1, 2, 3, 4, 5)]
-        status, body = post(app, "/queue/claim", {"worker": "w0", "max": 2})
+        status, body = claim(app, "w0", 2)
         assert status == 200
         assert [t["task_id"] for t in body["tasks"]] \
             == [tasks[1].task_id, tasks[3].task_id]
@@ -335,12 +366,12 @@ class TestCoordinatorSideStore:
         app, queue, store = self.make()
         store.publish("art-7", 49)
         task = self.submit(queue, 7)
-        status, _ = post(app, "/queue/claim", {"worker": "w0", "max": 4})
+        status, _ = claim(app, "w0", 4)
         assert status == 204
         assert (task.state, task.source) == ("done", "store")
         assert queue.finished()
         queue.drain()
-        status, _ = post(app, "/queue/claim", {"worker": "w0", "max": 4})
+        status, _ = claim(app, "w0", 4)
         assert status == 410
 
     def test_all_hits_over_a_drained_queue_is_410(self):
@@ -348,7 +379,7 @@ class TestCoordinatorSideStore:
         store.publish("art-7", 49)
         task = self.submit(queue, 7)
         queue.drain()  # draining refuses submissions, not claims
-        status, _ = post(app, "/queue/claim", {"worker": "w0"})
+        status, _ = claim(app, "w0")
         assert status == 410
         assert (task.state, task.source) == ("done", "store")
 
@@ -356,15 +387,16 @@ class TestCoordinatorSideStore:
         app, queue, _ = self.make(store=RaisingStore(on=()))
         self.submit(queue, 2, cacheable=False)
         self.submit(queue, 3, artifact=None)
-        status, body = post(app, "/queue/claim", {"worker": "w0", "max": 2})
+        status, body = claim(app, "w0", 2)
         assert status == 200 and len(body["tasks"]) == 2
         assert app.store.calls == []
 
     def test_store_that_raises_on_fetch_ships_the_task(self):
         app, queue, store = self.make(store=RaisingStore(on=("fetch",)))
         task = self.submit(queue, 2)
-        status, doc = post(app, "/queue/claim", {"worker": "w0"})
-        assert (status, doc["task_id"]) == (200, task.task_id)
+        status, body = claim(app, "w0")
+        assert (status, [doc["task_id"] for doc in body["tasks"]]) \
+            == (200, [task.task_id])
         assert store.calls == [("fetch", "art-2")]
         assert self.store_errors(app) == {"fetch": 1, "publish": 0}
 
@@ -372,9 +404,10 @@ class TestCoordinatorSideStore:
     def test_ack_publishes_a_computed_result_exactly_once(self):
         app, queue, store = self.make()
         task = self.submit(queue, 5)
-        post(app, "/queue/claim", {"worker": "w0"})
-        status, _ = post(app, f"/queue/tasks/{task.task_id}/ack",
-                         {"worker": "w0", "result": encode_blob(25)})
+        claim(app, "w0")
+        status, _ = post(app, "/queue/ack_many", {
+            "worker": "w0", "acks": [{"task_id": task.task_id,
+                                      "result": encode_blob(25)}]})
         assert status == 200
         assert store.fetch("art-5") == (True, 25)
         assert store.published == 1
@@ -385,13 +418,13 @@ class TestCoordinatorSideStore:
         uncacheable = self.submit(queue, 2, cacheable=False)
         artifactless = self.submit(queue, 3, artifact=None)
         from_store = self.submit(queue, 4)
-        post(app, "/queue/claim", {"worker": "w0", "max": 4})
+        claim(app, "w0", 4)
         status, body = post(app, "/queue/ack_many", {
             "worker": "w0",
-            "acks": [self.ack_doc(plain, 1),
-                     self.ack_doc(uncacheable, 4),
-                     self.ack_doc(artifactless, 9),
-                     self.ack_doc(from_store, 16, source="store")]})
+            "acks": [ack_doc(plain, 1),
+                     ack_doc(uncacheable, 4),
+                     ack_doc(artifactless, 9),
+                     ack_doc(from_store, 16, source="store")]})
         assert status == 200
         assert len(body["acked"]) == 4
         assert store.published == 1
@@ -402,12 +435,12 @@ class TestCoordinatorSideStore:
     def test_stale_and_rejected_acks_publish_nothing(self):
         app, queue, store = self.make()
         good, stale, bad = (self.submit(queue, v) for v in (1, 2, 3))
-        post(app, "/queue/claim", {"worker": "w0", "max": 3})
-        queue.nack(stale.task_id, "w0", "lost it")  # back to pending
+        claim(app, "w0", 3)
+        queue.nack_many("w0", [(stale.task_id, "lost it", True)])
         status, body = post(app, "/queue/ack_many", {
             "worker": "w0",
-            "acks": [self.ack_doc(good, 1),
-                     self.ack_doc(stale, 4),
+            "acks": [ack_doc(good, 1),
+                     ack_doc(stale, 4),
                      {"task_id": bad.task_id, "result": "not a blob!!"}]})
         assert status == 200
         assert body == {"acked": [good.task_id],
@@ -415,39 +448,34 @@ class TestCoordinatorSideStore:
                         "rejected": [bad.task_id]}
         # A re-delivered settle (the client retries ack_many) is stale.
         _, again = post(app, "/queue/ack_many", {
-            "worker": "w0", "acks": [self.ack_doc(good, 1)]})
+            "worker": "w0", "acks": [ack_doc(good, 1)]})
         assert again["stale"] == [good.task_id]
         assert store.published == 1
         assert store.fetch("art-2") == (False, None)
         assert store.fetch("art-3") == (False, None)
         assert (stale.state, bad.state) == ("pending", "claimed")
 
-    def test_stale_v1_ack_is_409_and_publishes_nothing(self):
+    def test_ack_without_the_lease_publishes_nothing(self):
         app, queue, store = self.make()
         task = self.submit(queue, 6)
-        post(app, "/queue/claim", {"worker": "w0"})
-        status, _ = post(app, f"/queue/tasks/{task.task_id}/ack",
-                         {"worker": "intruder", "result": encode_blob(36)})
-        assert status == 409
+        claim(app, "w0")
+        status, body = post(app, "/queue/ack_many", {
+            "worker": "intruder", "acks": [ack_doc(task, 36)]})
+        assert (status, body["stale"]) == (200, [task.task_id])
         assert store.published == 0
+        assert (task.state, task.worker) == ("claimed", "w0")
 
     def test_store_that_raises_on_publish_still_acks(self):
-        for route in ("ack", "ack_many"):
-            app, queue, store = self.make(
-                store=RaisingStore(on=("publish",)))
-            task = self.submit(queue, 2)
-            post(app, "/queue/claim", {"worker": "w0"})
-            if route == "ack":
-                status, _ = post(app, f"/queue/tasks/{task.task_id}/ack",
-                                 {"worker": "w0", "result": encode_blob(4)})
-            else:
-                status, _ = post(app, "/queue/ack_many", {
-                    "worker": "w0", "acks": [self.ack_doc(task, 4)]})
-            assert status == 200
-            assert (task.state, task.result, task.source) \
-                == ("done", 4, "computed")
-            assert ("publish", "art-2") in store.calls
-            assert self.store_errors(app) == {"fetch": 0, "publish": 1}
+        app, queue, store = self.make(store=RaisingStore(on=("publish",)))
+        task = self.submit(queue, 2)
+        claim(app, "w0")
+        status, _ = post(app, "/queue/ack_many", {
+            "worker": "w0", "acks": [ack_doc(task, 4)]})
+        assert status == 200
+        assert (task.state, task.result, task.source) \
+            == ("done", 4, "computed")
+        assert ("publish", "art-2") in store.calls
+        assert self.store_errors(app) == {"fetch": 0, "publish": 1}
 
     def test_artifact_routes_are_gone(self):
         app, _, _ = self.make()

@@ -31,92 +31,96 @@ def make_queue(lease=10.0, max_attempts=3):
                      clock=clock), clock
 
 
+def claim_one(queue, worker):
+    """The degenerate chunk: the next pending task."""
+    return queue.claim_many(worker, 1)[0]
+
+
 class TestSubmitClaim:
     def test_fifo_handout(self):
         queue, _ = make_queue()
         for name in ("a", "b", "c"):
             queue.submit({"cell": name}, key=name)
-        claimed = [queue.claim("w0").key for _ in range(3)]
+        claimed = [claim_one(queue, "w0").key for _ in range(3)]
         assert claimed == ["a", "b", "c"]
 
-    def test_idle_claim_returns_none(self):
+    def test_idle_claim_returns_nothing(self):
         queue, _ = make_queue()
-        assert queue.claim("w0") is None
-
-    def test_claim_needs_worker_id(self):
-        queue, _ = make_queue()
-        with pytest.raises(QueueError):
-            queue.claim("")
+        assert queue.claim_many("w0", 1) == []
 
     def test_claim_sets_lease_deadline(self):
         queue, clock = make_queue(lease=10.0)
         queue.submit({}, key="a")
-        task = queue.claim("w0")
+        task = claim_one(queue, "w0")
         assert task.state == CLAIMED
         assert task.deadline == clock.now + 10.0
-
-    def test_custom_lease_window(self):
-        queue, clock = make_queue(lease=10.0)
-        queue.submit({}, key="a")
-        task = queue.claim("w0", lease=2.5)
-        assert task.deadline == clock.now + 2.5
 
 
 class TestAckNack:
     def test_ack_stores_result_and_source(self):
         queue, _ = make_queue()
         task = queue.submit({}, key="a")
-        queue.claim("w0")
-        done = queue.ack(task.task_id, "w0", result=41, source="store")
-        assert (done.state, done.result, done.source) == (DONE, 41, "store")
+        queue.claim_many("w0", 1)
+        acked, stale = queue.ack_many("w0", [(task.task_id, 41, "store")])
+        assert (acked, stale) == ([task.task_id], [])
+        assert (task.state, task.result, task.source) == (DONE, 41, "store")
         assert queue.finished()
 
-    def test_ack_by_wrong_worker_rejected(self):
+    def test_ack_by_wrong_worker_is_stale(self):
         queue, _ = make_queue()
         task = queue.submit({}, key="a")
-        queue.claim("w0")
-        with pytest.raises(QueueError):
-            queue.ack(task.task_id, "w1", result=1)
+        queue.claim_many("w0", 1)
+        acked, stale = queue.ack_many("w1", [(task.task_id, 1, "computed")])
+        assert (acked, stale) == ([], [task.task_id])
+        assert (task.state, task.worker) == (CLAIMED, "w0")
+
+    def test_ack_of_unknown_task_is_stale(self):
+        queue, _ = make_queue()
+        assert queue.ack_many("w0", [("ghost", 1, "computed")]) \
+            == ([], ["ghost"])
 
     def test_nack_requeues_until_attempts_exhausted(self):
         queue, _ = make_queue(max_attempts=2)
         task = queue.submit({}, key="a")
-        queue.claim("w0")
-        assert queue.nack(task.task_id, "w0", "boom").state == PENDING
-        queue.claim("w0")
-        assert queue.nack(task.task_id, "w0", "boom").state == FAILED
+        queue.claim_many("w0", 1)
+        assert queue.nack_many("w0", [(task.task_id, "boom", True)]) \
+            == {task.task_id: PENDING}
+        queue.claim_many("w0", 1)
+        assert queue.nack_many("w0", [(task.task_id, "boom", True)]) \
+            == {task.task_id: FAILED}
 
     def test_nack_no_requeue_fails_immediately(self):
         queue, _ = make_queue()
         task = queue.submit({}, key="a")
-        queue.claim("w0")
-        failed = queue.nack(task.task_id, "w0", "undecodable", requeue=False)
-        assert failed.state == FAILED
-        assert queue.failures() == [failed]
+        queue.claim_many("w0", 1)
+        states = queue.nack_many(
+            "w0", [(task.task_id, "undecodable", False)])
+        assert states == {task.task_id: FAILED}
+        assert task.error == "undecodable"
+        assert queue.failures() == [task]
 
 
 class TestLeases:
     def test_expired_lease_reenqueues(self):
         queue, clock = make_queue(lease=10.0)
         task = queue.submit({}, key="a")
-        queue.claim("w0")
+        queue.claim_many("w0", 1)
         clock.advance(10.1)
         reaped = queue.reap_expired()
         assert [t.task_id for t in reaped] == [task.task_id]
         assert task.state == PENDING
         # Another worker picks it up; the dead worker's late ack drops.
-        queue.claim("w1")
-        with pytest.raises(QueueError):
-            queue.ack(task.task_id, "w0", result=1)
-        queue.ack(task.task_id, "w1", result=2)
+        queue.claim_many("w1", 1)
+        assert queue.ack_many("w0", [(task.task_id, 1, "computed")]) \
+            == ([], [task.task_id])
+        queue.ack_many("w1", [(task.task_id, 2, "computed")])
         assert task.result == 2
 
     def test_heartbeat_extends_every_lease_of_worker(self):
         queue, clock = make_queue(lease=10.0)
         queue.submit({}, key="a")
         queue.submit({}, key="b")
-        a = queue.claim("w0")
-        b = queue.claim("w0")
+        a, b = queue.claim_many("w0", 2)
         clock.advance(8.0)
         assert queue.heartbeat("w0") == 2
         clock.advance(8.0)  # would have expired without the heartbeat
@@ -127,7 +131,7 @@ class TestLeases:
         queue, clock = make_queue(lease=5.0, max_attempts=2)
         task = queue.submit({}, key="a")
         for _ in range(2):
-            queue.claim("w0")
+            queue.claim_many("w0", 1)
             clock.advance(5.1)
             queue.reap_expired()
         assert task.state == FAILED
@@ -136,15 +140,15 @@ class TestLeases:
     def test_claim_reaps_on_entry(self):
         queue, clock = make_queue(lease=5.0)
         task = queue.submit({}, key="a")
-        queue.claim("w0")
+        queue.claim_many("w0", 1)
         clock.advance(5.1)
-        again = queue.claim("w1")  # no explicit reap needed
+        again = claim_one(queue, "w1")  # no explicit reap needed
         assert again.task_id == task.task_id
         assert again.worker == "w1"
 
 
 class TestBatchedLeases:
-    """Wire-protocol v2 queue ops: batched delivery, per-task semantics."""
+    """Batched delivery, per-task semantics."""
 
     def test_claim_many_hands_out_fifo_chunks(self):
         queue, _ = make_queue()
@@ -220,7 +224,7 @@ class TestBatchedLeases:
                           "no-such-task": "stale"}
         assert queue.failures() == [poison]
         # The healthy cell is claimable again.
-        assert queue.claim("w1").key == "healthy"
+        assert claim_one(queue, "w1").key == "healthy"
 
     def test_depth_and_in_flight_track_the_queue(self):
         queue, _ = make_queue()
@@ -242,12 +246,12 @@ class TestDrainAndStats:
     def test_stats_count_the_story(self):
         queue, clock = make_queue(lease=5.0)
         task = queue.submit({}, key="a")
-        queue.claim("w0")
+        queue.claim_many("w0", 1)
         clock.advance(5.1)
         queue.reap_expired()
-        queue.claim("w1")
+        queue.claim_many("w1", 1)
         queue.heartbeat("w1")
-        queue.ack(task.task_id, "w1", result=1)
+        queue.ack_many("w1", [(task.task_id, 1, "computed")])
         stats = queue.stats.as_dict()
         assert stats == {"submitted": 1, "claims": 2, "acks": 1,
                          "nacks": 0, "expired": 1, "heartbeats": 1}
@@ -257,8 +261,8 @@ class TestDrainAndStats:
         # so a hand-cranked clock would never let the deadline pass.
         queue = TaskQueue(lease=10.0)
         task = queue.submit({}, key="a")
-        queue.claim("w0")
-        queue.ack(task.task_id, "w0", result=1)
+        queue.claim_many("w0", 1)
+        queue.ack_many("w0", [(task.task_id, 1, "computed")])
         assert queue.wait(timeout=0.1)
 
     def test_wait_times_out_with_outstanding_tasks(self):

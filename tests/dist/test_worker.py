@@ -7,8 +7,6 @@ coordinator settles stored cells before it answers a claim and
 publishes on ack (test_coordinator).
 """
 
-import pytest
-
 from repro.dist.wire import encode_cell
 from repro.dist.worker import next_batch_size, process_batch
 from repro.parallel.executor import CellSpec
@@ -42,12 +40,6 @@ class StubClient:
     def nack_many(self, nacks):
         self.nacked.extend(nacks)
 
-    def ack(self, task_id, result, source):
-        self.acked.append((task_id, result, source))
-
-    def nack(self, task_id, error, requeue=True):
-        self.nacked.append((task_id, error, requeue))
-
     def payload(self, digest):
         raise AssertionError(f"unexpected payload fetch: {digest}")
 
@@ -59,20 +51,17 @@ def task_doc(task_id, spec):
 class TestNextBatchSize:
     def test_cheap_cells_grow_toward_the_cap(self):
         # 10ms cells against a 0.5s target: 50 would fit, cap is 16.
-        assert next_batch_size(0.08, 8, 16, target=0.5) == 16
+        assert next_batch_size(0.08, 8, target=0.5) == 16
 
     def test_expensive_cells_shrink_to_one(self):
-        assert next_batch_size(4.0, 2, 16, target=0.5) == 1
+        assert next_batch_size(4.0, 2, target=0.5) == 1
 
     def test_moderate_cells_land_in_between(self):
         # 0.1s cells: five of them fill the 0.5s target.
-        assert next_batch_size(0.4, 4, 16, target=0.5) == 5
-
-    def test_batching_disabled_stays_at_one(self):
-        assert next_batch_size(0.0, 4, 1, target=0.5) == 1
+        assert next_batch_size(0.4, 4, target=0.5) == 5
 
     def test_instant_cells_do_not_divide_by_zero(self):
-        assert next_batch_size(0.0, 4, 16, target=0.5) == 16
+        assert next_batch_size(0.0, 4, target=0.5) == 16
 
 
 class TestProcessBatch:
@@ -93,15 +82,3 @@ class TestProcessBatch:
         # The crash retries; the wire-bad doc is terminal.
         assert [(t, r) for t, _e, r in client.nacked] \
             == [("t3", True), ("t4", False)]
-
-    def test_unbatched_mode_settles_per_task(self):
-        client = StubClient()
-        singles = []
-        client.ack = lambda t, r, s: singles.append(("ack", t))
-        client.nack = lambda t, e, requeue=True: singles.append(("nack", t))
-        client.ack_many = lambda acks: pytest.fail("batched verb used")
-        client.nack_many = lambda nacks: pytest.fail("batched verb used")
-        docs = [task_doc("t1", CellSpec(key="a", fn=square, args=(2,))),
-                task_doc("t2", CellSpec(key="b", fn=boom, args=(1,)))]
-        process_batch(client, docs, batched=False)
-        assert singles == [("ack", "t1"), ("nack", "t2")]

@@ -87,12 +87,27 @@ class TestParallelCancel:
 
 
 class TestCacheInteraction:
-    def test_cancelled_campaign_keeps_no_partial_puts(self, tmp_path):
-        # Cache writes happen after the full campaign completes, so a
-        # cancelled run must leave the cache empty.
+    def test_cancel_before_first_cell_leaves_cache_empty(self, tmp_path):
         cache = ResultCache(root=str(tmp_path), fingerprint="t")
         cancel = threading.Event()
         cancel.set()
         with pytest.raises(CampaignCancelled):
             run_cells(cells_for([1, 2]), cache=cache, cancel=cancel)
         assert cache.disk_stats()["entries"] == 0
+
+    def test_cancelled_campaign_keeps_finished_cells(self, tmp_path):
+        cache = ResultCache(root=str(tmp_path), fingerprint="t")
+        checks = []
+
+        def cancel():
+            checks.append(1)
+            return len(checks) > 2  # let exactly two cells through
+
+        cells = cells_for([1, 2, 3])
+        with pytest.raises(CampaignCancelled):
+            run_cells(cells, cache=cache, cancel=cancel)
+        events = []
+        assert run_cells(cells, cache=cache,
+                         progress=lambda _key, status: events.append(status)
+                         ) == [1, 4, 9]
+        assert events == ["hit", "hit", "run", "done"]

@@ -2,6 +2,8 @@
 progress reporting, and worker-count resolution."""
 
 import os
+import threading
+import time
 
 import pytest
 
@@ -15,6 +17,19 @@ def square(x):
 
 def boom(x):
     raise RuntimeError(f"cell exploded on {x}")
+
+
+def late_boom(x):
+    """Fails after any neighbour's result has reached the parent."""
+    time.sleep(0.2)
+    raise RuntimeError(f"cell exploded on {x}")
+
+
+def slow_mark(directory, x):
+    """Leaves a file behind when it *starts*, then takes a while."""
+    open(os.path.join(directory, str(x)), "w").close()
+    time.sleep(0.2)
+    return x
 
 
 def cells_for(values, cacheable=True):
@@ -58,6 +73,26 @@ class TestRunCells:
         with pytest.raises(RuntimeError, match="cell exploded"):
             run_cells(cells + cells_for([1]), jobs=2)
 
+    def test_failing_cell_shuts_the_pool_down(self, tmp_path):
+        """The queued cells are dropped and the pool's thread and
+        workers go away, instead of the rest of the campaign running
+        on in the background after run_cells has raised."""
+        cells = [CellSpec(key="t/boom", fn=boom, args=(1,))] + [
+            CellSpec(key=f"t/mark/{v}", fn=slow_mark,
+                     args=(str(tmp_path), v)) for v in range(12)]
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="cell exploded"):
+            run_cells(cells, jobs=2)
+        deadline = time.monotonic() + 5.0
+        while threading.active_count() > threads \
+                and time.monotonic() < deadline:
+            time.sleep(0.01)
+        # (<=: an earlier test's pool may have been winding down too.)
+        assert threading.active_count() <= threads
+        # Only what the workers had already been handed (one cell each
+        # plus the pool's prefetch of jobs + 1) ever started.
+        assert len(os.listdir(tmp_path)) <= 5
+
     def test_progress_reports_run_then_done(self):
         events = []
         run_cells(cells_for([1, 2]),
@@ -91,6 +126,22 @@ class TestCachePlumbing:
         run_cells(cells, cache=cache)
         run_cells(cells, cache=cache)
         assert (cache.hits, cache.stores) == (0, 0)
+
+    @pytest.mark.parametrize("jobs", [None, 2], ids=["serial", "pool"])
+    def test_failed_campaign_keeps_finished_cells(self, jobs, tmp_path):
+        """Results are put as they land, not after the last cell."""
+        cells = (cells_for([3, 5])
+                 + [CellSpec(key="t/boom", fn=late_boom, args=(1,))]
+                 + cells_for([8]))
+        cache = ResultCache(str(tmp_path))
+        with pytest.raises(RuntimeError, match="cell exploded"):
+            run_cells(cells, jobs=jobs, cache=cache)
+        events = []
+        with pytest.raises(RuntimeError, match="cell exploded"):
+            run_cells(cells, jobs=jobs, cache=cache,
+                      progress=lambda key, status: events.append(
+                          (key, status)))
+        assert events[:2] == [("t/sq/3", "hit"), ("t/sq/5", "hit")]
 
     def test_parallel_run_populates_cache_for_serial(self, tmp_path):
         cells = cells_for([2, 4, 6, 8])
