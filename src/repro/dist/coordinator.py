@@ -2,8 +2,9 @@
 
 :class:`CoordinatorApp` exposes a :class:`~repro.dist.queue.TaskQueue`
 and an artifact store through the same framework-agnostic
-``handle(method, target, body)`` core the service plane uses — a stdlib
-``ThreadingHTTPServer`` mounts it, tests can call it without a socket.
+``handle(method, target, body)`` core the service plane uses — the kit
+of :mod:`repro.service.http` mounts it (its docstring is the wire
+contract), tests can call it without a socket.
 
 The worker protocol (all JSON unless noted)::
 
@@ -48,16 +49,22 @@ nobody.
 
 from __future__ import annotations
 
-import json
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Optional
 
 from ..obs.metrics import MetricsRegistry
-from ..service.http import serve_in_thread
+from ..service.http import (
+    JSON,
+    BadRequest,
+    Reply,
+    bind_server,
+    dumps,
+    error_doc,
+    json_object,
+    serve_in_thread,
+)
 from .queue import CLAIMED, QueueError, Task, TaskQueue
 from .wire import PayloadTable, WireError, decode_blob_ex
 
-JSON = "application/json"
 TEXT = "text/plain"
 
 #: Longest lease a worker may ask for, as a multiple of the queue default.
@@ -65,15 +72,6 @@ MAX_LEASE_FACTOR = 10.0
 
 #: Most tasks a single claim may lease, whatever the worker asks for.
 MAX_CLAIM_BATCH = 64
-
-
-def _dumps(doc: Any) -> bytes:
-    return (json.dumps(doc, sort_keys=True, separators=(",", ":"))
-            + "\n").encode()
-
-
-def _error(code: str, message: str) -> bytes:
-    return _dumps({"error": {"code": code, "message": message}})
 
 
 class CoordinatorApp:
@@ -107,26 +105,22 @@ class CoordinatorApp:
 
     # ------------------------------------------------------------------
     def handle(self, method: str, target: str,
-               body: bytes = b"") -> tuple[int, str, bytes]:
+               body: bytes = b"") -> Reply:
         parts = [part for part in target.split("?")[0].split("/") if part]
         self._http_bytes.labels(direction="in").inc(len(body))
         try:
-            status, content_type, payload = self._dispatch(
-                method, parts, body)
+            response = self._dispatch(method, parts, body)
         except QueueError as exc:
-            status, content_type, payload = 409, JSON, _error(
-                "queue", str(exc))
+            response = 409, JSON, error_doc("queue", str(exc))
         except WireError as exc:
-            status, content_type, payload = 400, JSON, _error(
-                "wire", str(exc))
-        except _BadRequest as exc:
-            status, content_type, payload = 400, JSON, _error(
-                "bad-request", str(exc))
+            response = 400, JSON, error_doc("wire", str(exc))
+        except BadRequest as exc:
+            response = 400, JSON, error_doc("bad-request", str(exc))
         except Exception as exc:  # noqa: BLE001 - the HTTP 500 boundary
-            status, content_type, payload = 500, JSON, _error(
+            response = 500, JSON, error_doc(
                 "internal", f"{type(exc).__name__}: {exc}")
-        self._http_bytes.labels(direction="out").inc(len(payload))
-        return status, content_type, payload
+        self._http_bytes.labels(direction="out").inc(len(response[2]))
+        return response
 
     # ------------------------------------------------------------------
     def _task_doc(self, task: Task) -> dict[str, Any]:
@@ -198,7 +192,7 @@ class CoordinatorApp:
     def _acked_result(self, worker: str, task_id: str,
                       doc: dict[str, Any]) -> tuple[Any, str]:
         """Decode one ack's ``(result, source)``.  Raises
-        WireError/_BadRequest when undecodable.
+        WireError/BadRequest when undecodable.
 
         A ``computed`` result is published *before* the caller acks the
         queue, so a finished campaign never races its own store — and
@@ -215,12 +209,12 @@ class CoordinatorApp:
         return result, source
 
     def _dispatch(self, method: str, parts: list[str],
-                  body: bytes) -> tuple[int, str, bytes]:
+                  body: bytes) -> Reply:
         if parts == ["healthz"] and method == "GET":
-            return 200, JSON, _dumps({"status": "ok"})
+            return 200, JSON, dumps({"status": "ok"})
 
         if parts == ["queue", "claim"] and method == "POST":
-            doc = _json_body(body)
+            doc = json_object(body)
             worker = _worker_id(doc)
             lease = doc.get("lease")
             if lease is not None:
@@ -228,31 +222,31 @@ class CoordinatorApp:
                             self.queue.lease * MAX_LEASE_FACTOR)
             want = doc.get("max")
             if not isinstance(want, int) or isinstance(want, bool):
-                raise _BadRequest("field 'max' must be an integer")
+                raise BadRequest("field 'max' must be an integer")
             tasks = self._claim(
                 worker, max(1, min(want, MAX_CLAIM_BATCH)), lease)
             if not tasks:
                 if self.queue.draining:
-                    return 410, JSON, _error("drained", "queue is drained")
+                    return 410, JSON, error_doc("drained", "queue is drained")
                 return 204, JSON, b""
             self._ops.labels(worker=worker, op="claim").inc(len(tasks))
-            return 200, JSON, _dumps(
+            return 200, JSON, dumps(
                 {"tasks": [self._task_doc(task) for task in tasks]})
 
         if parts == ["queue", "ack_many"] and method == "POST":
-            doc = _json_body(body)
+            doc = json_object(body)
             worker = _worker_id(doc)
             entries = _require_list(doc, "acks")
             triples: list[tuple[str, Any, str]] = []
             rejected: list[str] = []
             for entry in entries:
                 if not isinstance(entry, dict):
-                    raise _BadRequest("each ack must be an object")
+                    raise BadRequest("each ack must be an object")
                 task_id = _require_str(entry, "task_id")
                 try:
                     result, source = self._acked_result(
                         worker, task_id, entry)
-                except (WireError, _BadRequest):
+                except (WireError, BadRequest):
                     # One undecodable result must not void the batch;
                     # the task stays leased and expires back to pending.
                     rejected.append(task_id)
@@ -260,44 +254,44 @@ class CoordinatorApp:
                 triples.append((task_id, result, source))
             acked, stale = self.queue.ack_many(worker, triples)
             self._ops.labels(worker=worker, op="ack").inc(len(acked))
-            return 200, JSON, _dumps(
+            return 200, JSON, dumps(
                 {"acked": acked, "stale": stale, "rejected": rejected})
 
         if parts == ["queue", "nack_many"] and method == "POST":
-            doc = _json_body(body)
+            doc = json_object(body)
             worker = _worker_id(doc)
             entries = _require_list(doc, "nacks")
             triples = []
             for entry in entries:
                 if not isinstance(entry, dict):
-                    raise _BadRequest("each nack must be an object")
+                    raise BadRequest("each nack must be an object")
                 triples.append((_require_str(entry, "task_id"),
                                 _require_str(entry, "error"),
                                 bool(entry.get("requeue", True))))
             states = self.queue.nack_many(worker, triples)
             settled = sum(1 for state in states.values() if state != "stale")
             self._ops.labels(worker=worker, op="nack").inc(settled)
-            return 200, JSON, _dumps({"states": states})
+            return 200, JSON, dumps({"states": states})
 
         if parts == ["queue", "heartbeat"] and method == "POST":
-            doc = _json_body(body)
+            doc = json_object(body)
             extended = self.queue.heartbeat(_worker_id(doc))
-            return 200, JSON, _dumps({"extended": extended})
+            return 200, JSON, dumps({"extended": extended})
 
         if parts == ["queue", "status"] and method == "GET":
-            return 200, JSON, _dumps(self._status_doc())
+            return 200, JSON, dumps(self._status_doc())
 
         if len(parts) == 2 and parts[0] == "payload" and method == "GET":
             if self.payloads is None:
-                return 404, JSON, _error(
+                return 404, JSON, error_doc(
                     "no-payloads", "coordinator has no payload table")
             text = self.payloads.get(parts[1])
             if text is None:
-                return 404, JSON, _error(
+                return 404, JSON, error_doc(
                     "miss", f"no payload {parts[1][:12]}...")
             return 200, TEXT, text.encode("ascii")
 
-        return 404, JSON, _error(
+        return 404, JSON, error_doc(
             "unknown-route", f"no route {method} /{'/'.join(parts)}")
 
     # ------------------------------------------------------------------
@@ -341,89 +335,25 @@ class CoordinatorApp:
         }
 
 
-class _BadRequest(Exception):
-    """Malformed request body/fields; mapped to 400."""
-
-
-def _json_body(body: bytes) -> dict[str, Any]:
-    if not body:
-        raise _BadRequest("empty request body")
-    try:
-        doc = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise _BadRequest(f"body is not valid JSON ({exc})")
-    if not isinstance(doc, dict):
-        raise _BadRequest("body must be a JSON object")
-    return doc
-
-
 def _worker_id(doc: dict[str, Any]) -> str:
     worker = doc.get("worker")
     if not isinstance(worker, str) or not worker:
-        raise _BadRequest("field 'worker' must be a non-empty string")
+        raise BadRequest("field 'worker' must be a non-empty string")
     return worker
 
 
 def _require_str(doc: dict[str, Any], field: str) -> str:
     value = doc.get(field)
     if not isinstance(value, str):
-        raise _BadRequest(f"field {field!r} must be a string")
+        raise BadRequest(f"field {field!r} must be a string")
     return value
 
 
 def _require_list(doc: dict[str, Any], field: str) -> list[Any]:
     value = doc.get(field)
     if not isinstance(value, list):
-        raise _BadRequest(f"field {field!r} must be a list")
+        raise BadRequest(f"field {field!r} must be a list")
     return value
-
-
-# ---------------------------------------------------------------------------
-# Stdlib skin
-# ---------------------------------------------------------------------------
-
-class _Handler(BaseHTTPRequestHandler):
-    server_version = "repro-dist"
-    protocol_version = "HTTP/1.1"
-    # Response headers and body go out as separate writes; with Nagle on,
-    # the body waits ~40ms for the client's delayed ACK — per request.
-    # TCP_NODELAY turns a keep-alive round trip from ~44ms into ~0.3ms.
-    disable_nagle_algorithm = True
-    # Reap keep-alive connections idle this long: a client that parked a
-    # pooled socket and left must not pin a handler thread forever.
-    timeout = 30.0
-    app: CoordinatorApp  # set by make_server on the subclass
-
-    def _serve(self, method: str) -> None:
-        length = int(self.headers.get("Content-Length") or 0)
-        body = self.rfile.read(length) if length else b""
-        status, content_type, payload = self.app.handle(
-            method, self.path, body)
-        self.send_response(status)
-        if payload or status not in (204, 304):
-            self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        if payload:
-            self.wfile.write(payload)
-
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        self._serve("GET")
-
-    def do_POST(self) -> None:  # noqa: N802
-        self._serve("POST")
-
-    def log_message(self, format: str, *args: Any) -> None:
-        """Quiet: /queue/status is the observable surface."""
-
-
-def make_server(app: CoordinatorApp, host: str = "127.0.0.1",
-                port: int = 0) -> ThreadingHTTPServer:
-    """Bind the coordinator; ``port=0`` picks a free one."""
-    handler = type("Handler", (_Handler,), {"app": app})
-    server = ThreadingHTTPServer((host, port), handler)
-    server.daemon_threads = True
-    return server
 
 
 class CoordinatorServer:
@@ -443,7 +373,9 @@ class CoordinatorServer:
                  metrics: Optional[MetricsRegistry] = None) -> None:
         self.app = CoordinatorApp(queue, store, payloads=payloads,
                                   metrics=metrics)
-        self.server = make_server(self.app, host=host, port=port)
+        # nodelay: a keep-alive round trip is ~0.3 ms, not ~44 ms.
+        self.server = bind_server(self.app.handle, host, port,
+                                       nodelay=True)
         bound_host, bound_port = self.server.server_address[:2]
         self.url = f"http://{bound_host}:{bound_port}"
         self._stop: Optional[Callable[[], None]] = None

@@ -42,14 +42,11 @@ import threading
 import time
 from typing import Any, Optional
 
+from ..core.backoff import BackoffPolicy, BackoffState
 from ..obs.api import Observability
 from ..obs.push import ObsPusher, resolve_push_url
 from ..parallel.executor import CellSpec
-from ..service.http import (
-    HttpTransportError,
-    http_request,
-    jittered_delay,
-)
+from ..service.http import HttpTransportError, http_request
 from .wire import PayloadCache, WireError, decode_cell, encode_blob
 
 #: Base seconds between claim attempts while the queue is idle.
@@ -348,8 +345,13 @@ def worker_loop(
     client = CoordinatorClient(url, worker_id, lease=lease)
     payloads = PayloadCache()
     telemetry = WorkerTelemetry(obs_push, worker_id)
+    # Idle naps are drawn uniformly from a window doubling per idle
+    # claim, so parallel workers spread out.  Truncated at poll*4: past
+    # that the collision pressure is gone and longer naps only delay
+    # noticing the drain.
+    idle = BackoffState(BackoffPolicy(base=poll, ceiling=4 * poll,
+                                      jitter_low=0.0, jitter_high=1.0))
     handled = 0
-    idle_streak = 0
     batch = 1
     while max_tasks is None or handled < max_tasks:
         want = batch
@@ -368,20 +370,12 @@ def worker_loop(
             say("queue drained, exiting")
             break
         if kind == "idle":
-            # Jittered Ethernet-style backoff: a small deterministic
-            # floor (never a hot spin) plus a uniformly random draw
-            # from a doubling window, so parallel idle workers spread
-            # out instead of re-colliding on the coordinator together.
-            # Truncated at poll*4: past that the collision pressure is
-            # gone and longer naps only delay noticing the drain.
-            nap = (poll * 0.25
-                   + jittered_delay(min(idle_streak, 4), base=poll,
-                                    cap=poll * 4, rng=rng))
+            # A deterministic floor (never a hot spin) plus the draw.
+            nap = poll * 0.25 + idle.next_delay(rng.random)
             telemetry.idle_sleep(nap)
             time.sleep(nap)
-            idle_streak += 1
             continue
-        idle_streak = 0
+        idle.reset()
         started = time.perf_counter()
         outcomes = process_batch(client, docs, payloads=payloads)
         elapsed = time.perf_counter() - started

@@ -43,9 +43,11 @@ sequences, so an at-least-once replay never double-counts busy time.
 Malformed lines are counted and skipped — one bad line never poisons
 the rest of its batch.
 
-The aggregator mounts on the service plane
-(:class:`repro.service.app.ServiceApp` serves ``POST /obs/ingest`` and
-``GET /obs/fleet``) and also runs standalone::
+:meth:`FleetAggregator.handle` is the aggregator's whole HTTP surface
+(``POST /obs/ingest``, ``GET /obs/fleet``, ``GET /healthz``) as a pure
+function.  The service plane forwards its ``/obs/*`` routes to it, and
+it also runs standalone on the server kit of :mod:`repro.service.http`
+(whose docstring is the wire contract)::
 
     python -m repro.obs.aggregator --port 8088
 
@@ -58,8 +60,16 @@ from __future__ import annotations
 import json
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Iterable, Optional
+
+from ..service.http import (
+    JSON,
+    Reply,
+    ThreadingHTTPServer,
+    bind_server,
+    dumps,
+    error_doc,
+)
 
 #: Snapshot schema version, bumped on breaking shape changes.
 SNAPSHOT_VERSION = 1
@@ -394,6 +404,26 @@ class FleetAggregator:
         self._last_ingest = now
 
     # ------------------------------------------------------------------
+    def handle(self, method: str, target: str,
+               body: bytes = b"") -> Reply:
+        """The aggregator's HTTP routes, socket-free; never raises."""
+        path = target.split("?")[0]
+        parts = [part for part in path.split("/") if part]
+        try:
+            if method == "POST" and parts == ["obs", "ingest"]:
+                return 202, JSON, dumps(self.ingest(body))
+            if method == "GET" and parts == ["obs", "fleet"]:
+                return 200, JSON, dumps(self.snapshot())
+            if method == "GET" and parts == ["healthz"]:
+                return 200, JSON, dumps(
+                    {"status": "ok", "sources": len(self._sources)})
+        except Exception as exc:  # noqa: BLE001 - the HTTP 500 boundary
+            return 500, JSON, error_doc(
+                "internal", f"{type(exc).__name__}: {exc}")
+        return 404, JSON, error_doc(
+            "unknown-route", f"no route {method} {path}")
+
+    # ------------------------------------------------------------------
     def snapshot(self) -> dict[str, Any]:
         """The fleet document ``GET /obs/fleet`` serves (JSON-safe)."""
         now = self._clock()
@@ -476,64 +506,11 @@ class FleetAggregator:
                 for name, value in sorted(totals.items())}
 
 
-# ---------------------------------------------------------------------------
-# Standalone HTTP skin (the service plane mounts the same aggregator
-# through repro.service.app; this one needs no job store).
-# ---------------------------------------------------------------------------
-
-JSON_TYPE = "application/json"
-
-
-def _dumps(doc: Any) -> bytes:
-    return (json.dumps(doc, sort_keys=True, separators=(",", ":"))
-            + "\n").encode()
-
-
-class _ObsHandler(BaseHTTPRequestHandler):
-    server_version = "repro-obs"
-    protocol_version = "HTTP/1.1"
-    aggregator: FleetAggregator  # set on the subclass by make_obs_server
-
-    def _respond(self, status: int, payload: bytes) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", JSON_TYPE)
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
-
-    def do_POST(self) -> None:  # noqa: N802 - http.server API
-        if self.path.rstrip("/") != "/obs/ingest":
-            self._respond(404, _dumps({"error": "unknown route"}))
-            return
-        length = int(self.headers.get("Content-Length") or 0)
-        body = self.rfile.read(length) if length else b""
-        self._respond(202, _dumps(self.aggregator.ingest(body)))
-
-    def do_GET(self) -> None:  # noqa: N802
-        path = self.path.split("?")[0].rstrip("/")
-        if path == "/obs/fleet":
-            self._respond(200, _dumps(self.aggregator.snapshot()))
-        elif path == "/healthz":
-            self._respond(200, _dumps({
-                "status": "ok",
-                "sources": self.aggregator.snapshot()["totals"]["sources"],
-            }))
-        else:
-            self._respond(404, _dumps({"error": "unknown route"}))
-
-    def log_message(self, format: str, *args: Any) -> None:
-        """Quiet: ingest volume would swamp stderr."""
-
-
 def make_obs_server(aggregator: FleetAggregator, host: str = "127.0.0.1",
                     port: int = 0) -> ThreadingHTTPServer:
-    """A minimal obs-only server: ``/obs/ingest``, ``/obs/fleet``,
-    ``/healthz``.  ``port=0`` picks a free port; the caller owns
-    ``serve_forever()``/``shutdown()``."""
-    handler = type("ObsHandler", (_ObsHandler,), {"aggregator": aggregator})
-    server = ThreadingHTTPServer((host, port), handler)
-    server.daemon_threads = True
-    return server
+    """A standalone server answering with ``aggregator.handle``;
+    ``port=0`` picks a free port, the caller owns the serve loop."""
+    return bind_server(aggregator.handle, host, port)
 
 
 def main(argv: Optional[list[str]] = None) -> int:

@@ -17,8 +17,10 @@ Layering (the diracx routers/logic/client split):
   pinning, lint; plus the pure script cell the executor runs;
 * :mod:`repro.service.jobs` — the in-process async job store
   (content-addressed job ids, dedupe, bounded workers, TTL, cancel);
-* :mod:`repro.service.app` — the framework-agnostic handler core, a
-  stdlib ``ThreadingHTTPServer`` skin, and an optional FastAPI adapter
+* :mod:`repro.service.http` — the HTTP core every plane in the repo
+  shares: client pool, retry policy, and the stdlib server kit;
+* :mod:`repro.service.app` — the framework-agnostic handler core,
+  mounted on that kit or on an optional FastAPI adapter
   (``pip install repro[service]``);
 * :mod:`repro.service.client` — a small sync client and the submit CLI.
 

@@ -1,11 +1,12 @@
-"""The HTTP skin over the job store.
+"""The job store's HTTP routes.
 
 The routing/handling core (:class:`ServiceApp`) is framework-agnostic:
 ``handle(method, path, body)`` returns ``(status, content_type, body
 bytes)`` and knows nothing about sockets.  Two skins mount it:
 
-* :func:`make_server` — a stdlib ``ThreadingHTTPServer``; zero
-  dependencies, what ``python -m repro.service`` and the tests run;
+* :func:`make_server` — the stdlib kit of :mod:`repro.service.http`
+  (its docstring is the wire contract: limits, timeouts, error
+  document); what ``python -m repro.service`` and the tests run;
 * :func:`fastapi_app` — the same handlers on FastAPI for deployments
   that want ASGI middleware/OpenAPI (``pip install repro[service]``).
 
@@ -24,21 +25,29 @@ Endpoints::
     POST   /obs/ingest        fleet telemetry push (batched JSONL) -> 202
     GET    /obs/fleet         aggregated fleet snapshot (JSON)
 
-Errors are ``{"error": {"code", "message", "details"}}`` — sandbox
-rejections map to 422 with the lint diagnostics in ``details``, schema
-errors to 400, unknown jobs to 404, early result fetches to 409.
+Sandbox rejections map to 422 with the lint diagnostics in the error
+document's ``details``, schema errors to 400, unknown jobs to 404,
+early result fetches to 409.
 """
 
 from __future__ import annotations
 
-import json
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Optional
+from typing import Optional
 from urllib.parse import parse_qs, urlsplit
 
 from ..obs.aggregator import FleetAggregator
 from ..obs.exporters import prometheus_text
+from .http import (
+    JSON,
+    BadRequest,
+    Reply,
+    ThreadingHTTPServer,
+    bind_server,
+    dumps,
+    error_doc,
+    json_object,
+)
 from .jobs import JobStore, NotFinished, UnknownJob
 from .sandbox import SandboxRejection
 from .schemas import (
@@ -48,23 +57,10 @@ from .schemas import (
     TERMINAL,
 )
 
-JSON = "application/json"
 PROM = "text/plain; version=0.0.4; charset=utf-8"
 
 #: Longest an events long-poll (?wait=) may hold a handler thread.
 MAX_EVENT_WAIT = 30.0
-
-
-def _dumps(doc: Any) -> bytes:
-    """Deterministic wire form: sorted keys, no float noise added."""
-    return (json.dumps(doc, sort_keys=True, separators=(",", ":"))
-            + "\n").encode()
-
-
-def _error(code: str, message: str,
-           details: Optional[list[str]] = None) -> Any:
-    return {"error": {"code": code, "message": message,
-                      "details": details or []}}
 
 
 class ServiceApp:
@@ -85,7 +81,7 @@ class ServiceApp:
 
     # ------------------------------------------------------------------
     def handle(self, method: str, target: str,
-               body: bytes = b"") -> tuple[int, str, bytes]:
+               body: bytes = b"") -> Reply:
         """Dispatch one request; never raises (500 is the catch-all)."""
         split = urlsplit(target)
         parts = [part for part in split.path.split("/") if part]
@@ -93,61 +89,57 @@ class ServiceApp:
         started = time.monotonic()
         route = "/" + "/".join(parts[:1] + ["{id}"] * (len(parts) > 1))
         try:
-            status, content_type, payload = self._dispatch(
-                method, parts, query, body)
+            response = self._dispatch(method, parts, query, body)
         except UnknownRoute:
-            status, content_type, payload = 404, JSON, _dumps(
-                _error("unknown-route",
-                       f"no route {method} {split.path}"))
+            response = 404, JSON, error_doc(
+                "unknown-route", f"no route {method} {split.path}")
         except UnknownJob as exc:
-            status, content_type, payload = 404, JSON, _dumps(
-                _error("unknown-job", f"no such job: {exc.job_id}"))
+            response = 404, JSON, error_doc(
+                "unknown-job", f"no such job: {exc.job_id}")
         except NotFinished as exc:
-            status, content_type, payload = 409, JSON, _dumps(
-                _error("not-finished",
-                       f"job {exc.job_id} is {exc.state}; result not ready"))
+            response = 409, JSON, error_doc(
+                "not-finished",
+                f"job {exc.job_id} is {exc.state}; result not ready")
         except SandboxRejection as exc:
-            status, content_type, payload = 422, JSON, _dumps(
-                _error(exc.code, str(exc), exc.details))
-        except SchemaError as exc:
-            status, content_type, payload = 400, JSON, _dumps(
-                _error("schema", str(exc)))
+            response = 422, JSON, error_doc(exc.code, str(exc), exc.details)
+        except (SchemaError, BadRequest) as exc:
+            response = 400, JSON, error_doc("schema", str(exc))
         except Exception as exc:  # noqa: BLE001 - the HTTP 500 boundary
-            status, content_type, payload = 500, JSON, _dumps(
-                _error("internal", f"{type(exc).__name__}: {exc}"))
+            response = 500, JSON, error_doc(
+                "internal", f"{type(exc).__name__}: {exc}")
         self._m_requests.labels(
-            method=method, route=route, code=str(status)).inc()
+            method=method, route=route, code=str(response[0])).inc()
         self._m_latency.observe(time.monotonic() - started)
-        return status, content_type, payload
+        return response
 
     # ------------------------------------------------------------------
     def _dispatch(self, method: str, parts: list[str], query: dict,
-                  body: bytes) -> tuple[int, str, bytes]:
+                  body: bytes) -> Reply:
         if not parts:
             raise UnknownRoute()
         head = parts[0]
 
         if method == "POST" and parts == ["scripts"]:
-            submission = ScriptSubmission.from_jsonable(_body_doc(body))
-            return 202, JSON, _dumps(
+            submission = ScriptSubmission.from_jsonable(json_object(body))
+            return 202, JSON, dumps(
                 self.store.submit(submission).to_jsonable())
         if method == "POST" and parts == ["campaigns"]:
-            submission = CampaignSubmission.from_jsonable(_body_doc(body))
-            return 202, JSON, _dumps(
+            submission = CampaignSubmission.from_jsonable(json_object(body))
+            return 202, JSON, dumps(
                 self.store.submit(submission).to_jsonable())
 
         if head == "jobs":
             if method == "GET" and len(parts) == 1:
                 jobs = sorted(self.store.jobs(), key=lambda s: -s.created)
-                return 200, JSON, _dumps(
+                return 200, JSON, dumps(
                     {"jobs": [status.to_jsonable() for status in jobs]})
             if len(parts) >= 2:
                 job_id = parts[1]
                 if method == "GET" and len(parts) == 2:
-                    return 200, JSON, _dumps(
+                    return 200, JSON, dumps(
                         self.store.status(job_id).to_jsonable())
                 if method == "GET" and parts[2:] == ["result"]:
-                    return 200, JSON, _dumps(
+                    return 200, JSON, dumps(
                         self.store.result(job_id).to_jsonable())
                 if method == "GET" and parts[2:] == ["events"]:
                     since = _int_param(query, "since", 0)
@@ -155,30 +147,28 @@ class ServiceApp:
                                MAX_EVENT_WAIT)
                     events = self.store.events(job_id, since=since,
                                                wait=wait)
-                    return 200, JSON, _dumps({
+                    return 200, JSON, dumps({
                         "job_id": job_id,
                         "events": [event.to_jsonable() for event in events],
                         "next": events[-1].seq if events else since,
                     })
                 if method == "DELETE" and len(parts) == 2:
-                    return 200, JSON, _dumps(
+                    return 200, JSON, dumps(
                         self.store.cancel(job_id).to_jsonable())
                 if method == "POST" and parts[2:] == ["cancel"]:
-                    return 200, JSON, _dumps(
+                    return 200, JSON, dumps(
                         self.store.cancel(job_id).to_jsonable())
 
         if head == "obs":
-            if method == "POST" and parts == ["obs", "ingest"]:
-                return 202, JSON, _dumps(dict(self.aggregator.ingest(body)))
-            if method == "GET" and parts == ["obs", "fleet"]:
-                return 200, JSON, _dumps(self.aggregator.snapshot())
+            return self.aggregator.handle(
+                method, "/" + "/".join(parts), body)
 
         if method == "GET" and parts == ["healthz"]:
             jobs = self.store.jobs()
             by_state: dict[str, int] = {}
             for status in jobs:
                 by_state[status.state] = by_state.get(status.state, 0) + 1
-            return 200, JSON, _dumps({
+            return 200, JSON, dumps({
                 "status": "ok",
                 "jobs": by_state,
                 "active": sum(count for state, count in by_state.items()
@@ -193,15 +183,6 @@ class ServiceApp:
 
 class UnknownRoute(Exception):
     """Raised inside dispatch; ``handle`` maps it to a 404 response."""
-
-
-def _body_doc(body: bytes) -> Any:
-    if not body:
-        raise SchemaError("submission: empty request body")
-    try:
-        return json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise SchemaError(f"submission: body is not valid JSON ({exc})")
 
 
 def _int_param(query: dict, name: str, default: int) -> int:
@@ -227,57 +208,19 @@ def _float_param(query: dict, name: str, default: float) -> float:
     return value
 
 
-# ---------------------------------------------------------------------------
-# Stdlib skin
-# ---------------------------------------------------------------------------
-
-class _Handler(BaseHTTPRequestHandler):
-    """One request; the app does the thinking."""
-
-    server_version = "repro-service"
-    protocol_version = "HTTP/1.1"
-    app: ServiceApp  # set by make_server on the subclass
-
-    def _serve(self, method: str) -> None:
-        length = int(self.headers.get("Content-Length") or 0)
-        body = self.rfile.read(length) if length else b""
-        status, content_type, payload = self.app.handle(
-            method, self.path, body)
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
-
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        self._serve("GET")
-
-    def do_POST(self) -> None:  # noqa: N802
-        self._serve("POST")
-
-    def do_DELETE(self) -> None:  # noqa: N802
-        self._serve("DELETE")
-
-    def log_message(self, format: str, *args: Any) -> None:
-        """Quiet by default; the metrics endpoint is the access log."""
-
-
-def make_server(store: JobStore, host: str = "127.0.0.1",
-                port: int = 0,
+def make_server(store: JobStore, host: str = "127.0.0.1", port: int = 0,
                 aggregator: Optional[FleetAggregator] = None,
                 ) -> ThreadingHTTPServer:
-    """A ready-to-serve ThreadingHTTPServer bound to ``host:port``.
+    """A ready-to-serve stdlib server bound to ``host:port``.
 
-    ``port=0`` picks a free port (read it back from
-    ``server.server_address``).  The caller owns both lifecycles:
-    ``server.serve_forever()`` / ``shutdown()`` and ``store.close()``.
-    The app's :class:`~repro.obs.aggregator.FleetAggregator` (default
-    or ``aggregator``) is exposed as ``server.fleet_aggregator``.
+    ``port=0`` picks a free port (read ``server.server_address``).  The
+    caller owns both lifecycles: ``server.serve_forever()`` /
+    ``shutdown()`` and ``store.close()``.  The app's
+    :class:`~repro.obs.aggregator.FleetAggregator` (default or
+    ``aggregator``) is exposed as ``server.fleet_aggregator``.
     """
     app = ServiceApp(store, aggregator=aggregator)
-    handler = type("Handler", (_Handler,), {"app": app})
-    server = ThreadingHTTPServer((host, port), handler)
-    server.daemon_threads = True
+    server = bind_server(app.handle, host, port)
     server.fleet_aggregator = app.aggregator  # type: ignore[attr-defined]
     return server
 

@@ -1,63 +1,92 @@
-"""The shared HTTP core: one connection pool, one retry discipline.
+"""The one HTTP core: client pool, retry policy and server kit.
 
-:class:`~repro.service.client.ServiceClient`, the
-:mod:`repro.dist.worker` loop and the telemetry pusher all speak HTTP
-through :func:`http_request`.  It separates the two failure planes
-cleanly:
+Every plane in this repo — the job service, the dist coordinator, the
+fleet aggregator — and every client of them speaks HTTP through this
+module, so the wire contract is written (and tested) once.
 
-* an HTTP *response* — any status, including 4xx/5xx — is returned as
-  an :class:`HttpResponse`; interpreting the status is the caller's
-  business;
-* a *transport* failure (connection refused/reset, DNS, socket timeout)
-  raises :class:`HttpTransportError` — after optional retries with
-  capped exponential backoff, Ethernet-style: the paper's argument is
-  that a client facing a shared service should assume failures are
-  transient and back off before retrying, and our own clients should
-  behave no worse than the simulated ones.
+**Client side.**  :func:`http_request` separates two failure planes:
 
-Transport is a process-wide :class:`HttpConnectionPool` of persistent
-keep-alive connections (both stdlib servers in this repo speak
-HTTP/1.1 with Content-Length, so sockets are reusable).  A fresh TCP
-connection per request was the dist plane's single biggest wire tax —
-three handshakes per campaign cell.  A pooled connection the server
-quietly closed while idle is detected on the next use and replayed
-once on a fresh socket *without* consuming a retry; that replay can
-re-execute a request the server already processed, which every caller
-in this repo tolerates (the worker protocol is at-least-once by
-design, service GETs are idempotent).
+* an HTTP *response* — any status, 4xx/5xx included — is returned as an
+  :class:`HttpResponse`; interpreting it is the caller's business;
+* a *transport* failure (refused/reset, DNS, socket timeout) raises
+  :class:`HttpTransportError` after ``retries`` further attempts spaced
+  by :data:`TRANSPORT_BACKOFF` — the paper's discipline on our own
+  clients: assume the failure is transient, back off, retry, give up.
+  ``retries=0`` is the default because only idempotent requests may be
+  replayed; callers opt in for GETs and the at-least-once worker verbs.
 
-Retries are opt-in (``retries=0`` by default) because they are only
-safe for idempotent requests; callers enable them for GETs and for
-worker-protocol calls that are idempotent by design.
+Transport is a process-wide :class:`HttpConnectionPool` of keep-alive
+connections.  One the server reaped while it sat idle is replayed once
+on a fresh socket *without* consuming a retry; that can re-execute a
+request the server already processed, which every caller here tolerates
+(worker verbs are at-least-once, service GETs idempotent).
+
+**Server side.**  :func:`bind_server` mounts a pure ``handle(method,
+target, body) -> (status, content_type, payload)`` on a stdlib
+``ThreadingHTTPServer``: HTTP/1.1 keep-alive, GET/POST/DELETE, a thread
+per connection, no access log (each plane's metrics are its log).  What
+the skin itself answers, before any plane logic runs:
+
+* ``400 bad-request`` + ``Connection: close`` — ``Content-Length`` is
+  not a non-negative integer;
+* ``413 too-large`` + ``Connection: close`` — it exceeds
+  :data:`MAX_BODY`; the body is never read;
+* nothing, to a peer silent for :data:`PEER_TIMEOUT` seconds (an idle
+  keep-alive, a declared body that never arrives): the connection is
+  dropped and its thread freed.  The timeout bounds socket reads and
+  writes, never handler work (a long-poll may outlive it); the pool's
+  free replay makes the reap invisible to clients.
+
+An empty 204/304 carries no ``Content-Type``.  Every error any plane
+sends is ``{"error": {"code", "message", "details": [...]}}``
+(:func:`error_doc`); JSON goes out through :func:`dumps` (sorted keys,
+compact, one trailing newline) and a JSON-object body comes in through
+:func:`json_object`.  Which 4xx answers which condition is plane logic,
+listed in each plane's module docstring; 500 ``internal`` is every
+plane's catch-all.  ``TCP_NODELAY`` on accepted sockets is the kit's
+one per-plane choice (``nodelay=``: on for the coordinator, off for the
+service and the aggregator).
 """
 
 from __future__ import annotations
 
 import http.client
+import json
 import os
-import random
 import socket
 import threading
 import time
-import urllib.error
 import urllib.parse
-import urllib.request
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import Any, Callable, Mapping, Optional
 
-#: First backoff step, in seconds.
-DEFAULT_BACKOFF = 0.05
+from ..core.backoff import BackoffPolicy
 
-#: Ceiling any single backoff sleep is capped at.
-DEFAULT_BACKOFF_CAP = 2.0
+#: Spacing of transport retries: 0.05 s doubling to 2 s, unjittered.
+TRANSPORT_BACKOFF = BackoffPolicy(base=0.05, ceiling=2.0,
+                                  jitter_low=1.0, jitter_high=1.0)
 
 #: Idle sockets kept per (scheme, host, port) before extras are closed.
 DEFAULT_MAX_IDLE = 4
 
-#: Seconds between ``serve_forever`` looks at its shutdown flag.  The
-#: stdlib's 0.5 made every short-lived server (a socket campaign's
-#: coordinator, a test fixture) take up to half a second to stop.
+#: Seconds between ``serve_forever`` looks at its shutdown flag; the
+#: stdlib's 0.5 made a socket campaign's coordinator half a second late.
 SERVE_POLL = 0.01
+
+#: Largest request body a plane reads: 12x the biggest legitimate ones,
+#: a 20 000-span obs push (2.6 MB) and a 16-cell ``ack_many`` of
+#: full-scale figure results (0.2 MB).
+MAX_BODY = 32 * 1024 * 1024
+
+#: Seconds a peer may stay silent — between keep-alive requests or in
+#: the middle of a body — before its handler thread is reclaimed.
+PEER_TIMEOUT = 30.0
+
+JSON = "application/json"
+
+#: What a plane's ``handle(method, target, body)`` returns.
+Reply = tuple[int, str, bytes]  # status, content type, payload
 
 
 class HttpTransportError(Exception):
@@ -77,29 +106,6 @@ class HttpResponse:
 
     status: int
     body: bytes
-
-
-def backoff_delay(attempt: int, base: float = DEFAULT_BACKOFF,
-                  cap: float = DEFAULT_BACKOFF_CAP) -> float:
-    """Exponential backoff for retry ``attempt`` (0-based), capped."""
-    return min(base * (2 ** attempt), cap)
-
-
-def jittered_delay(attempt: int, base: float = DEFAULT_BACKOFF,
-                   cap: float = DEFAULT_BACKOFF_CAP,
-                   rng: Optional[random.Random] = None) -> float:
-    """Ethernet-style randomised backoff: uniform over ``[0, window]``
-    where the window doubles per attempt (capped).
-
-    This is the paper's own collision discipline dogfooded: a fleet of
-    idle workers polling one coordinator must not fall into lockstep,
-    or every claim round becomes a synchronized stampede.  Spreading
-    each sleep uniformly over the growing window desynchronizes them
-    exactly the way Ethernet's truncated binary exponential backoff
-    desynchronizes transmitters.
-    """
-    draw = rng.random() if rng is not None else random.random()
-    return draw * backoff_delay(attempt, base, cap)
 
 
 #: Transport-plane exceptions: the request died without an HTTP status.
@@ -184,8 +190,6 @@ class HttpConnectionPool:
         headers: Optional[Mapping[str, str]] = None,
         timeout: float = 30.0,
         retries: int = 0,
-        backoff: float = DEFAULT_BACKOFF,
-        backoff_cap: float = DEFAULT_BACKOFF_CAP,
         sleep: Callable[[float], None] = time.sleep,
     ) -> HttpResponse:
         """One HTTP exchange over a pooled connection; see module doc."""
@@ -223,8 +227,8 @@ class HttpConnectionPool:
                 if attempt >= retries:
                     raise HttpTransportError(
                         url, reason, attempts=attempt + 1) from None
-                sleep(backoff_delay(attempt, backoff, backoff_cap))
                 attempt += 1
+                sleep(TRANSPORT_BACKOFF.raw_delay(attempt))
                 continue
             if response.will_close:
                 conn.close()
@@ -247,28 +251,17 @@ def http_request(
     headers: Optional[Mapping[str, str]] = None,
     timeout: float = 30.0,
     retries: int = 0,
-    backoff: float = DEFAULT_BACKOFF,
-    backoff_cap: float = DEFAULT_BACKOFF_CAP,
     sleep: Callable[[float], None] = time.sleep,
     pool: Optional[HttpConnectionPool] = None,
 ) -> HttpResponse:
-    """One HTTP exchange; retries transient transport failures.
+    """One HTTP exchange over the shared keep-alive pool (or ``pool``).
 
-    Rides the shared keep-alive pool (or ``pool``), sleeping
-    ``backoff * 2^n`` (capped) between attempts on transport failures.
-    HTTP error statuses are *returned*, never retried — a 500 is an
-    answer, not an outage.  Non-HTTP schemes fall back to a one-shot
-    urllib exchange with the same retry discipline.
+    Transport failures are retried ``retries`` times; HTTP error
+    statuses are *returned* — a 500 is an answer, not an outage.
     """
-    scheme = urllib.parse.urlsplit(url).scheme
-    if scheme in ("http", "https"):
-        chosen = pool if pool is not None else SHARED_POOL
-        return chosen.request(
-            url, method=method, body=body, headers=headers,
-            timeout=timeout, retries=retries, backoff=backoff,
-            backoff_cap=backoff_cap, sleep=sleep)
-    return _urllib_request(url, method, body, headers, timeout,
-                           retries, backoff, backoff_cap, sleep)
+    chosen = pool if pool is not None else SHARED_POOL
+    return chosen.request(url, method=method, body=body, headers=headers,
+                          timeout=timeout, retries=retries, sleep=sleep)
 
 
 def serve_in_thread(server, name: str = "repro-http-server"
@@ -292,25 +285,92 @@ def serve_in_thread(server, name: str = "repro-http-server"
     return stop
 
 
-def _urllib_request(url, method, body, headers, timeout, retries,
-                    backoff, backoff_cap, sleep) -> HttpResponse:
-    """The pre-pool path, kept for exotic schemes urllib understands."""
-    attempt = 0
-    while True:
-        request = urllib.request.Request(
-            url, data=body, method=method, headers=dict(headers or {}))
-        try:
-            with urllib.request.urlopen(request, timeout=timeout) as response:
-                return HttpResponse(response.status, response.read())
-        except urllib.error.HTTPError as exc:
-            payload = exc.read()
-            exc.close()
-            return HttpResponse(exc.code, payload)
-        except (urllib.error.URLError, ConnectionError, TimeoutError,
-                OSError) as exc:
-            reason = getattr(exc, "reason", exc)
-            if attempt >= retries:
-                raise HttpTransportError(
-                    url, reason, attempts=attempt + 1) from None
-            sleep(backoff_delay(attempt, backoff, backoff_cap))
-            attempt += 1
+# ---------------------------------------------------------------------------
+# The JSON vocabulary and the server kit (wire contract: module docstring)
+# ---------------------------------------------------------------------------
+
+class BadRequest(ValueError):
+    """A request a plane cannot parse; planes answer it 400."""
+
+
+def dumps(doc: Any) -> bytes:
+    """Deterministic wire form: sorted keys, compact, trailing newline."""
+    return (json.dumps(doc, sort_keys=True, separators=(",", ":"))
+            + "\n").encode()
+
+
+def error_doc(code: str, message: str,
+              details: Optional[list[str]] = None) -> bytes:
+    """The one error body every plane sends."""
+    return dumps({"error": {"code": code, "message": message,
+                            "details": details or []}})
+
+
+def json_object(body: bytes) -> dict[str, Any]:
+    """Parse a request body that must be a JSON object."""
+    if not body:
+        raise BadRequest("empty request body")
+    try:
+        doc = json.loads(body.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise BadRequest(f"body is not valid JSON ({exc})")
+    if not isinstance(doc, dict):
+        raise BadRequest("body must be a JSON object")
+    return doc
+
+
+class _Handler(BaseHTTPRequestHandler):
+    """One connection: read a validated body, ask ``app``, answer."""
+
+    server_version = "repro"
+    protocol_version = "HTTP/1.1"
+    timeout = PEER_TIMEOUT
+    app: Callable[[str, str, bytes], Reply]  # set by bind_server
+
+    def _serve(self) -> None:
+        declared = self.headers.get("Content-Length") or "0"
+        if not (declared.isascii() and declared.isdigit()):
+            self._answer(400, JSON, error_doc(
+                "bad-request", f"Content-Length {declared[:40]!r} is not "
+                "a non-negative integer"), close=True)
+        elif len(declared) > 18 or int(declared) > MAX_BODY:
+            # (the length test: int() itself refuses 4300+ digits)
+            self._answer(413, JSON, error_doc(
+                "too-large", f"request body of {declared[:40]} bytes "
+                f"exceeds the {MAX_BODY}-byte limit"), close=True)
+        else:
+            body = self.rfile.read(int(declared))
+            self._answer(*self.app(self.command, self.path, body))
+
+    def _answer(self, status: int, content_type: str, payload: bytes,
+                close: bool = False) -> None:
+        self.send_response(status)
+        if payload or status not in (204, 304):
+            self.send_header("Content-Type", content_type)
+        self.send_header("Content-Length", str(len(payload)))
+        if close:
+            self.send_header("Connection", "close")
+        self.end_headers()
+        if payload:
+            self.wfile.write(payload)
+
+    do_GET = do_POST = do_DELETE = _serve  # noqa: N815 - http.server API
+
+    def log_message(self, format: str, *args: Any) -> None:
+        """Quiet: each plane's metrics endpoint is its access log."""
+
+
+def bind_server(handle: Callable[[str, str, bytes], Reply],
+                host: str = "127.0.0.1", port: int = 0,
+                nodelay: bool = False) -> ThreadingHTTPServer:
+    """Bind a threading server that answers with ``handle``.
+
+    ``port=0`` picks a free port (read ``server.server_address``); the
+    caller runs ``serve_forever()`` or :func:`serve_in_thread`.
+    ``nodelay`` sets ``TCP_NODELAY`` on accepted sockets: headers and
+    body are separate writes, and under Nagle the body waits ~40 ms
+    for the client's delayed ACK.
+    """
+    handler = type("Handler", (_Handler,), {
+        "app": staticmethod(handle), "disable_nagle_algorithm": nodelay})
+    return ThreadingHTTPServer((host, port), handler)

@@ -1,5 +1,7 @@
 """Exponential backoff policy and state."""
 
+import random
+
 import pytest
 
 from repro.core.backoff import (
@@ -9,6 +11,7 @@ from repro.core.backoff import (
     PAPER_POLICY,
 )
 from repro.core.units import HOUR
+from repro.service.http import TRANSPORT_BACKOFF
 
 
 def fixed_random(value):
@@ -121,3 +124,40 @@ class TestCustomPolicies:
     def test_huge_failure_count_no_overflow(self):
         # Must not compute 2**10**6 eagerly.
         assert PAPER_POLICY.raw_delay(10**6) == HOUR
+
+
+class TestControlPlanePolicies:
+    """The two schedules the repo's own clients run on: the unjittered
+    transport retry of repro.service.http and the [0, 1)-jittered,
+    4x-truncated idle nap of the dist worker."""
+
+    IDLE = BackoffPolicy(base=0.1, ceiling=1.0,
+                         jitter_low=0.0, jitter_high=1.0)
+
+    def test_doubles_from_base(self):
+        steady = BackoffPolicy(base=0.1, ceiling=10.0,
+                               jitter_low=1.0, jitter_high=1.0)
+        assert [steady.raw_delay(n) for n in range(1, 5)] \
+            == [0.1, 0.2, 0.4, 0.8]
+        assert [TRANSPORT_BACKOFF.delay(n, random.random)
+                for n in range(1, 4)] == [0.05, 0.1, 0.2]
+
+    def test_ceiling_holds_at_30_failures(self):
+        assert TRANSPORT_BACKOFF.raw_delay(1) == 0.05
+        assert TRANSPORT_BACKOFF.raw_delay(31) == 2.0
+        assert TRANSPORT_BACKOFF.max_delay() == 2.0
+        assert self.IDLE.raw_delay(31) == 1.0
+
+    def test_zero_low_jitter_stays_inside_the_window(self):
+        rng = random.Random(2003)
+        for failures in range(1, 9):
+            window = self.IDLE.raw_delay(failures)
+            for _ in range(50):
+                assert 0.0 <= self.IDLE.delay(failures, rng.random) <= window
+
+    def test_different_seeds_spread(self):
+        """Two workers with different rngs must not sleep in lockstep —
+        that is the whole point of the jitter."""
+        a, b = random.Random(1), random.Random(2)
+        assert [self.IDLE.delay(4, a.random) for _ in range(10)] \
+            != [self.IDLE.delay(4, b.random) for _ in range(10)]

@@ -232,12 +232,16 @@ class TestValidationAndStatus:
         app, _ = make_app()
         status, body = post(app, "/queue/claim", {})
         assert status == 400
-        assert body["error"]["code"] == "bad-request"
+        # The error document every plane shares, ``details`` included.
+        assert body == {"error": {
+            "code": "bad-request", "details": [],
+            "message": "field 'worker' must be a non-empty string"}}
 
     def test_garbage_body_is_400(self):
         app, _ = make_app()
-        status, _, _ = app.handle("POST", "/queue/claim", b"not json")
-        assert status == 400
+        for garbage in (b"not json", b"", b"[1, 2]"):
+            status, _, _ = app.handle("POST", "/queue/claim", garbage)
+            assert status == 400
 
     def test_unknown_route_is_404(self):
         app, _ = make_app()

@@ -7,8 +7,11 @@ coordinator settles stored cells before it answers a claim and
 publishes on ack (test_coordinator).
 """
 
+import random
+
+from repro.dist import worker as worker_module
 from repro.dist.wire import encode_cell
-from repro.dist.worker import next_batch_size, process_batch
+from repro.dist.worker import next_batch_size, process_batch, worker_loop
 from repro.parallel.executor import CellSpec
 
 
@@ -82,3 +85,42 @@ class TestProcessBatch:
         # The crash retries; the wire-bad doc is terminal.
         assert [(t, r) for t, _e, r in client.nacked] \
             == [("t3", True), ("t4", False)]
+
+
+class TestIdleNaps:
+    """An idle worker naps ``poll/4`` plus a uniform draw from a window
+    doubling from ``poll`` to ``4 * poll`` — core.backoff's schedule."""
+
+    #: What the pre-BackoffState formula, ``poll * 0.25 + draw *
+    #: min(poll * 2 ** min(streak, 4), 4 * poll)``, slept for
+    #: random.Random(7), poll=0.1, idle streaks 0-6.
+    PARENT_NAPS = [
+        0.05738327648331624, 0.05516983478490039, 0.28537378921594153,
+        0.05397451466701711, 0.23935280172267567, 0.17127556676503422,
+        0.04819956990988272,
+    ]
+
+    def run_loop(self, monkeypatch, outcomes):
+        answers = iter(outcomes)
+        naps = []
+        monkeypatch.setattr(worker_module.CoordinatorClient, "claim",
+                            lambda self, max_tasks=1: next(answers))
+        monkeypatch.setattr(worker_module, "process_batch",
+                            lambda client, docs, payloads=None: {})
+        monkeypatch.setattr(worker_module.time, "sleep", naps.append)
+        worker_loop("http://127.0.0.1:9", "w0", poll=0.1,
+                    rng=random.Random(7))
+        return naps
+
+    def test_naps_equal_the_parent_formula_draw_for_draw(self, monkeypatch):
+        naps = self.run_loop(
+            monkeypatch, [("idle", [])] * 7 + [("drained", [])])
+        assert naps == self.PARENT_NAPS
+
+    def test_a_claim_resets_the_window(self, monkeypatch):
+        naps = self.run_loop(
+            monkeypatch, [("idle", [])] * 3 + [("tasks", [{}])]
+            + [("idle", [])] * 2 + [("drained", [])])
+        rng = random.Random(7)
+        windows = [0.1, 0.2, 0.4, 0.1, 0.2]
+        assert naps == [0.025 + rng.random() * window for window in windows]

@@ -16,6 +16,7 @@ from repro.obs.aggregator import (
     FleetAggregator,
     make_obs_server,
 )
+from repro.service.http import dumps, http_request, serve_in_thread
 
 
 class FakeClock:
@@ -249,10 +250,54 @@ class TestSnapshot:
             pytest.approx(0.9)
 
 
-class TestStandaloneServer:
-    def test_ingest_and_fleet_over_http(self):
-        from repro.service.http import http_request, serve_in_thread
+class TestHandle:
+    """The aggregator's whole HTTP surface, called without a socket."""
 
+    def test_ingest_then_fleet_and_healthz(self):
+        agg = FleetAggregator(clock=FakeClock())
+        status, ctype, payload = agg.handle(
+            "POST", "/obs/ingest", batch("s", 1, span()))
+        assert (status, ctype) == (202, "application/json")
+        assert json.loads(payload) == {
+            "accepted": 2, "malformed": 0, "stale_spans": 0}
+        status, _, payload = agg.handle("GET", "/obs/fleet?pretty=1")
+        assert status == 200
+        assert payload == dumps(agg.snapshot())
+        assert agg.handle("GET", "/healthz/")[2] == \
+            b'{"sources":1,"status":"ok"}\n'
+
+    @pytest.mark.parametrize("method, target", [
+        ("GET", "/nope"), ("GET", "/"), ("POST", "/obs/fleet"),
+        ("GET", "/obs/ingest"), ("DELETE", "/obs/fleet"),
+    ])
+    def test_unknown_route_is_the_shared_error_document(self, method,
+                                                        target):
+        status, _, payload = FleetAggregator().handle(method, target)
+        assert status == 404
+        assert json.loads(payload) == {"error": {
+            "code": "unknown-route", "details": [],
+            "message": f"no route {method} {target}"}}
+
+    @pytest.mark.parametrize("method, target, broken", [
+        ("POST", "/obs/ingest", "ingest"), ("GET", "/obs/fleet", "snapshot"),
+    ])
+    def test_a_raising_aggregator_is_a_500_not_a_dropped_peer(
+            self, monkeypatch, method, target, broken):
+        agg = FleetAggregator()
+
+        def boom(*args):
+            raise RuntimeError("fold exploded")
+
+        monkeypatch.setattr(agg, broken, boom)
+        status, _, payload = agg.handle(method, target, b"x")
+        assert status == 500
+        error = json.loads(payload)["error"]
+        assert error["code"] == "internal"
+        assert error["message"] == "RuntimeError: fold exploded"
+
+
+class TestStandaloneServer:
+    def test_ingest_and_fleet_over_http(self, monkeypatch):
         agg = FleetAggregator(clock=FakeClock())
         server = make_obs_server(agg, port=0)
         host, port = server.server_address[:2]
@@ -270,8 +315,13 @@ class TestStandaloneServer:
             assert health.status == 200
             missing = http_request(url + "/nope")
             assert missing.status == 404
+            assert missing.body == agg.handle("GET", "/nope")[2]
             bad_post = http_request(url + "/obs/nope", method="POST",
                                     body=b"")
             assert bad_post.status == 404
+            monkeypatch.setattr(agg, "snapshot", lambda: 1 / 0)
+            broken = http_request(url + "/obs/fleet")
+            assert broken.status == 500
+            assert json.loads(broken.body)["error"]["code"] == "internal"
         finally:
             stop()

@@ -5,14 +5,22 @@ from hypothesis import strategies as st
 
 from repro.core.backoff import BackoffPolicy
 
+bases = st.floats(min_value=0.0, max_value=10.0, allow_nan=False)
+ceilings = st.floats(min_value=10.0, max_value=10_000.0, allow_nan=False)
+
 policies = st.builds(
     BackoffPolicy,
-    base=st.floats(min_value=0.0, max_value=10.0, allow_nan=False),
+    base=bases,
     factor=st.floats(min_value=1.0, max_value=4.0, allow_nan=False),
-    ceiling=st.floats(min_value=10.0, max_value=10_000.0, allow_nan=False),
+    ceiling=ceilings,
     jitter_low=st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
     jitter_high=st.floats(min_value=1.0, max_value=3.0, allow_nan=False),
 )
+
+#: The dist worker's idle nap: a uniform draw over [0, window).
+zero_low_policies = st.builds(
+    BackoffPolicy, base=bases, ceiling=ceilings,
+    jitter_low=st.just(0.0), jitter_high=st.just(1.0))
 
 
 @given(policy=policies, failures=st.integers(min_value=1, max_value=10_000))
@@ -26,7 +34,7 @@ def test_raw_delay_monotone_nondecreasing(policy, failures):
 
 
 @given(
-    policy=policies,
+    policy=policies | zero_low_policies,
     failures=st.integers(min_value=1, max_value=1000),
     jitter=st.floats(min_value=0.0, max_value=0.999999, allow_nan=False),
 )

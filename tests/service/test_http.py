@@ -1,25 +1,27 @@
-"""The shared HTTP core: retry discipline, backoff shape, keep-alive
-pooling, long-poll."""
+"""The shared HTTP core: retry discipline, keep-alive pooling,
+long-poll.  (The backoff schedule itself: tests/core/test_backoff.py.)"""
 
+import http.client
 import json
-import random
+import socket
 import threading
 import time
 
 import pytest
 
+from repro.dist.coordinator import CoordinatorServer
+from repro.dist.queue import TaskQueue
 from repro.obs import Observability
+from repro.obs.aggregator import FleetAggregator, make_obs_server
 from repro.parallel.cache import ResultCache
 from repro.service.app import MAX_EVENT_WAIT, ServiceApp, make_server
 from repro.service.client import ServiceClient, ServiceError
+from repro.service import http as http_module
 from repro.service.http import (
-    DEFAULT_BACKOFF,
-    DEFAULT_BACKOFF_CAP,
+    MAX_BODY,
     HttpConnectionPool,
     HttpTransportError,
-    backoff_delay,
     http_request,
-    jittered_delay,
     serve_in_thread,
 )
 from repro.service.jobs import JobStore
@@ -37,33 +39,6 @@ def wait_terminal(store, job_id, timeout=30.0):
             return status
         time.sleep(0.02)
     raise AssertionError(f"job {job_id} not terminal after {timeout}s")
-
-
-class TestBackoffDelay:
-    def test_doubles_from_base(self):
-        assert [backoff_delay(n, base=0.1, cap=10.0) for n in range(4)] \
-            == [0.1, 0.2, 0.4, 0.8]
-
-    def test_cap_is_a_ceiling(self):
-        assert backoff_delay(30) == DEFAULT_BACKOFF_CAP
-        assert backoff_delay(0) == DEFAULT_BACKOFF
-
-
-class TestJitteredDelay:
-    def test_draw_is_bounded_by_the_backoff_window(self):
-        rng = random.Random(2003)
-        for attempt in range(8):
-            window = backoff_delay(attempt, base=0.1, cap=1.0)
-            for _ in range(50):
-                draw = jittered_delay(attempt, base=0.1, cap=1.0, rng=rng)
-                assert 0.0 <= draw <= window
-
-    def test_windows_spread_not_collide(self):
-        """Two workers with different rngs must not sleep in lockstep —
-        that is the whole point of the jitter."""
-        a = [jittered_delay(3, rng=random.Random(1)) for _ in range(10)]
-        b = [jittered_delay(3, rng=random.Random(2)) for _ in range(10)]
-        assert a != b
 
 
 class TestConnectionPool:
@@ -118,6 +93,10 @@ class TestConnectionPool:
         pool = HttpConnectionPool()
         with pytest.raises(HttpTransportError):
             pool.request("ftp://example.org/x")
+        # http_request has no other transport to fall back to.
+        with pytest.raises(HttpTransportError, match="unsupported URL"):
+            http_request("ftp://example.org/x", retries=3,
+                         sleep=pytest.fail)
 
 
 class TestHttpRequestRetries:
@@ -129,7 +108,7 @@ class TestHttpRequestRetries:
             http_request("http://127.0.0.1:9/x", timeout=0.2, retries=3,
                          sleep=sleeps.append)
         assert exc.value.attempts == 4
-        assert sleeps == [backoff_delay(n) for n in range(3)]
+        assert sleeps == [0.05, 0.1, 0.2]
 
     def test_no_retries_by_default(self):
         sleeps = []
@@ -243,3 +222,177 @@ class TestEventsLongPoll:
             f"/jobs/{status.job_id}/events?since=10000&wait=0.2")
         assert code == 200
         assert time.monotonic() - started < MAX_EVENT_WAIT
+
+
+# ---------------------------------------------------------------------------
+# The server kit, against every plane mounted on it
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(params=["service", "coordinator", "aggregator"])
+def plane(request, tmp_path):
+    """``(host, port)`` of a live server of each plane."""
+    if request.param == "coordinator":
+        server = CoordinatorServer(TaskQueue())
+        server.start()
+        try:
+            yield server.server.server_address[:2]
+        finally:
+            server.close()
+    elif request.param == "aggregator":
+        server = make_obs_server(FleetAggregator(), port=0)
+        stop = serve_in_thread(server)
+        try:
+            yield server.server_address[:2]
+        finally:
+            stop()
+    else:
+        with JobStore(policy=SandboxPolicy(wall_budget=60.0), cache=None,
+                      workers=1, obs=Observability()) as store:
+            server = make_server(store, port=0)
+            stop = serve_in_thread(server)
+            try:
+                yield server.server_address[:2]
+            finally:
+                stop()
+
+
+def raw_exchange(address, request: bytes, timeout: float = 3.0) -> bytes:
+    """Send raw bytes, read until the server closes the connection."""
+    with socket.create_connection(address, timeout=timeout) as sock:
+        sock.sendall(request)
+        chunks = []
+        while True:
+            data = sock.recv(65536)
+            if not data:
+                return b"".join(chunks)
+            chunks.append(data)
+
+
+def handler_threads() -> int:
+    """Live per-connection server threads (socketserver names them)."""
+    return sum("process_request_thread" in thread.name
+               for thread in threading.enumerate())
+
+
+def settled_handler_threads(baseline: int, timeout: float = 5.0) -> int:
+    deadline = time.monotonic() + timeout
+    while handler_threads() > baseline and time.monotonic() < deadline:
+        time.sleep(0.02)
+    return handler_threads()
+
+
+class TestContentLengthIsOutsideInput:
+    """A bad Content-Length gets an answer and a closed connection on
+    every plane — not a traceback, a blocked read or a 32 MiB buffer."""
+
+    @pytest.mark.parametrize("declared, status, code", [
+        ("abc", 400, "bad-request"),
+        ("-1", 400, "bad-request"),
+        ("1_0", 400, "bad-request"),
+        (str(MAX_BODY + 1), 413, "too-large"),
+        ("9" * 5000, 413, "too-large"),
+    ])
+    def test_rejected_with_close_and_no_body_read(self, plane, declared,
+                                                  status, code):
+        # Headers only: the body is never sent, so any answer at all
+        # proves the server did not try to read it.
+        reply = raw_exchange(plane, (
+            "POST /healthz HTTP/1.1\r\nHost: x\r\n"
+            f"Content-Length: {declared}\r\n\r\n").encode())
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(f"HTTP/1.1 {status} ".encode()), reply[:200]
+        assert b"connection: close" in head.lower()
+        assert json.loads(body)["error"]["code"] == code
+        assert json.loads(body)["error"]["details"] == []
+
+    def test_body_at_the_limit_is_still_read(self, plane, monkeypatch):
+        monkeypatch.setattr(http_module, "MAX_BODY", 64)
+        reply = raw_exchange(plane, (
+            b"POST /nope HTTP/1.1\r\nHost: x\r\nConnection: close\r\n"
+            b"Content-Length: 64\r\n\r\n" + b"x" * 64))
+        assert reply.startswith(b"HTTP/1.1 404 "), reply[:200]
+
+
+class TestSilentPeersAreReaped:
+    """The kit's socket timeout (patched from 30 s to 0.2 s) frees the
+    handler thread of a peer that stops talking, on every plane."""
+
+    @pytest.fixture(autouse=True)
+    def short_timeout(self, monkeypatch):
+        monkeypatch.setattr(http_module._Handler, "timeout", 0.2)
+        # Keep-alives earlier tests parked in the shared pool hold
+        # handler threads of their own; let those go first.
+        http_module.SHARED_POOL.clear()
+        settled_handler_threads(0, timeout=0.2)
+
+    def test_stalled_body_and_parked_keepalive_release_their_threads(
+            self, plane):
+        baseline = handler_threads()
+        stalled = socket.create_connection(plane, timeout=3.0)
+        parked = http.client.HTTPConnection(*plane, timeout=3.0)
+        try:
+            stalled.sendall(b"POST /obs/ingest HTTP/1.1\r\nHost: x\r\n"
+                            b"Content-Length: 100\r\n\r\nonly-this")
+            parked.request("GET", "/healthz")
+            assert parked.getresponse().read().endswith(b'"ok"}\n')
+            assert handler_threads() == baseline + 2
+            assert settled_handler_threads(baseline) == baseline
+            # Both peers were dropped; the stalled one was never answered.
+            assert stalled.recv(65536) == b""
+            assert parked.sock.recv(65536) == b""
+        finally:
+            stalled.close()
+            parked.close()
+
+    def test_timeout_bounds_socket_reads_not_handler_work(self, service):
+        url, store = service
+        job = store.submit(ScriptSubmission(script=GOOD, timeout=600.0))
+        wait_terminal(store, job.job_id)
+        last = store.events(job.job_id)[-1].seq
+        started = time.monotonic()
+        response = http_request(
+            f"{url}/jobs/{job.job_id}/events?since={last}&wait=0.6")
+        assert response.status == 200
+        assert time.monotonic() - started >= 0.6
+
+    def test_pooled_client_rides_out_the_reap(self, service, monkeypatch):
+        url, _ = service
+        pool = HttpConnectionPool()
+        monkeypatch.setattr(http_module, "SHARED_POOL", pool)
+        client = ServiceClient(url=url, retries=0)
+        baseline = handler_threads()
+        assert client.healthz()["status"] == "ok"
+        assert settled_handler_threads(baseline) == baseline  # reaped
+        assert client.healthz()["status"] == "ok"    # free replay
+        assert (pool.created, pool.reused) == (2, 1)
+
+
+class TestLayoutGuard:
+    """One HTTP skin, one backoff: a source grep, so the second skin or
+    the fourth retry schedule cannot come back unnoticed."""
+
+    @staticmethod
+    def sources():
+        import pathlib
+
+        import repro
+
+        root = pathlib.Path(repro.__file__).parent
+        return {str(path.relative_to(root)): path.read_text()
+                for path in sorted(root.rglob("*.py"))}
+
+    def test_exactly_one_module_imports_the_stdlib_server(self):
+        import re
+
+        importing = [name for name, text in self.sources().items()
+                     if re.search(r"^\s*(from|import)\s+(http\.server|"
+                                  r"socketserver)\b", text, re.MULTILINE)]
+        assert importing == ["service/http.py"]
+
+    def test_only_core_backoff_doubles_a_delay(self):
+        import re
+
+        doubling = re.compile(r"\b2(\.0)?\s*\*\*\s*\(?\s*[A-Za-z_]")
+        offenders = [name for name, text in self.sources().items()
+                     if name != "core/backoff.py" and doubling.search(text)]
+        assert offenders == []

@@ -76,6 +76,26 @@ class TestObsRoutes:
         shared.handle("POST", "/obs/ingest", BATCH)
         assert agg.snapshot()["totals"]["batches"] == 1
 
+    def test_answers_are_byte_identical_to_the_standalone(self, app):
+        """The service forwards /obs/* to the very ``handle`` that
+        ``python -m repro.obs.aggregator`` serves: same aggregator
+        state in, same bytes out — 2xx and error documents alike."""
+        def frozen():
+            return FleetAggregator(clock=lambda: 5.0)
+
+        standalone, mounted = frozen(), frozen()
+        service = ServiceApp(app.store, aggregator=mounted)
+        for method, target, body in [
+            ("POST", "/obs/ingest", BATCH),
+            ("GET", "/obs/fleet", b""),
+            ("POST", "/obs/ingest", b"not json\n"),
+            ("GET", "/obs/fleet", b""),
+            ("GET", "/obs/nope", b""),
+            ("POST", "/obs/fleet", b""),
+        ]:
+            assert service.handle(method, target, body) \
+                == standalone.handle(method, target, body), (method, target)
+
     def test_make_server_exposes_aggregator(self):
         with JobStore(policy=SandboxPolicy(wall_budget=60.0),
                       workers=1, obs=Observability()) as store:
