@@ -97,6 +97,25 @@ def bench_engine_process_pingpong(benchmark):
     assert benchmark(pingpong) == 1000.0
 
 
+def bench_command_race_churn(benchmark):
+    """One client, 20k ``true`` commands under a far ``try`` deadline:
+    every command wins its race against the deadline timer, which is
+    what a jammed figure-1 cell spends its time on.  Cost per command
+    should stay flat as finished commands pile up (nothing they leave
+    behind may grow the queue or the collector's live set)."""
+    script = parse("try for 1000000 seconds\n" + "  true\n" * 100 + "end")
+
+    def churn():
+        engine = Engine()
+        shell = SimFtsh(engine, CommandRegistry())
+        for _ in range(200):
+            result = shell.run(script)
+        return result.success, len(engine._heap) + len(engine._run)
+
+    success, queued = benchmark(churn)
+    assert success and queued < 1_000
+
+
 def bench_interpreter_roundtrip(benchmark):
     """Full script execution in virtual time (parse cached)."""
     script = parse("try 3 times\n  probe\nend")

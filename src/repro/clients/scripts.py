@@ -20,7 +20,7 @@ quiet about the deliberate baseline.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .base import Discipline
 
@@ -83,9 +83,17 @@ end
 # Scenario 2: shared output buffer (Figures 4-5)
 # ---------------------------------------------------------------------------
 
+def _size_word(size_mb: Optional[float]) -> str:
+    """The ``produce_output`` argument: a literal size, or — for
+    ``None`` — the ``${size_mb}`` variable, so a producer loop parses one
+    script and passes each cycle's size to ``spawn`` (format it with
+    ``f"{size:.6f}"``, as here, and the command sees the same argv)."""
+    return "${size_mb}" if size_mb is None else f"{size_mb:.6f}"
+
+
 def producer_script(
     discipline: Discipline,
-    size_mb: float,
+    size_mb: Optional[float],
     window: float = 300.0,
 ) -> str:
     """One producer cycle: produce an output file, then store it.
@@ -95,9 +103,10 @@ def producer_script(
     estimate is non-positive.
     """
     limit = format_window(window)
+    size = _size_word(size_mb)
     if discipline.carrier_sense:
         return f"""
-produce_output {size_mb:.6f}
+produce_output {size}
 try for {limit}
     df_estimate -> free
     if ${{free}} .le. 0
@@ -107,14 +116,15 @@ try for {limit}
 end
 """
     return f"""
-produce_output {size_mb:.6f}
+produce_output {size}
 try for {limit}
     store_output  # lint: disable=FTL010
 end
 """
 
 
-def producer_script_reserved(size_mb: float, window: float = 300.0) -> str:
+def producer_script_reserved(size_mb: Optional[float],
+                             window: float = 300.0) -> str:
     """The reservation alternative the paper's §5 discussion weighs:
     allocate space through a NeST/SRB/SRM-style server before writing.
 
@@ -123,7 +133,7 @@ def producer_script_reserved(size_mb: float, window: float = 300.0) -> str:
     """
     limit = format_window(window)
     return f"""
-produce_output {size_mb:.6f}
+produce_output {_size_word(size_mb)}
 try for {limit}
     reserve_output
     store_reserved

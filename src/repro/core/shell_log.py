@@ -14,7 +14,6 @@ clock the driver uses.  It is append-only and cheap enough to leave on.
 from __future__ import annotations
 
 import enum
-from collections import Counter as _Counter
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
@@ -45,13 +44,14 @@ class EventKind(enum.Enum):
     SCRIPT_RESULT = "script-result"
 
 
-#: EventKind -> verbosity tier.
-_LEVELS: dict["EventKind", int] = {}
-
-
 def _assign_levels() -> None:
+    """Give every kind its verbosity tier (``kind.level``) and its slot
+    in a log's tally (``kind.index``) as plain attributes, so
+    :meth:`ShellLog.record` never hashes an enum member."""
+    for index, kind in enumerate(EventKind):
+        kind.index = index
     for kind in (EventKind.SCRIPT_RESULT,):
-        _LEVELS[kind] = LOG_RESULTS
+        kind.level = LOG_RESULTS
     for kind in (
         EventKind.COMMAND_START,
         EventKind.COMMAND_END,
@@ -63,7 +63,7 @@ def _assign_levels() -> None:
         EventKind.FAILURE_ATOM,
         EventKind.TRY_BACKOFF,   # the administrator overload signal
     ):
-        _LEVELS[kind] = LOG_COMMANDS
+        kind.level = LOG_COMMANDS
     for kind in (
         EventKind.TRY_ATTEMPT,
         EventKind.FORANY_PICK,
@@ -72,7 +72,7 @@ def _assign_levels() -> None:
         EventKind.ASSIGNMENT,
         EventKind.CONDITION,
     ):
-        _LEVELS[kind] = LOG_TRACE
+        kind.level = LOG_TRACE
 
 
 _assign_levels()
@@ -108,11 +108,16 @@ class ShellLog:
         #: Verbosity: LOG_RESULTS, LOG_COMMANDS, or LOG_TRACE (default).
         self.level = level
         self._dropped = 0
+        #: Events recorded per kind (by ``kind.index``), kept or dropped
+        #: past the cap alike: the counts stay exact when ``events``
+        #: stops growing.
+        self._tally = [0] * len(EventKind)
 
     def record(self, kind: EventKind, detail: str = "", line: int = 0,
                value: Optional[float] = None) -> None:
-        if _LEVELS.get(kind, LOG_TRACE) > self.level:
+        if kind.level > self.level:
             return
+        self._tally[kind.index] += 1
         if len(self.events) >= self.max_events:
             self._dropped += 1
             return
@@ -124,10 +129,11 @@ class ShellLog:
         return self._dropped
 
     def count(self, kind: EventKind) -> int:
-        return sum(1 for event in self.events if event.kind is kind)
+        """Events of ``kind`` recorded, including any dropped past the cap."""
+        return self._tally[kind.index]
 
     def counts(self) -> dict[EventKind, int]:
-        return dict(_Counter(event.kind for event in self.events))
+        return {kind: n for kind, n in zip(EventKind, self._tally) if n}
 
     def backoff_initiations(self) -> int:
         """How often a client backed off — the paper's overload alarm."""

@@ -75,18 +75,23 @@ def _producer_loop(
     rng,
     stagger: float,
 ):
-    """One producer: endless produce/store cycles with fresh random sizes."""
+    """One producer: endless produce/store cycles with fresh random sizes.
+
+    The script is one text for every cycle (parsed and compiled once);
+    the size reaches it as the ``size_mb`` variable.
+    """
     config = params.buffer
+    window = min(params.script_window, params.duration)
+    if params.reserved:
+        script = producer_script_reserved(size_mb=None, window=window)
+    else:
+        script = producer_script(discipline, size_mb=None, window=window)
     if stagger > 0:
         yield engine.timeout(stagger)
     while engine.now < params.duration:
         size = rng.uniform(config.file_min_mb, config.file_max_mb)
-        window = min(params.script_window, params.duration)
-        if params.reserved:
-            script = producer_script_reserved(size_mb=size, window=window)
-        else:
-            script = producer_script(discipline, size_mb=size, window=window)
-        process = shell.spawn(script, timeout=params.duration - engine.now)
+        process = shell.spawn(script, {"size_mb": f"{size:.6f}"},
+                              timeout=params.duration - engine.now)
         yield process
 
 

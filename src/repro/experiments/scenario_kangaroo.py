@@ -77,6 +77,10 @@ def run_kangaroo(params: KangarooParams) -> KangarooResult:
                    buffer=world.buffer, link=link)
 
     shared_log = ShellLog(clock=lambda: engine.now, max_events=params.log_cap)
+    # One text for every cycle of every producer (parsed and compiled
+    # once); each cycle's size reaches it as the ``size_mb`` variable.
+    script = producer_script(params.discipline, size_mb=None,
+                             window=params.duration)
 
     def producer_loop(index: int):
         shell = SimFtsh(engine, registry, world=world,
@@ -86,13 +90,10 @@ def run_kangaroo(params: KangarooParams) -> KangarooResult:
         sizes = streams.stream(f"sizes-{index}")
         yield engine.timeout(streams.stream(f"stagger-{index}").uniform(0, 1))
         while engine.now < params.duration:
-            script = producer_script(
-                params.discipline,
-                size_mb=sizes.uniform(params.buffer.file_min_mb,
-                                      params.buffer.file_max_mb),
-                window=params.duration,
-            )
-            process = shell.spawn(script, timeout=params.duration - engine.now)
+            size = sizes.uniform(params.buffer.file_min_mb,
+                                 params.buffer.file_max_mb)
+            process = shell.spawn(script, {"size_mb": f"{size:.6f}"},
+                                  timeout=params.duration - engine.now)
             yield process
 
     for index in range(params.n_producers):

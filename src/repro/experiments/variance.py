@@ -179,4 +179,9 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    # Run the importable copy of this module, not this ``__main__`` one:
+    # cache keys carry each cell function's module, so ``python -m`` and
+    # the library must name it alike to find each other's results.
+    from repro.experiments.variance import main as _main
+
+    sys.exit(_main())

@@ -30,9 +30,8 @@ import json
 import os
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping, Optional
 
-from ..service.http import HttpConnectionPool, HttpTransportError, http_request
-
 if TYPE_CHECKING:  # pragma: no cover
+    from ..service.http import HttpConnectionPool
     from .api import Observability
 
 #: Environment variable naming the default aggregator URL.
@@ -137,6 +136,11 @@ def push_batch(url: str, body: bytes,
                timeout: float = 10.0,
                pool: Optional[HttpConnectionPool] = None) -> bool:
     """POST one encoded batch; ``False`` on transport failure or non-2xx."""
+    # Imported here, not at module load: the campaign CLIs import this
+    # module for ``resolve_push_url`` and only a run that pushes should
+    # pay for the HTTP client and server kit behind ``service.http``.
+    from ..service.http import HttpTransportError, http_request
+
     try:
         response = http_request(
             normalize_push_url(url), method="POST", body=body,

@@ -23,11 +23,20 @@ measured — ``BENCH_campaign.json`` tracks the numbers):
   heap semantics.  Correctness does not depend on which tier an entry
   sits in: the loop always dispatches the smaller of the run tail and
   the heap head under the full ``(time, pseq)`` key.
-* Callback lists may contain ``None`` tombstones: detaching a waiter
-  (see :meth:`Process._resume`) is O(1) — it nulls its slot instead of
-  ``list.remove`` — and the dispatch loop skips dead slots.  Cancelled
-  timeouts therefore stay in the event list and are discarded when
-  popped rather than searched for.
+* Cancellation is O(1) and comes in two forms.  A *waiter* that stops
+  waiting (see :meth:`Process._resume`) nulls its slot in the event's
+  callback list instead of ``list.remove`` — callback lists may contain
+  ``None`` tombstones and the dispatch loops skip them; the event itself
+  stays live for its other waiters.  The *owner* of a private timer that
+  lost its race withdraws the whole timer (:meth:`Timeout.cancel`):
+  ``callbacks`` becomes ``None``, which every dispatch loop reads as
+  "nothing to run", so whatever waited on it is freed at once.  The
+  withdrawn entry stays queued — nothing is searched for — and the engine
+  counts such entries; once they exceed :data:`_COMPACT_MIN` *and* half
+  of the queue, both tiers are filtered in place and the heap rebuilt
+  (lazy deletion with periodic rebuild: each pass costs at most twice the
+  cancels that paid for it).  Dropping entries cannot reorder the rest:
+  every key is unique, so pop order is a function of the set alone.
 * A failed event that nobody defused re-raises at the engine loop:
   errors crash loudly instead of vanishing.
 """
@@ -57,6 +66,11 @@ INFINITY = float("inf")
 #: when the run is empty (below it, plain heappop wins).
 _MIGRATE_MIN = 16
 
+#: Withdrawn timers are left queued until there are more than this many
+#: (below it a rebuild costs more than carrying them) and they outnumber
+#: the live entries.
+_COMPACT_MIN = 64
+
 #: Upper bound on the carrier free list (enough for any realistic
 #: number of simultaneously in-flight resumes; excess is left to GC).
 _CARRIER_POOL_MAX = 64
@@ -79,6 +93,11 @@ class Engine:
         #: Free list of consumed :class:`Carrier` events for
         #: :meth:`immediate` (zero-alloc resume path).
         self._carriers: list[Carrier] = []
+        #: Upper bound on the withdrawn timers still queued (those popped
+        #: since the last rebuild are not subtracted).
+        self._withdrawn = 0
+        #: False while :meth:`run_budgeted` counts queue entries.
+        self._may_compact = True
         #: The process currently executing (for self-interrupt detection).
         self.active_process: Optional[Process] = None
         #: Named random streams shared by everything attached to this
@@ -161,6 +180,25 @@ class Engine:
         if len(self._carriers) < _CARRIER_POOL_MAX:
             self._carriers.append(carrier)
 
+    def _withdrawn_timer(self) -> None:
+        """Account for one :meth:`Timeout.cancel`; rebuild the queue when
+        withdrawn entries dominate it."""
+        self._withdrawn = withdrawn = self._withdrawn + 1
+        if (withdrawn > _COMPACT_MIN
+                and 2 * withdrawn > len(self._heap) + len(self._run)
+                and self._may_compact):
+            self._compact()
+
+    def _compact(self) -> None:
+        """Drop every withdrawn entry from both tiers — in place: a
+        running dispatch loop holds the two lists in locals."""
+        run_ = self._run
+        heap = self._heap
+        run_[:] = [e for e in run_ if e[2].callbacks is not None]
+        heap[:] = [e for e in heap if e[2].callbacks is not None]
+        heapq.heapify(heap)
+        self._withdrawn = 0
+
     def peek(self) -> float:
         """Time of the next scheduled event, or ``INFINITY`` if none."""
         if self._run:
@@ -188,9 +226,10 @@ class Engine:
             raise SimulationError("event queue corrupted: time went backwards")
         self._now = when
         callbacks, event.callbacks = event.callbacks, None
-        for callback in callbacks:
-            if callback is not None:
-                callback(event)
+        if callbacks:  # None: a withdrawn timer
+            for callback in callbacks:
+                if callback is not None:
+                    callback(event)
         if not event._ok and not event.defused:
             exc = event._value
             raise exc
@@ -236,8 +275,13 @@ class Engine:
                         entry = pop(heap)
                 else:
                     break
-                when, _key, event = entry
+                event = entry[2]
                 callbacks = event.callbacks
+                if callbacks is None:
+                    # A withdrawn timer: the final clock must not depend
+                    # on whether a rebuild dropped it first.
+                    continue
+                when = entry[0]
                 event.callbacks = None
                 if callbacks:
                     self._now = when
@@ -362,26 +406,37 @@ class Engine:
         :class:`~repro.core.errors.BudgetExceeded` instead.  Returns
         ``(value, events_dispatched)`` — the budget actually consumed is
         part of the result so callers can report it.
+
+        A withdrawn timer is one event here, as it was while it still
+        ran a no-op callback, if the run reaches it and none if it does
+        not.  Which of the two is only known at the end, so no rebuild
+        may drop entries meanwhile: the count (a result byte of the
+        service) must not depend on when compaction would have happened.
+        The cap itself bounds what is carried.
         """
         events = 0
-        while not until.processed:
-            when = self.peek()
-            if when == INFINITY:
-                raise SimulationError(
-                    "run_budgeted: queue drained before event fired"
-                )
-            if horizon is not None and when > horizon:
-                raise BudgetExceeded(
-                    "sim-time", horizon,
-                    f"simulated-time budget exceeded ({horizon:g}s)",
-                )
-            if max_events is not None and events >= max_events:
-                raise BudgetExceeded(
-                    "events", max_events,
-                    f"event budget exceeded ({max_events} events)",
-                )
-            self.step()
-            events += 1
+        self._may_compact = False
+        try:
+            while not until.processed:
+                when = self.peek()
+                if when == INFINITY:
+                    raise SimulationError(
+                        "run_budgeted: queue drained before event fired"
+                    )
+                if horizon is not None and when > horizon:
+                    raise BudgetExceeded(
+                        "sim-time", horizon,
+                        f"simulated-time budget exceeded ({horizon:g}s)",
+                    )
+                if max_events is not None and events >= max_events:
+                    raise BudgetExceeded(
+                        "events", max_events,
+                        f"event budget exceeded ({max_events} events)",
+                    )
+                self.step()
+                events += 1
+        finally:
+            self._may_compact = True
         if until.ok:
             return until.value, events
         until.defuse()

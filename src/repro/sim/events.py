@@ -126,6 +126,22 @@ class Timeout(Event):
         self._value = value
         engine._schedule(self, delay=delay)
 
+    def cancel(self) -> None:
+        """Withdraw a timer that lost its race: it will run no callback.
+
+        Only for the timer's creator, and only for a timer nobody else
+        was handed — whoever still waits on it would wait forever.  The
+        timer reads ``processed`` afterwards; cancelling one that
+        already fired (or was already cancelled) does nothing.  Dropping
+        the callback list is what lets everything that waited on the
+        timer be freed now rather than at the deadline; the queue entry
+        itself is reclaimed by the engine's periodic rebuild (see
+        :meth:`Engine._withdrawn_timer`).
+        """
+        if self.callbacks is not None:
+            self.callbacks = None
+            self.engine._withdrawn_timer()
+
 
 class Carrier(Event):
     """A reusable one-shot event used by :meth:`Engine.immediate`.
@@ -238,6 +254,39 @@ class AnyOf(Condition):
 
     def _satisfied(self, count: int) -> bool:
         return count >= 1
+
+
+class _FirstOf(Event):
+    """Succeeds when the first of two pending events does — a command
+    racing its deadline (see ``SimDriver._run_command``).
+
+    Scheduling-wise this is :class:`AnyOf` over two events: one entry
+    queued from the winner's dispatch, a failing winner fails the race,
+    the loser's failure is defused.  It differs in what it does not
+    build — no events tuple, no :class:`ConditionValue` — because the
+    driver reads the contestants directly; holding no reference to them
+    also means a finished race is freed by reference count.  Private to
+    the kernel's own callers: both events must be unprocessed, and the
+    value is always ``None``.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, engine: "Engine", first: Event, second: Event) -> None:
+        super().__init__(engine)
+        observe = self._observe
+        first.callbacks.append(observe)
+        second.callbacks.append(observe)
+
+    def _observe(self, event: Event) -> None:
+        if self._value is not _PENDING:
+            if not event._ok:
+                event._defused = True
+        elif event._ok:
+            self.succeed()
+        else:
+            event._defused = True
+            self.fail(event._value)
 
 
 class Interrupt(Exception):

@@ -52,7 +52,10 @@ class Process(Event):
         self._target_slot = 0
         #: The one bound method used for every callback registration, so
         #: tombstoning can compare by identity (and each attach skips a
-        #: bound-method allocation).
+        #: bound-method allocation).  It makes the process a reference
+        #: cycle, so :meth:`_resume` drops it when the generator ends: a
+        #: finished process is then freed by reference count as soon as
+        #: its last waiter lets go, not by a later collector pass.
         self._resume_cb = self._resume
         # Kick off at the current simulation time.  Urgent priority (0) so
         # a process interrupted in its creation instant still *starts*
@@ -107,10 +110,12 @@ class Process(Event):
                 target = self.generator.throw(value)
         except StopIteration as stop:
             self.engine.active_process = None
+            self._resume_cb = None
             self.succeed(stop.value)
             return
         except BaseException as exc:
             self.engine.active_process = None
+            self._resume_cb = None
             self.fail(exc)
             return
         self.engine.active_process = None

@@ -36,7 +36,7 @@ from ..core.errors import FtshCancelled, FtshControl, FtshRuntimeError
 from ..core.timeline import UNBOUNDED
 from ..obs.api import NULL_OBS
 from ..sim.engine import Engine
-from ..sim.events import Interrupt
+from ..sim.events import Interrupt, _FirstOf
 from ..sim.process import Process
 from .registry import CommandContext, CommandRegistry, normalize_result
 
@@ -177,14 +177,19 @@ class SimDriver:
                     process.interrupt("client cancelled")
                 raise
             return normalize_result(value, effect.argv[0])
+        # The expiry is this method's own timer: on every exit where it
+        # has not fired it is withdrawn, so a finished command leaves no
+        # waiter chain pinned until the enclosing try's deadline.
         expiry = self.engine.timeout(remaining)
         try:
-            yield self.engine.any_of([process, expiry])
+            yield _FirstOf(self.engine, process, expiry)
         except Interrupt:
+            expiry.cancel()
             if process.is_alive:
                 process.interrupt("client cancelled")
             raise
         if process.triggered:
+            expiry.cancel()
             return normalize_result(process.value, effect.argv[0])
         # Deadline won the race: kill the command, wait for its cleanup.
         process.interrupt("deadline expired")

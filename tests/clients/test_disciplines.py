@@ -73,6 +73,38 @@ class TestProducerScripts:
     def test_size_embedded(self):
         assert "0.250000" in producer_script(ALOHA, size_mb=0.25)
 
+    @pytest.mark.parametrize("discipline", ALL_DISCIPLINES, ids=str)
+    def test_size_as_a_variable_runs_the_same_commands(self, discipline):
+        """``size_mb=None`` is one text for every cycle; with the size
+        passed as a variable the commands see the argv, and the log the
+        events, of the script that embeds it."""
+        from repro.clients.scripts import producer_script_reserved
+        from repro.sim import Engine
+        from repro.simruntime import CommandRegistry, SimFtsh
+
+        def run(script, variables=None):
+            engine = Engine()
+            registry = CommandRegistry()
+            seen = []
+            for name in ("produce_output", "df_estimate", "store_output",
+                         "reserve_output", "store_reserved"):
+                def handler(ctx, name=name):
+                    seen.append(list(ctx.argv))
+                    return (0, "7\n") if name == "df_estimate" else 0
+                    yield
+                registry.add(name, handler)
+            shell = SimFtsh(engine, registry)
+            assert shell.run(script, variables).success
+            return seen, shell.log.dump()
+
+        size = 0.123456789
+        variables = {"size_mb": f"{size:.6f}"}
+        for build in (lambda s: producer_script(discipline, s, window=60),
+                      lambda s: producer_script_reserved(s, window=60)):
+            assert "${size_mb}" in build(None)
+            assert run(build(None), variables) == run(build(size))
+            assert run(build(size))[0][0] == ["produce_output", "0.123457"]
+
 
 class TestReaderScripts:
     @pytest.mark.parametrize("discipline", ALL_DISCIPLINES, ids=str)

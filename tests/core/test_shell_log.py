@@ -61,6 +61,28 @@ class TestCap:
         log.record(EventKind.ASSIGNMENT)
         assert "dropped" in log.summary()
 
+    def test_counts_stay_exact_past_the_cap(self):
+        """The overload alarm must not saturate with the log: every
+        count of a capped log equals the uncapped log's, at any level."""
+        from repro.core.shell_log import LOG_COMMANDS, LOG_TRACE
+
+        for level in (LOG_COMMANDS, LOG_TRACE):
+            capped = ShellLog(max_events=5, level=level)
+            uncapped = ShellLog(level=level)
+            for kind in list(EventKind) * 7:
+                capped.record(kind)
+                uncapped.record(kind)
+            assert len(capped) == 5
+            assert capped.dropped == len(uncapped) - 5
+            assert capped.counts() == uncapped.counts()
+            assert all(capped.count(kind) == uncapped.count(kind)
+                       for kind in EventKind)
+            assert capped.backoff_initiations() == 7
+            # The uncapped tally is what a scan of the events would say.
+            assert all(uncapped.count(kind)
+                       == sum(1 for _ in uncapped.of_kind(kind))
+                       for kind in EventKind)
+
 
 class TestRendering:
     def test_summary_lists_kinds(self):

@@ -1,6 +1,11 @@
 """The chaos campaign: cell metrics, ordering check, determinism."""
 
+import dataclasses
+import os
 import pathlib
+import re
+import subprocess
+import sys
 
 import pytest
 
@@ -152,3 +157,69 @@ class TestCampaign:
         ordering holds for every fault class at the highest intensity."""
         report = run_chaos_campaign(SCALES["smoke"], seed=2003)
         assert report.violations == ()
+
+
+#: Runs the campaign twice over one cache directory with "smoke" shrunk
+#: to TINY, in the order given: through the library
+#: (``chaos.main([...])``) and as ``python -m repro.experiments.chaos``
+#: would (the module executed as ``__main__``).  Each pass prints its
+#: ``cache:`` line.
+_TWO_ENTRY_POINTS = f"""
+import runpy, sys
+import repro.experiments.chaos as chaos
+from repro.experiments.chaos import ChaosScale
+
+chaos.SCALES["smoke"] = {dataclasses.replace(TINY, name="smoke")!r}
+root = sys.argv[1]
+for entry in sys.argv[2:]:
+    argv = ["--scale", "smoke", "--seed", "11", "--out", root + "/" + entry,
+            "--cache-dir", root + "/cache"]
+    if entry == "library":
+        chaos.main(argv)
+    else:
+        sys.argv = ["chaos"] + argv
+        try:
+            runpy.run_module("repro.experiments.chaos", run_name="__main__",
+                             alter_sys=True)
+        except SystemExit:
+            pass
+"""
+
+
+def _python(*args):
+    src = pathlib.Path(__file__).resolve().parents[2] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run([sys.executable, *args], env=env, text=True,
+                          capture_output=True, check=True, timeout=120)
+
+
+class TestEntryPoints:
+    @pytest.mark.parametrize("order", [("library", "cli"),
+                                       ("cli", "library")])
+    def test_library_and_cli_share_one_cache(self, tmp_path, order):
+        """Cache keys carry the cell function's module, so ``python -m``
+        must hand the executor the importable ``run_cell``, not the
+        ``__main__`` copy's: whichever entry point fills the cache, the
+        other finds every cell in it and renders the same bytes."""
+        done = _python("-c", _TWO_ENTRY_POINTS, str(tmp_path), *order)
+        tallies = re.findall(r"cache: (\d+) hits, (\d+) misses", done.stdout)
+        assert len(tallies) == 2
+        cells = int(tallies[0][1])
+        assert tallies == [("0", str(cells)), (str(cells), "0")]
+        first, second = (
+            (tmp_path / entry / "scorecard_smoke.txt").read_bytes()
+            for entry in order)
+        assert first == second
+
+    def test_import_leaves_the_http_stack_out(self):
+        """Only a run that pushes telemetry pays for the HTTP client and
+        the server kit behind ``repro.service.http``."""
+        _python("-c", """
+import sys
+import repro.experiments.chaos
+loaded = {"http.client", "http.server", "socketserver"} & set(sys.modules)
+assert not loaded, loaded
+from repro.obs.push import push_batch
+assert push_batch("http://127.0.0.1:9", b"{}", timeout=1.0) is False
+assert "http.client" in sys.modules
+""")

@@ -49,6 +49,15 @@ class TestSubmissionScenario:
         # should differ somewhere even if sampled FD counts coincide
         assert list(base.jobs_series) != list(other.jobs_series)
 
+    def test_backoff_count_does_not_saturate_at_the_log_cap(self):
+        """``backoffs`` is the paper's overload alarm; a jammed Aloha run
+        logs far more events than ``log_cap`` keeps."""
+        params = dict(discipline=ALOHA, n_clients=400, duration=60.0,
+                      script_window=60.0)
+        capped = run_submission(SubmitParams(log_cap=200, **params))
+        uncapped = run_submission(SubmitParams(log_cap=10**9, **params))
+        assert capped.backoffs == uncapped.backoffs > 1000
+
     @pytest.mark.slow
     def test_paper_shapes_at_high_load(self):
         """Figure 1's qualitative claims at 400 submitters."""

@@ -142,3 +142,101 @@ def test_urgent_interrupt_beats_same_instant_normal_events(n):
     engine.process(interrupter())
     engine.run()
     assert order == ["interrupt"] + list(range(n))
+
+
+# --- timer withdrawal: queue rebuilds never change what is dispatched ---
+
+_delay = st.floats(min_value=0.0, max_value=8.0, allow_nan=False).map(
+    lambda d: round(d, 1))  # coarse, so same-instant ties are common
+_op = st.one_of(
+    st.tuples(st.just("sleep"), _delay),
+    st.tuples(st.just("cancel"), _delay),
+    st.tuples(st.just("race"), _delay, _delay),
+)
+_actor = st.lists(_op, min_size=1, max_size=8)
+_interrupts = st.lists(
+    st.tuples(_delay, st.integers(min_value=0, max_value=4)), max_size=6)
+
+
+def _trace_program(actors, interrupts, rebuild):
+    """Run the program with the queue rebuilt on every cancel
+    (``rebuild=True``) or on none; return every dispatched
+    ``(time, label)`` and the final clock."""
+    from repro.sim import Interrupt
+    from repro.sim.events import _FirstOf
+
+    engine = Engine()
+    engine._withdrawn_timer = engine._compact if rebuild else lambda: None
+    trace = []
+
+    def note(label):
+        trace.append((engine.now, label))
+
+    def work(tag, duration):
+        try:
+            yield engine.timeout(duration)
+            note(f"{tag}:work-done")
+        except Interrupt:
+            note(f"{tag}:work-killed")
+
+    def race(label, duration, deadline):
+        """SimDriver._run_command's wait, exit for exit."""
+        child = engine.process(work(label, duration))
+        expiry = engine.timeout(deadline)
+        try:
+            yield _FirstOf(engine, child, expiry)
+        except Interrupt:
+            expiry.cancel()
+            if child.is_alive:
+                child.interrupt()
+            raise
+        if child.triggered:
+            expiry.cancel()
+            note(f"{label}:won")
+        else:
+            child.interrupt()
+            yield child
+            note(f"{label}:lost")
+
+    def actor(tag, ops):
+        for index, op in enumerate(ops):
+            label = f"{tag}.{index}"
+            try:
+                if op[0] == "sleep":
+                    yield engine.timeout(op[1])
+                    note(f"{label}:slept")
+                elif op[0] == "cancel":
+                    timer = engine.timeout(op[1])
+                    timer.callbacks.append(
+                        lambda e, label=label: note(f"{label}:GHOST"))
+                    timer.cancel()
+                else:
+                    yield from race(label, op[1], op[2])
+            except Interrupt:
+                note(f"{label}:interrupted")
+
+    processes = [engine.process(actor(tag, ops))
+                 for tag, ops in enumerate(actors)]
+
+    def interrupter(delay, target):
+        yield engine.timeout(delay)
+        if target < len(processes) and processes[target].is_alive:
+            processes[target].interrupt()
+
+    for delay, target in interrupts:
+        engine.process(interrupter(delay, target))
+    engine.run()
+    return trace, engine.now
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_actor, min_size=1, max_size=5), _interrupts)
+def test_queue_rebuilds_never_change_the_dispatch_sequence(actors, interrupts):
+    """The order-preservation argument as a test: rebuilding the queue on
+    every cancel and never rebuilding it dispatch the same labels at the
+    same times and stop the clock at the same instant, and a withdrawn
+    timer never runs its callback."""
+    always = _trace_program(actors, interrupts, rebuild=True)
+    never = _trace_program(actors, interrupts, rebuild=False)
+    assert always == never
+    assert not any(label.endswith("GHOST") for _time, label in always[0])

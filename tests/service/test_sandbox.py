@@ -1,5 +1,7 @@
 """Admission control: budgets, lint gating, and the sandboxed script cell."""
 
+import pathlib
+
 import pytest
 
 from repro.service.sandbox import (
@@ -200,3 +202,50 @@ class TestRunScriptCell:
         outcome = run_script_cell(text, (), "replica", 600.0, 2003, 100_000)
         assert outcome.success
         assert dict(outcome.counters)["transfers"] >= 1.0
+
+
+class TestEventCountIsStable:
+    """``ScriptOutcome.events`` is a result byte.  The literals below
+    were computed at the commit before the driver began withdrawing
+    deadline timers; they must not move with how (or whether) the
+    engine reclaims withdrawn queue entries."""
+
+    @pytest.mark.parametrize("name, world, events", [
+        ("submit_ethernet.ftsh", "condor", 12),
+        ("buffer_producer.ftsh", "buffer", 186),
+        ("replica_fetch.ftsh", "replica", 17),
+    ])
+    def test_shipped_examples(self, name, world, events):
+        """Each has a command that finishes before its ``try`` deadline
+        followed by work that outlives that instant, so ``step()`` meets
+        a withdrawn timer."""
+        examples = pathlib.Path(__file__).resolve().parents[2] / "examples"
+        text = (examples / name).read_text(encoding="utf-8")
+        outcome = run_script_cell(text, (), world, 3600.0, 2003, 2_000_000)
+        assert outcome.success
+        assert outcome.events == events
+
+    def test_second_command_outlives_the_first_deadline(self):
+        text = "try for 5 seconds\n    true\nend\nsleep 10\n"
+        outcome = run_script_cell(text, (), "condor", 3600.0, 2003, 100_000)
+        assert outcome.success
+        assert (outcome.events, outcome.sim_elapsed) == (13, 10.0)
+
+    def test_finished_commands_under_a_far_deadline(self):
+        """200 withdrawn timers (over 2x the rebuild floor) whose
+        deadline the script never reaches: none of them is an event."""
+        text = "try for 1 hour\n" + "    true\n" * 200 + "end\n"
+        outcome = run_script_cell(text, (), "condor", 3600.0, 2003, 100_000)
+        assert outcome.success
+        assert outcome.events == 603
+
+    def test_finished_commands_whose_deadlines_pass(self):
+        """200 withdrawn timers the script does run past: each is one."""
+        text = ("try for 1 seconds\n" + "    true\n" * 4
+                + "end\nsleep 2\n") * 50
+        outcome = run_script_cell(text, (), "condor", 3600.0, 2003, 100_000)
+        assert outcome.success
+        assert outcome.events == 1035
+        capped = run_script_cell(text, (), "condor", 3600.0, 2003, 500)
+        assert capped.budget_exceeded == "events"
+        assert (capped.events, capped.sim_elapsed) == (500, 48.0)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.errors import BudgetExceeded, SimulationError
 from repro.sim import Engine
+from repro.sim.engine import _COMPACT_MIN
 
 
 @pytest.fixture
@@ -85,3 +86,54 @@ class TestRunBudgeted:
         assert value == "done"
         assert order_a == order_b
         assert events == 4
+
+
+class TestWithdrawnTimers:
+    """A withdrawn timer is one (empty) event if the run reaches it and
+    none if it does not — exactly what the stale timer it replaces cost
+    — so the count cannot depend on whether or when the queue is
+    rebuilt."""
+
+    def test_step_reaches_a_withdrawn_timer(self, engine):
+        engine.timeout(1).cancel()
+        final = engine.timeout(2, value="v")
+        assert engine.run_budgeted(final) == ("v", 2)
+
+    @staticmethod
+    def churn(withdraw):
+        """Far more than the rebuild floor of lost timers, half due
+        before the run ends and half long after it."""
+        engine = Engine()
+
+        def racer():
+            for i in range(8 * _COMPACT_MIN):
+                loser = engine.timeout(1.0 if i % 2 else 1000.0)
+                yield engine.timeout(0.001)
+                if withdraw:
+                    loser.cancel()
+            yield engine.timeout(5.0)
+            return "done"
+
+        return engine, engine.process(racer())
+
+    def test_count_is_the_stale_timer_count(self):
+        plain, plain_process = self.churn(withdraw=False)
+        engine, process = self.churn(withdraw=True)
+        expected = plain.run_budgeted(plain_process)
+        assert engine.run_budgeted(process) == expected
+        # bootstrap + last sleep + the process' own event, one sleep per
+        # lap, and the half of the lost timers due before the end.
+        assert expected[1] == 3 + 8 * _COMPACT_MIN + 4 * _COMPACT_MIN
+        # Outside the budgeted loop the same churn is compacted away.
+        engine, process = self.churn(withdraw=True)
+        engine.run(until=process)
+        assert len(engine._heap) + len(engine._run) <= _COMPACT_MIN + 1
+
+    def test_cap_trips_at_the_same_event(self):
+        outcomes = []
+        for withdraw in (False, True):
+            engine, process = self.churn(withdraw)
+            with pytest.raises(BudgetExceeded):
+                engine.run_budgeted(process, max_events=6 * _COMPACT_MIN)
+            outcomes.append(engine.now)
+        assert outcomes[0] == outcomes[1]

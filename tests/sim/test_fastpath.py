@@ -1,5 +1,5 @@
 """Fast-path kernel guarantees: ordering keys, the two-tier queue,
-tombstone cancellation, and the carrier free list.
+tombstone cancellation, timer withdrawal, and the carrier free list.
 
 These tests pin the *observable* contract of the event list — the
 ``(time, priority, sequence)`` ordering and O(1) cancellation — so the
@@ -7,12 +7,15 @@ internals (packed keys, run/heap tiers, recycled carriers) can keep
 evolving without changing scenario output.
 """
 
+import gc
+
 import pytest
 
 from repro.core.errors import SimulationError
 from repro.sim import Engine, Interrupt
 from repro.sim.engine import (
     _CARRIER_POOL_MAX,
+    _COMPACT_MIN,
     _MIGRATE_MIN,
     PRIORITY_NORMAL,
     PRIORITY_URGENT,
@@ -212,6 +215,89 @@ class TestTombstoneCancellation:
         engine.process(interrupter())
         engine.run()
         assert wakes == [("interrupt", 1.0), ("late", 101.0)]
+
+
+class TestTimerWithdrawal:
+    def test_cancelled_timer_runs_no_callback(self, engine):
+        fired = []
+        timer = engine.timeout(5.0)
+        timer.callbacks.append(fired.append)
+        timer.cancel()
+        assert timer.processed
+        engine.run()
+        assert fired == []
+
+    def test_cancel_twice_is_a_no_op(self, engine):
+        timer = engine.timeout(5.0)
+        timer.cancel()
+        timer.cancel()
+        assert engine._withdrawn == 1
+
+    def test_cancel_after_firing_is_a_no_op(self, engine):
+        fired = []
+        timer = engine.timeout(5.0, value="v")
+        timer.callbacks.append(fired.append)
+        engine.run()
+        timer.cancel()
+        assert fired == [timer] and timer.value == "v"
+        assert engine._withdrawn == 0
+
+    def test_step_passes_over_a_withdrawn_timer(self, engine):
+        """``step()`` must treat ``callbacks is None`` like the inlined
+        loops of ``run()`` do; ``run_budgeted`` is built on it."""
+        engine.timeout(1.0).cancel()
+        engine.timeout(2.0)
+        engine.step()
+        engine.step()
+        assert engine.now == 2.0
+
+    def test_withdrawn_timer_does_not_move_the_final_clock(self, engine):
+        engine.timeout(1.0)
+        engine.timeout(9.0).cancel()
+        engine.run()
+        assert engine.now == 1.0
+
+    def test_rebuild_keeps_every_live_entry_in_order(self, engine):
+        """Withdraw far more timers than the floor, interleaved with live
+        ones in both tiers, from inside a running dispatch loop."""
+        order = []
+        for i in range(4 * _COMPACT_MIN):
+            engine.timeout(10.0 + i).callbacks.append(
+                lambda e, i=i: order.append(i))
+        engine.run(until=5.0)  # the live backlog now sits in the run tier
+
+        def churn():
+            for _ in range(16 * _COMPACT_MIN):
+                loser = engine.timeout(1000.0)
+                yield engine.timeout(0.001)
+                loser.cancel()
+
+        engine.process(churn())
+        engine.run()
+        assert order == list(range(4 * _COMPACT_MIN))
+        assert engine.now < 1000.0
+
+    def test_finished_races_do_not_accumulate(self, engine):
+        """N commands that each finish long before their deadline leave a
+        bounded queue behind (not N stale timers), and, with the cyclic
+        collector off, next to nothing for it to find: a finished process
+        is freed by reference count."""
+        from repro.simruntime import CommandRegistry, SimFtsh
+
+        shell = SimFtsh(engine, CommandRegistry())
+        n = 5_000
+        script = "try for 1000000 seconds\n" + "  true\n" * 50 + "end"
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(n // 50):
+                assert shell.run(script).success
+            queued = len(engine._heap) + len(engine._run)
+            unreachable = gc.collect()
+        finally:
+            gc.enable()
+        assert queued <= 2 * _COMPACT_MIN + 2
+        assert unreachable < 100
 
 
 class TestCarrierPool:

@@ -83,6 +83,80 @@ class TestDeadlines:
         assert calls == []
 
 
+class TestDeadlineRace:
+    """What the command-vs-deadline wait leaves behind on each exit."""
+
+    @staticmethod
+    def live_entries(engine):
+        return [entry for entry in engine._heap + engine._run
+                if entry[2].callbacks is not None]
+
+    def test_command_won_withdraws_the_expiry(self):
+        engine = Engine()
+        shell = SimFtsh(engine, CommandRegistry(), policy=DETERMINISTIC)
+        result = shell.run("try for 1000 seconds\n  sleep 3\n  true\nend")
+        assert result.success and engine.now == 3.0
+        assert self.live_entries(engine) == []
+        # Nothing is left that could move the clock to the deadline.
+        engine.run()
+        assert engine.now == 3.0
+
+    def test_interrupted_client_withdraws_the_expiry(self):
+        """A branch cancelled while it races a command against a deadline
+        kills the command and takes its own timer with it."""
+        engine = Engine()
+        registry = CommandRegistry()
+        killed = []
+
+        @registry.register("slow")
+        def slow(ctx):
+            try:
+                yield ctx.engine.timeout(50.0)
+                return 0
+            except Interrupt as interrupt:
+                killed.append((ctx.engine.now, interrupt.cause))
+                return 1
+
+        shell = SimFtsh(engine, registry, policy=DETERMINISTIC)
+        result = shell.run(
+            "try for 1000 seconds or 1 times\n"
+            "  forall x in a b\n"
+            "    if ${x} .eql. a\n      slow\n"
+            "    else\n      sleep 1\n      failure\n    end\n"
+            "  end\n"
+            "end")
+        assert not result.success
+        assert killed[0] == (1.0, "client cancelled")
+        # Only the killed command's own 50 s sleep is still live.
+        assert [entry[0] for entry in self.live_entries(engine)] == [50.0]
+
+    def test_deadline_at_the_completion_instant_is_not_a_timeout(self):
+        """Expiry and completion in the same instant, expiry dispatched
+        first: the command still counts as finished."""
+        engine = Engine()
+        shell = SimFtsh(engine, CommandRegistry(), policy=DETERMINISTIC)
+        result = shell.run("try for 5 seconds\n  sleep 5\nend")
+        assert result.success and not result.timed_out
+        assert engine.now == 5.0
+
+    def test_handler_exception_surfaces_through_the_race(self):
+        """A handler raising anything but Interrupt is a scenario bug: it
+        must crash the run, with or without a deadline to race."""
+        for script in ("boom", "try for 5 seconds\n  boom\nend"):
+            engine = Engine()
+            registry = CommandRegistry()
+
+            @registry.register("boom")
+            def boom(ctx):
+                yield ctx.engine.timeout(1.0)
+                raise RuntimeError("handler bug")
+
+            shell = SimFtsh(engine, registry, policy=DETERMINISTIC)
+            with pytest.raises(RuntimeError, match="handler bug"):
+                shell.run(script)
+            assert engine.now == 1.0
+
+
 class TestParallelBranches:
     def test_sibling_cancellation_releases_resources(self):
         engine = Engine()
