@@ -7,6 +7,13 @@ the hot paths show up as numbers rather than as mysteriously slow
 figure regenerations.
 """
 
+import os
+import subprocess
+import sys
+
+import pytest
+
+import repro
 from repro.clients.base import ETHERNET
 from repro.clients.scripts import reader_script
 from repro.core.backoff import PAPER_POLICY, BackoffState
@@ -145,3 +152,34 @@ def bench_backoff_schedule(benchmark):
 
     total = benchmark(schedule)
     assert total > 0
+
+
+#: The entry modules of docs/PERFORMANCE.md "What a path imports"; the
+#: empty entry is the interpreter alone, the floor under all of them.
+COLD_IMPORTS = [
+    "",
+    "repro.experiments.chaos",
+    "repro.parallel.executor, repro.dist.backends",
+    "repro.service.client",
+    "repro.dist.worker",
+    "repro.experiments.runall",
+    "repro.cli",
+    "repro.service.app",
+]
+
+
+@pytest.mark.parametrize("modules", COLD_IMPORTS,
+                         ids=[entry or "pass" for entry in COLD_IMPORTS])
+def bench_cold_import(benchmark, modules):
+    """A fresh interpreter importing one entry module: what every run of
+    that CLI pays before its first line of work, and the micro for the
+    ledger's ``parallel.import_s``.  Seven rounds; read the ``Min``
+    column (best of 7).  No ``timeout=``: with one, ``subprocess`` polls
+    for the exit in steps that grow to 50 ms and the reading is quantised
+    to them."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    argv = [sys.executable, "-c", f"import {modules}" if modules else "pass"]
+    done = benchmark.pedantic(
+        subprocess.run, args=(argv,), rounds=7, iterations=1,
+        kwargs={"env": dict(os.environ, PYTHONPATH=src)})
+    assert done.returncode == 0

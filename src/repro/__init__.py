@@ -21,83 +21,17 @@ Quick start::
     assert result.success
 """
 
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:  # pragma: no cover - static import surface
-    from .core import (
-        BackoffPolicy,
-        BackoffState,
-        Ftsh,
-        FtshError,
-        FtshFailure,
-        FtshSyntaxError,
-        FtshTimeout,
-        NO_BACKOFF,
-        PAPER_POLICY,
-        RealDriver,
-        RunResult,
-        ShellLog,
-        parse,
-    )
-    from .simruntime import CommandRegistry, SimDriver, SimFtsh
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-#: Public name -> home submodule, resolved lazily (PEP 562).  Importing
-#: ``repro`` used to pull the whole interpreter + sim stack (~140 ms);
-#: subprocess workers and thin clients (``repro.dist.worker``,
-#: ``repro.service.client``) import only what they touch, which is a
-#: real share of their startup bill on 1-CPU fleets.
 _EXPORTS = {
-    "BackoffPolicy": "core",
-    "BackoffState": "core",
-    "Ftsh": "core",
-    "FtshError": "core",
-    "FtshFailure": "core",
-    "FtshSyntaxError": "core",
-    "FtshTimeout": "core",
-    "NO_BACKOFF": "core",
-    "PAPER_POLICY": "core",
-    "RealDriver": "core",
-    "RunResult": "core",
-    "ShellLog": "core",
-    "parse": "core",
-    "CommandRegistry": "simruntime",
-    "SimDriver": "simruntime",
-    "SimFtsh": "simruntime",
+    "core": (
+        "BackoffPolicy", "BackoffState", "Ftsh", "FtshError",
+        "FtshFailure", "FtshSyntaxError", "FtshTimeout", "NO_BACKOFF",
+        "PAPER_POLICY", "RealDriver", "RunResult", "ShellLog", "parse"),
+    "simruntime": ("CommandRegistry", "SimDriver", "SimFtsh"),
 }
 
-
-def __getattr__(name: str):
-    home = _EXPORTS.get(name)
-    if home is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    value = getattr(importlib.import_module(f".{home}", __name__), name)
-    globals()[name] = value  # cache: next access skips __getattr__
-    return value
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(_EXPORTS))
-
-__all__ = [
-    "BackoffPolicy",
-    "BackoffState",
-    "CommandRegistry",
-    "Ftsh",
-    "FtshError",
-    "FtshFailure",
-    "FtshSyntaxError",
-    "FtshTimeout",
-    "NO_BACKOFF",
-    "PAPER_POLICY",
-    "RealDriver",
-    "RunResult",
-    "ShellLog",
-    "SimDriver",
-    "SimFtsh",
-    "parse",
-    "__version__",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)
+__all__.append("__version__")

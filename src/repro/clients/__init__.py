@@ -1,17 +1,14 @@
 """Client disciplines and the paper's scenario scripts."""
 
-from .base import ALL_DISCIPLINES, ALOHA, ETHERNET, FIXED, Discipline, by_name
-from .scripts import format_window, producer_script, reader_script, submit_script
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ALL_DISCIPLINES",
-    "ALOHA",
-    "ETHERNET",
-    "FIXED",
-    "Discipline",
-    "by_name",
-    "format_window",
-    "producer_script",
-    "reader_script",
-    "submit_script",
-]
+_EXPORTS = {
+    "base": (
+        "ALL_DISCIPLINES", "ALOHA", "Discipline", "ETHERNET", "FIXED",
+        "by_name"),
+    "scripts": (
+        "format_window", "producer_script", "reader_script",
+        "submit_script"),
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

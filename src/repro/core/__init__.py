@@ -10,81 +10,27 @@ The package splits along the sans-IO boundary:
 * front-end: :mod:`.shell` (:class:`Ftsh`), :mod:`.shell_log`
 """
 
-from .analysis import CommandStats, LogAnalysis, analyze
-from .ast_nodes import Script
-from .backoff import NO_BACKOFF, PAPER_POLICY, BackoffPolicy, BackoffState
-from .effects import (
-    CommandResult,
-    Effect,
-    EffectGenerator,
-    GetRandom,
-    GetTime,
-    ParallelBranch,
-    ParallelResult,
-    RunCommand,
-    RunParallel,
-    Sleep,
-    SleepResult,
-)
-from .errors import (
-    FtshCancelled,
-    FtshError,
-    FtshFailure,
-    FtshRuntimeError,
-    FtshSyntaxError,
-    FtshTimeout,
-    SimulationError,
-    UndefinedVariableError,
-)
-from .interpreter import Interpreter
-from .parser import parse
-from .realruntime import DEADLINE_ENV, RealDriver
-from .shell import Ftsh, RunResult
-from .shell_log import EventKind, LogEvent, ShellLog
-from .timeline import UNBOUNDED, AttemptBudget, DeadlineStack
-from .variables import Scope, expand_word, expand_words
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AttemptBudget",
-    "CommandStats",
-    "LogAnalysis",
-    "analyze",
-    "BackoffPolicy",
-    "BackoffState",
-    "CommandResult",
-    "DEADLINE_ENV",
-    "DeadlineStack",
-    "Effect",
-    "EffectGenerator",
-    "EventKind",
-    "Ftsh",
-    "FtshCancelled",
-    "FtshError",
-    "FtshFailure",
-    "FtshRuntimeError",
-    "FtshSyntaxError",
-    "FtshTimeout",
-    "GetRandom",
-    "GetTime",
-    "Interpreter",
-    "LogEvent",
-    "NO_BACKOFF",
-    "PAPER_POLICY",
-    "ParallelBranch",
-    "ParallelResult",
-    "RealDriver",
-    "RunCommand",
-    "RunParallel",
-    "RunResult",
-    "Scope",
-    "Script",
-    "ShellLog",
-    "SimulationError",
-    "Sleep",
-    "SleepResult",
-    "UNBOUNDED",
-    "UndefinedVariableError",
-    "expand_word",
-    "expand_words",
-    "parse",
-]
+_EXPORTS = {
+    "analysis": ("CommandStats", "LogAnalysis", "analyze"),
+    "ast_nodes": ("Script",),
+    "backoff": ("BackoffPolicy", "BackoffState", "NO_BACKOFF", "PAPER_POLICY"),
+    "effects": (
+        "CommandResult", "Effect", "EffectGenerator", "GetRandom",
+        "GetTime", "ParallelBranch", "ParallelResult", "RunCommand",
+        "RunParallel", "Sleep", "SleepResult"),
+    "errors": (
+        "FtshCancelled", "FtshError", "FtshFailure",
+        "FtshRuntimeError", "FtshSyntaxError", "FtshTimeout",
+        "SimulationError", "UndefinedVariableError"),
+    "interpreter": ("Interpreter",),
+    "parser": ("parse",),
+    "realruntime": ("DEADLINE_ENV", "RealDriver"),
+    "shell": ("Ftsh", "RunResult"),
+    "shell_log": ("EventKind", "LogEvent", "ShellLog"),
+    "timeline": ("AttemptBudget", "DeadlineStack", "UNBOUNDED"),
+    "variables": ("Scope", "expand_word", "expand_words"),
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -21,6 +21,8 @@ from __future__ import annotations
 import os
 from typing import Optional
 
+from .._lazy import lazy_exports
+
 #: Environment variable consulted when no explicit backend is given.
 BACKEND_ENV = "REPRO_DIST_BACKEND"
 
@@ -57,7 +59,11 @@ def resolve_backend(name: Optional[str] = None) -> str:
     return canonical
 
 
-__all__ = [
+# No re-exports: the names above are this package's own.  The helper
+# still resolves a bare submodule (``repro.dist.backends``) like the
+# other twelve packages do.
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {})
+__all__ += [
     "BACKENDS",
     "BACKEND_ENV",
     "DEFAULT_BACKEND",

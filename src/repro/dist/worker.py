@@ -43,7 +43,6 @@ import time
 from typing import Any, Optional
 
 from ..core.backoff import BackoffPolicy, BackoffState
-from ..obs.api import Observability
 from ..obs.push import ObsPusher, resolve_push_url
 from ..parallel.executor import CellSpec
 from ..service.http import HttpTransportError, http_request
@@ -212,6 +211,9 @@ class WorkerTelemetry:
         self.enabled = url is not None
         if not self.enabled:
             return
+        # a worker that pushes nothing never loads the telemetry stack
+        from ..obs.api import Observability
+
         self.obs = Observability.wall(keep_series=False)
         metrics = self.obs.metrics
         self._claims = metrics.counter(

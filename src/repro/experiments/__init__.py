@@ -5,59 +5,24 @@ harnesses and plain-text reporting.  ``python -m repro.experiments.runall``
 regenerates everything at a chosen scale.
 """
 
-from .chaos import (
-    ChaosCell,
-    ChaosReport,
-    check_ordering,
-    render_scorecard,
-    run_chaos_campaign,
-)
-from .figure1 import Figure1Result, run_figure1
-from .figure2 import TimelineResult, run_figure2, run_submit_timeline
-from .figure3 import run_figure3
-from .figure4 import BufferSweepResult, run_buffer_sweep, run_figure4
-from .figure5 import run_figure5
-from .figure6 import ReaderTimelineResult, run_figure6, run_reader_timeline
-from .figure7 import run_figure7
-from .scenario_buffer import BufferParams, BufferResult, run_buffer
-from .scenario_dag import DagParams, DagResult, run_dag_scenario
-from .scenario_kangaroo import KangarooParams, KangarooResult, run_kangaroo
-from .scenario_replica import ReplicaParams, ReplicaResult, run_replica
-from .scenario_submit import SubmitParams, SubmitResult, run_submission
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BufferParams",
-    "BufferResult",
-    "BufferSweepResult",
-    "ChaosCell",
-    "ChaosReport",
-    "check_ordering",
-    "render_scorecard",
-    "run_chaos_campaign",
-    "DagParams",
-    "DagResult",
-    "KangarooParams",
-    "KangarooResult",
-    "Figure1Result",
-    "ReaderTimelineResult",
-    "ReplicaParams",
-    "ReplicaResult",
-    "SubmitParams",
-    "SubmitResult",
-    "TimelineResult",
-    "run_buffer",
-    "run_buffer_sweep",
-    "run_dag_scenario",
-    "run_kangaroo",
-    "run_figure1",
-    "run_figure2",
-    "run_figure3",
-    "run_figure4",
-    "run_figure5",
-    "run_figure6",
-    "run_figure7",
-    "run_reader_timeline",
-    "run_replica",
-    "run_submission",
-    "run_submit_timeline",
-]
+_EXPORTS = {
+    "chaos": (
+        "ChaosCell", "ChaosReport", "check_ordering",
+        "render_scorecard", "run_chaos_campaign"),
+    "figure1": ("Figure1Result", "run_figure1"),
+    "figure2": ("TimelineResult", "run_figure2", "run_submit_timeline"),
+    "figure3": ("run_figure3",),
+    "figure4": ("BufferSweepResult", "run_buffer_sweep", "run_figure4"),
+    "figure5": ("run_figure5",),
+    "figure6": ("ReaderTimelineResult", "run_figure6", "run_reader_timeline"),
+    "figure7": ("run_figure7",),
+    "scenario_buffer": ("BufferParams", "BufferResult", "run_buffer"),
+    "scenario_dag": ("DagParams", "DagResult", "run_dag_scenario"),
+    "scenario_kangaroo": ("KangarooParams", "KangarooResult", "run_kangaroo"),
+    "scenario_replica": ("ReplicaParams", "ReplicaResult", "run_replica"),
+    "scenario_submit": ("SubmitParams", "SubmitResult", "run_submission"),
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -38,20 +38,18 @@ from typing import Any, Callable, Optional
 from ..clients.base import ALL_DISCIPLINES, Discipline, by_name
 from ..faults.injectors import FaultSpec
 from ..faults.schedule import FaultWindow, Periodic
-from ..grid.archive import WanConfig
 from ..grid.condor import CondorConfig
-from ..grid.httpserver import ReplicaConfig
 from ..grid.storage import BufferConfig
-from ..obs.api import Observability
-from ..obs.exporters import merge_obs_bundles, write_obs_bundle
 from ..obs.push import push_observability, resolve_push_url
 from ..parallel.cache import ResultCache
 from ..parallel.executor import CellSpec, run_cells
 from ..sim.monitor import TimeSeries
-from .scenario_buffer import BufferParams, run_buffer
-from .scenario_kangaroo import KangarooParams, run_kangaroo
-from .scenario_replica import ReplicaParams, run_replica
-from .scenario_submit import SubmitParams, run_submission
+
+# The import rule (docs/INTERNALS.md "What a path imports"): what every
+# complete path through this module uses is imported above; what some
+# complete path never touches — the four scenario harnesses (a cell is
+# one scenario; a warm rerun is none) and the telemetry exports — is
+# imported by the function that uses it, once per cell or per campaign.
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +118,8 @@ SCALES = {
 
 def _run_submit(discipline: Discipline, faults: tuple[FaultSpec, ...],
                 scale: ChaosScale, seed: int, obs: Any):
+    from .scenario_submit import SubmitParams, run_submission
+
     result = run_submission(SubmitParams(
         discipline=discipline,
         n_clients=scale.submit_clients,
@@ -133,6 +133,8 @@ def _run_submit(discipline: Discipline, faults: tuple[FaultSpec, ...],
 
 def _run_buffer(discipline: Discipline, faults: tuple[FaultSpec, ...],
                 scale: ChaosScale, seed: int, obs: Any):
+    from .scenario_buffer import BufferParams, run_buffer
+
     result = run_buffer(BufferParams(
         discipline=discipline,
         n_producers=scale.buffer_producers,
@@ -146,6 +148,9 @@ def _run_buffer(discipline: Discipline, faults: tuple[FaultSpec, ...],
 
 def _run_replica(discipline: Discipline, faults: tuple[FaultSpec, ...],
                  scale: ChaosScale, seed: int, obs: Any):
+    from ..grid.httpserver import ReplicaConfig
+    from .scenario_replica import ReplicaParams, run_replica
+
     # Load-dependent service + per-attempt accept cost (both opt-in):
     # hammering a degraded service slows it for everyone, and every
     # reconnect burns real slot time — so the aggressive discipline
@@ -165,6 +170,9 @@ def _run_replica(discipline: Discipline, faults: tuple[FaultSpec, ...],
 
 def _run_kangaroo(discipline: Discipline, faults: tuple[FaultSpec, ...],
                   scale: ChaosScale, seed: int, obs: Any):
+    from ..grid.archive import WanConfig
+    from .scenario_kangaroo import KangarooParams, run_kangaroo
+
     # Organic WAN weather off: the campaign places partitions itself.
     result = run_kangaroo(KangarooParams(
         discipline=discipline,
@@ -360,6 +368,8 @@ def _cell_obs(wanted: bool, discipline: Discipline,
               fault: str, scenario: str, intensity: int):
     if not wanted:
         return None, None
+    from ..obs.api import Observability
+
     stem = f"chaos_{fault}_{discipline.name}_i{intensity}"
     obs = Observability(const_labels=discipline.labels(
         scenario=scenario, fault=fault, intensity=str(intensity)))
@@ -405,6 +415,8 @@ def run_cell(
     goodput, series = scenario.run(discipline, specs, scale, seed, obs)
     if obs is not None:
         if obs_dir is not None:
+            from ..obs.exporters import write_obs_bundle
+
             write_obs_bundle(obs, obs_dir, stem)
         if obs_push is not None:
             # The scenario qualifies the source: baseline cells share a
@@ -492,6 +504,8 @@ def run_chaos_campaign(
         scenario_name, discipline_name, fault_name, level = spec.args[:4]
         measured[(scenario_name, discipline_name, fault_name, level)] = outcome
     if obs_dir is not None:
+        from ..obs.exporters import merge_obs_bundles
+
         merge_obs_bundles(obs_dir)
 
     def baseline(scenario: Scenario, discipline: Discipline):

@@ -17,54 +17,21 @@ The chaos campaign runner lives with the other experiment entry points:
 ``python -m repro.experiments.chaos``.
 """
 
-from .config import (
-    validate_at_least,
-    validate_fraction,
-    validate_non_negative,
-    validate_positive,
-    validate_probability,
-)
-from .injectors import FaultSpec, Injector, install_faults
-from .runtime import (
-    CommandFault,
-    CommandFaultPlan,
-    apply_command_faults,
-    make_faulting_real_driver,
-    parse_command_fault,
-)
-from .schedule import (
-    Burst,
-    Degradation,
-    FaultSchedule,
-    FaultWindow,
-    Flaky,
-    Periodic,
-    PoissonOutage,
-    drive_schedule,
-    parse_schedule,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Burst",
-    "CommandFault",
-    "CommandFaultPlan",
-    "Degradation",
-    "FaultSchedule",
-    "FaultSpec",
-    "FaultWindow",
-    "Flaky",
-    "Injector",
-    "Periodic",
-    "PoissonOutage",
-    "apply_command_faults",
-    "drive_schedule",
-    "install_faults",
-    "make_faulting_real_driver",
-    "parse_command_fault",
-    "parse_schedule",
-    "validate_at_least",
-    "validate_fraction",
-    "validate_non_negative",
-    "validate_positive",
-    "validate_probability",
-]
+_EXPORTS = {
+    "config": (
+        "validate_at_least", "validate_fraction",
+        "validate_non_negative", "validate_positive",
+        "validate_probability"),
+    "injectors": ("FaultSpec", "Injector", "install_faults"),
+    "runtime": (
+        "CommandFault", "CommandFaultPlan", "apply_command_faults",
+        "make_faulting_real_driver", "parse_command_fault"),
+    "schedule": (
+        "Burst", "Degradation", "FaultSchedule", "FaultWindow",
+        "Flaky", "Periodic", "PoissonOutage", "drive_schedule",
+        "parse_schedule"),
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

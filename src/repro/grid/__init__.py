@@ -5,61 +5,24 @@
 * :mod:`.httpserver` — scenario 3 (replicated read, black holes)
 """
 
-from .archive import ArchiveUploader, WanConfig, WanLink
-from .chimera import (
-    DagDispatcher,
-    DagStats,
-    Task,
-    TaskDAG,
-    bag_of_tasks,
-    chain,
-    layered_dag,
-)
-from .condor import CondorConfig, CondorWorld, Schedd, register_condor_commands
-from .fdtable import FDTable
-from .pool import Job, Worker, WorkerPool
-from .httpserver import (
-    FileServer,
-    ReplicaConfig,
-    ReplicaWorld,
-    register_replica_commands,
-)
-from .storage import (
-    BufferConfig,
-    BufferFile,
-    BufferWorld,
-    SharedBuffer,
-    consumer_process,
-    register_buffer_commands,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ArchiveUploader",
-    "BufferConfig",
-    "Job",
-    "WanConfig",
-    "WanLink",
-    "Worker",
-    "WorkerPool",
-    "DagDispatcher",
-    "DagStats",
-    "Task",
-    "TaskDAG",
-    "bag_of_tasks",
-    "chain",
-    "layered_dag",
-    "BufferFile",
-    "BufferWorld",
-    "CondorConfig",
-    "CondorWorld",
-    "FDTable",
-    "FileServer",
-    "ReplicaConfig",
-    "ReplicaWorld",
-    "Schedd",
-    "SharedBuffer",
-    "consumer_process",
-    "register_buffer_commands",
-    "register_condor_commands",
-    "register_replica_commands",
-]
+_EXPORTS = {
+    "archive": ("ArchiveUploader", "WanConfig", "WanLink"),
+    "chimera": (
+        "DagDispatcher", "DagStats", "Task", "TaskDAG",
+        "bag_of_tasks", "chain", "layered_dag"),
+    "condor": (
+        "CondorConfig", "CondorWorld", "Schedd",
+        "register_condor_commands"),
+    "fdtable": ("FDTable",),
+    "httpserver": (
+        "FileServer", "ReplicaConfig", "ReplicaWorld",
+        "register_replica_commands"),
+    "pool": ("Job", "Worker", "WorkerPool"),
+    "storage": (
+        "BufferConfig", "BufferFile", "BufferWorld", "SharedBuffer",
+        "consumer_process", "register_buffer_commands"),
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

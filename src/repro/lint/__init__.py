@@ -20,39 +20,17 @@ Suppression: ``# lint: disable=FTL001`` on the offending line,
 ``# lint: disable-file=FTL010`` for a whole file.
 """
 
-from .diagnostics import (
-    Diagnostic,
-    Severity,
-    diagnostics_to_json,
-    promote_warnings,
-    sort_diagnostics,
-    worst_severity,
-)
-from .engine import (
-    LintConfig,
-    Rule,
-    has_errors,
-    lint_file,
-    lint_script,
-    lint_text,
-)
-from .rules import RULES, default_rules
-from .suppress import SuppressionMap
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Diagnostic",
-    "LintConfig",
-    "RULES",
-    "Rule",
-    "Severity",
-    "SuppressionMap",
-    "default_rules",
-    "diagnostics_to_json",
-    "has_errors",
-    "lint_file",
-    "lint_script",
-    "lint_text",
-    "promote_warnings",
-    "sort_diagnostics",
-    "worst_severity",
-]
+_EXPORTS = {
+    "diagnostics": (
+        "Diagnostic", "Severity", "diagnostics_to_json",
+        "promote_warnings", "sort_diagnostics", "worst_severity"),
+    "engine": (
+        "LintConfig", "Rule", "has_errors", "lint_file",
+        "lint_script", "lint_text"),
+    "rules": ("RULES", "default_rules"),
+    "suppress": ("SuppressionMap",),
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -29,115 +29,30 @@ Pieces:
   collision rates and backoff distributions served at ``/obs/fleet``.
 """
 
-from .api import NULL_OBS, NullObservability, Observability
-from .clock import Clock, engine_clock, wall_clock
-from .exporters import (
-    chrome_trace_events,
-    chrome_trace_json,
-    prometheus_text,
-    read_spans_jsonl,
-    spans_jsonl,
-    write_chrome_trace,
-    write_obs_bundle,
-    write_prometheus,
-    write_spans_jsonl,
-)
-from .metrics import (
-    DEFAULT_BUCKETS,
-    MetricsRegistry,
-    NULL_METRICS,
-    sample_gauges,
-)
-from .spans import (
-    NULL_TRACER,
-    NullTracer,
-    Span,
-    STATUS_CANCELLED,
-    STATUS_FAILED,
-    STATUS_OK,
-    STATUS_OPEN,
-    STATUS_TIMEOUT,
-    Tracer,
-)
+from .._lazy import lazy_exports
 
-
-#: Fleet-observability names resolved lazily: aggregator/push/dashboard
-#: import repro.service.http, and eagerly importing them here would tie
-#: a cycle through the service package (whose app imports repro.obs).
-_FLEET_EXPORTS = {
-    "FleetAggregator": "aggregator",
-    "make_obs_server": "aggregator",
-    "merge_histograms": "aggregator",
-    "ObsPusher": "push",
-    "encode_batch": "push",
-    "observability_records": "push",
-    "push_observability": "push",
-    "resolve_push_url": "push",
-    "fetch_snapshot": "dashboard",
-    "render_fleet_html": "dashboard",
-    "render_fleet_text": "dashboard",
+_EXPORTS = {
+    "aggregator": ("FleetAggregator", "make_obs_server", "merge_histograms"),
+    "api": ("NULL_OBS", "NullObservability", "Observability"),
+    "clock": ("Clock", "engine_clock", "wall_clock"),
+    "dashboard": ("fetch_snapshot",),
+    "dashboard:render_html": ("render_fleet_html",),
+    "dashboard:render_text": ("render_fleet_text",),
+    "exporters": (
+        "chrome_trace_events", "chrome_trace_json", "prometheus_text",
+        "read_spans_jsonl", "spans_jsonl", "write_chrome_trace",
+        "write_obs_bundle", "write_prometheus", "write_spans_jsonl"),
+    "metrics": (
+        "DEFAULT_BUCKETS", "MetricsRegistry", "NULL_METRICS",
+        "sample_gauges"),
+    "push": (
+        "ObsPusher", "encode_batch", "observability_records",
+        "push_observability", "resolve_push_url"),
+    "report": ("render_report", "span_stats"),
+    "spans": (
+        "NULL_TRACER", "NullTracer", "STATUS_CANCELLED",
+        "STATUS_FAILED", "STATUS_OK", "STATUS_OPEN", "STATUS_TIMEOUT",
+        "Span", "Tracer"),
 }
 
-_FLEET_ALIASES = {"render_fleet_html": "render_html",
-                  "render_fleet_text": "render_text"}
-
-
-def __getattr__(name: str):
-    # Deferred so `python -m repro.obs.report` doesn't import the report
-    # module twice (once via this package, once as __main__).
-    if name in ("render_report", "span_stats", "digest"):
-        from . import report
-
-        return getattr(report, name)
-    module_name = _FLEET_EXPORTS.get(name)
-    if module_name is not None:
-        import importlib
-
-        module = importlib.import_module(f".{module_name}", __name__)
-        return getattr(module, _FLEET_ALIASES.get(name, name))
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-__all__ = [
-    "Clock",
-    "DEFAULT_BUCKETS",
-    "FleetAggregator",
-    "MetricsRegistry",
-    "NULL_METRICS",
-    "NULL_OBS",
-    "NULL_TRACER",
-    "NullObservability",
-    "NullTracer",
-    "ObsPusher",
-    "Observability",
-    "Span",
-    "STATUS_CANCELLED",
-    "STATUS_FAILED",
-    "STATUS_OK",
-    "STATUS_OPEN",
-    "STATUS_TIMEOUT",
-    "Tracer",
-    "chrome_trace_events",
-    "chrome_trace_json",
-    "encode_batch",
-    "engine_clock",
-    "fetch_snapshot",
-    "make_obs_server",
-    "merge_histograms",
-    "observability_records",
-    "prometheus_text",
-    "push_observability",
-    "read_spans_jsonl",
-    "render_fleet_html",
-    "render_fleet_text",
-    "render_report",
-    "resolve_push_url",
-    "sample_gauges",
-    "span_stats",
-    "spans_jsonl",
-    "wall_clock",
-    "write_chrome_trace",
-    "write_obs_bundle",
-    "write_prometheus",
-    "write_spans_jsonl",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

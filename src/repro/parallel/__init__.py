@@ -9,38 +9,14 @@ randomness from named streams seeded by its params — that serial,
 parallel, and cached executions are byte-identical.
 """
 
-from .executor import CampaignCancelled, CellSpec, resolve_jobs, run_cells
-from .transport import strip_observability, to_jsonable
+from .._lazy import lazy_exports
 
-_CACHE_NAMES = (
-    "ResultCache",
-    "canonical",
-    "canonical_json",
-    "code_fingerprint",
-    "default_cache_dir",
-)
+_EXPORTS = {
+    "cache": (
+        "ResultCache", "canonical", "canonical_json", "code_fingerprint",
+        "default_cache_dir"),
+    "executor": ("CampaignCancelled", "CellSpec", "resolve_jobs", "run_cells"),
+    "transport": ("strip_observability", "to_jsonable"),
+}
 
-
-def __getattr__(name: str):
-    """Lazy cache import: keeps ``python -m repro.parallel.cache`` from
-    tripping runpy's already-imported warning."""
-    if name in _CACHE_NAMES:
-        from . import cache
-
-        return getattr(cache, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-__all__ = [
-    "CampaignCancelled",
-    "CellSpec",
-    "ResultCache",
-    "canonical",
-    "canonical_json",
-    "code_fingerprint",
-    "default_cache_dir",
-    "resolve_jobs",
-    "run_cells",
-    "strip_observability",
-    "to_jsonable",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

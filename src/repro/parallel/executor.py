@@ -22,8 +22,6 @@ and editing one cell's params recomputes exactly that cell.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeout
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional, Sequence
 
@@ -176,6 +174,12 @@ def run_cells(
             say(cells[index].key, "run")
             landed(index, _execute(cells[index]))
     else:
+        # Imported on the one path that uses it: ``multiprocessing``
+        # comes along, and the serial, all-hits and socket paths (a
+        # warm rerun, a fleet worker) never start a pool.
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures import TimeoutError as FutureTimeout
+
         pool = ProcessPoolExecutor(max_workers=min(workers, len(pending)))
         try:
             futures = {}

@@ -28,64 +28,15 @@ Serve with ``python -m repro.service``; submit with
 ``python -m repro.service.client`` or ``ftsh --submit URL script.ftsh``.
 """
 
-from typing import TYPE_CHECKING
+from .._lazy import lazy_exports
 
-if TYPE_CHECKING:  # pragma: no cover - static import surface
-    from .client import ServiceClient, ServiceError
-    from .jobs import JobStore
-    from .sandbox import SandboxPolicy, SandboxRejection
-    from .schemas import (
-        CampaignSubmission,
-        JobResult,
-        JobStatus,
-        SchemaError,
-        ScriptSubmission,
-    )
-
-#: Public name -> home submodule, resolved lazily (PEP 562).  The dist
-#: worker imports :mod:`repro.service.http` (stdlib-only) thousands of
-#: times across a fleet; it must not drag the job store + sandbox +
-#: executor stack along.  Lazy client import also keeps
-#: ``python -m repro.service.client`` from tripping runpy's
-#: already-imported warning.
 _EXPORTS = {
-    "JobStore": "jobs",
-    "SandboxPolicy": "sandbox",
-    "SandboxRejection": "sandbox",
-    "CampaignSubmission": "schemas",
-    "JobResult": "schemas",
-    "JobStatus": "schemas",
-    "SchemaError": "schemas",
-    "ScriptSubmission": "schemas",
-    "ServiceClient": "client",
-    "ServiceError": "client",
+    "client": ("ServiceClient", "ServiceError"),
+    "jobs": ("JobStore",),
+    "sandbox": ("SandboxPolicy", "SandboxRejection"),
+    "schemas": (
+        "CampaignSubmission", "JobResult", "JobStatus", "SchemaError",
+        "ScriptSubmission"),
 }
 
-
-def __getattr__(name: str):
-    home = _EXPORTS.get(name)
-    if home is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    value = getattr(importlib.import_module(f".{home}", __name__), name)
-    globals()[name] = value
-    return value
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(_EXPORTS))
-
-
-__all__ = [
-    "CampaignSubmission",
-    "JobResult",
-    "JobStatus",
-    "JobStore",
-    "SandboxPolicy",
-    "SandboxRejection",
-    "SchemaError",
-    "ScriptSubmission",
-    "ServiceClient",
-    "ServiceError",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

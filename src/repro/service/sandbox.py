@@ -22,6 +22,9 @@ from typing import Optional
 from ..core.errors import BudgetExceeded, FtshSyntaxError
 from ..core.compile import compilation_enabled, compile_cached
 from ..core.parser import parse_cached
+from ..grid.condor import CondorWorld, register_condor_commands
+from ..grid.httpserver import ReplicaWorld, register_replica_commands
+from ..grid.storage import BufferWorld, register_buffer_commands
 from ..lint.diagnostics import Severity
 from ..lint.engine import LintConfig, lint_script
 from ..parallel.executor import CellSpec
@@ -275,19 +278,13 @@ def _world_counters(world) -> tuple[tuple[str, float], ...]:
 
 def _build_world(kind: str, engine: Engine, registry: CommandRegistry):
     if kind == "condor":
-        from ..grid.condor import CondorWorld, register_condor_commands
-
         world = CondorWorld(engine)
         register_condor_commands(registry, world)
         return world
     if kind == "replica":
-        from ..grid.httpserver import ReplicaWorld, register_replica_commands
-
         world = ReplicaWorld(engine)
         register_replica_commands(registry, world)
         return world
-    from ..grid.storage import BufferWorld, register_buffer_commands
-
     world = BufferWorld(engine)
     register_buffer_commands(registry, world)
     world.start_consumer()

@@ -17,33 +17,19 @@ See :mod:`repro.sim.engine` for the event-loop design and
 :mod:`repro.sim.resources` for the contention primitives.
 """
 
-from .engine import Engine, INFINITY
-from .events import AllOf, AnyOf, Condition, ConditionValue, Event, Interrupt, Timeout
-from .monitor import Counter, TimeSeries, sample
-from .process import Process, ProcessGenerator
-from .resources import Container, ContainerEvent, Request, Resource, Store, StoreEvent
-from .rng import RandomStreams
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AllOf",
-    "AnyOf",
-    "Condition",
-    "ConditionValue",
-    "Container",
-    "ContainerEvent",
-    "Counter",
-    "Engine",
-    "Event",
-    "INFINITY",
-    "Interrupt",
-    "Process",
-    "ProcessGenerator",
-    "RandomStreams",
-    "Request",
-    "Resource",
-    "Store",
-    "StoreEvent",
-    "TimeSeries",
-    "Timeout",
-    "sample",
-]
+_EXPORTS = {
+    "engine": ("Engine", "INFINITY"),
+    "events": (
+        "AllOf", "AnyOf", "Condition", "ConditionValue", "Event",
+        "Interrupt", "Timeout"),
+    "monitor": ("Counter", "TimeSeries", "sample"),
+    "process": ("Process", "ProcessGenerator"),
+    "resources": (
+        "Container", "ContainerEvent", "Request", "Resource", "Store",
+        "StoreEvent"),
+    "rng": ("RandomStreams",),
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

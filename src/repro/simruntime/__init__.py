@@ -5,14 +5,12 @@
 * :class:`SimFtsh` — convenience front-end: scripts as sim processes.
 """
 
-from .driver import SimDriver
-from .registry import CommandContext, CommandRegistry, normalize_result
-from .shell import SimFtsh
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CommandContext",
-    "CommandRegistry",
-    "SimDriver",
-    "SimFtsh",
-    "normalize_result",
-]
+_EXPORTS = {
+    "driver": ("SimDriver",),
+    "registry": ("CommandContext", "CommandRegistry", "normalize_result"),
+    "shell": ("SimFtsh",),
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -169,3 +169,40 @@ class TestReplicaScenario:
         second = run_replica(ReplicaParams(discipline=ALOHA, duration=300.0, seed=5))
         assert first.transfers == second.transfers
         assert first.collisions == second.collisions
+
+
+class TestBackoffTallyNeedsNoTrace:
+    """The harnesses log at ``LOG_TRACE`` and read back one number,
+    ``backoffs`` — a ``LOG_COMMANDS``-level tally.  Lowering the level
+    would drop only per-attempt lines nobody reads; this pins that the
+    number (and the rest of the result) does not depend on it, so the
+    level can follow whatever an A/B of a heavy cell says."""
+
+    @pytest.mark.parametrize("module, run", [
+        ("scenario_submit", lambda m: m.run_submission(m.SubmitParams(
+            ALOHA, 400, duration=30.0, script_window=30.0))),
+        ("scenario_buffer", lambda m: m.run_buffer(m.BufferParams(
+            ALOHA, 50, duration=30.0))),
+        ("scenario_replica", lambda m: m.run_replica(m.ReplicaParams(
+            ETHERNET, 12, duration=300.0))),
+        ("scenario_kangaroo", lambda m: m.run_kangaroo(m.KangarooParams(
+            ALOHA, 30, duration=60.0))),
+    ])
+    def test_backoffs_identical_at_trace_and_commands(self, monkeypatch,
+                                                      module, run):
+        import functools
+        import importlib
+
+        from repro.core.shell_log import LOG_COMMANDS, LOG_TRACE, ShellLog
+        from repro.parallel.transport import to_jsonable
+
+        harness = importlib.import_module(f"repro.experiments.{module}")
+        results = {}
+        for level in (LOG_TRACE, LOG_COMMANDS):
+            monkeypatch.setattr(harness, "ShellLog",
+                                functools.partial(ShellLog, level=level))
+            results[level] = run(harness)
+        assert results[LOG_TRACE].backoffs == \
+            results[LOG_COMMANDS].backoffs > 0
+        assert to_jsonable(results[LOG_TRACE]) == \
+            to_jsonable(results[LOG_COMMANDS])
