@@ -5,8 +5,7 @@ These are the ``repro.parallel`` counterparts to the engine micro-
 benchmarks: they put numbers on the machinery that ``runall --jobs``
 and ``--cache-dir`` add around the simulations, so overhead regressions
 (hashing, pickling, pool spin-up) show up as numbers.  The end-to-end
-serial-vs-parallel campaign timing lives in
-``python -m repro.experiments.bench`` / ``BENCH_campaign.json``.
+campaign timing is the perf ledger's, ``python3 benchmarks/ledger/run.py``.
 """
 
 from repro.clients.base import ETHERNET

@@ -86,11 +86,6 @@ def build_argparser() -> argparse.ArgumentParser:
         "--parse-only", action="store_true", help="syntax-check and exit"
     )
     parser.add_argument(
-        "--no-compile", action="store_true",
-        help="tree-walk the AST instead of dispatching over compiled "
-        "plans (also: $REPRO_NO_COMPILE=1)",
-    )
-    parser.add_argument(
         "--lint", action="store_true",
         help="run the repro.lint rule pack and exit without running the "
         "script (exit 1 on error-severity findings, 2 on parse errors)",
@@ -199,7 +194,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.interactive:
         from .repl import Repl
 
-        return Repl(compile=False if args.no_compile else None).run()
+        return Repl().run()
 
     if args.command is not None:
         text, name = args.command, "<command-line>"
@@ -327,8 +322,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     level = {"results": LOG_RESULTS, "commands": LOG_COMMANDS,
              "trace": LOG_TRACE}[args.log_level]
     spool = SpoolPolicy(args.spool_dir) if args.spool_dir else None
-    shell = Ftsh(driver=driver, spool=spool, log_level=level, obs=obs,
-                 compile=False if args.no_compile else None)
+    shell = Ftsh(driver=driver, spool=spool, log_level=level, obs=obs)
     result = shell.run(script, variables=variables, timeout=timeout)
 
     if args.log:

@@ -30,13 +30,13 @@ context is disabled or the log level filters the event.
 ``compile_cached`` sits beside ``parse_cached``: it is keyed by AST
 identity (``parse_cached`` returns shared ``Script`` objects), holding a
 strong reference to the script so an id() can never be reused while its
-entry is alive.  ``$REPRO_NO_COMPILE=1`` (or ``ftsh --no-compile``)
-falls back to the tree-walking evaluator.
+entry is alive.  Plans are the only runtime a shell dispatches over;
+the tree-walking evaluator stays in :mod:`~repro.core.interpreter` as the
+reference the equivalence suites compare against.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
 from typing import Any, Generator, NamedTuple, Optional
@@ -78,22 +78,6 @@ _GET_RANDOM = GetRandom()
 #: __init__ burns time on keyword plumbing for fields the static-capture
 #: path always sets explicitly anyway.
 _RC_NEW = RunCommand.__new__
-
-
-# ----------------------------------------------------------------------
-# Escape hatch
-# ----------------------------------------------------------------------
-def compilation_enabled(override: Optional[bool] = None) -> bool:
-    """Whether scripts should be compiled before execution.
-
-    ``override`` (an explicit ``compile=`` argument or ``--no-compile``
-    flag) wins; otherwise ``$REPRO_NO_COMPILE`` set to a truthy value
-    selects the tree-walking evaluator.
-    """
-    if override is not None:
-        return override
-    flag = os.environ.get("REPRO_NO_COMPILE", "")
-    return flag.strip().lower() in ("", "0", "false", "no", "off")
 
 
 # ----------------------------------------------------------------------
@@ -374,31 +358,6 @@ class GroupPlan:
             gen = op.run(interp, frame)
             if gen is not None:
                 yield from gen
-
-
-class _SyncPrefixGroup:
-    """Sync ops followed by exactly one yielding op: no group generator.
-
-    run() executes the sync prefix eagerly and hands back the tail's
-    effect generator, so every effect send crosses one less delegation
-    frame than a GroupPlan would cost.  Callers invoke run() from inside
-    their own generator bodies immediately before ``yield from``, so the
-    eager prefix is indistinguishable from GroupPlan's first resume —
-    including where prefix exceptions surface.
-    """
-
-    __slots__ = ("prefix", "tail")
-
-    yields = True
-
-    def __init__(self, prefix: tuple, tail) -> None:
-        self.prefix = prefix
-        self.tail = tail
-
-    def run(self, interp, frame: Frame) -> EvalGen:
-        for op in self.prefix:
-            op.run(interp, frame)
-        return self.tail.run(interp, frame)
 
 
 class AssignOp:
@@ -701,11 +660,24 @@ class CommandOp:
 
 
 class TryOp:
-    __slots__ = ("duration", "attempts", "every", "body", "catch", "line")
+    """The plan runtime's one retry loop (tree-walk twin: ``_try_attempts``).
+
+    When the body is a single :class:`CommandOp` with no dynamic
+    redirects (only variable captures, or none) — ``try ... / one command
+    [-> var] / end``, the paper's canonical retry shape — the loop drives
+    the command inline: no per-attempt body generator, no delegation
+    frame under the effect send, and the attempt-failure ``FtshFailure``
+    — which this loop would catch immediately — is never materialised.
+    Any other body is one ``yield from`` at the top of the attempt.
+    Every log event, span, metric and effect in the sequence is the same
+    on both branches; the equivalence suite pins that.
+    """
+
+    __slots__ = ("duration", "attempts", "every", "body", "cmd", "catch", "line")
 
     yields = True
 
-    def __init__(self, limits: ast.TryLimits, body: GroupPlan,
+    def __init__(self, limits: ast.TryLimits, body,
                  catch: Optional[GroupPlan], line: int) -> None:
         #: Window / budget / fixed-delay parameters, precomputed (the
         #: parser already normalised units to seconds).
@@ -713,6 +685,10 @@ class TryOp:
         self.attempts = limits.attempts
         self.every = limits.every
         self.body = body
+        #: The body when the loop may drive it inline, else None.
+        self.cmd: Optional[CommandOp] = (
+            body if body.__class__ is CommandOp and body.static_capture
+            else None)
         self.catch = catch
         self.line = line
 
@@ -734,12 +710,25 @@ class TryOp:
             tracer = None
             span = None
         deadlines = interp.deadlines
+        cmd = self.cmd
+        if cmd is None:
+            body_run = self.body.run
+        else:
+            const_argv = cmd.const_argv
+            template = cmd.template
+            capture_slot = cmd.capture_slot_static
+            capture_append = cmd.capture_append_static
+            capture_flag = cmd.capture_flag
+            merge_flag = cmd.merge_flag
+            cmd_line = cmd.line
+            functions = interp.functions
+            cells = frame.cells
         try:
-            # --- the retry loop (tree-walk twin: _try_attempts) ---
             # AttemptBudget and DeadlineStack.clip are inlined here: after
             # our push, the stack top IS `clipped` between attempts (the
             # stack is non-increasing), so clip(delay, now) reduces to
-            # max(0, min(delay, clipped - now)).
+            # max(0, min(delay, clipped - now)) — and an inlined command,
+            # which never pushes, runs under `clipped` too.
             wanted = UNBOUNDED if self.duration is None else now + self.duration
             clipped = deadlines.push(wanted)
             max_attempts = self.attempts
@@ -748,7 +737,6 @@ class TryOp:
                     f"max_attempts must be >= 1, got {max_attempts}")
             every = self.every
             line = self.line
-            body_run = self.body.run
             backoff = BackoffState(interp.policy)
             succeeded = False
             attempts = 0
@@ -765,15 +753,126 @@ class TryOp:
                             f"attempt:{attempts}", "attempt", parent=span
                         )
                         interp._span = attempt_span
+                    # `failed` stands in for the FtshFailure a delegated
+                    # body raises across the frame boundary.
+                    failed = False
                     try:
-                        yield from body_run(interp, frame)
-                        succeeded = True
+                        if cmd is None:
+                            yield from body_run(interp, frame)
+                        else:
+                            if const_argv is not None:
+                                argv = list(const_argv)
+                                joined = cmd.const_joined
+                            else:
+                                argv = []
+                                for item in template:
+                                    if item.__class__ is str:
+                                        argv.append(item)
+                                    else:
+                                        slot = item.single
+                                        if slot is not None:
+                                            text = cells[slot]
+                                            if text is None:
+                                                text = frame.scope.get(
+                                                    frame.names[slot])
+                                        else:
+                                            text = item.expand(frame)
+                                        if text or item.quoted:
+                                            argv.append(text)
+                                joined = None
+                            if not argv:
+                                failed = True  # "command expanded to nothing"
+                            elif argv[0] in functions:
+                                yield from _call_function(
+                                    interp, frame, functions[argv[0]], argv,
+                                    cmd_line, cmd.has_redirects)
+                                # Function returned: the attempt succeeded.
+                            else:
+                                name = argv[0]
+                                effect = _RC_NEW(RunCommand)
+                                effect.argv = argv
+                                effect.stdin_data = None
+                                effect.stdin_file = None
+                                effect.stdout_file = None
+                                effect.stdout_append = False
+                                effect.merge_stderr = merge_flag
+                                effect.capture = capture_flag
+                                effect.deadline = clipped
+                                if commands_on:
+                                    if joined is None:
+                                        joined = " ".join(argv)
+                                    log.record(EventKind.COMMAND_START,
+                                               joined, cmd_line)
+                                if obs_on:
+                                    cmd_span = tracer.start(
+                                        f"command:{name}", "command",
+                                        parent=interp._span,
+                                        argv=joined if joined is not None
+                                        else " ".join(argv),
+                                        line=cmd_line or None)
+                                try:
+                                    result = yield effect
+                                except BaseException:
+                                    if obs_on:
+                                        tracer.finish(cmd_span, "cancelled")
+                                        interp._m_commands.labels(
+                                            command=name,
+                                            outcome="cancelled").inc()
+                                    raise
+                                if result.timed_out:
+                                    if commands_on:
+                                        log.record(EventKind.COMMAND_TIMEOUT,
+                                                   joined, cmd_line)
+                                    if obs_on:
+                                        tracer.finish(cmd_span, "timeout",
+                                                      detail=result.detail or None)
+                                        interp._m_commands.labels(
+                                            command=name, outcome="timeout").inc()
+                                    raise FtshTimeout(clipped,
+                                                      f"{name} hit time limit")
+                                if result.exit_code != 0:
+                                    if commands_on:
+                                        log.record(
+                                            EventKind.COMMAND_FAILED,
+                                            f"{joined} exited {result.exit_code} "
+                                            f"{result.detail}".rstrip(),
+                                            cmd_line,
+                                        )
+                                    if obs_on:
+                                        tracer.finish(cmd_span, "failed",
+                                                      exit_code=result.exit_code,
+                                                      detail=result.detail or None)
+                                        interp._m_commands.labels(
+                                            command=name, outcome="failed").inc()
+                                    failed = True
+                                else:
+                                    if capture_slot is not None:
+                                        text = (result.output or "").rstrip("\n")
+                                        if capture_append:
+                                            frame.append(capture_slot, text)
+                                        else:
+                                            frame.store(capture_slot, text)
+                                    if commands_on:
+                                        log.record(EventKind.COMMAND_END,
+                                                   name, cmd_line)
+                                    if obs_on:
+                                        tracer.finish(cmd_span, "ok")
+                                        interp._m_commands.labels(
+                                            command=name, outcome="ok").inc()
+                                        if cmd_span.end is not None:
+                                            interp._m_command_seconds.labels(
+                                                command=name).observe(
+                                                    cmd_span.duration)
+                        if not failed:
+                            succeeded = True
+                            if obs_on:
+                                tracer.finish(attempt_span, "ok")
+                            if commands_on:
+                                log.record(EventKind.TRY_SUCCESS,
+                                           f"after {attempts}", line)
+                            break
                         if obs_on:
-                            tracer.finish(attempt_span, "ok")
-                        if commands_on:
-                            log.record(EventKind.TRY_SUCCESS,
-                                       f"after {attempts}", line)
-                        break
+                            tracer.finish(attempt_span, "failed")
                     except FtshFailure:
                         if obs_on:
                             tracer.finish(attempt_span, "failed")
@@ -902,284 +1001,6 @@ class TryOp:
         if obs_on:
             tracer.finish(span, "failed", attempts=attempts)
         raise FtshFailure(f"try exhausted after {attempts} attempts")
-
-
-class TryCommandOp(TryOp):
-    """A ``try`` whose body is one static-capture command, fused.
-
-    The compiler proved the body is a single :class:`CommandOp` with no
-    dynamic redirects (only variable captures, or none), so the retry
-    loop drives the command inline: no per-attempt body generator, no
-    delegation frame under the effect send, and the attempt-failure
-    ``FtshFailure`` — which this loop would catch immediately — is never
-    materialised.  Every log event, span, metric and effect in the
-    sequence is identical to the generic ``TryOp`` + ``CommandOp`` pair;
-    the equivalence suite pins that.
-    """
-
-    __slots__ = ()
-
-    def run(self, interp, frame: Frame) -> EvalGen:
-        now = yield _GET_TIME
-        log = interp.log
-        level = log.level
-        trace_on = level >= LOG_TRACE
-        commands_on = level >= LOG_COMMANDS
-        obs_on = interp._obs_on
-        if obs_on:
-            tracer = interp.obs.tracer
-            span = tracer.start(
-                "try", "try", parent=interp._span, line=self.line or None,
-                limit_seconds=self.duration, limit_attempts=self.attempts,
-            )
-            enclosing, interp._span = interp._span, span
-        else:
-            tracer = None
-            span = None
-        deadlines = interp.deadlines
-        body = self.body
-        const_argv = body.const_argv
-        template = body.template
-        capture_slot = body.capture_slot_static
-        capture_append = body.capture_append_static
-        capture_flag = body.capture_flag
-        merge_flag = body.merge_flag
-        body_line = body.line
-        functions = interp.functions
-        cells = frame.cells
-        try:
-            # Same inlined AttemptBudget / DeadlineStack discipline as
-            # TryOp.run: after our push the stack top IS `clipped` for the
-            # whole loop (a one-command body never pushes), so the
-            # command's effective deadline is `clipped` too.
-            wanted = UNBOUNDED if self.duration is None else now + self.duration
-            clipped = deadlines.push(wanted)
-            max_attempts = self.attempts
-            if max_attempts is not None and max_attempts < 1:
-                raise ValueError(
-                    f"max_attempts must be >= 1, got {max_attempts}")
-            every = self.every
-            line = self.line
-            backoff = BackoffState(interp.policy)
-            succeeded = False
-            attempts = 0
-            attempt_start = now
-            try:
-                while True:
-                    attempts += 1
-                    if trace_on:
-                        log.record(EventKind.TRY_ATTEMPT,
-                                   f"attempt {attempts}", line)
-                    if obs_on:
-                        interp._m_attempts.inc()
-                        attempt_span = tracer.start(
-                            f"attempt:{attempts}", "attempt", parent=span
-                        )
-                        interp._span = attempt_span
-                    # `failed` stands in for the FtshFailure the generic
-                    # body would raise across the frame boundary.
-                    failed = False
-                    try:
-                        if const_argv is not None:
-                            argv = list(const_argv)
-                            joined = body.const_joined
-                        else:
-                            argv = []
-                            for item in template:
-                                if item.__class__ is str:
-                                    argv.append(item)
-                                else:
-                                    slot = item.single
-                                    if slot is not None:
-                                        text = cells[slot]
-                                        if text is None:
-                                            text = frame.scope.get(
-                                                frame.names[slot])
-                                    else:
-                                        text = item.expand(frame)
-                                    if text or item.quoted:
-                                        argv.append(text)
-                            joined = None
-                        if not argv:
-                            failed = True  # "command expanded to nothing"
-                        elif argv[0] in functions:
-                            yield from _call_function(
-                                interp, frame, functions[argv[0]], argv,
-                                body_line, body.has_redirects)
-                            # Function returned: the attempt succeeded.
-                        else:
-                            name = argv[0]
-                            effect = _RC_NEW(RunCommand)
-                            effect.argv = argv
-                            effect.stdin_data = None
-                            effect.stdin_file = None
-                            effect.stdout_file = None
-                            effect.stdout_append = False
-                            effect.merge_stderr = merge_flag
-                            effect.capture = capture_flag
-                            effect.deadline = clipped
-                            if commands_on:
-                                if joined is None:
-                                    joined = " ".join(argv)
-                                log.record(EventKind.COMMAND_START,
-                                           joined, body_line)
-                            if obs_on:
-                                cmd_span = tracer.start(
-                                    f"command:{name}", "command",
-                                    parent=interp._span,
-                                    argv=joined if joined is not None
-                                    else " ".join(argv),
-                                    line=body_line or None)
-                            try:
-                                result = yield effect
-                            except BaseException:
-                                if obs_on:
-                                    tracer.finish(cmd_span, "cancelled")
-                                    interp._m_commands.labels(
-                                        command=name,
-                                        outcome="cancelled").inc()
-                                raise
-                            if result.timed_out:
-                                if commands_on:
-                                    log.record(EventKind.COMMAND_TIMEOUT,
-                                               joined, body_line)
-                                if obs_on:
-                                    tracer.finish(cmd_span, "timeout",
-                                                  detail=result.detail or None)
-                                    interp._m_commands.labels(
-                                        command=name, outcome="timeout").inc()
-                                raise FtshTimeout(clipped,
-                                                  f"{name} hit time limit")
-                            if result.exit_code != 0:
-                                if commands_on:
-                                    log.record(
-                                        EventKind.COMMAND_FAILED,
-                                        f"{joined} exited {result.exit_code} "
-                                        f"{result.detail}".rstrip(),
-                                        body_line,
-                                    )
-                                if obs_on:
-                                    tracer.finish(cmd_span, "failed",
-                                                  exit_code=result.exit_code,
-                                                  detail=result.detail or None)
-                                    interp._m_commands.labels(
-                                        command=name, outcome="failed").inc()
-                                failed = True
-                            else:
-                                if capture_slot is not None:
-                                    text = (result.output or "").rstrip("\n")
-                                    if capture_append:
-                                        frame.append(capture_slot, text)
-                                    else:
-                                        frame.store(capture_slot, text)
-                                if commands_on:
-                                    log.record(EventKind.COMMAND_END,
-                                               name, body_line)
-                                if obs_on:
-                                    tracer.finish(cmd_span, "ok")
-                                    interp._m_commands.labels(
-                                        command=name, outcome="ok").inc()
-                                    if cmd_span.end is not None:
-                                        interp._m_command_seconds.labels(
-                                            command=name).observe(
-                                                cmd_span.duration)
-                        if not failed:
-                            succeeded = True
-                            if obs_on:
-                                tracer.finish(attempt_span, "ok")
-                            if commands_on:
-                                log.record(EventKind.TRY_SUCCESS,
-                                           f"after {attempts}", line)
-                            break
-                        if obs_on:
-                            tracer.finish(attempt_span, "failed")
-                    except FtshFailure:
-                        if obs_on:
-                            tracer.finish(attempt_span, "failed")
-                    except FtshTimeout as timeout:
-                        if obs_on:
-                            tracer.finish(attempt_span, "timeout")
-                        if timeout.deadline < clipped:
-                            raise  # belongs to an enclosing try
-                        break  # our own window expired mid-attempt
-                    except BaseException:
-                        if obs_on:
-                            tracer.finish(attempt_span, "cancelled")
-                        raise
-                    finally:
-                        if obs_on:
-                            interp._span = span
-                    now = yield _GET_TIME
-                    if (max_attempts is not None and attempts >= max_attempts) \
-                            or now >= clipped:
-                        break  # budget exhausted (inlined may_retry)
-                    if every is not None:
-                        delay = every
-                    else:
-                        jitter = yield _GET_RANDOM
-                        delay = backoff.next_delay_from_jitter(jitter)
-                    if delay <= 0 and now <= attempt_start:
-                        delay = ZERO_PROGRESS_QUANTUM
-                    attempt_start = now
-                    remaining = clipped - now
-                    if delay > remaining:
-                        delay = remaining
-                    if delay > 0:
-                        if commands_on:
-                            log.record(
-                                EventKind.TRY_BACKOFF,
-                                f"failure {backoff.failures}: waiting {delay:.3f}s",
-                                line,
-                                value=delay,
-                            )
-                        if obs_on:
-                            interp._m_backoffs.inc()
-                            interp._m_backoff_seconds.observe(delay)
-                            sleep_span = tracer.start(
-                                f"backoff:{attempts}", "backoff",
-                                parent=span, delay=delay,
-                            )
-                        try:
-                            sleep_result = yield Sleep(delay, clipped)
-                        except BaseException:
-                            if obs_on:
-                                tracer.finish(sleep_span, "cancelled")
-                            raise
-                        if obs_on:
-                            tracer.finish(sleep_span, "ok",
-                                          slept=sleep_result.slept)
-                        if sleep_result.timed_out:
-                            break
-                        attempt_start = now + sleep_result.slept
-            finally:
-                deadlines.pop()
-                if not succeeded:
-                    if commands_on:
-                        log.record(EventKind.TRY_EXHAUSTED,
-                                   f"after {attempts} attempts", line)
-                    if obs_on:
-                        interp._m_exhausted.inc()
-            if succeeded:
-                if obs_on:
-                    tracer.finish(span, "ok", attempts=attempts)
-                return
-            yield from self._after_exhausted(interp, frame, attempts, span,
-                                             tracer, obs_on, commands_on, log)
-        except FtshTimeout:
-            if obs_on:
-                tracer.finish(span, "timeout")
-            raise
-        except FtshFailure:
-            if obs_on:
-                tracer.finish(span, "failed")
-            raise
-        except BaseException:
-            if obs_on:
-                tracer.finish(span, "cancelled")
-            raise
-        finally:
-            if obs_on:
-                interp._span = enclosing
 
 
 class ForAnyOp:
@@ -1414,12 +1235,7 @@ class ScriptPlan:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         body = self.body
-        if isinstance(body, GroupPlan):
-            ops = len(body.ops)
-        elif isinstance(body, _SyncPrefixGroup):
-            ops = len(body.prefix) + 1
-        else:
-            ops = 1
+        ops = len(body.ops) if isinstance(body, GroupPlan) else 1
         return (f"<ScriptPlan {self.source_name!r} ops={ops} "
                 f"slots={len(self.names)}>")
 
@@ -1477,10 +1293,6 @@ def _compile_group(group: ast.Group, table: _SlotTable):
         # every retry attempt (`try ... / one command / end` is the
         # paper's canonical shape).
         return ops[0]
-    if ops and ops[-1].yields and not any(op.yields for op in ops[:-1]):
-        # Straight-line sync work (assignments, function defs) feeding one
-        # yielding statement: run the prefix eagerly, delegate to the tail.
-        return _SyncPrefixGroup(tuple(ops[:-1]), ops[-1])
     return GroupPlan(tuple(ops))
 
 
@@ -1495,10 +1307,6 @@ def _compile_statement(node: ast.Statement, table: _SlotTable):
     if isinstance(node, ast.Try):
         body = _compile_group(node.body, table)
         catch = _compile_group(node.catch, table) if node.catch is not None else None
-        if body.__class__ is CommandOp and body.static_capture:
-            # `try ... / one command [-> var] / end` — the paper's
-            # canonical retry shape — gets the fused fast path.
-            return TryCommandOp(node.limits, body, catch, node.line)
         return TryOp(node.limits, body, catch, node.line)
     if isinstance(node, ast.ForAny):
         return ForAnyOp(node.var, table.slot(node.var),

@@ -28,7 +28,7 @@ from typing import Any, Mapping, Optional
 
 from .ast_nodes import Script
 from .backoff import BackoffPolicy, PAPER_POLICY
-from .compile import compilation_enabled, compile_cached
+from .compile import compile_cached
 from .errors import FtshCancelled, FtshFailure, FtshTimeout
 from .interpreter import Interpreter
 from ..obs.api import NULL_OBS
@@ -81,7 +81,6 @@ class Ftsh:
         spool: Optional[SpoolPolicy] = None,
         log_level: Optional[int] = None,
         obs: Any = None,
-        compile: Optional[bool] = None,
     ) -> None:
         self.driver = driver if driver is not None else RealDriver()
         self.policy = policy
@@ -93,9 +92,6 @@ class Ftsh:
         #: Telemetry context shared by every run of this shell.
         self.obs = obs if obs is not None else NULL_OBS
         self.obs.set_clock(self.driver.now)
-        #: Whether to dispatch over compiled plans (None: honour
-        #: ``$REPRO_NO_COMPILE``); ``--no-compile`` sets False.
-        self.compile = compilation_enabled(compile)
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -118,7 +114,7 @@ class Ftsh:
         if isinstance(script, str):
             script = parse_cached(script)
         target: Any = script
-        if self.compile and isinstance(script, Script):
+        if isinstance(script, Script):
             target = compile_cached(script)
 
         scope = Scope(dict(variables or {}), spool=self.spool)

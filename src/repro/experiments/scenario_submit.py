@@ -15,7 +15,7 @@ from typing import Any
 
 from ..clients.base import Discipline
 from ..clients.scripts import submit_script
-from ..core.compile import compilation_enabled, compile_cached
+from ..core.compile import compile_cached
 from ..core.parser import parse_cached
 from ..core.shell_log import ShellLog
 from ..faults.injectors import FaultSpec, install_faults
@@ -98,16 +98,14 @@ def run_submission(params: SubmitParams) -> SubmitResult:
         sample_gauges(obs.metrics, engine, params.sample_interval,
                       until=params.duration)
 
-    script = parse_cached(
+    # One compiled plan shared by every client's every run.
+    script = compile_cached(parse_cached(
         submit_script(
             params.discipline,
             window=min(params.script_window, params.duration),
             carrier_threshold=params.carrier_threshold,
         )
-    )
-    if compilation_enabled():
-        # One compiled plan shared by every client's every run.
-        script = compile_cached(script)
+    ))
 
     fd_series = TimeSeries("available-fds")
     sample(

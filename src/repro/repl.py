@@ -23,11 +23,11 @@ has its ``end``.
 from __future__ import annotations
 
 import sys
-from typing import IO, Any, Optional
+from typing import IO, Optional
 
 from .core.analysis import analyze
 from .core.backoff import BackoffPolicy, PAPER_POLICY
-from .core.compile import compilation_enabled, compile_script
+from .core.compile import compile_script
 from .core.errors import FtshSyntaxError
 from .core.interpreter import Interpreter
 from .core.parser import parse
@@ -52,7 +52,6 @@ class Repl:
         stdout: Optional[IO[str]] = None,
         prompt: bool = True,
         lint: bool = True,
-        compile: Optional[bool] = None,
     ) -> None:
         self.driver = driver or RealDriver()
         self.policy = policy
@@ -60,10 +59,8 @@ class Repl:
         self.stdout = stdout or sys.stdout
         self.prompt = prompt
         self.lint = lint
-        #: One dispatch mode for the whole session: the shared function
-        #: table holds FunctionPlans when compiling, AST nodes when not.
-        self.compile = compilation_enabled(compile)
         self.scope = Scope()
+        #: Shared by every entry of the session; holds FunctionPlans.
         self.functions: dict = {}
         self.log = ShellLog(clock=self.driver.now)
 
@@ -102,16 +99,19 @@ class Repl:
         except FtshSyntaxError as exc:
             self._emit(f"syntax error: {exc}")
             return False
+        except RecursionError:
+            self._emit("syntax error: nesting too deep to parse")
+            return False
         if self.lint:
             self._lint_entry(script, text)
-        target: Any = compile_script(script) if self.compile else script
         interpreter = Interpreter(
             scope=self.scope,
             policy=self.policy,
             log=self.log,
             functions=self.functions,
         )
-        outcome = self.driver.run(interpreter.execute(target, UNBOUNDED))
+        outcome = self.driver.run(
+            interpreter.execute(compile_script(script), UNBOUNDED))
         if outcome is None:
             self._emit("ok")
             return True

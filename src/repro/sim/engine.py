@@ -1,7 +1,7 @@
 """The discrete-event engine: a two-tier event list and a virtual clock.
 
 Design notes (per the hpc-parallel guide: simple and legible first, then
-measured — ``BENCH_campaign.json`` tracks the numbers):
+measured — the perf ledger, ``benchmarks/ledger``, tracks the numbers):
 
 * Entries are ``(time, pseq, event)`` tuples where ``pseq`` packs the
   dispatch priority above a monotonically increasing sequence counter

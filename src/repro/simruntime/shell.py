@@ -17,7 +17,7 @@ from typing import Any, Mapping, Optional
 
 from ..core.ast_nodes import Script
 from ..core.backoff import BackoffPolicy, PAPER_POLICY
-from ..core.compile import compilation_enabled, compile_cached
+from ..core.compile import compile_cached
 from ..core.errors import FtshCancelled, FtshFailure, FtshTimeout
 from ..core.interpreter import Interpreter
 from ..core.parser import parse_cached
@@ -46,7 +46,6 @@ class SimFtsh:
         log: Optional[ShellLog] = None,
         max_parallel: Optional[int] = None,
         obs: Any = None,
-        compile: Optional[bool] = None,
     ) -> None:
         self.engine = engine
         self.driver = SimDriver(engine, registry, world=world, rng=rng,
@@ -59,8 +58,6 @@ class SimFtsh:
         #: Telemetry context, stamped with the engine's virtual clock.
         self.obs = obs if obs is not None else NULL_OBS
         self.obs.set_clock(lambda: engine.now)
-        #: Compiled-plan dispatch (None: honour ``$REPRO_NO_COMPILE``).
-        self.compile = compilation_enabled(compile)
 
     # ------------------------------------------------------------------
     def spawn(
@@ -77,7 +74,7 @@ class SimFtsh:
         if isinstance(script, str):
             script = parse_cached(script)
         target: Any = script
-        if self.compile and isinstance(script, Script):
+        if isinstance(script, Script):
             target = compile_cached(script)
         scope = Scope(dict(variables or {}))
         interpreter = Interpreter(scope=scope, policy=self.policy, log=self.log,

@@ -9,15 +9,17 @@ modes over hand-written edge-case scripts, every shipped ``.ftsh``
 file, and Hypothesis-generated nested try/forany/forall scripts.
 """
 
+import inspect
 import itertools
 import pathlib
+import re
 from collections import deque
 
 import pytest
 
+import repro
 from repro.cli import main as ftsh_main
 from repro.core.compile import (
-    compilation_enabled,
     compile_cache_clear,
     compile_cache_info,
     compile_cached,
@@ -39,6 +41,8 @@ from repro.core.shell import Ftsh
 from repro.core.shell_log import LOG_COMMANDS, LOG_RESULTS, LOG_TRACE, ShellLog
 from repro.core.variables import Scope
 from repro.obs.api import NULL_OBS, Observability
+from repro.repl import Repl
+from repro.simruntime.shell import SimFtsh
 
 ROOT = pathlib.Path(__file__).resolve().parents[2]
 SHIPPED = sorted(
@@ -285,25 +289,22 @@ class TestCompileCache:
         assert a is not b
 
 
-class TestEscapeHatch:
-    def test_env_var_disables_compilation(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_COMPILE", "1")
-        assert compilation_enabled() is False
-        # An explicit override always wins over the environment.
-        assert compilation_enabled(True) is True
+class TestLayoutGuard:
+    """One runtime, one retry loop: a source grep, in the style of
+    ``tests/service/test_http.py::TestLayoutGuard``, so the knob that
+    chose the tree-walker or a second compiled ``try`` loop cannot come
+    back unnoticed."""
 
-    def test_default_is_enabled(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NO_COMPILE", raising=False)
-        assert compilation_enabled() is True
-        assert compilation_enabled(False) is False
-
-    def test_ftsh_honors_flag_and_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NO_COMPILE", raising=False)
-        assert Ftsh().compile is True
-        assert Ftsh(compile=False).compile is False
-        monkeypatch.setenv("REPRO_NO_COMPILE", "1")
-        assert Ftsh().compile is False
-
-    def test_cli_no_compile_runs(self):
-        assert ftsh_main(["-c", "sh -c 'exit 0'", "--no-compile"]) == 0
-        assert ftsh_main(["-c", "failure", "--no-compile"]) == 1
+    def test_the_forks_stay_closed(self):
+        src = pathlib.Path(repro.__file__).parent
+        knob = re.compile(r"REPRO_NO_COMPILE|no_compile|compilation_enabled")
+        assert [str(path.relative_to(src))
+                for path in sorted(src.rglob("*.py"))
+                if knob.search(path.read_text())] == []
+        for shell in (Ftsh, SimFtsh, Repl):
+            assert "compile" not in inspect.signature(shell).parameters
+        with pytest.raises(SystemExit) as usage:
+            ftsh_main(["--no-compile", "-c", "true"])
+        assert usage.value.code == 2
+        compiler = (src / "core" / "compile.py").read_text()
+        assert compiler.count("BackoffState(") == 1

@@ -78,6 +78,17 @@ class TestSessions:
         assert "syntax error" in output
         assert "ok" in output  # the next entry still ran
 
+    def test_nest_too_deep_to_parse_keeps_the_session(self):
+        # Straight into execute(): the line reader re-lexes the whole
+        # entry per line, minutes for the 8,001 lines of this one.
+        depth = 4000
+        _, _, repl = run_session("")
+        nest = "try 2 times\n" * depth + "cmd\n" + "end\n" * depth
+        assert repl.execute(nest) is False
+        assert ("syntax error: nesting too deep to parse"
+                in repl.stdout.getvalue())
+        assert repl.execute("x=1\n") is True  # the next entry still runs
+
     def test_eof_exits_cleanly(self):
         code, output, _ = run_session("")
         assert code == 0

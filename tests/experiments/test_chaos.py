@@ -9,6 +9,8 @@ import sys
 
 import pytest
 
+from repro.core.compile import ScriptPlan
+from repro.core.interpreter import Interpreter
 from repro.experiments.chaos import (
     FAULT_CLASSES,
     SCALES,
@@ -104,6 +106,8 @@ class TestCheckOrdering:
         assert check_ordering(cells, 3) == []
 
 
+GOLDEN = pathlib.Path(__file__).parent / "golden_chaos_tiny.txt"
+
 #: A miniature sweep: every fault class exercised, seconds of wall time.
 TINY = ChaosScale(
     "tiny", levels=(3,),
@@ -147,9 +151,34 @@ class TestCampaign:
         restart client processes), so this pins the kernel's dispatch
         order byte-for-byte: any reordering in the event list shows up as
         a diff against the committed scorecard."""
-        golden = (pathlib.Path(__file__).parent / "golden_chaos_tiny.txt")
         text = render_scorecard(run_chaos_campaign(TINY, seed=11))
-        assert text == golden.read_text()
+        assert text == GOLDEN.read_text()
+
+    def test_golden_reproduced_by_the_forced_tree_walker(self, monkeypatch):
+        """The end-to-end oracle: with ``compile_cached`` the identity at
+        every site that calls it on this path, each script reaches
+        ``Interpreter.execute`` as a parsed ``Script`` and is tree-walked
+        — and the scorecard must not move."""
+        for site in ("repro.simruntime.shell", "repro.core.shell",
+                     "repro.experiments.scenario_submit",
+                     "repro.grid.chimera"):
+            monkeypatch.setattr(f"{site}.compile_cached",
+                                lambda script: script)
+        walked = []
+        execute_top = Interpreter._execute_top
+
+        def counting(self, body, overall_deadline):
+            walked.append(body)
+            return execute_top(self, body, overall_deadline)
+
+        def no_plan(self, interp, overall_deadline=None):
+            raise AssertionError("a compiled plan ran")
+
+        monkeypatch.setattr(Interpreter, "_execute_top", counting)
+        monkeypatch.setattr(ScriptPlan, "execute", no_plan)
+        text = render_scorecard(run_chaos_campaign(TINY, seed=11, jobs=1))
+        assert text == GOLDEN.read_text()
+        assert len(walked) > 1000  # 2,936 scripts when this was written
 
     @pytest.mark.slow
     def test_smoke_scale_ordering_holds(self):

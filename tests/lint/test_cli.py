@@ -124,13 +124,36 @@ class TestParseOnlyRegression:
         ) == 2
         assert "ftsh: " in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", ["--parse-only", "--lint"])
-    def test_pathological_nesting_is_a_syntax_error(self, tmp_path, flag):
+    @pytest.mark.parametrize("flags", [["--parse-only"], ["--lint"], []],
+                             ids=["--parse-only", "--lint", "run"])
+    def test_pathological_nesting_is_a_syntax_error(self, tmp_path, flags):
         # A recursive-descent parser meets 4000 nested tries: this used
         # to escape as a RecursionError traceback instead of exit 2.
         depth = 4000
         text = "try 2 times\n" * depth + "cmd\n" + "end\n" * depth
-        assert ftsh_main([flag, write_script(tmp_path, text)]) == 2
+        assert ftsh_main([*flags, write_script(tmp_path, text)]) == 2
+
+    @pytest.mark.parametrize("opener", ["try 1 times", "if 1 .eq. 1",
+                                        "forany x in a", "forall x in a"])
+    def test_whatever_parses_runs(self, tmp_path, opener):
+        """The deepest nest the parser admits is one the plan runtime
+        executes: no script exits 0 under --parse-only and then dies of
+        a RecursionError when run."""
+        def main_at(depth, *flags):
+            text = f"{opener}\n" * depth + "true\n" + "end\n" * depth
+            return ftsh_main([*flags, write_script(tmp_path, text)])
+
+        parses, too_deep = 1, 4000
+        assert main_at(parses, "--parse-only") == 0
+        assert main_at(too_deep, "--parse-only") == 2
+        while too_deep - parses > 1:
+            depth = (parses + too_deep) // 2
+            if main_at(depth, "--parse-only") == 0:
+                parses = depth
+            else:
+                too_deep = depth
+        assert parses > 100
+        assert main_at(parses) == 0
 
     def test_deep_nesting_in_lint_module(self, tmp_path):
         depth = 4000

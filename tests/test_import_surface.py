@@ -48,7 +48,7 @@ ENTRY_POINTS = [
     "repro.dist.worker", "repro.parallel.cache", "repro.obs.report",
     "repro.obs.aggregator", "repro.obs.dashboard",
     "repro.experiments.runall", "repro.experiments.chaos",
-    "repro.experiments.variance", "repro.experiments.bench",
+    "repro.experiments.variance",
 ]
 
 
