@@ -8,14 +8,15 @@ when telemetry is off.  This module compiles a parsed
 :class:`~repro.core.ast_nodes.Script` once into an immutable
 :class:`ScriptPlan` of compact op records:
 
-* variable references are resolved to integer *slots* in a per-script
-  slot table; a :class:`Frame` caches slot values next to the authoritative
-  :class:`~repro.core.variables.Scope` so repeated expansions skip the
-  chain-of-maps walk (writes always go through the scope too, keeping
-  ``flatten()``, spooling and REPL persistence exact);
-* words and expression operands are pre-split into constant and
-  substitution segments — an all-constant argv is expanded (and its log
-  string joined) exactly once, at compile time;
+* words and expression operands are pre-split into a constant head and
+  ``(variable name, literal tail)`` pairs — an all-constant argv is
+  expanded (and its log string joined) exactly once, at compile time;
+* every variable has one copy, in the
+  :class:`~repro.core.variables.Scope` the ops are handed: reads are
+  ``scope.get``, writes ``scope.set/append/unset``, so ``flatten()``,
+  spooling, ``forall`` child scopes and REPL persistence need no second
+  path (campaign scripts read a variable on one command in eleven —
+  docs/PERFORMANCE.md "What each specialisation serves");
 * ``try`` windows, attempt budgets and ``every`` overrides are
   precomputed so the retry loop re-enters a plan, not a tree walk;
 * group / forany / forall bodies are flattened into op tuples, and
@@ -81,141 +82,45 @@ _RC_NEW = RunCommand.__new__
 
 
 # ----------------------------------------------------------------------
-# Runtime frame: slot cells over the authoritative Scope
-# ----------------------------------------------------------------------
-class Frame:
-    """Per-execution slot cells layered over a :class:`Scope`.
-
-    The scope stays the single source of truth (``flatten()``, spooling,
-    parent-chain reads in forall branches); cells are a cache invalidated
-    on unset/append and bypassed for spooled values, so a slot read is a
-    list index instead of a chain-of-maps walk.
-    """
-
-    __slots__ = ("scope", "names", "index", "cells")
-
-    def __init__(self, scope: Scope, names: tuple[str, ...], index: dict[str, int]) -> None:
-        self.scope = scope
-        self.names = names
-        self.index = index
-        self.cells: list[Optional[str]] = [None] * len(names)
-
-    def load(self, slot: int) -> str:
-        value = self.cells[slot]
-        if value is None:
-            # Not cached: initial variables, parent-chain reads, spooled
-            # or appended values.  Raises UndefinedVariableError exactly
-            # like the tree-walking expansion.
-            return self.scope.get(self.names[slot])
-        return value
-
-    def store(self, slot: int, value: str) -> None:
-        scope = self.scope
-        scope.set(self.names[slot], value)
-        spool = scope.spool
-        if spool is not None and len(value) > spool.threshold:
-            self.cells[slot] = None  # spilled to disk; read through the scope
-        else:
-            self.cells[slot] = value
-
-    def append(self, slot: int, value: str) -> None:
-        self.scope.append(self.names[slot], value)
-        self.cells[slot] = None
-
-    def store_by_name(self, name: str, value: str) -> None:
-        slot = self.index.get(name)
-        if slot is None:
-            self.scope.set(name, value)
-        else:
-            self.store(slot, value)
-
-    def unset_by_name(self, name: str) -> None:
-        self.scope.unset(name)
-        slot = self.index.get(name)
-        if slot is not None:
-            self.cells[slot] = None
-
-
-class _SlotTable:
-    """Interns variable names into slot indices during compilation."""
-
-    def __init__(self) -> None:
-        self.names: list[str] = []
-        self.index: dict[str, int] = {}
-        #: The frozen name tuple, stamped by finalize() once the whole
-        #: script has compiled.  Shared (by identity) with the ScriptPlan
-        #: and every FunctionPlan the script defines, so a function call
-        #: can tell same-plan frames from foreign ones.
-        self.final: tuple[str, ...] = ()
-
-    def slot(self, name: str) -> int:
-        got = self.index.get(name)
-        if got is None:
-            got = len(self.names)
-            self.index[name] = got
-            self.names.append(name)
-        return got
-
-    def finalize(self) -> tuple[str, ...]:
-        self.final = tuple(self.names)
-        return self.final
-
-
-# ----------------------------------------------------------------------
 # Compiled words and expressions
 # ----------------------------------------------------------------------
 class CompiledWord:
-    """A word template pre-split into constant and substitution segments."""
+    """A word template pre-split into a constant head and substitutions."""
 
-    __slots__ = ("const", "segments", "quoted", "single")
+    __slots__ = ("head", "subs", "quoted")
 
-    def __init__(self, const: Optional[str], segments: tuple, quoted: bool) -> None:
-        #: The full text when the word has no variable parts, else None.
-        self.const = const
-        #: Alternating str (literal run) / int (variable slot) segments.
-        self.segments = segments
+    def __init__(self, head: str, subs: tuple, quoted: bool) -> None:
+        #: The literal text before the first substitution — the whole
+        #: word when ``subs`` is empty.
+        self.head = head
+        #: ``(variable name, literal text after it)`` pairs, in order.
+        self.subs = subs
         self.quoted = quoted
-        #: The slot when the word is exactly one substitution (`${x}`) —
-        #: the overwhelmingly common dynamic shape — letting the argv loop
-        #: read the frame cell without a method call.
-        self.single: Optional[int] = (
-            segments[0] if len(segments) == 1 and segments[0].__class__ is int
-            else None)
 
-    def expand(self, frame: Frame) -> str:
-        const = self.const
-        if const is not None:
-            return const
-        chunks = []
-        for segment in self.segments:
-            if segment.__class__ is str:
-                chunks.append(segment)
-            else:
-                chunks.append(frame.load(segment))
-        return "".join(chunks)
+    def expand(self, scope: Scope) -> str:
+        """Raises UndefinedVariableError exactly like the tree-walking
+        expansion."""
+        text = self.head
+        for name, tail in self.subs:
+            text += scope.get(name) + tail
+        return text
 
 
-def _compile_word(word: Word, table: _SlotTable) -> CompiledWord:
-    segments: list = []
-    buffer: list[str] = []
-    constant = True
+def _compile_word(word: Word) -> CompiledWord:
+    head = ""
+    subs: list[tuple[str, str]] = []
     quoted = False
     for part in word.parts:
         if part.quoted:
             quoted = True
         if isinstance(part, VarRef):
-            if buffer:
-                segments.append("".join(buffer))
-                buffer = []
-            segments.append(table.slot(part.name))
-            constant = False
+            subs.append((part.name, ""))
+        elif subs:
+            name, tail = subs[-1]
+            subs[-1] = (name, tail + part.text)
         else:
-            buffer.append(part.text)
-    if buffer:
-        segments.append("".join(buffer))
-    if constant:
-        return CompiledWord("".join(segments), (), quoted)
-    return CompiledWord(None, tuple(segments), quoted)
+            head += part.text
+    return CompiledWord(head, tuple(subs), quoted)
 
 
 class _CmpNum:
@@ -227,11 +132,11 @@ class _CmpNum:
         self.lhs = lhs
         self.rhs = rhs
 
-    def eval(self, frame: Frame) -> bool:
+    def eval(self, scope: Scope) -> bool:
         # Expansion order and the operand-conversion order both match the
         # tree-walking evaluator, so the *first* failure is the same one.
-        lhs = self.lhs.expand(frame)
-        rhs = self.rhs.expand(frame)
+        lhs = self.lhs.expand(scope)
+        rhs = self.rhs.expand(scope)
         return self.fn(_to_number(lhs, self.op), _to_number(rhs, self.op))
 
 
@@ -243,8 +148,8 @@ class _CmpStr:
         self.lhs = lhs
         self.rhs = rhs
 
-    def eval(self, frame: Frame) -> bool:
-        return self.fn(self.lhs.expand(frame), self.rhs.expand(frame))
+    def eval(self, scope: Scope) -> bool:
+        return self.fn(self.lhs.expand(scope), self.rhs.expand(scope))
 
 
 class _TruthExpr:
@@ -253,8 +158,8 @@ class _TruthExpr:
     def __init__(self, operand: CompiledWord) -> None:
         self.operand = operand
 
-    def eval(self, frame: Frame) -> bool:
-        return truthy(self.operand.expand(frame))
+    def eval(self, scope: Scope) -> bool:
+        return truthy(self.operand.expand(scope))
 
 
 class _NotExpr:
@@ -263,8 +168,8 @@ class _NotExpr:
     def __init__(self, operand) -> None:
         self.operand = operand
 
-    def eval(self, frame: Frame) -> bool:
-        return not self.operand.eval(frame)
+    def eval(self, scope: Scope) -> bool:
+        return not self.operand.eval(scope)
 
 
 class _DefinedExpr:
@@ -273,8 +178,8 @@ class _DefinedExpr:
     def __init__(self, name: str) -> None:
         self.name = name
 
-    def eval(self, frame: Frame) -> bool:
-        return self.name in frame.scope
+    def eval(self, scope: Scope) -> bool:
+        return self.name in scope
 
 
 class _BoolExpr:
@@ -285,32 +190,32 @@ class _BoolExpr:
         self.lhs = lhs
         self.rhs = rhs
 
-    def eval(self, frame: Frame) -> bool:
+    def eval(self, scope: Scope) -> bool:
         # Both sides always evaluate (order-independent failure behaviour),
         # exactly like expressions.evaluate.
-        lhs = self.lhs.eval(frame)
-        rhs = self.rhs.eval(frame)
+        lhs = self.lhs.eval(scope)
+        rhs = self.rhs.eval(scope)
         return (lhs or rhs) if self.is_or else (lhs and rhs)
 
 
-def _compile_expr(expr: ast.Expr, table: _SlotTable):
+def _compile_expr(expr: ast.Expr):
     if isinstance(expr, ast.Comparison):
-        lhs = _compile_word(expr.lhs, table)
-        rhs = _compile_word(expr.rhs, table)
+        lhs = _compile_word(expr.lhs)
+        rhs = _compile_word(expr.rhs)
         numeric = _NUMERIC.get(expr.op)
         if numeric is not None:
             return _CmpNum(numeric, expr.op, lhs, rhs)
         return _CmpStr(_STRING[expr.op], lhs, rhs)
     if isinstance(expr, ast.Truth):
-        return _TruthExpr(_compile_word(expr.operand, table))
+        return _TruthExpr(_compile_word(expr.operand))
     if isinstance(expr, ast.Not):
-        return _NotExpr(_compile_expr(expr.operand, table))
+        return _NotExpr(_compile_expr(expr.operand))
     if isinstance(expr, ast.Defined):
         return _DefinedExpr(expr.name)
     if isinstance(expr, ast.BoolOp):
         return _BoolExpr(expr.op == ".or.",
-                         _compile_expr(expr.lhs, table),
-                         _compile_expr(expr.rhs, table))
+                         _compile_expr(expr.lhs),
+                         _compile_expr(expr.rhs))
     raise TypeError(f"unknown expression node: {expr!r}")  # pragma: no cover
 
 
@@ -318,27 +223,25 @@ class _CompiledRedirect:
     """One redirection with its dispatch decisions made at compile time."""
 
     __slots__ = ("to_variable", "is_input", "appends", "merges_stderr",
-                 "name", "slot", "target")
+                 "name", "target")
 
-    def __init__(self, redirect: ast.Redirect, table: _SlotTable) -> None:
+    def __init__(self, redirect: ast.Redirect) -> None:
         self.to_variable = redirect.to_variable
         self.is_input = redirect.is_input
         self.appends = redirect.appends
         self.merges_stderr = redirect.merges_stderr
         if self.to_variable:
             self.name = redirect.target.literal_text() or ""
-            self.slot: Optional[int] = table.slot(self.name)
             self.target: Optional[CompiledWord] = None
         else:
             self.name = ""
-            self.slot = None
-            self.target = _compile_word(redirect.target, table)
+            self.target = _compile_word(redirect.target)
 
 
 # ----------------------------------------------------------------------
 # Plan ops
 # ----------------------------------------------------------------------
-# Each op exposes run(interp, frame).  Ops that never yield effects
+# Each op exposes run(interp, scope).  Ops that never yield effects
 # (assignment, atoms, function definition) return None; the rest return
 # an effect generator the group drives with `yield from`.  This keeps
 # straight-line variable work free of generator overhead.
@@ -353,27 +256,26 @@ class GroupPlan:
     def __init__(self, ops: tuple) -> None:
         self.ops = ops
 
-    def run(self, interp, frame: Frame) -> EvalGen:
+    def run(self, interp, scope: Scope) -> EvalGen:
         for op in self.ops:
-            gen = op.run(interp, frame)
+            gen = op.run(interp, scope)
             if gen is not None:
                 yield from gen
 
 
 class AssignOp:
-    __slots__ = ("name", "slot", "value", "line")
+    __slots__ = ("name", "value", "line")
 
     yields = False
 
-    def __init__(self, name: str, slot: int, value: CompiledWord, line: int) -> None:
+    def __init__(self, name: str, value: CompiledWord, line: int) -> None:
         self.name = name
-        self.slot = slot
         self.value = value
         self.line = line
 
-    def run(self, interp, frame: Frame) -> None:
-        value = self.value.expand(frame)
-        frame.store(self.slot, value)
+    def run(self, interp, scope: Scope) -> None:
+        value = self.value.expand(scope)
+        scope.set(self.name, value)
         log = interp.log
         if log.level >= LOG_TRACE:
             log.record(EventKind.ASSIGNMENT, f"{self.name}={value!r}", self.line)
@@ -388,26 +290,20 @@ class FailureOp:
     def __init__(self, line: int) -> None:
         self.line = line
 
-    def run(self, interp, frame: Frame) -> None:
+    def run(self, interp, scope: Scope) -> None:
         if interp.log.level >= LOG_COMMANDS:
             interp.log.record(EventKind.FAILURE_ATOM, line=self.line)
         raise FtshFailure("failure atom")
 
 
 class FunctionPlan:
-    """A compiled function body registered under its name at run time.
+    """A compiled function body registered under its name at run time."""
 
-    Carries the slot table of the script that compiled it: a REPL session
-    keeps registered functions across entries, and a later entry's frame
-    speaks a different slot table than the plan's body.
-    """
+    __slots__ = ("name", "body")
 
-    __slots__ = ("name", "body", "table")
-
-    def __init__(self, name: str, body: GroupPlan, table: _SlotTable) -> None:
+    def __init__(self, name: str, body: GroupPlan) -> None:
         self.name = name
         self.body = body
-        self.table = table
 
 
 class FuncDefOp:
@@ -418,12 +314,12 @@ class FuncDefOp:
     def __init__(self, plan: FunctionPlan) -> None:
         self.plan = plan
 
-    def run(self, interp, frame: Frame) -> None:
+    def run(self, interp, scope: Scope) -> None:
         interp.functions[self.plan.name] = self.plan
         return None
 
 
-def _call_function(interp, frame: Frame, plan: FunctionPlan,
+def _call_function(interp, scope: Scope, plan: FunctionPlan,
                    argv: list[str], line: int, has_redirects: bool) -> EvalGen:
     """Compiled twin of Interpreter.call_function (same stack discipline)."""
     if has_redirects:
@@ -433,20 +329,9 @@ def _call_function(interp, frame: Frame, plan: FunctionPlan,
     bindings = {"0": argv[0], "#": str(len(argv) - 1)}
     for index, arg in enumerate(argv[1:], start=1):
         bindings[str(index)] = arg
-    scope = frame.scope
-    table = plan.table
-    if frame.names is table.final:
-        body_frame = frame
-        caller_frame = None
-    else:
-        # Cross-plan call (a REPL session carries functions across
-        # entries): run the body over its own slot table.  The caller's
-        # cells are wiped afterwards — the body may write any name.
-        body_frame = Frame(scope, table.final, table.index)
-        caller_frame = frame
     saved = {name: scope.lookup(name) for name in bindings}
     for name, value in bindings.items():
-        body_frame.store_by_name(name, value)
+        scope.set(name, value)
     interp._call_depth += 1
     obs_on = interp._obs_on
     if obs_on:
@@ -455,7 +340,7 @@ def _call_function(interp, frame: Frame, plan: FunctionPlan,
                             parent=interp._span, line=line or None)
         caller_span, interp._span = interp._span, span
     try:
-        yield from plan.body.run(interp, body_frame)
+        yield from plan.body.run(interp, scope)
         if obs_on:
             tracer.finish(span, "ok")
     except FtshFailure:
@@ -476,17 +361,15 @@ def _call_function(interp, frame: Frame, plan: FunctionPlan,
         interp._call_depth -= 1
         for name, previous in saved.items():
             if previous is None:
-                body_frame.unset_by_name(name)  # was unbound before the call
+                scope.unset(name)  # was unbound before the call
             else:
-                body_frame.store_by_name(name, previous)
-        if caller_frame is not None:
-            caller_frame.cells = [None] * len(caller_frame.names)
+                scope.set(name, previous)
 
 
 class CommandOp:
     __slots__ = ("template", "const_argv", "const_joined", "redirects",
                  "has_redirects", "static_capture", "capture_flag",
-                 "merge_flag", "capture_slot_static", "capture_append_static",
+                 "merge_flag", "capture_name_static", "capture_append_static",
                  "line")
 
     yields = True
@@ -498,11 +381,10 @@ class CommandOp:
         #: unquoted constant word compiles away entirely.
         template: list = []
         for word in words:
-            if word.const is not None:
-                if word.const or word.quoted:
-                    template.append(word.const)
-            else:
+            if word.subs:
                 template.append(word)
+            elif word.head or word.quoted:
+                template.append(word.head)
         self.template = tuple(template)
         self.redirects = redirects
         self.has_redirects = bool(redirects)
@@ -518,20 +400,20 @@ class CommandOp:
         # arguments for the effect: replaying them per run is pure waste.
         self.static_capture = all(
             r.to_variable and not r.is_input for r in redirects)
-        capture_slot = None
+        capture_name = None
         capture_append = False
         merge = False
         if self.static_capture:
             for r in redirects:
-                capture_slot = r.slot
+                capture_name = r.name
                 capture_append = r.appends
                 merge = r.merges_stderr
         self.capture_flag = self.static_capture and bool(redirects)
         self.merge_flag = merge
-        self.capture_slot_static = capture_slot
+        self.capture_name_static = capture_name
         self.capture_append_static = capture_append
 
-    def run(self, interp, frame: Frame) -> EvalGen:
+    def run(self, interp, scope: Scope) -> EvalGen:
         const_argv = self.const_argv
         if const_argv is not None:
             if not const_argv:
@@ -544,13 +426,7 @@ class CommandOp:
                 if item.__class__ is str:
                     argv.append(item)
                 else:
-                    slot = item.single
-                    if slot is not None:
-                        text = frame.cells[slot]
-                        if text is None:
-                            text = frame.scope.get(frame.names[slot])
-                    else:
-                        text = item.expand(frame)
+                    text = item.expand(scope)
                     if text or item.quoted:
                         argv.append(text)
             if not argv:
@@ -558,7 +434,7 @@ class CommandOp:
             joined = None
         name = argv[0]
         if name in interp.functions:
-            yield from _call_function(interp, frame, interp.functions[name],
+            yield from _call_function(interp, scope, interp.functions[name],
                                       argv, self.line, self.has_redirects)
             return
 
@@ -574,25 +450,25 @@ class CommandOp:
             effect.merge_stderr = self.merge_flag
             effect.capture = self.capture_flag
             effect.deadline = deadline
-            capture_slot = self.capture_slot_static
+            capture_name = self.capture_name_static
             capture_append = self.capture_append_static
         else:
             effect = RunCommand(argv=argv, deadline=deadline)
-            capture_slot = None
+            capture_name = None
             capture_append = False
             for redirect in self.redirects:
                 if redirect.to_variable:
                     if redirect.is_input:  # -<
-                        effect.stdin_data = frame.load(redirect.slot)
+                        effect.stdin_data = scope.get(redirect.name)
                         effect.stdin_file = None
                     else:  # -> ->> ->& ->>&
-                        capture_slot = redirect.slot
+                        capture_name = redirect.name
                         capture_append = redirect.appends
                         effect.capture = True
                         effect.merge_stderr = redirect.merges_stderr
                         effect.stdout_file = None
                 else:
-                    target = redirect.target.expand(frame)
+                    target = redirect.target.expand(scope)
                     if redirect.is_input:  # <
                         effect.stdin_file = target
                         effect.stdin_data = None
@@ -601,7 +477,7 @@ class CommandOp:
                         effect.stdout_append = redirect.appends
                         effect.merge_stderr = redirect.merges_stderr
                         effect.capture = False
-                        capture_slot = None
+                        capture_name = None
 
         log = interp.log
         commands_on = log.level >= LOG_COMMANDS
@@ -644,12 +520,12 @@ class CommandOp:
                               detail=result.detail or None)
                 interp._m_commands.labels(command=name, outcome="failed").inc()
             raise FtshFailure(f"{name} exited {result.exit_code}")
-        if capture_slot is not None:
+        if capture_name is not None:
             text = (result.output or "").rstrip("\n")
             if capture_append:
-                frame.append(capture_slot, text)
+                scope.append(capture_name, text)
             else:
-                frame.store(capture_slot, text)
+                scope.set(capture_name, text)
         if commands_on:
             log.record(EventKind.COMMAND_END, name, self.line)
         if obs_on:
@@ -692,7 +568,7 @@ class TryOp:
         self.catch = catch
         self.line = line
 
-    def run(self, interp, frame: Frame) -> EvalGen:
+    def run(self, interp, scope: Scope) -> EvalGen:
         now = yield _GET_TIME
         log = interp.log
         level = log.level
@@ -716,13 +592,12 @@ class TryOp:
         else:
             const_argv = cmd.const_argv
             template = cmd.template
-            capture_slot = cmd.capture_slot_static
+            capture_name = cmd.capture_name_static
             capture_append = cmd.capture_append_static
             capture_flag = cmd.capture_flag
             merge_flag = cmd.merge_flag
             cmd_line = cmd.line
             functions = interp.functions
-            cells = frame.cells
         try:
             # AttemptBudget and DeadlineStack.clip are inlined here: after
             # our push, the stack top IS `clipped` between attempts (the
@@ -758,7 +633,7 @@ class TryOp:
                     failed = False
                     try:
                         if cmd is None:
-                            yield from body_run(interp, frame)
+                            yield from body_run(interp, scope)
                         else:
                             if const_argv is not None:
                                 argv = list(const_argv)
@@ -769,14 +644,7 @@ class TryOp:
                                     if item.__class__ is str:
                                         argv.append(item)
                                     else:
-                                        slot = item.single
-                                        if slot is not None:
-                                            text = cells[slot]
-                                            if text is None:
-                                                text = frame.scope.get(
-                                                    frame.names[slot])
-                                        else:
-                                            text = item.expand(frame)
+                                        text = item.expand(scope)
                                         if text or item.quoted:
                                             argv.append(text)
                                 joined = None
@@ -784,7 +652,7 @@ class TryOp:
                                 failed = True  # "command expanded to nothing"
                             elif argv[0] in functions:
                                 yield from _call_function(
-                                    interp, frame, functions[argv[0]], argv,
+                                    interp, scope, functions[argv[0]], argv,
                                     cmd_line, cmd.has_redirects)
                                 # Function returned: the attempt succeeded.
                             else:
@@ -846,12 +714,12 @@ class TryOp:
                                             command=name, outcome="failed").inc()
                                     failed = True
                                 else:
-                                    if capture_slot is not None:
+                                    if capture_name is not None:
                                         text = (result.output or "").rstrip("\n")
                                         if capture_append:
-                                            frame.append(capture_slot, text)
+                                            scope.append(capture_name, text)
                                         else:
-                                            frame.store(capture_slot, text)
+                                            scope.set(capture_name, text)
                                     if commands_on:
                                         log.record(EventKind.COMMAND_END,
                                                    name, cmd_line)
@@ -944,7 +812,7 @@ class TryOp:
                 if obs_on:
                     tracer.finish(span, "ok", attempts=attempts)
                 return
-            yield from self._after_exhausted(interp, frame, attempts, span,
+            yield from self._after_exhausted(interp, scope, attempts, span,
                                              tracer, obs_on, commands_on, log)
         except FtshTimeout:
             if obs_on:
@@ -962,7 +830,7 @@ class TryOp:
             if obs_on:
                 interp._span = enclosing
 
-    def _after_exhausted(self, interp, frame: Frame, attempts: int, span,
+    def _after_exhausted(self, interp, scope: Scope, attempts: int, span,
                          tracer, obs_on: bool, commands_on: bool, log) -> EvalGen:
         # Exhausted.  The expired deadline is already popped, so the
         # catch block runs under the *enclosing* limits only.  (Cold
@@ -977,7 +845,7 @@ class TryOp:
                                           line=self.line or None)
                 interp._span = catch_span
             try:
-                yield from self.catch.run(interp, frame)
+                yield from self.catch.run(interp, scope)
                 if obs_on:
                     tracer.finish(catch_span, "ok")
             except FtshFailure:
@@ -1004,19 +872,18 @@ class TryOp:
 
 
 class ForAnyOp:
-    __slots__ = ("var", "slot", "values", "body", "line")
+    __slots__ = ("var", "values", "body", "line")
 
     yields = True
 
-    def __init__(self, var: str, slot: int, values: tuple[CompiledWord, ...],
+    def __init__(self, var: str, values: tuple[CompiledWord, ...],
                  body: GroupPlan, line: int) -> None:
         self.var = var
-        self.slot = slot
         self.values = values
         self.body = body
         self.line = line
 
-    def run(self, interp, frame: Frame) -> EvalGen:
+    def run(self, interp, scope: Scope) -> EvalGen:
         log = interp.log
         trace_on = log.level >= LOG_TRACE
         obs_on = interp._obs_on
@@ -1029,8 +896,8 @@ class ForAnyOp:
         last_failure: Optional[FtshFailure] = None
         try:
             for value_word in self.values:
-                value = value_word.expand(frame)
-                frame.store(self.slot, value)
+                value = value_word.expand(scope)
+                scope.set(self.var, value)
                 if trace_on:
                     log.record(EventKind.FORANY_PICK,
                                f"{self.var}={value}", self.line)
@@ -1039,7 +906,7 @@ class ForAnyOp:
                     alt_span = tracer.start(f"alt:{value}", "alt", parent=span)
                     interp._span = alt_span
                 try:
-                    yield from self.body.run(interp, frame)
+                    yield from self.body.run(interp, scope)
                     if obs_on:
                         tracer.finish(alt_span, "ok")
                         tracer.finish(span, "ok", winner=value)
@@ -1076,25 +943,24 @@ class ForAnyOp:
                 interp._span = enclosing
 
 
-def _run_branch(interp, body: GroupPlan, frame: Frame) -> EvalGen:
+def _run_branch(interp, body: GroupPlan, scope: Scope) -> EvalGen:
     """A forall branch body as its own effect generator."""
-    yield from body.run(interp, frame)
+    yield from body.run(interp, scope)
 
 
 class ForAllOp:
-    __slots__ = ("var", "slot", "values", "body", "line")
+    __slots__ = ("var", "values", "body", "line")
 
     yields = True
 
-    def __init__(self, var: str, slot: int, values: tuple[CompiledWord, ...],
+    def __init__(self, var: str, values: tuple[CompiledWord, ...],
                  body: GroupPlan, line: int) -> None:
         self.var = var
-        self.slot = slot
         self.values = values
         self.body = body
         self.line = line
 
-    def run(self, interp, frame: Frame) -> EvalGen:
+    def run(self, interp, scope: Scope) -> EvalGen:
         log = interp.log
         trace_on = log.level >= LOG_TRACE
         obs_on = interp._obs_on
@@ -1107,14 +973,12 @@ class ForAllOp:
             tracer = None
             span = None
         cls = interp.__class__
-        names, index = frame.names, frame.index
         branch_spans = []
         branches: list[ParallelBranch] = []
         for position, value_word in enumerate(self.values):
-            value = value_word.expand(frame)
-            branch_scope = frame.scope.child()
-            branch_frame = Frame(branch_scope, names, index)
-            branch_frame.store(self.slot, value)
+            value = value_word.expand(scope)
+            branch_scope = scope.child()
+            branch_scope.set(self.var, value)
             if obs_on:
                 branch_span = tracer.start(f"branch:{self.var}={value}",
                                            "branch", parent=span)
@@ -1126,7 +990,7 @@ class ForAllOp:
                          obs=interp.obs, span_parent=branch_span)
             # Branches inherit the current effective deadline as their base.
             branch.deadlines.push(interp.deadlines.effective())
-            generator = _run_branch(branch, self.body, branch_frame)
+            generator = _run_branch(branch, self.body, branch_scope)
             branches.append(
                 ParallelBranch(f"{self.var}={value}#{position}", generator))
             if trace_on:
@@ -1203,30 +1067,27 @@ class IfOp:
         self.orelse = orelse
         self.line = line
 
-    def run(self, interp, frame: Frame) -> EvalGen:
-        verdict = self.condition.eval(frame)
+    def run(self, interp, scope: Scope) -> EvalGen:
+        verdict = self.condition.eval(scope)
         log = interp.log
         if log.level >= LOG_TRACE:
             log.record(EventKind.CONDITION, str(verdict), self.line)
         if verdict:
-            yield from self.then.run(interp, frame)
+            yield from self.then.run(interp, scope)
         elif self.orelse is not None:
-            yield from self.orelse.run(interp, frame)
+            yield from self.orelse.run(interp, scope)
 
 
 # ----------------------------------------------------------------------
 # The plan itself
 # ----------------------------------------------------------------------
 class ScriptPlan:
-    """A compiled script: a flat op tree plus its slot table."""
+    """A compiled script: a flat op tree."""
 
-    __slots__ = ("body", "names", "index", "source_name")
+    __slots__ = ("body", "source_name")
 
-    def __init__(self, body: GroupPlan, names: tuple[str, ...],
-                 index: dict[str, int], source_name: str) -> None:
+    def __init__(self, body: GroupPlan, source_name: str) -> None:
         self.body = body
-        self.names = names
-        self.index = index
         self.source_name = source_name
 
     def execute(self, interp, overall_deadline: float = UNBOUNDED) -> EvalGen:
@@ -1236,13 +1097,11 @@ class ScriptPlan:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         body = self.body
         ops = len(body.ops) if isinstance(body, GroupPlan) else 1
-        return (f"<ScriptPlan {self.source_name!r} ops={ops} "
-                f"slots={len(self.names)}>")
+        return f"<ScriptPlan {self.source_name!r} ops={ops}>"
 
 
 def _execute_plan(plan: ScriptPlan, interp, overall_deadline: float) -> EvalGen:
     interp.deadlines.push(overall_deadline)
-    frame = Frame(interp.scope, plan.names, plan.index)
     log = interp.log
     obs_on = interp._obs_on
     if obs_on:
@@ -1250,7 +1109,7 @@ def _execute_plan(plan: ScriptPlan, interp, overall_deadline: float) -> EvalGen:
         span = tracer.start("script", "script", parent=interp._span)
         outer, interp._span = interp._span, span
     try:
-        yield from plan.body.run(interp, frame)
+        yield from plan.body.run(interp, interp.scope)
         log.record(EventKind.SCRIPT_RESULT, "success")
         if obs_on:
             tracer.finish(span, "ok")
@@ -1281,10 +1140,10 @@ def _execute_plan(plan: ScriptPlan, interp, overall_deadline: float) -> EvalGen:
 # ----------------------------------------------------------------------
 # The compiler
 # ----------------------------------------------------------------------
-def _compile_group(group: ast.Group, table: _SlotTable):
+def _compile_group(group: ast.Group):
     ops = []
     for statement in group.body:
-        op = _compile_statement(statement, table)
+        op = _compile_statement(statement)
         if op is not None:  # `success` atoms compile away
             ops.append(op)
     if len(ops) == 1 and ops[0].yields:
@@ -1296,45 +1155,41 @@ def _compile_group(group: ast.Group, table: _SlotTable):
     return GroupPlan(tuple(ops))
 
 
-def _compile_statement(node: ast.Statement, table: _SlotTable):
+def _compile_statement(node: ast.Statement):
     if isinstance(node, ast.Command):
-        words = tuple(_compile_word(word, table) for word in node.words)
-        redirects = tuple(_CompiledRedirect(r, table) for r in node.redirects)
+        words = tuple(_compile_word(word) for word in node.words)
+        redirects = tuple(_CompiledRedirect(r) for r in node.redirects)
         return CommandOp(words, redirects, node.line)
     if isinstance(node, ast.Assignment):
-        return AssignOp(node.name, table.slot(node.name),
-                        _compile_word(node.value, table), node.line)
+        return AssignOp(node.name, _compile_word(node.value), node.line)
     if isinstance(node, ast.Try):
-        body = _compile_group(node.body, table)
-        catch = _compile_group(node.catch, table) if node.catch is not None else None
+        body = _compile_group(node.body)
+        catch = _compile_group(node.catch) if node.catch is not None else None
         return TryOp(node.limits, body, catch, node.line)
     if isinstance(node, ast.ForAny):
-        return ForAnyOp(node.var, table.slot(node.var),
-                        tuple(_compile_word(word, table) for word in node.values),
-                        _compile_group(node.body, table), node.line)
+        return ForAnyOp(node.var,
+                        tuple(_compile_word(word) for word in node.values),
+                        _compile_group(node.body), node.line)
     if isinstance(node, ast.ForAll):
-        return ForAllOp(node.var, table.slot(node.var),
-                        tuple(_compile_word(word, table) for word in node.values),
-                        _compile_group(node.body, table), node.line)
+        return ForAllOp(node.var,
+                        tuple(_compile_word(word) for word in node.values),
+                        _compile_group(node.body), node.line)
     if isinstance(node, ast.If):
-        orelse = _compile_group(node.orelse, table) if node.orelse is not None else None
-        return IfOp(_compile_expr(node.condition, table),
-                    _compile_group(node.then, table), orelse, node.line)
+        orelse = _compile_group(node.orelse) if node.orelse is not None else None
+        return IfOp(_compile_expr(node.condition),
+                    _compile_group(node.then), orelse, node.line)
     if isinstance(node, ast.FailureAtom):
         return FailureOp(node.line)
     if isinstance(node, ast.SuccessAtom):
         return None
     if isinstance(node, ast.FunctionDef):
-        return FuncDefOp(FunctionPlan(node.name,
-                                      _compile_group(node.body, table), table))
+        return FuncDefOp(FunctionPlan(node.name, _compile_group(node.body)))
     raise FtshRuntimeError(f"unknown statement node: {node!r}")  # pragma: no cover
 
 
 def compile_script(script: ast.Script) -> ScriptPlan:
     """Compile a parsed script into an immutable execution plan."""
-    table = _SlotTable()
-    body = _compile_group(script.body, table)
-    return ScriptPlan(body, table.finalize(), table.index, script.source_name)
+    return ScriptPlan(_compile_group(script.body), script.source_name)
 
 
 # ----------------------------------------------------------------------

@@ -32,8 +32,8 @@ DEFAULT_BACKEND = "inprocess"
 #: Canonical backend names -> accepted aliases.  ``work-stealing`` was
 #: a second local executor; the perf ledger still passes that spelling.
 BACKENDS: dict[str, tuple[str, ...]] = {
-    "inprocess": ("inprocess", "in-process", "local", "work-stealing"),
-    "socket": ("socket", "http"),
+    "inprocess": ("inprocess", "work-stealing"),
+    "socket": ("socket",),
 }
 
 _ALIASES = {alias: name

@@ -23,8 +23,7 @@ imports, where a subprocess worker pays the full interpreter + package
 import bill before its first claim — the dominant cost of small
 campaigns on small machines.  Threaded parents (the service plane
 drives campaigns from job threads) and non-fork platforms fall back to
-subprocesses automatically; ``REPRO_DIST_FORK=0`` forces the fallback
-everywhere.
+subprocesses automatically.
 
 The dogfooding the ROADMAP promises is real: N workers contending for
 one queue and one store *is* the paper's shared-service picture, with
@@ -63,9 +62,6 @@ MAX_ATTEMPTS = 3
 #: the remote-worker default.
 _LOCAL_POLL = 0.05
 
-#: Environment override for the fork-vs-spawn worker decision.
-FORK_ENV = "REPRO_DIST_FORK"
-
 
 class BackendError(RuntimeError):
     """A distributed backend could not complete the campaign."""
@@ -74,13 +70,10 @@ class BackendError(RuntimeError):
 def _fork_allowed() -> bool:
     """Fork local workers only when it cannot deadlock.
 
-    Fork must be available, this process must be single-threaded (a
+    Fork must be available and this process must be single-threaded (a
     forked child inherits a frozen copy of every lock, including the
-    import lock — fatal if another thread held one mid-fork), and
-    ``$REPRO_DIST_FORK`` must not veto it.
+    import lock — fatal if another thread held one mid-fork).
     """
-    if os.environ.get(FORK_ENV, "").strip() == "0":
-        return False
     if "fork" not in multiprocessing.get_all_start_methods():
         return False
     return threading.active_count() == 1

@@ -17,7 +17,10 @@ State persists across entries: variables, function definitions, and the
 execution log (``:log`` shows a summary, ``:analyze`` the post-mortem
 digest).  Multi-line constructs are detected lexically — the prompt
 continues until every ``try``/``forany``/``forall``/``if``/``function``
-has its ``end``.
+has its ``end``.  Detection tokenizes (so quoting and comments are
+respected) and recognizes openers only in statement position — exactly
+the parser's keyword rule — which keeps ``echo try`` from opening a
+phantom block.
 """
 
 from __future__ import annotations
@@ -30,15 +33,67 @@ from .core.backoff import BackoffPolicy, PAPER_POLICY
 from .core.compile import compile_script
 from .core.errors import FtshSyntaxError
 from .core.interpreter import Interpreter
+from .core.lexer import tokenize
 from .core.parser import parse
 from .core.realruntime import RealDriver
 from .core.shell_log import ShellLog
 from .core.timeline import UNBOUNDED
+from .core.tokens import TokenKind
 from .core.variables import Scope
-from .tokens_depth import block_depth
 
 PROMPT = "ftsh> "
 CONTINUATION = "....> "
+
+_OPENERS = frozenset({"try", "forany", "forall", "if", "function"})
+_CLOSER = "end"
+
+
+def block_depth(text: str) -> int:
+    """Open-block count at end of ``text``; may raise FtshSyntaxError for
+    lexically unterminated input (unclosed quotes)."""
+    depth = 0
+    at_statement_start = True
+    for token in tokenize(text):
+        if token.kind is TokenKind.NEWLINE:
+            at_statement_start = True
+            continue
+        if token.kind is TokenKind.EOF:
+            break
+        if token.kind is TokenKind.WORD and at_statement_start:
+            keyword = token.word.keyword()
+            if keyword in _OPENERS:
+                depth += 1
+            elif keyword == _CLOSER:
+                depth -= 1
+        at_statement_start = False
+    return depth
+
+
+class EntryDepth:
+    """``block_depth`` of a growing entry, fed one physical line at a time.
+
+    A line that lexes cleanly ends at a token boundary in statement
+    position, so the depth of what follows adds to it.  Only the pending
+    *logical* line — physical lines joined by a still-open quote — is
+    ever lexed, which keeps an n-line paste at O(n) characters lexed.
+    """
+
+    def __init__(self) -> None:
+        self.depth = 0
+        self._pending: list[str] = []
+
+    def feed(self, line: str) -> bool:
+        """Add a line; False while a quote it leaves open may legally
+        span lines.  Hard lexical errors raise FtshSyntaxError."""
+        self._pending.append(line)
+        try:
+            self.depth += block_depth("\n".join(self._pending))
+        except FtshSyntaxError as exc:
+            if "unterminated" in str(exc):
+                return False
+            raise
+        self._pending.clear()
+        return True
 
 
 class Repl:
@@ -72,6 +127,7 @@ class Repl:
     def _read_entry(self) -> Optional[str]:
         """Read one complete construct (or None at EOF)."""
         lines: list[str] = []
+        entry = EntryDepth()
         while True:
             if self.prompt:
                 self.stdout.write(PROMPT if not lines else CONTINUATION)
@@ -80,16 +136,12 @@ class Repl:
             if line == "":
                 return "\n".join(lines) if lines else None
             lines.append(line.rstrip("\n"))
-            text = "\n".join(lines)
             try:
-                depth = block_depth(text)
-            except FtshSyntaxError as exc:
-                if "unterminated" in str(exc):
-                    # an open quote may legally span lines — keep reading
-                    continue
-                return text  # hard lexical error: let execute() report it
-            if depth <= 0:
-                return text
+                complete = entry.feed(lines[-1]) and entry.depth <= 0
+            except FtshSyntaxError:
+                complete = True  # hard lexical error: let execute() report it
+            if complete:
+                return "\n".join(lines)
 
     # ------------------------------------------------------------------
     def execute(self, text: str) -> bool:

@@ -15,13 +15,13 @@ Layering (the diracx routers/logic/client split):
   canonical JSON round-trips;
 * :mod:`repro.service.sandbox` — admission control: budgets, seed
   pinning, lint; plus the pure script cell the executor runs;
-* :mod:`repro.service.jobs` — the in-process async job store
-  (content-addressed job ids, dedupe, bounded workers, TTL, cancel);
+* :mod:`repro.service.jobs` — the in-process job store: worker threads
+  on a queue (content-addressed job ids, dedupe, wall budgets, TTL,
+  cancel);
 * :mod:`repro.service.http` — the HTTP core every plane in the repo
   shares: client pool, retry policy, and the stdlib server kit;
 * :mod:`repro.service.app` — the framework-agnostic handler core,
-  mounted on that kit or on an optional FastAPI adapter
-  (``pip install repro[service]``);
+  mounted on that kit;
 * :mod:`repro.service.client` — a small sync client and the submit CLI.
 
 Serve with ``python -m repro.service``; submit with

@@ -1,10 +1,9 @@
-"""The in-process async job store: admission to result, one object.
+"""The in-process job store: admission to result, one object.
 
-An asyncio core on a dedicated thread (so the stdlib HTTP skin's
-threads and the optional FastAPI adapter drive the same machinery):
-bounded worker tasks pull admitted jobs off a queue and execute their
-cells through :func:`repro.parallel.run_cells` on a thread pool, with
-the content-addressed result cache underneath.
+``workers`` daemon threads drain one queue of admitted job ids; each
+executes its job's cells itself through
+:func:`repro.parallel.run_cells`, with the content-addressed result
+cache underneath.  HTTP handler threads only ever take the store lock.
 
 Job ids are deterministic content hashes of the normalized submission
 (:func:`repro.service.schemas.job_id_for`, the result cache's sha256
@@ -19,10 +18,9 @@ jobs are retained for ``ttl`` seconds, then purged.
 
 from __future__ import annotations
 
-import asyncio
+import queue
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
@@ -105,13 +103,21 @@ class JobRecord:
 
 
 class JobStore:
-    """Submissions in, statuses and results out; everything bounded.
+    """Submissions in, statuses and results out.
 
-    ``workers`` caps concurrently *running* jobs (each runs on a thread
-    of the internal pool); ``run_jobs`` is passed to
-    :func:`~repro.parallel.run_cells` for intra-job parallelism.  A
-    job's wall budget comes from the policy; overruns set the job's
-    cancel event (which the executor polls) and fail the job.
+    Bounded: concurrently *running* jobs (``workers``, one thread each)
+    and retained terminal jobs (``ttl``).  Not bounded yet: *pending*
+    jobs — the admission queue takes every submission the sandbox
+    admits until ROADMAP 2(b) gives it a ``maxsize``.  ``run_jobs`` is
+    passed to :func:`~repro.parallel.run_cells` for intra-job
+    parallelism.
+
+    A job's wall budget comes from the policy and starts when a worker
+    picks the job up.  It is a deadline folded into the cancel hook the
+    executor polls between cells, so an overrunning job stops at the
+    next check and is reported ``failed: wall budget exceeded`` by the
+    thread that ran it — once that thread is free for the next job.  A
+    lone uninterruptible cell that finishes late is failed all the same.
     """
 
     def __init__(
@@ -141,12 +147,9 @@ class JobStore:
         self._lock = threading.Lock()
         # Event appends notify long-poll waiters (events(wait=...)).
         self._wakeup = threading.Condition(self._lock)
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._queue: Optional[asyncio.Queue] = None
-        self._tasks: list[asyncio.Task] = []
-        self._started = threading.Event()
+        #: Admitted job ids, then one ``None`` per thread on close().
+        self._queue: queue.SimpleQueue = queue.SimpleQueue()
+        self._threads: list[threading.Thread] = []
         self._closed = False
 
         metrics = self.obs.metrics
@@ -169,54 +172,30 @@ class JobStore:
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> "JobStore":
-        """Start the asyncio core (idempotent)."""
-        if self._thread is not None:
-            return self
-        self._pool = ThreadPoolExecutor(
-            max_workers=self._workers, thread_name_prefix="repro-service")
-        self._thread = threading.Thread(
-            target=self._run_loop, name="repro-service-loop", daemon=True)
-        self._thread.start()
-        self._started.wait()
+        """Start the worker threads (idempotent)."""
+        if not self._threads:
+            for index in range(self._workers):
+                thread = threading.Thread(
+                    target=self._worker, name=f"repro-service-{index}",
+                    daemon=True)
+                thread.start()
+                self._threads.append(thread)
         return self
 
-    def _run_loop(self) -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        self._loop = loop
-        self._queue = asyncio.Queue()
-        for index in range(self._workers):
-            self._tasks.append(
-                loop.create_task(self._worker(), name=f"worker-{index}"))
-        if self.ttl is not None:
-            self._tasks.append(
-                loop.create_task(self._reaper(), name="reaper"))
-        self._started.set()
-        try:
-            loop.run_forever()
-        finally:
-            for task in self._tasks:
-                task.cancel()
-            loop.run_until_complete(
-                asyncio.gather(*self._tasks, return_exceptions=True))
-            loop.close()
-
     def close(self) -> None:
-        """Stop workers, cancel in-flight jobs, shut the pool down."""
-        if self._closed or self._thread is None:
-            self._closed = True
+        """Cancel unfinished jobs, then stop and join the workers."""
+        if self._closed:
             return
         self._closed = True
         with self._lock:
-            for record in self._records.values():
-                if record.state not in TERMINAL:
-                    record.cancel.set()
-        loop = self._loop
-        if loop is not None:
-            loop.call_soon_threadsafe(loop.stop)
-        self._thread.join(timeout=10.0)
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
+            unfinished = [job_id for job_id, record in self._records.items()
+                          if record.state not in TERMINAL]
+        for job_id in unfinished:
+            self.cancel(job_id)  # queued jobs never start
+        for _ in self._threads:
+            self._queue.put(None)
+        for thread in self._threads:
+            thread.join(timeout=10.0)
 
     def __enter__(self) -> "JobStore":
         return self.start()
@@ -233,7 +212,7 @@ class JobStore:
         Raises :class:`~repro.service.sandbox.SandboxRejection` when the
         sandbox refuses the submission.
         """
-        if self._thread is None:
+        if not self._threads:
             raise RuntimeError("JobStore.submit before start()")
         try:
             if isinstance(submission, ScriptSubmission):
@@ -282,8 +261,7 @@ class JobStore:
                 self._event_locked(record, QUEUED, "admitted")
                 self._records[job_id] = record
         self._m_submitted.labels(kind=kind).inc()
-        asyncio.run_coroutine_threadsafe(
-            self._queue.put(job_id), self._loop)
+        self._queue.put(job_id)
         return record.status()
 
     # ------------------------------------------------------------------
@@ -392,9 +370,11 @@ class JobStore:
         ))
         self._wakeup.notify_all()
 
-    async def _worker(self) -> None:
+    def _worker(self) -> None:
         while True:
-            job_id = await self._queue.get()
+            job_id = self._queue.get()
+            if job_id is None:
+                return
             with self._lock:
                 record = self._records.get(job_id)
                 if record is None or record.state != QUEUED:
@@ -406,42 +386,51 @@ class JobStore:
             self._m_running.inc()
             span = self.obs.tracer.start(f"job:{record.kind}", "service")
             try:
-                payload, cache_hit = await asyncio.wait_for(
-                    asyncio.get_running_loop().run_in_executor(
-                        self._pool, self._execute, record),
-                    timeout=self.policy.wall_budget,
-                )
-            except asyncio.TimeoutError:
-                record.cancel.set()
-                self._finish(record, FAILED,
-                             f"wall budget exceeded "
-                             f"({self.policy.wall_budget:g}s)")
-                self.obs.tracer.finish(span, "timeout")
-            except CampaignCancelled:
-                self._finish(record, CANCELLED, "cancelled while running")
-                self.obs.tracer.finish(span, "cancelled")
-            except SandboxRejection as exc:
-                self._finish(record, FAILED, f"sandbox: {exc}")
-                self.obs.tracer.finish(span, "failed")
-            except Exception as exc:  # noqa: BLE001 - job isolation boundary
-                self._finish(record, FAILED,
-                             f"{type(exc).__name__}: {exc}")
-                self.obs.tracer.finish(span, "failed")
-            else:
-                with self._lock:
-                    record.state = DONE
-                    record.finished = self.clock()
-                    record.result = payload
-                    record.cache_hit = cache_hit
-                    self._event_locked(
-                        record, DONE,
-                        "served from cache" if cache_hit else "computed")
-                self._m_finished.labels(state=DONE).inc()
-                self.obs.tracer.finish(span, "ok", cache_hit=cache_hit)
+                self._run(record, span)
             finally:
                 self._m_running.inc(-1)
 
-    def _finish(self, record: JobRecord, state: str, error: str) -> None:
+    def _run(self, record: JobRecord, span) -> None:
+        """Take one running job to its terminal state."""
+        budget = self.policy.wall_budget
+        deadline = time.monotonic() + budget
+
+        def overran() -> bool:
+            return time.monotonic() >= deadline
+
+        cancelled = False
+        try:
+            payload, cache_hit = self._execute(
+                record, lambda: record.cancel.is_set() or overran())
+        except CampaignCancelled:
+            cancelled = True
+        except SandboxRejection as exc:
+            self._finish(record, span, FAILED, f"sandbox: {exc}")
+            return
+        except Exception as exc:  # noqa: BLE001 - job isolation boundary
+            self._finish(record, span, FAILED, f"{type(exc).__name__}: {exc}")
+            return
+        if overran():
+            # Reported here, by the thread that ran the job, so the next
+            # job never waits behind work the store has written off.
+            self._finish(record, span, FAILED,
+                         f"wall budget exceeded ({budget:g}s)", "timeout")
+        elif cancelled:
+            self._finish(record, span, CANCELLED, "cancelled while running")
+        else:
+            with self._lock:
+                record.state = DONE
+                record.finished = self.clock()
+                record.result = payload
+                record.cache_hit = cache_hit
+                self._event_locked(
+                    record, DONE,
+                    "served from cache" if cache_hit else "computed")
+            self._m_finished.labels(state=DONE).inc()
+            self.obs.tracer.finish(span, "ok", cache_hit=cache_hit)
+
+    def _finish(self, record: JobRecord, span, state: str, error: str,
+                verdict: Optional[str] = None) -> None:
         with self._lock:
             record.state = state
             record.finished = self.clock()
@@ -449,10 +438,12 @@ class JobStore:
                 record.error = error
             self._event_locked(record, state, error)
         self._m_finished.labels(state=state).inc()
+        self.obs.tracer.finish(span, verdict or state)
 
-    def _execute(self, record: JobRecord) -> tuple[Any, bool]:
-        """Run the job's cells (on a pool thread); returns the jsonable
-        result payload and whether every cell came from the cache."""
+    def _execute(self, record: JobRecord,
+                 cancel: Callable[[], bool]) -> tuple[Any, bool]:
+        """Run the job's cells; returns the jsonable result payload and
+        whether every cell came from the cache."""
         cells = cells_for(record.submission, self.policy)
         computed = 0
 
@@ -466,7 +457,7 @@ class JobStore:
             jobs=self.run_jobs,
             cache=self.cache,
             progress=progress,
-            cancel=record.cancel,
+            cancel=cancel,
             backend=self.run_backend,
         )
         cache_hit = self.cache is not None and computed == 0
@@ -475,9 +466,3 @@ class JobStore:
         else:
             payload = [to_jsonable(result) for result in results]
         return payload, cache_hit
-
-    async def _reaper(self) -> None:
-        interval = min(self.ttl / 2.0, 30.0) if self.ttl else 30.0
-        while True:
-            await asyncio.sleep(interval)
-            self.purge_expired()

@@ -273,6 +273,46 @@ class TestShippedScriptSweep:
         assert_equivalent(text, fail_first=retry, with_obs=True)
 
 
+def observe_session(entries, compiled):
+    """A REPL session's shape: one scope, one function table and one log
+    carried across separately parsed (and compiled) entries."""
+    scope = Scope()
+    functions = {}
+    log = ShellLog(level=LOG_TRACE)
+    driver = ScriptedDriver(fail_first={})
+    log.clock = lambda: driver.t
+    outcomes = []
+    for text in entries:
+        script = parse(text)
+        target = compile_script(script) if compiled else script
+        interp = Interpreter(scope, log=log, functions=functions)
+        outcomes.append(driver.drive(interp.execute(target)))
+    events = [(e.time, e.kind, e.detail, e.line, e.value)
+              for e in log.events]
+    return outcomes, events, dict(sorted(scope.flatten().items()))
+
+
+class TestAcrossEntries:
+    def test_function_from_an_earlier_entry_appends_to_a_callers_variable(self):
+        # The body was compiled with another entry's plan; what it
+        # appends must be what the caller reads next, and its
+        # positionals must be unbound again on return.
+        entries = [
+            "function gather\n    fetch $1 ->> seen\nend\n",
+            "seen=start\ngather alpha\ngather beta extra\n"
+            "report ${seen} -> said\n",
+        ]
+        tree = observe_session(entries, compiled=False)
+        compiled = observe_session(entries, compiled=True)
+        assert tree == compiled
+        outcomes, _events, bindings = compiled
+        assert outcomes == [("ok", None), ("ok", None)]
+        assert bindings == {
+            "seen": "startout:fetch alphaout:fetch beta",
+            "said": "out:report startout:fetch alphaout:fetch beta",
+        }
+
+
 class TestCompileCache:
     def test_same_ast_compiles_once(self):
         compile_cache_clear()
@@ -308,3 +348,13 @@ class TestLayoutGuard:
         assert usage.value.code == 2
         compiler = (src / "core" / "compile.py").read_text()
         assert compiler.count("BackoffState(") == 1
+
+    def test_every_variable_has_one_copy(self):
+        # Plans read and write the Scope they are handed; a slot table
+        # or a cell cache in front of it would be a second copy to keep
+        # coherent on append, unset, spool and across REPL entries.
+        compiler = (pathlib.Path(repro.__file__).parent
+                    / "core" / "compile.py").read_text()
+        assert not re.search(r"^class (Frame|_SlotTable)\b", compiler,
+                             re.MULTILINE)
+        assert ".cells" not in compiler

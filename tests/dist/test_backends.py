@@ -5,6 +5,8 @@ import functools
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 import threading
 import time
 from concurrent.futures.process import BrokenProcessPool
@@ -53,8 +55,11 @@ class TestResolveBackend:
         assert resolve_backend(None) == "inprocess"
 
     def test_aliases_normalize(self):
-        assert resolve_backend("in-process") == "inprocess"
-        assert resolve_backend("HTTP") == "socket"
+        assert resolve_backend(" InProcess ") == "inprocess"
+        assert resolve_backend("SOCKET") == "socket"
+        for retired in ("in-process", "local", "http"):
+            with pytest.raises(ValueError, match="unknown dist backend"):
+                resolve_backend(retired)
 
     def test_env_var_applies_without_explicit_arg(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV, "socket")
@@ -83,6 +88,34 @@ class TestResolveBackend:
         monkeypatch.setenv(BACKEND_ENV, "carrier-pigeon")
         with pytest.raises(ValueError, match="unknown dist backend"):
             run_cells(cells_for([1]))
+
+
+_FORK_PROBE = """
+import threading
+from repro.dist.backends import _fork_allowed
+alone = _fork_allowed()
+release = threading.Event()
+second = threading.Thread(target=release.wait)
+second.start()
+beside = _fork_allowed()
+release.set()
+second.join()
+print(alone, beside, _fork_allowed())
+"""
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="fork start method unavailable")
+def test_fork_is_chosen_from_the_threads_alive():
+    """Fork-vs-subprocess is decided from what the process observes —
+    there is no switch to set.  (A fresh interpreter, so no other
+    test's lingering thread answers for this one.)"""
+    done = subprocess.run(
+        [sys.executable, "-c", _FORK_PROBE], text=True, capture_output=True,
+        timeout=60, env=backends._worker_env())
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["True", "False", "True"]
 
 
 class TestSocketBackend:

@@ -396,3 +396,14 @@ class TestLayoutGuard:
         offenders = [name for name, text in self.sources().items()
                      if name != "core/backoff.py" and doubling.search(text)]
         assert offenders == []
+
+    def test_no_event_loop_and_no_asgi_framework(self):
+        # The job store is worker threads on a queue; a second
+        # concurrency model (or an adapter nothing here can install or
+        # exercise) has to argue its way back in past this line.
+        import re
+
+        importing = [name for name, text in self.sources().items()
+                     if re.search(r"^\s*(from|import)\s+(asyncio|fastapi)\b",
+                                  text, re.MULTILINE)]
+        assert importing == []

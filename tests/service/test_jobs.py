@@ -1,5 +1,6 @@
 """Job store lifecycle: dedupe, warm-cache resubmission, cancel, TTL."""
 
+import threading
 import time
 
 import pytest
@@ -81,6 +82,25 @@ class TestLifecycle:
             store.submit(ScriptSubmission(script="try for 2 bananas\nend\n"))
         assert exc.value.code == "syntax"
 
+    def test_n_workers_are_n_threads_and_close_joins_them(self):
+        before = set(threading.enumerate())
+        store = JobStore(workers=3).start()
+        started = set(threading.enumerate()) - before
+        assert len(started) == 3
+        store.close()
+        assert not any(thread.is_alive() for thread in started)
+
+    def test_close_cancels_what_is_queued_and_what_is_running(self):
+        store = JobStore(policy=SandboxPolicy(wall_budget=60.0),
+                         workers=1).start()
+        first = store.submit(CampaignSubmission(
+            scenario="submit", disciplines=("fixed", "aloha"),
+            overrides=(("submit_duration", 30.0),)))
+        behind = store.submit(ScriptSubmission(script=GOOD, timeout=600.0))
+        store.close()  # joins the worker: both jobs are settled by now
+        assert store.status(first.job_id).state == "cancelled"
+        assert store.status(behind.job_id).state == "cancelled"
+
     def test_submit_before_start(self):
         store = JobStore()
         with pytest.raises(RuntimeError):
@@ -159,6 +179,19 @@ class TestCancel:
             assert final.state == "cancelled"
             wait_terminal(store, blocker.job_id)
 
+    def test_cancel_running_job_without_overrun_is_cancelled(self, store):
+        status = store.submit(CampaignSubmission(
+            scenario="submit", disciplines=("fixed", "aloha"),
+            overrides=(("submit_duration", 30.0),)))
+        deadline = time.monotonic() + 30.0
+        while (store.status(status.job_id).state != RUNNING
+               and time.monotonic() < deadline):
+            time.sleep(0.005)
+        store.cancel(status.job_id)
+        final = wait_terminal(store, status.job_id)
+        assert final.state == "cancelled"
+        assert final.error is None
+
     def test_cancel_terminal_is_idempotent(self, store):
         status = store.submit(ScriptSubmission(script=GOOD, timeout=600.0))
         final = wait_terminal(store, status.job_id)
@@ -176,6 +209,22 @@ class TestBudgetsAndTtl:
             final = wait_terminal(store, status.job_id)
             assert final.state == "failed"
             assert "wall budget" in (final.error or "")
+
+    def test_overrun_is_reported_when_its_thread_is_free(self):
+        # One uninterruptible ~1 s cell against a 0.25 s budget, on the
+        # only worker.  The job behind it must not start (and burn its
+        # own budget) while the written-off cell is still computing.
+        with JobStore(policy=SandboxPolicy(wall_budget=0.25),
+                      workers=1) as store:
+            overrun = store.submit(CampaignSubmission(
+                scenario="submit", disciplines=("fixed",),
+                overrides=(("submit_duration", 60.0),)))
+            victim = store.submit(ScriptSubmission(script=GOOD,
+                                                   timeout=600.0))
+            final = wait_terminal(store, overrun.job_id)
+            assert final.state == "failed"
+            assert "wall budget" in (final.error or "")
+            assert wait_terminal(store, victim.job_id).state == "done"
 
     def test_ttl_purges_finished_jobs(self):
         clock = [1000.0]

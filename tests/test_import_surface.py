@@ -222,3 +222,30 @@ print(json.dumps(seen))
 def test_only_the_pool_path_imports_the_pool(tmp_path):
     _out, seen = fresh(_RUN_CELLS, str(tmp_path))
     assert seen == {"serial": False, "all-hits": False, "pool": True}
+
+
+# ---------------------------------------------------------------------------
+# the job store is threads on a queue
+# ---------------------------------------------------------------------------
+
+_SERVE_ONE_JOB = """
+import json, sys, time
+from repro.service.jobs import JobStore
+from repro.service.schemas import TERMINAL, ScriptSubmission
+
+script = "try for 5 minutes\\n    condor_submit submit.job\\nend\\n"
+with JobStore(workers=1) as store:
+    job = store.submit(ScriptSubmission(script=script, timeout=600.0))
+    deadline = time.monotonic() + 60.0
+    while store.status(job.job_id).state not in TERMINAL:
+        assert time.monotonic() < deadline
+        time.sleep(0.01)
+    assert store.status(job.job_id).state == "done"
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def test_serving_a_script_job_loads_no_event_loop_and_no_pool():
+    _out, loaded = fresh(_SERVE_ONE_JOB)
+    assert "repro.service.jobs" in loaded
+    assert prefixed(loaded, "asyncio", "concurrent.futures") == []
