@@ -8,13 +8,13 @@ and results travel as the same pickles the cache stores).
 * ``inprocess`` — serial or a ``ProcessPoolExecutor`` inside
   :func:`repro.parallel.run_cells` itself.  The default.
 * ``socket`` — a :class:`~repro.dist.queue.TaskQueue` served over HTTP
-  by a :class:`~repro.dist.coordinator.CoordinatorServer`; workers are
-  separate ``python -m repro.dist.worker`` processes (spawned locally
-  here, or attached from anywhere the URL reaches) with heartbeats and
-  lease-expiry re-enqueue, so a worker that dies costs a lease, not the
-  campaign.  The coordinator owns the artifact store: it settles stored
-  cells at claim time and publishes results as their acks arrive, so
-  the workers never talk to it.
+  on a loopback port by a :class:`~repro.dist.coordinator.
+  CoordinatorServer`; workers are separate processes spawned locally
+  here, with heartbeats and lease-expiry re-enqueue, so a worker that
+  dies costs a lease, not the campaign.  ``run_cells`` has already
+  looked every cell up, so only misses are queued; the coordinator
+  publishes each result into the artifact store as its ack arrives,
+  and the workers never talk to the store.
 
 Locally spawned workers **fork** when that is safe (POSIX, and no other
 threads live in this process — forking a threaded parent can deadlock
@@ -47,9 +47,9 @@ from ..parallel.executor import (
     _cancelled,
     resolve_jobs,
 )
-from .queue import FAILED, TaskQueue
+from .queue import DONE, FAILED, TaskQueue
 from .store import ArtifactStore
-from .wire import PayloadTable, encode_cell
+from .wire import encode_cell
 
 #: Seconds between orchestration-loop ticks (cancel checks, reaps).
 _TICK = 0.05
@@ -172,18 +172,19 @@ def run_socket(
     progress: Progress,
     cancel,
     lease: float = 30.0,
-    host: str = "127.0.0.1",
-    wait_timeout: Optional[float] = None,
 ) -> dict[int, Any]:
     """Serve ``items`` — ``(original index, CellSpec, artifact key or
     None)`` — from a live coordinator to a local worker fleet.
 
-    The coordinator is a real HTTP server on ``host`` (loopback unless
-    told otherwise); workers are separate interpreters that could as
-    well be on other machines.  Lease expiry re-enqueues the cells of
-    any worker that stops heartbeating; results come back through acks,
-    already decoded, and the coordinator publishes each into ``cache``
-    before the ack settles.
+    The coordinator is a real HTTP server on a loopback port of its own
+    choosing; workers are separate processes.  Lease expiry re-enqueues
+    the cells of any worker that stops heartbeating; results come back
+    through acks, already decoded, and the coordinator publishes each
+    into ``cache`` before the ack settles.
+
+    ``progress`` hears ``run`` once for every cell a worker has claimed
+    and ``done`` once after it, from this thread, on the orchestration
+    tick and once more when the last ack has landed.
 
     Local workers fork from this (warm) process when that is safe —
     the decision and the forks both happen *before* the coordinator's
@@ -195,21 +196,27 @@ def run_socket(
     task_queue = TaskQueue(lease=lease, max_attempts=MAX_ATTEMPTS)
     # Without a cache no cell carries an artifact key: nothing to store.
     store = ArtifactStore(cache) if cache is not None else None
-    payloads = PayloadTable()
     task_index: dict[str, int] = {}
     for index, spec, artifact in items:
         task = task_queue.submit(
-            encode_cell(spec, payloads=payloads), key=spec.key,
+            encode_cell(spec), key=spec.key,
             artifact=artifact, cacheable=spec.cacheable)
         task_index[task.task_id] = index
 
     n_workers = max(1, min(resolve_jobs(jobs), len(items)))
-    seen_states: dict[str, str] = {}
-    deadline = (time.monotonic() + wait_timeout
-                if wait_timeout is not None else None)
+    told: dict[str, str] = {}
 
-    server = CoordinatorServer(task_queue, store, host=host,
-                               payloads=payloads)
+    def report() -> None:
+        for task in task_queue.tasks():
+            last = told.get(task.task_id)
+            if last is None and task.attempts:
+                progress(task.key, "run")
+                last = told[task.task_id] = "run"
+            if last == "run" and task.state == DONE:
+                progress(task.key, "done")
+                told[task.task_id] = "done"
+
+    server = CoordinatorServer(task_queue, store)
     use_fork = _fork_allowed()
     fleet = _spawn_fleet(server.url, n_workers, lease, use_fork)
     server.start()
@@ -217,18 +224,8 @@ def run_socket(
         while not task_queue.finished():
             if _cancelled(cancel):
                 raise CampaignCancelled("socket backend cancelled")
-            if deadline is not None and time.monotonic() > deadline:
-                raise BackendError(
-                    f"campaign still unfinished after {wait_timeout:g}s")
             task_queue.reap_expired()
-            for task in task_queue.tasks():
-                previous = seen_states.get(task.task_id)
-                if task.state != previous:
-                    seen_states[task.task_id] = task.state
-                    if task.state == "claimed" and previous is None:
-                        progress(task.key, "run")
-                    elif task.state == "done":
-                        progress(task.key, "done")
+            report()
             failed = task_queue.failures()
             if failed:
                 raise BackendError("; ".join(
@@ -241,6 +238,7 @@ def run_socket(
             # wait() wakes on the final ack; the timeout keeps the
             # reap/cancel/liveness checks ticking.
             task_queue.wait(timeout=_TICK)
+        report()
     except BaseException:
         task_queue.drain()
         for member in fleet:

@@ -19,14 +19,13 @@ The worker protocol (all JSON unless noted)::
                                   requeue}]} -> {"states": {...}}
     POST /queue/heartbeat        {"worker"}            -> {"extended": n}
     GET  /queue/status           queue + store + wire counters, task states
-    GET  /payload/{digest}       cached cell payload (text/plain) | 404
     GET  /healthz                liveness
 
 A claim leases up to ``"max"`` tasks in one exchange (each under its
 *own* per-task lease), ``ack_many``/``nack_many`` settle whole batches,
 every batched call piggybacks a heartbeat on the worker's other leases,
-and large cell payloads travel by content digest through
-``/payload/<digest>`` (see :mod:`repro.dist.wire`).
+and every task document carries its cell inline (see
+:mod:`repro.dist.wire`).
 
 A claim leases each task for ``lease`` seconds (bounded by the queue
 default); ack/nack/heartbeat before the deadline or the task goes back
@@ -34,13 +33,12 @@ on the queue for someone else — at-least-once delivery, the paper's
 retry discipline applied to our own executor.  410 on claim is the
 drain signal: workers exit cleanly when the campaign is over.
 
-The artifact store never crosses the wire: the coordinator owns it.  A
-claimed task whose artifact is already stored is settled ``source:
-"store"`` on the spot and the claim keeps filling from the queue, so
-workers only ever see cells that need computing; a ``computed`` result
-is published when its ack arrives, *before* the queue marks the task
-done — by the time a result is acked the store has it, and each result
-travels once.
+The artifact store never crosses the wire, and the coordinator only
+ever writes to it.  ``run_cells`` looks every cell up once, before
+anything is queued, so whatever a claim hands out needs computing; a
+``computed`` result is published when its ack arrives, *before* the
+queue marks the task done — by the time a result is acked the store
+has it, and each result travels once.
 
 Security: task payloads and results are pickles.  Bind loopback (the
 default) or a network you trust end-to-end; this protocol authenticates
@@ -63,9 +61,7 @@ from ..service.http import (
     serve_in_thread,
 )
 from .queue import CLAIMED, QueueError, Task, TaskQueue
-from .wire import PayloadTable, WireError, decode_blob_ex
-
-TEXT = "text/plain"
+from .wire import WireError, decode_blob_ex
 
 #: Longest lease a worker may ask for, as a multiple of the queue default.
 MAX_LEASE_FACTOR = 10.0
@@ -78,11 +74,9 @@ class CoordinatorApp:
     """Routes worker-protocol requests onto the queue and the store."""
 
     def __init__(self, queue: TaskQueue, store: Any = None,
-                 payloads: Optional[PayloadTable] = None,
                  metrics: Optional[MetricsRegistry] = None) -> None:
         self.queue = queue
         self.store = store
-        self.payloads = payloads
         # keep_series=False: the coordinator wants counters, not
         # timestamped series — no reason to drag the sim monitor in.
         self.metrics = metrics or MetricsRegistry(keep_series=False)
@@ -100,7 +94,7 @@ class CoordinatorApp:
             labels=("encoding",))
         self._store_errors = self.metrics.counter(
             "dist_store_errors_total",
-            "store calls that raised; the cell shipped or acked anyway",
+            "store calls that raised; the cell was acked anyway",
             labels=("op",))
 
     # ------------------------------------------------------------------
@@ -130,49 +124,6 @@ class CoordinatorApp:
             "cell": task.payload,
         }
 
-    def _claim(self, worker: str, want: int,
-               lease: Optional[float]) -> list[Task]:
-        """Lease up to ``want`` tasks that still need computing.
-
-        A claimed task whose artifact the store already holds is acked
-        ``source: "store"`` here and never shipped; the claim then
-        refills from the queue, so an all-hits batch over a non-empty
-        queue still hands out work.
-        """
-        shipped: list[Task] = []
-        while len(shipped) < want:
-            tasks = self.queue.claim_many(worker, want - len(shipped),
-                                          lease=lease)
-            if not tasks:
-                break
-            hits: list[tuple[str, Any, str]] = []
-            for task in tasks:
-                hit, value = self._stored(task)
-                if hit:
-                    hits.append((task.task_id, value, "store"))
-                else:
-                    shipped.append(task)
-            if hits:
-                # A lease lost since the claim is reported stale, not
-                # raised.
-                self.queue.ack_many(worker, hits)
-        return shipped
-
-    def _uses_store(self, task: Task) -> bool:
-        return (self.store is not None and bool(task.artifact)
-                and task.cacheable)
-
-    def _stored(self, task: Task) -> tuple[bool, Any]:
-        """``(True, value)`` if the store already has ``task``'s result;
-        a store that raises reads as a miss and the task ships."""
-        if not self._uses_store(task):
-            return False, None
-        try:
-            return self.store.fetch(task.artifact)
-        except Exception:  # noqa: BLE001 - store never poisons
-            self._store_errors.labels(op="fetch").inc()
-            return False, None
-
     def _publish(self, worker: str, task_id: str, result: Any) -> None:
         """Store a freshly computed result, if its task is cacheable and
         still leased to ``worker`` (a stale ack publishes nothing).  A
@@ -182,7 +133,8 @@ class CoordinatorApp:
         except QueueError:
             return
         if (task.state != CLAIMED or task.worker != worker
-                or not self._uses_store(task)):
+                or self.store is None or not task.artifact
+                or not task.cacheable):
             return
         try:
             self.store.publish(task.artifact, result)
@@ -223,8 +175,8 @@ class CoordinatorApp:
             want = doc.get("max")
             if not isinstance(want, int) or isinstance(want, bool):
                 raise BadRequest("field 'max' must be an integer")
-            tasks = self._claim(
-                worker, max(1, min(want, MAX_CLAIM_BATCH)), lease)
+            tasks = self.queue.claim_many(
+                worker, max(1, min(want, MAX_CLAIM_BATCH)), lease=lease)
             if not tasks:
                 if self.queue.draining:
                     return 410, JSON, error_doc("drained", "queue is drained")
@@ -281,16 +233,6 @@ class CoordinatorApp:
         if parts == ["queue", "status"] and method == "GET":
             return 200, JSON, dumps(self._status_doc())
 
-        if len(parts) == 2 and parts[0] == "payload" and method == "GET":
-            if self.payloads is None:
-                return 404, JSON, error_doc(
-                    "no-payloads", "coordinator has no payload table")
-            text = self.payloads.get(parts[1])
-            if text is None:
-                return 404, JSON, error_doc(
-                    "miss", f"no payload {parts[1][:12]}...")
-            return 200, TEXT, text.encode("ascii")
-
         return 404, JSON, error_doc(
             "unknown-route", f"no route {method} /{'/'.join(parts)}")
 
@@ -318,11 +260,8 @@ class CoordinatorApp:
             "store": (self.store.stats()
                       if self.store is not None else None),
             "store_errors": {
-                "fetch": _count(self._store_errors, op="fetch"),
                 "publish": _count(self._store_errors, op="publish"),
             },
-            "payloads": (self.payloads.stats()
-                         if self.payloads is not None else None),
             "workers": workers,
             "wire": {
                 "in_bytes": _count(self._http_bytes, direction="in"),
@@ -369,10 +308,8 @@ class CoordinatorServer:
 
     def __init__(self, queue: TaskQueue, store: Any = None,
                  host: str = "127.0.0.1", port: int = 0,
-                 payloads: Optional[PayloadTable] = None,
                  metrics: Optional[MetricsRegistry] = None) -> None:
-        self.app = CoordinatorApp(queue, store, payloads=payloads,
-                                  metrics=metrics)
+        self.app = CoordinatorApp(queue, store, metrics=metrics)
         # nodelay: a keep-alive round trip is ~0.3 ms, not ~44 ms.
         self.server = bind_server(self.app.handle, host, port,
                                        nodelay=True)

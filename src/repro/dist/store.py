@@ -8,9 +8,12 @@ artifacts published by a fleet are indistinguishable from entries a
 local ``run_cells`` wrote — a campaign run on a worker fleet leaves the
 same warm cache behind as a serial run, and vice versa.
 
-The store lives on the coordinator's side of the wire: it fetches on
-claim and publishes on ack (see :mod:`repro.dist.coordinator`), so
-workers never touch it.
+The store lives on the coordinator's side of the wire, and a campaign
+only writes to it: the coordinator publishes on ack (see
+:mod:`repro.dist.coordinator`), the lookup is ``run_cells``' own, once
+per cell before anything is queued, and workers never touch it.
+``fetch`` is the read side for everyone else (the perf ledger times
+it).
 
 Two implementations, one protocol (``key_for`` / ``fetch`` /
 ``publish``):

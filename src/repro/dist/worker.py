@@ -25,10 +25,10 @@ chunk with one ``ack_many``.  Cheap cells amortize round trips;
 expensive cells shrink the chunk back toward one so lease granularity
 stays honest.
 
-The shared artifact store is the coordinator's business, not the
-worker's: cells already in it are settled before a claim is answered,
-and an acked result is published on arrival — a worker only ever sees
-cells that need computing, and each result crosses the wire once.
+The shared artifact store is not the worker's business: ``run_cells``
+looks each cell up before queueing it and the coordinator publishes an
+acked result on arrival — a worker only ever sees cells that need
+computing, and each result crosses the wire once.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from ..core.backoff import BackoffPolicy, BackoffState
 from ..obs.push import ObsPusher, resolve_push_url
 from ..parallel.executor import CellSpec
 from ..service.http import HttpTransportError, http_request
-from .wire import PayloadCache, WireError, decode_cell, encode_blob
+from .wire import WireError, decode_cell, encode_blob
 
 #: Base seconds between claim attempts while the queue is idle.
 DEFAULT_POLL = 0.1
@@ -179,21 +179,6 @@ class CoordinatorClient:
     def heartbeat(self) -> None:
         self._post("/queue/heartbeat", {"worker": self.worker_id})
 
-    def payload(self, digest: str) -> str:
-        """Fetch a content-addressed cell payload; raises WireError on
-        a miss (a digest the coordinator cannot serve will not appear
-        by retrying the same campaign)."""
-        try:
-            response = http_request(
-                f"{self.url}/payload/{digest}", timeout=self.timeout,
-                retries=2)
-        except HttpTransportError as exc:
-            raise WireError(f"payload fetch failed: {exc}")
-        if response.status != 200:
-            raise WireError(
-                f"payload {digest[:12]}...: HTTP {response.status}")
-        return response.body.decode("ascii")
-
 
 class WorkerTelemetry:
     """The worker's own registry, pushed to a fleet aggregator.
@@ -279,7 +264,6 @@ def execute_cell(spec: CellSpec) -> Any:
 def process_batch(
     client: CoordinatorClient,
     docs: list[dict[str, Any]],
-    payloads: Optional[PayloadCache] = None,
 ) -> dict[str, str]:
     """Execute a claimed chunk; returns ``{task_id: outcome}``
     (``"computed"`` or ``"error"``).
@@ -297,8 +281,7 @@ def process_batch(
             cell_doc = doc.get("cell")
             try:
                 spec = decode_cell(
-                    cell_doc if isinstance(cell_doc, dict) else {},
-                    payloads=payloads, fetch=client.payload)
+                    cell_doc if isinstance(cell_doc, dict) else {})
             except WireError as exc:
                 # Undecodable cells will not improve with retries.
                 nacks.append((task_id, f"wire: {exc}", False))
@@ -345,7 +328,6 @@ def worker_loop(
     """Claim and execute until the queue drains; returns tasks handled."""
     rng = rng or random.Random()
     client = CoordinatorClient(url, worker_id, lease=lease)
-    payloads = PayloadCache()
     telemetry = WorkerTelemetry(obs_push, worker_id)
     # Idle naps are drawn uniformly from a window doubling per idle
     # claim, so parallel workers spread out.  Truncated at poll*4: past
@@ -379,7 +361,7 @@ def worker_loop(
             continue
         idle.reset()
         started = time.perf_counter()
-        outcomes = process_batch(client, docs, payloads=payloads)
+        outcomes = process_batch(client, docs)
         elapsed = time.perf_counter() - started
         for task_id, source in outcomes.items():
             say(f"task {task_id} [{source}]")

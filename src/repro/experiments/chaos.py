@@ -42,7 +42,12 @@ from ..grid.condor import CondorConfig
 from ..grid.storage import BufferConfig
 from ..obs.push import push_observability, resolve_push_url
 from ..parallel.cache import ResultCache
-from ..parallel.executor import CellSpec, run_cells
+from ..parallel.executor import (
+    CellSpec,
+    add_executor_arguments,
+    cache_from_args,
+    run_cells,
+)
 from ..sim.monitor import TimeSeries
 
 # The import rule (docs/INTERNALS.md "What a path imports"): what every
@@ -616,26 +621,7 @@ def main(argv=None) -> int:
     parser.add_argument("--scale", choices=sorted(SCALES), default="smoke")
     parser.add_argument("--out", default="chaos_reports")
     parser.add_argument("--seed", type=int, default=2003)
-    parser.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="run campaign cells on N worker processes "
-             "(default: serial; 0 = one per CPU)",
-    )
-    parser.add_argument(
-        "--backend", default=None,
-        choices=("inprocess", "socket"),
-        help="cell executor backend (repro.dist; default inprocess, "
-             "or $REPRO_DIST_BACKEND)",
-    )
-    parser.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="content-addressed result cache location "
-             "(default: $REPRO_CACHE_DIR or ~/.cache/repro)",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="recompute every cell even if cached",
-    )
+    add_executor_arguments(parser)
     parser.add_argument(
         "--obs-dir", default=None, metavar="DIR",
         help="write per-cell telemetry bundles (Chrome trace, spans "
@@ -650,7 +636,7 @@ def main(argv=None) -> int:
 
     scale = SCALES[args.scale]
     os.makedirs(args.out, exist_ok=True)
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
+    cache = cache_from_args(args)
     started = time.time()
     report = run_chaos_campaign(
         scale, seed=args.seed, obs_dir=args.obs_dir, progress=print,

@@ -34,8 +34,13 @@ from ..obs.exporters import (
 )
 from ..obs.push import push_observability, resolve_push_url
 from ..obs.report import render_report
-from ..parallel.cache import ResultCache
-from ..parallel.executor import CellSpec, run_cells
+from ..parallel.executor import (
+    CellSpec,
+    add_executor_arguments,
+    cache_from_args,
+    resolve_jobs,
+    run_cells,
+)
 from .figure1 import assemble_figure1, render as render1, submit_cells
 from .figure2 import render as render_timeline, timeline_from_run, timeline_params
 from .figure4 import (
@@ -212,38 +217,12 @@ def campaign_cells(scale: Scale, seed: int) -> dict[str, list[CellSpec]]:
     }
 
 
-def build_cache(cache_dir: str | None, enabled: bool) -> ResultCache | None:
-    """The CLI's cache policy: on by default, ``--no-cache`` to disable."""
-    if not enabled:
-        return None
-    return ResultCache(cache_dir)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--scale", choices=sorted(SCALES), default="medium")
     parser.add_argument("--out", default="figure_reports")
     parser.add_argument("--seed", type=int, default=2003)
-    parser.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="run campaign cells on N worker processes "
-             "(default: serial; 0 = one per CPU)",
-    )
-    parser.add_argument(
-        "--backend", default=None,
-        choices=("inprocess", "socket"),
-        help="cell executor backend (repro.dist; default inprocess, "
-             "or $REPRO_DIST_BACKEND)",
-    )
-    parser.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="content-addressed result cache location "
-             "(default: $REPRO_CACHE_DIR or ~/.cache/repro)",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="recompute every cell even if cached",
-    )
+    add_executor_arguments(parser)
     parser.add_argument(
         "--csv", action="store_true",
         help="also write machine-readable .csv files per figure",
@@ -263,7 +242,7 @@ def main(argv=None) -> int:
 
     scale = SCALES[args.scale]
     os.makedirs(args.out, exist_ok=True)
-    cache = build_cache(args.cache_dir, not args.no_cache)
+    cache = cache_from_args(args)
 
     def save(name: str, text: str, extension: str = "txt") -> None:
         path = os.path.join(args.out, f"{name}.{extension}")
@@ -276,8 +255,9 @@ def main(argv=None) -> int:
     started = time.time()
     groups = campaign_cells(scale, args.seed)
     flat: list[CellSpec] = [cell for cells in groups.values() for cell in cells]
+    workers = resolve_jobs(args.jobs)
     print(f"Campaign: {len(flat)} cells "
-          f"(jobs={'serial' if not args.jobs else args.jobs}, "
+          f"(jobs={'serial' if workers == 1 else workers}, "
           f"cache={'off' if cache is None else cache.root}) ...")
 
     def progress(key: str, status: str) -> None:

@@ -21,7 +21,12 @@ from typing import Optional, Sequence
 
 from ..clients.base import ALOHA, Discipline, ETHERNET, FIXED
 from ..parallel.cache import ResultCache
-from ..parallel.executor import CellSpec, run_cells
+from ..parallel.executor import (
+    CellSpec,
+    add_executor_arguments,
+    cache_from_args,
+    run_cells,
+)
 from .scenario_buffer import BufferParams, run_buffer
 from .scenario_replica import ReplicaParams, run_replica
 from .scenario_submit import SubmitParams, run_submission
@@ -146,29 +151,10 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--replications", type=int, default=5)
     parser.add_argument("--base-seed", type=int, default=2003)
-    parser.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="run replication cells on N worker processes "
-             "(default: serial; 0 = one per CPU)",
-    )
-    parser.add_argument(
-        "--backend", default=None,
-        choices=("inprocess", "socket"),
-        help="cell executor backend (repro.dist; default inprocess, "
-             "or $REPRO_DIST_BACKEND)",
-    )
-    parser.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="content-addressed result cache location "
-             "(default: $REPRO_CACHE_DIR or ~/.cache/repro)",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="recompute every cell even if cached",
-    )
+    add_executor_arguments(parser, cells="replication")
     args = parser.parse_args(argv)
     seeds = list(range(args.base_seed, args.base_seed + args.replications))
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
+    cache = cache_from_args(args)
 
     for study in (submission_study, buffer_study, replica_study):
         for line in study(seeds, jobs=args.jobs, cache=cache,

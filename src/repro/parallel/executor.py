@@ -28,6 +28,8 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional, Sequence
 from .transport import strip_observability
 
 if TYPE_CHECKING:
+    import argparse
+
     from .cache import ResultCache
 
 #: Progress callback: ``(cell_key, status)`` with status one of
@@ -86,6 +88,43 @@ def resolve_jobs(jobs: Optional[int]) -> int:
     if jobs == 0:
         return os.cpu_count() or 1
     return jobs
+
+
+def add_executor_arguments(parser: argparse.ArgumentParser,
+                           cells: str = "campaign") -> None:
+    """Declare ``--jobs / --backend / --cache-dir / --no-cache``, the
+    four flags a campaign CLI hands on to :func:`run_cells` (the cache
+    through :func:`cache_from_args`)."""
+    from ..dist import backend_names
+
+    parser.add_argument(
+        "--jobs", type=int, default=None, metavar="N",
+        help=f"run {cells} cells on N worker processes "
+             "(default: serial; 0 = one per CPU)",
+    )
+    parser.add_argument(
+        "--backend", default=None, choices=backend_names(),
+        help="cell executor backend (repro.dist; default inprocess, "
+             "or $REPRO_DIST_BACKEND)",
+    )
+    parser.add_argument(
+        "--cache-dir", default=None, metavar="DIR",
+        help="content-addressed result cache location "
+             "(default: $REPRO_CACHE_DIR or ~/.cache/repro)",
+    )
+    parser.add_argument(
+        "--no-cache", action="store_true",
+        help="recompute every cell even if cached",
+    )
+
+
+def cache_from_args(args: argparse.Namespace) -> Optional[ResultCache]:
+    """The CLIs' cache policy: on by default, ``--no-cache`` to disable."""
+    if args.no_cache:
+        return None
+    from .cache import ResultCache
+
+    return ResultCache(args.cache_dir)
 
 
 def _execute(spec: CellSpec) -> Any:

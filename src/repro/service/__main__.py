@@ -15,6 +15,7 @@ import threading
 import traceback
 from typing import Optional
 
+from ..dist import backend_names
 from ..obs import Observability
 from ..obs.push import ObsPusher, resolve_push_url
 from ..parallel.cache import ResultCache
@@ -39,7 +40,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                         help="processes per job (repro.parallel; "
                         "0 = one per CPU, default serial)")
     parser.add_argument("--backend", default=None,
-                        choices=("inprocess", "socket"),
+                        choices=backend_names(),
                         help="cell executor backend (repro.dist; default "
                         "inprocess, or $REPRO_DIST_BACKEND)")
     parser.add_argument("--cache-dir", default=None,

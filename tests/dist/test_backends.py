@@ -1,5 +1,5 @@
 """The backends behind run_cells: selection, execution, fault
-tolerance, and the shared artifact store's cross-worker serves."""
+tolerance, and what both tell the cache and the progress hook."""
 
 import functools
 import multiprocessing
@@ -15,11 +15,6 @@ import pytest
 
 from repro.dist import BACKEND_ENV, backend_names, backends, resolve_backend
 from repro.dist.backends import BackendError
-from repro.dist.coordinator import CoordinatorServer
-from repro.dist.queue import TaskQueue
-from repro.dist.store import ArtifactStore
-from repro.dist.wire import encode_cell
-from repro.dist.worker import worker_loop
 from repro.parallel.cache import ResultCache
 from repro.parallel.executor import CampaignCancelled, CellSpec, run_cells
 
@@ -224,34 +219,40 @@ class TestKilledWorker:
         assert statuses[:2] == [("t/sq/1", "hit"), ("t/sq/2", "hit")]
 
 
-class TestCrossWorkerWarmth:
-    def test_cell_computed_by_one_worker_serves_another(self, tmp_path):
-        """The acceptance criterion, at the protocol level: worker A
-        computes a cell and the coordinator publishes it; when worker B
-        claims the same cell later the coordinator settles it as
-        ``source: "store"`` without shipping it, and hands B the next
-        cell in the same exchange."""
-        store = ArtifactStore(ResultCache(str(tmp_path)))
-        spec_one, spec_two = cells_for([6, 8])
+@pytest.mark.parametrize("backend", ["inprocess", "socket"])
+class TestOneContractOnBothBackends:
+    """What a caller can observe besides the results — cache traffic
+    and progress calls — does not depend on the backend."""
 
-        def enqueue(queue, spec):
-            return queue.submit(encode_cell(spec), key=spec.key,
-                                artifact=store.key_for(spec),
-                                cacheable=True)
+    def test_each_cell_is_looked_up_once_and_stored_once(self, backend,
+                                                         tmp_path):
+        cells = cells_for(range(12))
+        expected = [v * v for v in range(12)]
+        cold = ResultCache(str(tmp_path))
+        assert run_cells(cells, jobs=2, cache=cold, backend=backend) \
+            == expected
+        assert (cold.hits, cold.misses, cold.stores) == (0, 12, 12)
+        warm = ResultCache(str(tmp_path))
+        assert run_cells(cells, jobs=2, cache=warm, backend=backend) \
+            == expected
+        assert (warm.hits, warm.misses, warm.stores) == (12, 0, 0)
 
-        first = TaskQueue(lease=10.0)
-        task_a = enqueue(first, spec_one)
-        with CoordinatorServer(first, store) as url:
-            first_handled = worker_loop(url, "worker-a", poll=0.05,
-                                        max_tasks=1)
-        assert (first_handled, task_a.source) == (1, "computed")
-
-        second = TaskQueue(lease=10.0)
-        task_b1 = enqueue(second, spec_one)  # same cell, different worker
-        task_b2 = enqueue(second, spec_two)
-        with CoordinatorServer(second, store) as url:
-            # One task: the stored cell never reaches the worker.
-            worker_loop(url, "worker-b", poll=0.05, max_tasks=1)
-        assert (task_b1.source, task_b1.result) == ("store", 36)
-        assert (task_b2.source, task_b2.result) == ("computed", 64)
-        assert store.stats() == {"fetched": 1, "published": 2}
+    def test_every_computed_cell_reports_run_then_done(self, backend,
+                                                       tmp_path):
+        """Cells far shorter than the socket loop's tick, the last
+        batch included; a cached cell reports ``hit`` and nothing
+        else."""
+        cells = [CellSpec(key=f"t/nap/{i}", fn=time.sleep,
+                          args=(0.002 + i / 1e6,)) for i in range(60)]
+        cache = ResultCache(str(tmp_path))
+        run_cells(cells[:5], cache=cache)
+        calls = []
+        run_cells(cells, jobs=2, cache=cache, backend=backend,
+                  progress=lambda key, status: calls.append((key, status)))
+        assert sorted(calls) == sorted(
+            [(cell.key, "hit") for cell in cells[:5]]
+            + [(cell.key, status) for cell in cells[5:]
+               for status in ("run", "done")])
+        for cell in cells[5:]:
+            assert calls.index((cell.key, "run")) \
+                < calls.index((cell.key, "done"))

@@ -8,7 +8,7 @@ import time
 from repro.dist.coordinator import CoordinatorApp, CoordinatorServer
 from repro.dist.queue import TaskQueue
 from repro.dist.store import MemoryArtifactStore
-from repro.dist.wire import PayloadTable, encode_blob, encode_cell
+from repro.dist.wire import encode_blob, encode_cell
 from repro.parallel.executor import CellSpec
 
 
@@ -121,7 +121,7 @@ class TestClaimCycle:
 
 
 class TestBatchedProtocol:
-    """Chunked claims, batched settles, payloads."""
+    """Chunked claims, batched settles."""
 
     def submit_squares(self, queue, values):
         return [queue.submit(encode_cell(
@@ -210,22 +210,6 @@ class TestBatchedProtocol:
         assert status == 400
         assert body["error"]["code"] == "bad-request"
 
-    def test_payload_endpoint_serves_published_blobs(self):
-        queue = TaskQueue(lease=10.0)
-        payloads = PayloadTable()
-        app = CoordinatorApp(queue, MemoryArtifactStore(), payloads=payloads)
-        digest = payloads.put_text("payload-text")
-        status, content_type, body = app.handle("GET", f"/payload/{digest}")
-        assert (status, content_type) == (200, "text/plain")
-        assert body == b"payload-text"
-        status, _, _ = app.handle("GET", "/payload/" + "0" * 64)
-        assert status == 404
-
-    def test_payload_endpoint_without_table_is_404(self):
-        app, _ = make_app()
-        status, _, _ = app.handle("GET", "/payload/" + "0" * 64)
-        assert status == 404
-
 
 class TestValidationAndStatus:
     def test_missing_worker_is_400(self):
@@ -244,9 +228,14 @@ class TestValidationAndStatus:
             assert status == 400
 
     def test_unknown_route_is_404(self):
+        """``/payload/<digest>`` went with payload-by-digest: it is one
+        more route the coordinator does not have."""
         app, _ = make_app()
-        status, _, _ = app.handle("GET", "/nope")
-        assert status == 404
+        for target in ("/nope", "/payload/" + "0" * 64):
+            status, _, payload = app.handle("GET", target)
+            assert status == 404
+            assert json.loads(payload.decode())["error"]["code"] \
+                == "unknown-route"
 
     def test_status_shows_queue_and_store(self):
         app, queue = make_app()
@@ -283,7 +272,7 @@ class TestValidationAndStatus:
         # never holds compressed here, but both counters saw it.
         assert doc["wire"]["blob_wire_bytes"] > 0
         assert doc["wire"]["blob_raw_bytes"] > 0
-        assert doc["payloads"] is None
+        assert "payloads" not in doc
 
     def test_healthz(self):
         app, _ = make_app()
@@ -315,8 +304,10 @@ class RaisingStore:
 
 
 class TestCoordinatorSideStore:
-    """The store sits behind the coordinator: hits are settled at claim
-    time and never shipped, computed results are published on ack."""
+    """The store sits behind the coordinator, which only ever writes to
+    it: a claim is the queue's business alone (``run_cells`` looked the
+    cell up before queueing it), computed results are published on
+    ack."""
 
     def make(self, store=None, lease=10.0):
         queue = TaskQueue(lease=lease)
@@ -336,73 +327,21 @@ class TestCoordinatorSideStore:
         return json.loads(payload.decode())["store_errors"]
 
     # -- claim side ----------------------------------------------------
-    def test_stored_task_is_settled_and_the_claim_refills(self):
-        app, queue, store = self.make()
-        store.publish("art-2", 4)
-        warm, cold = self.submit(queue, 2), self.submit(queue, 3)
-        status, body = claim(app, "w0")
-        assert status == 200  # not 204: the queue was not empty
-        (doc,) = body["tasks"]
-        assert doc["task_id"] == cold.task_id
-        assert "artifact" not in doc
-        assert (warm.state, warm.source, warm.result) == ("done", "store", 4)
-        assert cold.state == "claimed"
-
-    def test_batched_claim_skips_hits_and_keeps_filling(self):
-        app, queue, store = self.make()
-        for value in (1, 3):
-            store.publish(f"art-{value}", value * value)
-        tasks = [self.submit(queue, value) for value in (1, 2, 3, 4, 5)]
-        status, body = claim(app, "w0", 2)
+    def test_a_claim_never_consults_the_store(self):
+        """Cacheable, uncacheable or artifactless: whatever is queued
+        ships, and a store that is down goes unnoticed."""
+        app, queue, store = self.make(
+            store=RaisingStore(on=("fetch", "publish")))
+        tasks = [self.submit(queue, 2),
+                 self.submit(queue, 3, cacheable=False),
+                 self.submit(queue, 4, artifact=None)]
+        status, body = claim(app, "w0", 3)
         assert status == 200
-        assert [t["task_id"] for t in body["tasks"]] \
-            == [tasks[1].task_id, tasks[3].task_id]
-        assert [t.source for t in tasks] \
-            == ["store", None, "store", None, None]
-        assert tasks[4].state == "pending"
-        # Settled-from-store tasks are the coordinator's, not the
-        # worker's: only shipped claims are counted against it.
-        _, _, payload = app.handle("GET", "/queue/status")
-        assert json.loads(payload.decode())["workers"] \
-            == {"w0": {"claims": 2, "acks": 0, "nacks": 0}}
-
-    def test_all_hits_is_204_until_drained_then_410(self):
-        app, queue, store = self.make()
-        store.publish("art-7", 49)
-        task = self.submit(queue, 7)
-        status, _ = claim(app, "w0", 4)
-        assert status == 204
-        assert (task.state, task.source) == ("done", "store")
-        assert queue.finished()
-        queue.drain()
-        status, _ = claim(app, "w0", 4)
-        assert status == 410
-
-    def test_all_hits_over_a_drained_queue_is_410(self):
-        app, queue, store = self.make()
-        store.publish("art-7", 49)
-        task = self.submit(queue, 7)
-        queue.drain()  # draining refuses submissions, not claims
-        status, _ = claim(app, "w0")
-        assert status == 410
-        assert (task.state, task.source) == ("done", "store")
-
-    def test_uncacheable_and_artifactless_tasks_never_consult_the_store(self):
-        app, queue, _ = self.make(store=RaisingStore(on=()))
-        self.submit(queue, 2, cacheable=False)
-        self.submit(queue, 3, artifact=None)
-        status, body = claim(app, "w0", 2)
-        assert status == 200 and len(body["tasks"]) == 2
-        assert app.store.calls == []
-
-    def test_store_that_raises_on_fetch_ships_the_task(self):
-        app, queue, store = self.make(store=RaisingStore(on=("fetch",)))
-        task = self.submit(queue, 2)
-        status, body = claim(app, "w0")
-        assert (status, [doc["task_id"] for doc in body["tasks"]]) \
-            == (200, [task.task_id])
-        assert store.calls == [("fetch", "art-2")]
-        assert self.store_errors(app) == {"fetch": 1, "publish": 0}
+        assert [doc["task_id"] for doc in body["tasks"]] \
+            == [task.task_id for task in tasks]
+        assert all("artifact" not in doc for doc in body["tasks"])
+        assert store.calls == []
+        assert self.store_errors(app) == {"publish": 0}
 
     # -- ack side ------------------------------------------------------
     def test_ack_publishes_a_computed_result_exactly_once(self):
@@ -479,7 +418,7 @@ class TestCoordinatorSideStore:
         assert (task.state, task.result, task.source) \
             == ("done", 4, "computed")
         assert ("publish", "art-2") in store.calls
-        assert self.store_errors(app) == {"fetch": 0, "publish": 1}
+        assert self.store_errors(app) == {"publish": 1}
 
     def test_artifact_routes_are_gone(self):
         app, _, _ = self.make()
@@ -490,18 +429,13 @@ class TestCoordinatorSideStore:
 
 class TestConcurrentClaims:
     def test_no_task_lost_or_settled_twice_under_contention(self):
-        """More claimers than cores, half the cells already stored:
-        every task is settled exactly once — stored ones by the
-        coordinator, the rest by exactly one worker each."""
+        """More claimers than cores: every task is shipped to, settled
+        by and published for exactly one worker."""
         queue = TaskQueue(lease=30.0)
         store = MemoryArtifactStore()
         app = CoordinatorApp(queue, store)
-        tasks = []
-        for value in range(200):
-            if value % 2 == 0:
-                store.publish(f"art-{value}", value)
-            tasks.append(queue.submit({}, key=str(value),
-                                      artifact=f"art-{value}"))
+        tasks = [queue.submit({}, key=str(value), artifact=f"art-{value}")
+                 for value in range(200)]
         shipped = []
 
         def claimer(name):
@@ -531,13 +465,11 @@ class TestConcurrentClaims:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert queue.finished()
-        assert sorted(shipped) == sorted(
-            task.task_id for task in tasks[1::2])
-        assert [task.source for task in tasks] \
-            == ["store", "computed"] * 100
+        assert sorted(shipped) == sorted(task.task_id for task in tasks)
+        assert [task.source for task in tasks] == ["computed"] * 200
         assert [task.result for task in tasks] == list(range(200))
         assert queue.stats.acks == 200
-        assert store.stats() == {"fetched": 100, "published": 200}
+        assert store.stats() == {"fetched": 0, "published": 200}
 
 
 class TestServerLifecycle:

@@ -2,9 +2,9 @@
 
 ``process_batch`` is exercised against a stub client so every edge is
 deterministic; the live-wire paths are covered by the backend and
-determinism suites.  The worker has no store side any more — the
-coordinator settles stored cells before it answers a claim and
-publishes on ack (test_coordinator).
+determinism suites.  The worker has no store side — ``run_cells``
+looks cells up before queueing them and the coordinator publishes on
+ack (test_coordinator).
 """
 
 import random
@@ -42,9 +42,6 @@ class StubClient:
 
     def nack_many(self, nacks):
         self.nacked.extend(nacks)
-
-    def payload(self, digest):
-        raise AssertionError(f"unexpected payload fetch: {digest}")
 
 
 def task_doc(task_id, spec):
@@ -106,7 +103,7 @@ class TestIdleNaps:
         monkeypatch.setattr(worker_module.CoordinatorClient, "claim",
                             lambda self, max_tasks=1: next(answers))
         monkeypatch.setattr(worker_module, "process_batch",
-                            lambda client, docs, payloads=None: {})
+                            lambda client, docs: {})
         monkeypatch.setattr(worker_module.time, "sleep", naps.append)
         worker_loop("http://127.0.0.1:9", "w0", poll=0.1,
                     rng=random.Random(7))
