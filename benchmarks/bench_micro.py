@@ -31,7 +31,12 @@ def bench_parse_reader_script(benchmark):
 
 
 def bench_engine_timeout_churn(benchmark):
-    """Raw event throughput: schedule + dispatch 10k timeouts."""
+    """A bulk drain: schedule 10k timeouts, then pop them all with
+    nothing scheduled in between — ``heappush`` x n, ``heappop`` x n.
+    No campaign has this shape (a figure cell holds about ``n_clients``
+    entries and interleaves schedule and pop), so this prices the heap
+    itself, not a scenario: docs/PERFORMANCE.md "Inside the event
+    kernel"."""
 
     def churn():
         engine = Engine()
@@ -44,8 +49,9 @@ def bench_engine_timeout_churn(benchmark):
 
 
 def bench_engine_run_horizon(benchmark):
-    """The numeric-horizon hot loop: dispatch 10k timeouts up to a
-    deadline (the branch the runall figure sweeps live in)."""
+    """The same bulk drain through ``run(until=t)``, the mode the
+    runall figure sweeps call: 10k pre-scheduled timeouts, half of them
+    due by the horizon and popped, the rest left queued."""
 
     def churn_to_horizon():
         engine = Engine()
@@ -117,7 +123,7 @@ def bench_command_race_churn(benchmark):
         shell = SimFtsh(engine, CommandRegistry())
         for _ in range(200):
             result = shell.run(script)
-        return result.success, len(engine._heap) + len(engine._run)
+        return result.success, len(engine._heap)
 
     success, queued = benchmark(churn)
     assert success and queued < 1_000

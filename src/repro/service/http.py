@@ -306,12 +306,21 @@ def error_doc(code: str, message: str,
                             "details": details or []}})
 
 
+def _not_json(token: str) -> Any:
+    raise BadRequest(f"body is not valid JSON ({token} is not a JSON number)")
+
+
 def json_object(body: bytes) -> dict[str, Any]:
-    """Parse a request body that must be a JSON object."""
+    """Parse a request body that must be a JSON object.
+
+    ``json.loads`` reads the non-JSON tokens ``NaN``, ``Infinity`` and
+    ``-Infinity`` as floats unless told otherwise; no ``<``/``>`` guard
+    behind this door (a budget, a lease cap) holds against a NaN.
+    """
     if not body:
         raise BadRequest("empty request body")
     try:
-        doc = json.loads(body.decode("utf-8"))
+        doc = json.loads(body.decode("utf-8"), parse_constant=_not_json)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise BadRequest(f"body is not valid JSON ({exc})")
     if not isinstance(doc, dict):

@@ -12,6 +12,7 @@ same job, the same cache entry, and the same result.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from typing import Any, Mapping, Optional
 
@@ -95,8 +96,9 @@ class ScriptSubmission:
                                  f"{what}: variables")
         timeout = _optional(doc, "timeout", (int, float), what)
         if timeout is not None and (isinstance(timeout, bool)
-                                    or float(timeout) <= 0):
-            raise SchemaError(f"{what}: timeout must be a positive number")
+                                    or not 0 < timeout < math.inf):
+            raise SchemaError(
+                f"{what}: timeout must be a positive finite number")
         seed = _optional(doc, "seed", (int,), what, default=2003)
         if isinstance(seed, bool):
             raise SchemaError(f"{what}: seed must be an integer")
@@ -169,9 +171,11 @@ class CampaignSubmission:
         overrides: list[tuple[str, float]] = []
         for name, value in overrides_doc.items():
             if (not isinstance(name, str) or isinstance(value, bool)
-                    or not isinstance(value, (int, float))):
+                    or not isinstance(value, (int, float))
+                    or not math.isfinite(value)):
                 raise SchemaError(
-                    f"{what}: overrides must map field names to numbers")
+                    f"{what}: overrides must map field names to finite "
+                    "numbers")
             overrides.append((name, float(value)))
         return cls(
             scenario=scenario,

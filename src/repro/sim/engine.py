@@ -1,4 +1,4 @@
-"""The discrete-event engine: a two-tier event list and a virtual clock.
+"""The discrete-event engine: one binary heap and a virtual clock.
 
 Design notes (per the hpc-parallel guide: simple and legible first, then
 measured — the perf ledger, ``benchmarks/ledger``, tracks the numbers):
@@ -12,31 +12,24 @@ measured — the perf ledger, ``benchmarks/ledger``, tracks the numbers):
   ``seq`` guarantees comparisons never reach the event object.
 * Priority 0 is reserved for urgent deliveries (interrupts) so that an
   interrupt scheduled "now" beats ordinary events scheduled "now".
-* The event list is two-tiered: ``_heap`` receives every ``_schedule``
-  (a binary heap, as before), but whenever the dispatch loop finds the
-  heap has grown past a small threshold with nothing else pending it
-  sorts the backlog *once* into ``_run`` — a descending-sorted list
-  drained from the tail.  Popping a Python list tail is several times
-  faster than ``heappop`` (no sift-down, no per-level tuple compares),
-  so bulk workloads (the figure sweeps pre-schedule thousands of
-  timeouts) dispatch at array speed while incremental scheduling keeps
-  heap semantics.  Correctness does not depend on which tier an entry
-  sits in: the loop always dispatches the smaller of the run tail and
-  the heap head under the full ``(time, pseq)`` key.
+* The event list is ``_heap``, a :mod:`heapq` heap: every scheduling
+  path pushes onto it and ``heappop`` is the only way an entry leaves
+  (docs/PERFORMANCE.md "Inside the event kernel" prices it against the
+  traffic campaigns produce).
 * Cancellation is O(1) and comes in two forms.  A *waiter* that stops
   waiting (see :meth:`Process._resume`) nulls its slot in the event's
   callback list instead of ``list.remove`` — callback lists may contain
-  ``None`` tombstones and the dispatch loops skip them; the event itself
-  stays live for its other waiters.  The *owner* of a private timer that
-  lost its race withdraws the whole timer (:meth:`Timeout.cancel`):
-  ``callbacks`` becomes ``None``, which every dispatch loop reads as
-  "nothing to run", so whatever waited on it is freed at once.  The
-  withdrawn entry stays queued — nothing is searched for — and the engine
-  counts such entries; once they exceed :data:`_COMPACT_MIN` *and* half
-  of the queue, both tiers are filtered in place and the heap rebuilt
-  (lazy deletion with periodic rebuild: each pass costs at most twice the
-  cancels that paid for it).  Dropping entries cannot reorder the rest:
-  every key is unique, so pop order is a function of the set alone.
+  ``None`` tombstones and dispatch skips them; the event itself stays
+  live for its other waiters.  The *owner* of a private timer that lost
+  its race withdraws the whole timer (:meth:`Timeout.cancel`):
+  ``callbacks`` becomes ``None``, which dispatch reads as "nothing to
+  run", so whatever waited on it is freed at once.  The withdrawn entry
+  stays queued — nothing is searched for — and the engine counts such
+  entries; once they exceed :data:`_COMPACT_MIN` *and* half of the
+  queue, the heap is filtered in place and rebuilt (lazy deletion with
+  periodic rebuild: each pass costs at most twice the cancels that paid
+  for it).  Dropping entries cannot reorder the rest: every key is
+  unique, so pop order is a function of the set alone.
 * A failed event that nobody defused re-raises at the engine loop:
   errors crash loudly instead of vanishing.
 """
@@ -62,10 +55,6 @@ _SEQ_BITS = 62
 #: Value returned by :meth:`Engine.peek` when no events remain.
 INFINITY = float("inf")
 
-#: Heap backlogs larger than this are sorted into the fast run tier
-#: when the run is empty (below it, plain heappop wins).
-_MIGRATE_MIN = 16
-
 #: Withdrawn timers are left queued until there are more than this many
 #: (below it a rebuild costs more than carrying them) and they outnumber
 #: the live entries.
@@ -85,9 +74,7 @@ class Engine:
         streams: Optional[RandomStreams] = None,
     ) -> None:
         self._now = start_time
-        #: Descending-sorted fast tier, drained from the tail.
-        self._run: list[tuple[float, int, Event]] = []
-        #: Insertion tier: a binary heap fed by :meth:`_schedule`.
+        #: The event list: a binary heap of ``(time, pseq, event)``.
         self._heap: list[tuple[float, int, Event]] = []
         self._seq = count(1).__next__
         #: Free list of consumed :class:`Carrier` events for
@@ -136,7 +123,7 @@ class Engine:
     # Scheduling and stepping
     # ------------------------------------------------------------------
     def _schedule(self, event: Event, delay: float = 0.0, priority: int = PRIORITY_NORMAL) -> None:
-        if delay < 0:
+        if not delay >= 0:  # written this way round so NaN is refused too
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         heapq.heappush(
             self._heap,
@@ -185,43 +172,27 @@ class Engine:
         withdrawn entries dominate it."""
         self._withdrawn = withdrawn = self._withdrawn + 1
         if (withdrawn > _COMPACT_MIN
-                and 2 * withdrawn > len(self._heap) + len(self._run)
+                and 2 * withdrawn > len(self._heap)
                 and self._may_compact):
             self._compact()
 
     def _compact(self) -> None:
-        """Drop every withdrawn entry from both tiers — in place: a
-        running dispatch loop holds the two lists in locals."""
-        run_ = self._run
+        """Drop every withdrawn entry — in place: a running dispatch
+        loop holds the list in a local."""
         heap = self._heap
-        run_[:] = [e for e in run_ if e[2].callbacks is not None]
         heap[:] = [e for e in heap if e[2].callbacks is not None]
         heapq.heapify(heap)
         self._withdrawn = 0
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``INFINITY`` if none."""
-        if self._run:
-            run_head = self._run[-1][0]
-            return min(run_head, self._heap[0][0]) if self._heap else run_head
         return self._heap[0][0] if self._heap else INFINITY
-
-    def _pop_entry(self) -> tuple[float, int, Event]:
-        """Remove and return the globally smallest entry (callers guard
-        against emptiness)."""
-        run_ = self._run
-        heap = self._heap
-        if run_:
-            if heap and heap[0] < run_[-1]:
-                return heapq.heappop(heap)
-            return run_.pop()
-        return heapq.heappop(heap)
 
     def step(self) -> None:
         """Process exactly one event."""
-        if not self._run and not self._heap:
+        if not self._heap:
             raise SimulationError("step() on an empty event queue")
-        when, _key, event = self._pop_entry()
+        when, _key, event = heapq.heappop(self._heap)
         if when < self._now:
             raise SimulationError("event queue corrupted: time went backwards")
         self._now = when
@@ -243,141 +214,37 @@ class Engine:
         * ``until`` is an :class:`Event`: run until it is processed and
           return its value (raising if it failed).
 
-        The dispatch loops are :meth:`step` inlined with both queue tiers
-        bound to locals: this is the hottest path in every experiment
-        (see ``benchmarks/bench_micro.py``).  The heap invariant, the
-        descending sort of the run tier, and the no-negative-delay check
-        in :meth:`_schedule` together guarantee time never runs
-        backwards here.  ``self._now`` is only stored when an observer
-        exists (callbacks about to run, or an error about to raise) —
-        between empty-callback events nothing can read the clock.
+        The modes share one loop — :meth:`step` inlined, the hottest path
+        in every experiment — and differ in set-up and epilogue only.  The
+        heap invariant and the no-negative-delay check in :meth:`_schedule`
+        guarantee time never runs backwards here.  ``self._now`` is only
+        stored when an observer exists (callbacks about to run, or an
+        error about to raise) — between empty-callback events nothing can
+        read the clock.
         """
-        run_ = self._run
         heap = self._heap
         pop = heapq.heappop
-
-        if until is None:
-            when = self._now
-            while True:
-                if run_:
-                    entry = run_[-1]
-                    if heap and heap[0] < entry:
-                        entry = pop(heap)
-                    else:
-                        del run_[-1]
-                elif heap:
-                    if len(heap) > _MIGRATE_MIN:
-                        heap.sort(reverse=True)
-                        run_.extend(heap)
-                        del heap[:]
-                        entry = run_.pop()
-                    else:
-                        entry = pop(heap)
-                else:
-                    break
-                event = entry[2]
-                callbacks = event.callbacks
-                if callbacks is None:
-                    # A withdrawn timer: the final clock must not depend
-                    # on whether a rebuild dropped it first.
-                    continue
-                when = entry[0]
-                event.callbacks = None
-                if callbacks:
-                    self._now = when
-                    for callback in callbacks:
-                        if callback is not None:
-                            callback(event)
-                if not event._ok and not event._defused:
-                    self._now = when
-                    raise event._value
-            self._now = when
-            return None
-
-        if isinstance(until, Event):
-            stop = until
+        horizon = INFINITY
+        done: list[Event] = []
+        stop = until if isinstance(until, Event) else None
+        if stop is not None:
             if stop.processed:
-                if stop.ok:
-                    return stop.value
-                stop.defuse()
-                raise stop.value
-            done: list[Event] = []
-            stop.callbacks.append(done.append)
-            while not done:
-                if run_:
-                    entry = run_[-1]
-                    if heap and heap[0] < entry:
-                        entry = pop(heap)
-                    else:
-                        del run_[-1]
-                elif heap:
-                    if len(heap) > _MIGRATE_MIN:
-                        heap.sort(reverse=True)
-                        run_.extend(heap)
-                        del heap[:]
-                        entry = run_.pop()
-                    else:
-                        entry = pop(heap)
-                else:
-                    raise SimulationError(
-                        "run(until=event): queue drained before event fired"
-                    )
-                when, _key, event = entry
-                callbacks = event.callbacks
-                event.callbacks = None
-                if callbacks:
-                    self._now = when
-                    for callback in callbacks:
-                        if callback is not None:
-                            callback(event)
-                if not event._ok and not event._defused:
-                    self._now = when
-                    raise event._value
-            if stop.ok:
-                return stop.value
-            stop.defuse()
-            raise stop.value
-
-        horizon = float(until)
-        if horizon < self._now:
-            raise SimulationError(
-                f"run(until={horizon}) is in the past (now={self._now})"
-            )
-        while True:
-            if run_:
-                entry = run_[-1]
-                if heap and heap[0] < entry:
-                    if heap[0][0] > horizon:
-                        break
-                    entry = pop(heap)
-                else:
-                    if entry[0] > horizon:
-                        break
-                    del run_[-1]
-            elif heap:
-                if heap[0][0] > horizon:
-                    break
-                if len(heap) > _MIGRATE_MIN:
-                    # Only the entries due by the horizon need sorting into
-                    # the run tier; the rest stay behind as a (re-heapified)
-                    # backlog for a later run() call.  Sorting the due slice
-                    # plus an O(n) heapify of the remainder measures faster
-                    # than one n-log-n sort of the whole backlog.
-                    due = [e for e in heap if e[0] <= horizon]
-                    if len(due) < len(heap):
-                        heap[:] = [e for e in heap if e[0] > horizon]
-                        heapq.heapify(heap)
-                    else:
-                        del heap[:]
-                    due.sort(reverse=True)
-                    run_.extend(due)
-                    entry = run_.pop()
-                else:
-                    entry = pop(heap)
+                done.append(stop)
             else:
-                break
-            when, _key, event = entry
+                stop.callbacks.append(done.append)
+        elif until is not None:
+            horizon = float(until)
+            if not horizon >= self._now:  # this way round: NaN is refused too
+                raise SimulationError(f"run(until={horizon}) is in the past (now={self._now})")
+        last = self._now
+        while heap and not done and heap[0][0] <= horizon:
+            when, _key, event = pop(heap)
             callbacks = event.callbacks
+            if callbacks is None:
+                # A withdrawn timer: the final clock must not depend
+                # on whether a rebuild dropped it first.
+                continue
+            last = when
             event.callbacks = None
             if callbacks:
                 self._now = when
@@ -387,8 +254,15 @@ class Engine:
             if not event._ok and not event._defused:
                 self._now = when
                 raise event._value
-        self._now = horizon
-        return None
+        if stop is None:
+            self._now = last if until is None else horizon
+            return None
+        if not done:
+            raise SimulationError("run(until=event): queue drained before event fired")
+        if stop.ok:
+            return stop.value
+        stop.defuse()
+        raise stop.value
 
     def run_budgeted(
         self,
@@ -400,7 +274,7 @@ class Engine:
 
         The service sandbox's enforcement point: unlike :meth:`run`, this
         loop is built from :meth:`step` (one bounds check per event, the
-        hot inlined loops stay untouched) and refuses to dispatch more
+        hot inlined loop stays untouched) and refuses to dispatch more
         than ``max_events`` events or to advance the clock past
         ``horizon`` simulated seconds, raising
         :class:`~repro.core.errors.BudgetExceeded` instead.  Returns
@@ -443,5 +317,4 @@ class Engine:
         raise until.value
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        queued = len(self._run) + len(self._heap)
-        return f"<Engine now={self._now:g} queued={queued}>"
+        return f"<Engine now={self._now:g} queued={len(self._heap)}>"

@@ -158,15 +158,17 @@ _interrupts = st.lists(
     st.tuples(_delay, st.integers(min_value=0, max_value=4)), max_size=6)
 
 
-def _trace_program(actors, interrupts, rebuild):
+def _trace_program(actors, interrupts, rebuild=None, drive=Engine.run):
     """Run the program with the queue rebuilt on every cancel
-    (``rebuild=True``) or on none; return every dispatched
+    (``rebuild=True``), on none (``False``) or as shipped (``None``),
+    dispatching through ``drive(engine)``; return every dispatched
     ``(time, label)`` and the final clock."""
     from repro.sim import Interrupt
     from repro.sim.events import _FirstOf
 
     engine = Engine()
-    engine._withdrawn_timer = engine._compact if rebuild else lambda: None
+    if rebuild is not None:
+        engine._withdrawn_timer = engine._compact if rebuild else lambda: None
     trace = []
 
     def note(label):
@@ -225,7 +227,7 @@ def _trace_program(actors, interrupts, rebuild):
 
     for delay, target in interrupts:
         engine.process(interrupter(delay, target))
-    engine.run()
+    drive(engine)
     return trace, engine.now
 
 
@@ -240,3 +242,38 @@ def test_queue_rebuilds_never_change_the_dispatch_sequence(actors, interrupts):
     never = _trace_program(actors, interrupts, rebuild=False)
     assert always == never
     assert not any(label.endswith("GHOST") for _time, label in always[0])
+
+
+# --- one dispatch loop: every way of driving the engine agrees ---
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_actor, min_size=1, max_size=5), _interrupts,
+       st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=6))
+def test_every_way_of_driving_the_engine_dispatches_alike(
+        actors, interrupts, fractions):
+    """``run()``, ``run(until=t)`` in slices followed by ``run()``, and
+    ``step()`` until the queue is empty dispatch the same labels at the
+    same times.  The sliced run also stops the clock where ``run()``
+    does (the slices end at or before that instant); ``step()`` moves
+    the clock to every entry it pops, so it may only end later, on a
+    withdrawn timer that outlived the last live entry."""
+    from repro.sim.engine import INFINITY
+
+    trace, clock = _trace_program(actors, interrupts)
+
+    def in_slices(engine):
+        for fraction in sorted(fractions):
+            engine.run(until=fraction * clock)
+        engine.run()
+
+    withdrawn = []
+
+    def by_step(engine):
+        while engine.peek() != INFINITY:
+            engine.step()
+        withdrawn.append(engine._withdrawn)
+
+    assert _trace_program(actors, interrupts, drive=in_slices) == (trace, clock)
+    stepped, stepped_clock = _trace_program(actors, interrupts, drive=by_step)
+    assert stepped == trace
+    assert stepped_clock == clock or (withdrawn[0] and stepped_clock > clock)

@@ -313,6 +313,59 @@ class TestContentLengthIsOutsideInput:
         assert reply.startswith(b"HTTP/1.1 404 "), reply[:200]
 
 
+class TestNonJsonNumbersAreOutsideInput:
+    """``json.loads`` reads ``NaN``/``Infinity``/``-Infinity``; a NaN
+    walks through every ``<``/``>`` guard behind the door (the sandbox's
+    simulated-time budget, the coordinator's lease cap), so the shared
+    body parser refuses the tokens on both planes."""
+
+    TOKENS = ["NaN", "Infinity", "-Infinity"]
+
+    @staticmethod
+    def post(address, path: str, body: str) -> tuple[bytes, dict]:
+        reply = raw_exchange(address, (
+            f"POST {path} HTTP/1.1\r\nHost: x\r\nConnection: close\r\n"
+            f"Content-Length: {len(body)}\r\n\r\n{body}").encode())
+        head, _, payload = reply.partition(b"\r\n\r\n")
+        return head, json.loads(payload)
+
+    @pytest.mark.parametrize("token", TOKENS)
+    @pytest.mark.parametrize("path, body", [
+        ("/scripts", '{"script": %s, "timeout": TOKEN}' % json.dumps(GOOD)),
+        ("/campaigns", '{"scenario": "submit", "disciplines": ["ethernet"],'
+                       ' "overrides": {"submit_duration": TOKEN}}'),
+    ], ids=["script-timeout", "campaign-override"])
+    def test_service_answers_400_and_admits_nothing(self, service, path,
+                                                    body, token):
+        url, store = service
+        host, port = url.removeprefix("http://").split(":")
+        head, doc = self.post((host, int(port)), path,
+                              body.replace("TOKEN", token))
+        assert head.startswith(b"HTTP/1.1 400 "), head
+        # (the service files an unparseable body under its schema code)
+        assert doc["error"]["code"] == "schema"
+        assert token in doc["error"]["message"]
+        assert doc["error"]["details"] == []
+        assert store.jobs() == []
+
+    @pytest.mark.parametrize("token", TOKENS)
+    def test_coordinator_answers_400_and_leases_nothing(self, token):
+        queue = TaskQueue()
+        queue.submit("cell", key="k")
+        server = CoordinatorServer(queue)
+        server.start()
+        try:
+            head, doc = self.post(
+                server.server.server_address[:2], "/queue/claim",
+                '{"worker": "w", "max": 1, "lease": %s}' % token)
+        finally:
+            server.close()
+        assert head.startswith(b"HTTP/1.1 400 "), head
+        assert doc["error"]["code"] == "bad-request"
+        assert doc["error"]["details"] == []
+        assert queue.in_flight() == 0 and queue.depth() == 1
+
+
 class TestSilentPeersAreReaped:
     """The kit's socket timeout (patched from 30 s to 0.2 s) frees the
     handler thread of a peer that stops talking, on every plane."""

@@ -47,6 +47,8 @@ class TestScriptSubmission:
         {"script": SCRIPT, "seed": True},
         {"script": SCRIPT, "variables": {"a": 1}},
         {"script": SCRIPT, "variables": "nope"},
+        {"script": SCRIPT, "timeout": float("nan")},
+        {"script": SCRIPT, "timeout": float("inf")},
     ])
     def test_rejects(self, doc):
         with pytest.raises(SchemaError):
@@ -84,6 +86,8 @@ class TestCampaignSubmission:
         {"scenario": "submit", "seed": True},
         {"scenario": "submit", "overrides": {"x": "y"}},
         {"scenario": "submit", "overrides": "nope"},
+        {"scenario": "submit", "overrides": {"submit_duration": float("nan")}},
+        {"scenario": "submit", "overrides": {"submit_duration": float("-inf")}},
     ])
     def test_rejects(self, doc):
         with pytest.raises(SchemaError):

@@ -127,7 +127,7 @@ class TestWithdrawnTimers:
         # Outside the budgeted loop the same churn is compacted away.
         engine, process = self.churn(withdraw=True)
         engine.run(until=process)
-        assert len(engine._heap) + len(engine._run) <= _COMPACT_MIN + 1
+        assert len(engine._heap) <= _COMPACT_MIN + 1
 
     def test_cap_trips_at_the_same_event(self):
         outcomes = []

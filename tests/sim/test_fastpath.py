@@ -1,13 +1,15 @@
-"""Fast-path kernel guarantees: ordering keys, the two-tier queue,
+"""Fast-path kernel guarantees: ordering keys, the one-heap queue,
 tombstone cancellation, timer withdrawal, and the carrier free list.
 
 These tests pin the *observable* contract of the event list — the
 ``(time, priority, sequence)`` ordering and O(1) cancellation — so the
-internals (packed keys, run/heap tiers, recycled carriers) can keep
+internals (packed keys, the heap, recycled carriers) can keep
 evolving without changing scenario output.
 """
 
 import gc
+import inspect
+import re
 
 import pytest
 
@@ -16,7 +18,6 @@ from repro.sim import Engine, Interrupt
 from repro.sim.engine import (
     _CARRIER_POOL_MAX,
     _COMPACT_MIN,
-    _MIGRATE_MIN,
     PRIORITY_NORMAL,
     PRIORITY_URGENT,
 )
@@ -55,11 +56,11 @@ class TestOrderingKey:
 
     def test_same_priority_same_time_is_fifo(self, engine):
         order = []
-        for i in range(2 * _MIGRATE_MIN):
+        for i in range(32):
             engine.immediate(True, i, lambda e: order.append(e.value),
                              priority=PRIORITY_URGENT)
         engine.run()
-        assert order == list(range(2 * _MIGRATE_MIN))
+        assert order == list(range(32))
 
     def test_full_key_order_matches_sorted_triples(self, engine):
         """Dispatch order is exactly sorted (time, priority, seq)."""
@@ -87,50 +88,79 @@ class TestOrderingKey:
 
 
 class TestTwoTierQueue:
+    """Named for the heap + sorted-run queue these cases were written
+    against; what they observe is tier-free and holds for the one heap."""
+
     def test_peek_sees_both_tiers(self, engine):
         stop = engine.event()
-        for i in range(2 * _MIGRATE_MIN):
+        for i in range(32):
             engine.timeout(5.0 + i)
         engine.timeout(1.0).callbacks.append(lambda e: stop.succeed())
         engine.run(until=stop)
-        # The backlog was migrated into the run tier; new entries land in
-        # the heap.  peek() must report the global minimum either way.
-        assert engine._run, "expected a migrated run tier"
+        # A backlog is left behind by the partial run; peek() must report
+        # the global minimum once a nearer entry is scheduled.
+        assert engine.peek() == pytest.approx(5.0)
         engine.timeout(0.5)
-        assert engine._heap, "expected a fresh heap entry"
         assert engine.peek() == pytest.approx(engine.now + 0.5)
 
     def test_step_drains_both_tiers_in_order(self, engine):
         fired = []
         stop = engine.event()
-        for i in range(2 * _MIGRATE_MIN):
+        for i in range(32):
             engine.timeout(5.0 + i).callbacks.append(
                 lambda e, i=i: fired.append(5.0 + i))
         engine.timeout(1.0).callbacks.append(lambda e: stop.succeed())
         engine.run(until=stop)
         engine.timeout(0.5).callbacks.append(lambda e: fired.append("fresh"))
-        engine.step()  # heap entry is earlier than every run-tier entry
+        engine.step()  # the fresh entry is earlier than the whole backlog
         assert fired == ["fresh"]
-        engine.step()  # now the run tier's head
+        engine.step()  # now the backlog's head
         assert fired == ["fresh", 5.0]
         engine.run()
-        assert fired == ["fresh"] + [5.0 + i for i in range(2 * _MIGRATE_MIN)]
+        assert fired == ["fresh"] + [5.0 + i for i in range(32)]
 
     def test_interleaved_run_calls_preserve_order(self, engine):
         fired = []
-        for i in range(3 * _MIGRATE_MIN):
+        for i in range(48):
             engine.timeout(float(i)).callbacks.append(
                 lambda e, i=i: fired.append(i))
         engine.run(until=10.0)
         assert fired == list(range(11))
-        for i in range(_MIGRATE_MIN):
+        for i in range(16):
             engine.timeout(10.5)  # lands between the leftovers
         engine.run()
-        assert fired == list(range(3 * _MIGRATE_MIN))
+        assert fired == list(range(48))
+
+
+class TestLayoutGuard:
+    """One binary heap, one dispatch loop (DESIGN.md §3.2): a source
+    grep, as in tests/service/test_http.py — a second tier or a per-mode
+    copy of the loop has to argue its way back in through
+    docs/PERFORMANCE.md "Inside the event kernel"."""
+
+    SOURCE = inspect.getsource(inspect.getmodule(Engine))
+
+    def test_no_run_tier(self, engine):
+        for gone in (r"_run\b", "_MIGRATE_MIN", "_pop_entry", r"\.sort\("):
+            assert not re.search(gone, self.SOURCE), gone
+        queues = [name for name, value in vars(engine).items()
+                  if isinstance(value, list)]
+        assert sorted(queues) == ["_carriers", "_heap"]
+
+    def test_heappop_is_the_only_way_out(self):
+        assert "heappop" in self.SOURCE
+        assert not re.search(r"heap\.pop\(|del heap|heap\[-1\]", self.SOURCE)
+
+    def test_one_callback_loop_per_dispatching_method(self):
+        for method in (Engine.step, Engine.run, Engine.run_budgeted):
+            body = inspect.getsource(method)
+            assert body.count("for callback in callbacks") <= 1, method
+        assert inspect.getsource(Engine.run).count("while ") == 1
 
 
 class TestNegativeDelay:
-    """One authoritative check, in Engine._schedule, one message."""
+    """One authoritative check, in Engine._schedule, one message — and
+    written ``not delay >= 0`` so that NaN is refused with it."""
 
     MESSAGE = "cannot schedule into the past"
 
@@ -145,6 +175,18 @@ class TestNegativeDelay:
     def test_message_names_the_delay(self, engine):
         with pytest.raises(SimulationError, match=r"delay=-2\.5"):
             engine.timeout(-2.5)
+
+    def test_nan_delay_is_refused(self, engine):
+        engine.timeout(1.0)
+        with pytest.raises(SimulationError, match=self.MESSAGE):
+            engine.timeout(float("nan"))
+        assert len(engine._heap) == 1 and engine.now == 0.0
+
+    def test_nan_horizon_is_refused(self, engine):
+        engine.timeout(1.0)
+        with pytest.raises(SimulationError, match="is in the past"):
+            engine.run(until=float("nan"))
+        assert len(engine._heap) == 1 and engine.now == 0.0
 
 
 class TestTombstoneCancellation:
@@ -244,7 +286,7 @@ class TestTimerWithdrawal:
 
     def test_step_passes_over_a_withdrawn_timer(self, engine):
         """``step()`` must treat ``callbacks is None`` like the inlined
-        loops of ``run()`` do; ``run_budgeted`` is built on it."""
+        loop of ``run()`` does; ``run_budgeted`` is built on it."""
         engine.timeout(1.0).cancel()
         engine.timeout(2.0)
         engine.step()
@@ -259,12 +301,12 @@ class TestTimerWithdrawal:
 
     def test_rebuild_keeps_every_live_entry_in_order(self, engine):
         """Withdraw far more timers than the floor, interleaved with live
-        ones in both tiers, from inside a running dispatch loop."""
+        ones, from inside a running dispatch loop."""
         order = []
         for i in range(4 * _COMPACT_MIN):
             engine.timeout(10.0 + i).callbacks.append(
                 lambda e, i=i: order.append(i))
-        engine.run(until=5.0)  # the live backlog now sits in the run tier
+        engine.run(until=5.0)
 
         def churn():
             for _ in range(16 * _COMPACT_MIN):
@@ -292,7 +334,7 @@ class TestTimerWithdrawal:
         try:
             for _ in range(n // 50):
                 assert shell.run(script).success
-            queued = len(engine._heap) + len(engine._run)
+            queued = len(engine._heap)
             unreachable = gc.collect()
         finally:
             gc.enable()

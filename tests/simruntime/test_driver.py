@@ -88,7 +88,7 @@ class TestDeadlineRace:
 
     @staticmethod
     def live_entries(engine):
-        return [entry for entry in engine._heap + engine._run
+        return [entry for entry in engine._heap
                 if entry[2].callbacks is not None]
 
     def test_command_won_withdraws_the_expiry(self):
