@@ -9,6 +9,14 @@ lower::
     python3 benchmarks/ab_cell.py PARENT_SRC CHANGE_SRC \\
         [--cell fig1/fixed/n450] [--scale medium] [--pairs 12]
 
+``--cell all`` is the byte sweep instead: every cell of the figure grid
+at ``--scale`` and of the chaos grid at ``--chaos-scale`` (67 cells at
+the defaults, medium and smoke), one fresh interpreter per tree running
+them all; it prints each side's CPU seconds per cell and exits 1
+listing every cell whose digests differ::
+
+    python3 benchmarks/ab_cell.py PARENT_SRC CHANGE_SRC --cell all
+
 ``PARENT_SRC`` and ``CHANGE_SRC`` are what ``PYTHONPATH`` is set to (the
 ``src`` directory of a checkout; ``git archive`` or ``git clone`` the
 parent commit somewhere first).  A cell is named by the key the campaign
@@ -20,7 +28,9 @@ The timed region is ``time.process_time`` around the cell function only
 (imports and grid construction are outside it), and the digest is the
 sha256 of the result's canonical JSON (``to_jsonable``, sorted keys) —
 the equality the determinism suite asserts.  Exits 1 if any two runs
-disagree on the digest, 2 on a bad cell name.
+disagree on the digest, 2 on a bad cell name.  The sweep is the check a
+change that may reorder same-instant events needs: a hop added or
+dropped shows up in a storage cell long before a condor one.
 
 Standard library only; not tier-1 and not a ledger workload.  See
 docs/PERFORMANCE.md "Profiling a scenario".
@@ -36,41 +46,75 @@ import sys
 #: Runs in the child, with PYTHONPATH pointing at one tree.
 CHILD = r"""
 import hashlib, json, sys, time
-cell, scale = sys.argv[1:3]
-if cell.startswith("chaos/"):
-    from repro.experiments import chaos as campaign
-else:
-    from repro.experiments import runall as campaign
+from repro.experiments import chaos, runall
 from repro.parallel.transport import to_jsonable
-if scale not in campaign.SCALES:
-    sys.exit(f"no scale {scale!r} in {campaign.__name__}: {sorted(campaign.SCALES)}")
-cells = campaign.campaign_cells(campaign.SCALES[scale], 2003)
-if isinstance(cells, dict):
-    cells = [spec for group in cells.values() for spec in group]
-by_key = {spec.key: spec for spec in cells}
-if cell not in by_key:
-    sys.exit(f"no cell {cell!r} at scale {scale!r}; keys: {' '.join(sorted(by_key))}")
-spec = by_key[cell]
-start = time.process_time()
-result = spec.fn(*spec.args, **spec.kwargs)
-cpu_s = time.process_time() - start
-blob = json.dumps(to_jsonable(result), sort_keys=True, separators=(",", ":"))
-print(json.dumps({"cpu_s": cpu_s,
-                  "digest": hashlib.sha256(blob.encode()).hexdigest()}))
+scale, chaos_scale, wanted = sys.argv[1:4]
+
+def grid(campaign, name):
+    if name not in campaign.SCALES:
+        sys.exit(f"no scale {name!r} in {campaign.__name__}: {sorted(campaign.SCALES)}")
+    cells = campaign.campaign_cells(campaign.SCALES[name], 2003)
+    if isinstance(cells, dict):
+        cells = [spec for group in cells.values() for spec in group]
+    return cells
+
+if wanted == "all":
+    cells = grid(runall, scale) + grid(chaos, chaos_scale)
+else:
+    by_key = {spec.key: spec for spec in
+              grid(chaos if wanted.startswith("chaos/") else runall, scale)}
+    if wanted not in by_key:
+        sys.exit(f"no cell {wanted!r} at scale {scale!r}; keys: {' '.join(sorted(by_key))}")
+    cells = [by_key[wanted]]
+for spec in cells:
+    start = time.process_time()
+    result = spec.fn(*spec.args, **spec.kwargs)
+    cpu_s = time.process_time() - start
+    blob = json.dumps(to_jsonable(result), sort_keys=True, separators=(",", ":"))
+    print(json.dumps({"cell": spec.key, "cpu_s": cpu_s,
+                      "digest": hashlib.sha256(blob.encode()).hexdigest()}), flush=True)
 """
 
 
-def run_once(src: str, cell: str, scale: str) -> dict:
-    """One fresh-interpreter run of ``cell`` against the tree at ``src``."""
+def run_cells(src: str, cell: str, scale: str, chaos_scale: str) -> list[dict]:
+    """One fresh interpreter against the tree at ``src``: a row per cell."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     done = subprocess.run(
-        [sys.executable, "-c", CHILD, cell, scale],
+        [sys.executable, "-c", CHILD, scale, chaos_scale, cell],
         env=env, capture_output=True, text=True,
     )
     if done.returncode != 0:
         sys.stderr.write(done.stderr)
         raise SystemExit(2)
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    return [json.loads(line) for line in done.stdout.splitlines()
+            if line.startswith("{")]
+
+
+def run_once(src: str, cell: str, scale: str) -> dict:
+    """One fresh-interpreter run of ``cell`` against the tree at ``src``."""
+    return run_cells(src, cell, scale, scale)[0]
+
+
+def sweep(sources: dict[str, str], scale: str, chaos_scale: str) -> int:
+    """Every cell of both grids once per tree; 1 if any digest differs."""
+    rows = {side: run_cells(src, "all", scale, chaos_scale)
+            for side, src in sources.items()}
+    print(f"every cell: figures at {scale}, chaos at {chaos_scale} (seed 2003), CPU-s")
+    mismatched = []
+    for parent, change in zip(rows["parent"], rows["change"]):
+        same = parent["digest"] == change["digest"]
+        if not same:
+            mismatched.append(parent["cell"])
+        print(f"  {parent['cell']:<36} parent {parent['cpu_s']:7.3f}"
+              f"  change {change['cpu_s']:7.3f}  {'same' if same else 'DIFFERS'}")
+    total = {side: sum(row["cpu_s"] for row in rows[side]) for side in rows}
+    print(f"total  parent {total['parent']:.3f}  change {total['change']:.3f}")
+    if mismatched:
+        print(f"DIGEST MISMATCH in {len(mismatched)} of {len(rows['parent'])} cells: "
+              + " ".join(mismatched))
+        return 1
+    print(f"digests equal on all {len(rows['parent'])} cells")
+    return 0
 
 
 def spread(values: list[float]) -> str:
@@ -89,11 +133,15 @@ def main(argv=None) -> int:
     parser.add_argument("--cell", default="fig1/fixed/n450")
     parser.add_argument("--scale", default="medium")
     parser.add_argument("--pairs", type=int, default=12)
+    parser.add_argument("--chaos-scale", default="smoke",
+                        help="the chaos grid's scale under --cell all")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
 
     sources = {"parent": args.parent_src, "change": args.change_src}
+    if args.cell == "all":
+        return sweep(sources, args.scale, args.chaos_scale)
     cpu: dict[str, list[float]] = {"parent": [], "change": []}
     digests = set()
     print(f"cell {args.cell} (scale {args.scale}, seed 2003), {args.pairs} alternated pairs, CPU-s")

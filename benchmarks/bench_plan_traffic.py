@@ -13,7 +13,10 @@ prints per grid:
   branches;
 * from counting wrappers applied here, outside ``src/`` (nothing in the
   package counts these): ``Scope.get`` / ``set`` / ``append`` calls,
-  function calls, and words expanded that hold a substitution.
+  function calls, and words expanded that hold a substitution;
+* how the simulated commands were served — by a timer (a handler that
+  answered ``Quick``) or as a process — and the engine events
+  dispatched (withdrawn timers are not events), per command too.
 
 Each grid runs twice and the run fails if any count differs::
 
@@ -30,6 +33,7 @@ import dataclasses
 import functools
 import os
 import sys
+import types
 
 sys.path.insert(0, os.path.join(
     os.path.dirname(os.path.abspath(__file__)), os.pardir, "src"))
@@ -39,6 +43,8 @@ from repro.core import compile as plans  # noqa: E402
 from repro.core.variables import Scope  # noqa: E402
 from repro.experiments import chaos, runall  # noqa: E402
 from repro.obs.api import Observability  # noqa: E402
+from repro.sim import engine as kernel  # noqa: E402
+from repro.simruntime import driver  # noqa: E402
 
 #: Row label -> the interpreter's counter family behind it.
 OBS_COUNTERS = {
@@ -48,6 +54,7 @@ OBS_COUNTERS = {
     "backoffs": "ftsh_backoff_initiations_total",
     "forany picks": "ftsh_forany_picks_total",
     "forall branches": "ftsh_forall_branches_total",
+    "commands started": "ftsh_sim_processes_spawned_total",
 }
 
 #: Row label -> (owner, attribute, predicate over the call's arguments).
@@ -60,6 +67,7 @@ WRAPPED = {
     "function calls": (plans, "_call_function", None),
     "non-constant words expanded": (
         plans.CompiledWord, "expand", lambda word, _scope: bool(word.subs)),
+    "commands timer-served": (driver._TimerServed, "__init__", None),
 }
 
 
@@ -86,6 +94,27 @@ def counting_wrappers():
     finally:
         for owner, name, original in originals:
             setattr(owner, name, original)
+
+
+@contextlib.contextmanager
+def counting_events():
+    """Count the entries the engine pops that run (not withdrawn timers):
+    the kernel reads ``heapq`` off its module on every call."""
+    tally = {"engine events": 0}
+    real = kernel.heapq
+
+    def heappop(heap):
+        entry = real.heappop(heap)
+        if entry[2].callbacks is not None:
+            tally["engine events"] += 1
+        return entry
+
+    kernel.heapq = types.SimpleNamespace(
+        heappush=real.heappush, heappop=heappop, heapify=real.heapify)
+    try:
+        yield tally
+    finally:
+        kernel.heapq = real
 
 
 def runall_cells(seed):
@@ -119,7 +148,7 @@ def count_grid(cells):
     """Run every cell against one telemetry context; return the counts."""
     # Counters only: no span is kept, no gauge series grows.
     obs = Observability(keep_series=False, max_spans=0)
-    with counting_wrappers() as tally:
+    with counting_wrappers() as tally, counting_events() as events:
         for run in cells:
             run(obs)
     counts = {}
@@ -128,6 +157,9 @@ def count_grid(cells):
         counts[label] = int(sum(
             child.value for child in family.children())) if family else 0
     counts.update(tally)
+    counts["commands as processes"] = (
+        counts["commands started"] - counts["commands timer-served"])
+    counts.update(events)
     return counts
 
 
@@ -154,6 +186,8 @@ def main(argv=None):
         commands = first["commands"] or 1
         print(f"  {'Scope.get calls per command':<30}"
               f"{first['Scope.get calls'] / commands:>12.3f}")
+        print(f"  {'engine events per command':<30}"
+              f"{first['engine events'] / commands:>12.3f}")
         moved = {label: (first[label], second[label])
                  for label in first if first[label] != second[label]}
         if moved:

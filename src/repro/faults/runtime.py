@@ -26,6 +26,7 @@ from typing import Optional, Sequence
 
 from ..core.effects import CommandResult
 from ..core.errors import SimulationError
+from ..simruntime.registry import Quick, at_once, generator_form
 from .config import validate_non_negative, validate_positive
 from .schedule import FaultSchedule, FaultWindow, Flaky, parse_schedule
 
@@ -163,18 +164,20 @@ def apply_command_faults(registry, plan: CommandFaultPlan) -> None:
 
     Mutates the registry in place (scenario registries are built per run,
     so there is nothing to unwind).  Commands registered *after* this
-    call are not wrapped.
+    call are not wrapped.  A handler's :class:`~repro.simruntime.registry.Quick`
+    answer passes through; a ``delay`` fault puts its delay in front of
+    the handler, which is then called when the delay ends, as it was
+    when every handler was a process body.
     """
-
     def wrap(handler):
         def faulted(ctx):
             fault = plan.verdict(ctx.argv, ctx.engine.now)
-            if fault is not None and fault.kind != "delay":
-                return plan.faulted_result(fault)
-            if fault is not None:
-                yield ctx.engine.timeout(fault.delay)
-            value = yield from handler(ctx)
-            return value
+            if fault is None:
+                return handler(ctx)
+            if fault.kind != "delay":
+                return at_once(plan.faulted_result(fault))
+            return Quick(fault.delay,
+                         lambda: generator_form(handler(ctx), ctx.engine))
 
         return faulted
 

@@ -40,7 +40,7 @@ from ..sim.events import Interrupt
 from ..sim.monitor import Counter
 from ..sim.process import Process
 from ..sim.resources import Request, Resource
-from ..simruntime.registry import CommandContext, CommandRegistry
+from ..simruntime.registry import CommandContext, CommandRegistry, Quick
 from .fdtable import FDTable
 
 
@@ -147,12 +147,28 @@ class Schedd:
         :meth:`close_connection`.
         """
         if not self.fdtable.allocate(self.config.fds_per_connection):
-            self.emfile.increment()
-            self._m_emfile.inc()
+            self._count_emfile()
             return None
         connection = Connection(next(self._conn_ids), process, self.config.fds_per_connection)
         self.connections[connection.id] = connection
         return connection
+
+    def refuses_connection(self) -> bool:
+        """EMFILE without claiming anything: True, counted as a failed
+        :meth:`open_connection`, if a connection would not fit now."""
+        if not self.fdtable.refuses(self.config.fds_per_connection):
+            return False
+        self._count_emfile()
+        return True
+
+    def _count_emfile(self) -> None:
+        self.emfile.increment()
+        self._m_emfile.inc()
+
+    def count_refusal(self) -> None:
+        """A submission turned away while the schedd is down."""
+        self.refused.increment()
+        self._m_refused.inc()
 
     def close_connection(self, connection: Connection) -> None:
         """Release everything the connection holds; idempotent."""
@@ -224,10 +240,21 @@ def register_condor_commands(registry: CommandRegistry, world: CondorWorld) -> N
 
     @registry.register("condor_submit")
     def condor_submit(ctx: CommandContext):
-        """Submit one job: connect, queue for the schedd, transfer, commit."""
+        """Submit one job.  Refused while the schedd is down, EMFILE when
+        a connection would not fit: each is a timer, then 1."""
         if not schedd.up:
-            schedd.refused.increment()
-            schedd._m_refused.inc()
+            schedd.count_refusal()
+            return Quick(config.refusal_latency, 1)
+        if schedd.refuses_connection():
+            return Quick(config.emfile_latency, 1)
+        return submit()
+
+    def submit():
+        """Connect, queue for the schedd, transfer, commit — after the
+        same two checks again, for state that changed in the bootstrap
+        hop between them and this process' start."""
+        if not schedd.up:
+            schedd.count_refusal()
             yield engine.timeout(config.refusal_latency)
             return 1
 

@@ -55,6 +55,15 @@ class FDTable:
         self._note()
         return True
 
+    def refuses(self, count: int) -> bool:
+        """True — counted as a failed allocation — if ``count`` would not
+        fit now.  Claims nothing."""
+        validate_non_negative("fd allocation", count)
+        if self._used + count > self.capacity:
+            self.failures += 1
+            return True
+        return False
+
     def release(self, count: int) -> None:
         """Return ``count`` descriptors."""
         validate_non_negative("fd release", count)

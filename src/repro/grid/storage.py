@@ -30,7 +30,7 @@ from ..sim.engine import Engine
 from ..sim.events import Interrupt
 from ..sim.monitor import Counter, TimeSeries
 from ..sim.resources import Resource
-from ..simruntime.registry import CommandContext, CommandRegistry
+from ..simruntime.registry import CommandContext, CommandRegistry, Quick, at_once
 
 
 @dataclass(frozen=True, slots=True)
@@ -362,38 +362,67 @@ def register_buffer_commands(registry: CommandRegistry, world: BufferWorld) -> N
     def produce_output(ctx: CommandContext):
         size = float(ctx.args[0])
         if size < 0:
-            return 1
-        yield engine.timeout(config.production_time)
-        world.pending_outputs[ctx.client] = size
-        return 0
+            return at_once(1)
+        client = ctx.client
+
+        def produced():
+            world.pending_outputs[client] = size
+            return 0
+
+        return Quick(config.production_time, produced)
 
     @registry.register("store_output")
     def store_output(ctx: CommandContext):
+        """The open, then the first chunk's space claim, are a timer and
+        what follows it; only a store that gets past them writes as a
+        process."""
         size = world.pending_outputs.get(ctx.client)
         if size is None:
-            return 1  # nothing produced yet: script bug, fail fast
-        yield engine.timeout(config.open_overhead)
-        entry = buffer.create(goal_mb=size)
+            return at_once(1)  # nothing produced yet: script bug, fail fast
+        client = ctx.client
+
+        def opened():
+            entry = buffer.create(goal_mb=size)
+            if size <= 1e-12:
+                return stored(client, entry)
+            chunk = claim(entry, size)
+            if chunk is None:
+                return 1
+            return write(client, entry, chunk, size - chunk)
+
+        return Quick(config.open_overhead, opened)
+
+    def claim(entry, remaining: float) -> Optional[float]:
+        """Grow ``entry`` by its next chunk and return the chunk; on
+        ENOSPC delete the partial file (a collision) and return None."""
+        chunk = min(config.write_chunk_mb, remaining)
+        if buffer.grow(entry, chunk):
+            return chunk
+        buffer.delete(entry, collided=True)
+        return None
+
+    def stored(client: str, entry) -> int:
+        buffer.finish(entry)
+        world.pending_outputs.pop(client, None)
+        return 0
+
+    def write(client: str, entry, chunk: float, remaining: float):
+        """Move each claimed chunk through the disk, claiming the next
+        after it, until ``remaining`` is written."""
         try:
-            remaining = size
-            while remaining > 1e-12:
-                chunk = min(config.write_chunk_mb, remaining)
-                if not buffer.grow(entry, chunk):
-                    buffer.delete(entry, collided=True)
-                    entry = None
+            while True:
+                yield from buffer.disk.io(chunk)
+                if remaining <= 1e-12:
+                    return stored(client, entry)
+                chunk = claim(entry, remaining)
+                if chunk is None:
                     return 1
                 remaining -= chunk
-                yield from buffer.disk.io(chunk)
-            buffer.finish(entry)
-            entry = None
-            world.pending_outputs.pop(ctx.client, None)
-            return 0
         except Interrupt:
             # Deadline kill mid-write: the partial file is deleted by the
             # retry logic in the paper's setup ("If the output cannot be
             # written, it is deleted").
-            if entry is not None:
-                buffer.delete(entry, collided=True)
+            buffer.delete(entry, collided=True)
             return 1
 
     @registry.register("reserve_output")

@@ -29,16 +29,36 @@ if TYPE_CHECKING:  # pragma: no cover
 ProcessGenerator = Generator[Event, Any, Any]
 
 
+class _Start:
+    """What a process started in the current dispatch is first resumed
+    with: a successful ``None``, read by :meth:`Process._resume` the way
+    it reads a triggered event."""
+
+    __slots__ = ()
+    _ok = True
+    _value = None
+
+
+_START = _Start()
+
+
 class Process(Event):
     """A running generator inside the simulation.
 
     The process event succeeds with the generator's return value, or fails
-    with its uncaught exception.
+    with its uncaught exception.  It starts one urgent hop after it is
+    created, unless ``bootstrap=False`` starts it in the current dispatch.
     """
 
     __slots__ = ("generator", "_target", "_target_slot", "_resume_cb", "name")
 
-    def __init__(self, engine: "Engine", generator: ProcessGenerator, name: str = "") -> None:
+    def __init__(
+        self,
+        engine: "Engine",
+        generator: ProcessGenerator,
+        name: str = "",
+        bootstrap: bool = True,
+    ) -> None:
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
             raise SimulationError(f"process body must be a generator, got {generator!r}")
         super().__init__(engine)
@@ -57,6 +77,15 @@ class Process(Event):
         #: finished process is then freed by reference count as soon as
         #: its last waiter lets go, not by a later collector pass.
         self._resume_cb = self._resume
+        if not bootstrap:
+            # Run to the first yield now, inside the caller's dispatch:
+            # the generator's first request is made before anything else
+            # at this instant.  Only from a callback, not from inside a
+            # running process (whose ``active_process`` this restores).
+            active = engine.active_process
+            self._resume(_START)
+            engine.active_process = active
+            return
         # Kick off at the current simulation time.  Urgent priority (0) so
         # a process interrupted in its creation instant still *starts*
         # before the interrupt lands (throwing into a never-started

@@ -4,8 +4,9 @@ The same effect generator that :class:`~repro.core.realruntime.RealDriver`
 executes against POSIX is executed here as a simulation process:
 
 * ``Sleep``       -> virtual :class:`~repro.sim.events.Timeout`
-* ``RunCommand``  -> a registered simulated command (its own sim process),
-  raced against the effect's deadline
+* ``RunCommand``  -> a registered simulated command, raced against the
+  effect's deadline: its own sim process, or — for a handler that
+  answers :class:`~repro.simruntime.registry.Quick` — one timer
 * ``RunParallel`` -> one sim process per branch, first failure interrupts
   the rest
 * ``GetTime``     -> ``engine.now``;  ``GetRandom`` -> a named RNG stream
@@ -19,6 +20,7 @@ at its current yield point, which unwinds like an uncatchable failure.
 from __future__ import annotations
 
 import random
+from types import GeneratorType
 from typing import Any, Generator, Optional
 
 from ..core.effects import (
@@ -35,10 +37,10 @@ from ..core.effects import (
 from ..core.errors import FtshCancelled, FtshControl, FtshRuntimeError
 from ..core.timeline import UNBOUNDED
 from ..obs.api import NULL_OBS
-from ..sim.engine import Engine
-from ..sim.events import Interrupt, _FirstOf
+from ..sim.engine import PRIORITY_URGENT, Engine
+from ..sim.events import _PENDING, Event, Interrupt, _FirstOf
 from ..sim.process import Process
-from .registry import CommandContext, CommandRegistry, normalize_result
+from .registry import CommandContext, CommandRegistry, Quick, normalize_result
 
 
 class SimDriver:
@@ -73,7 +75,7 @@ class SimDriver:
         self.obs = obs if obs is not None else NULL_OBS
         metrics = self.obs.metrics
         self._m_spawned = metrics.counter(
-            "ftsh_sim_processes_spawned_total", "simulated command processes started")
+            "ftsh_sim_processes_spawned_total", "simulated commands started")
         self._m_unknown = metrics.counter(
             "ftsh_sim_unknown_commands_total", "commands with no registered handler")
         self._m_branches = metrics.counter(
@@ -156,6 +158,7 @@ class SimDriver:
         if remaining <= 0:
             return CommandResult(exit_code=-1, timed_out=True, detail="deadline already passed")
 
+        name = effect.argv[0]
         context = CommandContext(
             argv=list(effect.argv),
             engine=self.engine,
@@ -163,38 +166,49 @@ class SimDriver:
             stdin_data=effect.stdin_data,
             client=self.client,
         )
-        process = self.engine.process(
-            self._shield(handler(context), effect.argv[0]),
-            name=f"cmd:{effect.argv[0]}",
-        )
+        # The expiry goes on the queue before the command's first timer,
+        # as it did when that timer was made one hop later: at a tie the
+        # expiry fires first and the command still counts as finished.
+        expiry = None if effect.deadline == UNBOUNDED else self.engine.timeout(remaining)
+        answer = handler(context)
         self._m_spawned.inc()
+        if type(answer) is Quick:
+            command: Process | _TimerServed = _TimerServed(self.engine, answer, name)
+        else:
+            command = self.engine.process(self._shield(answer, name), name=f"cmd:{name}")
+        return (yield from self._race(command, expiry, name))
 
-        if effect.deadline == UNBOUNDED:
+    @staticmethod
+    def _race(
+        command: Process | _TimerServed, expiry: Optional[Event], name: str,
+    ) -> Generator[Any, Any, CommandResult]:
+        """Wait for ``command`` to exit, or kill it when ``expiry`` fires
+        first (no expiry: wait without a deadline)."""
+        if expiry is None:
             try:
-                value = yield process
+                value = yield command
             except Interrupt:
-                if process.is_alive:
-                    process.interrupt("client cancelled")
+                if command.is_alive:
+                    command.interrupt("client cancelled")
                 raise
-            return normalize_result(value, effect.argv[0])
+            return normalize_result(value, name)
         # The expiry is this method's own timer: on every exit where it
         # has not fired it is withdrawn, so a finished command leaves no
         # waiter chain pinned until the enclosing try's deadline.
-        expiry = self.engine.timeout(remaining)
         try:
-            yield _FirstOf(self.engine, process, expiry)
+            yield _FirstOf(command.engine, command, expiry)
         except Interrupt:
             expiry.cancel()
-            if process.is_alive:
-                process.interrupt("client cancelled")
+            if command.is_alive:
+                command.interrupt("client cancelled")
             raise
-        if process.triggered:
+        if not command.is_alive:
             expiry.cancel()
-            return normalize_result(process.value, effect.argv[0])
+            return normalize_result(command.value, name)
         # Deadline won the race: kill the command, wait for its cleanup.
-        process.interrupt("deadline expired")
-        value = yield process
-        result = normalize_result(value, effect.argv[0])
+        command.interrupt("deadline expired")
+        value = yield command
+        result = normalize_result(value, name)
         result.timed_out = True
         if result.exit_code == 0:
             result.exit_code = -1
@@ -261,3 +275,80 @@ class SimDriver:
                             other.interrupt("sibling branch failed")
             start_more()
         return ParallelResult(outcomes=outcomes)
+
+
+class _TimerServed(Event):
+    """The exit of a command whose handler answered :class:`Quick`.
+
+    It triggers in the dispatch where a process running the handler's
+    generator form (``registry.generator_form``) would have triggered,
+    so the race around it sees the same event order — less the process'
+    bootstrap hop, which is the one hop this saves:
+
+    * its timer's dispatch runs ``then``; a result is this event's
+      ``succeed`` (the process' exit hop);
+    * a generator is started as a process in that same dispatch
+      (``bootstrap=False``) and this event exits with it: the process'
+      exit dispatch runs this event's waiters (:meth:`_forward`);
+    * killed before the timer fires, it takes the urgent hop an
+      interrupt would, then exits ``"<name>: killed"`` — the process
+      form's uncaught :class:`Interrupt`.  The timer still fires, into
+      nothing, as the process' abandoned timer did.
+    """
+
+    __slots__ = ("_answer", "_name", "_process")
+
+    def __init__(self, engine: Engine, answer: Quick, name: str) -> None:
+        super().__init__(engine)
+        self._answer = answer
+        self._name = name
+        self._process: Optional[Process] = None
+        engine.timeout(answer.delay).callbacks.append(self._fire)
+
+    # A continuation has finished when its process has, one exit hop
+    # before this event exits with it: a race settled in that hop (the
+    # deadline at the completion instant) must already see it done.
+    @property
+    def is_alive(self) -> bool:
+        process = self._process
+        return process.is_alive if process is not None else self._value is _PENDING
+
+    @property
+    def value(self) -> Any:
+        process = self._process
+        return process.value if process is not None else Event.value.fget(self)
+
+    def interrupt(self, cause: Any = None) -> None:
+        if self._process is not None:
+            self._process.interrupt(cause)
+        else:
+            self.engine.immediate(True, None, self._kill, priority=PRIORITY_URGENT)
+
+    def _kill(self, _carrier: Event) -> None:
+        if self._value is _PENDING:
+            self.succeed(CommandResult(exit_code=-1, detail=f"{self._name}: killed"))
+
+    def _fire(self, _timer: Event) -> None:
+        if self._value is not _PENDING:
+            return  # killed first
+        value = self._answer.outcome()
+        if not isinstance(value, GeneratorType):
+            self.succeed(value)
+            return
+        self._process = process = Process(
+            self.engine, SimDriver._shield(value, self._name),
+            name=f"cmd:{self._name}", bootstrap=False)
+        process.callbacks.append(self._forward)
+
+    def _forward(self, process: Event) -> None:
+        """Exit with the continuation: run our waiters in its exit dispatch."""
+        self._ok = ok = process._ok
+        self._value = process._value
+        if not ok:
+            process.defuse()
+        callbacks, self.callbacks = self.callbacks, None
+        for callback in callbacks:
+            if callback is not None:
+                callback(self)
+        if not ok and not self._defused:
+            raise self._value

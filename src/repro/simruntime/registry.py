@@ -1,32 +1,52 @@
 """Simulated commands: the things ftsh scripts invoke inside the simulator.
 
-A *simulated command* is a generator function (a simulation process body)
-registered under a command name.  When an ftsh script run by the
-:class:`~repro.simruntime.driver.SimDriver` executes ``condor_submit
-job``, the driver looks up ``condor_submit`` here and runs the handler in
-virtual time.
+A *simulated command* is a handler registered under a command name.
+When an ftsh script run by the :class:`~repro.simruntime.driver.SimDriver`
+executes ``condor_submit job``, the driver looks up ``condor_submit``
+here and runs the handler in virtual time.
 
-Handler contract::
+Handler contract — a handler answers in one of two forms::
 
     @registry.register("mycmd")
-    def mycmd(ctx: CommandContext):
+    def mycmd(ctx: CommandContext):          # a generator: a process body
         yield ctx.engine.timeout(1.5)        # take simulated time
         return 0                              # exit code
         # or: return (0, "output text")
         # or: return CommandResult(...)
+
+    @registry.register("refuse")
+    def refuse(ctx: CommandContext):         # a plain function
+        return Quick(1.0, 1)                 # "this latency, this result"
+
+* A **generator** (or a plain function returning one) runs as its own
+  simulation process, started one urgent hop after the command is
+  issued.  This is the form for anything that can block: queue for a
+  resource, hold it, be interrupted while holding it.
+* A :class:`Quick` answer is for a command that cannot block.  After
+  ``delay`` simulated seconds, ``then`` is the result — or, if callable,
+  ``then()`` is called in the timer's own dispatch and returns a result
+  or a generator that continues as a process from that dispatch.  The
+  driver serves it with one timer and no process.  A plain function's
+  own code runs when the command is issued, not one hop later, so it
+  must only read state (or claim what a refusal claims) there.
+
+:func:`generator_form` spells a ``Quick`` answer as the equivalent
+process body; both forms give the same result and ``ShellLog``.
 
 * Handlers hold simulated resources; if they can be interrupted while
   holding them (deadline expiry, forall cancellation), they must catch
   :class:`~repro.sim.Interrupt`, release, and return.  An uncaught
   Interrupt is converted by the driver into command death (nonzero,
   timed out) — resources held through it leak, exactly like a real
-  process killed with SIGKILL would leak disk files.
+  process killed with SIGKILL would leak disk files.  A ``Quick``
+  command killed before its timer fires dies the same way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Generator, Optional
+from types import GeneratorType
+from typing import Any, Callable, Generator, NamedTuple, Optional
 
 from ..core.effects import CommandResult
 from ..core.errors import FtshRuntimeError
@@ -34,7 +54,47 @@ from ..sim.engine import Engine
 
 #: What a handler may return.
 HandlerReturn = CommandResult | int | tuple[int, str] | None
-CommandHandler = Callable[["CommandContext"], Generator[Any, Any, HandlerReturn]]
+
+
+class Quick(NamedTuple):
+    """A handler's answer for a command that cannot block: after
+    ``delay`` simulated seconds the result is ``then``, or what calling
+    it returns (a result, or a generator to continue as a process)."""
+
+    delay: float
+    then: Any = None
+
+    def outcome(self) -> Any:
+        """``then``, called if it is callable."""
+        then = self.then
+        return then() if callable(then) else then
+
+
+CommandHandler = Callable[
+    ["CommandContext"], Generator[Any, Any, HandlerReturn] | Quick]
+
+
+def generator_form(answer: Any, engine: Engine) -> Generator[Any, Any, Any]:
+    """``answer`` as a process body: a generator is itself; a
+    :class:`Quick` is its timer followed by its outcome."""
+    if type(answer) is not Quick:
+        return answer
+    return _served_by_a_process(answer, engine)
+
+
+def _served_by_a_process(answer: Quick, engine: Engine) -> Generator[Any, Any, Any]:
+    yield engine.timeout(answer.delay)
+    value = answer.outcome()
+    if isinstance(value, GeneratorType):
+        value = yield from value
+    return value
+
+
+def at_once(value: HandlerReturn) -> Generator[Any, Any, HandlerReturn]:
+    """A process body that returns ``value`` without taking simulated
+    time — the answer of a plain-function handler that fails fast."""
+    return value
+    yield  # pragma: no cover - generator marker
 
 
 @dataclass(slots=True)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import Ftsh
-from repro.core.backoff import NO_BACKOFF
+from repro.core.backoff import NO_BACKOFF, BackoffPolicy
 from repro.core.errors import SimulationError
 from repro.faults.runtime import (
     CommandFault,
@@ -14,6 +14,8 @@ from repro.faults.runtime import (
     parse_command_fault,
 )
 from repro.faults.schedule import Burst, Flaky
+from repro.grid.condor import CondorWorld, register_condor_commands
+from repro.grid.storage import BufferWorld, register_buffer_commands
 from repro.sim.engine import Engine
 from repro.simruntime.registry import CommandRegistry
 from repro.simruntime.shell import SimFtsh
@@ -134,6 +136,109 @@ class TestSimulationSide:
         engine.run(until=100.0)
         assert process.value.success
         assert engine.now >= 7.5
+
+
+class TestDelayFaultOnTimerServedCommands:
+    """A ``delay`` fault in front of a handler that answers ``Quick``:
+    the handler is called when the delay ends and its own timer follows.
+    The logs below are what the shim wrote when every handler was a
+    process body; they must not move."""
+
+    DETERMINISTIC = BackoffPolicy(jitter_low=1.0, jitter_high=1.0)
+
+    def run(self, world_kind, script, command, delay):
+        engine = Engine()
+        registry = CommandRegistry()
+        if world_kind == "condor":
+            world = CondorWorld(engine)
+            register_condor_commands(registry, world)
+            world.schedd.up = False
+            counted = lambda: world.schedd.refused.count  # noqa: E731
+        else:
+            world = BufferWorld(engine)
+            register_buffer_commands(registry, world)
+            world.buffer.seize(world.config.capacity_mb)
+            counted = lambda: world.buffer.collisions.count  # noqa: E731
+        apply_command_faults(registry, CommandFaultPlan(
+            [CommandFault(command, "delay", always_schedule(), delay=delay)],
+            horizon=100.0))
+        shell = SimFtsh(engine, registry, world=world,
+                        policy=self.DETERMINISTIC, name="c")
+        result = shell.run(script)
+        return ((result.success, result.reason, result.elapsed,
+                 result.timed_out, counted()),
+                result.log.dump().splitlines())
+
+    @pytest.mark.parametrize("budget, outcome, log", [
+        (9, (False, "try exhausted after 3 attempts", 9.0, False, 2), [
+            "[    0.000000] try-attempt       attempt 1",
+            "[    0.000000] command-start     condor_submit job",
+            "[    3.500000] command-failed    condor_submit job exited 1",
+            "[    3.500000] try-backoff       failure 1: waiting 1.000s",
+            "[    4.500000] try-attempt       attempt 2",
+            "[    4.500000] command-start     condor_submit job",
+            "[    8.000000] command-failed    condor_submit job exited 1",
+            "[    8.000000] try-backoff       failure 2: waiting 1.000s",
+            "[    9.000000] try-attempt       attempt 3",
+            "[    9.000000] command-start     condor_submit job",
+            "[    9.000000] command-timeout   condor_submit job",
+            "[    9.000000] try-exhausted     after 3 attempts",
+            "[    9.000000] script-result     failure: try exhausted after 3 attempts",
+        ]),
+        # The deadline lands on the end of the second delay: the handler
+        # still runs (and counts its refusal), then is killed.
+        (7, (False, "try exhausted after 2 attempts", 7.0, False, 2), [
+            "[    0.000000] try-attempt       attempt 1",
+            "[    0.000000] command-start     condor_submit job",
+            "[    3.500000] command-failed    condor_submit job exited 1",
+            "[    3.500000] try-backoff       failure 1: waiting 1.000s",
+            "[    4.500000] try-attempt       attempt 2",
+            "[    4.500000] command-start     condor_submit job",
+            "[    7.000000] command-timeout   condor_submit job",
+            "[    7.000000] try-exhausted     after 2 attempts",
+            "[    7.000000] script-result     failure: try exhausted after 2 attempts",
+        ]),
+    ])
+    def test_refused_submit(self, budget, outcome, log):
+        script = f"try for {budget} seconds\n  condor_submit job\nend\n"
+        assert self.run("condor", script, "condor_submit", 2.5) == (outcome, log)
+
+    @pytest.mark.parametrize("budget, outcome, log", [
+        (5, (False, "try exhausted after 3 attempts", 6.0, False, 2), [
+            "[    1.000000] try-attempt       attempt 1",
+            "[    1.000000] command-start     store_output",
+            "[    2.050000] command-failed    store_output exited 1",
+            "[    2.050000] try-backoff       failure 1: waiting 1.000s",
+            "[    3.050000] try-attempt       attempt 2",
+            "[    3.050000] command-start     store_output",
+            "[    4.100000] command-failed    store_output exited 1",
+            "[    4.100000] try-backoff       failure 2: waiting 1.900s",
+            "[    6.000000] try-attempt       attempt 3",
+            "[    6.000000] command-start     store_output",
+            "[    6.000000] command-timeout   store_output",
+            "[    6.000000] try-exhausted     after 3 attempts",
+            "[    6.000000] script-result     failure: try exhausted after 3 attempts",
+        ]),
+        # Killed inside the second delay, before the open.
+        (2.9, (False, "try exhausted after 2 attempts", 3.9, False, 1), [
+            "[    1.000000] try-attempt       attempt 1",
+            "[    1.000000] command-start     store_output",
+            "[    2.050000] command-failed    store_output exited 1",
+            "[    2.050000] try-backoff       failure 1: waiting 1.000s",
+            "[    3.050000] try-attempt       attempt 2",
+            "[    3.050000] command-start     store_output",
+            "[    3.900000] command-timeout   store_output",
+            "[    3.900000] try-exhausted     after 2 attempts",
+            "[    3.900000] script-result     failure: try exhausted after 2 attempts",
+        ]),
+    ])
+    def test_enospc_store(self, budget, outcome, log):
+        script = (f"produce_output 0.5\ntry for {budget} seconds\n"
+                  "  store_output\nend\n")
+        assert self.run("buffer", script, "store_output", 1.0) == (outcome, [
+            "[    0.000000] command-start     produce_output 0.5",
+            "[    1.000000] command-end       produce_output",
+        ] + log)
 
 
 class TestRealSide:

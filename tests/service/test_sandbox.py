@@ -208,11 +208,14 @@ class TestEventCountIsStable:
     """``ScriptOutcome.events`` is a result byte.  The literals below
     were computed at the commit before the driver began withdrawing
     deadline timers; they must not move with how (or whether) the
-    engine reclaims withdrawn queue entries."""
+    engine reclaims withdrawn queue entries.  One moved on purpose:
+    ``buffer_producer.ftsh`` went 186 -> 184 when its two timer-served
+    commands (``produce_output``, and ``store_output``'s open) stopped
+    taking a process' bootstrap hop — one event each."""
 
     @pytest.mark.parametrize("name, world, events", [
         ("submit_ethernet.ftsh", "condor", 12),
-        ("buffer_producer.ftsh", "buffer", 186),
+        ("buffer_producer.ftsh", "buffer", 184),
         ("replica_fetch.ftsh", "replica", 17),
     ])
     def test_shipped_examples(self, name, world, events):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.backoff import BackoffPolicy
+from repro.grid.condor import CondorConfig, CondorWorld, register_condor_commands
 from repro.sim import Engine, Interrupt, Resource
 from repro.simruntime import CommandRegistry, SimFtsh
 
@@ -220,3 +221,40 @@ class TestSpawn:
         engine.run()
         assert engine.now == 2.0
         assert all(p.value.success for p in processes)
+
+
+class TestTimerServedShape:
+    """Events dispatched per command, exactly.  Every script here pays
+    the same three around its command (the script's bootstrap, the
+    schedd's maintenance bootstrap, the script's exit), so ``true`` —
+    a process that never waits: bootstrap, exit, race — reads 6."""
+
+    @staticmethod
+    def events(script, state=None, timeout=10.0):
+        engine = Engine()
+        registry = CommandRegistry()
+        world = CondorWorld(engine, CondorConfig(maintenance_interval=1e6))
+        register_condor_commands(registry, world)
+        if state == "down":
+            world.schedd.up = False
+        elif state == "full":
+            world.fdtable.allocate(world.fdtable.capacity)
+        shell = SimFtsh(engine, registry, world=world, name="c")
+        process = shell.spawn(script, timeout=timeout)
+        result, events = engine.run_budgeted(process)
+        return events, result.success, engine.now
+
+    def test_a_process_command(self):
+        assert self.events("true") == (6, True, 0.0)
+
+    @pytest.mark.parametrize("state, latency", [("down", 1.0), ("full", 0.5)])
+    def test_a_refused_submit_is_three_events(self, state, latency):
+        """Its timer, the exit hop and the race hop — four while it was
+        a process, whose bootstrap hop came first."""
+        assert self.events("condor_submit job", state) == (6, False, latency)
+
+    def test_without_a_deadline_there_is_no_race_hop(self):
+        assert self.events("condor_submit job", "down", None) == (5, False, 1.0)
+
+    def test_a_connected_submit_is_still_a_process(self):
+        assert self.events("condor_submit job") == (9, True, 3.5100000000000002)
