@@ -43,7 +43,7 @@ import time
 from typing import Any, Optional
 
 from ..core.backoff import BackoffPolicy, BackoffState
-from ..obs.push import ObsPusher, resolve_push_url
+from ..obs.push import push_observability, resolve_push_url
 from ..parallel.executor import CellSpec
 from ..service.http import HttpTransportError, http_request
 from .wire import WireError, decode_cell, encode_blob
@@ -188,8 +188,10 @@ class WorkerTelemetry:
     aggregator derives utilisation from exactly that counter pair) and
     the jittered idle backoffs it actually slept — so fleet contention
     on the coordinator becomes as measurable as the simulated
-    scenarios.  Pushes are cumulative and best-effort; with no URL,
-    :meth:`disabled` instances keep every call a cheap no-op.
+    scenarios.  Each :meth:`push` ships the current cumulative totals
+    under the next ``seq``; pushes are best-effort (``failed`` tallies
+    the ones that did not land).  With no URL, :meth:`disabled`
+    instances keep every call a cheap no-op.
     """
 
     def __init__(self, url: Optional[str], worker_id: str) -> None:
@@ -217,9 +219,11 @@ class WorkerTelemetry:
             "jittered idle backoff sleeps")
         self._batch = metrics.gauge(
             "dist_worker_batch_size", "current adaptive chunk size")
-        self._pusher = ObsPusher(
-            url, source=f"worker/{worker_id}",
-            labels={"component": "dist-worker", "worker": worker_id})
+        self.url = url
+        self.source = f"worker/{worker_id}"
+        self.labels = {"component": "dist-worker", "worker": worker_id}
+        self.timeout = 10.0
+        self.seq = self.pushed = self.failed = 0
         self._mark = time.perf_counter()
 
     @classmethod
@@ -251,7 +255,13 @@ class WorkerTelemetry:
         now = time.perf_counter()
         self._elapsed.inc(now - self._mark)
         self._mark = now
-        self._pusher.push(self.obs)
+        self.seq += 1
+        if push_observability(self.url, self.obs, self.source,
+                              labels=self.labels, seq=self.seq,
+                              timeout=self.timeout):
+            self.pushed += 1
+        else:
+            self.failed += 1
 
 
 def execute_cell(spec: CellSpec) -> Any:

@@ -428,8 +428,7 @@ def run_cell(
             # stem across scenarios (fault "none"), and two cells must
             # never fold into one aggregator source.
             push_observability(obs_push, obs,
-                               source=f"chaos/{scenario_name}/{stem}",
-                               clock="sim")
+                               source=f"chaos/{scenario_name}/{stem}")
     return goodput, series
 
 
@@ -630,7 +629,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--obs-push", default=None, metavar="URL",
         help="push per-cell telemetry to a fleet aggregator "
-             "(see repro.obs.aggregator; default $REPRO_OBS_PUSH, or off)",
+             "(the service's /obs/ingest; default $REPRO_OBS_PUSH, or off)",
     )
     args = parser.parse_args(argv)
 

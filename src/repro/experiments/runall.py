@@ -128,8 +128,7 @@ def _observability_cell(discipline_name: str, n_clients: int,
     run_submission(params)
     stem = f"submit_{discipline.name}"
     if obs_push is not None:
-        push_observability(obs_push, obs, source=f"runall/{stem}",
-                           clock="sim")
+        push_observability(obs_push, obs, source=f"runall/{stem}")
     trace = chrome_trace_json(obs.tracer) + "\n"
     spans = spans_jsonl(obs.tracer)
     return {
@@ -235,7 +234,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--obs-push", default=None, metavar="URL",
         help="push the instrumented runs' telemetry to a fleet "
-             "aggregator (see repro.obs.aggregator; default "
+             "aggregator (the service's /obs/ingest; default "
              "$REPRO_OBS_PUSH, or off)",
     )
     args = parser.parse_args(argv)

@@ -23,20 +23,19 @@ Pieces:
   :data:`NULL_OBS` (the default everywhere) for zero-cost no-ops.
 * :mod:`repro.obs.aggregator` / :mod:`repro.obs.push` /
   :mod:`repro.obs.dashboard` — live fleet observability: many
-  concurrent runs push batched telemetry to one
-  :class:`FleetAggregator` (mounted on the service plane or
-  standalone), which folds it into per-resource utilisation,
-  collision rates and backoff distributions served at ``/obs/fleet``.
+  concurrent runs push cumulative counters to the one
+  :class:`FleetAggregator` the service plane hosts, which folds them
+  into per-source utilisation, collision rates and backoff
+  distributions served at ``/obs/fleet``.
 """
 
 from .._lazy import lazy_exports
 
 _EXPORTS = {
-    "aggregator": ("FleetAggregator", "make_obs_server", "merge_histograms"),
+    "aggregator": ("FleetAggregator", "merge_histograms"),
     "api": ("NULL_OBS", "NullObservability", "Observability"),
     "clock": ("Clock", "engine_clock", "wall_clock"),
     "dashboard": ("fetch_snapshot",),
-    "dashboard:render_html": ("render_fleet_html",),
     "dashboard:render_text": ("render_fleet_text",),
     "exporters": (
         "chrome_trace_events", "chrome_trace_json", "prometheus_text",
@@ -46,8 +45,8 @@ _EXPORTS = {
         "DEFAULT_BUCKETS", "MetricsRegistry", "NULL_METRICS",
         "sample_gauges"),
     "push": (
-        "ObsPusher", "encode_batch", "observability_records",
-        "push_observability", "resolve_push_url"),
+        "encode_batch", "observability_records", "push_observability",
+        "resolve_push_url"),
     "report": ("render_report", "span_stats"),
     "spans": (
         "NULL_TRACER", "NullTracer", "STATUS_CANCELLED",

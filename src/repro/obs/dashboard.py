@@ -1,20 +1,16 @@
-"""Terminal and HTML views over a fleet aggregator snapshot.
+"""A terminal view over a fleet aggregator snapshot.
 
-``python -m repro.obs.dashboard URL`` polls ``GET /obs/fleet`` on an
-aggregator (the service plane or the standalone
-``python -m repro.obs.aggregator``) and renders the utilisation /
-collision / backoff rollups as a compact terminal dashboard.  With
-``--once`` it prints a single frame (the CI mode); with
-``--html PATH`` it also writes a self-contained static HTML report —
-no JavaScript, no external assets, safe to open from an artifact.
+``python -m repro.obs.dashboard URL`` polls ``GET /obs/fleet`` on the
+service plane (which hosts the aggregator) and renders the utilisation
+/ collision / backoff rollups as a compact text frame.  With ``--once``
+it prints a single frame (the CI mode).
 
-Rendering is pure (snapshot dict in, string out): the same functions
-back the live loop, the CI gate, and the tests.
+Rendering is pure (snapshot dict in, string out): the same function
+backs the live loop, the CI artifact, and the tests.
 """
 
 from __future__ import annotations
 
-import html
 import json
 import time
 from typing import Any, Optional
@@ -40,10 +36,6 @@ def fetch_snapshot(url: str, timeout: float = 10.0) -> dict[str, Any]:
         raise HttpTransportError(url, f"HTTP {response.status}")
     return json.loads(response.body.decode())
 
-
-# ---------------------------------------------------------------------------
-# Text rendering
-# ---------------------------------------------------------------------------
 
 def _fmt(value: Any, digits: int = 3) -> str:
     if value is None:
@@ -74,8 +66,7 @@ def render_text(snapshot: dict[str, Any], max_sources: int = 12) -> str:
         f"  spans {totals.get('spans', 0)}"
         f"  collisions {_fmt(totals.get('collisions', 0), 0)}"
         f"  malformed {totals.get('malformed', 0)}"
-        f"  stale {totals.get('stale_batches', 0)}"
-        f"  rate {_fmt(totals.get('ingest_rate_ewma'), 1)}/s",
+        f"  stale {totals.get('stale_batches', 0)}",
     ]
 
     disciplines = snapshot.get("disciplines", {})
@@ -95,12 +86,6 @@ def render_text(snapshot: dict[str, Any], max_sources: int = 12) -> str:
                 f"  {_fmt(doc.get('backoffs'), 0):>8}"
                 f"  {quant}")
 
-    queues = snapshot.get("queues", {})
-    if queues:
-        lines += ["", "  queues:"]
-        for name, value in queues.items():
-            lines.append(f"    {name:<40} {_fmt(value, 1)}")
-
     sources = snapshot.get("sources", {})
     if sources:
         ranked = sorted(
@@ -119,132 +104,18 @@ def render_text(snapshot: dict[str, Any], max_sources: int = 12) -> str:
     return "\n".join(lines) + "\n"
 
 
-# ---------------------------------------------------------------------------
-# HTML rendering
-# ---------------------------------------------------------------------------
-
-_HTML_STYLE = """
-body { font-family: sans-serif; margin: 2em; color: #222; }
-table { border-collapse: collapse; margin: 1em 0; }
-th, td { border: 1px solid #bbb; padding: 0.3em 0.7em; text-align: right; }
-th { background: #eee; }
-td.name, th.name { text-align: left; font-family: monospace; }
-.meter { background: #eee; width: 120px; height: 0.8em; display: inline-block; }
-.meter span { background: #4a90d9; height: 100%; display: block; }
-"""
-
-
-def _table(headers: list[str], rows: list[list[str]],
-           name_cols: int = 1) -> str:
-    def cell(tag: str, index: int, text: str) -> str:
-        cls = ' class="name"' if index < name_cols else ""
-        return f"<{tag}{cls}>{text}</{tag}>"
-
-    out = ["<table>", "<tr>"]
-    out += [cell("th", i, html.escape(h)) for i, h in enumerate(headers)]
-    out.append("</tr>")
-    for row in rows:
-        out.append("<tr>")
-        out += [cell("td", i, text) for i, text in enumerate(row)]
-        out.append("</tr>")
-    out.append("</table>")
-    return "".join(out)
-
-
-def _meter(fraction: Optional[float]) -> str:
-    if fraction is None:
-        return "-"
-    pct = min(max(fraction, 0.0), 1.0) * 100.0
-    return (f'<span class="meter"><span style="width:{pct:.0f}%">'
-            f"</span></span> {fraction:.3f}")
-
-
-def render_html(snapshot: dict[str, Any]) -> str:
-    """The static report: totals, disciplines, queues, every source."""
-    totals = snapshot.get("totals", {})
-    parts = [
-        "<!DOCTYPE html><html><head><meta charset='utf-8'>",
-        "<title>repro fleet observability</title>",
-        f"<style>{_HTML_STYLE}</style></head><body>",
-        "<h1>repro fleet observability</h1>",
-        f"<p>snapshot v{html.escape(str(snapshot.get('version', '?')))}"
-        f" · uptime {_fmt(snapshot.get('uptime_seconds'), 1)}s"
-        f" · ingest {_fmt(totals.get('ingest_rate_ewma'), 1)} records/s</p>",
-        _table(
-            ["sources", "batches", "records", "spans", "collisions",
-             "malformed", "stale batches", "evicted"],
-            [[str(totals.get(k, 0)) for k in (
-                "sources", "batches", "records", "spans", "collisions",
-                "malformed", "stale_batches", "evicted")]],
-            name_cols=0),
-    ]
-
-    disciplines = snapshot.get("disciplines", {})
-    if disciplines:
-        rows = []
-        for name, doc in disciplines.items():
-            hist = doc.get("backoff_seconds", {})
-            rows.append([
-                html.escape(name),
-                _meter(doc.get("utilisation")),
-                _fmt(doc.get("collisions"), 0),
-                _fmt(doc.get("attempts"), 0),
-                _fmt(doc.get("collision_rate"), 4),
-                _fmt(doc.get("backoffs"), 0),
-                _fmt(doc.get("exhausted"), 0),
-                _fmt(hist.get("p50"), 2),
-                _fmt(hist.get("p90"), 2),
-                _fmt(hist.get("p99"), 2),
-            ])
-        parts += ["<h2>disciplines</h2>",
-                  _table(["discipline", "utilisation", "collisions",
-                          "attempts", "collision rate", "backoffs",
-                          "exhausted", "p50 backoff", "p90", "p99"],
-                         rows)]
-
-    queues = snapshot.get("queues", {})
-    if queues:
-        parts += ["<h2>queues</h2>",
-                  _table(["gauge", "value"],
-                         [[html.escape(k), _fmt(v, 1)]
-                          for k, v in queues.items()])]
-
-    sources = snapshot.get("sources", {})
-    if sources:
-        rows = [[html.escape(source),
-                 _meter(doc.get("utilisation")),
-                 _fmt(doc.get("busy_seconds"), 2),
-                 _fmt(doc.get("window_seconds"), 2),
-                 str(doc.get("spans", 0)),
-                 str(doc.get("batches", 0)),
-                 html.escape(doc.get("clock", "?"))]
-                for source, doc in sorted(sources.items())]
-        parts += ["<h2>sources</h2>",
-                  _table(["source", "utilisation", "busy s", "window s",
-                          "spans", "batches", "clock"], rows)]
-
-    parts.append("</body></html>")
-    return "".join(parts)
-
-
-# ---------------------------------------------------------------------------
-# CLI
-# ---------------------------------------------------------------------------
-
 def main(argv: Optional[list[str]] = None) -> int:
     import argparse
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs.dashboard",
-        description="terminal dashboard over a fleet aggregator")
-    parser.add_argument("url", help="aggregator base URL "
-                                    "(e.g. http://127.0.0.1:8080)")
+        description="terminal dashboard over the service's fleet aggregator")
+    parser.add_argument("url", help="service base URL "
+                                    "(e.g. http://127.0.0.1:8042)")
     parser.add_argument("--interval", type=float, default=2.0,
                         help="seconds between frames (default 2)")
     parser.add_argument("--once", action="store_true",
                         help="print one frame and exit")
-    parser.add_argument("--html", metavar="PATH",
-                        help="also write a static HTML report")
     parser.add_argument("--max-sources", type=int, default=12,
                         help="busiest sources shown per frame")
     args = parser.parse_args(argv)
@@ -263,9 +134,6 @@ def main(argv: Optional[list[str]] = None) -> int:
             # Clear-and-home keeps the frame in place on ANSI terminals.
             print("\x1b[2J\x1b[H", end="")
         print(frame, flush=True)
-        if args.html:
-            with open(args.html, "w", encoding="utf-8") as fh:
-                fh.write(render_html(snapshot))
         if args.once:
             return 0
         time.sleep(args.interval)

@@ -11,20 +11,14 @@ from __future__ import annotations
 import argparse
 import signal
 import sys
-import threading
-import traceback
 from typing import Optional
 
 from ..dist import backend_names
 from ..obs import Observability
-from ..obs.push import ObsPusher, resolve_push_url
 from ..parallel.cache import ResultCache
 from .app import make_server
 from .jobs import JobStore
 from .sandbox import SandboxPolicy
-
-#: Seconds between periodic self-pushes of the service's own telemetry.
-OBS_PUSH_INTERVAL = 5.0
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -64,11 +58,6 @@ def main(argv: Optional[list[str]] = None) -> int:
                         help="skip ftshlint at admission")
     parser.add_argument("--lint-error", action="store_true",
                         help="treat lint warnings as admission errors")
-    parser.add_argument("--obs-push", default=None, metavar="URL",
-                        help="periodically push the service's own "
-                        "telemetry to a fleet aggregator; 'self' targets "
-                        "this server's own /obs/ingest (default: "
-                        "$REPRO_OBS_PUSH, or off)")
     args = parser.parse_args(argv)
 
     policy = SandboxPolicy(
@@ -93,40 +82,6 @@ def main(argv: Optional[list[str]] = None) -> int:
           f"(workers={args.workers}, cache={'off' if cache is None else cache.root})",
           flush=True)
 
-    push_url = (f"http://{host}:{port}" if args.obs_push == "self"
-                else resolve_push_url(args.obs_push))
-    stop_push = threading.Event()
-    if push_url:
-        pusher = ObsPusher(push_url, source=f"service/{host}:{port}",
-                           labels={"component": "service"})
-
-        def _push_loop() -> None:
-            # First push happens immediately, not after one interval:
-            # a service that only lives seconds (warm-cache campaigns)
-            # must still register in the fleet snapshot.
-            while True:
-                try:
-                    pusher.push(store.obs)
-                except Exception:
-                    # Best-effort by contract: the telemetry loop must
-                    # outlive any single bad push.
-                    pusher.failed += 1
-                    traceback.print_exc()
-                if stop_push.wait(OBS_PUSH_INTERVAL):
-                    break
-            try:
-                # Final flush for external aggregators; a self-push
-                # here may lose the race with our own shutdown.
-                pusher.push(store.obs)
-            except Exception:
-                pusher.failed += 1
-
-        push_thread = threading.Thread(target=_push_loop,
-                                       name="obs-push", daemon=True)
-        push_thread.start()
-        print(f"repro-service: pushing telemetry to {pusher.url}",
-              flush=True)
-
     def _shutdown(signum, frame) -> None:
         raise KeyboardInterrupt
 
@@ -136,15 +91,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except KeyboardInterrupt:
         print("repro-service: shutting down", flush=True)
     finally:
-        stop_push.set()
         server.shutdown()
         server.server_close()
         store.close()
-        if push_url:
-            push_thread.join(timeout=OBS_PUSH_INTERVAL)
-            print(f"repro-service: obs-push seq={pusher.seq} "
-                  f"pushed={pusher.pushed} failed={pusher.failed}",
-                  flush=True)
     return 0
 
 

@@ -1,8 +1,9 @@
 """The one HTTP core: client pool, retry policy and server kit.
 
-Every plane in this repo — the job service, the dist coordinator, the
-fleet aggregator — and every client of them speaks HTTP through this
-module, so the wire contract is written (and tested) once.
+Every plane in this repo — the job service (which hosts the fleet
+aggregator), the dist coordinator — and every client of them speaks
+HTTP through this module, so the wire contract is written (and tested)
+once.
 
 **Client side.**  :func:`http_request` separates two failure planes:
 
@@ -45,7 +46,7 @@ compact, one trailing newline) and a JSON-object body comes in through
 listed in each plane's module docstring; 500 ``internal`` is every
 plane's catch-all.  ``TCP_NODELAY`` on accepted sockets is the kit's
 one per-plane choice (``nodelay=``: on for the coordinator, off for the
-service and the aggregator).
+service).
 """
 
 from __future__ import annotations

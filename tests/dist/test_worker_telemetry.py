@@ -3,14 +3,14 @@
 import pytest
 
 from repro.dist.worker import WorkerTelemetry
-from repro.obs.aggregator import FleetAggregator, make_obs_server
-from repro.service.http import serve_in_thread
+from repro.obs.aggregator import FleetAggregator
+from repro.service.http import bind_server, serve_in_thread
 
 
 @pytest.fixture
 def live_aggregator():
     agg = FleetAggregator()
-    server = make_obs_server(agg, port=0)
+    server = bind_server(agg.handle, "127.0.0.1", 0)
     host, port = server.server_address[:2]
     stop = serve_in_thread(server)
     try:
@@ -62,10 +62,10 @@ class TestEnabled:
         source = agg.snapshot()["sources"]["worker/w1"]
         assert source["last_seq"] == 3
         assert source["busy_seconds"] == pytest.approx(2.0)
-        assert telemetry._pusher.failed == 0
+        assert (telemetry.pushed, telemetry.failed) == (3, 0)
 
     def test_unreachable_aggregator_never_raises(self):
         telemetry = WorkerTelemetry("http://127.0.0.1:9", "w2")
-        telemetry._pusher.timeout = 0.5
+        telemetry.timeout = 0.5
         telemetry.batch_done({"c1": "executed"}, elapsed=1.0, next_batch=4)
-        assert telemetry._pusher.failed == 1
+        assert telemetry.failed == 1

@@ -7,16 +7,15 @@ matter what arrives.
 """
 
 import json
-import math
 
 import pytest
 
 from repro.obs.aggregator import (
     DEFAULT_MAX_SOURCES,
+    MAX_KEYS_PER_SOURCE,
     FleetAggregator,
-    make_obs_server,
 )
-from repro.service.http import dumps, http_request, serve_in_thread
+from repro.service.http import dumps
 
 
 class FakeClock:
@@ -30,16 +29,11 @@ class FakeClock:
         self.now += dt
 
 
-def batch(source, seq, *records, labels=None, clock="sim"):
+def batch(source, seq, *records, labels=None):
     rows = [{"type": "hello", "source": source, "seq": seq,
-             "labels": labels or {}, "clock": clock}]
+             "labels": labels or {}}]
     rows.extend(records)
     return ("\n".join(json.dumps(r) for r in rows) + "\n").encode()
-
-
-def span(name="cmd", kind="command", start=0.0, end=1.0, status="ok"):
-    return {"type": "span", "name": name, "kind": kind,
-            "start": start, "end": end, "status": status}
 
 
 def counter(name, value, labels=None):
@@ -57,16 +51,31 @@ def hist(name, buckets, total, count, labels=None):
             "buckets": buckets, "sum": total, "count": count}
 
 
+def spans(count, busy, elapsed):
+    """The three counters a pusher folds a tracer into."""
+    return (counter("obs_spans_total", count),
+            counter("obs_command_busy_seconds_total", busy),
+            counter("obs_span_elapsed_seconds_total", elapsed))
+
+
+def strict_loads(text):
+    """A JSON parser that, like most outside this repo, rejects
+    ``NaN``/``Infinity``."""
+    def refuse(token):
+        raise ValueError(token)
+
+    return json.loads(text, parse_constant=refuse)
+
+
 class TestIngest:
     def test_basic_fold(self):
         agg = FleetAggregator(clock=FakeClock())
         summary = agg.ingest(batch(
             "cell/a", 1,
-            span(start=0.0, end=2.0),
-            span(start=2.0, end=3.0),
+            *spans(2, busy=3.0, elapsed=3.0),
             counter("grid_buffer_collisions_total", 4),
         ))
-        assert summary == {"accepted": 4, "malformed": 0, "stale_spans": 0}
+        assert summary == {"accepted": 5, "malformed": 0}
         snap = agg.snapshot()
         assert snap["totals"]["sources"] == 1
         assert snap["totals"]["spans"] == 2
@@ -78,65 +87,100 @@ class TestIngest:
 
     def test_replay_is_idempotent(self):
         agg = FleetAggregator(clock=FakeClock())
-        body = batch("cell/a", 1, span(), counter("x_total", 7))
+        body = batch("cell/a", 1, *spans(1, 1.0, 1.0), counter("x_total", 7))
         agg.ingest(body)
         again = agg.ingest(body)
-        assert again["stale_spans"] == 1
+        assert again == {"accepted": 5, "malformed": 0}
         snap = agg.snapshot()
         assert snap["totals"]["spans"] == 1
         assert snap["totals"]["stale_batches"] == 1
         assert snap["sources"]["cell/a"]["spans"] == 1
+        assert snap["sources"]["cell/a"]["batches"] == 2
 
     def test_out_of_order_batches_never_regress(self):
         agg = FleetAggregator(clock=FakeClock())
-        agg.ingest(batch("w", 3, span(), counter("done_total", 30)))
-        # A delayed older batch arrives after: its metric totals are
-        # stale and must not wind the counter back; its spans were
-        # already superseded by a newer snapshot of the same source.
-        summary = agg.ingest(batch("w", 1, span(), counter("done_total", 10)))
-        assert summary["accepted"] == 3
-        assert summary["stale_spans"] == 1
+        agg.ingest(batch("w", 3, counter("done_total", 30)))
+        # A delayed older batch arrives after: its totals are stale and
+        # must not wind the counter back.
+        summary = agg.ingest(batch("w", 1, counter("done_total", 10)))
+        assert summary["accepted"] == 2
         snap = agg.snapshot()
         assert snap["sources"]["w"]["last_seq"] == 3
-        assert snap["totals"]["spans"] == 1
-        # Counter kept the seq-3 value.
-        agg2_state = list(agg._sources["w"].counters.values())
-        assert agg2_state == [[3, 30.0]]
+        assert snap["totals"]["stale_batches"] == 1
+        assert list(agg._sources["w"].metrics.values()) == [[3, 30.0]]
 
     def test_newer_batch_after_old_applies(self):
         agg = FleetAggregator(clock=FakeClock())
         agg.ingest(batch("w", 1, counter("done_total", 10)))
         agg.ingest(batch("w", 2, counter("done_total", 25)))
-        assert list(agg._sources["w"].counters.values()) == [[2, 25.0]]
+        assert list(agg._sources["w"].metrics.values()) == [[2, 25.0]]
 
     def test_malformed_lines_do_not_poison_the_batch(self):
         agg = FleetAggregator(clock=FakeClock())
         rows = [
             'not json at all',
             json.dumps({"type": "hello", "source": "s", "seq": 1,
-                        "labels": {}, "clock": "sim"}),
+                        "labels": {}}),
             json.dumps({"type": "counter", "name": "ok_total",
                         "labels": {}, "value": 1}),
             json.dumps(["a", "list"]),
             json.dumps({"type": "counter", "name": "no_value"}),
             json.dumps({"type": "mystery"}),
+            json.dumps({"type": "counter", "name": "x", "labels": [1],
+                        "value": 1}),
+            # spans fold at the source; a span row is no record type
             json.dumps({"type": "span", "kind": "command",
                         "start": 0.0, "end": 1.0}),
         ]
         summary = agg.ingest(("\n".join(rows) + "\n").encode())
-        assert summary["malformed"] == 4
-        assert summary["accepted"] == 3
-        snap = agg.snapshot()
-        assert snap["totals"]["malformed"] == 4
-        assert snap["totals"]["spans"] == 1
+        assert summary == {"accepted": 2, "malformed": 6}
+        assert agg.snapshot()["totals"]["malformed"] == 6
 
     def test_records_before_hello_are_malformed(self):
         agg = FleetAggregator(clock=FakeClock())
         summary = agg.ingest(
             (json.dumps(counter("x_total", 1)) + "\n"
-             + json.dumps(span()) + "\n").encode())
-        assert summary == {"accepted": 0, "malformed": 2, "stale_spans": 0}
+             + json.dumps(gauge("y", 1)) + "\n").encode())
+        assert summary == {"accepted": 0, "malformed": 2}
         assert agg.snapshot()["totals"]["sources"] == 0
+
+    @pytest.mark.parametrize("hello", [
+        {"type": "hello", "source": "b", "seq": None},
+        {"type": "hello", "source": "b", "seq": "three"},
+        {"type": "hello", "source": "b", "seq": 1, "labels": ["x"]},
+        {"type": "hello", "seq": 1},
+    ])
+    def test_a_malformed_hello_selects_no_source(self, hello):
+        """A hello is parsed whole before any state is touched: the
+        bad one creates no source, and the rows after it are "before
+        hello" — even when a good batch preceded it in the body."""
+        agg = FleetAggregator(clock=FakeClock())
+        body = (batch("a", 1, counter("x_total", 1))
+                + (json.dumps(hello) + "\n"
+                   + json.dumps(counter("x_total", 99)) + "\n").encode())
+        assert agg.ingest(body) == {"accepted": 2, "malformed": 2}
+        snap = agg.snapshot()
+        assert set(snap["sources"]) == {"a"}
+        assert snap["totals"]["batches"] == 1
+        assert list(agg._sources["a"].metrics.values()) == [[1, 1.0]]
+
+    @pytest.mark.parametrize("line", [
+        '{"type":"counter","name":"c_total","labels":{},"value":NaN}',
+        '{"type":"counter","name":"c_total","labels":{},"value":Infinity}',
+        '{"type":"gauge","name":"g","labels":{},"value":-Infinity}',
+        '{"type":"counter","name":"c_total","labels":{},"value":"NaN"}',
+        '{"type":"counter","name":"c_total","labels":{},"value":1e999}',
+        '{"type":"hist","name":"h","labels":{},"buckets":[[1.0,1e999]],'
+        '"sum":1.0,"count":1}',
+        '{"type":"hist","name":"h","labels":{},"buckets":[[1.0,1]],'
+        '"sum":NaN,"count":1}',
+    ])
+    def test_a_non_finite_number_is_malformed(self, line):
+        agg = FleetAggregator(clock=FakeClock())
+        body = batch("s", 1) + line.encode() + b"\n"
+        assert agg.ingest(body) == {"accepted": 1, "malformed": 1}
+        text = agg.handle("GET", "/obs/fleet")[2].decode()
+        strict_loads(text)
 
     def test_undecodable_bytes_and_blank_lines(self):
         agg = FleetAggregator(clock=FakeClock())
@@ -160,6 +204,38 @@ class TestIngest:
         assert DEFAULT_MAX_SOURCES >= 256
 
 
+class TestFlood:
+    """The memory ceilings, asserted: per-source keys and sources."""
+
+    def test_one_source_holds_at_most_its_key_cap(self):
+        agg = FleetAggregator(clock=FakeClock())
+        malformed = 0
+        for seq in range(1, 51):
+            body = batch("flood", seq, *(
+                counter("flood_total", 1, labels={"n": f"{seq}-{i}"})
+                for i in range(1000)))
+            malformed += agg.ingest(body)["malformed"]
+        assert len(agg._sources["flood"].metrics) == MAX_KEYS_PER_SOURCE
+        assert malformed == 50 * 1000 - MAX_KEYS_PER_SOURCE
+        assert agg.snapshot()["totals"]["malformed"] == malformed
+        # keys already held still update past the cap
+        agg.ingest(batch("flood", 51,
+                         counter("flood_total", 5, labels={"n": "1-0"})))
+        assert agg._sources["flood"].metrics[
+            ("counter", "flood_total", (("n", "1-0"),))] == [51, 5.0]
+
+    def test_many_sources_hold_at_most_max_sources(self):
+        clock = FakeClock()
+        agg = FleetAggregator(max_sources=64, clock=clock)
+        for index in range(1000):
+            clock.advance(1.0)
+            agg.ingest(batch(f"cell/{index}", 1, counter("x_total", 1)))
+        snap = agg.snapshot()
+        assert snap["totals"]["sources"] == 64
+        assert snap["totals"]["evicted"] == 1000 - 64
+        assert set(snap["sources"]) == {f"cell/{i}" for i in range(936, 1000)}
+
+
 class TestSnapshot:
     def test_snapshot_is_json_safe(self):
         agg = FleetAggregator(clock=FakeClock())
@@ -167,11 +243,10 @@ class TestSnapshot:
             "s", 1,
             hist("ftsh_backoff_seconds", [[0.1, 2], [1.0, 5]], 4.2, 9),
             gauge("dist_queue_depth", 3),
+            counter("obs_command_busy_seconds_total", 1.0),
+            labels={"discipline": "aloha"},
         ))
-        text = json.dumps(agg.snapshot())
-        decoded = json.loads(text)
-        assert "Infinity" not in text and "NaN" not in text
-        assert all(math.isfinite(v) for v in decoded["queues"].values())
+        strict_loads(json.dumps(agg.snapshot()))
 
     def test_discipline_rollup_sums_across_sources(self):
         agg = FleetAggregator(clock=FakeClock())
@@ -212,42 +287,20 @@ class TestSnapshot:
         assert agg.snapshot()["totals"]["collisions"] == 9.0
 
     def test_utilisation_from_busy_elapsed_counter_pair(self):
-        # Sources without spans (the dist worker) report utilisation
-        # through the *_busy_seconds_total / *_elapsed_seconds_total
-        # counter convention.
+        # Every source reports utilisation through the
+        # *_busy_seconds_total / *_elapsed_seconds_total convention:
+        # the dist worker counts its own, a cell's spans are folded
+        # into one at the source.
         agg = FleetAggregator(clock=FakeClock())
         agg.ingest(batch("worker/w0", 1,
                          counter("dist_worker_busy_seconds_total", 3.0),
                          counter("dist_worker_elapsed_seconds_total", 4.0)))
-        source = agg.snapshot()["sources"]["worker/w0"]
-        assert source["utilisation"] == pytest.approx(0.75)
-
-    def test_queue_gauges_summed_across_sources(self):
-        agg = FleetAggregator(clock=FakeClock())
-        agg.ingest(batch("a", 1, gauge("dist_queue_depth", 3)))
-        agg.ingest(batch("b", 1, gauge("dist_queue_depth", 4),
-                         gauge("grid_fds_free", 100)))
-        queues = agg.snapshot()["queues"]
-        assert queues == {"dist_queue_depth": 7.0}
-
-    def test_span_failure_counting(self):
-        agg = FleetAggregator(clock=FakeClock())
-        agg.ingest(batch("s", 1,
-                         span(status="ok"), span(status="failed"),
-                         span(status="timeout")))
-        kinds = agg.snapshot()["sources"]["s"]["span_kinds"]
-        assert kinds["command"]["count"] == 3
-        assert kinds["command"]["failed"] == 2
-
-    def test_ingest_rate_ewma_uses_injected_clock(self):
-        clock = FakeClock()
-        agg = FleetAggregator(clock=clock)
-        agg.ingest(batch("s", 1))
-        clock.advance(1.0)
-        agg.ingest(batch("s", 2, counter("x_total", 1), counter("y_total", 1)))
-        # Second batch: 3 records over 1s -> EWMA = 0.3 * 3.0.
-        assert agg.snapshot()["totals"]["ingest_rate_ewma"] == \
-            pytest.approx(0.9)
+        agg.ingest(batch("cell/a", 1, *spans(9, busy=12.0, elapsed=6.0)))
+        agg.ingest(batch("cell/idle", 1, counter("x_total", 1)))
+        sources = agg.snapshot()["sources"]
+        assert sources["worker/w0"]["utilisation"] == pytest.approx(0.75)
+        assert sources["cell/a"]["utilisation"] == pytest.approx(2.0)
+        assert sources["cell/idle"]["utilisation"] is None
 
 
 class TestHandle:
@@ -256,10 +309,9 @@ class TestHandle:
     def test_ingest_then_fleet_and_healthz(self):
         agg = FleetAggregator(clock=FakeClock())
         status, ctype, payload = agg.handle(
-            "POST", "/obs/ingest", batch("s", 1, span()))
+            "POST", "/obs/ingest", batch("s", 1, counter("x_total", 1)))
         assert (status, ctype) == (202, "application/json")
-        assert json.loads(payload) == {
-            "accepted": 2, "malformed": 0, "stale_spans": 0}
+        assert json.loads(payload) == {"accepted": 2, "malformed": 0}
         status, _, payload = agg.handle("GET", "/obs/fleet?pretty=1")
         assert status == 200
         assert payload == dumps(agg.snapshot())
@@ -294,34 +346,3 @@ class TestHandle:
         error = json.loads(payload)["error"]
         assert error["code"] == "internal"
         assert error["message"] == "RuntimeError: fold exploded"
-
-
-class TestStandaloneServer:
-    def test_ingest_and_fleet_over_http(self, monkeypatch):
-        agg = FleetAggregator(clock=FakeClock())
-        server = make_obs_server(agg, port=0)
-        host, port = server.server_address[:2]
-        stop = serve_in_thread(server)
-        try:
-            url = f"http://{host}:{port}"
-            posted = http_request(url + "/obs/ingest", method="POST",
-                                  body=batch("s", 1, span()))
-            assert posted.status == 202
-            assert json.loads(posted.body)["accepted"] == 2
-            fleet = http_request(url + "/obs/fleet")
-            assert fleet.status == 200
-            assert json.loads(fleet.body)["totals"]["spans"] == 1
-            health = http_request(url + "/healthz")
-            assert health.status == 200
-            missing = http_request(url + "/nope")
-            assert missing.status == 404
-            assert missing.body == agg.handle("GET", "/nope")[2]
-            bad_post = http_request(url + "/obs/nope", method="POST",
-                                    body=b"")
-            assert bad_post.status == 404
-            monkeypatch.setattr(agg, "snapshot", lambda: 1 / 0)
-            broken = http_request(url + "/obs/fleet")
-            assert broken.status == 500
-            assert json.loads(broken.body)["error"]["code"] == "internal"
-        finally:
-            stop()

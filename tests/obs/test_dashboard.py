@@ -1,40 +1,34 @@
 """Dashboard rendering and fetch: pure functions plus the CLI gate."""
 
-import json
-
 import pytest
 
-from repro.obs.aggregator import FleetAggregator, make_obs_server
+from repro.obs.aggregator import FleetAggregator
 from repro.obs.dashboard import (
     fetch_snapshot,
     main,
     normalize_fleet_url,
-    render_html,
     render_text,
 )
-from repro.service.http import HttpTransportError, serve_in_thread
+from repro.service.http import HttpTransportError, bind_server, serve_in_thread
 
 SNAPSHOT = {
-    "version": 1,
+    "version": 2,
     "uptime_seconds": 12.5,
     "totals": {"sources": 2, "batches": 4, "records": 40, "spans": 10,
                "collisions": 7.0, "malformed": 1, "stale_batches": 0,
-               "evicted": 0, "ingest_rate_ewma": 3.2},
+               "evicted": 0},
     "sources": {
         "chaos/submit/cell_a": {
-            "labels": {"discipline": "ethernet"}, "clock": "sim",
-            "batches": 2, "stale_batches": 0, "spans": 6, "last_seq": 2,
+            "labels": {"discipline": "ethernet"},
+            "batches": 2, "spans": 6, "last_seq": 2,
             "age_seconds": 0.5, "busy_seconds": 21.0,
             "window_seconds": 30.0, "utilisation": 0.7,
-            "span_kinds": {"command": {"count": 6, "busy_seconds": 21.0,
-                                       "failed": 1}},
         },
         "worker/w0": {
-            "labels": {"component": "dist-worker"}, "clock": "wall",
-            "batches": 2, "stale_batches": 0, "spans": 0, "last_seq": 2,
+            "labels": {"component": "dist-worker"},
+            "batches": 2, "spans": 0, "last_seq": 2,
             "age_seconds": 0.1, "busy_seconds": 9.0,
             "window_seconds": 4.0, "utilisation": 2.25,
-            "span_kinds": {},
         },
     },
     "disciplines": {
@@ -45,14 +39,13 @@ SNAPSHOT = {
                                          "mean": 0.5, "p50": 0.5,
                                          "p90": 1.0, "p99": 1.0}},
     },
-    "queues": {"dist_queue_depth": 3.0},
 }
 
-EMPTY = {"version": 1, "uptime_seconds": 0.0,
+EMPTY = {"version": 2, "uptime_seconds": 0.0,
          "totals": {"sources": 0, "batches": 0, "records": 0, "spans": 0,
                     "collisions": 0.0, "malformed": 0, "stale_batches": 0,
-                    "evicted": 0, "ingest_rate_ewma": 0.0},
-         "sources": {}, "disciplines": {}, "queues": {}}
+                    "evicted": 0},
+         "sources": {}, "disciplines": {}}
 
 
 class TestRenderText:
@@ -60,7 +53,6 @@ class TestRenderText:
         frame = render_text(SNAPSHOT)
         assert "collisions 7" in frame
         assert "ethernet" in frame
-        assert "dist_queue_depth" in frame
         assert "chaos/submit/cell_a" in frame
         assert "0.50/1.00/1.00" in frame  # backoff quantiles
 
@@ -81,37 +73,15 @@ class TestRenderText:
         frame = render_text(EMPTY)
         assert "sources 0" in frame
         assert "discipline" not in frame
-        assert "queues" not in frame
-
-
-class TestRenderHtml:
-    def test_full_snapshot_is_self_contained(self):
-        page = render_html(SNAPSHOT)
-        assert page.startswith("<!DOCTYPE html>")
-        assert "<script" not in page
-        assert "ethernet" in page
-        assert "dist_queue_depth" in page
-
-    def test_source_names_are_escaped(self):
-        snap = json.loads(json.dumps(EMPTY))
-        snap["sources"]["<img src=x>"] = dict(
-            SNAPSHOT["sources"]["worker/w0"])
-        page = render_html(snap)
-        assert "<img src=x>" not in page
-        assert "&lt;img src=x&gt;" in page
-
-    def test_empty_snapshot(self):
-        page = render_html(EMPTY)
-        assert "<h2>sources</h2>" not in page
+        assert "busiest" not in frame
 
 
 class TestFetchAndCli:
     @pytest.fixture
     def live(self):
         agg = FleetAggregator()
-        agg.ingest(b'{"type":"hello","source":"s","seq":1,'
-                   b'"labels":{},"clock":"sim"}\n')
-        server = make_obs_server(agg, port=0)
+        agg.ingest(b'{"type":"hello","source":"s","seq":1,"labels":{}}\n')
+        server = bind_server(agg.handle, "127.0.0.1", 0)
         host, port = server.server_address[:2]
         stop = serve_in_thread(server)
         try:
@@ -132,12 +102,12 @@ class TestFetchAndCli:
         with pytest.raises(HttpTransportError):
             fetch_snapshot(live + "/nope/obs/fleet")
 
-    def test_cli_once_writes_html(self, live, tmp_path, capsys):
-        report = tmp_path / "fleet.html"
-        assert main([live, "--once", "--html", str(report)]) == 0
+    def test_cli_once_prints_one_frame(self, live, capsys):
+        assert main([live, "--once", "--max-sources", "1"]) == 0
         out = capsys.readouterr().out
+        assert out.count("repro fleet observability") == 1
         assert "sources 1" in out
-        assert report.read_text().startswith("<!DOCTYPE html>")
+        assert "busiest sources (1 of 1)" in out
 
     def test_cli_once_fails_cleanly_when_unreachable(self, capsys):
         assert main(["http://127.0.0.1:9", "--once"]) == 1

@@ -1,21 +1,24 @@
 """Push side of fleet observability: URLs, wire encoding, transport.
 
 Covers the opt-in precedence (flag beats $REPRO_OBS_PUSH), the
-Observability-to-records serialisation, the hello-first batch layout,
-and the best-effort transport contract — an unreachable aggregator
-returns False, never raises.
+Observability-to-records serialisation (spans fold into three counters
+at the source), the hello-first batch layout, and the best-effort
+transport contract — an unreachable aggregator returns False, never
+raises.
 """
 
 import json
 
 import pytest
 
-from repro.obs.aggregator import FleetAggregator, make_obs_server
+from repro.dist.worker import WorkerTelemetry
+from repro.obs.aggregator import FleetAggregator
 from repro.obs.api import Observability
 from repro.obs.push import (
-    DEFAULT_MAX_SPANS,
+    BUSY_COUNTER,
+    ELAPSED_COUNTER,
     PUSH_ENV,
-    ObsPusher,
+    SPANS_COUNTER,
     encode_batch,
     normalize_push_url,
     observability_records,
@@ -23,7 +26,23 @@ from repro.obs.push import (
     push_observability,
     resolve_push_url,
 )
-from repro.service.http import serve_in_thread
+from repro.service.http import bind_server, serve_in_thread
+
+
+class StepClock:
+    def __init__(self):
+        self.now = 0.0
+
+    def __call__(self):
+        return self.now
+
+
+def timed_span(obs, clock, kind, start, end, status="ok"):
+    clock.now = start
+    span = obs.tracer.start(kind, kind)
+    clock.now = end
+    obs.tracer.finish(span, status)
+    return span
 
 
 @pytest.fixture
@@ -40,7 +59,7 @@ def obs():
 @pytest.fixture
 def live_aggregator():
     agg = FleetAggregator()
-    server = make_obs_server(agg, port=0)
+    server = bind_server(agg.handle, "127.0.0.1", 0)
     host, port = server.server_address[:2]
     stop = serve_in_thread(server)
     try:
@@ -77,8 +96,26 @@ class TestSerialisation:
     def test_records_cover_all_kinds(self, obs):
         records = list(observability_records(obs))
         kinds = [row["type"] for row in records]
-        assert kinds.count("span") == 1
-        assert "counter" in kinds and "gauge" in kinds and "hist" in kinds
+        assert set(kinds) == {"counter", "gauge", "hist"}
+        assert {SPANS_COUNTER, BUSY_COUNTER, ELAPSED_COUNTER} <= {
+            row["name"] for row in records}
+
+    def test_spans_fold_into_a_count_and_a_command_busy_window_pair(self):
+        clock = StepClock()
+        obs = Observability(clock=clock)
+        timed_span(obs, clock, "try", 1.0, 9.0)
+        timed_span(obs, clock, "command", 2.0, 5.0)
+        timed_span(obs, clock, "command", 4.0, 8.0, status="failed")
+        timed_span(obs, clock, "backoff", 8.0, 10.0)
+        clock.now = 6.0
+        obs.tracer.start("open", "command")  # unfinished: no busy time
+        counters = {row["name"]: row["value"]
+                    for row in observability_records(obs)}
+        assert counters == {SPANS_COUNTER: 5, BUSY_COUNTER: 7.0,
+                            ELAPSED_COUNTER: 9.0}
+
+    def test_a_tracer_without_spans_adds_no_records(self):
+        assert list(observability_records(Observability.wall())) == []
 
     def test_hist_buckets_are_finite_and_nonzero_only(self, obs):
         rows = [r for r in observability_records(obs)
@@ -89,30 +126,20 @@ class TestSerialisation:
         assert all(count > 0 for _, count in row["buckets"])
         assert all(bound != float("inf") for bound, _ in row["buckets"])
 
-    def test_max_spans_caps_output(self):
-        obs = Observability.wall()
-        for _ in range(5):
-            span = obs.tracer.start("x", "command")
-            obs.tracer.finish(span)
-        spans = [r for r in observability_records(obs, max_spans=3)
-                 if r["type"] == "span"]
-        assert len(spans) == 3
-        assert DEFAULT_MAX_SPANS >= 1000
-
     def test_encode_batch_hello_first(self):
         body = encode_batch("src", 7, [{"type": "counter", "name": "x",
                                         "labels": {}, "value": 1}],
-                            labels={"a": "b"}, clock="sim")
+                            labels={"a": "b"})
         lines = body.decode().splitlines()
         hello = json.loads(lines[0])
         assert hello == {"type": "hello", "source": "src", "seq": 7,
-                         "labels": {"a": "b"}, "clock": "sim"}
+                         "labels": {"a": "b"}}
         assert json.loads(lines[1])["type"] == "counter"
 
     def test_encoded_batch_round_trips_through_aggregator(self, obs):
         agg = FleetAggregator()
         body = encode_batch("cell", 1, observability_records(obs),
-                            labels=obs.metrics.const_labels, clock="sim")
+                            labels=obs.metrics.const_labels)
         summary = agg.ingest(body)
         assert summary["malformed"] == 0
         snap = agg.snapshot()
@@ -123,7 +150,7 @@ class TestSerialisation:
 class TestTransport:
     def test_push_observability_live(self, obs, live_aggregator):
         agg, url = live_aggregator
-        assert push_observability(url, obs, source="cell/a", clock="sim")
+        assert push_observability(url, obs, source="cell/a")
         snap = agg.snapshot()
         assert snap["sources"]["cell/a"]["labels"] == \
             {"discipline": "ethernet"}
@@ -136,50 +163,36 @@ class TestTransport:
                                   source="x", timeout=0.5) is False
         assert push_batch("http://127.0.0.1:9", b"", timeout=0.5) is False
 
-    def test_pusher_sequences_and_tallies(self, obs, live_aggregator):
+    def test_pusher_sequences_and_tallies(self, live_aggregator):
         agg, url = live_aggregator
-        pusher = ObsPusher(url, source="worker/w0",
-                           labels={"component": "test"})
-        assert pusher.push(obs)
-        obs.metrics.counter("ftsh_try_attempts_total").inc(5)
-        assert pusher.push(obs)
-        assert (pusher.seq, pusher.pushed, pusher.failed) == (2, 2, 0)
-        snap = agg.snapshot()
-        source = snap["sources"]["worker/w0"]
+        telemetry = WorkerTelemetry(url, "w0")
+        telemetry.claim("tasks")
+        telemetry.push()
+        telemetry.claim("tasks")
+        telemetry.push()
+        assert (telemetry.seq, telemetry.pushed, telemetry.failed) == \
+            (2, 2, 0)
+        source = agg.snapshot()["sources"]["worker/w0"]
         assert source["last_seq"] == 2
-        # Cumulative re-push replaced, not added: total is 10, not 15.
-        assert snap["disciplines"]["ethernet"]["attempts"] == 10.0
-        # The pusher ships only the undelivered span tail, so the span
-        # from the first batch is never re-folded under a newer seq.
-        assert source["spans"] == 1
+        # Cumulative re-push replaced, not added: 2 claims, not 3.
+        (claims,) = [entry[1] for key, entry
+                     in agg._sources["worker/w0"].metrics.items()
+                     if key[1] == "dist_worker_claims_total"]
+        assert claims == 2.0
 
     def test_pusher_ships_new_spans_exactly_once(self, obs,
                                                  live_aggregator):
         agg, url = live_aggregator
-        pusher = ObsPusher(url, source="worker/w1")
-        assert pusher.push(obs)
+        assert push_observability(url, obs, source="w1", seq=1)
         later = obs.tracer.start("second", "command")
         obs.tracer.finish(later)
-        assert pusher.push(obs)
-        assert pusher.push(obs)
-        assert agg.snapshot()["sources"]["worker/w1"]["spans"] == 2
+        assert push_observability(url, obs, source="w1", seq=2)
+        assert push_observability(url, obs, source="w1", seq=3)
+        assert agg.snapshot()["sources"]["w1"]["spans"] == 2
 
-    def test_span_offset_skips_shipped_prefix(self, obs):
-        later = obs.tracer.start("second", "command")
-        obs.tracer.finish(later)
-        spans = [r for r in observability_records(obs, span_offset=1)
-                 if r["type"] == "span"]
-        assert [s["name"] for s in spans] == ["second"]
-
-    def test_pusher_counts_failures(self, obs):
-        pusher = ObsPusher("http://127.0.0.1:9", source="w", timeout=0.5)
-        assert pusher.push(obs) is False
-        assert (pusher.seq, pusher.pushed, pusher.failed) == (1, 0, 1)
-
-    def test_push_records_raw(self, live_aggregator):
-        agg, url = live_aggregator
-        pusher = ObsPusher(url, source="svc")
-        assert pusher.push_records(
-            [{"type": "counter", "name": "grid_buffer_collisions_total",
-              "labels": {}, "value": 3}])
-        assert agg.snapshot()["totals"]["collisions"] == 3.0
+    def test_pusher_counts_failures(self):
+        telemetry = WorkerTelemetry("http://127.0.0.1:9", "w")
+        telemetry.timeout = 0.5
+        telemetry.push()
+        assert (telemetry.seq, telemetry.pushed, telemetry.failed) == \
+            (1, 0, 1)

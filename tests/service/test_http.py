@@ -12,7 +12,7 @@ import pytest
 from repro.dist.coordinator import CoordinatorServer
 from repro.dist.queue import TaskQueue
 from repro.obs import Observability
-from repro.obs.aggregator import FleetAggregator, make_obs_server
+from repro.obs.aggregator import FleetAggregator
 from repro.parallel.cache import ResultCache
 from repro.service.app import MAX_EVENT_WAIT, ServiceApp, make_server
 from repro.service.client import ServiceClient, ServiceError
@@ -21,6 +21,7 @@ from repro.service.http import (
     MAX_BODY,
     HttpConnectionPool,
     HttpTransportError,
+    bind_server,
     http_request,
     serve_in_thread,
 )
@@ -239,7 +240,7 @@ def plane(request, tmp_path):
         finally:
             server.close()
     elif request.param == "aggregator":
-        server = make_obs_server(FleetAggregator(), port=0)
+        server = bind_server(FleetAggregator().handle, "127.0.0.1", 0)
         stop = serve_in_thread(server)
         try:
             yield server.server_address[:2]
@@ -316,8 +317,9 @@ class TestContentLengthIsOutsideInput:
 class TestNonJsonNumbersAreOutsideInput:
     """``json.loads`` reads ``NaN``/``Infinity``/``-Infinity``; a NaN
     walks through every ``<``/``>`` guard behind the door (the sandbox's
-    simulated-time budget, the coordinator's lease cap), so the shared
-    body parser refuses the tokens on both planes."""
+    simulated-time budget, the coordinator's lease cap), so all three
+    JSON doors refuse the tokens: the service and the coordinator
+    answer 400, and ``/obs/ingest`` counts the line malformed."""
 
     TOKENS = ["NaN", "Infinity", "-Infinity"]
 
@@ -364,6 +366,27 @@ class TestNonJsonNumbersAreOutsideInput:
         assert doc["error"]["code"] == "bad-request"
         assert doc["error"]["details"] == []
         assert queue.in_flight() == 0 and queue.depth() == 1
+
+
+    @pytest.mark.parametrize("token", TOKENS)
+    def test_ingest_counts_the_line_malformed_and_fleet_stays_json(
+            self, service, token):
+        url, _store = service
+        host, port = url.removeprefix("http://").split(":")
+        head, doc = self.post((host, int(port)), "/obs/ingest", (
+            '{"type":"hello","source":"s","seq":1,"labels":{}}\n'
+            '{"type":"counter","name":"c_total","labels":{},"value":%s}\n'
+            '{"type":"counter","name":"d_total","labels":{},"value":1}\n'
+            % token))
+        assert head.startswith(b"HTTP/1.1 202 "), head
+        assert doc == {"accepted": 2, "malformed": 1}
+
+        def refuse(constant):
+            raise AssertionError(f"/obs/fleet carries {constant}")
+
+        fleet = http_request(url + "/obs/fleet")
+        assert json.loads(fleet.body, parse_constant=refuse)[
+            "totals"]["malformed"] == 1
 
 
 class TestSilentPeersAreReaped:

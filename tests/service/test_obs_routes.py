@@ -31,9 +31,11 @@ def call(app, method, path, doc=None, raw=None):
 
 
 BATCH = (b'{"type":"hello","source":"cell/x","seq":1,'
-         b'"labels":{"discipline":"ethernet"},"clock":"sim"}\n'
-         b'{"type":"span","name":"condor_submit","kind":"command",'
-         b'"start":0.0,"end":2.0,"status":"ok"}\n'
+         b'"labels":{"discipline":"ethernet"}}\n'
+         b'{"type":"counter","name":"obs_command_busy_seconds_total",'
+         b'"labels":{},"value":2.0}\n'
+         b'{"type":"counter","name":"obs_span_elapsed_seconds_total",'
+         b'"labels":{},"value":2.0}\n'
          b'{"type":"counter","name":"grid_buffer_collisions_total",'
          b'"labels":{},"value":6}\n')
 
@@ -42,7 +44,7 @@ class TestObsRoutes:
     def test_ingest_accepts_batch(self, app):
         status, doc = call(app, "POST", "/obs/ingest", raw=BATCH)
         assert status == 202
-        assert doc == {"accepted": 3, "malformed": 0, "stale_spans": 0}
+        assert doc == {"accepted": 4, "malformed": 0}
 
     def test_fleet_reflects_ingested_batches(self, app):
         call(app, "POST", "/obs/ingest", raw=BATCH)
@@ -76,14 +78,14 @@ class TestObsRoutes:
         shared.handle("POST", "/obs/ingest", BATCH)
         assert agg.snapshot()["totals"]["batches"] == 1
 
-    def test_answers_are_byte_identical_to_the_standalone(self, app):
-        """The service forwards /obs/* to the very ``handle`` that
-        ``python -m repro.obs.aggregator`` serves: same aggregator
-        state in, same bytes out — 2xx and error documents alike."""
+    def test_answers_are_byte_identical_to_the_aggregators_own(self, app):
+        """The service forwards /obs/* to the aggregator's ``handle``:
+        same aggregator state in, same bytes out — 2xx and error
+        documents alike."""
         def frozen():
             return FleetAggregator(clock=lambda: 5.0)
 
-        standalone, mounted = frozen(), frozen()
+        bare, mounted = frozen(), frozen()
         service = ServiceApp(app.store, aggregator=mounted)
         for method, target, body in [
             ("POST", "/obs/ingest", BATCH),
@@ -94,7 +96,7 @@ class TestObsRoutes:
             ("POST", "/obs/fleet", b""),
         ]:
             assert service.handle(method, target, body) \
-                == standalone.handle(method, target, body), (method, target)
+                == bare.handle(method, target, body), (method, target)
 
     def test_make_server_exposes_aggregator(self):
         with JobStore(policy=SandboxPolicy(wall_budget=60.0),

@@ -46,7 +46,7 @@ def prefixed(modules, *prefixes):
 ENTRY_POINTS = [
     "repro.cli", "repro.lint", "repro.service", "repro.service.client",
     "repro.dist.worker", "repro.parallel.cache", "repro.obs.report",
-    "repro.obs.aggregator", "repro.obs.dashboard",
+    "repro.obs.dashboard",
     "repro.experiments.runall", "repro.experiments.chaos",
     "repro.experiments.variance",
 ]

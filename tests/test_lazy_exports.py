@@ -76,13 +76,12 @@ PUBLIC = {
     "repro.obs": [
         "Clock", "DEFAULT_BUCKETS", "FleetAggregator", "MetricsRegistry",
         "NULL_METRICS", "NULL_OBS", "NULL_TRACER", "NullObservability",
-        "NullTracer", "ObsPusher", "Observability", "STATUS_CANCELLED",
+        "NullTracer", "Observability", "STATUS_CANCELLED",
         "STATUS_FAILED", "STATUS_OK", "STATUS_OPEN", "STATUS_TIMEOUT", "Span",
         "Tracer", "chrome_trace_events", "chrome_trace_json", "encode_batch",
-        "engine_clock", "fetch_snapshot", "make_obs_server",
-        "merge_histograms", "observability_records", "prometheus_text",
-        "push_observability", "read_spans_jsonl", "render_fleet_html",
-        "render_fleet_text", "render_report", "resolve_push_url",
+        "engine_clock", "fetch_snapshot", "merge_histograms",
+        "observability_records", "prometheus_text", "push_observability",
+        "read_spans_jsonl", "render_fleet_text", "render_report", "resolve_push_url",
         "sample_gauges", "span_stats", "spans_jsonl", "wall_clock",
         "write_chrome_trace", "write_obs_bundle", "write_prometheus",
         "write_spans_jsonl"],
@@ -185,9 +184,8 @@ def test_bare_submodule_resolves_in_a_fresh_interpreter():
 
 
 def test_alias_exports_keep_their_public_names():
-    from repro.obs import dashboard, render_fleet_html, render_fleet_text
+    from repro.obs import dashboard, render_fleet_text
 
-    assert render_fleet_html is dashboard.render_html
     assert render_fleet_text is dashboard.render_text
 
 
