@@ -4,7 +4,10 @@ The comparison every kernel or plan-runtime PR needs and used to retype:
 run one cell of a shipped grid in a fresh interpreter per run, from two
 ``src`` trees in alternation, and print CPU seconds, the result digest,
 each side's median [q1, q3] and in how many pairs the change read
-lower::
+lower.  Beside each run's CPU seconds go the cyclic collector's passes
+(gen0/1/2, from ``gc.callbacks`` around the cell) and the child's peak
+RSS (``ru_maxrss``): for a seed the passes repeat exactly, so they
+compare two trees where the seconds do not::
 
     python3 benchmarks/ab_cell.py PARENT_SRC CHANGE_SRC \\
         [--cell fig1/fixed/n450] [--scale medium] [--pairs 12]
@@ -12,8 +15,9 @@ lower::
 ``--cell all`` is the byte sweep instead: every cell of the figure grid
 at ``--scale`` and of the chaos grid at ``--chaos-scale`` (67 cells at
 the defaults, medium and smoke), one fresh interpreter per tree running
-them all; it prints each side's CPU seconds per cell and exits 1
-listing every cell whose digests differ::
+them all; it prints each side's CPU seconds and collector passes per
+cell (the RSS column is the child's running peak) and exits 1 listing
+every cell whose digests differ::
 
     python3 benchmarks/ab_cell.py PARENT_SRC CHANGE_SRC --cell all
 
@@ -45,7 +49,7 @@ import sys
 
 #: Runs in the child, with PYTHONPATH pointing at one tree.
 CHILD = r"""
-import hashlib, json, sys, time
+import gc, hashlib, json, resource, sys, time
 from repro.experiments import chaos, runall
 from repro.parallel.transport import to_jsonable
 scale, chaos_scale, wanted = sys.argv[1:4]
@@ -66,14 +70,30 @@ else:
     if wanted not in by_key:
         sys.exit(f"no cell {wanted!r} at scale {scale!r}; keys: {' '.join(sorted(by_key))}")
     cells = [by_key[wanted]]
+passes = [0, 0, 0]
+
+def count_pass(phase, info):
+    if phase == "stop":
+        passes[info["generation"]] += 1
+
 for spec in cells:
+    passes[:] = [0, 0, 0]
+    gc.callbacks.append(count_pass)
     start = time.process_time()
     result = spec.fn(*spec.args, **spec.kwargs)
     cpu_s = time.process_time() - start
+    gc.callbacks.remove(count_pass)
     blob = json.dumps(to_jsonable(result), sort_keys=True, separators=(",", ":"))
-    print(json.dumps({"cell": spec.key, "cpu_s": cpu_s,
+    print(json.dumps({"cell": spec.key, "cpu_s": cpu_s, "gc": passes,
+                      "rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
                       "digest": hashlib.sha256(blob.encode()).hexdigest()}), flush=True)
 """
+
+
+def costs(row: dict) -> str:
+    """CPU seconds, collector passes gen0/1/2 and the child's peak RSS."""
+    return (f"{row['cpu_s']:7.3f} s gc {'/'.join(map(str, row['gc'])):>11}"
+            f" {row['rss_mb']:5.1f} MB")
 
 
 def run_cells(src: str, cell: str, scale: str, chaos_scale: str) -> list[dict]:
@@ -105,10 +125,15 @@ def sweep(sources: dict[str, str], scale: str, chaos_scale: str) -> int:
         same = parent["digest"] == change["digest"]
         if not same:
             mismatched.append(parent["cell"])
-        print(f"  {parent['cell']:<36} parent {parent['cpu_s']:7.3f}"
-              f"  change {change['cpu_s']:7.3f}  {'same' if same else 'DIFFERS'}")
+        print(f"  {parent['cell']:<36} parent {costs(parent)}"
+              f"  change {costs(change)}  {'same' if same else 'DIFFERS'}")
     total = {side: sum(row["cpu_s"] for row in rows[side]) for side in rows}
-    print(f"total  parent {total['parent']:.3f}  change {total['change']:.3f}")
+    passes = {side: "/".join(str(sum(row["gc"][gen] for row in rows[side]))
+                             for gen in range(3)) for side in rows}
+    print(f"total  parent {total['parent']:.3f} s gc {passes['parent']}"
+          f" {rows['parent'][-1]['rss_mb']:.1f} MB"
+          f"  change {total['change']:.3f} s gc {passes['change']}"
+          f" {rows['change'][-1]['rss_mb']:.1f} MB")
     if mismatched:
         print(f"DIGEST MISMATCH in {len(mismatched)} of {len(rows['parent'])} cells: "
               + " ".join(mismatched))
@@ -152,7 +177,7 @@ def main(argv=None) -> int:
             cpu[side].append(row[side]["cpu_s"])
             digests.add(row[side]["digest"])
         print(f"  pair {pair + 1:2d} ({order[0]} first)"
-              f"  parent {row['parent']['cpu_s']:.3f}  change {row['change']['cpu_s']:.3f}"
+              f"  parent {costs(row['parent'])}  change {costs(row['change'])}"
               f"  digest {row['parent']['digest'][:16]} {row['change']['digest'][:16]}",
               flush=True)
     lower = sum(c < p for p, c in zip(cpu["parent"], cpu["change"]))

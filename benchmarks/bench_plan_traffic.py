@@ -16,7 +16,10 @@ prints per grid:
   function calls, and words expanded that hold a substitution;
 * how the simulated commands were served — by a timer (a handler that
   answered ``Quick``) or as a process — and the engine events
-  dispatched (withdrawn timers are not events), per command too.
+  dispatched (withdrawn timers are not events), per command too;
+* ``ShellLog.record`` calls, and the events the logs still hold when
+  each cell is done: a campaign cell reads back one tally, the
+  overload alarm, so it should keep none.
 
 Each grid runs twice and the run fails if any count differs::
 
@@ -40,6 +43,7 @@ sys.path.insert(0, os.path.join(
 
 from repro.clients.base import by_name  # noqa: E402
 from repro.core import compile as plans  # noqa: E402
+from repro.core.shell_log import ShellLog  # noqa: E402
 from repro.core.variables import Scope  # noqa: E402
 from repro.experiments import chaos, runall  # noqa: E402
 from repro.obs.api import Observability  # noqa: E402
@@ -68,6 +72,7 @@ WRAPPED = {
     "non-constant words expanded": (
         plans.CompiledWord, "expand", lambda word, _scope: bool(word.subs)),
     "commands timer-served": (driver._TimerServed, "__init__", None),
+    "log records": (ShellLog, "record", None),
 }
 
 
@@ -117,6 +122,30 @@ def counting_events():
         kernel.heapq = real
 
 
+@contextlib.contextmanager
+def counting_kept_events():
+    """Count the events each ``ShellLog`` built in the block holds when
+    its cell is done — what a grid keeps, not what it records.  Call the
+    yielded ``settle`` after each cell; it lets go of that cell's logs."""
+    tally = {"log events kept": 0}
+    logs = []
+    real = ShellLog.__init__
+
+    def init(self, *args, **kwargs):
+        real(self, *args, **kwargs)
+        logs.append(self)
+
+    def settle():
+        tally["log events kept"] += sum(len(log) for log in logs)
+        logs.clear()
+
+    ShellLog.__init__ = init
+    try:
+        yield tally, settle
+    finally:
+        ShellLog.__init__ = real
+
+
 def runall_cells(seed):
     """``runall --scale medium``: every cell takes one params object."""
 
@@ -148,9 +177,11 @@ def count_grid(cells):
     """Run every cell against one telemetry context; return the counts."""
     # Counters only: no span is kept, no gauge series grows.
     obs = Observability(keep_series=False, max_spans=0)
-    with counting_wrappers() as tally, counting_events() as events:
+    with counting_wrappers() as tally, counting_events() as events, \
+            counting_kept_events() as (kept, settle):
         for run in cells:
             run(obs)
+            settle()
     counts = {}
     for label, family_name in OBS_COUNTERS.items():
         family = obs.metrics.get(family_name)
@@ -160,6 +191,8 @@ def count_grid(cells):
     counts["commands as processes"] = (
         counts["commands started"] - counts["commands timer-served"])
     counts.update(events)
+    counts["log records"] = counts.pop("log records")  # beside "kept"
+    counts.update(kept)
     return counts
 
 

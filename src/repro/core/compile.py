@@ -775,13 +775,13 @@ class TryOp:
                     if delay > remaining:
                         delay = remaining
                     if delay > 0:
-                        if commands_on:
-                            log.record(
-                                EventKind.TRY_BACKOFF,
-                                f"failure {backoff.failures}: waiting {delay:.3f}s",
-                                line,
-                                value=delay,
-                            )
+                        # The overload alarm: logged at every level.
+                        log.record(
+                            EventKind.TRY_BACKOFF,
+                            f"failure {backoff.failures}: waiting {delay:.3f}s",
+                            line,
+                            value=delay,
+                        )
                         if obs_on:
                             interp._m_backoffs.inc()
                             interp._m_backoff_seconds.observe(delay)

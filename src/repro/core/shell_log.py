@@ -9,6 +9,11 @@ persistent overloads may be accommodated."
 
 :class:`ShellLog` records typed events with timestamps from whatever
 clock the driver uses.  It is append-only and cheap enough to leave on.
+Every event it records is counted, kept or not, so a log built with
+``level=LOG_RESULTS, max_events=0`` is a counter: it stores no event
+while :meth:`ShellLog.backoff_initiations` stays exact.  That is the log
+a campaign cell or the service sandbox runs with — they read back the
+alarm, never a transcript.
 """
 
 from __future__ import annotations
@@ -20,9 +25,9 @@ from typing import Callable, Iterator, Optional
 
 #: Verbosity tiers for "a log of varying detail" (paper §4).  Each event
 #: kind has a level; a ShellLog records only events at or below its own.
-LOG_RESULTS = 0    # script results only
+LOG_RESULTS = 0    # script results + the overload alarm (backoffs, §5)
 LOG_COMMANDS = 1   # + command lifecycle and construct outcomes
-LOG_TRACE = 2      # + per-attempt detail (backoffs, picks, conditions)
+LOG_TRACE = 2      # + per-attempt detail (attempts, picks, conditions)
 
 
 class EventKind(enum.Enum):
@@ -50,7 +55,10 @@ def _assign_levels() -> None:
     :meth:`ShellLog.record` never hashes an enum member."""
     for index, kind in enumerate(EventKind):
         kind.index = index
-    for kind in (EventKind.SCRIPT_RESULT,):
+    for kind in (
+        EventKind.SCRIPT_RESULT,
+        EventKind.TRY_BACKOFF,   # the administrator overload signal
+    ):
         kind.level = LOG_RESULTS
     for kind in (
         EventKind.COMMAND_START,
@@ -61,7 +69,6 @@ def _assign_levels() -> None:
         EventKind.TRY_EXHAUSTED,
         EventKind.CATCH_ENTERED,
         EventKind.FAILURE_ATOM,
-        EventKind.TRY_BACKOFF,   # the administrator overload signal
     ):
         kind.level = LOG_COMMANDS
     for kind in (

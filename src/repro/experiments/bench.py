@@ -112,7 +112,8 @@ class _DispatchDriver:
 
 def _interp_run(target, fail_first: int, runs: int) -> None:
     for _ in range(runs):
-        interp = Interpreter(Scope(), log=ShellLog(level=LOG_RESULTS),
+        interp = Interpreter(Scope(),
+                             log=ShellLog(level=LOG_RESULTS, max_events=0),
                              obs=NULL_OBS)
         _DispatchDriver(fail_first).drive(interp.execute(target))
 

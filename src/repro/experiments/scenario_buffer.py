@@ -14,7 +14,7 @@ from typing import Any
 
 from ..clients.base import Discipline
 from ..clients.scripts import producer_script, producer_script_reserved
-from ..core.shell_log import ShellLog
+from ..core.shell_log import LOG_RESULTS, ShellLog
 from ..faults.injectors import FaultSpec, install_faults
 from ..grid.storage import BufferConfig, BufferWorld, register_buffer_commands
 from ..obs.api import NULL_OBS
@@ -38,7 +38,6 @@ class BufferParams:
     buffer: BufferConfig = field(default_factory=BufferConfig)
     seed: int = 2003
     sample_interval: float = 1.0
-    log_cap: int = 50_000
     #: Use NeST-style reservations instead of optimistic writes (ablation
     #: of the paper's §5 allocation discussion).  The discipline's policy
     #: still governs retry pacing when the reservation is denied.
@@ -120,7 +119,9 @@ def run_buffer(params: BufferParams) -> BufferResult:
     )
 
     world.start_consumer()
-    shared_log = ShellLog(clock=lambda: engine.now, max_events=params.log_cap)
+    # A counter, not a transcript: the run reads back one tally (the
+    # overload alarm) and keeps no per-command event.
+    shared_log = ShellLog(level=LOG_RESULTS, max_events=0)
     for index in range(params.n_producers):
         name = f"producer-{index}"
         shell = SimFtsh(

@@ -15,7 +15,7 @@ from typing import Any
 
 from ..clients.base import Discipline
 from ..clients.scripts import producer_script
-from ..core.shell_log import ShellLog
+from ..core.shell_log import LOG_RESULTS, ShellLog
 from ..faults.injectors import FaultSpec, install_faults
 from ..grid.archive import ArchiveUploader, WanConfig, WanLink
 from ..grid.storage import BufferConfig, BufferWorld, register_buffer_commands
@@ -36,7 +36,6 @@ class KangarooParams:
     buffer: BufferConfig = field(default_factory=BufferConfig)
     wan: WanConfig = field(default_factory=WanConfig)
     seed: int = 2003
-    log_cap: int = 50_000
     #: Injected faults (wan-partition, enospc, slow-disk) for this world.
     faults: tuple[FaultSpec, ...] = ()
     #: Optional :class:`repro.obs.Observability` (see SubmitParams.obs).
@@ -76,7 +75,9 @@ def run_kangaroo(params: KangarooParams) -> KangarooResult:
                    horizon=params.duration,
                    buffer=world.buffer, link=link)
 
-    shared_log = ShellLog(clock=lambda: engine.now, max_events=params.log_cap)
+    # A counter, not a transcript: the run reads back one tally (the
+    # overload alarm) and keeps no per-command event.
+    shared_log = ShellLog(level=LOG_RESULTS, max_events=0)
     # One text for every cycle of every producer (parsed and compiled
     # once); each cycle's size reaches it as the ``size_mb`` variable.
     script = producer_script(params.discipline, size_mb=None,

@@ -13,7 +13,7 @@ from typing import Any
 
 from ..clients.base import Discipline
 from ..clients.scripts import reader_script
-from ..core.shell_log import ShellLog
+from ..core.shell_log import LOG_RESULTS, ShellLog
 from ..faults.injectors import FaultSpec, install_faults
 from ..grid.httpserver import ReplicaConfig, ReplicaWorld, register_replica_commands
 from ..obs.api import NULL_OBS
@@ -38,7 +38,6 @@ class ReplicaParams:
     black_holes: tuple[str, ...] = ("zzz",)
     replica: ReplicaConfig = field(default_factory=ReplicaConfig)
     seed: int = 2003
-    log_cap: int = 50_000
     #: Injected faults (http-5xx bursts, accept-queue saturation).
     faults: tuple[FaultSpec, ...] = ()
     #: Optional :class:`repro.obs.Observability` (see SubmitParams.obs).
@@ -103,7 +102,9 @@ def run_replica(params: ReplicaParams) -> ReplicaResult:
                    horizon=params.duration,
                    servers=list(world.servers.values()))
 
-    shared_log = ShellLog(clock=lambda: engine.now, max_events=params.log_cap)
+    # A counter, not a transcript: the run reads back one tally (the
+    # overload alarm) and keeps no per-command event.
+    shared_log = ShellLog(level=LOG_RESULTS, max_events=0)
     for index in range(params.n_clients):
         name = f"reader-{index}"
         shell = SimFtsh(

@@ -17,7 +17,7 @@ from ..clients.base import Discipline
 from ..clients.scripts import submit_script
 from ..core.compile import compile_cached
 from ..core.parser import parse_cached
-from ..core.shell_log import ShellLog
+from ..core.shell_log import LOG_RESULTS, ShellLog
 from ..faults.injectors import FaultSpec, install_faults
 from ..grid.condor import CondorConfig, CondorWorld, register_condor_commands
 from ..obs.api import NULL_OBS
@@ -42,7 +42,6 @@ class SubmitParams:
     condor: CondorConfig = field(default_factory=CondorConfig)
     seed: int = 2003
     sample_interval: float = 5.0
-    log_cap: int = 50_000
     #: Injected faults (schedd crashes, FD squeezes); resolved by
     #: :func:`repro.faults.injectors.install_faults` against this world.
     faults: tuple[FaultSpec, ...] = ()
@@ -116,7 +115,9 @@ def run_submission(params: SubmitParams) -> SubmitResult:
         until=params.duration,
     )
 
-    shared_log = ShellLog(clock=lambda: engine.now, max_events=params.log_cap)
+    # A counter, not a transcript: the run reads back one tally (the
+    # overload alarm) and keeps no per-command event.
+    shared_log = ShellLog(level=LOG_RESULTS, max_events=0)
     for index in range(params.n_clients):
         name = f"submitter-{index}"
         shell = SimFtsh(

@@ -83,6 +83,24 @@ class TestCap:
                        == sum(1 for _ in uncapped.of_kind(kind))
                        for kind in EventKind)
 
+    def test_zero_cap_keeps_nothing_and_counts_everything(self):
+        """``max_events=0`` is a counter: no event is stored, and every
+        count equals an uncapped log's at every level."""
+        from repro.core.shell_log import LOG_COMMANDS, LOG_RESULTS, LOG_TRACE
+
+        for level in (LOG_RESULTS, LOG_COMMANDS, LOG_TRACE):
+            counter = ShellLog(max_events=0, level=level)
+            uncapped = ShellLog(level=level)
+            for kind in list(EventKind) * 3:
+                counter.record(kind, "detail")
+                uncapped.record(kind, "detail")
+            assert len(counter) == 0
+            assert counter.dropped == len(uncapped) > 0
+            assert counter.counts() == uncapped.counts()
+            assert all(counter.count(kind) == uncapped.count(kind)
+                       for kind in EventKind)
+            assert counter.backoff_initiations() == 3
+
 
 class TestRendering:
     def test_summary_lists_kinds(self):
@@ -104,14 +122,16 @@ class TestRendering:
 
 
 class TestVerbosityLevels:
-    def test_results_level_keeps_only_results(self):
+    def test_results_level_keeps_results_and_backoffs(self):
+        """The results tier is the script's result plus the paper's
+        overload alarm (§5): nothing per command, nothing per attempt."""
         from repro.core.shell_log import LOG_RESULTS
 
         log = ShellLog(level=LOG_RESULTS)
-        log.record(EventKind.COMMAND_START)
-        log.record(EventKind.TRY_BACKOFF)
-        log.record(EventKind.SCRIPT_RESULT)
-        assert [e.kind for e in log.events] == [EventKind.SCRIPT_RESULT]
+        for kind in EventKind:
+            log.record(kind)
+        assert [e.kind for e in log.events] == [
+            EventKind.TRY_BACKOFF, EventKind.SCRIPT_RESULT]
 
     def test_commands_level_keeps_overload_signal(self):
         from repro.core.shell_log import LOG_COMMANDS

@@ -49,15 +49,6 @@ class TestSubmissionScenario:
         # should differ somewhere even if sampled FD counts coincide
         assert list(base.jobs_series) != list(other.jobs_series)
 
-    def test_backoff_count_does_not_saturate_at_the_log_cap(self):
-        """``backoffs`` is the paper's overload alarm; a jammed Aloha run
-        logs far more events than ``log_cap`` keeps."""
-        params = dict(discipline=ALOHA, n_clients=400, duration=60.0,
-                      script_window=60.0)
-        capped = run_submission(SubmitParams(log_cap=200, **params))
-        uncapped = run_submission(SubmitParams(log_cap=10**9, **params))
-        assert capped.backoffs == uncapped.backoffs > 1000
-
     @pytest.mark.slow
     def test_paper_shapes_at_high_load(self):
         """Figure 1's qualitative claims at 400 submitters."""
@@ -171,12 +162,12 @@ class TestReplicaScenario:
         assert first.collisions == second.collisions
 
 
-class TestBackoffTallyNeedsNoTrace:
-    """The harnesses log at ``LOG_TRACE`` and read back one number,
-    ``backoffs`` — a ``LOG_COMMANDS``-level tally.  Lowering the level
-    would drop only per-attempt lines nobody reads; this pins that the
-    number (and the rest of the result) does not depend on it, so the
-    level can follow whatever an A/B of a heavy cell says."""
+class TestHarnessLogOnlyCounts:
+    """The harnesses read back one number, ``backoffs`` — the paper's
+    overload alarm — from a log that keeps no event.  A keep-everything
+    ``LOG_TRACE`` log patched in must give the same result, so nothing
+    the harness no longer keeps was ever read, and the alarm does not
+    saturate however many events a jammed run records."""
 
     @pytest.mark.parametrize("module, run", [
         ("scenario_submit", lambda m: m.run_submission(m.SubmitParams(
@@ -188,21 +179,32 @@ class TestBackoffTallyNeedsNoTrace:
         ("scenario_kangaroo", lambda m: m.run_kangaroo(m.KangarooParams(
             ALOHA, 30, duration=60.0))),
     ])
-    def test_backoffs_identical_at_trace_and_commands(self, monkeypatch,
-                                                      module, run):
-        import functools
+    def test_result_equals_a_full_transcript(self, monkeypatch, module, run):
         import importlib
 
-        from repro.core.shell_log import LOG_COMMANDS, LOG_TRACE, ShellLog
+        from repro.core.shell_log import LOG_TRACE, EventKind, ShellLog
         from repro.parallel.transport import to_jsonable
 
         harness = importlib.import_module(f"repro.experiments.{module}")
-        results = {}
-        for level in (LOG_TRACE, LOG_COMMANDS):
-            monkeypatch.setattr(harness, "ShellLog",
-                                functools.partial(ShellLog, level=level))
-            results[level] = run(harness)
-        assert results[LOG_TRACE].backoffs == \
-            results[LOG_COMMANDS].backoffs > 0
-        assert to_jsonable(results[LOG_TRACE]) == \
-            to_jsonable(results[LOG_COMMANDS])
+        logs = {"own": [], "full": []}
+
+        def own(*args, **kwargs):
+            logs["own"].append(ShellLog(*args, **kwargs))
+            return logs["own"][-1]
+
+        def full(*args, **kwargs):
+            logs["full"].append(ShellLog(level=LOG_TRACE, max_events=10**9))
+            return logs["full"][-1]
+
+        monkeypatch.setattr(harness, "ShellLog", own)
+        counted = run(harness)
+        monkeypatch.setattr(harness, "ShellLog", full)
+        kept = run(harness)
+
+        [own_log], [full_log] = logs["own"], logs["full"]
+        assert len(own_log) == 0
+        assert full_log.dropped == 0
+        assert counted.backoffs == kept.backoffs > 0
+        assert kept.backoffs == sum(
+            1 for _ in full_log.of_kind(EventKind.TRY_BACKOFF))
+        assert to_jsonable(counted) == to_jsonable(kept)

@@ -252,3 +252,37 @@ class TestEventCountIsStable:
         capped = run_script_cell(text, (), "condor", 3600.0, 2003, 500)
         assert capped.budget_exceeded == "events"
         assert (capped.events, capped.sim_elapsed) == (500, 48.0)
+
+
+class TestSandboxKeepsNoTranscript:
+    """``ScriptOutcome`` reads no log event, so the sandbox's log only
+    counts.  A short admitted script that fails every 10 ms would
+    otherwise keep one event per record up to a million, inside each of
+    the service's workers."""
+
+    SCRIPT = "try for 1 hour every 0.01 seconds\n    false\nend\n"
+
+    def test_memory_stays_flat_and_the_outcome_is_unchanged(self,
+                                                            monkeypatch):
+        import tracemalloc
+
+        from repro.core.shell_log import ShellLog
+        from repro.service import sandbox
+
+        assert admit_script(script(self.SCRIPT), SandboxPolicy())
+        run_script_cell(self.SCRIPT, (), "condor", 3600.0, 2003, 100)  # warm
+        tracemalloc.start()
+        try:
+            counted = run_script_cell(self.SCRIPT, (), "condor", 3600.0,
+                                      2003, 50_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # ~3 MB counting; a keep-everything log peaks near 9.5 MB.
+        assert peak < 5_000_000
+        assert counted.budget_exceeded == "events"
+
+        monkeypatch.setattr(sandbox, "ShellLog", lambda **_: ShellLog())
+        kept = run_script_cell(self.SCRIPT, (), "condor", 3600.0, 2003,
+                               50_000)
+        assert counted == kept
