@@ -175,8 +175,8 @@ def chaos_cells(seed):
 
 def count_grid(cells):
     """Run every cell against one telemetry context; return the counts."""
-    # Counters only: no span is kept, no gauge series grows.
-    obs = Observability(keep_series=False, max_spans=0)
+    # Counters only: no span is kept.
+    obs = Observability(max_spans=0)
     with counting_wrappers() as tally, counting_events() as events, \
             counting_kept_events() as (kept, settle):
         for run in cells:

@@ -64,14 +64,6 @@ class LogAnalysis:
         """
         return self.backoff_count > 0
 
-    def most_failing(self, limit: int = 5) -> list[CommandStats]:
-        """Commands ranked by failure rate (ties by run count)."""
-        ranked = sorted(
-            (s for s in self.commands.values() if s.runs),
-            key=lambda s: (-s.failure_rate, -s.runs),
-        )
-        return ranked[:limit]
-
     def report(self) -> str:
         """Human-readable digest."""
         lines = ["ftsh post-mortem analysis"]

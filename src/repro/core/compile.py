@@ -496,14 +496,12 @@ class CommandOp:
         except BaseException:
             if obs_on:
                 tracer.finish(span, "cancelled")
-                interp._m_commands.labels(command=name, outcome="cancelled").inc()
             raise
         if result.timed_out:
             if commands_on:
                 log.record(EventKind.COMMAND_TIMEOUT, joined, self.line)
             if obs_on:
                 tracer.finish(span, "timeout", detail=result.detail or None)
-                interp._m_commands.labels(command=name, outcome="timeout").inc()
             # The stack cannot change while the command runs (only this
             # interpreter pushes/pops), so the precomputed deadline is
             # still the effective one.
@@ -518,7 +516,6 @@ class CommandOp:
             if obs_on:
                 tracer.finish(span, "failed", exit_code=result.exit_code,
                               detail=result.detail or None)
-                interp._m_commands.labels(command=name, outcome="failed").inc()
             raise FtshFailure(f"{name} exited {result.exit_code}")
         if capture_name is not None:
             text = (result.output or "").rstrip("\n")
@@ -530,9 +527,6 @@ class CommandOp:
             log.record(EventKind.COMMAND_END, name, self.line)
         if obs_on:
             tracer.finish(span, "ok")
-            interp._m_commands.labels(command=name, outcome="ok").inc()
-            if span.end is not None:
-                interp._m_command_seconds.labels(command=name).observe(span.duration)
 
 
 class TryOp:
@@ -623,7 +617,6 @@ class TryOp:
                         log.record(EventKind.TRY_ATTEMPT,
                                    f"attempt {attempts}", line)
                     if obs_on:
-                        interp._m_attempts.inc()
                         attempt_span = tracer.start(
                             f"attempt:{attempts}", "attempt", parent=span
                         )
@@ -683,9 +676,6 @@ class TryOp:
                                 except BaseException:
                                     if obs_on:
                                         tracer.finish(cmd_span, "cancelled")
-                                        interp._m_commands.labels(
-                                            command=name,
-                                            outcome="cancelled").inc()
                                     raise
                                 if result.timed_out:
                                     if commands_on:
@@ -694,8 +684,6 @@ class TryOp:
                                     if obs_on:
                                         tracer.finish(cmd_span, "timeout",
                                                       detail=result.detail or None)
-                                        interp._m_commands.labels(
-                                            command=name, outcome="timeout").inc()
                                     raise FtshTimeout(clipped,
                                                       f"{name} hit time limit")
                                 if result.exit_code != 0:
@@ -710,8 +698,6 @@ class TryOp:
                                         tracer.finish(cmd_span, "failed",
                                                       exit_code=result.exit_code,
                                                       detail=result.detail or None)
-                                        interp._m_commands.labels(
-                                            command=name, outcome="failed").inc()
                                     failed = True
                                 else:
                                     if capture_name is not None:
@@ -725,12 +711,6 @@ class TryOp:
                                                    name, cmd_line)
                                     if obs_on:
                                         tracer.finish(cmd_span, "ok")
-                                        interp._m_commands.labels(
-                                            command=name, outcome="ok").inc()
-                                        if cmd_span.end is not None:
-                                            interp._m_command_seconds.labels(
-                                                command=name).observe(
-                                                    cmd_span.duration)
                         if not failed:
                             succeeded = True
                             if obs_on:
@@ -783,8 +763,6 @@ class TryOp:
                             value=delay,
                         )
                         if obs_on:
-                            interp._m_backoffs.inc()
-                            interp._m_backoff_seconds.observe(delay)
                             sleep_span = tracer.start(
                                 f"backoff:{attempts}", "backoff",
                                 parent=span, delay=delay,
@@ -806,8 +784,6 @@ class TryOp:
                     if commands_on:
                         log.record(EventKind.TRY_EXHAUSTED,
                                    f"after {attempts} attempts", line)
-                    if obs_on:
-                        interp._m_exhausted.inc()
             if succeeded:
                 if obs_on:
                     tracer.finish(span, "ok", attempts=attempts)
@@ -840,7 +816,6 @@ class TryOp:
             if commands_on:
                 log.record(EventKind.CATCH_ENTERED, line=self.line)
             if obs_on:
-                interp._m_catches.inc()
                 catch_span = tracer.start("catch", "catch", parent=span,
                                           line=self.line or None)
                 interp._span = catch_span
@@ -902,7 +877,6 @@ class ForAnyOp:
                     log.record(EventKind.FORANY_PICK,
                                f"{self.var}={value}", self.line)
                 if obs_on:
-                    interp._m_forany_picks.inc()
                     alt_span = tracer.start(f"alt:{value}", "alt", parent=span)
                     interp._span = alt_span
                 try:
@@ -996,8 +970,6 @@ class ForAllOp:
             if trace_on:
                 log.record(EventKind.FORALL_SPAWN,
                            f"{self.var}={value}", self.line)
-            if obs_on:
-                interp._m_forall_branches.inc()
 
         try:
             result: ParallelResult = yield RunParallel(
@@ -1113,23 +1085,19 @@ def _execute_plan(plan: ScriptPlan, interp, overall_deadline: float) -> EvalGen:
         log.record(EventKind.SCRIPT_RESULT, "success")
         if obs_on:
             tracer.finish(span, "ok")
-            interp._m_scripts.labels(result="success").inc()
     except FtshFailure as failure:
         log.record(EventKind.SCRIPT_RESULT, f"failure: {failure.reason}")
         if obs_on:
             tracer.finish(span, "failed", reason=failure.reason)
-            interp._m_scripts.labels(result="failure").inc()
         raise
     except FtshTimeout as timeout:
         log.record(EventKind.SCRIPT_RESULT, f"timeout: {timeout.reason}")
         if obs_on:
             tracer.finish(span, "timeout", reason=timeout.reason)
-            interp._m_scripts.labels(result="timeout").inc()
         raise
     except BaseException:
         if obs_on:
             tracer.finish(span, "cancelled")
-            interp._m_scripts.labels(result="cancelled").inc()
         raise
     finally:
         if obs_on:

@@ -48,7 +48,6 @@ from .errors import (
     FtshTimeout,
 )
 from ..obs.api import NULL_OBS
-from ..obs.metrics import NULL_METRICS
 from ..obs.spans import Span
 from .expressions import evaluate as evaluate_expr
 from .shell_log import EventKind, ShellLog
@@ -63,63 +62,6 @@ ZERO_PROGRESS_QUANTUM = 0.001
 
 #: Guard against runaway recursive ftsh functions.
 MAX_FUNCTION_DEPTH = 64
-
-
-class _Instruments:
-    """The interpreter's metric instruments against one registry.
-
-    Creating these used to happen in every ``Interpreter.__init__`` — ten
-    registry calls (name dedupe, label tuples) per forall branch and per
-    campaign cell.  They are now built once per registry and cached on it.
-    """
-
-    __slots__ = (
-        "scripts", "commands", "command_seconds", "attempts", "backoffs",
-        "backoff_seconds", "exhausted", "catches", "forany_picks",
-        "forall_branches",
-    )
-
-    def __init__(self, metrics: Any) -> None:
-        self.scripts = metrics.counter(
-            "ftsh_scripts_total", "scripts finished", labels=("result",))
-        self.commands = metrics.counter(
-            "ftsh_commands_total", "commands run", labels=("command", "outcome"))
-        self.command_seconds = metrics.histogram(
-            "ftsh_command_seconds", "command wall/virtual time",
-            labels=("command",))
-        self.attempts = metrics.counter(
-            "ftsh_try_attempts_total", "try-block attempts started")
-        self.backoffs = metrics.counter(
-            "ftsh_backoff_initiations_total",
-            "backoff sleeps begun (the administrator overload signal)")
-        self.backoff_seconds = metrics.histogram(
-            "ftsh_backoff_seconds", "backoff delay chosen by the policy")
-        self.exhausted = metrics.counter(
-            "ftsh_try_exhausted_total", "try blocks that ran out of budget")
-        self.catches = metrics.counter(
-            "ftsh_catch_entered_total", "catch blocks entered")
-        self.forany_picks = metrics.counter(
-            "ftsh_forany_picks_total", "forany alternatives attempted")
-        self.forall_branches = metrics.counter(
-            "ftsh_forall_branches_total", "forall branches spawned")
-
-
-#: Shared no-op bundle for every disabled registry (NullMetrics has
-#: ``__slots__ = ()``, so nothing can be cached on it).
-_NULL_INSTRUMENTS = _Instruments(NULL_METRICS)
-
-
-def _instruments_for(metrics: Any) -> _Instruments:
-    """The per-registry instrument bundle, created on first use."""
-    if not getattr(metrics, "enabled", True):
-        return _NULL_INSTRUMENTS
-    cached = getattr(metrics, "_ftsh_instruments", None)
-    if cached is None:
-        # A concurrent builder would produce an identical bundle (the
-        # registry dedupes families by name), so last-write-wins is fine.
-        cached = _Instruments(metrics)
-        metrics._ftsh_instruments = cached
-    return cached
 
 
 class Interpreter:
@@ -148,20 +90,9 @@ class Interpreter:
         #: The span new spans nest under (a forall branch starts under
         #: its branch span; a top-level script starts at the root).
         self._span: Optional[Span] = span_parent
-        #: Fast guard the compiled plans use to skip span-name and label
+        #: Fast guard the compiled plans use to skip span-name
         #: construction entirely when telemetry is disabled.
         self._obs_on = bool(getattr(obs, "enabled", True))
-        instruments = _instruments_for(obs.metrics)
-        self._m_scripts = instruments.scripts
-        self._m_commands = instruments.commands
-        self._m_command_seconds = instruments.command_seconds
-        self._m_attempts = instruments.attempts
-        self._m_backoffs = instruments.backoffs
-        self._m_backoff_seconds = instruments.backoff_seconds
-        self._m_exhausted = instruments.exhausted
-        self._m_catches = instruments.catches
-        self._m_forany_picks = instruments.forany_picks
-        self._m_forall_branches = instruments.forall_branches
 
     # ------------------------------------------------------------------
     # Entry points
@@ -187,20 +118,16 @@ class Interpreter:
             yield from self.eval_group(body)
             self.log.record(EventKind.SCRIPT_RESULT, "success")
             tracer.finish(span, "ok")
-            self._m_scripts.labels(result="success").inc()
         except FtshFailure as failure:
             self.log.record(EventKind.SCRIPT_RESULT, f"failure: {failure.reason}")
             tracer.finish(span, "failed", reason=failure.reason)
-            self._m_scripts.labels(result="failure").inc()
             raise
         except FtshTimeout as timeout:
             self.log.record(EventKind.SCRIPT_RESULT, f"timeout: {timeout.reason}")
             tracer.finish(span, "timeout", reason=timeout.reason)
-            self._m_scripts.labels(result="timeout").inc()
             raise
         except BaseException:
             tracer.finish(span, "cancelled")
-            self._m_scripts.labels(result="cancelled").inc()
             raise
         finally:
             self._span = outer
@@ -291,12 +218,10 @@ class Interpreter:
             # FtshCancelled thrown in at the yield (losing forall branch),
             # or generator teardown: the command did not report a result.
             tracer.finish(span, "cancelled")
-            self._m_commands.labels(command=argv[0], outcome="cancelled").inc()
             raise
         if result.timed_out:
             self.log.record(EventKind.COMMAND_TIMEOUT, " ".join(argv), node.line)
             tracer.finish(span, "timeout", detail=result.detail or None)
-            self._m_commands.labels(command=argv[0], outcome="timeout").inc()
             raise FtshTimeout(self.deadlines.effective(), f"{argv[0]} hit time limit")
         if result.exit_code != 0:
             self.log.record(
@@ -306,7 +231,6 @@ class Interpreter:
             )
             tracer.finish(span, "failed", exit_code=result.exit_code,
                           detail=result.detail or None)
-            self._m_commands.labels(command=argv[0], outcome="failed").inc()
             raise FtshFailure(f"{argv[0]} exited {result.exit_code}")
         if capture_var is not None:
             text = (result.output or "").rstrip("\n")
@@ -316,9 +240,6 @@ class Interpreter:
                 self.scope.set(capture_var, text)
         self.log.record(EventKind.COMMAND_END, argv[0], node.line)
         tracer.finish(span, "ok")
-        self._m_commands.labels(command=argv[0], outcome="ok").inc()
-        if span.end is not None:
-            self._m_command_seconds.labels(command=argv[0]).observe(span.duration)
 
     def call_function(
         self, function: ast.FunctionDef, argv: list[str], node: ast.Command
@@ -392,7 +313,6 @@ class Interpreter:
             # catch block runs under the *enclosing* limits only.
             if node.catch is not None:
                 self.log.record(EventKind.CATCH_ENTERED, line=node.line)
-                self._m_catches.inc()
                 catch_span = tracer.start("catch", "catch", parent=span,
                                           line=node.line or None)
                 self._span = catch_span
@@ -448,7 +368,6 @@ class Interpreter:
                 self.log.record(
                     EventKind.TRY_ATTEMPT, f"attempt {budget.attempts}", node.line
                 )
-                self._m_attempts.inc()
                 attempt_span = tracer.start(
                     f"attempt:{budget.attempts}", "attempt", parent=span
                 )
@@ -493,8 +412,6 @@ class Interpreter:
                         node.line,
                         value=delay,
                     )
-                    self._m_backoffs.inc()
-                    self._m_backoff_seconds.observe(delay)
                     sleep_span = tracer.start(
                         f"backoff:{budget.attempts}", "backoff", parent=span,
                         delay=delay,
@@ -514,7 +431,6 @@ class Interpreter:
                 self.log.record(
                     EventKind.TRY_EXHAUSTED, f"after {budget.attempts} attempts", node.line
                 )
-                self._m_exhausted.inc()
         return False, budget.attempts
 
     # ------------------------------------------------------------------
@@ -532,7 +448,6 @@ class Interpreter:
                 value = expand_word(value_word, self.scope)
                 self.scope.set(node.var, value)
                 self.log.record(EventKind.FORANY_PICK, f"{node.var}={value}", node.line)
-                self._m_forany_picks.inc()
                 alt_span = tracer.start(f"alt:{value}", "alt", parent=span)
                 self._span = alt_span
                 try:
@@ -585,7 +500,6 @@ class Interpreter:
             generator = branch._branch_body(node.body)
             branches.append(ParallelBranch(f"{node.var}={value}#{index}", generator))
             self.log.record(EventKind.FORALL_SPAWN, f"{node.var}={value}", node.line)
-            self._m_forall_branches.inc()
 
         try:
             result: ParallelResult = yield RunParallel(

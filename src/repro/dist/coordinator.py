@@ -77,9 +77,7 @@ class CoordinatorApp:
                  metrics: Optional[MetricsRegistry] = None) -> None:
         self.queue = queue
         self.store = store
-        # keep_series=False: the coordinator wants counters, not
-        # timestamped series — no reason to drag the sim monitor in.
-        self.metrics = metrics or MetricsRegistry(keep_series=False)
+        self.metrics = metrics or MetricsRegistry()
         self._ops = self.metrics.counter(
             "dist_worker_ops_total",
             "claim/ack/nack operations settled, per worker",

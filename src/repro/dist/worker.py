@@ -201,7 +201,7 @@ class WorkerTelemetry:
         # a worker that pushes nothing never loads the telemetry stack
         from ..obs.api import Observability
 
-        self.obs = Observability.wall(keep_series=False)
+        self.obs = Observability.wall()
         metrics = self.obs.metrics
         self._claims = metrics.counter(
             "dist_worker_claims_total", "claim outcomes",

@@ -375,7 +375,10 @@ def _cell_obs(wanted: bool, discipline: Discipline,
         return None, None
     from ..obs.api import Observability
 
-    stem = f"chaos_{fault}_{discipline.name}_i{intensity}"
+    # A fault class targets one scenario; the fault-free baseline runs in
+    # each, so its stem names the scenario or four bundles share a file.
+    cell = fault if intensity else f"{scenario}-baseline"
+    stem = f"chaos_{cell}_{discipline.name}_i{intensity}"
     obs = Observability(const_labels=discipline.labels(
         scenario=scenario, fault=fault, intensity=str(intensity)))
     return obs, stem
@@ -424,9 +427,6 @@ def run_cell(
 
             write_obs_bundle(obs, obs_dir, stem)
         if obs_push is not None:
-            # The scenario qualifies the source: baseline cells share a
-            # stem across scenarios (fault "none"), and two cells must
-            # never fold into one aggregator source.
             push_observability(obs_push, obs,
                                source=f"chaos/{scenario_name}/{stem}")
     return goodput, series

@@ -19,7 +19,6 @@ from ..faults.injectors import FaultSpec, install_faults
 from ..grid.storage import BufferConfig, BufferWorld, register_buffer_commands
 from ..obs.api import NULL_OBS
 from ..obs.clock import engine_clock
-from ..obs.metrics import sample_gauges
 from ..sim.engine import Engine
 from ..sim.monitor import TimeSeries, sample
 from ..sim.rng import RandomStreams
@@ -105,9 +104,6 @@ def run_buffer(params: BufferParams) -> BufferResult:
     register_buffer_commands(registry, world)
     install_faults(engine, params.faults, streams=streams,
                    horizon=params.duration, buffer=world.buffer)
-    if obs.enabled:
-        sample_gauges(obs.metrics, engine, params.sample_interval,
-                      until=params.duration)
 
     free_series = TimeSeries("free-mb")
     sample(

@@ -22,7 +22,6 @@ from ..faults.injectors import FaultSpec, install_faults
 from ..grid.condor import CondorConfig, CondorWorld, register_condor_commands
 from ..obs.api import NULL_OBS
 from ..obs.clock import engine_clock
-from ..obs.metrics import sample_gauges
 from ..sim.engine import Engine
 from ..sim.monitor import TimeSeries, sample
 from ..sim.rng import RandomStreams
@@ -46,8 +45,8 @@ class SubmitParams:
     #: :func:`repro.faults.injectors.install_faults` against this world.
     faults: tuple[FaultSpec, ...] = ()
     #: Optional :class:`repro.obs.Observability`: the run installs the
-    #: engine clock on it, mirrors substrate counters into its registry,
-    #: and samples the live gauges every ``sample_interval`` seconds.
+    #: engine clock on it and registers the substrate's counters and
+    #: live gauges, read when the registry is exported.
     obs: Any = None
 
 
@@ -93,9 +92,6 @@ def run_submission(params: SubmitParams) -> SubmitResult:
     install_faults(engine, params.faults, streams=streams,
                    horizon=params.duration,
                    schedd=world.schedd, fdtable=world.fdtable)
-    if obs.enabled:
-        sample_gauges(obs.metrics, engine, params.sample_interval,
-                      until=params.duration)
 
     # One compiled plan shared by every client's every run.
     script = compile_cached(parse_cached(

@@ -101,19 +101,21 @@ class Schedd:
         self.crashes = Counter(engine, "schedd-crashes")
         self.refused = Counter(engine, "connections-refused", keep_series=False)
         self.emfile = Counter(engine, "emfile-failures", keep_series=False)
-        #: Telemetry mirror of the Counter objects above, plus live gauges
-        #: (the obs registry carries labels and exports; the Counters stay
-        #: for existing figure code).
+        #: Telemetry: the counters above, read at export, and live gauges.
         self.obs = obs if obs is not None else NULL_OBS
         metrics = self.obs.metrics
-        self._m_jobs = metrics.counter(
-            "grid_jobs_submitted_total", "jobs committed by the schedd")
-        self._m_crashes = metrics.counter(
-            "grid_schedd_crashes_total", "schedd crashes from FD starvation")
-        self._m_refused = metrics.counter(
-            "grid_connections_refused_total", "submissions refused while down")
-        self._m_emfile = metrics.counter(
-            "grid_emfile_failures_total", "connections denied by a full FD table")
+        metrics.counter(
+            "grid_jobs_submitted_total", "jobs committed by the schedd"
+        ).set_function(lambda: self.jobs_submitted.count)
+        metrics.counter(
+            "grid_schedd_crashes_total", "schedd crashes from FD starvation"
+        ).set_function(lambda: self.crashes.count)
+        metrics.counter(
+            "grid_connections_refused_total", "submissions refused while down"
+        ).set_function(lambda: self.refused.count)
+        metrics.counter(
+            "grid_emfile_failures_total", "connections denied by a full FD table"
+        ).set_function(lambda: self.emfile.count)
         metrics.gauge(
             "grid_fds_free", "free descriptors in the kernel table"
         ).set_function(lambda: float(self.fdtable.free))
@@ -163,12 +165,10 @@ class Schedd:
 
     def _count_emfile(self) -> None:
         self.emfile.increment()
-        self._m_emfile.inc()
 
     def count_refusal(self) -> None:
         """A submission turned away while the schedd is down."""
         self.refused.increment()
-        self._m_refused.inc()
 
     def close_connection(self, connection: Connection) -> None:
         """Release everything the connection holds; idempotent."""
@@ -194,7 +194,6 @@ class Schedd:
         """
         self.up = False
         self.crashes.increment()
-        self._m_crashes.inc()
         victims = [
             connection
             for connection in list(self.connections.values())
@@ -279,7 +278,6 @@ def register_condor_commands(registry: CommandRegistry, world: CondorWorld) -> N
             commit_held = config.commit_fds
             yield engine.timeout(schedd.service_time())
             schedd.jobs_submitted.increment()
-            schedd._m_jobs.inc()
             return 0
         except Interrupt:
             # Schedd crash, client deadline kill, or scenario teardown.

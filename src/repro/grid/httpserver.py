@@ -116,16 +116,20 @@ class ReplicaWorld:
         self.collisions = Counter(engine, "collisions")
         #: Probe fetches that failed/stalled ("Deferrals").
         self.deferrals = Counter(engine, "deferrals")
-        #: Telemetry mirror with a per-server stream.
+        #: Telemetry: the counters above, read at export, and transfers
+        #: per server, counted here (``FileServer.transfers`` also counts
+        #: probes).
         self.obs = obs if obs is not None else NULL_OBS
         metrics = self.obs.metrics
         self._m_transfers = metrics.counter(
             "grid_replica_transfers_total", "completed data transfers",
             labels=("server",))
-        self._m_collisions = metrics.counter(
-            "grid_replica_collisions_total", "data fetches aborted by timeout")
-        self._m_deferrals = metrics.counter(
-            "grid_replica_deferrals_total", "probe fetches that failed/stalled")
+        metrics.counter(
+            "grid_replica_collisions_total", "data fetches aborted by timeout"
+        ).set_function(lambda: self.collisions.count)
+        metrics.counter(
+            "grid_replica_deferrals_total", "probe fetches that failed/stalled"
+        ).set_function(lambda: self.deferrals.count)
 
     def parse_url(self, url: str) -> Optional[tuple[FileServer, str]]:
         """``http://host/path`` -> (server, path); None if unknown."""
@@ -175,10 +179,8 @@ def register_replica_commands(registry: CommandRegistry, world: ReplicaWorld) ->
                 server.resets.increment()
                 if is_probe:
                     world.deferrals.increment()
-                    world._m_deferrals.inc()
                 else:
                     world.collisions.increment()
-                    world._m_collisions.inc()
                 return 1
             yield engine.timeout(server.service_time(path))
             server.transfers.increment()
@@ -192,10 +194,8 @@ def register_replica_commands(registry: CommandRegistry, world: ReplicaWorld) ->
             # on the black hole, or mid-transfer.
             if is_probe:
                 world.deferrals.increment()
-                world._m_deferrals.inc()
             else:
                 world.collisions.increment()
-                world._m_collisions.inc()
             return 1
         finally:
             server.slot.release(request)

@@ -122,17 +122,21 @@ class SharedBuffer:
                                          keep_series=False)
         self.reservations_denied = Counter(engine, "reservations-denied",
                                            keep_series=False)
-        #: Telemetry mirror (collision/consumption counters, live gauges).
+        #: Telemetry: the counters above, read at export, and live gauges.
         self.obs = obs if obs is not None else NULL_OBS
         metrics = self.obs.metrics
-        self._m_collisions = metrics.counter(
-            "grid_buffer_collisions_total", "partial files deleted on ENOSPC")
-        self._m_consumed = metrics.counter(
-            "grid_buffer_files_consumed_total", "files drained by the consumer")
-        self._m_reservations = metrics.counter(
-            "grid_buffer_reservations_total", "space reservations granted")
-        self._m_denied = metrics.counter(
-            "grid_buffer_reservations_denied_total", "space reservations denied")
+        metrics.counter(
+            "grid_buffer_collisions_total", "partial files deleted on ENOSPC"
+        ).set_function(lambda: self.collisions.count)
+        metrics.counter(
+            "grid_buffer_files_consumed_total", "files drained by the consumer"
+        ).set_function(lambda: self.files_consumed.count)
+        metrics.counter(
+            "grid_buffer_reservations_total", "space reservations granted"
+        ).set_function(lambda: self.reservations_made.count)
+        metrics.counter(
+            "grid_buffer_reservations_denied_total", "space reservations denied"
+        ).set_function(lambda: self.reservations_denied.count)
         metrics.gauge(
             "grid_buffer_free_mb", "raw free space in the shared buffer"
         ).set_function(lambda: self.free_mb)
@@ -207,7 +211,6 @@ class SharedBuffer:
         self._used = max(self._used - entry.size_mb, 0.0)
         if collided:
             self.collisions.increment()
-            self._m_collisions.inc()
             self.mb_wasted += entry.size_mb
         if entry.complete and entry.name in self._done_order:
             self._done_order.remove(entry.name)
@@ -223,12 +226,10 @@ class SharedBuffer:
         validate_non_negative("reservation mb", mb)
         if self._used + self.seized_mb + mb > self.config.capacity_mb:
             self.reservations_denied.increment()
-            self._m_denied.inc()
             return False
         self._used += mb
         self.reservations[client] = self.reservations.get(client, 0.0) + mb
         self.reservations_made.increment()
-        self._m_reservations.inc()
         self._note()
         return True
 
@@ -313,7 +314,6 @@ def consumer_process(buffer: SharedBuffer):
         buffer.mb_consumed += entry.size_mb
         buffer.delete(entry)
         buffer.files_consumed.increment()
-        buffer._m_consumed.inc()
 
 
 class BufferWorld:

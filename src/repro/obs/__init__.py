@@ -14,7 +14,8 @@ Pieces:
 * :class:`Tracer` / :class:`Span` — hierarchical spans
   (script -> try -> attempt -> command / backoff).
 * :class:`MetricsRegistry` — named counters, gauges and histograms with
-  label streams, backed by :mod:`repro.sim.monitor` time series.
+  label streams; the ``ftsh_*`` ones are folded from the spans and the
+  ``grid_*`` ones read the substrate's own counters.
 * :mod:`repro.obs.exporters` — JSONL span log, Chrome ``trace_event``
   JSON (load in chrome://tracing / Perfetto), Prometheus-style text.
 * :mod:`repro.obs.report` — post-run summarizer extending
@@ -41,9 +42,7 @@ _EXPORTS = {
         "chrome_trace_events", "chrome_trace_json", "prometheus_text",
         "read_spans_jsonl", "spans_jsonl", "write_chrome_trace",
         "write_obs_bundle", "write_prometheus", "write_spans_jsonl"),
-    "metrics": (
-        "DEFAULT_BUCKETS", "MetricsRegistry", "NULL_METRICS",
-        "sample_gauges"),
+    "metrics": ("DEFAULT_BUCKETS", "MetricsRegistry", "NULL_METRICS"),
     "push": (
         "encode_batch", "observability_records", "push_observability",
         "resolve_push_url"),

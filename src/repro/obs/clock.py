@@ -9,7 +9,7 @@ the run installs the right one:
 * the simulation installs :func:`engine_clock` (the virtual ``engine.now``).
 
 This mirrors how :class:`~repro.core.shell_log.ShellLog` already stamps
-events, so spans, metrics and log lines all agree on what "now" means
+events, so spans and log lines agree on what "now" means
 within one run.
 """
 

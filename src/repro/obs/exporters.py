@@ -154,7 +154,7 @@ def prometheus_text(registry: MetricsRegistry) -> str:
             elif family.kind == GAUGE:
                 lines.append(
                     f"{family.name}{_label_text(labels)} "
-                    f"{_format_value(child.sample())}"
+                    f"{_format_value(child.value)}"
                 )
             elif family.kind == HISTOGRAM:
                 for bound, cumulative in child.cumulative():

@@ -14,29 +14,22 @@ read naturally::
                        labels=("command", "outcome"))
     cmds.labels(command="condor_submit", outcome="ok").inc()
 
-Counters and gauges are **backed by** :class:`repro.sim.monitor.TimeSeries`
-(when ``keep_series`` is on): every update also appends a stamped
-observation using the registry clock, which is what supersedes the
-per-figure ad-hoc ``sim.monitor`` wiring — the series a figure needs is
-just ``family.series`` after the run.  Gauges may also be *functions*
-(``set_function``), evaluated at export/sample time — the carrier-sense
-view of a substrate (free FDs, free buffer MB) is exactly such a gauge.
+Metrics keep current values only, no history: a figure's series comes
+from :mod:`repro.sim.monitor`.  Counters and gauges may be *functions*
+(``set_function``), evaluated at export: the ``grid_*`` counters read
+the substrate's own :class:`repro.sim.monitor.Counter`, and the
+carrier-sense view of a substrate (free FDs, free buffer MB) is such a
+gauge.
 
 Everything is thread-safe (real-runtime ``forall`` branches are
-threads) and clock-pluggable (see :mod:`repro.obs.clock`).
+threads).
 """
 
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, Optional
+from typing import Any, Callable, Iterator, Mapping, Optional
 
-from .clock import Clock, zero_clock
-
-if TYPE_CHECKING:  # pragma: no cover
-    from ..sim.engine import Engine
-    from ..sim.monitor import TimeSeries
-    from ..sim.process import Process
 
 #: Default histogram bucket upper bounds, in seconds: spans the paper's
 #: scales from a 1 ms scheduling quantum to the 1 h backoff ceiling.
@@ -50,55 +43,43 @@ GAUGE = "gauge"
 HISTOGRAM = "histogram"
 
 
-def _new_series(name: str) -> "TimeSeries":
-    # Imported lazily so repro.obs stays importable from repro.core
-    # without dragging the simulation package into every process.
-    from ..sim.monitor import TimeSeries
-
-    return TimeSeries(name)
-
-
 class _Child:
     """Base of one concrete instrument (one label-value combination)."""
 
-    __slots__ = ("family", "label_values", "series")
+    __slots__ = ("family", "label_values")
 
     def __init__(self, family: "MetricFamily", label_values: tuple[str, ...]) -> None:
         self.family = family
         self.label_values = label_values
-        self.series: Optional["TimeSeries"] = None
-        if family.registry.keep_series and family.kind in (COUNTER, GAUGE):
-            suffix = ",".join(label_values)
-            self.series = _new_series(f"{family.name}{{{suffix}}}" if suffix
-                                      else family.name)
-
-    def _stamp(self, value: float) -> None:
-        if self.series is not None:
-            self.series.record(self.family.registry.clock(), value)
 
     def labels_dict(self) -> dict[str, str]:
         return dict(zip(self.family.label_names, self.label_values))
 
 
 class CounterChild(_Child):
-    """A monotone count (floats allowed: megabytes are counted too)."""
+    """A monotone count (floats allowed: megabytes are counted too), or a
+    view of a count kept elsewhere (``set_function``)."""
 
-    __slots__ = ("_value",)
+    __slots__ = ("_value", "_fn")
 
     def __init__(self, family: "MetricFamily", label_values: tuple[str, ...]) -> None:
         super().__init__(family, label_values)
         self._value = 0.0
+        self._fn: Optional[Callable[[], float]] = None
 
     def inc(self, amount: float = 1.0) -> None:
         if amount < 0:
             raise ValueError(f"counter {self.family.name}: negative inc {amount}")
         with self.family.registry._lock:
             self._value += amount
-            self._stamp(self._value)
+
+    def set_function(self, fn: Callable[[], float]) -> None:
+        """Make this counter read ``fn()`` (a monotone count) at export."""
+        self._fn = fn
 
     @property
     def value(self) -> float:
-        return self._value
+        return float(self._fn()) if self._fn is not None else self._value
 
 
 class GaugeChild(_Child):
@@ -115,29 +96,17 @@ class GaugeChild(_Child):
         with self.family.registry._lock:
             self._value = float(value)
             self._fn = None
-            self._stamp(self._value)
 
     def inc(self, amount: float = 1.0) -> None:
         with self.family.registry._lock:
             self._value += amount
-            self._stamp(self._value)
 
     def dec(self, amount: float = 1.0) -> None:
         self.inc(-amount)
 
     def set_function(self, fn: Callable[[], float]) -> None:
-        """Make this gauge a live probe, evaluated at sample/export time."""
+        """Make this gauge a live probe, evaluated at export time."""
         self._fn = fn
-
-    def sample(self) -> float:
-        """Read the gauge now and (for function gauges) record the series."""
-        if self._fn is None:
-            return self._value
-        value = float(self._fn())
-        with self.family.registry._lock:
-            self._value = value
-            self._stamp(value)
-        return value
 
     @property
     def value(self) -> float:
@@ -262,13 +231,9 @@ class MetricFamily:
     def value(self) -> float:
         return self._sole().value
 
-    @property
-    def series(self) -> Optional["TimeSeries"]:
-        return self._sole().series
-
 
 class MetricsRegistry:
-    """All of a run's metric families, under one clock.
+    """All of a run's metric families.
 
     ``const_labels`` are attached to every sample at export time — the
     idiomatic way to tag a whole run with its scenario and discipline
@@ -277,20 +242,10 @@ class MetricsRegistry:
 
     enabled = True
 
-    def __init__(
-        self,
-        clock: Optional[Clock] = None,
-        const_labels: Optional[Mapping[str, str]] = None,
-        keep_series: bool = True,
-    ) -> None:
-        self.clock: Clock = clock or zero_clock
+    def __init__(self, const_labels: Optional[Mapping[str, str]] = None) -> None:
         self.const_labels: dict[str, str] = dict(const_labels or {})
-        self.keep_series = keep_series
         self._families: dict[str, MetricFamily] = {}
         self._lock = threading.RLock()
-
-    def set_clock(self, clock: Clock) -> None:
-        self.clock = clock
 
     # ------------------------------------------------------------------
     def _family(self, name: str, help: str, kind: str,
@@ -332,48 +287,12 @@ class MetricsRegistry:
     def get(self, name: str) -> Optional[MetricFamily]:
         return self._families.get(name)
 
-    def sample_all_gauges(self) -> None:
-        """Read every function gauge once (records their series)."""
-        for family in self.families():
-            if family.kind == GAUGE:
-                for child in family.children():
-                    child.sample()
-
-
-def sample_gauges(
-    registry: MetricsRegistry,
-    engine: "Engine",
-    interval: float,
-    until: Optional[float] = None,
-) -> "Process":
-    """Periodically sample every function gauge in simulated time.
-
-    The telemetry replacement for hand-wiring
-    :func:`repro.sim.monitor.sample` per figure: register live gauges on
-    the substrate (free FDs, free buffer MB), call this once, and read
-    ``family.series`` after the run.  Samples at start and then every
-    ``interval`` seconds, stopping exactly at ``until`` (if given).
-    """
-    if interval <= 0:
-        raise ValueError(f"sample interval must be > 0, got {interval}")
-
-    def _sampler() -> Any:
-        while True:
-            registry.sample_all_gauges()
-            if until is not None and engine.now >= until:
-                return
-            delay = interval if until is None else min(interval, until - engine.now)
-            yield engine.timeout(delay)
-
-    return engine.process(_sampler(), name="obs:gauge-sampler")
-
 
 class _NullInstrument:
     """Accepts the whole instrument surface and does nothing."""
 
     __slots__ = ()
     value = 0.0
-    series = None
     count = 0
     total = 0.0
 
@@ -395,9 +314,6 @@ class _NullInstrument:
     def observe(self, value: float) -> None:
         pass
 
-    def sample(self) -> float:
-        return 0.0
-
 
 NULL_INSTRUMENT = _NullInstrument()
 
@@ -409,9 +325,6 @@ class NullMetrics:
     const_labels: dict[str, str] = {}
 
     __slots__ = ()
-
-    def set_clock(self, clock: Clock) -> None:
-        pass
 
     def counter(self, name: str, help: str = "",
                 labels: tuple[str, ...] = ()) -> _NullInstrument:
@@ -431,9 +344,6 @@ class NullMetrics:
 
     def get(self, name: str) -> None:
         return None
-
-    def sample_all_gauges(self) -> None:
-        pass
 
 
 NULL_METRICS = NullMetrics()

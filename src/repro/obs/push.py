@@ -1,14 +1,14 @@
 """Push-side of fleet observability: ship an Observability upstream.
 
 The client half of :mod:`repro.obs.aggregator`: turn a run's metric
-registry — plus three counters folded from its spans — into the
+registry — plus three running totals its tracer keeps — into the
 batched-JSONL wire format and POST it to an aggregator's
 ``/obs/ingest`` endpoint over the shared keep-alive
 :class:`~repro.service.http.HttpConnectionPool`.
 
-Spans never cross the wire.  :func:`observability_records` folds the
-tracer at the source into a span count and a command busy/elapsed
-counter pair, named under the ``*_busy_seconds_total`` /
+Spans never cross the wire.  The tracer folds them as they close
+(:class:`repro.obs.api.SpanFold`) into a span count and a command
+busy/elapsed counter pair, named under the ``*_busy_seconds_total`` /
 ``*_elapsed_seconds_total`` convention the dist worker's own counters
 use, so the aggregator reads utilisation from one counter pair for
 every source.
@@ -46,8 +46,8 @@ PUSH_ENV = "REPRO_OBS_PUSH"
 #: Path of the ingest endpoint, appended to bare service roots.
 INGEST_PATH = "/obs/ingest"
 
-#: The counters a tracer is folded into at push time: spans recorded,
-#: and ``command`` spans' summed durations (the leaf of the ftsh span
+#: The tracer's running totals, pushed as counters: spans started, and
+#: ``command`` spans' summed durations (the leaf of the ftsh span
 #: tree, so nested spans are never double-counted) over the window the
 #: spans cover.
 SPANS_COUNTER = "obs_spans_total"
@@ -76,18 +76,16 @@ def normalize_push_url(url: str) -> str:
 # ---------------------------------------------------------------------------
 
 def span_counters(obs: "Observability") -> list[dict[str, Any]]:
-    """The tracer folded into :data:`SPANS_COUNTER`, :data:`BUSY_COUNTER`
-    and :data:`ELAPSED_COUNTER` records; none for a tracer with no spans."""
-    spans = obs.tracer.spans
-    if not spans:
+    """The tracer's running totals as :data:`SPANS_COUNTER`,
+    :data:`BUSY_COUNTER` and :data:`ELAPSED_COUNTER` records; none for a
+    tracer that started no span."""
+    tracer = obs.tracer
+    if not tracer.started:
         return []
-    busy = sum(s.duration for s in spans if s.kind == "command")
-    window = (max(s.start if s.end is None else s.end for s in spans)
-              - min(s.start for s in spans))
     return [{"type": "counter", "name": name, "labels": {}, "value": value}
-            for name, value in ((SPANS_COUNTER, len(spans)),
-                                (BUSY_COUNTER, busy),
-                                (ELAPSED_COUNTER, window))]
+            for name, value in ((SPANS_COUNTER, tracer.started),
+                                (BUSY_COUNTER, tracer.busy),
+                                (ELAPSED_COUNTER, tracer.last - tracer.first))]
 
 
 def observability_records(obs: "Observability") -> Iterator[dict[str, Any]]:

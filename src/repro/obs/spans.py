@@ -89,7 +89,8 @@ class Tracer:
         self.clock: Clock = clock or zero_clock
         self.spans: list[Span] = []
         self.max_spans = max_spans
-        self._dropped = 0
+        #: Spans started, the ones dropped past ``max_spans`` included.
+        self.started = 0
         self._ids = itertools.count(1)
         self._lock = threading.Lock()
 
@@ -110,10 +111,10 @@ class Tracer:
             attrs={k: v for k, v in attrs.items() if v is not None},
         )
         with self._lock:
+            self.started += 1
             if len(self.spans) < self.max_spans:
                 self.spans.append(span)
-            else:
-                self._dropped += 1
+            self._opened(span)
         return span
 
     def finish(self, span: Span, status: str = STATUS_OK, **attrs: Any) -> None:
@@ -125,12 +126,19 @@ class Tracer:
         for key, value in attrs.items():
             if value is not None:
                 span.attrs[key] = value
+        self._closed(span)
+
+    def _opened(self, span: Span) -> None:
+        """Hook: ``span`` just opened (called under the tracer's lock)."""
+
+    def _closed(self, span: Span) -> None:
+        """Hook: ``span`` just closed, once (called without the lock)."""
 
     # ------------------------------------------------------------------
     @property
     def dropped(self) -> int:
         """Spans discarded after hitting ``max_spans``."""
-        return self._dropped
+        return self.started - len(self.spans)
 
     def __len__(self) -> int:
         return len(self.spans)

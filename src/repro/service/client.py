@@ -38,6 +38,10 @@ DEFAULT_URL = "http://127.0.0.1:8042"
 #: Transport retries for idempotent (GET) requests.
 DEFAULT_GET_RETRIES = 3
 
+#: Longest :meth:`ServiceClient.wait` asks one events long-poll to hold;
+#: the service caps a hold at 30 s (``repro.service.app.MAX_EVENT_WAIT``).
+FOLLOW_WAIT = 30.0
+
 
 class ServiceError(Exception):
     """An HTTP error response, decoded from the service's error body."""
@@ -168,19 +172,30 @@ class ServiceClient:
     def metrics(self) -> str:
         return self._request("GET", "/metricsz")
 
-    def wait(self, job_id: str, timeout: Optional[float] = None,
-             poll: float = 0.2) -> JobStatus:
-        """Poll until the job is terminal; TimeoutError past ``timeout``."""
+    def wait(self, job_id: str, timeout: Optional[float] = None) -> JobStatus:
+        """Follow the job's event stream until a terminal state, then
+        return its status; TimeoutError past ``timeout``.
+
+        Each step is an events long-poll, so the call returns as soon as
+        the job ends rather than at the next poll tick.
+        """
         deadline = (time.monotonic() + timeout) if timeout is not None \
             else None
+        since = 0
         while True:
-            status = self.status(job_id)
-            if status.state in TERMINAL:
-                return status
-            if deadline is not None and time.monotonic() > deadline:
-                raise TimeoutError(
-                    f"job {job_id} still {status.state} after {timeout:g}s")
-            time.sleep(poll)
+            hold = FOLLOW_WAIT
+            if deadline is not None:
+                hold = min(hold, deadline - time.monotonic())
+                if hold <= 0:
+                    status = self.status(job_id)
+                    if status.state in TERMINAL:
+                        return status
+                    raise TimeoutError(
+                        f"job {job_id} still {status.state} after {timeout:g}s")
+            for event in self.events(job_id, since=since, wait=hold):
+                since = event.seq
+                if event.state in TERMINAL:
+                    return self.status(job_id)
 
 
 # ---------------------------------------------------------------------------

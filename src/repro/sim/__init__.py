@@ -14,7 +14,7 @@ Public surface::
     engine.run(until=proc)   # -> "done", engine.now == 5
 
 See :mod:`repro.sim.engine` for the event-loop design and
-:mod:`repro.sim.resources` for the contention primitives.
+:mod:`repro.sim.resources` for the contention primitive.
 """
 
 from .._lazy import lazy_exports
@@ -26,9 +26,7 @@ _EXPORTS = {
         "Interrupt", "Timeout"),
     "monitor": ("Counter", "TimeSeries", "sample"),
     "process": ("Process", "ProcessGenerator"),
-    "resources": (
-        "Container", "ContainerEvent", "Request", "Resource", "Store",
-        "StoreEvent"),
+    "resources": ("Request", "Resource"),
     "rng": ("RandomStreams",),
 }
 

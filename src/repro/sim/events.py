@@ -180,9 +180,6 @@ class ConditionValue:
     def __len__(self) -> int:
         return len(self._events)
 
-    def todict(self) -> dict[Event, Any]:
-        return dict(self._events)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<ConditionValue {self._events!r}>"
 

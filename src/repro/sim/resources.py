@@ -1,25 +1,16 @@
-"""Shared-resource primitives: counting resources, level containers, stores.
+"""The shared-resource primitive: a counting resource.
 
-These model the contended things in the paper's scenarios:
-
-* :class:`Resource` — N identical slots with a FIFO wait queue (the
-  schedd's service threads, a single-threaded web server).
-* :class:`Container` — a divisible level between 0 and a capacity (disk
-  space).  Offers both blocking ``get``/``put`` and *non-blocking*
-  ``try_get``/``try_put``, because kernel tables don't queue you — an
-  ``open()`` with no free file descriptors fails immediately with EMFILE.
-* :class:`Store` — a FIFO of discrete items (completed files awaiting the
-  consumer).
-
-All wait queues are strictly FIFO, using the engine's stable event
-ordering; fairness matters because the Ethernet argument is about *not*
-starving competitors.
+:class:`Resource` — N identical slots with a FIFO wait queue — models
+the contended things in the paper's scenarios (the schedd's service
+threads, a single-threaded web server).  The queue is strictly FIFO,
+using the engine's stable event ordering; fairness matters because the
+Ethernet argument is about *not* starving competitors.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Any, Deque
+from typing import TYPE_CHECKING, Deque
 
 from ..core.errors import SimulationError
 from .events import Event
@@ -91,173 +82,3 @@ class Resource:
             nxt = self.queue.popleft()
             self.users.append(nxt)
             nxt.succeed()
-
-
-class ContainerEvent(Event):
-    """A pending blocking ``get``/``put`` against a :class:`Container`."""
-
-    __slots__ = ("amount",)
-
-    def __init__(self, engine: "Engine", amount: float) -> None:
-        super().__init__(engine)
-        self.amount = amount
-
-
-class Container:
-    """A divisible quantity with level in ``[0, capacity]``.
-
-    Blocking operations queue FIFO per direction; non-blocking
-    ``try_get``/``try_put`` succeed or fail immediately.
-    """
-
-    def __init__(self, engine: "Engine", capacity: float, init: float = 0.0) -> None:
-        if capacity <= 0:
-            raise SimulationError(f"container capacity must be > 0, got {capacity}")
-        if not (0 <= init <= capacity):
-            raise SimulationError(f"init level {init} outside [0, {capacity}]")
-        self.engine = engine
-        self.capacity = capacity
-        self._level = init
-        self._getters: Deque[ContainerEvent] = deque()
-        self._putters: Deque[ContainerEvent] = deque()
-
-    @property
-    def level(self) -> float:
-        return self._level
-
-    @property
-    def free(self) -> float:
-        """Capacity remaining above the current level."""
-        return self.capacity - self._level
-
-    # -- non-blocking -------------------------------------------------
-    def try_get(self, amount: float) -> bool:
-        """Take ``amount`` now if available; return whether it happened."""
-        self._check_amount(amount)
-        if amount <= self._level:
-            self._level -= amount
-            self._service_putters()
-            return True
-        return False
-
-    def try_put(self, amount: float) -> bool:
-        """Add ``amount`` now if it fits; return whether it happened."""
-        self._check_amount(amount)
-        if self._level + amount <= self.capacity:
-            self._level += amount
-            self._service_getters()
-            return True
-        return False
-
-    # -- blocking ------------------------------------------------------
-    def get(self, amount: float) -> ContainerEvent:
-        """Take ``amount``, waiting (FIFO) until the level suffices."""
-        self._check_amount(amount)
-        if amount > self.capacity:
-            raise SimulationError(f"get({amount}) exceeds capacity {self.capacity}")
-        ev = ContainerEvent(self.engine, amount)
-        self._getters.append(ev)
-        self._service_getters()
-        return ev
-
-    def put(self, amount: float) -> ContainerEvent:
-        """Add ``amount``, waiting (FIFO) until it fits under capacity."""
-        self._check_amount(amount)
-        if amount > self.capacity:
-            raise SimulationError(f"put({amount}) exceeds capacity {self.capacity}")
-        ev = ContainerEvent(self.engine, amount)
-        self._putters.append(ev)
-        self._service_putters()
-        return ev
-
-    def cancel(self, event: ContainerEvent) -> None:
-        """Withdraw a still-pending blocking get/put."""
-        for queue in (self._getters, self._putters):
-            try:
-                queue.remove(event)
-                return
-            except ValueError:
-                continue
-
-    # -- internals -----------------------------------------------------
-    @staticmethod
-    def _check_amount(amount: float) -> None:
-        if amount < 0:
-            raise SimulationError(f"negative amount: {amount}")
-
-    def _service_getters(self) -> None:
-        while self._getters and self._getters[0].amount <= self._level:
-            ev = self._getters.popleft()
-            self._level -= ev.amount
-            ev.succeed()
-        # Freed headroom may unblock putters in turn; they chase each other.
-        if self._putters and self._level + self._putters[0].amount <= self.capacity:
-            self._service_putters()
-
-    def _service_putters(self) -> None:
-        while self._putters and self._level + self._putters[0].amount <= self.capacity:
-            ev = self._putters.popleft()
-            self._level += ev.amount
-            ev.succeed()
-        if self._getters and self._getters[0].amount <= self._level:
-            self._service_getters()
-
-
-class StoreEvent(Event):
-    """A pending get/put against a :class:`Store`."""
-
-    __slots__ = ("item",)
-
-    def __init__(self, engine: "Engine", item: Any = None) -> None:
-        super().__init__(engine)
-        self.item = item
-
-
-class Store:
-    """A FIFO of discrete items with optional capacity."""
-
-    def __init__(self, engine: "Engine", capacity: float = float("inf")) -> None:
-        if capacity < 1:
-            raise SimulationError(f"store capacity must be >= 1, got {capacity}")
-        self.engine = engine
-        self.capacity = capacity
-        self.items: Deque[Any] = deque()
-        self._getters: Deque[StoreEvent] = deque()
-        self._putters: Deque[StoreEvent] = deque()
-
-    def put(self, item: Any) -> StoreEvent:
-        """Append ``item``, waiting if the store is full."""
-        ev = StoreEvent(self.engine, item)
-        self._putters.append(ev)
-        self._service()
-        return ev
-
-    def get(self) -> StoreEvent:
-        """Take the oldest item; the event's value is the item."""
-        ev = StoreEvent(self.engine)
-        self._getters.append(ev)
-        self._service()
-        return ev
-
-    def cancel(self, event: StoreEvent) -> None:
-        """Withdraw a still-pending get/put."""
-        for queue in (self._getters, self._putters):
-            try:
-                queue.remove(event)
-                return
-            except ValueError:
-                continue
-
-    def _service(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            if self._putters and len(self.items) < self.capacity:
-                ev = self._putters.popleft()
-                self.items.append(ev.item)
-                ev.succeed()
-                progressed = True
-            if self._getters and self.items:
-                ev = self._getters.popleft()
-                ev.succeed(self.items.popleft())
-                progressed = True

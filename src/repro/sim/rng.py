@@ -33,13 +33,6 @@ class RandomStreams:
             self._streams[name] = random.Random(_derive_seed(self.master_seed, name))
         return self._streams[name]
 
-    def uniform_source(self, name: str):
-        """A zero-argument callable producing U[0,1) floats from ``name``'s stream.
-
-        This is the shape :class:`repro.core.backoff.BackoffPolicy` wants.
-        """
-        return self.stream(name).random
-
     def names(self) -> Iterator[str]:
         return iter(self._streams)
 

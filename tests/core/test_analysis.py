@@ -51,12 +51,6 @@ class TestCommandStats:
         analysis = run_script("slow\nslow", slow=slow)
         assert analysis.commands["slow"].mean_duration == pytest.approx(7.0)
 
-    def test_most_failing_ranking(self):
-        analysis = run_script(
-            "echo fine\ntry 3 times\n  false\nend", )
-        ranked = analysis.most_failing()
-        assert ranked[0].name == "false"
-
     def test_empty_stats(self):
         stats = CommandStats("x")
         assert stats.failure_rate == 0.0

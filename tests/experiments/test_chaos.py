@@ -9,13 +9,12 @@ import sys
 
 import pytest
 
-from repro.core.compile import ScriptPlan
-from repro.core.interpreter import Interpreter
 from repro.experiments.chaos import (
     FAULT_CLASSES,
     SCALES,
     ChaosCell,
     ChaosScale,
+    campaign_cells,
     check_ordering,
     recovery_time,
     render_scorecard,
@@ -154,31 +153,22 @@ class TestCampaign:
         text = render_scorecard(run_chaos_campaign(TINY, seed=11))
         assert text == GOLDEN.read_text()
 
-    def test_golden_reproduced_by_the_forced_tree_walker(self, monkeypatch):
-        """The end-to-end oracle: with ``compile_cached`` the identity at
-        every site that calls it on this path, each script reaches
-        ``Interpreter.execute`` as a parsed ``Script`` and is tree-walked
-        — and the scorecard must not move."""
-        for site in ("repro.simruntime.shell", "repro.core.shell",
-                     "repro.experiments.scenario_submit",
-                     "repro.grid.chimera"):
-            monkeypatch.setattr(f"{site}.compile_cached",
-                                lambda script: script)
-        walked = []
-        execute_top = Interpreter._execute_top
+    def test_obs_dir_holds_one_bundle_per_cell(self, tmp_path):
+        """Every instrumented cell writes its own bundle: the baseline,
+        run once per scenario, names its scenario in the stem."""
+        obs_dir = tmp_path / "obs"
+        run_chaos_campaign(TINY, seed=11, jobs=1, obs_dir=str(obs_dir))
+        stems = {path.name.split(".")[0] for path in obs_dir.iterdir()}
+        stems.discard("combined")
+        assert len(stems) == len(campaign_cells(TINY, 11))
+        assert "chaos_kangaroo-baseline_fixed_i0" in stems
 
-        def counting(self, body, overall_deadline):
-            walked.append(body)
-            return execute_top(self, body, overall_deadline)
-
-        def no_plan(self, interp, overall_deadline=None):
-            raise AssertionError("a compiled plan ran")
-
-        monkeypatch.setattr(Interpreter, "_execute_top", counting)
-        monkeypatch.setattr(ScriptPlan, "execute", no_plan)
+    def test_golden_reproduced_by_the_forced_tree_walker(self, tree_walker):
+        """The end-to-end oracle: every script is tree-walked (see the
+        ``tree_walker`` fixture) — and the scorecard must not move."""
         text = render_scorecard(run_chaos_campaign(TINY, seed=11, jobs=1))
         assert text == GOLDEN.read_text()
-        assert len(walked) > 1000  # 2,936 scripts when this was written
+        assert len(tree_walker) > 1000  # 2,936 scripts when this was written
 
     @pytest.mark.slow
     def test_smoke_scale_ordering_holds(self):

@@ -1,14 +1,27 @@
 """The cross-runtime guarantee of the trace tree: the same script yields
 the *same span structure* under the real POSIX driver and the simulation
 driver — the obs-side analogue of tests/integration/test_cross_driver.py.
+
+And each metric is a view of a record the run keeps: the ``ftsh_*``
+families agree with the spans (under compiled plans and the
+tree-walker alike) and the ``grid_*`` ones with the substrate counters.
 """
+
+import collections
 
 import pytest
 
+from repro.clients.base import ALOHA
 from repro.core import Ftsh
 from repro.core.backoff import BackoffPolicy
 from repro.core.realruntime import RealDriver
+from repro.experiments.scenario_submit import SubmitParams, run_submission
+from repro.faults.injectors import FaultSpec
+from repro.faults.schedule import Burst
+from repro.grid.condor import CondorConfig
 from repro.obs.api import Observability
+from repro.obs.clock import engine_clock
+from repro.obs.push import SPANS_COUNTER, span_counters
 from repro.sim import Engine
 from repro.simruntime import CommandRegistry, SimFtsh
 
@@ -25,9 +38,9 @@ def run_real(script):
     return shell.run(script), obs
 
 
-def run_sim(script):
+def run_sim(script, max_spans=250_000):
     engine = Engine()
-    obs = Observability.for_engine(engine)
+    obs = Observability(clock=engine_clock(engine), max_spans=max_spans)
     registry = CommandRegistry()
 
     @registry.register("sh")
@@ -122,3 +135,87 @@ def test_forall_branch_spans_nest_under_forall():
         for branch in branches:
             kinds = [c.kind for c in obs.tracer.children(branch)]
             assert kinds == ["command"]
+
+
+@pytest.fixture(params=["compiled", "tree-walker"])
+def runtime(request):
+    """Run under compiled plans, or force the tree-walker; returns the
+    list of walked scripts (``None`` for compiled plans)."""
+    if request.param == "tree-walker":
+        return request.getfixturevalue("tree_walker")
+    return None
+
+
+def value(obs, name):
+    return obs.metrics.get(name).value
+
+
+def test_ftsh_and_grid_metrics_are_views_of_spans_and_substrate(runtime):
+    """A faulted, contended submit run: every ``ftsh_*`` count equals the
+    spans it folds, and every schedd counter the substrate's own."""
+    obs = Observability()
+    result = run_submission(SubmitParams(
+        ALOHA, n_clients=40, duration=120.0,
+        condor=CondorConfig(fd_capacity=1000, restart_delay=10.0),
+        faults=(FaultSpec("schedd-crash", Burst(30.0, 1.0)),), obs=obs))
+    if runtime is not None:
+        assert runtime, "no script was tree-walked"
+    spans = list(obs.tracer)
+    assert obs.tracer.dropped == 0
+
+    by_outcome = collections.Counter(
+        (s.name.partition(":")[2], s.status) for s in spans
+        if s.kind == "command")
+    folded = {child.label_values: child.value for child in
+              obs.metrics.get("ftsh_commands_total").children()}
+    assert folded == by_outcome
+    attempts = sum(1 for s in spans if s.kind == "attempt")
+    assert value(obs, "ftsh_try_attempts_total") == attempts
+    backoffs = sum(1 for s in spans if s.kind == "backoff")
+    assert value(obs, "ftsh_backoff_initiations_total") == result.backoffs
+    assert result.backoffs == backoffs > 0
+
+    grid = {"grid_jobs_submitted_total": result.jobs_submitted,
+            "grid_schedd_crashes_total": result.crashes,
+            "grid_emfile_failures_total": result.emfile_failures,
+            "grid_connections_refused_total": result.refused}
+    assert all(count > 0 for count in grid.values()), grid
+    assert {name: value(obs, name) for name in grid} == grid
+
+
+TRY_CASES = [
+    # (script, succeeds, exhausted, catches)
+    ("try 2 times\n  sh -c 'exit 0'\nend", True, 0, 0),
+    ("try 2 times\n  sh -c 'exit 1'\nend", False, 1, 0),
+    ("try 2 times\n  sh -c 'exit 1'\ncatch\n  sh -c 'exit 0'\nend",
+     True, 1, 1),
+    ("try 2 times\n  sh -c 'exit 1'\ncatch\n  sh -c 'exit 1'\nend",
+     False, 1, 1),
+]
+
+
+@pytest.mark.parametrize("script,succeeds,exhausted,catches", TRY_CASES,
+                         ids=["ok", "exhausted", "caught", "catch-failed"])
+def test_try_exhausted_counts_every_try_that_gave_up(
+        runtime, script, succeeds, exhausted, catches):
+    """Exhausted counts a try whose retries ran out, caught or not; catch
+    counts the catch blocks entered."""
+    result, obs = run_sim(script)
+    assert result.success is succeeds
+    assert value(obs, "ftsh_try_exhausted_total") == exhausted
+    assert value(obs, "ftsh_catch_entered_total") == catches
+
+
+def test_a_capped_tracer_still_counts_every_span():
+    """Past ``max_spans`` spans are dropped, not uncounted: the span
+    counter and the metrics see every one."""
+    script = "try 3 times\n  sh -c 'exit 1'\ncatch\n  sh -c 'exit 0'\nend"
+    _, full = run_sim(script)
+    _, capped = run_sim(script, max_spans=2)
+    assert len(capped.tracer) == 2
+    assert capped.tracer.started == len(full.tracer) > 2
+    assert capped.tracer.dropped == len(full.tracer) - 2
+    pushed = {row["name"]: row["value"] for row in span_counters(capped)}
+    assert pushed[SPANS_COUNTER] == len(full.tracer)
+    for name in ("ftsh_try_attempts_total", "ftsh_backoff_initiations_total"):
+        assert value(capped, name) == value(full, name) > 0

@@ -101,35 +101,34 @@ class TestChromeTrace:
 
 
 class TestPrometheusText:
-    def test_counter_and_help_type_lines(self, clock):
-        registry = MetricsRegistry(clock=clock)
+    def test_counter_and_help_type_lines(self):
+        registry = MetricsRegistry()
         registry.counter("jobs_total", "jobs accepted").inc(3)
         text = prometheus_text(registry)
         assert "# HELP jobs_total jobs accepted\n" in text
         assert "# TYPE jobs_total counter\n" in text
         assert "jobs_total 3\n" in text
 
-    def test_labels_and_const_labels(self, clock):
-        registry = MetricsRegistry(clock=clock,
-                                   const_labels={"discipline": "ethernet"})
+    def test_labels_and_const_labels(self):
+        registry = MetricsRegistry(const_labels={"discipline": "ethernet"})
         cmds = registry.counter("cmds_total", labels=("command",))
         cmds.labels(command="submit").inc()
         text = prometheus_text(registry)
         assert 'cmds_total{command="submit",discipline="ethernet"} 1' in text
 
-    def test_label_escaping(self, clock):
-        registry = MetricsRegistry(clock=clock)
+    def test_label_escaping(self):
+        registry = MetricsRegistry()
         cmds = registry.counter("cmds_total", labels=("arg",))
         cmds.labels(arg='say "hi"\n').inc()
         assert r'arg="say \"hi\"\n"' in prometheus_text(registry)
 
-    def test_function_gauge_sampled_at_export(self, clock):
-        registry = MetricsRegistry(clock=clock)
+    def test_function_gauge_sampled_at_export(self):
+        registry = MetricsRegistry()
         registry.gauge("free_fds").set_function(lambda: 42.0)
         assert "free_fds 42\n" in prometheus_text(registry)
 
-    def test_histogram_buckets_sum_count(self, clock):
-        registry = MetricsRegistry(clock=clock)
+    def test_histogram_buckets_sum_count(self):
+        registry = MetricsRegistry()
         hist = registry.histogram("wait_seconds", buckets=(1.0, 10.0))
         hist.observe(0.5)
         hist.observe(5.0)

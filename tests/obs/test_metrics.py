@@ -1,4 +1,4 @@
-"""Counters, gauges, histograms, labeled streams, and gauge sampling."""
+"""Counters, gauges, histograms and labeled streams."""
 
 import pytest
 
@@ -6,27 +6,14 @@ from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     NULL_METRICS,
     MetricsRegistry,
-    sample_gauges,
 )
 from repro.sim import Engine
-
-
-class FakeClock:
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self):
-        return self.now
+from repro.sim.monitor import Counter
 
 
 @pytest.fixture
-def clock():
-    return FakeClock()
-
-
-@pytest.fixture
-def registry(clock):
-    return MetricsRegistry(clock=clock)
+def registry():
+    return MetricsRegistry()
 
 
 class TestCounter:
@@ -41,20 +28,16 @@ class TestCounter:
         with pytest.raises(ValueError):
             jobs.inc(-1)
 
-    def test_series_backed(self, registry, clock):
-        jobs = registry.counter("jobs_total")
-        jobs.inc()
-        clock.now = 5.0
-        jobs.inc()
-        assert jobs.series.times == [0.0, 5.0]
-        assert jobs.series.values == [1.0, 2.0]
-
-    def test_keep_series_off(self, clock):
-        registry = MetricsRegistry(clock=clock, keep_series=False)
-        jobs = registry.counter("jobs_total")
-        jobs.inc()
-        assert jobs.series is None
-        assert jobs.value == 1.0
+    def test_function_backed_reads_the_substrate_counter(self, registry):
+        """A counter can be a view of a count kept elsewhere: it reads
+        the substrate's own ``sim.monitor.Counter`` at every export."""
+        substrate = Counter(Engine(), "jobs", keep_series=False)
+        jobs = registry.counter("jobs_total", "jobs")
+        jobs.set_function(lambda: substrate.count)
+        assert jobs.value == 0.0  # a view exports from registration on
+        substrate.increment(3)
+        assert jobs.value == 3.0
+        assert [c.value for c in jobs.children()] == [3.0]
 
 
 class TestGauge:
@@ -72,16 +55,6 @@ class TestGauge:
         assert fds.value == 50.0
         state["free"] = 7
         assert fds.value == 7.0
-
-    def test_sample_records_function_series(self, registry, clock):
-        state = {"free": 10}
-        fds = registry.gauge("free_fds")
-        fds.set_function(lambda: state["free"])
-        fds.labels().sample()
-        clock.now = 1.0
-        state["free"] = 4
-        fds.labels().sample()
-        assert fds.series.values == [10.0, 4.0]
 
     def test_set_clears_function(self, registry):
         fds = registry.gauge("free_fds")
@@ -166,32 +139,6 @@ class TestRegistry:
         assert registry.const_labels == {"discipline": "ethernet"}
 
 
-class TestSampleGauges:
-    def test_samples_function_gauges_on_interval(self):
-        engine = Engine()
-        registry = MetricsRegistry(clock=lambda: engine.now)
-        fds = registry.gauge("free_fds")
-        fds.set_function(lambda: 100.0 - engine.now)
-        sample_gauges(registry, engine, interval=2.0, until=10.0)
-        engine.run(until=50.0)
-        assert fds.series.times == [0.0, 2.0, 4.0, 6.0, 8.0, 10.0]
-        assert fds.series.values[-1] == pytest.approx(90.0)
-
-    def test_stops_exactly_at_non_multiple_until(self):
-        engine = Engine()
-        registry = MetricsRegistry(clock=lambda: engine.now)
-        fds = registry.gauge("free_fds")
-        fds.set_function(lambda: 1.0)
-        sample_gauges(registry, engine, interval=3.0, until=10.0)
-        engine.run(until=50.0)
-        assert fds.series.times == [0.0, 3.0, 6.0, 9.0, 10.0]
-
-    def test_bad_interval_rejected(self):
-        engine = Engine()
-        with pytest.raises(ValueError):
-            sample_gauges(MetricsRegistry(), engine, interval=0.0)
-
-
 class TestNullMetrics:
     def test_noop_surface(self):
         assert not NULL_METRICS.enabled
@@ -201,10 +148,8 @@ class TestNullMetrics:
         gauge = NULL_METRICS.gauge("y")
         gauge.set(5)
         gauge.set_function(lambda: 1.0)
-        assert gauge.sample() == 0.0
+        assert gauge.value == 0.0
         NULL_METRICS.histogram("z").observe(1.0)
         assert counter.value == 0.0
-        assert counter.series is None
         assert NULL_METRICS.families() == []
         assert NULL_METRICS.get("x") is None
-        NULL_METRICS.sample_all_gauges()

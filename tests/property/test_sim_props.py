@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Container, Engine
+from repro.sim import Engine
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=1000.0, allow_nan=False),
@@ -34,25 +34,6 @@ def test_same_time_events_fifo(delays):
         )
     engine.run()
     assert fired == list(range(len(delays)))
-
-
-@given(
-    st.lists(
-        st.tuples(st.sampled_from(["get", "put"]),
-                  st.floats(min_value=0.0, max_value=20.0, allow_nan=False)),
-        max_size=60,
-    )
-)
-def test_container_level_always_in_bounds(operations):
-    engine = Engine()
-    container = Container(engine, capacity=50.0, init=25.0)
-    for kind, amount in operations:
-        if kind == "get":
-            container.try_get(amount)
-        else:
-            container.try_put(amount)
-        assert -1e-9 <= container.level <= container.capacity + 1e-9
-        assert container.free + container.level == container.capacity
 
 
 @given(

@@ -1,6 +1,7 @@
 """Client + CLI against a live in-process server, and ``ftsh --submit``."""
 
 import json
+import threading
 
 import pytest
 
@@ -44,6 +45,42 @@ class TestServiceClient:
         assert result.result["success"] is True
         events = client.events(status.job_id)
         assert events[0].state == "queued"
+
+    def test_wait_follows_the_event_stream_without_sleeping(
+            self, service, monkeypatch):
+        """``wait`` long-polls the events route: it never sleeps between
+        status polls, and still sees the job through to ``done``."""
+        url, _store = service
+        client = ServiceClient(url=url)
+
+        def no_sleep(seconds):
+            raise AssertionError(f"wait slept {seconds}s")
+
+        monkeypatch.setattr("time.sleep", no_sleep)
+        status = client.submit_script(GOOD, timeout=600.0)
+        final = client.wait(status.job_id, timeout=30.0)
+        assert final.state == "done"
+
+    def test_wait_raises_timeout_for_a_job_that_never_ends(
+            self, service, monkeypatch):
+        """A job held running past ``timeout``: ``wait`` gives up with a
+        TimeoutError, still without sleeping."""
+        url, store = service
+        gate = threading.Event()
+
+        def held(record, cancel):
+            gate.wait(30.0)
+            raise RuntimeError("released")
+
+        monkeypatch.setattr(store, "_execute", held)
+        monkeypatch.setattr("time.sleep", lambda seconds: 1 / 0)
+        client = ServiceClient(url=url)
+        status = client.submit_script(GOOD, timeout=600.0)
+        try:
+            with pytest.raises(TimeoutError, match="still (queued|running)"):
+                client.wait(status.job_id, timeout=0.3)
+        finally:
+            gate.set()
 
     def test_rejection_becomes_service_error(self, service):
         url, _store = service

@@ -132,8 +132,3 @@ class TestConditions:
         with pytest.raises(SimulationError):
             engine.all_of([other.timeout(1)])
 
-    def test_condition_value_todict(self, engine):
-        a = engine.timeout(1, value="x")
-        combo = engine.all_of([a])
-        engine.run()
-        assert combo.value.todict() == {a: "x"}

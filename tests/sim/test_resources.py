@@ -1,9 +1,9 @@
-"""Resource, Container, and Store semantics."""
+"""Resource semantics."""
 
 import pytest
 
 from repro.core.errors import SimulationError
-from repro.sim import Container, Engine, Resource, Store
+from repro.sim import Engine, Resource
 
 
 @pytest.fixture
@@ -60,163 +60,3 @@ class TestResource:
     def test_capacity_validation(self, engine):
         with pytest.raises(SimulationError):
             Resource(engine, capacity=0)
-
-
-class TestContainer:
-    def test_try_get_put(self, engine):
-        container = Container(engine, capacity=10, init=5)
-        assert container.try_get(3)
-        assert container.level == 2
-        assert not container.try_get(3)
-        assert container.try_put(8)
-        assert container.level == 10
-        assert not container.try_put(1)
-
-    def test_free(self, engine):
-        container = Container(engine, capacity=10, init=4)
-        assert container.free == 6
-
-    def test_blocking_get_waits_for_put(self, engine):
-        container = Container(engine, capacity=10)
-        got = []
-
-        def getter():
-            yield container.get(5)
-            got.append(engine.now)
-
-        def putter():
-            yield engine.timeout(3)
-            yield container.put(5)
-
-        engine.process(getter())
-        engine.process(putter())
-        engine.run()
-        assert got == [3.0]
-        assert container.level == 0
-
-    def test_blocking_put_waits_for_room(self, engine):
-        container = Container(engine, capacity=10, init=10)
-        done = []
-
-        def putter():
-            yield container.put(4)
-            done.append(engine.now)
-
-        def getter():
-            yield engine.timeout(2)
-            assert container.try_get(4)
-
-        engine.process(putter())
-        engine.process(getter())
-        engine.run()
-        assert done == [2.0]
-
-    def test_getters_fifo_head_of_line(self, engine):
-        container = Container(engine, capacity=100)
-        order = []
-
-        def getter(tag, amount):
-            yield container.get(amount)
-            order.append(tag)
-
-        engine.process(getter("big", 50))
-        engine.process(getter("small", 1))
-
-        def feeder():
-            yield engine.timeout(1)
-            container.try_put(10)  # not enough for "big": "small" must wait (FIFO)
-            yield engine.timeout(1)
-            container.try_put(60)
-
-        engine.process(feeder())
-        engine.run()
-        assert order == ["big", "small"]
-
-    def test_cancel_pending(self, engine):
-        container = Container(engine, capacity=10)
-        event = container.get(5)
-        container.cancel(event)
-        container.try_put(5)
-        assert container.level == 5  # the cancelled getter did not take it
-
-    def test_validation(self, engine):
-        with pytest.raises(SimulationError):
-            Container(engine, capacity=0)
-        with pytest.raises(SimulationError):
-            Container(engine, capacity=5, init=6)
-        container = Container(engine, capacity=5)
-        with pytest.raises(SimulationError):
-            container.try_get(-1)
-        with pytest.raises(SimulationError):
-            container.get(6)
-
-    def test_put_then_get_chains(self, engine):
-        # freeing headroom unblocks putters, which unblocks getters, etc.
-        container = Container(engine, capacity=10, init=10)
-        log = []
-
-        def putter():
-            yield container.put(5)
-            log.append("put")
-
-        engine.process(putter())
-
-        def kick():
-            yield engine.timeout(1)
-            assert container.try_get(8)
-
-        engine.process(kick())
-        engine.run()
-        assert "put" in log
-
-
-class TestStore:
-    def test_fifo_items(self, engine):
-        store = Store(engine)
-        values = []
-
-        def consumer():
-            for _ in range(3):
-                item = yield store.get()
-                values.append(item)
-
-        def producer():
-            for item in ("a", "b", "c"):
-                yield engine.timeout(1)
-                yield store.put(item)
-
-        engine.process(consumer())
-        engine.process(producer())
-        engine.run()
-        assert values == ["a", "b", "c"]
-
-    def test_capacity_blocks_put(self, engine):
-        store = Store(engine, capacity=1)
-        done = []
-
-        def producer():
-            yield store.put("x")
-            yield store.put("y")
-            done.append(engine.now)
-
-        def consumer():
-            yield engine.timeout(5)
-            item = yield store.get()
-            assert item == "x"
-
-        engine.process(producer())
-        engine.process(consumer())
-        engine.run()
-        assert done == [5.0]
-
-    def test_cancel_get(self, engine):
-        store = Store(engine)
-        event = store.get()
-        store.cancel(event)
-        store.put("x")
-        engine.run()
-        assert list(store.items) == ["x"]
-
-    def test_validation(self, engine):
-        with pytest.raises(SimulationError):
-            Store(engine, capacity=0)

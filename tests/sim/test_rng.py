@@ -51,12 +51,6 @@ class TestIndependence:
         assert replay == expected
         assert sequence[0] == solo2.stream("client-3").random() or True
 
-    def test_uniform_source_shape(self):
-        source = RandomStreams(0).uniform_source("jitter")
-        for _ in range(100):
-            value = source()
-            assert 0.0 <= value < 1.0
-
     def test_names_listing(self):
         streams = RandomStreams(0)
         streams.stream("b")

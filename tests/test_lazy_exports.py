@@ -82,7 +82,7 @@ PUBLIC = {
         "engine_clock", "fetch_snapshot", "merge_histograms",
         "observability_records", "prometheus_text", "push_observability",
         "read_spans_jsonl", "render_fleet_text", "render_report", "resolve_push_url",
-        "sample_gauges", "span_stats", "spans_jsonl", "wall_clock",
+        "span_stats", "spans_jsonl", "wall_clock",
         "write_chrome_trace", "write_obs_bundle", "write_prometheus",
         "write_spans_jsonl"],
     "repro.parallel": [
@@ -94,10 +94,9 @@ PUBLIC = {
         "SandboxPolicy", "SandboxRejection", "SchemaError",
         "ScriptSubmission", "ServiceClient", "ServiceError"],
     "repro.sim": [
-        "AllOf", "AnyOf", "Condition", "ConditionValue", "Container",
-        "ContainerEvent", "Counter", "Engine", "Event", "INFINITY",
-        "Interrupt", "Process", "ProcessGenerator", "RandomStreams",
-        "Request", "Resource", "Store", "StoreEvent", "TimeSeries", "Timeout",
+        "AllOf", "AnyOf", "Condition", "ConditionValue", "Counter", "Engine",
+        "Event", "INFINITY", "Interrupt", "Process", "ProcessGenerator",
+        "RandomStreams", "Request", "Resource", "TimeSeries", "Timeout",
         "sample"],
     "repro.simruntime": [
         "CommandContext", "CommandRegistry", "SimDriver", "SimFtsh",
