@@ -1,23 +1,23 @@
-"""Shared configuration for the figure benchmarks.
+"""Shared configuration for the scenario benchmarks.
 
-Each ``bench_figureN.py`` regenerates one figure of the paper at a
-benchmark-friendly scale and prints the same rows/series the paper
-reports (run with ``-s`` to see them, or read the saved reports).
+``bench_ablation``, ``bench_dag``, ``bench_kangaroo`` and
+``bench_reservation`` each run an ablation or extension scenario at a
+benchmark-friendly scale, assert its claims and save its report under
+``benchmarks/reports/`` (run with ``-s`` to see them).
 
-Scales:
-
-* benchmark scale (here): small enough that the whole suite runs in a
-  couple of minutes while still showing every qualitative feature;
-* full scale: ``python -m repro.experiments.runall --scale full``
-  regenerates the figures at the paper's parameters (400-500 clients,
-  30-minute windows) — that is what EXPERIMENTS.md records.
+The paper's own Figures 1-7 are not benchmarked here:
+``python -m repro.experiments.runall`` builds them and
+``python -m repro.experiments.validate`` checks every shape claim on
+those same figures — at ``--scale medium`` (the default, the smallest
+scale at which the claims hold) or ``--scale full`` (the paper's
+parameters, what EXPERIMENTS.md records).
 """
 
 import os
 
 import pytest
 
-#: Where rendered figure reports are written (one .txt per figure).
+#: Where rendered reports are written (one .txt per report).
 REPORT_DIR = os.path.join(os.path.dirname(__file__), "reports")
 
 

@@ -1,8 +1,10 @@
 """Experiment harnesses regenerating every figure in the paper.
 
-One module per figure (Figures 4 and 5 share a sweep), plus the scenario
-harnesses and plain-text reporting.  ``python -m repro.experiments.runall``
-regenerates everything at a chosen scale.
+One module per figure family (Figures 2-3, 4-5 and 6-7 share one),
+plus the scenario harnesses and plain-text reporting.
+``python -m repro.experiments.runall`` regenerates everything at a
+chosen scale and ``python -m repro.experiments.validate`` checks the
+paper's shape claims on the same figures.
 """
 
 from .._lazy import lazy_exports
@@ -11,13 +13,10 @@ _EXPORTS = {
     "chaos": (
         "ChaosCell", "ChaosReport", "check_ordering",
         "render_scorecard", "run_chaos_campaign"),
-    "figure1": ("Figure1Result", "run_figure1"),
-    "figure2": ("TimelineResult", "run_figure2", "run_submit_timeline"),
-    "figure3": ("run_figure3",),
-    "figure4": ("BufferSweepResult", "run_buffer_sweep", "run_figure4"),
-    "figure5": ("run_figure5",),
-    "figure6": ("ReaderTimelineResult", "run_figure6", "run_reader_timeline"),
-    "figure7": ("run_figure7",),
+    "figure1": ("Figure1Result",),
+    "figure2": ("TimelineResult",),
+    "figure4": ("BufferSweepResult",),
+    "figure6": ("ReaderTimelineResult",),
     "scenario_buffer": ("BufferParams", "BufferResult", "run_buffer"),
     "scenario_dag": ("DagParams", "DagResult", "run_dag_scenario"),
     "scenario_kangaroo": ("KangarooParams", "KangarooResult", "run_kangaroo"),

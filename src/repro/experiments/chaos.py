@@ -395,24 +395,26 @@ def run_cell(
     level: int,
     scale: ChaosScale,
     seed: int,
-    obs_dir: Optional[str] = None,
+    bundle: bool = False,
     obs_push: Optional[str] = None,
-) -> tuple[float, TimeSeries]:
+) -> tuple[float, TimeSeries] | tuple[float, TimeSeries, dict[str, str]]:
     """One campaign cell, rebuilt from names so it pickles to workers.
 
     ``fault_name=None`` (or ``level=0``) is the fault-free baseline.
     Fault specs are regenerated from the class registry rather than
     shipped — their schedules are pure functions of (level, duration),
-    so parent and worker always agree.  When ``obs_dir`` is set the
-    cell's telemetry bundle is written here; when ``obs_push`` is set
-    the same telemetry is pushed (best-effort) to that fleet
-    aggregator.  Both happen inside the (possibly worker) process; live
-    telemetry never crosses the process boundary.
+    so parent and worker always agree.  Returns ``(goodput, series)``;
+    with ``bundle`` the cell's telemetry rides along as a third element,
+    an :func:`~repro.obs.exporters.obs_bundle` the parent writes, so a
+    worker on another filesystem still delivers it.  With ``obs_push``
+    the same telemetry is pushed (best-effort) to that fleet aggregator
+    from inside the cell; live telemetry never crosses the process
+    boundary.
     """
     scenario = SCENARIOS[scenario_name]
     discipline = by_name(discipline_name)
     duration = scenario.duration(scale)
-    wanted = obs_dir is not None or obs_push is not None
+    wanted = bundle or obs_push is not None
     if fault_name is None or level == 0:
         specs: tuple[FaultSpec, ...] = ()
         obs, stem = _cell_obs(wanted, discipline, "none", scenario_name, 0)
@@ -421,14 +423,13 @@ def run_cell(
         obs, stem = _cell_obs(wanted, discipline, fault_name,
                               scenario_name, level)
     goodput, series = scenario.run(discipline, specs, scale, seed, obs)
-    if obs is not None:
-        if obs_dir is not None:
-            from ..obs.exporters import write_obs_bundle
+    if obs_push is not None:
+        push_observability(obs_push, obs,
+                           source=f"chaos/{scenario_name}/{stem}")
+    if bundle:
+        from ..obs.exporters import obs_bundle
 
-            write_obs_bundle(obs, obs_dir, stem)
-        if obs_push is not None:
-            push_observability(obs_push, obs,
-                               source=f"chaos/{scenario_name}/{stem}")
+        return goodput, series, obs_bundle(obs, stem)
     return goodput, series
 
 
@@ -442,11 +443,12 @@ def campaign_cells(
 
     Baselines come first, one per (scenario, discipline) — shared by
     every fault class that targets the scenario — then the fault cells
-    in report order.  Cells carrying a live telemetry export (a bundle
-    directory or an aggregator push) are not cacheable — their point is
-    the side effect.
+    in report order.  Cells carrying a live telemetry export (an
+    ``obs_dir`` bundle or an aggregator push) are not cacheable — their
+    point is the telemetry.
     """
-    plain = obs_dir is None and obs_push is None
+    bundle = obs_dir is not None
+    plain = not bundle and obs_push is None
     specs: list[CellSpec] = []
     seen_baselines: set[tuple[str, str]] = set()
     for fault_class in FAULT_CLASSES:
@@ -459,7 +461,7 @@ def campaign_cells(
                 key=f"chaos/{fault_class.scenario}/baseline/{discipline.name}",
                 fn=run_cell,
                 args=(fault_class.scenario, discipline.name, None, 0,
-                      scale, seed, obs_dir, obs_push),
+                      scale, seed, bundle, obs_push),
                 cacheable=plain,
             ))
     for fault_class in FAULT_CLASSES:
@@ -469,7 +471,7 @@ def campaign_cells(
                     key=f"chaos/{fault_class.name}/i{level}/{discipline.name}",
                     fn=run_cell,
                     args=(fault_class.scenario, discipline.name,
-                          fault_class.name, level, scale, seed, obs_dir,
+                          fault_class.name, level, scale, seed, bundle,
                           obs_push),
                     cacheable=plain,
                 ))
@@ -506,11 +508,12 @@ def run_chaos_campaign(
                    tuple[float, TimeSeries]] = {}
     for spec, outcome in zip(specs, results):
         scenario_name, discipline_name, fault_name, level = spec.args[:4]
-        measured[(scenario_name, discipline_name, fault_name, level)] = outcome
+        measured[(scenario_name, discipline_name, fault_name, level)] = \
+            outcome[:2]
     if obs_dir is not None:
-        from ..obs.exporters import merge_obs_bundles
+        from ..obs.exporters import write_obs_files
 
-        merge_obs_bundles(obs_dir)
+        write_obs_files(obs_dir, (outcome[2] for outcome in results))
 
     def baseline(scenario: Scenario, discipline: Discipline):
         return measured[(scenario.name, discipline.name, None, 0)]

@@ -13,13 +13,9 @@ from typing import Sequence
 
 from ..clients.base import ALL_DISCIPLINES, Discipline
 from ..grid.condor import CondorConfig
-from ..parallel.cache import ResultCache
-from ..parallel.executor import CellSpec, run_cells
+from ..parallel.executor import CellSpec
 from .report import ascii_chart, render_table
 from .scenario_submit import SubmitParams, SubmitResult, run_submission
-
-#: The sweep used for the full reproduction.
-PAPER_COUNTS: tuple[int, ...] = (25, 50, 100, 150, 200, 250, 300, 350, 400, 450, 500)
 
 
 @dataclass(slots=True)
@@ -77,28 +73,6 @@ def assemble_figure1(
         result.crashes[discipline.name] = [r.crashes for r in block]
         result.runs.extend(block)
     return result
-
-
-def run_figure1(
-    counts: Sequence[int] = PAPER_COUNTS,
-    duration: float = 300.0,
-    seed: int = 2003,
-    condor: CondorConfig | None = None,
-    disciplines: Sequence[Discipline] = ALL_DISCIPLINES,
-    carrier_threshold: int = 1000,
-    jobs: int | None = None,
-    cache: ResultCache | None = None,
-) -> Figure1Result:
-    """Regenerate the Figure 1 sweep (possibly scaled down).
-
-    ``jobs``/``cache`` follow :func:`repro.parallel.run_cells`; the
-    assembled figure is identical for any jobs value or cache state.
-    """
-    cells = submit_cells(counts, duration, seed, condor=condor,
-                         disciplines=disciplines,
-                         carrier_threshold=carrier_threshold)
-    runs = run_cells(cells, jobs=jobs, cache=cache)
-    return assemble_figure1(counts, duration, runs, disciplines=disciplines)
 
 
 def render(result: Figure1Result) -> str:

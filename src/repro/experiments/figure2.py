@@ -1,10 +1,13 @@
-"""Figure 2 — "Timeline of Aloha Submitter".
+"""Figures 2 & 3 — "Timeline of Aloha/Ethernet Submitter".
 
-400 Aloha clients submit continuously for 30 minutes.  The heavy line is
-cumulative jobs submitted; the light line is available FDs.  The paper's
-signature features: the initial plunge of free FDs to ~0, upward FD
-spikes when the schedd crashes (the "broadcast jam"), and a staircase
-jobs curve that keeps creeping upward regardless.
+400 clients submit continuously for 30 minutes.  The heavy line is
+cumulative jobs submitted; the light line is available FDs.  Figure 2
+(Aloha) shows the initial plunge of free FDs to ~0, upward FD spikes
+when the schedd crashes (the "broadcast jam"), and a staircase jobs
+curve that keeps creeping upward regardless.  In Figure 3 (Ethernet)
+the carrier probe defers submissions when free FDs fall below the
+critical value (1000), so the available-FD line hovers at that floor,
+the schedd never crashes, and the jobs line climbs steadily.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from ..clients.base import ALOHA, Discipline
 from ..grid.condor import CondorConfig
 from ..sim.monitor import TimeSeries
 from .report import render_timeline
-from .scenario_submit import SubmitParams, SubmitResult, run_submission
+from .scenario_submit import SubmitParams, SubmitResult
 
 
 @dataclass(slots=True)
@@ -58,22 +61,6 @@ def timeline_from_run(run: SubmitResult) -> TimelineResult:
         fd_series=run.fd_series,
         run=run,
     )
-
-
-def run_submit_timeline(
-    discipline: Discipline = ALOHA,
-    **kwargs,
-) -> TimelineResult:
-    """Shared runner for Figures 2 and 3."""
-    return timeline_from_run(
-        run_submission(timeline_params(discipline=discipline, **kwargs))
-    )
-
-
-def run_figure2(**kwargs) -> TimelineResult:
-    """Regenerate Figure 2 (Aloha timeline)."""
-    kwargs.setdefault("discipline", ALOHA)
-    return run_submit_timeline(**kwargs)
 
 
 def render(result: TimelineResult, step: float | None = None) -> str:

@@ -16,13 +16,9 @@ from typing import Sequence
 
 from ..clients.base import ALL_DISCIPLINES, Discipline
 from ..grid.storage import BufferConfig
-from ..parallel.cache import ResultCache
-from ..parallel.executor import CellSpec, run_cells
+from ..parallel.executor import CellSpec
 from .report import ascii_chart, render_table
 from .scenario_buffer import BufferParams, BufferResult, run_buffer
-
-#: Producer counts on the paper's x-axis.
-PAPER_COUNTS: tuple[int, ...] = (5, 10, 15, 20, 25, 30, 35, 40, 45, 50)
 
 
 @dataclass(slots=True)
@@ -77,32 +73,6 @@ def assemble_buffer_sweep(
         result.collisions[discipline.name] = [r.collisions for r in block]
         result.runs.extend(block)
     return result
-
-
-def run_buffer_sweep(
-    counts: Sequence[int] = PAPER_COUNTS,
-    duration: float = 60.0,
-    seed: int = 2003,
-    buffer: BufferConfig | None = None,
-    disciplines: Sequence[Discipline] = ALL_DISCIPLINES,
-    jobs: int | None = None,
-    cache: ResultCache | None = None,
-) -> BufferSweepResult:
-    """The shared sweep behind Figures 4 and 5.
-
-    ``jobs``/``cache`` follow :func:`repro.parallel.run_cells`; the
-    assembled sweep is identical for any jobs value or cache state.
-    """
-    cells = buffer_cells(counts, duration, seed, buffer=buffer,
-                         disciplines=disciplines)
-    runs = run_cells(cells, jobs=jobs, cache=cache)
-    return assemble_buffer_sweep(counts, duration, runs,
-                                 disciplines=disciplines)
-
-
-#: Figure 4 and Figure 5 are two views of the same sweep.
-run_figure4 = run_buffer_sweep
-run_figure5 = run_buffer_sweep
 
 
 def render_figure4(result: BufferSweepResult) -> str:

@@ -1,12 +1,19 @@
 """Regenerate every figure of the paper in one command::
 
-    python -m repro.experiments.runall --scale quick    # ~1 minute
-    python -m repro.experiments.runall --scale medium   # a few minutes
+    python -m repro.experiments.runall --scale quick    # smoke, seconds
+    python -m repro.experiments.runall --scale medium   # the gated scale
     python -m repro.experiments.runall --scale full     # paper parameters
 
 Writes one plain-text report per figure into ``--out`` (default
 ``./figure_reports``) and prints a summary table of the headline
 numbers — the same numbers EXPERIMENTS.md records.
+
+``quick`` is a smoke scale: about two seconds of cells on one CPU, too
+small to show the paper's shapes — it fails the F1, F2, F3 and F5
+claims of ``python -m repro.experiments.validate``.  ``medium`` is the
+smallest scale at which every claim holds, and what that gate checks by
+default; ``full`` runs the paper's parameters.  The gate evaluates the
+very figures this module assembles (:func:`build_figures`).
 
 The whole campaign is one flat grid of independent simulation cells, so
 ``--jobs N`` fans it out over N worker processes (``--jobs 0`` = one
@@ -23,17 +30,14 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from typing import Callable, Optional
 
 from ..clients.base import ALL_DISCIPLINES, ALOHA, ETHERNET, by_name
 from ..obs.api import Observability
-from ..obs.exporters import (
-    chrome_trace_json,
-    merge_obs_bundles,
-    prometheus_text,
-    spans_jsonl,
-)
+from ..obs.exporters import obs_bundle, write_obs_files
 from ..obs.push import push_observability, resolve_push_url
 from ..obs.report import render_report
+from ..parallel.cache import ResultCache
 from ..parallel.executor import (
     CellSpec,
     add_executor_arguments,
@@ -41,15 +45,31 @@ from ..parallel.executor import (
     resolve_jobs,
     run_cells,
 )
-from .figure1 import assemble_figure1, render as render1, submit_cells
-from .figure2 import render as render_timeline, timeline_from_run, timeline_params
+from .figure1 import (
+    Figure1Result,
+    assemble_figure1,
+    render as render1,
+    submit_cells,
+)
+from .figure2 import (
+    TimelineResult,
+    render as render_timeline,
+    timeline_from_run,
+    timeline_params,
+)
 from .figure4 import (
+    BufferSweepResult,
     assemble_buffer_sweep,
     buffer_cells,
     render_figure4,
     render_figure5,
 )
-from .figure6 import reader_from_run, reader_params, render as render_reader
+from .figure6 import (
+    ReaderTimelineResult,
+    reader_from_run,
+    reader_params,
+    render as render_reader,
+)
 from .report import series_csv, sweep_csv
 from .scenario_replica import run_replica
 from .scenario_submit import SubmitParams, run_submission
@@ -129,15 +149,10 @@ def _observability_cell(discipline_name: str, n_clients: int,
     stem = f"submit_{discipline.name}"
     if obs_push is not None:
         push_observability(obs_push, obs, source=f"runall/{stem}")
-    trace = chrome_trace_json(obs.tracer) + "\n"
-    spans = spans_jsonl(obs.tracer)
-    return {
-        f"{stem}.trace.json": trace,
-        f"{stem}.spans.jsonl": spans + ("\n" if spans else ""),
-        f"{stem}.prom": prometheus_text(obs.metrics),
-        f"{stem}.report.txt":
-            render_report(tracer=obs.tracer, registry=obs.metrics) + "\n",
-    }
+    bundle = obs_bundle(obs, stem)
+    bundle[f"{stem}.report.txt"] = \
+        render_report(tracer=obs.tracer, registry=obs.metrics) + "\n"
+    return bundle
 
 
 def write_observability(
@@ -162,8 +177,6 @@ def write_observability(
     live telemetry to a fleet aggregator; ``obs_dir=None`` pushes
     without writing files.  Returns the paths written.
     """
-    if obs_dir is not None:
-        os.makedirs(obs_dir, exist_ok=True)
     cells = [
         CellSpec(
             key=f"obs/{discipline.name}",
@@ -173,18 +186,10 @@ def write_observability(
         )
         for discipline in ALL_DISCIPLINES
     ]
-    paths: list[str] = []
-    for bundle in run_cells(cells, jobs=jobs, backend=backend):
-        if obs_dir is None:
-            continue
-        for filename, contents in sorted(bundle.items()):
-            path = os.path.join(obs_dir, filename)
-            with open(path, "w", encoding="utf-8") as handle:
-                handle.write(contents)
-            paths.append(path)
-    if obs_dir is not None:
-        paths.extend(merge_obs_bundles(obs_dir))
-    return paths
+    bundles = run_cells(cells, jobs=jobs, backend=backend)
+    if obs_dir is None:
+        return []
+    return write_obs_files(obs_dir, bundles)
 
 
 def campaign_cells(scale: Scale, seed: int) -> dict[str, list[CellSpec]]:
@@ -214,6 +219,51 @@ def campaign_cells(scale: Scale, seed: int) -> dict[str, list[CellSpec]]:
                            seed=seed),),
         )],
     }
+
+
+@dataclass(frozen=True)
+class Figures:
+    """The paper's seven figures as one campaign assembles them."""
+
+    fig1: Figure1Result
+    fig2: TimelineResult
+    fig3: TimelineResult
+    #: Figures 4 and 5 are two views of this one sweep.
+    sweep: BufferSweepResult
+    fig6: ReaderTimelineResult
+    fig7: ReaderTimelineResult
+
+
+def build_figures(
+    scale: Scale,
+    seed: int,
+    jobs: Optional[int] = None,
+    cache: Optional[ResultCache] = None,
+    backend: Optional[str] = None,
+    progress: Optional[Callable[[str, str], None]] = None,
+) -> Figures:
+    """Run every cell of :func:`campaign_cells` once and assemble the figures.
+
+    ``jobs``/``cache``/``backend``/``progress`` follow
+    :func:`repro.parallel.run_cells`; the figures are identical for any
+    of them.
+    """
+    groups = campaign_cells(scale, seed)
+    results = iter(run_cells(
+        [cell for cells in groups.values() for cell in cells],
+        jobs=jobs, cache=cache, backend=backend, progress=progress))
+    runs = {name: [next(results) for _ in cells]
+            for name, cells in groups.items()}
+    return Figures(
+        fig1=assemble_figure1(scale.fig1_counts, scale.fig1_duration,
+                              runs["fig1"]),
+        fig2=timeline_from_run(runs["fig2"][0]),
+        fig3=timeline_from_run(runs["fig3"][0]),
+        sweep=assemble_buffer_sweep(scale.buffer_counts,
+                                    scale.buffer_duration, runs["fig45"]),
+        fig6=reader_from_run(runs["fig6"][0]),
+        fig7=reader_from_run(runs["fig7"][0]),
+    )
 
 
 def main(argv=None) -> int:
@@ -252,10 +302,9 @@ def main(argv=None) -> int:
     summary: list[str] = [f"scale={scale.name} seed={args.seed}"]
 
     started = time.time()
-    groups = campaign_cells(scale, args.seed)
-    flat: list[CellSpec] = [cell for cells in groups.values() for cell in cells]
+    n_cells = sum(map(len, campaign_cells(scale, args.seed).values()))
     workers = resolve_jobs(args.jobs)
-    print(f"Campaign: {len(flat)} cells "
+    print(f"Campaign: {n_cells} cells "
           f"(jobs={'serial' if workers == 1 else workers}, "
           f"cache={'off' if cache is None else cache.root}) ...")
 
@@ -263,17 +312,11 @@ def main(argv=None) -> int:
         if status != "done":
             print(f"  {key} [{status}]")
 
-    results = run_cells(flat, jobs=args.jobs, cache=cache,
-                        backend=args.backend, progress=progress)
-    by_group: dict[str, list] = {}
-    cursor = 0
-    for name, cells in groups.items():
-        by_group[name] = results[cursor:cursor + len(cells)]
-        cursor += len(cells)
+    figures = build_figures(scale, args.seed, jobs=args.jobs, cache=cache,
+                            backend=args.backend, progress=progress)
 
     print("Figure 1: job-submission sweep ...")
-    fig1 = assemble_figure1(scale.fig1_counts, scale.fig1_duration,
-                            by_group["fig1"])
+    fig1 = figures.fig1
     save("figure1", render1(fig1))
     if args.csv:
         save("figure1",
@@ -288,7 +331,7 @@ def main(argv=None) -> int:
     )
 
     print("Figure 2: Aloha submitter timeline ...")
-    fig2 = timeline_from_run(by_group["fig2"][0])
+    fig2 = figures.fig2
     save("figure2", render_timeline(fig2))
     if args.csv:
         save("figure2",
@@ -301,7 +344,7 @@ def main(argv=None) -> int:
     )
 
     print("Figure 3: Ethernet submitter timeline ...")
-    fig3 = timeline_from_run(by_group["fig3"][0])
+    fig3 = figures.fig3
     save("figure3", render_timeline(fig3))
     if args.csv:
         save("figure3",
@@ -314,8 +357,7 @@ def main(argv=None) -> int:
     )
 
     print("Figures 4+5: buffer sweep ...")
-    sweep = assemble_buffer_sweep(scale.buffer_counts, scale.buffer_duration,
-                                  by_group["fig45"])
+    sweep = figures.sweep
     save("figure4", render_figure4(sweep))
     save("figure5", render_figure5(sweep))
     if args.csv:
@@ -338,7 +380,7 @@ def main(argv=None) -> int:
     )
 
     print("Figure 6: Aloha reader ...")
-    fig6 = reader_from_run(by_group["fig6"][0])
+    fig6 = figures.fig6
     save("figure6", render_reader(fig6))
     if args.csv:
         save("figure6",
@@ -351,7 +393,7 @@ def main(argv=None) -> int:
     )
 
     print("Figure 7: Ethernet reader ...")
-    fig7 = reader_from_run(by_group["fig7"][0])
+    fig7 = figures.fig7
     save("figure7", render_reader(fig7))
     if args.csv:
         save("figure7",

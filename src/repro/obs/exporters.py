@@ -16,6 +16,7 @@ Three write-only views of one run's telemetry:
 from __future__ import annotations
 
 import json
+import os
 from typing import TYPE_CHECKING, Any, Iterable, Union
 
 from .metrics import COUNTER, GAUGE, HISTOGRAM, MetricsRegistry
@@ -183,31 +184,64 @@ def write_prometheus(registry: MetricsRegistry, path: str) -> None:
 # Bundles
 # ---------------------------------------------------------------------------
 
-def write_obs_bundle(obs: "Observability", directory: str, stem: str) -> list[str]:
-    """Write every export for one run: trace JSON, spans JSONL, metrics.
+def obs_bundle(obs: "Observability", stem: str) -> dict[str, str]:
+    """Every export of one run as ``{filename: contents}``.
 
-    Returns the paths written, for logging.  Used by
-    ``runall --obs-dir`` and handy from notebooks/scripts.
+    Trace JSON, spans JSONL and Prometheus text, rendered where the run
+    happened.  A campaign cell returns this instead of writing files, so
+    the bundle travels back to the parent like any other cell result —
+    a socket worker need not share a filesystem with ``--obs-dir`` —
+    and the parent writes it with :func:`write_obs_files`.
     """
-    import os
+    spans = spans_jsonl(obs.tracer)
+    return {
+        f"{stem}.trace.json": chrome_trace_json(obs.tracer) + "\n",
+        f"{stem}.spans.jsonl": spans + ("\n" if spans else ""),
+        f"{stem}.prom": prometheus_text(obs.metrics),
+    }
 
+
+def _write_bundle(bundle: dict[str, str], directory: str) -> list[str]:
     os.makedirs(directory, exist_ok=True)
-    trace_path = os.path.join(directory, f"{stem}.trace.json")
-    spans_path = os.path.join(directory, f"{stem}.spans.jsonl")
-    prom_path = os.path.join(directory, f"{stem}.prom")
-    write_chrome_trace(obs.tracer, trace_path)
-    write_spans_jsonl(obs.tracer, spans_path)
-    write_prometheus(obs.metrics, prom_path)
-    return [trace_path, spans_path, prom_path]
+    paths: list[str] = []
+    for filename, contents in sorted(bundle.items()):
+        path = os.path.join(directory, filename)
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(contents)
+        paths.append(path)
+    return paths
+
+
+def write_obs_bundle(obs: "Observability", directory: str, stem: str) -> list[str]:
+    """Write one run's :func:`obs_bundle` into ``directory``.
+
+    Returns the paths written, for logging.  Handy from notebooks and
+    scripts; campaigns use :func:`write_obs_files`.
+    """
+    return _write_bundle(obs_bundle(obs, stem), directory)
+
+
+def write_obs_files(directory: str,
+                    bundles: Iterable[dict[str, str]]) -> list[str]:
+    """Write a campaign's cell bundles, then merge them into ``combined.*``.
+
+    Returns every path written: each bundle's files in name order, then
+    the merged ones (see :func:`merge_obs_bundles`).
+    """
+    os.makedirs(directory, exist_ok=True)
+    paths: list[str] = []
+    for bundle in bundles:
+        paths.extend(_write_bundle(bundle, directory))
+    return paths + merge_obs_bundles(directory)
 
 
 def merge_obs_bundles(directory: str, stem: str = "combined") -> list[str]:
     """Merge every per-cell bundle in ``directory`` into one.
 
-    Parallel campaigns produce telemetry in worker processes; each
-    worker writes its own bundle files, and this folds them back into a
-    parent-level view instead of leaving worker telemetry scattered (or
-    dropped).  Produces:
+    Parallel campaigns produce telemetry in worker processes, one
+    bundle per cell; this folds the written bundles back into a
+    parent-level view instead of leaving worker telemetry scattered.
+    Produces:
 
     * ``<stem>.spans.jsonl`` — all spans, in bundle order;
     * ``<stem>.trace.json`` — one Chrome trace with one ``pid`` per
@@ -217,8 +251,6 @@ def merge_obs_bundles(directory: str, stem: str = "combined") -> list[str]:
 
     Returns the paths written; empty list if there is nothing to merge.
     """
-    import os
-
     def sources(suffix: str) -> list[str]:
         return sorted(
             os.path.join(directory, name)

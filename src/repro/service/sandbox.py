@@ -359,7 +359,7 @@ def cells_for(submission, policy: SandboxPolicy) -> list[CellSpec]:
             key=f"service/{submission.scenario}/baseline/{discipline}",
             fn=run_cell,
             args=(submission.scenario, discipline, None, 0, scale,
-                  submission.seed, None),
+                  submission.seed, False),
         ))
     for level in submission.levels:
         for discipline in submission.disciplines:
@@ -368,6 +368,6 @@ def cells_for(submission, policy: SandboxPolicy) -> list[CellSpec]:
                      f"/i{level}/{discipline}"),
                 fn=run_cell,
                 args=(submission.scenario, discipline, submission.fault,
-                      level, scale, submission.seed, None),
+                      level, scale, submission.seed, False),
             ))
     return specs

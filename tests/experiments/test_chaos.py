@@ -18,6 +18,7 @@ from repro.experiments.chaos import (
     check_ordering,
     recovery_time,
     render_scorecard,
+    run_cell,
     run_chaos_campaign,
     starvation_events,
 )
@@ -154,14 +155,35 @@ class TestCampaign:
         assert text == GOLDEN.read_text()
 
     def test_obs_dir_holds_one_bundle_per_cell(self, tmp_path):
-        """Every instrumented cell writes its own bundle: the baseline,
-        run once per scenario, names its scenario in the stem."""
+        """Every instrumented cell delivers its own bundle, through the
+        socket fleet too, and the parent merges them: the baseline, run
+        once per scenario, names its scenario in the stem."""
         obs_dir = tmp_path / "obs"
-        run_chaos_campaign(TINY, seed=11, jobs=1, obs_dir=str(obs_dir))
-        stems = {path.name.split(".")[0] for path in obs_dir.iterdir()}
-        stems.discard("combined")
+        run_chaos_campaign(TINY, seed=11, jobs=2, backend="socket",
+                           obs_dir=str(obs_dir))
+        names = {path.name for path in obs_dir.iterdir()}
+        stems = {name.split(".")[0] for name in names} - {"combined"}
         assert len(stems) == len(campaign_cells(TINY, 11))
         assert "chaos_kangaroo-baseline_fixed_i0" in stems
+        assert names == {f"{stem}.{ext}"
+                         for stem in stems | {"combined"}
+                         for ext in ("prom", "spans.jsonl", "trace.json")}
+
+    def test_a_cell_returns_its_bundle_and_writes_nothing(self, tmp_path,
+                                                          monkeypatch):
+        """The bundle travels back as the cell's result, so a worker on
+        another filesystem still delivers it; the parent writes it."""
+        monkeypatch.chdir(tmp_path)
+        goodput, series, bundle = run_cell("buffer", "ethernet", None, 0,
+                                           TINY, 11, bundle=True)
+        assert list(tmp_path.iterdir()) == []
+        stem = "chaos_buffer-baseline_ethernet_i0"
+        assert sorted(bundle) == [f"{stem}.prom", f"{stem}.spans.jsonl",
+                                  f"{stem}.trace.json"]
+        assert 'discipline="ethernet"' in bundle[f"{stem}.prom"]
+        # A telemetry-free cell returns exactly the measurement.
+        assert run_cell("buffer", "ethernet", None, 0, TINY, 11) == \
+            (goodput, series)
 
     def test_golden_reproduced_by_the_forced_tree_walker(self, tree_walker):
         """The end-to-end oracle: every script is tree-walked (see the

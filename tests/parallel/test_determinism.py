@@ -7,14 +7,20 @@ import json
 import pytest
 
 from repro.experiments.chaos import render_scorecard, run_chaos_campaign
-from repro.experiments.figure1 import render, run_figure1
-from repro.experiments.figure4 import render_figure4, run_buffer_sweep
-from repro.experiments.runall import Scale, campaign_cells
+from repro.experiments.figure1 import submit_cells
+from repro.experiments.figure4 import (
+    assemble_buffer_sweep,
+    buffer_cells,
+    render_figure4,
+    render_figure5,
+)
+from repro.experiments.runall import Scale, build_figures, campaign_cells
 from repro.parallel.cache import ResultCache
 from repro.parallel.executor import run_cells
 from repro.parallel.transport import to_jsonable
 
 from tests.experiments.test_chaos import TINY
+from tests.experiments.test_figures import render_all
 
 #: A seconds-scale runall grid covering every figure group.
 SMALL = Scale(
@@ -55,19 +61,28 @@ class TestRunallDeterminism:
         assert cache.misses == misses_after_cold
 
     def test_figure_render_identical_across_modes(self, tmp_path):
-        kwargs = dict(counts=(4, 8), duration=8.0, seed=5)
-        serial = render(run_figure1(**kwargs))
-        assert render(run_figure1(**kwargs, jobs=4)) == serial
+        """All seven figures, as runall assembles them, render the same
+        serially, on a pool, and out of a warm cache."""
+        serial = render_all(build_figures(SMALL, seed=5))
+        assert render_all(build_figures(SMALL, seed=5, jobs=2)) == serial
         cache = ResultCache(str(tmp_path))
-        render(run_figure1(**kwargs, cache=cache))       # populate
-        warm = render(run_figure1(**kwargs, cache=cache))
+        build_figures(SMALL, seed=5, cache=cache)          # populate
+        misses = cache.misses
+        warm = render_all(build_figures(SMALL, seed=5, cache=cache))
         assert warm == serial
-        assert cache.hits > 0
+        assert cache.hits == misses
+        assert cache.misses == misses
 
     def test_buffer_sweep_identical_across_modes(self):
-        kwargs = dict(counts=(3, 5), duration=8.0, seed=5)
-        serial = render_figure4(run_buffer_sweep(**kwargs))
-        assert render_figure4(run_buffer_sweep(**kwargs, jobs=4)) == serial
+        counts, duration = (3, 5), 8.0
+
+        def sweep(jobs):
+            cells = buffer_cells(counts, duration, seed=5)
+            result = assemble_buffer_sweep(counts, duration,
+                                           run_cells(cells, jobs=jobs))
+            return render_figure4(result) + render_figure5(result)
+
+        assert sweep(jobs=4) == sweep(jobs=1)
 
 
 @pytest.mark.slow
@@ -88,30 +103,33 @@ class TestChaosDeterminism:
         assert cache.misses == recomputed
 
 
+def fig1_cells(duration=5.0, seed=1):
+    return submit_cells((3,), duration, seed)
+
+
 class TestCacheInvalidation:
     def test_different_seed_is_a_different_campaign(self):
         assert campaign_json(seed=2003) != campaign_json(seed=2004)
 
     def test_seed_change_misses_warm_cache(self, tmp_path):
         cache = ResultCache(str(tmp_path))
-        kwargs = dict(counts=(3,), duration=5.0)
-        run_figure1(**kwargs, seed=1, cache=cache)
+        run_cells(fig1_cells(seed=1), cache=cache)
         assert cache.hits == 0
-        run_figure1(**kwargs, seed=2, cache=cache)
+        run_cells(fig1_cells(seed=2), cache=cache)
         assert cache.hits == 0                  # nothing reusable
-        run_figure1(**kwargs, seed=1, cache=cache)
+        run_cells(fig1_cells(seed=1), cache=cache)
         assert cache.hits > 0                   # same seed hits again
 
     def test_param_change_misses_warm_cache(self, tmp_path):
         cache = ResultCache(str(tmp_path))
-        run_figure1(counts=(3,), duration=5.0, seed=1, cache=cache)
-        run_figure1(counts=(3,), duration=6.0, seed=1, cache=cache)
+        run_cells(fig1_cells(duration=5.0), cache=cache)
+        run_cells(fig1_cells(duration=6.0), cache=cache)
         assert cache.hits == 0
 
     def test_code_change_misses_warm_cache(self, tmp_path):
         before = ResultCache(str(tmp_path))
-        run_figure1(counts=(3,), duration=5.0, seed=1, cache=before)
+        run_cells(fig1_cells(), cache=before)
         after_edit = ResultCache(str(tmp_path), fingerprint="edited")
-        run_figure1(counts=(3,), duration=5.0, seed=1, cache=after_edit)
+        run_cells(fig1_cells(), cache=after_edit)
         assert after_edit.hits == 0
         assert after_edit.misses > 0

@@ -2,8 +2,10 @@
 
 A package's ``__all__`` is derived from its export table, so the
 literal lists here — each package's ``__all__`` as it stood when its
-``__init__`` still imported every submodule — are where a dropped,
-added or re-homed public name fails loudly.
+``__init__`` still imported every submodule, less the per-figure
+``run_*`` runners that left ``repro.experiments`` when ``runall``
+became the one figure pipeline — are where a dropped, added or
+re-homed public name fails loudly.
 """
 
 import ast
@@ -47,11 +49,8 @@ PUBLIC = {
         "KangarooParams", "KangarooResult", "ReaderTimelineResult",
         "ReplicaParams", "ReplicaResult", "SubmitParams", "SubmitResult",
         "TimelineResult", "check_ordering", "render_scorecard", "run_buffer",
-        "run_buffer_sweep", "run_chaos_campaign", "run_dag_scenario",
-        "run_figure1", "run_figure2", "run_figure3", "run_figure4",
-        "run_figure5", "run_figure6", "run_figure7", "run_kangaroo",
-        "run_reader_timeline", "run_replica", "run_submission",
-        "run_submit_timeline"],
+        "run_chaos_campaign", "run_dag_scenario", "run_kangaroo",
+        "run_replica", "run_submission"],
     "repro.faults": [
         "Burst", "CommandFault", "CommandFaultPlan", "Degradation",
         "FaultSchedule", "FaultSpec", "FaultWindow", "Flaky", "Injector",
