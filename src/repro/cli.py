@@ -259,33 +259,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 2
 
     if args.submit:
-        from .service.client import ServiceClient, ServiceError
+        from .service.client import ServiceClient, ServiceError, finish
 
         client = ServiceClient(url=args.submit)
         try:
             status = client.submit_script(
                 text, variables=variables, world=args.submit_world,
                 timeout=timeout, seed=args.submit_seed)
-            final = client.wait(status.job_id)
-            outcome = client.result(status.job_id)
+            return finish(client, status)
         except ServiceError as exc:
             print(f"ftsh: {exc}", file=sys.stderr)
             for line in exc.details:
                 print(f"ftsh: {line}", file=sys.stderr)
             return 2
-        import json as _json
-
-        print(_json.dumps(outcome.to_jsonable(), indent=2, sort_keys=True))
-        if final.state != "done":
-            print(f"ftsh: job {final.state}: {final.error or ''}",
-                  file=sys.stderr)
-            return 1
-        if (isinstance(outcome.result, dict)
-                and not outcome.result.get("success", False)):
-            print(f"ftsh: script failed: {outcome.result.get('reason')}",
-                  file=sys.stderr)
-            return 1
-        return 0
 
     from .core.realruntime import RealDriver
     from .core.shell_log import LOG_COMMANDS, LOG_RESULTS, LOG_TRACE

@@ -14,16 +14,10 @@ from typing import Any
 
 from ..clients.base import Discipline
 from ..clients.scripts import producer_script, producer_script_reserved
-from ..core.shell_log import LOG_RESULTS, ShellLog
-from ..faults.injectors import FaultSpec, install_faults
+from ..faults.injectors import FaultSpec
 from ..grid.storage import BufferConfig, BufferWorld, register_buffer_commands
-from ..obs.api import NULL_OBS
-from ..obs.clock import engine_clock
-from ..sim.engine import Engine
 from ..sim.monitor import TimeSeries, sample
-from ..sim.rng import RandomStreams
-from ..simruntime.registry import CommandRegistry
-from ..simruntime.shell import SimFtsh
+from .population import Population
 
 
 @dataclass(slots=True)
@@ -65,49 +59,17 @@ class BufferResult:
     consumed_series: TimeSeries = None  # type: ignore[assignment]
 
 
-def _producer_loop(
-    engine: Engine,
-    shell: SimFtsh,
-    discipline: Discipline,
-    params: BufferParams,
-    rng,
-    stagger: float,
-):
-    """One producer: endless produce/store cycles with fresh random sizes.
-
-    The script is one text for every cycle (parsed and compiled once);
-    the size reaches it as the ``size_mb`` variable.
-    """
-    config = params.buffer
-    window = min(params.script_window, params.duration)
-    if params.reserved:
-        script = producer_script_reserved(size_mb=None, window=window)
-    else:
-        script = producer_script(discipline, size_mb=None, window=window)
-    if stagger > 0:
-        yield engine.timeout(stagger)
-    while engine.now < params.duration:
-        size = rng.uniform(config.file_min_mb, config.file_max_mb)
-        process = shell.spawn(script, {"size_mb": f"{size:.6f}"},
-                              timeout=params.duration - engine.now)
-        yield process
-
-
 def run_buffer(params: BufferParams) -> BufferResult:
     """Run the scenario and collect Figure-4/5 measurements."""
-    streams = RandomStreams(params.seed)
-    engine = Engine(streams=streams)
-    obs = params.obs if params.obs is not None else NULL_OBS
-    obs.set_clock(engine_clock(engine))
-    world = BufferWorld(engine, params.buffer, obs=obs)
-    registry = CommandRegistry()
-    register_buffer_commands(registry, world)
-    install_faults(engine, params.faults, streams=streams,
-                   horizon=params.duration, buffer=world.buffer)
+    population = Population(params.seed, params.obs)
+    world = BufferWorld(population.engine, params.buffer, obs=population.obs)
+    register_buffer_commands(population.registry, world)
+    population.install_faults(params.faults, params.duration,
+                              buffer=world.buffer)
 
     free_series = TimeSeries("free-mb")
     sample(
-        engine,
+        population.engine,
         params.sample_interval,
         lambda: world.buffer.free_mb,
         free_series,
@@ -115,35 +77,16 @@ def run_buffer(params: BufferParams) -> BufferResult:
     )
 
     world.start_consumer()
-    # A counter, not a transcript: the run reads back one tally (the
-    # overload alarm) and keeps no per-command event.
-    shared_log = ShellLog(level=LOG_RESULTS, max_events=0)
-    for index in range(params.n_producers):
-        name = f"producer-{index}"
-        shell = SimFtsh(
-            engine,
-            registry,
-            world=world,
-            rng=streams.stream(name),
-            policy=params.discipline.policy,
-            name=name,
-            log=shared_log,
-            obs=obs,
-        )
-        stagger = streams.stream(f"stagger-{index}").uniform(0.0, 1.0)
-        engine.process(
-            _producer_loop(
-                engine,
-                shell,
-                params.discipline,
-                params,
-                streams.stream(f"sizes-{index}"),
-                stagger,
-            ),
-            name=name,
-        )
+    window = min(params.script_window, params.duration)
+    if params.reserved:
+        script = producer_script_reserved(size_mb=None, window=window)
+    else:
+        script = producer_script(params.discipline, size_mb=None,
+                                 window=window)
+    backoffs = population.run(
+        params.n_producers, "producer-{}", world, params.discipline.policy,
+        population.sized(script, params.buffer), params.duration)
 
-    engine.run(until=params.duration)
     buffer = world.buffer
     return BufferResult(
         params=params,
@@ -152,7 +95,7 @@ def run_buffer(params: BufferParams) -> BufferResult:
         mb_consumed=buffer.mb_consumed,
         mb_written=buffer.mb_written,
         mb_wasted=buffer.mb_wasted,
-        backoffs=shared_log.backoff_initiations(),
+        backoffs=backoffs,
         free_series=free_series,
         reservations_denied=buffer.reservations_denied.count,
         alloc_wait_total=world.alloc_wait_total,

@@ -11,13 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..clients.base import Discipline
-from ..faults.injectors import FaultSpec, install_faults
+from ..faults.injectors import FaultSpec
 from ..grid.chimera import DagDispatcher, DagStats, layered_dag
 from ..grid.condor import CondorConfig, CondorWorld, register_condor_commands
 from ..grid.pool import WorkerPool
-from ..sim.engine import Engine
-from ..sim.rng import RandomStreams
-from ..simruntime.registry import CommandRegistry
+from .population import Population
 
 
 @dataclass(slots=True)
@@ -55,11 +53,10 @@ class DagResult:
 
 def run_dag_scenario(params: DagParams) -> DagResult:
     """Run the workflow race and report the aggregate makespan."""
-    streams = RandomStreams(params.seed)
-    engine = Engine(streams=streams)
+    population = Population(params.seed)
+    engine, streams = population.engine, population.streams
     world = CondorWorld(engine, params.condor)
-    registry = CommandRegistry()
-    register_condor_commands(registry, world)
+    register_condor_commands(population.registry, world)
 
     pool = None
     if params.pool_workers is not None:
@@ -69,9 +66,9 @@ def run_dag_scenario(params: DagParams) -> DagResult:
             failure_rate=params.pool_failure_rate,
             rng=streams.stream("pool"),
         )
-    install_faults(engine, params.faults, streams=streams,
-                   horizon=params.horizon,
-                   schedd=world.schedd, fdtable=world.fdtable, pool=pool)
+    population.install_faults(params.faults, params.horizon,
+                              schedd=world.schedd, fdtable=world.fdtable,
+                              pool=pool)
 
     dispatchers = []
     processes = []
@@ -88,7 +85,7 @@ def run_dag_scenario(params: DagParams) -> DagResult:
         total_tasks += len(dag)
         dispatcher = DagDispatcher(
             engine,
-            registry,
+            population.registry,
             world,
             dag,
             params.discipline,

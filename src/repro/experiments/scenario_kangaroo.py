@@ -15,17 +15,11 @@ from typing import Any
 
 from ..clients.base import Discipline
 from ..clients.scripts import producer_script
-from ..core.shell_log import LOG_RESULTS, ShellLog
-from ..faults.injectors import FaultSpec, install_faults
+from ..faults.injectors import FaultSpec
 from ..grid.archive import ArchiveUploader, WanConfig, WanLink
 from ..grid.storage import BufferConfig, BufferWorld, register_buffer_commands
-from ..obs.api import NULL_OBS
-from ..obs.clock import engine_clock
-from ..sim.engine import Engine
 from ..sim.monitor import TimeSeries
-from ..sim.rng import RandomStreams
-from ..simruntime.registry import CommandRegistry
-from ..simruntime.shell import SimFtsh
+from .population import Population
 
 
 @dataclass(slots=True)
@@ -59,47 +53,23 @@ class KangarooResult:
 
 def run_kangaroo(params: KangarooParams) -> KangarooResult:
     """Run the two-hop pipeline and report end-to-end delivery."""
-    streams = RandomStreams(params.seed)
-    engine = Engine(streams=streams)
-    obs = params.obs if params.obs is not None else NULL_OBS
-    obs.set_clock(engine_clock(engine))
-    world = BufferWorld(engine, params.buffer, obs=obs)
-    registry = CommandRegistry()
-    register_buffer_commands(registry, world)
+    population = Population(params.seed, params.obs)
+    world = BufferWorld(population.engine, params.buffer, obs=population.obs)
+    register_buffer_commands(population.registry, world)
 
-    link = WanLink(engine, params.wan, rng=streams.stream("wan"))
+    streams = population.streams
+    link = WanLink(population.engine, params.wan, rng=streams.stream("wan"))
     uploader = ArchiveUploader(world.buffer, link,
                                rng=streams.stream("uploader"))
     uploader.start()
-    install_faults(engine, params.faults, streams=streams,
-                   horizon=params.duration,
-                   buffer=world.buffer, link=link)
+    population.install_faults(params.faults, params.duration,
+                              buffer=world.buffer, link=link)
 
-    # A counter, not a transcript: the run reads back one tally (the
-    # overload alarm) and keeps no per-command event.
-    shared_log = ShellLog(level=LOG_RESULTS, max_events=0)
-    # One text for every cycle of every producer (parsed and compiled
-    # once); each cycle's size reaches it as the ``size_mb`` variable.
     script = producer_script(params.discipline, size_mb=None,
                              window=params.duration)
-
-    def producer_loop(index: int):
-        shell = SimFtsh(engine, registry, world=world,
-                        rng=streams.stream(f"p{index}"),
-                        policy=params.discipline.policy,
-                        name=f"p{index}", log=shared_log, obs=obs)
-        sizes = streams.stream(f"sizes-{index}")
-        yield engine.timeout(streams.stream(f"stagger-{index}").uniform(0, 1))
-        while engine.now < params.duration:
-            size = sizes.uniform(params.buffer.file_min_mb,
-                                 params.buffer.file_max_mb)
-            process = shell.spawn(script, {"size_mb": f"{size:.6f}"},
-                                  timeout=params.duration - engine.now)
-            yield process
-
-    for index in range(params.n_producers):
-        engine.process(producer_loop(index), name=f"p{index}")
-    engine.run(until=params.duration)
+    backoffs = population.run(
+        params.n_producers, "p{}", world, params.discipline.policy,
+        population.sized(script, params.buffer), params.duration)
 
     return KangarooResult(
         params=params,
@@ -110,6 +80,6 @@ def run_kangaroo(params: KangarooParams) -> KangarooResult:
         broken_transfers=link.broken_transfers.count,
         upload_failures=uploader.upload_failures.count,
         backlog_mb=world.buffer.used_mb,
-        backoffs=shared_log.backoff_initiations(),
+        backoffs=backoffs,
         delivered_series=uploader.files_delivered.series,
     )

@@ -13,16 +13,10 @@ from typing import Any
 
 from ..clients.base import Discipline
 from ..clients.scripts import reader_script
-from ..core.shell_log import LOG_RESULTS, ShellLog
-from ..faults.injectors import FaultSpec, install_faults
+from ..faults.injectors import FaultSpec
 from ..grid.httpserver import ReplicaConfig, ReplicaWorld, register_replica_commands
-from ..obs.api import NULL_OBS
-from ..obs.clock import engine_clock
-from ..sim.engine import Engine
 from ..sim.monitor import TimeSeries
-from ..sim.rng import RandomStreams
-from ..simruntime.registry import CommandRegistry
-from ..simruntime.shell import SimFtsh
+from .population import Population
 
 
 @dataclass(slots=True)
@@ -58,85 +52,44 @@ class ReplicaResult:
     deferrals_series: TimeSeries
 
 
-def _reader_loop(
-    engine: Engine,
-    shell: SimFtsh,
-    discipline: Discipline,
-    params: ReplicaParams,
-    rng,
-    stagger: float,
-):
-    """One reader: fetch cycles with per-cycle random server order."""
-    hosts = list(params.hosts)
-    if stagger > 0:
-        yield engine.timeout(stagger)
-    while engine.now < params.duration:
-        rng.shuffle(hosts)
-        script = reader_script(
-            discipline,
+def run_replica(params: ReplicaParams) -> ReplicaResult:
+    """Run the scenario and collect Figure-6/7 measurements."""
+    population = Population(params.seed, params.obs)
+    world = ReplicaWorld(
+        population.engine,
+        params.replica,
+        hosts=params.hosts,
+        black_holes=params.black_holes,
+        obs=population.obs,
+    )
+    register_replica_commands(population.registry, world)
+    population.install_faults(params.faults, params.duration,
+                              servers=list(world.servers.values()))
+
+    # Each reader re-shuffles its own host order every cycle.
+    orders = [list(params.hosts) for _ in range(params.n_clients)]
+
+    def cycle(index: int):
+        hosts = orders[index]
+        population.streams.stream(f"shuffle-{index}").shuffle(hosts)
+        return reader_script(
+            params.discipline,
             hosts,
             window=min(900.0, params.duration),
             probe_window=params.probe_window,
             data_window=params.data_window,
-        )
-        process = shell.spawn(script, timeout=params.duration - engine.now)
-        yield process
+        ), None
 
+    backoffs = population.run(
+        params.n_clients, "reader-{}", world, params.discipline.policy,
+        cycle, params.duration)
 
-def run_replica(params: ReplicaParams) -> ReplicaResult:
-    """Run the scenario and collect Figure-6/7 measurements."""
-    streams = RandomStreams(params.seed)
-    engine = Engine(streams=streams)
-    obs = params.obs if params.obs is not None else NULL_OBS
-    obs.set_clock(engine_clock(engine))
-    world = ReplicaWorld(
-        engine,
-        params.replica,
-        hosts=params.hosts,
-        black_holes=params.black_holes,
-        obs=obs,
-    )
-    registry = CommandRegistry()
-    register_replica_commands(registry, world)
-    install_faults(engine, params.faults, streams=streams,
-                   horizon=params.duration,
-                   servers=list(world.servers.values()))
-
-    # A counter, not a transcript: the run reads back one tally (the
-    # overload alarm) and keeps no per-command event.
-    shared_log = ShellLog(level=LOG_RESULTS, max_events=0)
-    for index in range(params.n_clients):
-        name = f"reader-{index}"
-        shell = SimFtsh(
-            engine,
-            registry,
-            world=world,
-            rng=streams.stream(name),
-            policy=params.discipline.policy,
-            name=name,
-            log=shared_log,
-            obs=obs,
-        )
-        stagger = streams.stream(f"stagger-{index}").uniform(0.0, 1.0)
-        engine.process(
-            _reader_loop(
-                engine,
-                shell,
-                params.discipline,
-                params,
-                streams.stream(f"shuffle-{index}"),
-                stagger,
-            ),
-            name=name,
-        )
-
-    engine.run(until=params.duration)
     return ReplicaResult(
         params=params,
         transfers=world.transfers.count,
         collisions=world.collisions.count,
         deferrals=world.deferrals.count,
-        backoffs=shared_log.backoff_initiations(),
+        backoffs=backoffs,
         transfers_series=world.transfers.series,
         collisions_series=world.collisions.series,
         deferrals_series=world.deferrals.series,

@@ -17,16 +17,10 @@ from ..clients.base import Discipline
 from ..clients.scripts import submit_script
 from ..core.compile import compile_cached
 from ..core.parser import parse_cached
-from ..core.shell_log import LOG_RESULTS, ShellLog
-from ..faults.injectors import FaultSpec, install_faults
+from ..faults.injectors import FaultSpec
 from ..grid.condor import CondorConfig, CondorWorld, register_condor_commands
-from ..obs.api import NULL_OBS
-from ..obs.clock import engine_clock
-from ..sim.engine import Engine
 from ..sim.monitor import TimeSeries, sample
-from ..sim.rng import RandomStreams
-from ..simruntime.registry import CommandRegistry
-from ..simruntime.shell import SimFtsh
+from .population import Population
 
 
 @dataclass(slots=True)
@@ -65,33 +59,13 @@ class SubmitResult:
     final_free_fds: int
 
 
-def _client_loop(
-    engine: Engine,
-    shell: SimFtsh,
-    script,
-    duration: float,
-    stagger: float,
-):
-    """One submitter: staggered start, then work units back to back."""
-    if stagger > 0:
-        yield engine.timeout(stagger)
-    while engine.now < duration:
-        process = shell.spawn(script, timeout=duration - engine.now)
-        yield process  # value is a RunResult; success/failure both loop
-
-
 def run_submission(params: SubmitParams) -> SubmitResult:
     """Run the scenario and collect Figure-1/2/3 measurements."""
-    streams = RandomStreams(params.seed)
-    engine = Engine(streams=streams)
-    obs = params.obs if params.obs is not None else NULL_OBS
-    obs.set_clock(engine_clock(engine))
-    world = CondorWorld(engine, params.condor, obs=obs)
-    registry = CommandRegistry()
-    register_condor_commands(registry, world)
-    install_faults(engine, params.faults, streams=streams,
-                   horizon=params.duration,
-                   schedd=world.schedd, fdtable=world.fdtable)
+    population = Population(params.seed, params.obs)
+    world = CondorWorld(population.engine, params.condor, obs=population.obs)
+    register_condor_commands(population.registry, world)
+    population.install_faults(params.faults, params.duration,
+                              schedd=world.schedd, fdtable=world.fdtable)
 
     # One compiled plan shared by every client's every run.
     script = compile_cached(parse_cached(
@@ -104,35 +78,16 @@ def run_submission(params: SubmitParams) -> SubmitResult:
 
     fd_series = TimeSeries("available-fds")
     sample(
-        engine,
+        population.engine,
         params.sample_interval,
         lambda: world.fdtable.free,
         fd_series,
         until=params.duration,
     )
 
-    # A counter, not a transcript: the run reads back one tally (the
-    # overload alarm) and keeps no per-command event.
-    shared_log = ShellLog(level=LOG_RESULTS, max_events=0)
-    for index in range(params.n_clients):
-        name = f"submitter-{index}"
-        shell = SimFtsh(
-            engine,
-            registry,
-            world=world,
-            rng=streams.stream(name),
-            policy=params.discipline.policy,
-            name=name,
-            log=shared_log,
-            obs=obs,
-        )
-        stagger = streams.stream(f"stagger-{index}").uniform(0.0, 1.0)
-        engine.process(
-            _client_loop(engine, shell, script, params.duration, stagger),
-            name=name,
-        )
-
-    engine.run(until=params.duration)
+    backoffs = population.run(
+        params.n_clients, "submitter-{}", world, params.discipline.policy,
+        lambda index: (script, None), params.duration)
 
     return SubmitResult(
         params=params,
@@ -140,7 +95,7 @@ def run_submission(params: SubmitParams) -> SubmitResult:
         crashes=world.schedd.crashes.count,
         emfile_failures=world.schedd.emfile.count,
         refused=world.schedd.refused.count,
-        backoffs=shared_log.backoff_initiations(),
+        backoffs=backoffs,
         fd_series=fd_series,
         jobs_series=world.schedd.jobs_submitted.series,
         final_free_fds=world.fdtable.free,

@@ -29,6 +29,7 @@ early result fetches to 409.
 
 from __future__ import annotations
 
+import math
 import time
 from typing import Optional
 from urllib.parse import parse_qs, urlsplit
@@ -200,8 +201,9 @@ def _float_param(query: dict, name: str, default: float) -> float:
         value = float(values[-1])
     except ValueError:
         raise SchemaError(f"query parameter {name!r} must be a number")
-    if value < 0:
-        raise SchemaError(f"query parameter {name!r} must be >= 0")
+    if not 0 <= value < math.inf:  # written this way round so NaN fails
+        raise SchemaError(
+            f"query parameter {name!r} must be a finite number >= 0")
     return value
 
 

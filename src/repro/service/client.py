@@ -217,9 +217,11 @@ def _print_doc(doc: Any) -> None:
     print(json.dumps(doc, indent=2, sort_keys=True))
 
 
-def _finish(client: ServiceClient, status: JobStatus,
-            wait_timeout: Optional[float]) -> int:
-    """Wait for the job and print its result; compute the exit code."""
+def finish(client: ServiceClient, status: JobStatus,
+           wait_timeout: Optional[float] = None) -> int:
+    """Wait for the job and print its result document; return the exit
+    code (0 done and succeeded, 1 not done or the script failed).  Both
+    this CLI's ``--wait`` and ``ftsh --submit`` end here."""
     final = client.wait(status.job_id, timeout=wait_timeout)
     result = client.result(status.job_id)
     _print_doc(result.to_jsonable())
@@ -302,7 +304,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                 text, variables=_parse_vars(args.var), world=args.world,
                 timeout=args.timeout, seed=args.seed)
             if args.wait:
-                return _finish(client, status, args.wait_timeout)
+                return finish(client, status, args.wait_timeout)
             _print_doc(status.to_jsonable())
             return 0
         if args.command == "campaign":
@@ -324,7 +326,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                 fault=args.fault, levels=tuple(args.level),
                 scale=args.scale, seed=args.seed, overrides=overrides)
             if args.wait:
-                return _finish(client, status, args.wait_timeout)
+                return finish(client, status, args.wait_timeout)
             _print_doc(status.to_jsonable())
             return 0
         if args.command == "status":

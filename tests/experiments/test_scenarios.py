@@ -165,9 +165,10 @@ class TestReplicaScenario:
 class TestHarnessLogOnlyCounts:
     """The harnesses read back one number, ``backoffs`` — the paper's
     overload alarm — from a log that keeps no event.  A keep-everything
-    ``LOG_TRACE`` log patched in must give the same result, so nothing
-    the harness no longer keeps was ever read, and the alarm does not
-    saturate however many events a jammed run records."""
+    ``LOG_TRACE`` log patched in where the population makes its one log
+    must give the same result, so nothing the harness no longer keeps
+    was ever read, and the alarm does not saturate however many events
+    a jammed run records."""
 
     @pytest.mark.parametrize("module, run", [
         ("scenario_submit", lambda m: m.run_submission(m.SubmitParams(
@@ -185,6 +186,8 @@ class TestHarnessLogOnlyCounts:
         from repro.core.shell_log import LOG_TRACE, EventKind, ShellLog
         from repro.parallel.transport import to_jsonable
 
+        from repro.experiments import population
+
         harness = importlib.import_module(f"repro.experiments.{module}")
         logs = {"own": [], "full": []}
 
@@ -196,9 +199,9 @@ class TestHarnessLogOnlyCounts:
             logs["full"].append(ShellLog(level=LOG_TRACE, max_events=10**9))
             return logs["full"][-1]
 
-        monkeypatch.setattr(harness, "ShellLog", own)
+        monkeypatch.setattr(population, "ShellLog", own)
         counted = run(harness)
-        monkeypatch.setattr(harness, "ShellLog", full)
+        monkeypatch.setattr(population, "ShellLog", full)
         kept = run(harness)
 
         [own_log], [full_log] = logs["own"], logs["full"]

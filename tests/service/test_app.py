@@ -130,6 +130,29 @@ class TestRouting:
         assert status == 400
         wait_done(app, doc["job_id"])
 
+    @pytest.mark.parametrize("wait", ["nan", "NaN", "inf", "-1"])
+    def test_events_wait_must_be_finite_and_non_negative(self, app, wait):
+        _, doc = call(app, "POST", "/scripts",
+                      {"script": GOOD, "timeout": 600})
+        wait_done(app, doc["job_id"])
+        started = time.monotonic()
+        status, error = call(
+            app, "GET", f"/jobs/{doc['job_id']}/events?since=99&wait={wait}")
+        assert status == 400
+        assert error["error"]["code"] == "schema"
+        assert time.monotonic() - started < 5.0
+
+    def test_events_finite_wait_still_long_polls(self, app):
+        _, doc = call(app, "POST", "/scripts",
+                      {"script": GOOD, "timeout": 600})
+        wait_done(app, doc["job_id"])
+        started = time.monotonic()
+        status, stream = call(
+            app, "GET", f"/jobs/{doc['job_id']}/events?since=99&wait=0.1")
+        assert status == 200
+        assert stream["events"] == []
+        assert time.monotonic() - started >= 0.1
+
     def test_delete_cancels(self, app):
         _, doc = call(app, "POST", "/scripts",
                       {"script": GOOD, "timeout": 600})
