@@ -15,8 +15,9 @@ prints per grid:
   package counts these): ``Scope.get`` / ``set`` / ``append`` calls,
   function calls, and words expanded that hold a substitution;
 * how the simulated commands were served — by a timer (a handler that
-  answered ``Quick``) or as a process — and the engine events
-  dispatched (withdrawn timers are not events), per command too;
+  answered ``Quick``) or as a process — the deadline timers queued
+  and withdrawn, and the engine events dispatched (withdrawn timers
+  are not events), per command too;
 * ``ShellLog.record`` calls, and the events the logs still hold when
   each cell is done: a campaign cell reads back one tally, the
   overload alarm, so it should keep none.
@@ -24,6 +25,10 @@ prints per grid:
 Each grid runs twice and the run fails if any count differs::
 
     python3 benchmarks/bench_plan_traffic.py [--seed 2003]
+
+Its output at the default seed is committed as
+``benchmarks/reports/plan_traffic.txt``, and CI diffs a fresh run
+against it: a change that moves a cost commits the new file.
 
 Not tier-1 and not a ledger workload (a minute or two).  The verdicts
 read off these counts are in docs/PERFORMANCE.md "What each
@@ -48,6 +53,7 @@ from repro.core.variables import Scope  # noqa: E402
 from repro.experiments import chaos, runall  # noqa: E402
 from repro.obs.api import Observability  # noqa: E402
 from repro.sim import engine as kernel  # noqa: E402
+from repro.sim.events import Timeout  # noqa: E402
 from repro.simruntime import driver  # noqa: E402
 
 #: Row label -> the interpreter's counter family behind it.
@@ -71,7 +77,10 @@ WRAPPED = {
     "function calls": (plans, "_call_function", None),
     "non-constant words expanded": (
         plans.CompiledWord, "expand", lambda word, _scope: bool(word.subs)),
-    "commands timer-served": (driver._TimerServed, "__init__", None),
+    "commands timer-served": (driver._QuickCommand, "__init__", None),
+    "deadline timers queued": (kernel.Engine, "timeout_at", None),
+    "deadline timers withdrawn": (
+        Timeout, "cancel", lambda timer: timer.callbacks is not None),
     "log records": (ShellLog, "record", None),
 }
 

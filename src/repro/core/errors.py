@@ -102,10 +102,12 @@ class BudgetExceeded(SimulationError):
     """A bounded run (:meth:`repro.sim.Engine.run_budgeted`) hit its cap.
 
     ``budget`` names which cap tripped (``"events"`` or ``"sim-time"``)
-    so sandboxes can map the overrun to a typed rejection.
+    so sandboxes can map the overrun to a typed rejection; ``events`` is
+    how many the run dispatched before it did.
     """
 
-    def __init__(self, budget: str, limit: float, message: str) -> None:
+    def __init__(self, budget: str, limit: float, message: str, events: int = 0) -> None:
         self.budget = budget
         self.limit = limit
+        self.events = events
         super().__init__(message)

@@ -327,7 +327,7 @@ def run_script_cell(
             reason=str(exc),
             timed_out=False,
             sim_elapsed=engine.now,
-            events=max_events if exc.budget == "events" else 0,
+            events=exc.events,
             counters=_world_counters(world_obj),
             budget_exceeded=exc.budget,
         )

@@ -16,20 +16,17 @@ measured — the perf ledger, ``benchmarks/ledger``, tracks the numbers):
   path pushes onto it and ``heappop`` is the only way an entry leaves
   (docs/PERFORMANCE.md "Inside the event kernel" prices it against the
   traffic campaigns produce).
-* Cancellation is O(1) and comes in two forms.  A *waiter* that stops
+* Cancellation is O(1) and comes in three forms.  A *waiter* that stops
   waiting (see :meth:`Process._resume`) nulls its slot in the event's
-  callback list instead of ``list.remove`` — callback lists may contain
-  ``None`` tombstones and dispatch skips them; the event itself stays
-  live for its other waiters.  The *owner* of a private timer that lost
-  its race withdraws the whole timer (:meth:`Timeout.cancel`):
-  ``callbacks`` becomes ``None``, which dispatch reads as "nothing to
-  run", so whatever waited on it is freed at once.  The withdrawn entry
-  stays queued — nothing is searched for — and the engine counts such
-  entries; once they exceed :data:`_COMPACT_MIN` *and* half of the
-  queue, the heap is filtered in place and rebuilt (lazy deletion with
-  periodic rebuild: each pass costs at most twice the cancels that paid
-  for it).  Dropping entries cannot reorder the rest: every key is
-  unique, so pop order is a function of the set alone.
+  callback list; dispatch skips ``None`` tombstones.  The *owner* of a
+  private timer that lost its race withdraws it (:meth:`Timeout.cancel`):
+  ``callbacks`` becomes ``None``, freeing its waiters at once, and the
+  entry stays queued until withdrawn entries exceed :data:`_COMPACT_MIN`
+  and half the queue, when the heap is filtered and rebuilt in place.
+  A timer that may never matter is a *reserved key* (:meth:`reserve`),
+  drawn where the timer would be made and queued only if it is needed
+  (:meth:`timeout_at`).  Neither dropping nor deferring entries reorders
+  the rest: every key is unique, so pop order is a function of the set.
 * A failed event that nobody defused re-raises at the engine loop:
   errors crash loudly instead of vanishing.
 """
@@ -109,6 +106,17 @@ class Engine:
         """An event firing ``delay`` seconds from now."""
         return Timeout(self, delay, value)
 
+    def reserve(self, delay: float) -> tuple[float, int]:
+        """The queue key of a timer ``delay`` seconds from now, drawn now
+        and queued by :meth:`timeout_at` if ever: unused, it is no event."""
+        if not delay >= 0:
+            raise SimulationError(f"cannot schedule into the past (delay={delay})")
+        return self._now + delay, PRIORITY_NORMAL << _SEQ_BITS | self._seq()
+
+    def timeout_at(self, key: tuple[float, int]) -> Timeout:
+        """A timer queued under a key from :meth:`reserve`, before its time."""
+        return Timeout(self, key[0] - self._now, key=key)
+
     def process(self, generator: ProcessGenerator, name: str = "") -> Process:
         """Start ``generator`` as a simulation process."""
         return Process(self, generator, name=name)
@@ -136,6 +144,7 @@ class Engine:
         value: Any,
         callback: Callable[[Event], None],
         priority: int = PRIORITY_NORMAL,
+        delay: float = 0.0,
     ) -> Event:
         """Schedule ``callback`` for the current instant without a fresh event.
 
@@ -158,13 +167,24 @@ class Engine:
         carrier._defused = not ok
         heapq.heappush(
             self._heap,
-            (self._now, priority << _SEQ_BITS | self._seq(), carrier),
+            (self._now + delay, priority << _SEQ_BITS | self._seq(), carrier),
         )
         return carrier
+
+    def later(self, delay: float, callback: Callable[[Event], None]) -> Event:
+        """:meth:`immediate`, ``delay`` seconds from now: a pooled timer
+        that cannot be withdrawn, recycled by its callback."""
+        if not delay >= 0:
+            raise SimulationError(f"cannot schedule into the past (delay={delay})")
+        return self.immediate(True, None, callback, delay=delay)
+
+    def _push(self, key: tuple[float, int], event: Event) -> None:
+        heapq.heappush(self._heap, (key[0], key[1], event))
 
     def _recycle(self, carrier: Carrier) -> None:
         """Return a consumed carrier to the free list (bounded)."""
         if len(self._carriers) < _CARRIER_POOL_MAX:
+            carrier._cbs[0] = None  # a pooled carrier pins nothing
             self._carriers.append(carrier)
 
     def _withdrawn_timer(self) -> None:
@@ -281,12 +301,11 @@ class Engine:
         ``(value, events_dispatched)`` — the budget actually consumed is
         part of the result so callers can report it.
 
-        A withdrawn timer is one event here, as it was while it still
-        ran a no-op callback, if the run reaches it and none if it does
-        not.  Which of the two is only known at the end, so no rebuild
-        may drop entries meanwhile: the count (a result byte of the
-        service) must not depend on when compaction would have happened.
-        The cap itself bounds what is carried.
+        A withdrawn timer is one event here if the run reaches it and
+        none if it does not; a reserved key never queued is none.  Which
+        of the first two is only known at the end, so no rebuild may drop
+        entries meanwhile: the count (a result byte of the service) must
+        not depend on when compaction would have happened.
         """
         events = 0
         self._may_compact = False
@@ -300,12 +319,12 @@ class Engine:
                 if horizon is not None and when > horizon:
                     raise BudgetExceeded(
                         "sim-time", horizon,
-                        f"simulated-time budget exceeded ({horizon:g}s)",
+                        f"simulated-time budget exceeded ({horizon:g}s)", events,
                     )
                 if max_events is not None and events >= max_events:
                     raise BudgetExceeded(
                         "events", max_events,
-                        f"event budget exceeded ({max_events} events)",
+                        f"event budget exceeded ({max_events} events)", events,
                     )
                 self.step()
                 events += 1

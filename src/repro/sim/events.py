@@ -119,12 +119,12 @@ class Timeout(Event):
 
     __slots__ = ("delay",)
 
-    def __init__(self, engine: "Engine", delay: float, value: Any = None) -> None:
+    def __init__(self, engine: "Engine", delay: float, value: Any = None, key: tuple[float, int] | None = None) -> None:
         super().__init__(engine)
         self.delay = delay
         self._ok = True
         self._value = value
-        engine._schedule(self, delay=delay)
+        engine._schedule(self, delay=delay) if key is None else engine._push(key, self)
 
     def cancel(self) -> None:
         """Withdraw a timer that lost its race: it will run no callback.

@@ -166,44 +166,36 @@ class SimDriver:
             stdin_data=effect.stdin_data,
             client=self.client,
         )
-        # The expiry goes on the queue before the command's first timer,
-        # as it did when that timer was made one hop later: at a tie the
-        # expiry fires first and the command still counts as finished.
-        expiry = None if effect.deadline == UNBOUNDED else self.engine.timeout(remaining)
+        # The deadline's queue key is drawn before the handler is called,
+        # so order cannot depend on what a handler does when it is called.
+        key = None if effect.deadline == UNBOUNDED else self.engine.reserve(remaining)
         answer = handler(context)
         self._m_spawned.inc()
         if type(answer) is Quick:
-            command: Process | _TimerServed = _TimerServed(self.engine, answer, name)
-        else:
-            command = self.engine.process(self._shield(answer, name), name=f"cmd:{name}")
-        return (yield from self._race(command, expiry, name))
+            return (yield from self._race(_QuickCommand(self.engine, answer, name, key), None, name))
+        command = self.engine.process(self._shield(answer, name), name=f"cmd:{name}")
+        return (yield from self._race(command, None if key is None else self.engine.timeout_at(key), name))
 
     @staticmethod
     def _race(
-        command: Process | _TimerServed, expiry: Optional[Event], name: str,
+        command: Process | _QuickCommand, expiry: Optional[Event], name: str,
     ) -> Generator[Any, Any, CommandResult]:
         """Wait for ``command`` to exit, or kill it when ``expiry`` fires
-        first (no expiry: wait without a deadline)."""
-        if expiry is None:
-            try:
-                value = yield command
-            except Interrupt:
-                if command.is_alive:
-                    command.interrupt("client cancelled")
-                raise
-            return normalize_result(value, name)
+        first (no expiry: no deadline, or one the command races itself)."""
         # The expiry is this method's own timer: on every exit where it
         # has not fired it is withdrawn, so a finished command leaves no
         # waiter chain pinned until the enclosing try's deadline.
         try:
-            yield _FirstOf(command.engine, command, expiry)
+            yield command if expiry is None else _FirstOf(command.engine, command, expiry)
         except Interrupt:
-            expiry.cancel()
+            if expiry is not None:
+                expiry.cancel()
             if command.is_alive:
                 command.interrupt("client cancelled")
             raise
-        if not command.is_alive:
+        if expiry is not None:
             expiry.cancel()
+        if not command.is_alive:
             return normalize_result(command.value, name)
         # Deadline won the race: kill the command, wait for its cleanup.
         command.interrupt("deadline expired")
@@ -277,78 +269,93 @@ class SimDriver:
         return ParallelResult(outcomes=outcomes)
 
 
-class _TimerServed(Event):
-    """The exit of a command whose handler answered :class:`Quick`.
-
-    It triggers in the dispatch where a process running the handler's
-    generator form (``registry.generator_form``) would have triggered,
-    so the race around it sees the same event order — less the process'
-    bootstrap hop, which is the one hop this saves:
-
-    * its timer's dispatch runs ``then``; a result is this event's
-      ``succeed`` (the process' exit hop);
-    * a generator is started as a process in that same dispatch
-      (``bootstrap=False``) and this event exits with it: the process'
-      exit dispatch runs this event's waiters (:meth:`_forward`);
-    * killed before the timer fires, it takes the urgent hop an
-      interrupt would, then exits ``"<name>: killed"`` — the process
-      form's uncaught :class:`Interrupt`.  The timer still fires, into
-      nothing, as the process' abandoned timer did.
+class _QuickCommand(_FirstOf):
+    """A command whose handler answered :class:`Quick`: one event the
+    driving process waits on, with the hops of the generator form
+    (``registry.generator_form``) less its bootstrap.  The timer (a pooled
+    carrier) runs ``then``; a result takes the exit hop (a carrier), and
+    this event's ``succeed`` is the race hop (with no deadline: the exit
+    hop).  A generator continues as a process from that dispatch
+    (``bootstrap=False``), raced against the expiry as by :class:`_FirstOf`.
+    A kill before the timer takes an interrupt's urgent hop and exits
+    ``"<name>: killed"``; the timer still fires, into nothing.  The expiry
+    is queued under the reserved key only if it can win, tie or race a
+    continuation.
     """
 
-    __slots__ = ("_answer", "_name", "_process")
+    __slots__ = ("_answer", "_name", "_key", "_expiry", "_result", "_process")
 
-    def __init__(self, engine: Engine, answer: Quick, name: str) -> None:
-        super().__init__(engine)
-        self._answer = answer
-        self._name = name
-        self._process: Optional[Process] = None
-        engine.timeout(answer.delay).callbacks.append(self._fire)
+    def __init__(self, engine: Engine, answer: Quick, name: str, key: Optional[tuple[float, int]]) -> None:
+        Event.__init__(self, engine)
+        self._answer, self._name, self._key = answer, name, key  # key None: no race
+        self._expiry = self._process = None
+        self._result: Any = _PENDING
+        if key is not None and key[0] <= engine.now + answer.delay:
+            self._queue_expiry()
+        engine.later(answer.delay, self._fire)
 
-    # A continuation has finished when its process has, one exit hop
-    # before this event exits with it: a race settled in that hop (the
-    # deadline at the completion instant) must already see it done.
+    def _queue_expiry(self) -> None:
+        self._expiry = expiry = self.engine.timeout_at(self._key)
+        expiry.callbacks.append(self._observe)
+
+    def _withdraw(self) -> None:
+        expiry, self._expiry = self._expiry, None
+        if expiry is not None:
+            expiry.cancel()
+
+    # A continuation has finished when its process has, a hop before its
+    # exit is dispatched: a race settled in between sees it done.
     @property
     def is_alive(self) -> bool:
         process = self._process
-        return process.is_alive if process is not None else self._value is _PENDING
+        return process.is_alive if process is not None else self._result is _PENDING
 
     @property
     def value(self) -> Any:
         process = self._process
-        return process.value if process is not None else Event.value.fget(self)
+        return process.value if process is not None else self._result
 
     def interrupt(self, cause: Any = None) -> None:
+        """Kill the command; after a won deadline, re-armed for its exit."""
+        self._withdraw()
+        if self.callbacks is None:
+            self._key, self.callbacks, self._value = None, [], _PENDING
         if self._process is not None:
             self._process.interrupt(cause)
         else:
-            self.engine.immediate(True, None, self._kill, priority=PRIORITY_URGENT)
+            self._answer = Quick(0.0, CommandResult(exit_code=-1, detail=f"{self._name}: killed"))
+            self.engine.immediate(True, None, self._fire, priority=PRIORITY_URGENT)
 
-    def _kill(self, _carrier: Event) -> None:
-        if self._value is _PENDING:
-            self.succeed(CommandResult(exit_code=-1, detail=f"{self._name}: killed"))
-
-    def _fire(self, _timer: Event) -> None:
-        if self._value is not _PENDING:
+    def _fire(self, carrier: Event) -> None:
+        self.engine._recycle(carrier)
+        if self._result is not _PENDING:
             return  # killed first
         value = self._answer.outcome()
-        if not isinstance(value, GeneratorType):
-            self.succeed(value)
-            return
-        self._process = process = Process(
-            self.engine, SimDriver._shield(value, self._name),
-            name=f"cmd:{self._name}", bootstrap=False)
-        process.callbacks.append(self._forward)
+        if isinstance(value, GeneratorType):
+            self._process = process = Process(
+                self.engine, SimDriver._shield(value, self._name), name=f"cmd:{self._name}", bootstrap=False)
+            process.callbacks.append(self._exited)
+            if self._key is not None and self._expiry is None:
+                self._queue_expiry()
+        else:
+            self._result = value
+            self.succeed(value) if self._key is None else self.engine.immediate(True, None, self._exit)
 
-    def _forward(self, process: Event) -> None:
-        """Exit with the continuation: run our waiters in its exit dispatch."""
-        self._ok = ok = process._ok
-        self._value = process._value
-        if not ok:
-            process.defuse()
+    def _exit(self, carrier: Event) -> None:
+        self.engine._recycle(carrier)
+        if self._value is _PENDING:
+            self.succeed()
+
+    def _exited(self, process: Event) -> None:
+        """A continuation's exit ends its race, or else runs our waiters."""
+        if self._key is not None:
+            self._withdraw()
+            self._observe(process)
+            return
+        self._ok, self._value = process._ok, process._value
         callbacks, self.callbacks = self.callbacks, None
         for callback in callbacks:
             if callback is not None:
                 callback(self)
-        if not ok and not self._defused:
-            raise self._value
+        if self._defused:  # a waiter took the failure
+            process.defuse()

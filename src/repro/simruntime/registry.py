@@ -26,9 +26,11 @@ Handler contract — a handler answers in one of two forms::
   ``delay`` simulated seconds, ``then`` is the result — or, if callable,
   ``then()`` is called in the timer's own dispatch and returns a result
   or a generator that continues as a process from that dispatch.  The
-  driver serves it with one timer and no process.  A plain function's
-  own code runs when the command is issued, not one hop later, so it
-  must only read state (or claim what a refusal claims) there.
+  driver serves it as one event on pooled timers, and queues its
+  deadline's expiry only if that can win, tie or race a continuation.
+  A plain function's own code runs when the command is issued, after
+  the deadline's queue key is drawn, so it must only read state (or
+  claim what a refusal claims) there.
 
 :func:`generator_form` spells a ``Quick`` answer as the equivalent
 process body; both forms give the same result and ``ShellLog``.

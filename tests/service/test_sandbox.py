@@ -197,6 +197,30 @@ class TestRunScriptCell:
         assert not outcome.success
         assert outcome.budget_exceeded is None
 
+    def test_a_sim_time_trip_reports_the_events_dispatched(self, monkeypatch):
+        """A command that outlives its kill keeps the script past the
+        horizon: the trip reports what ran before it, not zero."""
+        from repro.service import sandbox
+        from repro.sim import Interrupt
+
+        def stubborn(ctx):
+            while True:
+                try:
+                    yield ctx.engine.timeout(1.0)
+                except Interrupt:
+                    pass
+
+        def build(world, engine, registry):
+            registry.add("stubborn", stubborn)
+            return real(world, engine, registry)
+
+        real = sandbox._build_world
+        monkeypatch.setattr(sandbox, "_build_world", build)
+        outcome = run_script_cell("stubborn\n", (), "condor", 10.0, 2003,
+                                  100_000)
+        assert outcome.budget_exceeded == "sim-time"
+        assert (outcome.events, outcome.sim_elapsed) == (33, 20.0)
+
     def test_worlds_register_their_commands(self):
         text = 'try for 10 minutes\n    wget http://xxx/data\nend\n'
         outcome = run_script_cell(text, (), "replica", 600.0, 2003, 100_000)

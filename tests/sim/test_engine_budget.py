@@ -34,6 +34,7 @@ class TestRunBudgeted:
             engine.run_budgeted(final, max_events=3)
         assert exc.value.budget == "events"
         assert exc.value.limit == 3
+        assert exc.value.events == 3
         # The engine stopped at the cap, not at the target event.
         assert engine.now <= 4.0
 
@@ -44,6 +45,18 @@ class TestRunBudgeted:
         assert exc.value.budget == "sim-time"
         # The over-horizon event was never dispatched.
         assert engine.now == 0.0
+        assert exc.value.events == 0
+
+    def test_a_trip_reports_the_events_dispatched(self, engine):
+        for delay in (1, 2, 3):
+            engine.timeout(delay)
+        final = engine.timeout(100, value="v")
+        with pytest.raises(BudgetExceeded) as exc:
+            engine.run_budgeted(final, horizon=50.0)
+        assert (exc.value.budget, exc.value.events) == ("sim-time", 3)
+        with pytest.raises(BudgetExceeded) as exc:
+            engine.run_budgeted(final, max_events=0)
+        assert (exc.value.budget, exc.value.events) == ("events", 0)
 
     def test_unreachable_event_raises(self, engine):
         event = engine.event()  # never triggered

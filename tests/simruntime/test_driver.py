@@ -3,9 +3,14 @@
 import pytest
 
 from repro.core.backoff import BackoffPolicy
+from repro.core.effects import RunCommand
+from repro.core.errors import BudgetExceeded
 from repro.grid.condor import CondorConfig, CondorWorld, register_condor_commands
-from repro.sim import Engine, Interrupt, Resource
+from repro.grid.storage import BufferWorld, register_buffer_commands
+from repro.sim import Engine, Interrupt, Process, Resource
 from repro.simruntime import CommandRegistry, SimFtsh
+from repro.simruntime.driver import SimDriver
+from repro.simruntime.registry import Quick
 
 DETERMINISTIC = BackoffPolicy(jitter_low=1.0, jitter_high=1.0)
 
@@ -140,6 +145,34 @@ class TestDeadlineRace:
         assert result.success and not result.timed_out
         assert engine.now == 5.0
 
+    def test_a_continuation_killed_by_its_deadline(self, monkeypatch):
+        """``store_output`` past its open is a process: its deadline
+        kills it mid-write, and it deletes the partial file."""
+        causes = []
+        interrupt = Process.interrupt
+
+        def recording(process, cause=None):
+            causes.append(cause)
+            interrupt(process, cause)
+
+        monkeypatch.setattr(Process, "interrupt", recording)
+        engine = Engine()
+        registry = CommandRegistry()
+        world = BufferWorld(engine)
+        register_buffer_commands(registry, world)
+        shell = SimFtsh(engine, registry, world=world, name="p",
+                        policy=DETERMINISTIC)
+        process = shell.spawn("produce_output 10\n"
+                              "try for 1 seconds or 1 times\n"
+                              "  store_output\n"
+                              "end\n")
+        result, events = engine.run_budgeted(process)
+        assert not result.success
+        assert causes == ["deadline expired"]
+        assert world.buffer.collisions.count == 1
+        assert world.buffer.used_mb == 0.0
+        assert (events, engine.now) == (86, 2.0)
+
     def test_handler_exception_surfaces_through_the_race(self):
         """A handler raising anything but Interrupt is a scenario bug: it
         must crash the run, with or without a deadline to race."""
@@ -258,3 +291,97 @@ class TestTimerServedShape:
 
     def test_a_connected_submit_is_still_a_process(self):
         assert self.events("condor_submit job") == (9, True, 3.5100000000000002)
+
+    @staticmethod
+    def command(answer, deadline):
+        """One command answering ``answer`` under ``deadline``: its
+        result, the events the run dispatched, the clock at its end."""
+        engine = Engine()
+        registry = CommandRegistry(include_builtins=False)
+        registry.add("cmd", lambda ctx: answer)
+        results = []
+
+        def script():
+            results.append((yield RunCommand(argv=["cmd"], deadline=deadline)))
+
+        process = SimDriver(engine, registry, client="c").spawn(script())
+        _value, events = engine.run_budgeted(process)
+        (result,) = results
+        return (result.exit_code, result.timed_out, result.detail), events, engine.now
+
+    def test_a_refusal_at_the_deadline_instant_has_finished(self):
+        """Expiry and timer in one instant, expiry first: the refusal
+        still counts, and the expiry is one event more."""
+        assert self.command(Quick(1.0, 1), 1.0) == ((1, False, ""), 6, 1.0)
+
+    def test_a_refusal_past_the_deadline_is_killed(self):
+        """The expiry, the race hop, the kill's urgent hop, the exit."""
+        assert self.command(Quick(2.0, 1), 1.0) == (
+            (-1, True, "cmd: killed"), 6, 1.0)
+
+    def test_a_kill_before_the_timer_never_calls_then(self):
+        called = []
+        answer = Quick(2.0, lambda: called.append(1) or 0)
+        assert self.command(answer, 1.0)[0] == (-1, True, "cmd: killed")
+        assert called == []
+
+    @staticmethod
+    def cancelled(sibling_sleep):
+        """A ``forall`` branch serving a ``Quick`` answer — a one-second
+        timer, then a 5 s continuation — while its sibling fails after
+        ``sibling_sleep`` seconds and cancels it."""
+        engine = Engine()
+        registry = CommandRegistry()
+        seen = []
+
+        def rest():
+            try:
+                yield engine.timeout(5.0)
+                return 0
+            except Interrupt as interrupt:
+                seen.append((engine.now, interrupt.cause))
+                return 1
+
+        def slow(ctx):
+            return Quick(1.0, lambda: seen.append((engine.now, "then")) or rest())
+
+        registry.add("slow", slow)
+        shell = SimFtsh(engine, registry, name="c", policy=DETERMINISTIC)
+        process = shell.spawn(
+            "forall x in a b\n"
+            "  if ${x} .eql. a\n    slow\n"
+            f"  else\n    sleep {sibling_sleep}\n    failure\n  end\n"
+            "end\n", timeout=100.0)
+        result, events = engine.run_budgeted(process)
+        assert not result.success
+        live = [entry[0] for entry in engine._heap
+                if entry[2].callbacks is not None]
+        return seen, events, engine.now, live
+
+    def test_cancelled_before_the_timer_fires(self):
+        """Killed in the queue: ``then`` never runs, and the timer still
+        fires later, into nothing."""
+        assert self.cancelled(0.5) == ([], 16, 0.5, [1.0])
+
+    def test_cancelled_after_the_timer_fires(self):
+        """The continuation is what the cancel interrupts."""
+        assert self.cancelled(2) == (
+            [(1.0, "then"), (2.0, "client cancelled")], 17, 2.0, [6.0])
+
+    def test_a_refused_retry_loop_keeps_no_expiry_queued(self):
+        """``run_budgeted`` may not rebuild the queue, so an expiry per
+        attempt, queued and withdrawn, would stay there until the run
+        reached the ``try`` deadline."""
+        engine = Engine()
+        registry = CommandRegistry()
+        world = CondorWorld(engine, CondorConfig(maintenance_interval=1e6))
+        register_condor_commands(registry, world)
+        world.schedd.up = False
+        shell = SimFtsh(engine, registry, world=world, name="c")
+        process = shell.spawn(
+            "try for 1 hour every 0.01 seconds\n  condor_submit job\nend\n")
+        with pytest.raises(BudgetExceeded) as exc:
+            engine.run_budgeted(process, max_events=2_000)
+        assert (exc.value.events, round(engine.now, 2)) == (2_000, 504.99)
+        # An expiry queued and withdrawn per attempt would leave ~500 here.
+        assert len(engine._heap) <= 3
