@@ -17,9 +17,18 @@ at ``--scale`` and of the chaos grid at ``--chaos-scale`` (67 cells at
 the defaults, medium and smoke), one fresh interpreter per tree running
 them all; it prints each side's CPU seconds and collector passes per
 cell (the RSS column is the child's running peak) and exits 1 listing
-every cell whose digests differ::
+every cell whose digests differ.  One pair by default; with ``--pairs
+N`` the sweep repeats in alternation, prints each pair's totals, then
+each side's total CPU seconds as median [q1, q3] and in how many pairs
+the change read lower — the whole-grid A/B, where one cell's gain is
+diluted by every cell it does not touch::
 
-    python3 benchmarks/ab_cell.py PARENT_SRC CHANGE_SRC --cell all
+    python3 benchmarks/ab_cell.py PARENT_SRC CHANGE_SRC --cell all [--pairs 8]
+
+Every child pins itself to one CPU (the lowest it may run on), as the
+perf ledger's ``one_cpu`` pins its timed regions: on a shared host the
+CPUs drift apart, and an unpinned whole-grid run mixes their speeds
+into its spread.
 
 ``PARENT_SRC`` and ``CHANGE_SRC`` are what ``PYTHONPATH`` is set to (the
 ``src`` directory of a checkout; ``git archive`` or ``git clone`` the
@@ -49,7 +58,9 @@ import sys
 
 #: Runs in the child, with PYTHONPATH pointing at one tree.
 CHILD = r"""
-import gc, hashlib, json, resource, sys, time
+import gc, hashlib, json, os, resource, sys, time
+# One CPU, for the reason the module docstring gives.
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 from repro.experiments import chaos, runall
 from repro.parallel.transport import to_jsonable
 scale, chaos_scale, wanted = sys.argv[1:4]
@@ -115,30 +126,42 @@ def run_once(src: str, cell: str, scale: str) -> dict:
     return run_cells(src, cell, scale, scale)[0]
 
 
-def sweep(sources: dict[str, str], scale: str, chaos_scale: str) -> int:
-    """Every cell of both grids once per tree; 1 if any digest differs."""
-    rows = {side: run_cells(src, "all", scale, chaos_scale)
-            for side, src in sources.items()}
-    print(f"every cell: figures at {scale}, chaos at {chaos_scale} (seed 2003), CPU-s")
-    mismatched = []
-    for parent, change in zip(rows["parent"], rows["change"]):
-        same = parent["digest"] == change["digest"]
-        if not same:
-            mismatched.append(parent["cell"])
-        print(f"  {parent['cell']:<36} parent {costs(parent)}"
-              f"  change {costs(change)}  {'same' if same else 'DIFFERS'}")
-    total = {side: sum(row["cpu_s"] for row in rows[side]) for side in rows}
-    passes = {side: "/".join(str(sum(row["gc"][gen] for row in rows[side]))
-                             for gen in range(3)) for side in rows}
-    print(f"total  parent {total['parent']:.3f} s gc {passes['parent']}"
-          f" {rows['parent'][-1]['rss_mb']:.1f} MB"
-          f"  change {total['change']:.3f} s gc {passes['change']}"
-          f" {rows['change'][-1]['rss_mb']:.1f} MB")
+def sweep(sources: dict[str, str], scale: str, chaos_scale: str, pairs: int) -> int:
+    """Every cell of both grids per tree, ``pairs`` times in alternation;
+    1 if any run's digest differs from the parent's first."""
+    print(f"every cell: figures at {scale}, chaos at {chaos_scale} (seed 2003), "
+          f"{pairs} alternated pair(s), CPU-s")
+    cpu: dict[str, list[float]] = {"parent": [], "change": []}
+    expected: dict[str, str] = {}
+    mismatched: dict[str, None] = {}  # ordered set
+    for pair in range(pairs):
+        order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+        rows = {side: run_cells(sources[side], "all", scale, chaos_scale) for side in order}
+        for parent, change in zip(rows["parent"], rows["change"]):
+            expected.setdefault(parent["cell"], parent["digest"])
+            same = parent["digest"] == change["digest"] == expected[parent["cell"]]
+            if not same:
+                mismatched[parent["cell"]] = None
+            if pair == 0:
+                print(f"  {parent['cell']:<36} parent {costs(parent)}"
+                      f"  change {costs(change)}  {'same' if same else 'DIFFERS'}")
+        total = {side: sum(row["cpu_s"] for row in rows[side]) for side in rows}
+        passes = {side: "/".join(str(sum(row["gc"][gen] for row in rows[side]))
+                                 for gen in range(3)) for side in rows}
+        for side in rows:
+            cpu[side].append(total[side])
+        print(f"total {pair + 1:2d} ({order[0]} first)"
+              f"  parent {total['parent']:.3f} s gc {passes['parent']}"
+              f" {rows['parent'][-1]['rss_mb']:.1f} MB"
+              f"  change {total['change']:.3f} s gc {passes['change']}"
+              f" {rows['change'][-1]['rss_mb']:.1f} MB", flush=True)
+    if pairs > 1:
+        print_spreads(cpu)
     if mismatched:
-        print(f"DIGEST MISMATCH in {len(mismatched)} of {len(rows['parent'])} cells: "
+        print(f"DIGEST MISMATCH in {len(mismatched)} of {len(expected)} cells: "
               + " ".join(mismatched))
         return 1
-    print(f"digests equal on all {len(rows['parent'])} cells")
+    print(f"digests equal on all {len(expected)} cells")
     return 0
 
 
@@ -151,22 +174,33 @@ def spread(values: list[float]) -> str:
     return f"{statistics.median(values):.3f} [{q1:.3f}, {q3:.3f}]"
 
 
+def print_spreads(cpu: dict[str, list[float]]) -> None:
+    """Each side's median [q1, q3] and the pairs where the change was lower."""
+    lower = sum(c < p for p, c in zip(cpu["parent"], cpu["change"]))
+    print(f"parent {spread(cpu['parent'])}")
+    print(f"change {spread(cpu['change'])}")
+    print(f"change lower in {lower}/{len(cpu['parent'])} pairs")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent_src")
     parser.add_argument("change_src")
     parser.add_argument("--cell", default="fig1/fixed/n450")
     parser.add_argument("--scale", default="medium")
-    parser.add_argument("--pairs", type=int, default=12)
+    parser.add_argument("--pairs", type=int, default=None,
+                        help="alternated pairs (default 12; 1 under --cell all)")
     parser.add_argument("--chaos-scale", default="smoke",
                         help="the chaos grid's scale under --cell all")
     args = parser.parse_args(argv)
+    if args.pairs is None:
+        args.pairs = 1 if args.cell == "all" else 12
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
 
     sources = {"parent": args.parent_src, "change": args.change_src}
     if args.cell == "all":
-        return sweep(sources, args.scale, args.chaos_scale)
+        return sweep(sources, args.scale, args.chaos_scale, args.pairs)
     cpu: dict[str, list[float]] = {"parent": [], "change": []}
     digests = set()
     print(f"cell {args.cell} (scale {args.scale}, seed 2003), {args.pairs} alternated pairs, CPU-s")
@@ -180,10 +214,7 @@ def main(argv=None) -> int:
               f"  parent {costs(row['parent'])}  change {costs(row['change'])}"
               f"  digest {row['parent']['digest'][:16]} {row['change']['digest'][:16]}",
               flush=True)
-    lower = sum(c < p for p, c in zip(cpu["parent"], cpu["change"]))
-    print(f"parent {spread(cpu['parent'])}")
-    print(f"change {spread(cpu['change'])}")
-    print(f"change lower in {lower}/{args.pairs} pairs")
+    print_spreads(cpu)
     if len(digests) != 1:
         print(f"DIGEST MISMATCH: {sorted(digests)}")
         return 1

@@ -14,10 +14,11 @@ prints per grid:
 * from counting wrappers applied here, outside ``src/`` (nothing in the
   package counts these): ``Scope.get`` / ``set`` / ``append`` calls,
   function calls, and words expanded that hold a substitution;
-* how the simulated commands were served — by a timer (a handler that
-  answered ``Quick``) or as a process — the deadline timers queued
-  and withdrawn, and the engine events dispatched (withdrawn timers
-  are not events), per command too;
+* how the simulated commands were served — as a process (the driver's
+  own counter) or by a timer (a handler that answered ``Quick``: the
+  rest of those started) — the deadline timers queued and withdrawn,
+  and the engine events dispatched (withdrawn timers are not events),
+  per command too;
 * ``ShellLog.record`` calls, and the events the logs still hold when
   each cell is done: a campaign cell reads back one tally, the
   overload alarm, so it should keep none.
@@ -54,7 +55,6 @@ from repro.experiments import chaos, runall  # noqa: E402
 from repro.obs.api import Observability  # noqa: E402
 from repro.sim import engine as kernel  # noqa: E402
 from repro.sim.events import Timeout  # noqa: E402
-from repro.simruntime import driver  # noqa: E402
 
 #: Row label -> the interpreter's counter family behind it.
 OBS_COUNTERS = {
@@ -67,6 +67,10 @@ OBS_COUNTERS = {
     "commands started": "ftsh_sim_processes_spawned_total",
 }
 
+#: The driver's count of the commands it ran as processes; the rest of
+#: those started were served by a timer.
+PROCESSES = "ftsh_sim_command_processes_total"
+
 #: Row label -> (owner, attribute, predicate over the call's arguments).
 #: ``Scope.append`` and ``lookup`` read through ``get``, so an append or
 #: a function call's saved positionals show up under ``Scope.get`` too.
@@ -77,7 +81,9 @@ WRAPPED = {
     "function calls": (plans, "_call_function", None),
     "non-constant words expanded": (
         plans.CompiledWord, "expand", lambda word, _scope: bool(word.subs)),
-    "commands timer-served": (driver._QuickCommand, "__init__", None),
+    # Not a wrapper: derived from the driver's counters, kept here for
+    # its place in the report.
+    "commands timer-served": None,
     "deadline timers queued": (kernel.Engine, "timeout_at", None),
     "deadline timers withdrawn": (
         Timeout, "cancel", lambda timer: timer.callbacks is not None),
@@ -100,7 +106,10 @@ def counting_wrappers():
         return counted
 
     try:
-        for label, (owner, name, counts) in WRAPPED.items():
+        for label, wrapped in WRAPPED.items():
+            if wrapped is None:
+                continue
+            owner, name, counts = wrapped
             original = getattr(owner, name)
             originals.append((owner, name, original))
             setattr(owner, name, wrap(label, original, counts))
@@ -191,14 +200,16 @@ def count_grid(cells):
         for run in cells:
             run(obs)
             settle()
-    counts = {}
-    for label, family_name in OBS_COUNTERS.items():
+
+    def total(family_name):
         family = obs.metrics.get(family_name)
-        counts[label] = int(sum(
+        return int(sum(
             child.value for child in family.children())) if family else 0
+
+    counts = {label: total(name) for label, name in OBS_COUNTERS.items()}
     counts.update(tally)
-    counts["commands as processes"] = (
-        counts["commands started"] - counts["commands timer-served"])
+    counts["commands as processes"] = processes = total(PROCESSES)
+    counts["commands timer-served"] = counts["commands started"] - processes
     counts.update(events)
     counts["log records"] = counts.pop("log records")  # beside "kept"
     counts.update(kept)

@@ -55,6 +55,19 @@ class RunResult:
         return self.success
 
 
+def run_result(outcome: Optional[BaseException], scope: Scope, log: ShellLog, elapsed: float) -> RunResult:
+    """The :class:`RunResult` of a run whose driver returned ``outcome``:
+    ``None`` on success, else the control exception that ended it."""
+    if outcome is None:
+        return RunResult(True, None, scope.flatten(), log, elapsed)
+    if isinstance(outcome, FtshTimeout):
+        return RunResult(False, outcome.reason, scope.flatten(), log, elapsed, timed_out=True)
+    if isinstance(outcome, FtshCancelled):
+        return RunResult(False, outcome.reason, scope.flatten(), log, elapsed, cancelled=True)
+    assert isinstance(outcome, FtshFailure)
+    return RunResult(False, outcome.reason, scope.flatten(), log, elapsed)
+
+
 class Ftsh:
     """The fault tolerant shell, bound to a driver.
 
@@ -131,16 +144,7 @@ class Ftsh:
 
         generator = interpreter.execute(target, overall_deadline=deadline)
         outcome = self.driver.run(generator)
-        elapsed = self.driver.now() - start
-
-        if outcome is None:
-            return RunResult(True, None, scope.flatten(), log, elapsed)
-        if isinstance(outcome, FtshTimeout):
-            return RunResult(False, outcome.reason, scope.flatten(), log, elapsed, timed_out=True)
-        if isinstance(outcome, FtshCancelled):
-            return RunResult(False, outcome.reason, scope.flatten(), log, elapsed, cancelled=True)
-        assert isinstance(outcome, FtshFailure)
-        return RunResult(False, outcome.reason, scope.flatten(), log, elapsed)
+        return run_result(outcome, scope, log, self.driver.now() - start)
 
     # ------------------------------------------------------------------
     def _inherited_deadline(self, start: float) -> float:

@@ -255,7 +255,7 @@ class AnyOf(Condition):
 
 class _FirstOf(Event):
     """Succeeds when the first of two pending events does — a command
-    racing its deadline (see ``SimDriver._run_command``).
+    racing its deadline (see ``SimDriver._drive``).
 
     Scheduling-wise this is :class:`AnyOf` over two events: one entry
     queued from the winner's dispatch, a failing winner fails the race,

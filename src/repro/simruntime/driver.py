@@ -11,6 +11,9 @@ executes against POSIX is executed here as a simulation process:
   the rest
 * ``GetTime``     -> ``engine.now``;  ``GetRandom`` -> a named RNG stream
 
+Each is answered in ``SimDriver._drive``'s own loop: one generator frame
+between the engine and the interpreter, whatever the script waits on.
+
 Cancellation flows through :class:`~repro.sim.events.Interrupt`: when the
 driving process is interrupted (a losing ``forall`` branch, a scenario
 tear-down), the driver throws :class:`FtshCancelled` into the interpreter
@@ -21,7 +24,7 @@ from __future__ import annotations
 
 import random
 from types import GeneratorType
-from typing import Any, Generator, Optional
+from typing import Any, Callable, Generator, Optional
 
 from ..core.effects import (
     CommandResult,
@@ -41,6 +44,9 @@ from ..sim.engine import PRIORITY_URGENT, Engine
 from ..sim.events import _PENDING, Event, Interrupt, _FirstOf
 from ..sim.process import Process
 from .registry import CommandContext, CommandRegistry, Quick, normalize_result
+
+#: What a script process returns, made of its outcome (``None`` or the control exception).
+Finish = Callable[[Optional[BaseException]], Any]
 
 
 class SimDriver:
@@ -76,6 +82,9 @@ class SimDriver:
         metrics = self.obs.metrics
         self._m_spawned = metrics.counter(
             "ftsh_sim_processes_spawned_total", "simulated commands started")
+        self._m_processes = metrics.counter(
+            "ftsh_sim_command_processes_total",
+            "simulated commands run as processes, not timer-served")
         self._m_unknown = metrics.counter(
             "ftsh_sim_unknown_commands_total", "commands with no registered handler")
         self._m_branches = metrics.counter(
@@ -86,13 +95,14 @@ class SimDriver:
         return self.engine.now
 
     # ------------------------------------------------------------------
-    def spawn(self, generator: EffectGenerator, name: str = "ftsh") -> Process:
+    def spawn(self, generator: EffectGenerator, name: str = "ftsh", finish: Optional[Finish] = None) -> Process:
         """Run the interpreter as a background simulation process.
 
         The process' value is ``None`` on script success or the control
-        exception on failure — the same contract as ``RealDriver.run``.
+        exception on failure — the same contract as ``RealDriver.run`` —
+        or, given ``finish``, what ``finish`` makes of that outcome.
         """
-        return self.engine.process(self._drive(generator), name=name)
+        return self.engine.process(self._drive(generator, finish), name=name)
 
     def run(self, generator: EffectGenerator) -> Optional[BaseException]:
         """Drive to completion, advancing the simulation as needed."""
@@ -100,111 +110,91 @@ class SimDriver:
         return self.engine.run(until=process)
 
     # ------------------------------------------------------------------
-    def _drive(self, generator: EffectGenerator) -> Generator[Any, Any, Optional[BaseException]]:
+    def _drive(self, generator: EffectGenerator, finish: Optional[Finish] = None) -> Generator[Any, Any, Any]:
+        """The one frame between the process and the interpreter: every
+        effect is answered in this loop, and a command or a sleep is
+        waited on by its own ``yield`` (only ``RunParallel`` delegates)."""
+        engine = self.engine
         try:
             effect = generator.send(None)
             while True:
+                kind = type(effect)
                 try:
-                    result = yield from self._execute(effect)
+                    if kind is RunCommand:
+                        name = effect.argv[0]
+                        handler = self.registry.get(name)
+                        remaining = effect.deadline - engine.now
+                        if handler is None:
+                            self._m_unknown.inc()
+                            result = CommandResult(exit_code=127, detail=f"unknown simulated command {name!r}")
+                        elif effect.stdin_file is not None:
+                            # No shared filesystem namespace: a script that redirects from
+                            # a file is a scenario bug, and fails as a missing file would.
+                            result = CommandResult(
+                                exit_code=1, detail=f"stdin file {effect.stdin_file!r} not available in simulation")
+                        elif remaining <= 0:
+                            result = CommandResult(exit_code=-1, timed_out=True, detail="deadline already passed")
+                        else:
+                            context = CommandContext(argv=list(effect.argv), engine=engine, world=self.world,
+                                                     stdin_data=effect.stdin_data, client=self.client)
+                            # The deadline's queue key is drawn before the handler is called,
+                            # so order cannot depend on what a handler does when it is called.
+                            key = None if effect.deadline == UNBOUNDED else engine.reserve(remaining)
+                            answer = handler(context)
+                            self._m_spawned.inc()
+                            expiry = None  # no deadline, or one a Quick command races itself
+                            if type(answer) is Quick:
+                                command = wait = _QuickCommand(engine, answer, name, key)
+                            else:
+                                command = wait = engine.process(self._shield(answer, name), name=f"cmd:{name}")
+                                self._m_processes.inc()
+                                if key is not None:
+                                    expiry = engine.timeout_at(key)
+                                    wait = _FirstOf(engine, command, expiry)
+                            # The expiry is withdrawn on every exit where it has not fired,
+                            # so a finished command pins nothing until the try's deadline.
+                            try:
+                                yield wait
+                            except Interrupt:
+                                if expiry is not None:
+                                    expiry.cancel()
+                                if command.is_alive:
+                                    command.interrupt("client cancelled")
+                                raise
+                            if expiry is not None:
+                                expiry.cancel()
+                            if not command.is_alive:
+                                result = normalize_result(command.value, name)
+                            else:  # the deadline won: kill the command, wait for its cleanup
+                                command.interrupt("deadline expired")
+                                result = normalize_result((yield command), name)
+                                result.timed_out = True
+                                if result.exit_code == 0:
+                                    result.exit_code = -1
+                    elif kind is GetTime:
+                        result = engine.now
+                    elif kind is Sleep:
+                        start = engine.now
+                        limit = min(effect.duration, max(effect.deadline - start, 0.0))
+                        if limit > 0:
+                            yield engine.timeout(limit)
+                        result = SleepResult(
+                            slept=engine.now - start, timed_out=effect.deadline - start < effect.duration)
+                    elif kind is GetRandom:
+                        result = self.rng.random()
+                    elif kind is RunParallel:
+                        result = yield from self._run_parallel(effect)
+                    else:
+                        raise FtshRuntimeError(f"unknown effect: {effect!r}")
                 except Interrupt as interrupt:
                     effect = generator.throw(FtshCancelled(str(interrupt.cause)))
                     continue
                 effect = generator.send(result)
         except StopIteration:
-            return None
+            outcome = None
         except FtshControl as control:
-            return control
-
-    def _execute(self, effect: Any) -> Generator[Any, Any, Any]:
-        if isinstance(effect, GetTime):
-            return self.engine.now
-        if isinstance(effect, GetRandom):
-            return self.rng.random()
-        if isinstance(effect, Sleep):
-            return (yield from self._sleep(effect))
-        if isinstance(effect, RunCommand):
-            return (yield from self._run_command(effect))
-        if isinstance(effect, RunParallel):
-            return (yield from self._run_parallel(effect))
-        raise FtshRuntimeError(f"unknown effect: {effect!r}")
-        yield  # pragma: no cover - generator marker
-
-    # ------------------------------------------------------------------
-    def _sleep(self, effect: Sleep) -> Generator[Any, Any, SleepResult]:
-        start = self.engine.now
-        deadline_binds = effect.deadline - start < effect.duration
-        limit = min(effect.duration, max(effect.deadline - start, 0.0))
-        if limit > 0:
-            yield self.engine.timeout(limit)
-        return SleepResult(slept=self.engine.now - start, timed_out=deadline_binds)
-
-    # ------------------------------------------------------------------
-    def _run_command(self, effect: RunCommand) -> Generator[Any, Any, CommandResult]:
-        handler = self.registry.get(effect.argv[0])
-        if handler is None:
-            self._m_unknown.inc()
-            return CommandResult(
-                exit_code=127, detail=f"unknown simulated command {effect.argv[0]!r}"
-            )
-        if effect.stdin_file is not None:
-            # The simulated world has no shared filesystem namespace; a
-            # script that redirects from a file is a scenario bug, and it
-            # fails the way a missing file would.
-            return CommandResult(
-                exit_code=1,
-                detail=f"stdin file {effect.stdin_file!r} not available in simulation",
-            )
-        remaining = effect.deadline - self.engine.now
-        if remaining <= 0:
-            return CommandResult(exit_code=-1, timed_out=True, detail="deadline already passed")
-
-        name = effect.argv[0]
-        context = CommandContext(
-            argv=list(effect.argv),
-            engine=self.engine,
-            world=self.world,
-            stdin_data=effect.stdin_data,
-            client=self.client,
-        )
-        # The deadline's queue key is drawn before the handler is called,
-        # so order cannot depend on what a handler does when it is called.
-        key = None if effect.deadline == UNBOUNDED else self.engine.reserve(remaining)
-        answer = handler(context)
-        self._m_spawned.inc()
-        if type(answer) is Quick:
-            return (yield from self._race(_QuickCommand(self.engine, answer, name, key), None, name))
-        command = self.engine.process(self._shield(answer, name), name=f"cmd:{name}")
-        return (yield from self._race(command, None if key is None else self.engine.timeout_at(key), name))
-
-    @staticmethod
-    def _race(
-        command: Process | _QuickCommand, expiry: Optional[Event], name: str,
-    ) -> Generator[Any, Any, CommandResult]:
-        """Wait for ``command`` to exit, or kill it when ``expiry`` fires
-        first (no expiry: no deadline, or one the command races itself)."""
-        # The expiry is this method's own timer: on every exit where it
-        # has not fired it is withdrawn, so a finished command leaves no
-        # waiter chain pinned until the enclosing try's deadline.
-        try:
-            yield command if expiry is None else _FirstOf(command.engine, command, expiry)
-        except Interrupt:
-            if expiry is not None:
-                expiry.cancel()
-            if command.is_alive:
-                command.interrupt("client cancelled")
-            raise
-        if expiry is not None:
-            expiry.cancel()
-        if not command.is_alive:
-            return normalize_result(command.value, name)
-        # Deadline won the race: kill the command, wait for its cleanup.
-        command.interrupt("deadline expired")
-        value = yield command
-        result = normalize_result(value, name)
-        result.timed_out = True
-        if result.exit_code == 0:
-            result.exit_code = -1
-        return result
+            outcome = control
+        return outcome if finish is None else finish(outcome)
 
     @staticmethod
     def _shield(handler_generator: Generator[Any, Any, Any], name: str) -> Generator[Any, Any, Any]:

@@ -18,10 +18,9 @@ from typing import Any, Mapping, Optional
 from ..core.ast_nodes import Script
 from ..core.backoff import BackoffPolicy, PAPER_POLICY
 from ..core.compile import compile_cached
-from ..core.errors import FtshCancelled, FtshFailure, FtshTimeout
 from ..core.interpreter import Interpreter
 from ..core.parser import parse_cached
-from ..core.shell import RunResult
+from ..core.shell import RunResult, run_result
 from ..core.shell_log import ShellLog
 from ..obs.api import NULL_OBS
 from ..core.timeline import UNBOUNDED
@@ -81,9 +80,9 @@ class SimFtsh:
                                   obs=self.obs)
         deadline = UNBOUNDED if timeout is None else self.engine.now + timeout
         generator = interpreter.execute(target, overall_deadline=deadline)
-        return self.engine.process(
-            self._wrap(generator, scope), name=f"{self.name}:script"
-        )
+        start = self.engine.now
+        return self.driver.spawn(generator, name=f"{self.name}:script", finish=lambda outcome: run_result(
+            outcome, scope, self.log, self.engine.now - start))
 
     def run(
         self,
@@ -94,21 +93,3 @@ class SimFtsh:
         """Run to completion, advancing the simulation clock as needed."""
         process = self.spawn(script, variables, timeout)
         return self.engine.run(until=process)
-
-    # ------------------------------------------------------------------
-    def _wrap(self, generator, scope: Scope):
-        start = self.engine.now
-        outcome = yield from self.driver._drive(generator)
-        elapsed = self.engine.now - start
-        if outcome is None:
-            return RunResult(True, None, scope.flatten(), self.log, elapsed)
-        if isinstance(outcome, FtshTimeout):
-            return RunResult(
-                False, outcome.reason, scope.flatten(), self.log, elapsed, timed_out=True
-            )
-        if isinstance(outcome, FtshCancelled):
-            return RunResult(
-                False, outcome.reason, scope.flatten(), self.log, elapsed, cancelled=True
-            )
-        assert isinstance(outcome, FtshFailure)
-        return RunResult(False, outcome.reason, scope.flatten(), self.log, elapsed)

@@ -13,6 +13,14 @@ from repro.core import Ftsh
 from repro.core.backoff import BackoffPolicy
 from repro.core.realruntime import RealDriver
 from repro.core.shell_log import EventKind
+from repro.faults.runtime import (
+    CommandFault,
+    CommandFaultPlan,
+    always_schedule,
+    apply_command_faults,
+    make_faulting_real_driver,
+)
+from repro.faults.schedule import Flaky
 from repro.sim import Engine
 from repro.simruntime import CommandRegistry, SimFtsh
 
@@ -27,7 +35,7 @@ def run_real(script):
     return shell.run(script)
 
 
-def run_sim(script):
+def run_sim(script, plan=None):
     engine = Engine()
     registry = CommandRegistry()
 
@@ -41,6 +49,8 @@ def run_sim(script):
         return 0
         yield  # pragma: no cover
 
+    if plan is not None:
+        apply_command_faults(registry, plan)
     shell = SimFtsh(engine, registry, policy=POLICY)
     return shell.run(script), shell.log
 
@@ -113,3 +123,36 @@ def test_winning_forany_variable_matches():
     real = run_real(script)
     sim_result, _ = run_sim(script)
     assert real.variables["host"] == sim_result.variables["host"] == "bad1"
+
+
+#: (rule, script): the command-fault shim on both sides.  Each run gets
+#: its own plan, built from the same rule and seed, so both see the same
+#: verdict sequence.
+FAULTED = {
+    "eperm": (CommandFault("sh", "eperm", always_schedule()),
+              "try 2 times\n  sh -c 'exit 0'\nend"),
+    "kill-then-catch": (
+        CommandFault("sh", "kill", always_schedule()),
+        "try 2 times\n  sh -c 'exit 0'\ncatch\n  success\nend"),
+    "delay-inside-deadline": (
+        CommandFault("sh", "delay", always_schedule(), delay=0.1),
+        "try for 5 seconds\n  sh -c 'exit 0'\nend"),
+    "delay-past-deadline": (
+        CommandFault("sh", "delay", always_schedule(), delay=5.0),
+        "try for 0.2 seconds\n  sh -c 'exit 0'\nend"),
+    "flaky-kill": (CommandFault("sh", "kill", Flaky(0.5)),
+                   "try 6 times\n  sh -c 'exit 0'\nend"),
+}
+
+
+@pytest.mark.parametrize("case", FAULTED)
+def test_same_meaning_under_command_faults(case):
+    """Outcome and structural trace agree with the shim on both sides."""
+    rule, script = FAULTED[case]
+    real = Ftsh(driver=make_faulting_real_driver(
+        CommandFaultPlan([rule], seed=2003), term_grace=0.2),
+        policy=POLICY).run(script)
+    sim, sim_log = run_sim(script, CommandFaultPlan([rule], seed=2003))
+    assert (real.success, real.timed_out, real.reason) == (
+        sim.success, sim.timed_out, sim.reason)
+    assert structural_trace(real.log) == structural_trace(sim_log)

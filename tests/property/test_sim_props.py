@@ -163,7 +163,7 @@ def _trace_program(actors, interrupts, rebuild=None, drive=Engine.run):
             note(f"{tag}:work-killed")
 
     def race(label, duration, deadline):
-        """SimDriver._run_command's wait, exit for exit."""
+        """SimDriver._drive's wait on a process command, exit for exit."""
         child = engine.process(work(label, duration))
         expiry = engine.timeout(deadline)
         try:

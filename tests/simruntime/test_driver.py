@@ -3,10 +3,11 @@
 import pytest
 
 from repro.core.backoff import BackoffPolicy
-from repro.core.effects import RunCommand
-from repro.core.errors import BudgetExceeded
+from repro.core.effects import RunCommand, Sleep
+from repro.core.errors import BudgetExceeded, FtshFailure
 from repro.grid.condor import CondorConfig, CondorWorld, register_condor_commands
 from repro.grid.storage import BufferWorld, register_buffer_commands
+from repro.obs.api import Observability
 from repro.sim import Engine, Interrupt, Process, Resource
 from repro.simruntime import CommandRegistry, SimFtsh
 from repro.simruntime.driver import SimDriver
@@ -385,3 +386,140 @@ class TestTimerServedShape:
         assert (exc.value.events, round(engine.now, 2)) == (2_000, 504.99)
         # An expiry queued and withdrawn per attempt would leave ~500 here.
         assert len(engine._heap) <= 3
+
+
+class TestOneFrame:
+    """``_drive`` answers every effect itself: a script process waits in
+    that one frame, whatever it waits on."""
+
+    @staticmethod
+    def waiting_frames(at):
+        """The script process's generator at each instant of ``at`` — a
+        ``Quick`` command, a process command, a backoff ``Sleep`` — as
+        (frame name, delegates below it)."""
+        engine = Engine()
+        registry = CommandRegistry()
+        registry.add("quick", lambda ctx: Quick(1.0, 0))
+
+        @registry.register("slow")
+        def slow(ctx):
+            yield ctx.engine.timeout(1.0)
+            return 0
+
+        shell = SimFtsh(engine, registry, name="c", policy=DETERMINISTIC)
+        process = shell.spawn("quick\nslow\ntry 2 times\n  false\nend\n",
+                              timeout=100.0)
+        frames = []
+        for instant in at:
+            engine.run(until=instant)
+            generator, depth = process.generator, 0
+            while generator.gi_yieldfrom is not None:
+                generator, depth = generator.gi_yieldfrom, depth + 1
+            frames.append((process.generator.gi_code.co_name, depth))
+        engine.run(until=process)
+        return frames
+
+    def test_no_delegate_below_the_drive_loop(self):
+        """Every ``send`` and ``throw`` of a resume passes through each
+        delegate, so a wait keeps none below ``_drive``."""
+        assert self.waiting_frames((0.5, 1.5, 2.5)) == [("_drive", 0)] * 3
+
+    @staticmethod
+    def answer(effect, registry=None, obs=None):
+        """The driver's answer to one effect at time 0."""
+        engine = Engine()
+        driver = SimDriver(engine, registry or CommandRegistry(),
+                           client="c", obs=obs)
+        answers = []
+
+        def script():
+            answers.append((yield effect))
+
+        driver.run(script())
+        return answers[0]
+
+    def test_unknown_command_is_127_and_counted(self):
+        obs = Observability(max_spans=0)
+        result = self.answer(RunCommand(argv=["nope"], deadline=5.0), obs=obs)
+        assert (result.exit_code, result.detail) == (
+            127, "unknown simulated command 'nope'")
+        family = obs.metrics.get("ftsh_sim_unknown_commands_total")
+        assert sum(child.value for child in family.children()) == 1
+
+    def test_stdin_from_a_file_fails(self):
+        result = self.answer(RunCommand(argv=["cat"], stdin_file="in.txt",
+                                        deadline=5.0))
+        assert (result.exit_code, result.timed_out) == (1, False)
+        assert "'in.txt' not available" in result.detail
+
+    def test_deadline_already_passed_never_calls_the_handler(self):
+        registry = CommandRegistry(include_builtins=False)
+        calls = []
+        registry.add("cmd", lambda ctx: calls.append(1) or Quick(1.0, 0))
+        result = self.answer(RunCommand(argv=["cmd"], deadline=0.0), registry)
+        assert (result.exit_code, result.timed_out, result.detail) == (
+            -1, True, "deadline already passed")
+        assert calls == []
+
+    def test_a_client_cancelled_in_its_backoff(self):
+        engine = Engine()
+        shell = SimFtsh(engine, CommandRegistry(), name="c",
+                        policy=DETERMINISTIC)
+        process = shell.spawn("try 3 times\n  false\nend\n")
+        engine.run(until=0.5)  # the first backoff sleeps 1 s
+        process.interrupt("tear down")
+        result = engine.run(until=process)
+        assert (result.success, result.cancelled, result.timed_out) == (
+            False, True, False)
+        assert result.reason == "tear down"
+        assert engine.now == 0.5
+
+    def test_a_client_cancelled_in_a_process_command(self):
+        """The command is killed as ``"client cancelled"`` and the expiry
+        it raced is withdrawn with it."""
+        engine = Engine()
+        registry = CommandRegistry()
+        seen = []
+
+        @registry.register("slow")
+        def slow(ctx):
+            try:
+                yield ctx.engine.timeout(50.0)
+                return 0
+            except Interrupt as interrupt:
+                seen.append((ctx.engine.now, interrupt.cause))
+                return 1
+
+        shell = SimFtsh(engine, registry, name="c", policy=DETERMINISTIC)
+        process = shell.spawn("try for 1000 seconds\n  slow\nend\n")
+        engine.run(until=2.0)
+        process.interrupt("tear down")
+        result = engine.run(until=process)
+        assert result.cancelled and seen == [(2.0, "client cancelled")]
+        # Left live: the killed command's exit, queued behind the script's,
+        # and its own 50 s timer.  The 1000 s expiry is gone.
+        live = TestDeadlineRace.live_entries(engine)
+        assert [entry[0] for entry in live] == [2.0, 50.0]
+
+    def test_elapsed_counts_from_the_scripts_start(self):
+        engine = Engine()
+        shell = SimFtsh(engine, CommandRegistry())
+        engine.run(until=3.0)
+        result = engine.run(until=shell.spawn("sleep 2"))
+        assert (result.success, result.elapsed, engine.now) == (True, 2.0, 5.0)
+
+    def test_run_without_finish_returns_the_control_exception(self):
+        engine = Engine()
+        driver = SimDriver(engine, CommandRegistry())
+
+        def failing():
+            yield Sleep(duration=1.0)
+            raise FtshFailure("gave up")
+
+        def succeeding():
+            yield Sleep(duration=1.0)
+
+        outcome = driver.run(failing())
+        assert isinstance(outcome, FtshFailure) and outcome.reason == "gave up"
+        assert driver.run(succeeding()) is None
+        assert engine.now == 2.0
