@@ -9,7 +9,7 @@ anywhere is a warm hit everywhere.
 
 Select a backend per call (``run_cells(..., backend="socket")``), per
 process (``REPRO_DIST_BACKEND=socket``), or per campaign CLI
-(``--backend`` on runall/chaos/variance and the service plane).  Cells
+(``--backend`` on runall/chaos and the service plane).  Cells
 are pure functions of their specs, so both backends produce
 byte-identical results.
 

@@ -30,7 +30,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Any, Callable, Mapping, Optional, TypeVar
 
 from ..clients.base import ALL_DISCIPLINES, ALOHA, ETHERNET, by_name
 from ..obs.api import Observability
@@ -73,6 +73,8 @@ from .figure6 import (
 from .report import series_csv, sweep_csv
 from .scenario_replica import run_replica
 from .scenario_submit import SubmitParams, run_submission
+
+K = TypeVar("K")
 
 
 @dataclass(frozen=True)
@@ -234,6 +236,31 @@ class Figures:
     fig7: ReaderTimelineResult
 
 
+def run_groups(groups: Mapping[K, list[CellSpec]],
+               **run_options: Any) -> dict[K, list]:
+    """Run every group's cells in one :func:`run_cells` call and hand
+    the results back grouped as the cells were (``run_options`` are
+    its ``jobs``/``cache``/``backend``/``progress``)."""
+    results = iter(run_cells(
+        [cell for cells in groups.values() for cell in cells], **run_options))
+    return {name: [next(results) for _ in cells]
+            for name, cells in groups.items()}
+
+
+def assemble_figures(scale: Scale, runs: Mapping[str, list]) -> Figures:
+    """The figures from the results of :func:`campaign_cells`' groups."""
+    return Figures(
+        fig1=assemble_figure1(scale.fig1_counts, scale.fig1_duration,
+                              runs["fig1"]),
+        fig2=timeline_from_run(runs["fig2"][0]),
+        fig3=timeline_from_run(runs["fig3"][0]),
+        sweep=assemble_buffer_sweep(scale.buffer_counts,
+                                    scale.buffer_duration, runs["fig45"]),
+        fig6=reader_from_run(runs["fig6"][0]),
+        fig7=reader_from_run(runs["fig7"][0]),
+    )
+
+
 def build_figures(
     scale: Scale,
     seed: int,
@@ -248,22 +275,9 @@ def build_figures(
     :func:`repro.parallel.run_cells`; the figures are identical for any
     of them.
     """
-    groups = campaign_cells(scale, seed)
-    results = iter(run_cells(
-        [cell for cells in groups.values() for cell in cells],
+    return assemble_figures(scale, run_groups(
+        campaign_cells(scale, seed),
         jobs=jobs, cache=cache, backend=backend, progress=progress))
-    runs = {name: [next(results) for _ in cells]
-            for name, cells in groups.items()}
-    return Figures(
-        fig1=assemble_figure1(scale.fig1_counts, scale.fig1_duration,
-                              runs["fig1"]),
-        fig2=timeline_from_run(runs["fig2"][0]),
-        fig3=timeline_from_run(runs["fig3"][0]),
-        sweep=assemble_buffer_sweep(scale.buffer_counts,
-                                    scale.buffer_duration, runs["fig45"]),
-        fig6=reader_from_run(runs["fig6"][0]),
-        fig7=reader_from_run(runs["fig7"][0]),
-    )
 
 
 def main(argv=None) -> int:

@@ -1,13 +1,13 @@
 """Fan independent simulation cells out over a process pool.
 
 Every campaign in this repo — the figure sweeps, ``runall``, the chaos
-matrix, the variance study — is a grid of *cells*: pure functions of a
-params object that build their own engine, seed their own named random
-streams, and return a picklable result.  Cells share nothing, so they
-are embarrassingly parallel, and because randomness comes only from the
-seed inside the params, a parallel run is byte-identical to a serial
-one.  :func:`run_cells` is the single execution path all campaigns go
-through:
+matrix, the reproduction gate's seed sweep — is a grid of *cells*: pure
+functions of a params object that build their own engine, seed their
+own named random streams, and return a picklable result.  Cells share
+nothing, so they are embarrassingly parallel, and because randomness
+comes only from the seed inside the params, a parallel run is
+byte-identical to a serial one.  :func:`run_cells` is the single
+execution path all campaigns go through:
 
 * ``jobs=None`` or ``1`` — serial, in submission order (the default);
 * ``jobs=0`` — one worker per CPU;
@@ -90,6 +90,20 @@ def resolve_jobs(jobs: Optional[int]) -> int:
     return jobs
 
 
+def _jobs_argument(text: str) -> int:
+    """``--jobs`` as argparse reads it: an integer >= 0, else a usage
+    error (exit 2) before any cell runs."""
+    import argparse
+
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if jobs < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {jobs}")
+    return jobs
+
+
 def add_executor_arguments(parser: argparse.ArgumentParser,
                            cells: str = "campaign") -> None:
     """Declare ``--jobs / --backend / --cache-dir / --no-cache``, the
@@ -98,7 +112,7 @@ def add_executor_arguments(parser: argparse.ArgumentParser,
     from ..dist import backend_names
 
     parser.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
+        "--jobs", type=_jobs_argument, default=None, metavar="N",
         help=f"run {cells} cells on N worker processes "
              "(default: serial; 0 = one per CPU)",
     )

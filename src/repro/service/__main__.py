@@ -13,9 +13,8 @@ import signal
 import sys
 from typing import Optional
 
-from ..dist import backend_names
 from ..obs import Observability
-from ..parallel.cache import ResultCache
+from ..parallel.executor import add_executor_arguments, cache_from_args
 from .app import make_server
 from .jobs import JobStore
 from .sandbox import SandboxPolicy
@@ -30,18 +29,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                         help="0 picks a free port (printed at startup)")
     parser.add_argument("--workers", type=int, default=2,
                         help="concurrently running jobs")
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="processes per job (repro.parallel; "
-                        "0 = one per CPU, default serial)")
-    parser.add_argument("--backend", default=None,
-                        choices=backend_names(),
-                        help="cell executor backend (repro.dist; default "
-                        "inprocess, or $REPRO_DIST_BACKEND)")
-    parser.add_argument("--cache-dir", default=None,
-                        help="result cache root (default: the shared "
-                        "repro cache)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="run every cell, serve nothing from cache")
+    add_executor_arguments(parser, cells="each job's")
     parser.add_argument("--ttl", type=float, default=3600.0,
                         help="seconds to retain finished jobs (0 = forever)")
     parser.add_argument("--wall-budget", type=float, default=120.0,
@@ -69,7 +57,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         lint=not args.no_lint,
         lint_warn_as_error=args.lint_error,
     )
-    cache = None if args.no_cache else ResultCache(root=args.cache_dir)
+    cache = cache_from_args(args)
     store = JobStore(
         policy=policy, cache=cache, workers=args.workers,
         run_jobs=args.jobs, run_backend=args.backend,

@@ -1,6 +1,7 @@
 """The campaign executor: serial/parallel dispatch, cache plumbing,
 progress reporting, and worker-count resolution."""
 
+import importlib
 import os
 import threading
 import time
@@ -50,6 +51,22 @@ class TestResolveJobs:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             resolve_jobs(-1)
+
+
+@pytest.mark.parametrize("cli", [
+    "repro.experiments.runall", "repro.experiments.chaos", "repro.service",
+])
+@pytest.mark.parametrize("jobs", ["-1", "two"])
+def test_a_bad_jobs_value_is_a_usage_error(cli, jobs, capsys):
+    """All three campaign CLIs read ``--jobs`` through
+    ``add_executor_arguments``: a bad value exits 2 before any cell runs
+    (or, for the service, before it binds a port)."""
+    main = importlib.import_module(
+        cli if cli != "repro.service" else "repro.service.__main__").main
+    with pytest.raises(SystemExit) as exit_:
+        main(["--jobs", jobs])
+    assert exit_.value.code == 2
+    assert "argument --jobs" in capsys.readouterr().err
 
 
 class TestRunCells:

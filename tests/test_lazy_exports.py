@@ -106,7 +106,7 @@ PUBLIC = {
 #: attribute, as it did when every ``__init__`` imported its siblings.
 BARE_SUBMODULE = {
     "repro": "cli", "repro.clients": "scripts", "repro.core": "backoff",
-    "repro.dist": "backends", "repro.experiments": "stats",
+    "repro.dist": "backends", "repro.experiments": "report",
     "repro.faults": "config", "repro.grid": "fdtable", "repro.lint": "cli",
     "repro.obs": "clock", "repro.parallel": "transport",
     "repro.service": "schemas", "repro.sim": "rng",
