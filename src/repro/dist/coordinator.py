@@ -308,9 +308,7 @@ class CoordinatorServer:
                  host: str = "127.0.0.1", port: int = 0,
                  metrics: Optional[MetricsRegistry] = None) -> None:
         self.app = CoordinatorApp(queue, store, metrics=metrics)
-        # nodelay: a keep-alive round trip is ~0.3 ms, not ~44 ms.
-        self.server = bind_server(self.app.handle, host, port,
-                                       nodelay=True)
+        self.server = bind_server(self.app.handle, host, port)
         bound_host, bound_port = self.server.server_address[:2]
         self.url = f"http://{bound_host}:{bound_port}"
         self._stop: Optional[Callable[[], None]] = None

@@ -177,7 +177,9 @@ class ServiceClient:
         return its status; TimeoutError past ``timeout``.
 
         Each step is an events long-poll, so the call returns as soon as
-        the job ends rather than at the next poll tick.
+        the job ends rather than at the next poll tick.  A job's state is
+        its latest event's: a resubmitted job's stream still holds the
+        previous run's terminal event, followed by the new run's.
         """
         deadline = (time.monotonic() + timeout) if timeout is not None \
             else None
@@ -192,9 +194,10 @@ class ServiceClient:
                         return status
                     raise TimeoutError(
                         f"job {job_id} still {status.state} after {timeout:g}s")
-            for event in self.events(job_id, since=since, wait=hold):
-                since = event.seq
-                if event.state in TERMINAL:
+            events = self.events(job_id, since=since, wait=hold)
+            if events:
+                since = events[-1].seq
+                if events[-1].state in TERMINAL:
                     return self.status(job_id)
 
 

@@ -44,9 +44,12 @@ sends is ``{"error": {"code", "message", "details": [...]}}``
 compact, one trailing newline) and a JSON-object body comes in through
 :func:`json_object`.  Which 4xx answers which condition is plane logic,
 listed in each plane's module docstring; 500 ``internal`` is every
-plane's catch-all.  ``TCP_NODELAY`` on accepted sockets is the kit's
-one per-plane choice (``nodelay=``: on for the coordinator, off for the
-service).
+plane's catch-all.
+
+Both ends set ``TCP_NODELAY``, on every plane: the pool on each socket
+it connects, the kit on each socket it accepts.  A request and a reply
+each go out as two writes (headers, then body); under Nagle the second
+waits for the peer's delayed ACK, ~40 ms on Linux, on every exchange.
 """
 
 from __future__ import annotations
@@ -335,6 +338,7 @@ class _Handler(BaseHTTPRequestHandler):
     server_version = "repro"
     protocol_version = "HTTP/1.1"
     timeout = PEER_TIMEOUT
+    disable_nagle_algorithm = True  # TCP_NODELAY: see the module doc
     app: Callable[[str, str, bytes], Reply]  # set by bind_server
 
     def _serve(self) -> None:
@@ -371,16 +375,13 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 def bind_server(handle: Callable[[str, str, bytes], Reply],
-                host: str = "127.0.0.1", port: int = 0,
-                nodelay: bool = False) -> ThreadingHTTPServer:
+                host: str = "127.0.0.1", port: int = 0) -> ThreadingHTTPServer:
     """Bind a threading server that answers with ``handle``.
 
     ``port=0`` picks a free port (read ``server.server_address``); the
-    caller runs ``serve_forever()`` or :func:`serve_in_thread`.
-    ``nodelay`` sets ``TCP_NODELAY`` on accepted sockets: headers and
-    body are separate writes, and under Nagle the body waits ~40 ms
-    for the client's delayed ACK.
+    caller runs ``serve_forever()`` or :func:`serve_in_thread`.  Every
+    plane gets the same socket policy (module doc), so there is nothing
+    per plane to choose here but the handler.
     """
-    handler = type("Handler", (_Handler,), {
-        "app": staticmethod(handle), "disable_nagle_algorithm": nodelay})
+    handler = type("Handler", (_Handler,), {"app": staticmethod(handle)})
     return ThreadingHTTPServer((host, port), handler)

@@ -13,11 +13,14 @@ resubmission after completion is served from the store (or, after TTL
 expiry, re-runs as pure cache hits).
 
 States: ``queued -> running -> done | failed | cancelled``.  Terminal
-jobs are retained for ``ttl`` seconds, then purged.
+jobs are retained for ``ttl`` seconds, then purged by the next submit,
+status or listing call; a purge visits expired finishes only, never a
+retained job.
 """
 
 from __future__ import annotations
 
+import collections
 import queue
 import threading
 import time
@@ -70,12 +73,18 @@ class NotFinished(Exception):
 
 @dataclass
 class JobRecord:
-    """One job's mutable server-side state (guarded by the store lock)."""
+    """One job's mutable server-side state (guarded by the store lock).
+
+    ``wakeup`` is a condition over the store lock that only this job's
+    event appends notify: a follower of one job sleeps through every
+    other job's traffic.
+    """
 
     job_id: str
     kind: str
     submission: Any
     cells: int
+    wakeup: threading.Condition
     state: str = QUEUED
     created: float = 0.0
     started: Optional[float] = None
@@ -108,7 +117,7 @@ class JobStore:
     Bounded: concurrently *running* jobs (``workers``, one thread each)
     and retained terminal jobs (``ttl``).  Not bounded yet: *pending*
     jobs — the admission queue takes every submission the sandbox
-    admits until ROADMAP 2(b) gives it a ``maxsize``.  ``run_jobs`` is
+    admits until ROADMAP 4(b) gives it a ``maxsize``.  ``run_jobs`` is
     passed to :func:`~repro.parallel.run_cells` for intra-job
     parallelism.
 
@@ -145,8 +154,11 @@ class JobStore:
         self._workers = workers
         self._records: dict[str, JobRecord] = {}
         self._lock = threading.Lock()
-        # Event appends notify long-poll waiters (events(wait=...)).
-        self._wakeup = threading.Condition(self._lock)
+        #: ``(finished, job_id)`` per terminal transition, in finish
+        #: order: a purge pops expired entries off the front and never
+        #: looks at a retained job.
+        self._finished: collections.deque[tuple[float, str]] = \
+            collections.deque()
         #: Admitted job ids, then one ``None`` per thread on close().
         self._queue: queue.SimpleQueue = queue.SimpleQueue()
         self._threads: list[threading.Thread] = []
@@ -183,7 +195,8 @@ class JobStore:
         return self
 
     def close(self) -> None:
-        """Cancel unfinished jobs, then stop and join the workers."""
+        """Cancel unfinished jobs, release every long-poll, then stop
+        and join the workers."""
         if self._closed:
             return
         self._closed = True
@@ -192,6 +205,10 @@ class JobStore:
                           if record.state not in TERMINAL]
         for job_id in unfinished:
             self.cancel(job_id)  # queued jobs never start
+        with self._lock:
+            # Followers of terminal jobs have no event coming.
+            for record in self._records.values():
+                record.wakeup.notify_all()
         for _ in self._threads:
             self._queue.put(None)
         for thread in self._threads:
@@ -257,7 +274,8 @@ class JobStore:
             else:
                 record = JobRecord(
                     job_id=job_id, kind=kind, submission=admitted,
-                    cells=len(cells), created=now)
+                    cells=len(cells), wakeup=threading.Condition(self._lock),
+                    created=now)
                 self._event_locked(record, QUEUED, "admitted")
                 self._records[job_id] = record
         self._m_submitted.labels(kind=kind).inc()
@@ -297,10 +315,10 @@ class JobStore:
         """Status events with ``seq > since`` (the incremental stream).
 
         ``wait > 0`` long-polls: when nothing is newer than ``since``,
-        the call blocks until an event lands (any job's append wakes the
-        waiters; the filter re-checks this job) or ``wait`` seconds pass,
-        then returns whatever there is — possibly nothing.  Followers
-        get sub-poll-interval latency without busy-polling the store.
+        the call blocks until this job appends an event, ``wait``
+        seconds pass, the job is purged or the store closes, then
+        returns whatever there is — possibly nothing.  Followers get
+        sub-poll-interval latency without busy-polling the store.
         """
         deadline = time.monotonic() + wait if wait > 0 else None
         with self._lock:
@@ -308,12 +326,13 @@ class JobStore:
             while True:
                 fresh = [event for event in record.events
                          if event.seq > since]
-                if fresh or deadline is None:
+                if (fresh or deadline is None or self._closed
+                        or self._records.get(job_id) is not record):
                     return fresh
                 remaining = deadline - time.monotonic()
-                if remaining <= 0 or not self._wakeup.wait(remaining):
-                    return [event for event in record.events
-                            if event.seq > since]
+                if remaining <= 0:
+                    return fresh
+                record.wakeup.wait(remaining)
 
     def jobs(self) -> list[JobStatus]:
         with self._lock:
@@ -330,9 +349,8 @@ class JobStore:
             record = self._get(job_id)
             if record.state == QUEUED:
                 record.cancel.set()
-                record.state = CANCELLED
-                record.finished = self.clock()
-                self._event_locked(record, CANCELLED, "cancelled while queued")
+                self._settle_locked(record, CANCELLED,
+                                    "cancelled while queued")
                 self._m_finished.labels(state=CANCELLED).inc()
             elif record.state == RUNNING:
                 record.cancel.set()
@@ -348,14 +366,19 @@ class JobStore:
     def _purge_locked(self, now: float) -> int:
         if self.ttl is None:
             return 0
-        expired = [
-            job_id for job_id, record in self._records.items()
-            if record.state in TERMINAL and record.finished is not None
-            and now - record.finished > self.ttl
-        ]
-        for job_id in expired:
-            del self._records[job_id]
-        return len(expired)
+        purged = 0
+        finished = self._finished
+        while finished and now - finished[0][0] > self.ttl:
+            when, job_id = finished.popleft()
+            record = self._records.get(job_id)
+            # A resubmitted job has since re-queued or finished later;
+            # its newer finish time (or none yet) makes this entry stale.
+            if (record is not None and record.state in TERMINAL
+                    and record.finished == when):
+                del self._records[job_id]
+                record.wakeup.notify_all()
+                purged += 1
+        return purged
 
     # ------------------------------------------------------------------
     # Execution
@@ -368,7 +391,16 @@ class JobStore:
             state=state,
             message=message,
         ))
-        self._wakeup.notify_all()
+        record.wakeup.notify_all()
+
+    def _settle_locked(self, record: JobRecord, state: str,
+                       message: str) -> None:
+        """Move ``record`` to the terminal ``state`` and queue its purge."""
+        record.state = state
+        record.finished = self.clock()
+        if self.ttl is not None:
+            self._finished.append((record.finished, record.job_id))
+        self._event_locked(record, state, message)
 
     def _worker(self) -> None:
         while True:
@@ -419,11 +451,9 @@ class JobStore:
             self._finish(record, span, CANCELLED, "cancelled while running")
         else:
             with self._lock:
-                record.state = DONE
-                record.finished = self.clock()
                 record.result = payload
                 record.cache_hit = cache_hit
-                self._event_locked(
+                self._settle_locked(
                     record, DONE,
                     "served from cache" if cache_hit else "computed")
             self._m_finished.labels(state=DONE).inc()
@@ -432,11 +462,9 @@ class JobStore:
     def _finish(self, record: JobRecord, span, state: str, error: str,
                 verdict: Optional[str] = None) -> None:
         with self._lock:
-            record.state = state
-            record.finished = self.clock()
             if state == FAILED:
                 record.error = error
-            self._event_locked(record, state, error)
+            self._settle_locked(record, state, error)
         self._m_finished.labels(state=state).inc()
         self.obs.tracer.finish(span, verdict or state)
 

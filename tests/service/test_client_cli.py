@@ -82,6 +82,32 @@ class TestServiceClient:
         finally:
             gate.set()
 
+    def test_wait_on_a_resubmitted_job_waits_for_its_new_run(
+            self, service, monkeypatch):
+        """The stream of a finished job that was submitted again still
+        holds its first run's ``done``; ``wait`` must not stop there."""
+        url, store = service
+        client = ServiceClient(url=url)
+        first = client.submit_script(GOOD, timeout=600.0)
+        client.wait(first.job_id, timeout=30.0)
+        gate = threading.Event()
+        execute = store._execute
+
+        def held(record, cancel):
+            gate.wait(30.0)
+            return execute(record, cancel)
+
+        monkeypatch.setattr(store, "_execute", held)
+        again = client.submit_script(GOOD, timeout=600.0)
+        assert again.job_id == first.job_id
+        try:
+            with pytest.raises(TimeoutError, match="still (queued|running)"):
+                client.wait(again.job_id, timeout=0.3)
+        finally:
+            gate.set()
+        assert client.wait(again.job_id, timeout=30.0).state == "done"
+        assert client.result(again.job_id).state == "done"
+
     def test_rejection_becomes_service_error(self, service):
         url, _store = service
         client = ServiceClient(url=url)

@@ -389,6 +389,29 @@ class TestNonJsonNumbersAreOutsideInput:
             "totals"]["malformed"] == 1
 
 
+class TestNoDelayedAckStall:
+    """Every plane answers a keep-alive exchange at loopback speed.
+
+    A reply is two writes (headers, then body).  Under Nagle the body
+    waits for the client's delayed ACK, whose floor on Linux is 40 ms;
+    with ``TCP_NODELAY`` on the accepted socket an exchange is well
+    under a millisecond of wire."""
+
+    def test_ten_pooled_exchanges_have_a_median_under_20ms(self, plane):
+        host, port = plane
+        url = f"http://{host}:{port}/no-such-route"
+        http_request(url)  # connect outside the timed window
+        elapsed = []
+        for _ in range(10):
+            started = time.perf_counter()
+            response = http_request(url)
+            elapsed.append(time.perf_counter() - started)
+            assert response.status == 404 and response.body
+        elapsed.sort()
+        median = (elapsed[4] + elapsed[5]) / 2
+        assert median < 0.020, f"median exchange {median * 1e3:.1f} ms"
+
+
 class TestSilentPeersAreReaped:
     """The kit's socket timeout (patched from 30 s to 0.2 s) frees the
     handler thread of a peer that stops talking, on every plane."""

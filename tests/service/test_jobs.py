@@ -16,6 +16,7 @@ from repro.service.schemas import (
 )
 
 GOOD = 'try for 5 minutes\n    condor_submit submit.job\nend\n'
+OTHER = GOOD.replace("5 minutes", "6 minutes")
 
 #: A one-cell campaign small enough for unit tests (sub-second).
 TINY_CAMPAIGN = CampaignSubmission(
@@ -235,10 +236,17 @@ class TestBudgetsAndTtl:
             wait_terminal(store, status.job_id)
             clock[0] += 5.0
             assert store.status(status.job_id).state == "done"
-            clock[0] += 20.0
-            store.purge_expired()
+            later = store.submit(ScriptSubmission(script=OTHER,
+                                                  timeout=600.0))
+            wait_terminal(store, later.job_id)
+            clock[0] += 6.0  # 11 s after the first finish, 6 after this one
+            assert store.purge_expired() == 1
             with pytest.raises(UnknownJob):
                 store.status(status.job_id)
+            assert store.status(later.job_id).state == "done"
+            clock[0] += 20.0
+            assert store.purge_expired() == 1
+            assert store.jobs() == []
 
     def test_ttl_never_reaps_running_jobs(self):
         clock = [1000.0]
@@ -256,8 +264,157 @@ class TestBudgetsAndTtl:
             with store._lock:
                 record.state = "done"
 
+    def test_a_resubmitted_job_is_kept_past_its_first_finish(self):
+        clock = [1000.0]
+        with JobStore(policy=SandboxPolicy(wall_budget=60.0),
+                      workers=1, ttl=10.0, clock=lambda: clock[0]) as store:
+            sub = ScriptSubmission(script=GOOD, timeout=600.0)
+            job = store.submit(sub)
+            wait_terminal(store, job.job_id)
+            clock[0] += 5.0
+            assert store.submit(sub).job_id == job.job_id
+            assert wait_terminal(store, job.job_id).finished == 1005.0
+            clock[0] += 7.0  # 12 s after the first finish, 7 after the second
+            assert store.purge_expired() == 0
+            assert store.status(job.job_id).state == "done"
+            clock[0] += 4.0
+            assert store.purge_expired() == 1
+            with pytest.raises(UnknownJob):
+                store.status(job.job_id)
+
+    def test_a_purge_never_walks_the_retained_jobs(self):
+        clock = [1000.0]
+        with JobStore(policy=SandboxPolicy(wall_budget=60.0),
+                      workers=1, ttl=10.0, clock=lambda: clock[0]) as store:
+            job = store.submit(ScriptSubmission(script=GOOD,
+                                                timeout=600.0))
+            wait_terminal(store, job.job_id)
+            walks = []
+
+            class Records(dict):
+                def items(self):
+                    walks.append("items")
+                    return super().items()
+
+                def values(self):
+                    walks.append("values")
+                    return super().values()
+
+                def __iter__(self):
+                    walks.append("iter")
+                    return super().__iter__()
+
+            with store._lock:
+                store._records = Records(store._records)
+            for _ in range(3):
+                clock[0] += 2.0
+                store.status(job.job_id)
+                store.purge_expired()
+            assert walks == []
+            clock[0] += 10.0
+            assert store.purge_expired() == 1
+            assert walks == []
+
     def test_validation(self):
         with pytest.raises(ValueError):
             JobStore(workers=0)
         with pytest.raises(ValueError):
             JobStore(ttl=-1.0)
+
+
+class CountingCondition(threading.Condition):
+    """A condition that counts how often it is waited on and woken."""
+
+    def __init__(self, lock):
+        super().__init__(lock)
+        self.waits = 0
+        self.wakeups = 0
+
+    def wait(self, timeout=None):
+        self.waits += 1
+        woke = super().wait(timeout)
+        self.wakeups += woke
+        return woke
+
+
+def follow(store, job_id):
+    """Long-poll ``job_id`` past its last event on a thread; return the
+    thread, the list it fills and the job's counting condition, once the
+    follower is asleep."""
+    record = store._records[job_id]
+    with store._lock:
+        record.wakeup = CountingCondition(store._lock)
+        since = record.events[-1].seq
+    got = []
+    thread = threading.Thread(target=lambda: got.extend(
+        store.events(job_id, since=since, wait=30.0)))
+    thread.start()
+    deadline = time.monotonic() + 10.0
+    while record.wakeup.waits == 0:
+        assert time.monotonic() < deadline, "follower never waited"
+        time.sleep(0.001)
+    # Taking the lock proves the follower let go of it inside wait().
+    with store._lock:
+        pass
+    return thread, got, record.wakeup
+
+
+class TestLongPollWakeups:
+    def test_a_follower_sleeps_through_other_jobs_events(self, store):
+        busy = ScriptSubmission(script=GOOD, timeout=600.0)
+        quiet = ScriptSubmission(script=OTHER, timeout=600.0)
+        a = store.submit(busy)
+        b = store.submit(quiet)
+        wait_terminal(store, a.job_id)
+        wait_terminal(store, b.job_id)
+        thread, got, wakeup = follow(store, b.job_id)
+        for _ in range(5):  # queued, running, done: 15 appends to job A
+            store.submit(busy)
+            wait_terminal(store, a.job_id)
+        assert len(store.events(a.job_id)) == 18
+        assert (wakeup.waits, wakeup.wakeups) == (1, 0)
+        store.submit(quiet)
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+        assert (wakeup.waits, wakeup.wakeups) == (1, 1)
+        assert got[0].message == "resubmitted"
+
+    def test_cancellation_wakes_the_follower(self, store):
+        job = store.submit(CampaignSubmission(
+            scenario="submit", disciplines=("fixed", "aloha"),
+            overrides=(("submit_duration", 30.0),)))
+        deadline = time.monotonic() + 30.0
+        while store.status(job.job_id).state != RUNNING:
+            assert time.monotonic() < deadline
+            time.sleep(0.005)
+        thread, got, _ = follow(store, job.job_id)
+        store.cancel(job.job_id)
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+        assert got[0].message == "cancellation requested"
+        wait_terminal(store, job.job_id)
+
+    def test_a_purge_releases_the_follower(self):
+        clock = [1000.0]
+        with JobStore(policy=SandboxPolicy(wall_budget=60.0),
+                      workers=1, ttl=10.0, clock=lambda: clock[0]) as store:
+            job = store.submit(ScriptSubmission(script=GOOD,
+                                                timeout=600.0))
+            wait_terminal(store, job.job_id)
+            thread, got, wakeup = follow(store, job.job_id)
+            clock[0] += 11.0
+            assert store.purge_expired() == 1
+            thread.join(timeout=5.0)
+            assert not thread.is_alive()
+            assert got == [] and wakeup.wakeups == 1
+
+    def test_close_releases_the_followers_of_finished_jobs(self):
+        store = JobStore(policy=SandboxPolicy(wall_budget=60.0),
+                         workers=1).start()
+        job = store.submit(ScriptSubmission(script=GOOD, timeout=600.0))
+        wait_terminal(store, job.job_id)
+        thread, got, wakeup = follow(store, job.job_id)
+        store.close()
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+        assert got == [] and wakeup.wakeups == 1
