@@ -13,7 +13,9 @@ prints per grid:
   branches;
 * from counting wrappers applied here, outside ``src/`` (nothing in the
   package counts these): ``Scope.get`` / ``set`` / ``append`` calls,
-  function calls, and words expanded that hold a substitution;
+  function calls, assignments, ``if`` conditions evaluated, and words
+  expanded that hold a substitution — by a plan or by the tree-walker,
+  which runs what plans leave to it;
 * how the simulated commands were served — as a process (the driver's
   own counter) or by a timer (a handler that answered ``Quick``: the
   rest of those started) — the deadline timers queued and withdrawn,
@@ -49,7 +51,9 @@ sys.path.insert(0, os.path.join(
 
 from repro.clients.base import by_name  # noqa: E402
 from repro.core import compile as plans  # noqa: E402
+from repro.core import expressions, interpreter, variables  # noqa: E402
 from repro.core.shell_log import ShellLog  # noqa: E402
+from repro.core.tokens import VarRef  # noqa: E402
 from repro.core.variables import Scope  # noqa: E402
 from repro.experiments import chaos, runall  # noqa: E402
 from repro.obs.api import Observability  # noqa: E402
@@ -71,23 +75,35 @@ OBS_COUNTERS = {
 #: those started were served by a timer.
 PROCESSES = "ftsh_sim_command_processes_total"
 
-#: Row label -> (owner, attribute, predicate over the call's arguments).
-#: ``Scope.append`` and ``lookup`` read through ``get``, so an append or
-#: a function call's saved positionals show up under ``Scope.get`` too.
+
+def _holds_variable(word, _scope):
+    return any(part.__class__ is VarRef for part in word.parts)
+
+
+#: Row label -> the (owner, attribute, predicate over the call's
+#: arguments) sites counted under it.  ``Scope.append`` and ``lookup``
+#: read through ``get``, so an append or a function call's saved
+#: positionals show up under ``Scope.get`` too.  A module-level function
+#: is counted at every module that binds it.
 WRAPPED = {
-    "Scope.get calls": (Scope, "get", None),
-    "Scope.set calls": (Scope, "set", None),
-    "Scope.append calls": (Scope, "append", None),
-    "function calls": (plans, "_call_function", None),
-    "non-constant words expanded": (
-        plans.CompiledWord, "expand", lambda word, _scope: bool(word.subs)),
+    "Scope.get calls": [(Scope, "get", None)],
+    "Scope.set calls": [(Scope, "set", None)],
+    "Scope.append calls": [(Scope, "append", None)],
+    "function calls": [(interpreter.Interpreter, "call_function", None)],
+    "assignments": [(interpreter.Interpreter, "eval_assignment", None)],
+    "if conditions evaluated": [
+        (module, "evaluate", None) for module in (plans, interpreter)],
+    "non-constant words expanded": [
+        (plans.CompiledWord, "expand", lambda word, _scope: bool(word.subs)),
+        *((module, "expand_word", _holds_variable)
+          for module in (expressions, interpreter, variables))],
     # Not a wrapper: derived from the driver's counters, kept here for
     # its place in the report.
     "commands timer-served": None,
-    "deadline timers queued": (kernel.Engine, "timeout_at", None),
-    "deadline timers withdrawn": (
-        Timeout, "cancel", lambda timer: timer.callbacks is not None),
-    "log records": (ShellLog, "record", None),
+    "deadline timers queued": [(kernel.Engine, "timeout_at", None)],
+    "deadline timers withdrawn": [
+        (Timeout, "cancel", lambda timer: timer.callbacks is not None)],
+    "log records": [(ShellLog, "record", None)],
 }
 
 
@@ -106,13 +122,11 @@ def counting_wrappers():
         return counted
 
     try:
-        for label, wrapped in WRAPPED.items():
-            if wrapped is None:
-                continue
-            owner, name, counts = wrapped
-            original = getattr(owner, name)
-            originals.append((owner, name, original))
-            setattr(owner, name, wrap(label, original, counts))
+        for label, sites in WRAPPED.items():
+            for owner, name, counts in sites or ():
+                original = getattr(owner, name)
+                originals.append((owner, name, original))
+                setattr(owner, name, wrap(label, original, counts))
         yield tally
     finally:
         for owner, name, original in originals:

@@ -30,15 +30,23 @@ from .core.units import duration_seconds
 
 
 def _parse_timeout(text: str) -> float:
-    """Accept ``300``, ``300s``, ``5 minutes``, ``5minutes``."""
+    """Accept ``300``, ``300s``, ``5 minutes``, ``5minutes``; refuse a
+    bound that is not positive, as the service does."""
     parts = text.split()
     if len(parts) == 2:
-        return duration_seconds(float(parts[0]), parts[1])
-    stripped = text.strip()
-    for idx, char in enumerate(stripped):
-        if not (char.isdigit() or char in ".+-"):
-            return duration_seconds(float(stripped[:idx]), stripped[idx:])
-    return float(stripped)
+        seconds = duration_seconds(float(parts[0]), parts[1])
+    else:
+        stripped = text.strip()
+        for idx, char in enumerate(stripped):
+            if not (char.isdigit() or char in ".+-"):
+                seconds = duration_seconds(float(stripped[:idx]),
+                                           stripped[idx:])
+                break
+        else:
+            seconds = float(stripped)
+    if not seconds > 0:
+        raise ValueError(f"timeout must be positive: {text!r}")
+    return seconds
 
 
 def _version() -> str:

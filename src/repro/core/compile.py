@@ -1,16 +1,16 @@
-"""AST→plan compiler: flat execution plans shared by both runtimes.
+"""AST→plan compiler: flat execution plans for what campaigns run.
 
 ``parse_cached`` already amortises lexing and parsing, but the evaluator
-still re-walked the AST on every statement, every ``try`` attempt and
-every ``forall`` branch: isinstance dispatch, per-part word joins, dict
-lookups per variable expansion, and span/log detail strings built even
-when telemetry is off.  This module compiles a parsed
+still re-walked the AST on every statement and every ``try`` attempt:
+isinstance dispatch, per-part word joins, dict lookups per variable
+expansion, and span/log detail strings built even when telemetry is
+off.  This module compiles a parsed
 :class:`~repro.core.ast_nodes.Script` once into an immutable
 :class:`ScriptPlan` of compact op records:
 
-* words and expression operands are pre-split into a constant head and
-  ``(variable name, literal tail)`` pairs — an all-constant argv is
-  expanded (and its log string joined) exactly once, at compile time;
+* words are pre-split into a constant head and ``(variable name,
+  literal tail)`` pairs — an all-constant argv is expanded (and its log
+  string joined) exactly once, at compile time;
 * every variable has one copy, in the
   :class:`~repro.core.variables.Scope` the ops are handed: reads are
   ``scope.get``, writes ``scope.set/append/unset``, so ``flatten()``,
@@ -19,8 +19,14 @@ when telemetry is off.  This module compiles a parsed
   docs/PERFORMANCE.md "What each specialisation serves");
 * ``try`` windows, attempt budgets and ``every`` overrides are
   precomputed so the retry loop re-enters a plan, not a tree walk;
-* group / forany / forall bodies are flattened into op tuples, and
+* group / forany / if bodies are flattened into op tuples, and
   ``success`` atoms (no-ops) are dropped at compile time.
+
+Only what campaign traffic runs is compiled (the same section counts
+it).  A :class:`WalkOp` hands an assignment, a ``forall`` or a function
+definition to the tree-walker whole, a command that names a function
+calls ``Interpreter.call_function``, and an ``if`` condition is
+evaluated from its AST by :func:`~repro.core.expressions.evaluate`.
 
 The plan dispatches over the *same* sans-IO effect protocol with the
 same error semantics, log events, spans and metrics as the tree-walking
@@ -32,15 +38,16 @@ context is disabled or the log level filters the event.
 identity (``parse_cached`` returns shared ``Script`` objects), holding a
 strong reference to the script so an id() can never be reused while its
 entry is alive.  Plans are the only runtime a shell dispatches over;
-the tree-walking evaluator stays in :mod:`~repro.core.interpreter` as the
-reference the equivalence suites compare against.
+the tree-walking evaluator in :mod:`~repro.core.interpreter` runs what
+they hand it and is the reference the equivalence suites compare the
+rest against.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Generator, NamedTuple, Optional
+from typing import Any, Generator, NamedTuple, NoReturn, Optional
 
 from . import ast_nodes as ast
 from .backoff import BackoffState
@@ -49,21 +56,13 @@ from .effects import (
     Effect,
     GetRandom,
     GetTime,
-    ParallelBranch,
-    ParallelResult,
     RunCommand,
-    RunParallel,
     Sleep,
     SleepResult,
 )
-from .errors import (
-    FtshCancelled,
-    FtshFailure,
-    FtshRuntimeError,
-    FtshTimeout,
-)
-from .expressions import _NUMERIC, _STRING, _to_number, truthy
-from .interpreter import MAX_FUNCTION_DEPTH, ZERO_PROGRESS_QUANTUM
+from .errors import FtshFailure, FtshRuntimeError, FtshTimeout
+from .expressions import evaluate
+from .interpreter import ZERO_PROGRESS_QUANTUM
 from .shell_log import LOG_COMMANDS, LOG_TRACE, EventKind
 from .timeline import UNBOUNDED
 from .tokens import VarRef, Word
@@ -123,102 +122,6 @@ def _compile_word(word: Word) -> CompiledWord:
     return CompiledWord(head, tuple(subs), quoted)
 
 
-class _CmpNum:
-    __slots__ = ("fn", "op", "lhs", "rhs")
-
-    def __init__(self, fn, op: str, lhs: CompiledWord, rhs: CompiledWord) -> None:
-        self.fn = fn
-        self.op = op
-        self.lhs = lhs
-        self.rhs = rhs
-
-    def eval(self, scope: Scope) -> bool:
-        # Expansion order and the operand-conversion order both match the
-        # tree-walking evaluator, so the *first* failure is the same one.
-        lhs = self.lhs.expand(scope)
-        rhs = self.rhs.expand(scope)
-        return self.fn(_to_number(lhs, self.op), _to_number(rhs, self.op))
-
-
-class _CmpStr:
-    __slots__ = ("fn", "lhs", "rhs")
-
-    def __init__(self, fn, lhs: CompiledWord, rhs: CompiledWord) -> None:
-        self.fn = fn
-        self.lhs = lhs
-        self.rhs = rhs
-
-    def eval(self, scope: Scope) -> bool:
-        return self.fn(self.lhs.expand(scope), self.rhs.expand(scope))
-
-
-class _TruthExpr:
-    __slots__ = ("operand",)
-
-    def __init__(self, operand: CompiledWord) -> None:
-        self.operand = operand
-
-    def eval(self, scope: Scope) -> bool:
-        return truthy(self.operand.expand(scope))
-
-
-class _NotExpr:
-    __slots__ = ("operand",)
-
-    def __init__(self, operand) -> None:
-        self.operand = operand
-
-    def eval(self, scope: Scope) -> bool:
-        return not self.operand.eval(scope)
-
-
-class _DefinedExpr:
-    __slots__ = ("name",)
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-
-    def eval(self, scope: Scope) -> bool:
-        return self.name in scope
-
-
-class _BoolExpr:
-    __slots__ = ("is_or", "lhs", "rhs")
-
-    def __init__(self, is_or: bool, lhs, rhs) -> None:
-        self.is_or = is_or
-        self.lhs = lhs
-        self.rhs = rhs
-
-    def eval(self, scope: Scope) -> bool:
-        # Both sides always evaluate (order-independent failure behaviour),
-        # exactly like expressions.evaluate.
-        lhs = self.lhs.eval(scope)
-        rhs = self.rhs.eval(scope)
-        return (lhs or rhs) if self.is_or else (lhs and rhs)
-
-
-def _compile_expr(expr: ast.Expr):
-    if isinstance(expr, ast.Comparison):
-        lhs = _compile_word(expr.lhs)
-        rhs = _compile_word(expr.rhs)
-        numeric = _NUMERIC.get(expr.op)
-        if numeric is not None:
-            return _CmpNum(numeric, expr.op, lhs, rhs)
-        return _CmpStr(_STRING[expr.op], lhs, rhs)
-    if isinstance(expr, ast.Truth):
-        return _TruthExpr(_compile_word(expr.operand))
-    if isinstance(expr, ast.Not):
-        return _NotExpr(_compile_expr(expr.operand))
-    if isinstance(expr, ast.Defined):
-        return _DefinedExpr(expr.name)
-    if isinstance(expr, ast.BoolOp):
-        return _BoolExpr(expr.op == ".or.",
-                         _compile_expr(expr.lhs),
-                         _compile_expr(expr.rhs))
-    raise TypeError(f"unknown expression node: {expr!r}")  # pragma: no cover
-
-
 class _CompiledRedirect:
     """One redirection with its dispatch decisions made at compile time."""
 
@@ -241,154 +144,71 @@ class _CompiledRedirect:
 # ----------------------------------------------------------------------
 # Plan ops
 # ----------------------------------------------------------------------
-# Each op exposes run(interp, scope).  Ops that never yield effects
-# (assignment, atoms, function definition) return None; the rest return
-# an effect generator the group drives with `yield from`.  This keeps
-# straight-line variable work free of generator overhead.
+# Each op exposes run(interp, scope), whose result the caller drives at
+# once with `yield from`: an effect generator, or `()` from a statement
+# the tree-walker ran on the spot.  FailureOp raises instead.
 
 
 class GroupPlan:
     __slots__ = ("ops",)
-
-    #: Class marker: run() returns an effect generator (sync ops say False).
-    yields = True
 
     def __init__(self, ops: tuple) -> None:
         self.ops = ops
 
     def run(self, interp, scope: Scope) -> EvalGen:
         for op in self.ops:
-            gen = op.run(interp, scope)
-            if gen is not None:
-                yield from gen
-
-
-class AssignOp:
-    __slots__ = ("name", "value", "line")
-
-    yields = False
-
-    def __init__(self, name: str, value: CompiledWord, line: int) -> None:
-        self.name = name
-        self.value = value
-        self.line = line
-
-    def run(self, interp, scope: Scope) -> None:
-        value = self.value.expand(scope)
-        scope.set(self.name, value)
-        log = interp.log
-        if log.level >= LOG_TRACE:
-            log.record(EventKind.ASSIGNMENT, f"{self.name}={value!r}", self.line)
-        return None
+            yield from op.run(interp, scope)
 
 
 class FailureOp:
     __slots__ = ("line",)
 
-    yields = False
-
     def __init__(self, line: int) -> None:
         self.line = line
 
-    def run(self, interp, scope: Scope) -> None:
+    def run(self, interp, scope: Scope) -> NoReturn:
         if interp.log.level >= LOG_COMMANDS:
             interp.log.record(EventKind.FAILURE_ATOM, line=self.line)
         raise FtshFailure("failure atom")
 
 
-class FunctionPlan:
-    """A compiled function body registered under its name at run time."""
+class WalkOp:
+    """A statement no campaign runs, handed to the tree-walker: an
+    assignment, a ``forall`` or a function definition (the counts are in
+    docs/PERFORMANCE.md "What each specialisation serves")."""
 
-    __slots__ = ("name", "body")
+    __slots__ = ("node",)
 
-    def __init__(self, name: str, body: GroupPlan) -> None:
-        self.name = name
-        self.body = body
+    def __init__(self, node: ast.Statement) -> None:
+        self.node = node
 
-
-class FuncDefOp:
-    __slots__ = ("plan",)
-
-    yields = False
-
-    def __init__(self, plan: FunctionPlan) -> None:
-        self.plan = plan
-
-    def run(self, interp, scope: Scope) -> None:
-        interp.functions[self.plan.name] = self.plan
-        return None
-
-
-def _call_function(interp, scope: Scope, plan: FunctionPlan,
-                   argv: list[str], line: int, has_redirects: bool) -> EvalGen:
-    """Compiled twin of Interpreter.call_function (same stack discipline)."""
-    if has_redirects:
-        raise FtshFailure(f"cannot redirect function call {plan.name!r}")
-    if interp._call_depth >= MAX_FUNCTION_DEPTH:
-        raise FtshFailure(f"function recursion deeper than {MAX_FUNCTION_DEPTH}")
-    bindings = {"0": argv[0], "#": str(len(argv) - 1)}
-    for index, arg in enumerate(argv[1:], start=1):
-        bindings[str(index)] = arg
-    saved = {name: scope.lookup(name) for name in bindings}
-    for name, value in bindings.items():
-        scope.set(name, value)
-    interp._call_depth += 1
-    obs_on = interp._obs_on
-    if obs_on:
-        tracer = interp.obs.tracer
-        span = tracer.start(f"function:{plan.name}", "function",
-                            parent=interp._span, line=line or None)
-        caller_span, interp._span = interp._span, span
-    try:
-        yield from plan.body.run(interp, scope)
-        if obs_on:
-            tracer.finish(span, "ok")
-    except FtshFailure:
-        if obs_on:
-            tracer.finish(span, "failed")
-        raise
-    except FtshTimeout:
-        if obs_on:
-            tracer.finish(span, "timeout")
-        raise
-    except BaseException:
-        if obs_on:
-            tracer.finish(span, "cancelled")
-        raise
-    finally:
-        if obs_on:
-            interp._span = caller_span
-        interp._call_depth -= 1
-        for name, previous in saved.items():
-            if previous is None:
-                scope.unset(name)  # was unbound before the call
-            else:
-                scope.set(name, previous)
+    def run(self, interp, scope: Scope) -> EvalGen:
+        # ``scope`` is always ``interp.scope``: the tree-walker reads it.
+        return interp.eval_statement(self.node)
 
 
 class CommandOp:
-    __slots__ = ("template", "const_argv", "const_joined", "redirects",
-                 "has_redirects", "static_capture", "capture_flag",
-                 "merge_flag", "capture_name_static", "capture_append_static",
-                 "line")
+    __slots__ = ("node", "template", "const_argv", "const_joined", "redirects",
+                 "static_capture", "capture_flag", "merge_flag",
+                 "capture_name_static", "capture_append_static", "line")
 
-    yields = True
-
-    def __init__(self, words: tuple[CompiledWord, ...],
-                 redirects: tuple[_CompiledRedirect, ...], line: int) -> None:
+    def __init__(self, node: ast.Command) -> None:
+        #: The AST node, handed to ``Interpreter.call_function`` when the
+        #: command names a function.
+        self.node = node
         #: Argv template: plain str for constant words (elision already
         #: applied), CompiledWord for words needing expansion.  An empty
         #: unquoted constant word compiles away entirely.
         template: list = []
-        for word in words:
+        for word in map(_compile_word, node.words):
             if word.subs:
                 template.append(word)
             elif word.head or word.quoted:
                 template.append(word.head)
         self.template = tuple(template)
-        self.redirects = redirects
-        self.has_redirects = bool(redirects)
-        self.line = line
+        self.redirects = redirects = tuple(
+            _CompiledRedirect(r) for r in node.redirects)
+        self.line = node.line
         if all(item.__class__ is str for item in template):
             self.const_argv: Optional[tuple[str, ...]] = tuple(template)
             self.const_joined: Optional[str] = " ".join(template)
@@ -434,8 +254,8 @@ class CommandOp:
             joined = None
         name = argv[0]
         if name in interp.functions:
-            yield from _call_function(interp, scope, interp.functions[name],
-                                      argv, self.line, self.has_redirects)
+            yield from interp.call_function(interp.functions[name], argv,
+                                            self.node)
             return
 
         stack = interp.deadlines._stack  # effective(), inlined for the hot path
@@ -545,8 +365,6 @@ class TryOp:
 
     __slots__ = ("duration", "attempts", "every", "body", "cmd", "catch", "line")
 
-    yields = True
-
     def __init__(self, limits: ast.TryLimits, body,
                  catch: Optional[GroupPlan], line: int) -> None:
         #: Window / budget / fixed-delay parameters, precomputed (the
@@ -644,9 +462,8 @@ class TryOp:
                             if not argv:
                                 failed = True  # "command expanded to nothing"
                             elif argv[0] in functions:
-                                yield from _call_function(
-                                    interp, scope, functions[argv[0]], argv,
-                                    cmd_line, cmd.has_redirects)
+                                yield from interp.call_function(
+                                    functions[argv[0]], argv, cmd.node)
                                 # Function returned: the attempt succeeded.
                             else:
                                 name = argv[0]
@@ -849,8 +666,6 @@ class TryOp:
 class ForAnyOp:
     __slots__ = ("var", "values", "body", "line")
 
-    yields = True
-
     def __init__(self, var: str, values: tuple[CompiledWord, ...],
                  body: GroupPlan, line: int) -> None:
         self.var = var
@@ -917,122 +732,12 @@ class ForAnyOp:
                 interp._span = enclosing
 
 
-def _run_branch(interp, body: GroupPlan, scope: Scope) -> EvalGen:
-    """A forall branch body as its own effect generator."""
-    yield from body.run(interp, scope)
-
-
-class ForAllOp:
-    __slots__ = ("var", "values", "body", "line")
-
-    yields = True
-
-    def __init__(self, var: str, values: tuple[CompiledWord, ...],
-                 body: GroupPlan, line: int) -> None:
-        self.var = var
-        self.values = values
-        self.body = body
-        self.line = line
-
-    def run(self, interp, scope: Scope) -> EvalGen:
-        log = interp.log
-        trace_on = log.level >= LOG_TRACE
-        obs_on = interp._obs_on
-        if obs_on:
-            tracer = interp.obs.tracer
-            span = tracer.start(f"forall:{self.var}", "forall",
-                                parent=interp._span, line=self.line or None,
-                                branches=len(self.values))
-        else:
-            tracer = None
-            span = None
-        cls = interp.__class__
-        branch_spans = []
-        branches: list[ParallelBranch] = []
-        for position, value_word in enumerate(self.values):
-            value = value_word.expand(scope)
-            branch_scope = scope.child()
-            branch_scope.set(self.var, value)
-            if obs_on:
-                branch_span = tracer.start(f"branch:{self.var}={value}",
-                                           "branch", parent=span)
-            else:
-                branch_span = None
-            branch_spans.append(branch_span)
-            branch = cls(branch_scope, interp.policy, interp.log,
-                         functions=interp.functions,
-                         obs=interp.obs, span_parent=branch_span)
-            # Branches inherit the current effective deadline as their base.
-            branch.deadlines.push(interp.deadlines.effective())
-            generator = _run_branch(branch, self.body, branch_scope)
-            branches.append(
-                ParallelBranch(f"{self.var}={value}#{position}", generator))
-            if trace_on:
-                log.record(EventKind.FORALL_SPAWN,
-                           f"{self.var}={value}", self.line)
-
-        try:
-            result: ParallelResult = yield RunParallel(
-                branches, deadline=interp.deadlines.effective()
-            )
-        except BaseException:
-            if obs_on:
-                for branch_span in branch_spans:
-                    tracer.finish(branch_span, "cancelled")
-                tracer.finish(span, "cancelled")
-            raise
-        if len(result.outcomes) != len(branches):
-            if obs_on:
-                tracer.finish(span, "failed")
-            raise FtshRuntimeError(
-                f"driver returned {len(result.outcomes)} outcomes for "
-                f"{len(branches)} branches"
-            )
-        timeout: Optional[FtshTimeout] = None
-        failure: Optional[BaseException] = None
-        for outcome, branch_span in zip(result.outcomes, branch_spans):
-            if outcome is None:
-                if obs_on:
-                    tracer.finish(branch_span, "ok")
-                continue
-            if isinstance(outcome, FtshTimeout):
-                # Escaped every try inside the branch: belongs to one of
-                # *our* enclosing scopes; keep the earliest.
-                if obs_on:
-                    tracer.finish(branch_span, "timeout")
-                if timeout is None or outcome.deadline < timeout.deadline:
-                    timeout = outcome
-            elif isinstance(outcome, FtshCancelled):
-                if obs_on:
-                    tracer.finish(branch_span, "cancelled")
-                failure = failure or outcome
-            elif isinstance(outcome, FtshFailure):
-                if obs_on:
-                    tracer.finish(branch_span, "failed")
-                failure = failure or outcome
-            else:
-                if obs_on:
-                    tracer.finish(branch_span, "failed")
-                    tracer.finish(span, "failed")
-                raise outcome  # driver bug or interpreter defect: surface it
-        if timeout is not None:
-            if obs_on:
-                tracer.finish(span, "timeout")
-            raise timeout
-        if failure is not None:
-            if obs_on:
-                tracer.finish(span, "failed")
-            raise FtshFailure(f"forall branch failed: {failure}")
-        if obs_on:
-            tracer.finish(span, "ok")
-
-
 class IfOp:
+    """Compiled then/else bodies under the AST condition."""
+
     __slots__ = ("condition", "then", "orelse", "line")
 
-    yields = True
-
-    def __init__(self, condition, then: GroupPlan,
+    def __init__(self, condition: ast.Expr, then: GroupPlan,
                  orelse: Optional[GroupPlan], line: int) -> None:
         self.condition = condition
         self.then = then
@@ -1040,7 +745,7 @@ class IfOp:
         self.line = line
 
     def run(self, interp, scope: Scope) -> EvalGen:
-        verdict = self.condition.eval(scope)
+        verdict = evaluate(self.condition, scope)
         log = interp.log
         if log.level >= LOG_TRACE:
             log.record(EventKind.CONDITION, str(verdict), self.line)
@@ -1114,7 +819,7 @@ def _compile_group(group: ast.Group):
         op = _compile_statement(statement)
         if op is not None:  # `success` atoms compile away
             ops.append(op)
-    if len(ops) == 1 and ops[0].yields:
+    if len(ops) == 1:
         # A single-statement body needs no group wrapper: the op's run()
         # is already the effect generator, saving one delegation frame on
         # every retry attempt (`try ... / one command / end` is the
@@ -1125,11 +830,7 @@ def _compile_group(group: ast.Group):
 
 def _compile_statement(node: ast.Statement):
     if isinstance(node, ast.Command):
-        words = tuple(_compile_word(word) for word in node.words)
-        redirects = tuple(_CompiledRedirect(r) for r in node.redirects)
-        return CommandOp(words, redirects, node.line)
-    if isinstance(node, ast.Assignment):
-        return AssignOp(node.name, _compile_word(node.value), node.line)
+        return CommandOp(node)
     if isinstance(node, ast.Try):
         body = _compile_group(node.body)
         catch = _compile_group(node.catch) if node.catch is not None else None
@@ -1138,20 +839,16 @@ def _compile_statement(node: ast.Statement):
         return ForAnyOp(node.var,
                         tuple(_compile_word(word) for word in node.values),
                         _compile_group(node.body), node.line)
-    if isinstance(node, ast.ForAll):
-        return ForAllOp(node.var,
-                        tuple(_compile_word(word) for word in node.values),
-                        _compile_group(node.body), node.line)
     if isinstance(node, ast.If):
         orelse = _compile_group(node.orelse) if node.orelse is not None else None
-        return IfOp(_compile_expr(node.condition),
-                    _compile_group(node.then), orelse, node.line)
+        return IfOp(node.condition, _compile_group(node.then), orelse,
+                    node.line)
     if isinstance(node, ast.FailureAtom):
         return FailureOp(node.line)
     if isinstance(node, ast.SuccessAtom):
         return None
-    if isinstance(node, ast.FunctionDef):
-        return FuncDefOp(FunctionPlan(node.name, _compile_group(node.body)))
+    if isinstance(node, (ast.Assignment, ast.ForAll, ast.FunctionDef)):
+        return WalkOp(node)
     raise FtshRuntimeError(f"unknown statement node: {node!r}")  # pragma: no cover
 
 

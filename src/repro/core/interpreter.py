@@ -49,7 +49,7 @@ from .errors import (
 )
 from ..obs.api import NULL_OBS
 from ..obs.spans import Span
-from .expressions import evaluate as evaluate_expr
+from .expressions import evaluate
 from .shell_log import EventKind, ShellLog
 from .timeline import UNBOUNDED, AttemptBudget, DeadlineStack
 from .variables import Scope, expand_word, expand_words
@@ -137,41 +137,53 @@ class Interpreter:
     # Statement dispatch
     # ------------------------------------------------------------------
     def eval_group(self, group: ast.Group) -> EvalGen:
-        for statement in group.body:
+        body = group.body
+        if len(body) == 1:
+            # A one-statement body is that statement's generator: one
+            # frame per nesting level, as a plan's collapsed group, so
+            # every nest the parser admits runs.
+            return self.eval_statement(body[0])
+        return self._eval_sequence(body)
+
+    def _eval_sequence(self, body: tuple) -> EvalGen:
+        for statement in body:
             yield from self.eval_statement(statement)
 
     def eval_statement(self, node: ast.Statement) -> EvalGen:
+        """The statement's effect generator, returned, not delegated to.
+
+        A statement with no effects runs here and returns ``()``; the
+        caller ``yield from``s the result at once either way, so it
+        cannot tell the two apart.
+        """
         if isinstance(node, ast.Command):
-            yield from self.eval_command(node)
-        elif isinstance(node, ast.Assignment):
-            yield from self.eval_assignment(node)
-        elif isinstance(node, ast.Try):
-            yield from self.eval_try(node)
-        elif isinstance(node, ast.ForAny):
-            yield from self.eval_forany(node)
-        elif isinstance(node, ast.ForAll):
-            yield from self.eval_forall(node)
-        elif isinstance(node, ast.If):
-            yield from self.eval_if(node)
+            return self.eval_command(node)
+        if isinstance(node, ast.Try):
+            return self.eval_try(node)
+        if isinstance(node, ast.ForAny):
+            return self.eval_forany(node)
+        if isinstance(node, ast.If):
+            return self.eval_if(node)
+        if isinstance(node, ast.ForAll):
+            return self.eval_forall(node)
+        if isinstance(node, ast.Assignment):
+            self.eval_assignment(node)
         elif isinstance(node, ast.FailureAtom):
             self.log.record(EventKind.FAILURE_ATOM, line=node.line)
             raise FtshFailure("failure atom")
-        elif isinstance(node, ast.SuccessAtom):
-            return
         elif isinstance(node, ast.FunctionDef):
             self.functions[node.name] = node
-        else:  # pragma: no cover - parser produces no other nodes
+        elif not isinstance(node, ast.SuccessAtom):  # pragma: no cover
             raise FtshRuntimeError(f"unknown statement node: {node!r}")
+        return ()
 
     # ------------------------------------------------------------------
     # Commands
     # ------------------------------------------------------------------
-    def eval_assignment(self, node: ast.Assignment) -> EvalGen:
+    def eval_assignment(self, node: ast.Assignment) -> None:
         value = expand_word(node.value, self.scope)
         self.scope.set(node.name, value)
         self.log.record(EventKind.ASSIGNMENT, f"{node.name}={value!r}", node.line)
-        return
-        yield  # pragma: no cover - makes this a generator
 
     def eval_command(self, node: ast.Command) -> EvalGen:
         argv = expand_words(node.words, self.scope)
@@ -554,7 +566,7 @@ class Interpreter:
     # if / else
     # ------------------------------------------------------------------
     def eval_if(self, node: ast.If) -> EvalGen:
-        verdict = evaluate_expr(node.condition, self.scope)
+        verdict = evaluate(node.condition, self.scope)
         self.log.record(EventKind.CONDITION, str(verdict), node.line)
         if verdict:
             yield from self.eval_group(node.then)

@@ -115,7 +115,7 @@ class Repl:
         self.prompt = prompt
         self.lint = lint
         self.scope = Scope()
-        #: Shared by every entry of the session; holds FunctionPlans.
+        #: Shared by every entry of the session; holds function definitions.
         self.functions: dict = {}
         self.log = ShellLog(clock=self.driver.now)
 

@@ -79,6 +79,19 @@ class TestOptions:
     def test_bad_timeout(self, tmp_path):
         assert main(["-t", "soon", write_script(tmp_path, "x=1")]) == 2
 
+    @pytest.mark.parametrize("flags", [
+        ["-t", "-5"], ["-t", "0"], ["-t", "0s"],
+        # Refused before any request: nothing listens on the discard port.
+        ["--submit", "http://127.0.0.1:9", "-t", "0"],
+    ], ids=["negative", "zero", "zero-with-unit", "zero-submit"])
+    def test_non_positive_timeout_is_refused(self, tmp_path, capsys, flags):
+        # Used to run the script and exit 1 ("true hit time limit"),
+        # while '-5 seconds' exited 2 and the service refused a 0.
+        marker = tmp_path / "ran"
+        assert main([*flags, "-c", f"touch {marker}"]) == 2
+        assert "bad timeout" in capsys.readouterr().err
+        assert not marker.exists()
+
     def test_log_file(self, tmp_path):
         log = tmp_path / "run.log"
         assert main(["--log", str(log), "-c", "x=1"]) == 0

@@ -117,6 +117,55 @@ end
 """
 
 
+#: The plan / tree-walker boundary: what plans hand to the tree-walker
+#: (an assignment, a function definition, a ``forall``) inside and
+#: beside what they run themselves.  A ``forall`` whose branches run a
+#: ``try`` under a plan-level window that expires; a function called
+#: from an inlined single-command ``try`` and from a ``forany``
+#: alternative; an assignment read by the next compiled command; and a
+#: condition with an undefined operand, then one with a non-numeric
+#: operand, whose reason ends the script.
+MIXED_BOUNDARY = """
+function fetch
+    flaky inner-$1 -> got
+end
+try 5 times every 1 second
+    fetch alpha
+end
+forany host in alpha beta
+    fetch ${host}
+    probe ${host} -> picked
+end
+tag=v-${picked}
+work ${tag} -> worked
+try for 3 seconds
+    forall node in n1 n2
+        try 4 times every 1 second
+            always_fails ${node} -> x
+        end
+    end
+catch
+    cleanup ${tag} -> cleaned
+end
+try 2 times every 1 second
+    if ${nope} .eq. 1
+        success
+    end
+catch
+    mode=abc
+end
+forany kind in numeric text
+    if ${kind} .eql. text
+        if ${mode} .lt. 3
+            success
+        end
+    else
+        failure
+    end
+end
+"""
+
+
 class ScriptedDriver:
     """Deterministic sans-IO driver over a virtual clock.
 
@@ -245,14 +294,36 @@ def assert_equivalent(text, **kwargs):
 class TestDeepEquivalence:
     """Both runtimes agree at every log level, with and without obs."""
 
-    @pytest.mark.parametrize("text", [KITCHEN_SINK, FUSED_EDGES],
-                             ids=["kitchen-sink", "fused-edges"])
+    @pytest.mark.parametrize("text", [KITCHEN_SINK, FUSED_EDGES, MIXED_BOUNDARY],
+                             ids=["kitchen-sink", "fused-edges",
+                                  "mixed-boundary"])
     @pytest.mark.parametrize("level",
                              [LOG_TRACE, LOG_COMMANDS, LOG_RESULTS])
     @pytest.mark.parametrize("with_obs", [False, True],
                              ids=["no-obs", "obs"])
     def test_identical_observables(self, text, level, with_obs):
         assert_equivalent(text, level=level, with_obs=with_obs)
+
+    def test_the_boundary_runs_what_it_names(self):
+        outcome, events, _spans, bindings = observe(MIXED_BOUNDARY, True)
+        assert outcome == ("raise", "FtshFailure: forany exhausted all "
+                           "alternatives (last: non-numeric operand 'abc' "
+                           "for .lt.)")
+        assert bindings["worked"] == "out:work v-ok-beta"
+        assert bindings["cleaned"] == "out:cleanup v-ok-beta"
+        kinds = [kind.name for _time, kind, *_rest in events]
+        assert kinds.count("FORALL_SPAWN") == 2
+        assert kinds.count("CATCH_ENTERED") == 2
+
+    @pytest.mark.parametrize("text,reason", [
+        ("if ${nope} .eq. 1\n    success\nend\n", "nope"),
+        ("x=abc\nif ${x} .lt. 3\n    success\nend\n",
+         "non-numeric operand 'abc' for .lt."),
+    ], ids=["undefined", "non-numeric"])
+    def test_condition_failure_reasons_match(self, text, reason):
+        tree = observe(text, compiled=False)
+        assert tree == observe(text, compiled=True)
+        assert tree[0][0] == "raise" and reason in tree[0][1]
 
 
 class TestShippedScriptSweep:
@@ -358,3 +429,13 @@ class TestLayoutGuard:
         assert not re.search(r"^class (Frame|_SlotTable)\b", compiler,
                              re.MULTILINE)
         assert ".cells" not in compiler
+
+    def test_plans_shadow_only_what_campaigns_run(self):
+        # Assignments, functions, forall and condition expressions have
+        # one implementation, the tree-walker's; plans hand them over.
+        compiler = (pathlib.Path(repro.__file__).parent
+                    / "core" / "compile.py").read_text()
+        assert not re.search(
+            r"class (ForAllOp|FuncDefOp|FunctionPlan|AssignOp|_CmpNum|_CmpStr"
+            r"|_TruthExpr|_NotExpr|_DefinedExpr|_BoolExpr)\b"
+            r"|def (_call_function|_compile_expr|_run_branch)\b", compiler)

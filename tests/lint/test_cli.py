@@ -135,25 +135,40 @@ class TestParseOnlyRegression:
 
     @pytest.mark.parametrize("opener", ["try 1 times", "if 1 .eq. 1",
                                         "forany x in a", "forall x in a"])
-    def test_whatever_parses_runs(self, tmp_path, opener):
-        """The deepest nest the parser admits is one the plan runtime
-        executes: no script exits 0 under --parse-only and then dies of
-        a RecursionError when run."""
-        def main_at(depth, *flags):
-            text = f"{opener}\n" * depth + "true\n" + "end\n" * depth
+    def test_whatever_parses_runs(self, tmp_path, opener, request):
+        """The deepest nest the parser admits is one both runtimes
+        execute — at the top, in a function body and in a ``forall``
+        branch, which plans hand to the tree-walker: no script exits 0
+        under --parse-only and then dies of a RecursionError when run."""
+        def nest(depth):
+            return f"{opener}\n" * depth + "true\n" + "end\n" * depth
+
+        def main_at(text, *flags):
             return ftsh_main([*flags, write_script(tmp_path, text)])
 
         parses, too_deep = 1, 4000
-        assert main_at(parses, "--parse-only") == 0
-        assert main_at(too_deep, "--parse-only") == 2
+        assert main_at(nest(parses), "--parse-only") == 0
+        assert main_at(nest(too_deep), "--parse-only") == 2
         while too_deep - parses > 1:
             depth = (parses + too_deep) // 2
-            if main_at(depth, "--parse-only") == 0:
+            if main_at(nest(depth), "--parse-only") == 0:
                 parses = depth
             else:
                 too_deep = depth
         assert parses > 100
-        assert main_at(parses) == 0
+        # The wrapper is one level of the parser's depth.
+        nests = {
+            "top": nest(parses),
+            "function body": f"function f\n{nest(parses - 1)}end\nf\n",
+            "forall branch": f"forall y in b\n{nest(parses - 1)}end\n",
+        }
+        for where, text in nests.items():
+            assert main_at(text, "--parse-only") == 0, where
+            assert main_at(text) == 0, where
+        walked = request.getfixturevalue("tree_walker")
+        for where, text in nests.items():
+            assert main_at(text) == 0, f"{where}, tree-walked"
+        assert len(walked) == len(nests)
 
     def test_deep_nesting_in_lint_module(self, tmp_path):
         depth = 4000
