@@ -34,9 +34,11 @@ into its spread.
 ``src`` directory of a checkout; ``git archive`` or ``git clone`` the
 parent commit somewhere first).  A cell is named by the key the campaign
 already gives it: ``runall.campaign_cells(SCALES[scale], 2003)`` for the
-figure grids (``fig1/fixed/n450``, ``fig45/ethernet/p50``, ...) and
+figure grids (``fig1/fixed/n450``, ``fig45/ethernet/p50``, ...),
 ``chaos.campaign_cells`` for keys that start with ``chaos/`` (pass
-``--scale smoke``).  Which side goes first alternates from pair to pair.
+``--scale smoke``), and ``validate.extension_cells(2003)`` for the
+gate's extension cells (``dag/fixed``, ``kangaroo/fixed``,
+``ablation/...``; ``--scale`` does not size them).  Which side goes first alternates from pair to pair.
 The timed region is ``time.process_time`` around the cell function only
 (imports and grid construction are outside it), and the digest is the
 sha256 of the result's canonical JSON (``to_jsonable``, sorted keys) —
@@ -61,23 +63,29 @@ CHILD = r"""
 import gc, hashlib, json, os, resource, sys, time
 # One CPU, for the reason the module docstring gives.
 os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-from repro.experiments import chaos, runall
+from repro.experiments import chaos, runall, validate
 from repro.parallel.transport import to_jsonable
 scale, chaos_scale, wanted = sys.argv[1:4]
 
-def grid(campaign, name):
-    if name not in campaign.SCALES:
-        sys.exit(f"no scale {name!r} in {campaign.__name__}: {sorted(campaign.SCALES)}")
-    cells = campaign.campaign_cells(campaign.SCALES[name], 2003)
+def flat(cells):
     if isinstance(cells, dict):
         cells = [spec for group in cells.values() for spec in group]
     return cells
 
+def grid(campaign, name):
+    if name not in campaign.SCALES:
+        sys.exit(f"no scale {name!r} in {campaign.__name__}: {sorted(campaign.SCALES)}")
+    return flat(campaign.campaign_cells(campaign.SCALES[name], 2003))
+
 if wanted == "all":
     cells = grid(runall, scale) + grid(chaos, chaos_scale)
 else:
-    by_key = {spec.key: spec for spec in
-              grid(chaos if wanted.startswith("chaos/") else runall, scale)}
+    if wanted.startswith("chaos/"):
+        pool = grid(chaos, scale)
+    else:
+        # The gate's extension cells have one fixed size: no scale.
+        pool = grid(runall, scale) + flat(validate.extension_cells(2003))
+    by_key = {spec.key: spec for spec in pool}
     if wanted not in by_key:
         sys.exit(f"no cell {wanted!r} at scale {scale!r}; keys: {' '.join(sorted(by_key))}")
     cells = [by_key[wanted]]

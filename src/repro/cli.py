@@ -282,7 +282,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 2
 
     from .core.realruntime import RealDriver
-    from .core.shell_log import LOG_COMMANDS, LOG_RESULTS, LOG_TRACE
+    from .core.shell_log import (
+        LOG_COMMANDS,
+        LOG_RESULTS,
+        LOG_TRACE,
+        TRANSCRIPT_EVENTS,
+        ShellLog,
+    )
     from .core.variables import SpoolPolicy
 
     if args.max_parallel is not None and args.max_parallel < 1:
@@ -315,9 +321,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         driver = RealDriver(max_parallel=args.max_parallel, obs=obs)
     level = {"results": LOG_RESULTS, "commands": LOG_COMMANDS,
              "trace": LOG_TRACE}[args.log_level]
+    # --log and --analyze read events; --summary reads only counts.
+    keep = TRANSCRIPT_EVENTS if args.log or args.analyze else 0
+    log = ShellLog(clock=driver.now, max_events=keep, level=level)
     spool = SpoolPolicy(args.spool_dir) if args.spool_dir else None
-    shell = Ftsh(driver=driver, spool=spool, log_level=level, obs=obs)
-    result = shell.run(script, variables=variables, timeout=timeout)
+    shell = Ftsh(driver=driver, spool=spool, obs=obs)
+    result = shell.run(script, variables=variables, timeout=timeout, log=log)
 
     if args.log:
         try:

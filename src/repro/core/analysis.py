@@ -9,6 +9,8 @@ execute the program, the frequency of each failure branch, and so forth."
 :class:`LogAnalysis`: per-command success/failure/timeout counts and
 durations, backoff totals (the administrator's overload signal, §5),
 ``forany`` branch frequencies, and the retry depth of each ``try``.
+It reads the log's events, so it needs a transcript: a counter (the
+default log, ``max_events=0``) is refused rather than reported empty.
 """
 
 from __future__ import annotations
@@ -104,7 +106,10 @@ def _command_name(detail: str) -> str:
 
 
 def analyze(log: ShellLog) -> LogAnalysis:
-    """Digest ``log`` (see module docstring)."""
+    """Digest ``log`` (see module docstring); ``ValueError`` on a counter."""
+    if not log.max_events:
+        raise ValueError("analyze needs a transcript; this log keeps no "
+                         "events (max_events=0)")
     analysis = LogAnalysis()
     #: command name -> stack of start times (commands can nest via forall).
     starts: dict[str, list[float]] = {}

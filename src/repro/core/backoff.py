@@ -95,10 +95,6 @@ class BackoffPolicy:
         multiplier = self.jitter_low + span * random()
         return self.raw_delay(failures) * multiplier
 
-    def max_delay(self) -> float:
-        """Largest delay this policy can ever produce."""
-        return self.ceiling * self.jitter_high
-
 
 #: The schedule the paper specifies for ``try``.
 PAPER_POLICY = BackoffPolicy(base=1.0, factor=2.0, ceiling=HOUR)
@@ -153,10 +149,6 @@ class BackoffState:
         if self.on_delay is not None:
             self.on_delay(delay)
         return delay
-
-    def peek_delay(self, random: RandomSource) -> float:
-        """Return the delay the *next* failure would incur, without recording it."""
-        return self.policy.delay(self._failures + 1, random)
 
     def reset(self) -> None:
         """Forget past failures (call after a success)."""

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Generator, NamedTuple, NoReturn, Optional
+from typing import Any, Generator, NoReturn, Optional
 
 from . import ast_nodes as ast
 from .backoff import BackoffState
@@ -860,18 +860,9 @@ def compile_script(script: ast.Script) -> ScriptPlan:
 # ----------------------------------------------------------------------
 # compile_cached: the LRU beside parse_cached
 # ----------------------------------------------------------------------
-class CompileCacheInfo(NamedTuple):
-    hits: int
-    misses: int
-    maxsize: int
-    currsize: int
-
-
 _CACHE_MAX = 256
 _cache: "OrderedDict[int, tuple[ast.Script, ScriptPlan]]" = OrderedDict()
 _cache_lock = threading.Lock()
-_cache_hits = 0
-_cache_misses = 0
 
 
 def compile_cached(script: ast.Script) -> ScriptPlan:
@@ -881,32 +872,17 @@ def compile_cached(script: ast.Script) -> ScriptPlan:
     natural (and cheapest) key; each entry pins its script, so an ``id``
     cannot be recycled while the entry lives.
     """
-    global _cache_hits, _cache_misses
     key = id(script)
     with _cache_lock:
         entry = _cache.get(key)
         if entry is not None and entry[0] is script:
             _cache.move_to_end(key)
-            _cache_hits += 1
             return entry[1]
     plan = compile_script(script)
     with _cache_lock:
-        _cache_misses += 1
         _cache[key] = (script, plan)
         _cache.move_to_end(key)
         while len(_cache) > _CACHE_MAX:
             _cache.popitem(last=False)
     return plan
 
-
-def compile_cache_info() -> CompileCacheInfo:
-    with _cache_lock:
-        return CompileCacheInfo(_cache_hits, _cache_misses, _CACHE_MAX, len(_cache))
-
-
-def compile_cache_clear() -> None:
-    global _cache_hits, _cache_misses
-    with _cache_lock:
-        _cache.clear()
-        _cache_hits = 0
-        _cache_misses = 0

@@ -15,8 +15,10 @@
     assert result.success
 
 A single :class:`Ftsh` may run many scripts; each run gets a fresh
-variable scope seeded from ``variables`` and a fresh log (available on
-the returned :class:`RunResult`).
+variable scope seeded from ``variables`` and logs into the ``log`` passed
+to :meth:`Ftsh.run`, or else into a fresh counter (either is on the
+returned :class:`RunResult`).  A transcript is a log capped at
+``shell_log.TRANSCRIPT_EVENTS`` instead of 0, passed in by name.
 """
 
 from __future__ import annotations
@@ -84,6 +86,9 @@ class Ftsh:
             metrics across runs (default: disabled).  The shell installs
             the driver's clock on it, so timestamps are seconds since the
             driver started — the same timebase as the ShellLog.
+
+    A run logs into the :class:`ShellLog` handed to :meth:`run`; without
+    one it gets a fresh counter, which keeps no event.
     """
 
     def __init__(
@@ -92,7 +97,6 @@ class Ftsh:
         policy: BackoffPolicy = PAPER_POLICY,
         honor_deadline_env: bool = True,
         spool: Optional[SpoolPolicy] = None,
-        log_level: Optional[int] = None,
         obs: Any = None,
     ) -> None:
         self.driver = driver if driver is not None else RealDriver()
@@ -100,8 +104,6 @@ class Ftsh:
         self.honor_deadline_env = honor_deadline_env
         #: Filesystem policy for large variable values (paper §4).
         self.spool = spool
-        #: ShellLog verbosity (LOG_RESULTS / LOG_COMMANDS / LOG_TRACE).
-        self.log_level = log_level
         #: Telemetry context shared by every run of this shell.
         self.obs = obs if obs is not None else NULL_OBS
         self.obs.set_clock(self.driver.now)
@@ -118,11 +120,13 @@ class Ftsh:
         script: str | Script,
         variables: Optional[Mapping[str, str]] = None,
         timeout: Optional[float] = None,
+        log: Optional[ShellLog] = None,
     ) -> RunResult:
         """Execute ``script`` and report the outcome.
 
         ``timeout`` bounds the whole run in seconds (on top of any
-        inherited ``FTSH_DEADLINE_EPOCH``).
+        inherited ``FTSH_DEADLINE_EPOCH``).  ``log`` receives the run's
+        events (default: a fresh counter).
         """
         if isinstance(script, str):
             script = parse_cached(script)
@@ -131,10 +135,6 @@ class Ftsh:
             target = compile_cached(script)
 
         scope = Scope(dict(variables or {}), spool=self.spool)
-        if self.log_level is None:
-            log = ShellLog(clock=self.driver.now)
-        else:
-            log = ShellLog(clock=self.driver.now, level=self.log_level)
         interpreter = Interpreter(scope=scope, policy=self.policy, log=log,
                                   obs=self.obs)
 
@@ -144,7 +144,8 @@ class Ftsh:
 
         generator = interpreter.execute(target, overall_deadline=deadline)
         outcome = self.driver.run(generator)
-        return run_result(outcome, scope, log, self.driver.now() - start)
+        return run_result(outcome, scope, interpreter.log,
+                          self.driver.now() - start)
 
     # ------------------------------------------------------------------
     def _inherited_deadline(self, start: float) -> float:

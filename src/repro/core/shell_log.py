@@ -8,19 +8,21 @@ initiations "should be logged and noted to administrators so that
 persistent overloads may be accommodated."
 
 :class:`ShellLog` records typed events with timestamps from whatever
-clock the driver uses.  It is append-only and cheap enough to leave on.
-Every event it records is counted, kept or not, so a log built with
-``level=LOG_RESULTS, max_events=0`` is a counter: it stores no event
-while :meth:`ShellLog.backoff_initiations` stays exact.  That is the log
-a campaign cell or the service sandbox runs with — they read back the
-alarm, never a transcript.
+clock the driver uses.  Every event it records is counted, kept or not.
+The default log is a counter (``level=LOG_RESULTS, max_events=0``): it
+stores no event while :meth:`ShellLog.backoff_initiations` stays exact,
+so a campaign cell, the service sandbox or any shell nobody configured
+runs in bounded memory.  A transcript is asked for by name, with
+``max_events=TRANSCRIPT_EVENTS`` and the level to keep — ``ftsh --log``
+and ``--analyze``, the REPL's ``:analyze`` and the tests that read
+``events`` do.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 
 #: Verbosity tiers for "a log of varying detail" (paper §4).  Each event
@@ -28,6 +30,9 @@ from typing import Callable, Iterator, Optional
 LOG_RESULTS = 0    # script results + the overload alarm (backoffs, §5)
 LOG_COMMANDS = 1   # + command lifecycle and construct outcomes
 LOG_TRACE = 2      # + per-attempt detail (attempts, picks, conditions)
+
+#: The cap a transcript is kept under: past it events are counted, not kept.
+TRANSCRIPT_EVENTS = 1_000_000
 
 
 class EventKind(enum.Enum):
@@ -100,21 +105,21 @@ class LogEvent:
 
 
 class ShellLog:
-    """Append-only event log with counting helpers."""
+    """Append-only event log with counting helpers; by default a counter."""
 
     def __init__(
         self,
         clock: Optional[Callable[[], float]] = None,
-        max_events: int = 1_000_000,
-        level: int = LOG_TRACE,
+        max_events: int = 0,
+        level: int = LOG_RESULTS,
     ) -> None:
-        #: Clock used to stamp events; drivers install theirs before running.
+        #: Clock used to stamp kept events.
         self.clock: Callable[[], float] = clock or (lambda: 0.0)
         self.events: list[LogEvent] = []
+        #: Events kept at most; 0 (default) keeps none and only counts.
         self.max_events = max_events
-        #: Verbosity: LOG_RESULTS, LOG_COMMANDS, or LOG_TRACE (default).
+        #: Verbosity: LOG_RESULTS (default), LOG_COMMANDS, or LOG_TRACE.
         self.level = level
-        self._dropped = 0
         #: Events recorded per kind (by ``kind.index``), kept or dropped
         #: past the cap alike: the counts stay exact when ``events``
         #: stops growing.
@@ -125,15 +130,13 @@ class ShellLog:
         if kind.level > self.level:
             return
         self._tally[kind.index] += 1
-        if len(self.events) >= self.max_events:
-            self._dropped += 1
-            return
-        self.events.append(LogEvent(self.clock(), kind, detail, line, value))
+        if len(self.events) < self.max_events:
+            self.events.append(LogEvent(self.clock(), kind, detail, line, value))
 
     @property
     def dropped(self) -> int:
-        """Events discarded after hitting ``max_events``."""
-        return self._dropped
+        """Events recorded but not kept (past ``max_events``)."""
+        return sum(self._tally) - len(self.events)
 
     def count(self, kind: EventKind) -> int:
         """Events of ``kind`` recorded, including any dropped past the cap."""
@@ -146,16 +149,15 @@ class ShellLog:
         """How often a client backed off — the paper's overload alarm."""
         return self.count(EventKind.TRY_BACKOFF)
 
-    def of_kind(self, kind: EventKind) -> Iterator[LogEvent]:
-        return (event for event in self.events if event.kind is kind)
-
     def summary(self) -> str:
         """A human-readable digest for post-mortem analysis."""
         lines = ["ftsh execution log summary:"]
         for kind, count in sorted(self.counts().items(), key=lambda kv: kv[0].value):
             lines.append(f"  {kind.value:<17} {count}")
-        if self._dropped:
-            lines.append(f"  (dropped {self._dropped} events past cap)")
+        # A counter keeps nothing by design; only a transcript drops.
+        dropped = self.dropped if self.max_events else 0
+        if dropped:
+            lines.append(f"  (dropped {dropped} events past cap)")
         return "\n".join(lines)
 
     def dump(self) -> str:

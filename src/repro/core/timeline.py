@@ -97,10 +97,6 @@ class AttemptBudget:
             return False
         return now < self.deadline
 
-    def time_exhausted(self, now: float) -> bool:
-        """True if the time window (if any) has closed."""
-        return now >= self.deadline
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"AttemptBudget(deadline={self.deadline!r}, "

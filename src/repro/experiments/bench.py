@@ -26,7 +26,7 @@ from ..core.effects import (
 )
 from ..core.interpreter import Interpreter
 from ..core.parser import parse
-from ..core.shell_log import LOG_RESULTS, ShellLog
+from ..core.shell_log import LOG_TRACE, TRANSCRIPT_EVENTS, ShellLog
 from ..core.variables import Scope
 from ..obs.api import NULL_OBS
 
@@ -112,15 +112,13 @@ class _DispatchDriver:
 
 def _interp_run(target, fail_first: int, runs: int) -> None:
     for _ in range(runs):
-        interp = Interpreter(Scope(),
-                             log=ShellLog(level=LOG_RESULTS, max_events=0),
-                             obs=NULL_OBS)
+        interp = Interpreter(Scope(), obs=NULL_OBS)
         _DispatchDriver(fail_first).drive(interp.execute(target))
 
 
 def _interp_observe(target, fail_first: int) -> tuple:
     """One run's full observable surface: log events + final variables."""
-    log = ShellLog(clock=lambda: 0.0)
+    log = ShellLog(max_events=TRANSCRIPT_EVENTS, level=LOG_TRACE)
     scope = Scope()
     interp = Interpreter(scope, log=log, obs=NULL_OBS)
     _DispatchDriver(fail_first).drive(interp.execute(target))

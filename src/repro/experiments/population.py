@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Any, Callable, Mapping, Optional
 
 from ..core.backoff import BackoffPolicy
-from ..core.shell_log import LOG_RESULTS, ShellLog
+from ..core.shell_log import ShellLog
 from ..faults.injectors import install_faults
 from ..obs.api import NULL_OBS
 from ..obs.clock import engine_clock
@@ -62,11 +62,12 @@ class Population:
         Client ``index`` is ``name.format(index)`` (its shell, rng stream
         and process), starts after a stagger of up to 1 s drawn from
         ``stagger-<index>``, then runs ``cycle(index)`` back to back.
-        All clients log into one counter (the log keeps no event), whose
-        backoff initiations — the paper's overload alarm — are returned.
+        All clients log into one shared :class:`ShellLog` — the default
+        log, a counter that keeps no event — whose backoff initiations,
+        the paper's overload alarm, are returned.
         """
         engine = self.engine
-        log = ShellLog(level=LOG_RESULTS, max_events=0)
+        log = ShellLog()
         for index in range(n):
             client = name.format(index)
             shell = SimFtsh(engine, self.registry, world=world,

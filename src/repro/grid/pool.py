@@ -88,14 +88,6 @@ class WorkerPool:
         engine.process(self._negotiator(), name="negotiator")
 
     # ------------------------------------------------------------------
-    @property
-    def idle_workers(self) -> int:
-        return sum(1 for worker in self.workers if not worker.busy)
-
-    @property
-    def queue_depth(self) -> int:
-        return len(self.queue)
-
     def submit(self, exec_time: float) -> Job:
         """Queue a job; its ``done`` event fires on completion."""
         validate_non_negative("exec_time", exec_time)

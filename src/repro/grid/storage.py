@@ -254,9 +254,6 @@ class SharedBuffer:
             self._used = max(self._used - held, 0.0)
             self._note()
 
-    def total_reserved(self) -> float:
-        return sum(self.reservations.values())
-
     # -- fault hooks (ENOSPC pressure from outside the scenario) ------------
     def seize(self, mb: float) -> float:
         """Take up to ``mb`` off the free pool; returns what was taken.

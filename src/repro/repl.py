@@ -36,7 +36,7 @@ from .core.interpreter import Interpreter
 from .core.lexer import tokenize
 from .core.parser import parse
 from .core.realruntime import RealDriver
-from .core.shell_log import ShellLog
+from .core.shell_log import LOG_TRACE, TRANSCRIPT_EVENTS, ShellLog
 from .core.timeline import UNBOUNDED
 from .core.tokens import TokenKind
 from .core.variables import Scope
@@ -117,7 +117,9 @@ class Repl:
         self.scope = Scope()
         #: Shared by every entry of the session; holds function definitions.
         self.functions: dict = {}
-        self.log = ShellLog(clock=self.driver.now)
+        #: A transcript: ``:analyze`` reads its events.
+        self.log = ShellLog(clock=self.driver.now,
+                            max_events=TRANSCRIPT_EVENTS, level=LOG_TRACE)
 
     # ------------------------------------------------------------------
     def _emit(self, text: str) -> None:

@@ -357,12 +357,6 @@ class JobStore:
                 self._event_locked(record, RUNNING, "cancellation requested")
             return record.status()
 
-    def purge_expired(self, now: Optional[float] = None) -> int:
-        """Drop terminal records older than the TTL; returns the count."""
-        with self._lock:
-            return self._purge_locked(now if now is not None
-                                      else self.clock())
-
     def _purge_locked(self, now: float) -> int:
         if self.ttl is None:
             return 0

@@ -22,7 +22,6 @@ from typing import Optional
 from ..core.errors import BudgetExceeded, FtshSyntaxError
 from ..core.compile import compile_cached
 from ..core.parser import parse_cached
-from ..core.shell_log import LOG_RESULTS, ShellLog
 from ..grid.condor import CondorWorld, register_condor_commands
 from ..grid.httpserver import ReplicaWorld, register_replica_commands
 from ..grid.storage import BufferWorld, register_buffer_commands
@@ -312,11 +311,8 @@ def run_script_cell(
     engine = Engine(streams=streams)
     registry = CommandRegistry()
     world_obj = _build_world(world, engine, registry)
-    # The outcome reads no log event, so the log only counts: a retry
-    # loop under a large event budget must not grow a transcript.
     shell = SimFtsh(engine, registry, world=world_obj,
-                    rng=streams.stream("service-client"), name="service",
-                    log=ShellLog(level=LOG_RESULTS, max_events=0))
+                    rng=streams.stream("service-client"), name="service")
     process = shell.spawn(script, variables=dict(variables), timeout=window)
     try:
         result, events = engine.run_budgeted(

@@ -192,18 +192,6 @@ class CampaignSubmission:
 Submission = "ScriptSubmission | CampaignSubmission"
 
 
-def submission_from_jsonable(doc: Mapping[str, Any]):
-    """Decode either submission kind from its tagged JSON form."""
-    if not isinstance(doc, Mapping):
-        raise SchemaError("submission: body must be a JSON object")
-    kind = doc.get("kind")
-    if kind == "script":
-        return ScriptSubmission.from_jsonable(doc)
-    if kind == "campaign":
-        return CampaignSubmission.from_jsonable(doc)
-    raise SchemaError(f"submission: unknown kind {kind!r}")
-
-
 def job_id_for(submission, fingerprint: str) -> str:
     """The deterministic, content-addressed job id.
 

@@ -17,7 +17,8 @@ from repro.core.parser import parse
 
 class TestDisciplines:
     def test_fixed_never_waits(self):
-        assert FIXED.policy.max_delay() == 0.0
+        assert all(FIXED.policy.delay(failures, lambda: 1.0) == 0.0
+                   for failures in (1, 10, 100))
         assert not FIXED.carrier_sense
 
     def test_aloha_uses_paper_policy(self):
@@ -79,6 +80,7 @@ class TestProducerScripts:
         passed as a variable the commands see the argv, and the log the
         events, of the script that embeds it."""
         from repro.clients.scripts import producer_script_reserved
+        from repro.core.shell_log import LOG_TRACE, TRANSCRIPT_EVENTS, ShellLog
         from repro.sim import Engine
         from repro.simruntime import CommandRegistry, SimFtsh
 
@@ -93,7 +95,9 @@ class TestProducerScripts:
                     return (0, "7\n") if name == "df_estimate" else 0
                     yield
                 registry.add(name, handler)
-            shell = SimFtsh(engine, registry)
+            shell = SimFtsh(engine, registry, log=ShellLog(
+                clock=lambda: engine.now, max_events=TRANSCRIPT_EVENTS,
+                level=LOG_TRACE))
             assert shell.run(script, variables).success
             return seen, shell.log.dump()
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.analysis import CommandStats, analyze
 from repro.core.backoff import BackoffPolicy
-from repro.core.shell_log import EventKind, ShellLog
+from repro.core.shell_log import LOG_TRACE, TRANSCRIPT_EVENTS, ShellLog
 from repro.sim import Engine
 from repro.simruntime import CommandRegistry, SimFtsh
 
@@ -16,9 +16,11 @@ def run_script(script, **registry_cmds):
     registry = CommandRegistry()
     for name, handler in registry_cmds.items():
         registry.add(name, handler)
-    shell = SimFtsh(engine, registry, policy=DETERMINISTIC)
+    log = ShellLog(clock=lambda: engine.now, max_events=TRANSCRIPT_EVENTS,
+                   level=LOG_TRACE)
+    shell = SimFtsh(engine, registry, policy=DETERMINISTIC, log=log)
     shell.run(script)
-    return analyze(shell.log)
+    return analyze(log)
 
 
 class TestCommandStats:
@@ -137,3 +139,14 @@ class TestBranchesAndResults:
         analysis = run_script("echo hi")
         text = analysis.report()
         assert "OVERLOAD" not in text
+
+
+class TestNeedsATranscript:
+    def test_a_counter_is_refused_not_reported_empty(self):
+        """The default log keeps no event, so an analysis of it would
+        read as a quiet run however loud the run was."""
+        shell = SimFtsh(Engine(), CommandRegistry(), policy=DETERMINISTIC)
+        shell.run("try 2 times\n  false\nend")
+        assert shell.log.backoff_initiations() == 1
+        with pytest.raises(ValueError, match="transcript"):
+            analyze(shell.log)

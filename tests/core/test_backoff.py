@@ -65,7 +65,8 @@ class TestPaperSchedule:
         assert 4.0 <= high < 8.0
 
     def test_max_delay(self):
-        assert PAPER_POLICY.max_delay() == 2 * HOUR
+        # The ceiling at the top of the jitter range, [1, 2).
+        assert PAPER_POLICY.delay(64, fixed_random(1.0)) == 2 * HOUR
 
     def test_failures_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -98,11 +99,6 @@ class TestBackoffState:
         state.reset()
         assert state.failures == 0
         assert state.next_delay(fixed_random(0.0)) == 1.0
-
-    def test_peek_does_not_record(self):
-        state = BackoffState(PAPER_POLICY)
-        assert state.peek_delay(fixed_random(0.0)) == 1.0
-        assert state.failures == 0
 
     def test_next_delay_from_jitter(self):
         state = BackoffState(PAPER_POLICY)
@@ -145,7 +141,7 @@ class TestControlPlanePolicies:
     def test_ceiling_holds_at_30_failures(self):
         assert TRANSPORT_BACKOFF.raw_delay(1) == 0.05
         assert TRANSPORT_BACKOFF.raw_delay(31) == 2.0
-        assert TRANSPORT_BACKOFF.max_delay() == 2.0
+        assert TRANSPORT_BACKOFF.delay(31, fixed_random(1.0)) == 2.0
         assert self.IDLE.raw_delay(31) == 1.0
 
     def test_zero_low_jitter_stays_inside_the_window(self):

@@ -20,8 +20,6 @@ import pytest
 import repro
 from repro.cli import main as ftsh_main
 from repro.core.compile import (
-    compile_cache_clear,
-    compile_cache_info,
     compile_cached,
     compile_script,
 )
@@ -38,7 +36,13 @@ from repro.core.effects import (
 from repro.core.interpreter import Interpreter
 from repro.core.parser import parse
 from repro.core.shell import Ftsh
-from repro.core.shell_log import LOG_COMMANDS, LOG_RESULTS, LOG_TRACE, ShellLog
+from repro.core.shell_log import (
+    LOG_COMMANDS,
+    LOG_RESULTS,
+    LOG_TRACE,
+    TRANSCRIPT_EVENTS,
+    ShellLog,
+)
 from repro.core.variables import Scope
 from repro.obs.api import NULL_OBS, Observability
 from repro.repl import Repl
@@ -266,7 +270,7 @@ def observe(text, compiled, level=LOG_TRACE, with_obs=False,
     script = parse(text)
     target = compile_script(script) if compiled else script
     scope = Scope()
-    log = ShellLog(level=level)
+    log = ShellLog(max_events=TRANSCRIPT_EVENTS, level=level)
     obs = Observability() if with_obs else NULL_OBS
     interp = Interpreter(scope, log=log, obs=obs)
     driver = ScriptedDriver(fail_first=fail_first)
@@ -349,7 +353,7 @@ def observe_session(entries, compiled):
     carried across separately parsed (and compiled) entries."""
     scope = Scope()
     functions = {}
-    log = ShellLog(level=LOG_TRACE)
+    log = ShellLog(max_events=TRANSCRIPT_EVENTS, level=LOG_TRACE)
     driver = ScriptedDriver(fail_first={})
     log.clock = lambda: driver.t
     outcomes = []
@@ -385,14 +389,19 @@ class TestAcrossEntries:
 
 
 class TestCompileCache:
-    def test_same_ast_compiles_once(self):
-        compile_cache_clear()
+    def test_same_ast_compiles_once(self, monkeypatch):
+        from repro.core import compile as compile_module
+
+        compiles = []
+        real = compile_module.compile_script
+        monkeypatch.setattr(compile_module, "compile_script",
+                            lambda script: compiles.append(script)
+                            or real(script))
         script = parse("probe alpha\n")
         first = compile_cached(script)
         second = compile_cached(script)
         assert first is second
-        info = compile_cache_info()
-        assert info.hits == 1 and info.misses == 1
+        assert compiles == [script]
 
     def test_distinct_asts_get_distinct_plans(self):
         a = compile_cached(parse("probe alpha\n"))

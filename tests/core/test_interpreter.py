@@ -8,7 +8,12 @@ cancellation are all observable on the virtual clock.
 import pytest
 
 from repro.core.backoff import BackoffPolicy, NO_BACKOFF
-from repro.core.shell_log import EventKind
+from repro.core.shell_log import (
+    LOG_TRACE,
+    TRANSCRIPT_EVENTS,
+    EventKind,
+    ShellLog,
+)
 from repro.sim import Engine
 from repro.simruntime import CommandRegistry, SimFtsh
 
@@ -20,11 +25,16 @@ DETERMINISTIC = BackoffPolicy(base=1.0, factor=2.0, ceiling=3600.0,
 class Env:
     """One sim engine + registry + shell, with scripted command outcomes."""
 
-    def __init__(self, policy=DETERMINISTIC):
+    def __init__(self, policy=DETERMINISTIC, transcript=False):
         self.engine = Engine()
         self.registry = CommandRegistry()
         self.calls = []
-        self.shell = SimFtsh(self.engine, self.registry, policy=policy)
+        log = None
+        if transcript:
+            log = ShellLog(clock=lambda: self.engine.now,
+                           max_events=TRANSCRIPT_EVENTS, level=LOG_TRACE)
+        self.shell = SimFtsh(self.engine, self.registry, policy=policy,
+                             log=log)
 
         env = self
 
@@ -443,7 +453,7 @@ class TestZeroProgressGuard:
 
 class TestExecutionLog:
     def test_log_records_attempts_and_backoff(self):
-        env = Env()
+        env = Env(transcript=True)
         env.run("try for 1 hour\n  fail_n_times 3\nend")
         log = env.shell.log
         assert log.count(EventKind.TRY_ATTEMPT) == 3
@@ -451,7 +461,7 @@ class TestExecutionLog:
         assert log.count(EventKind.TRY_SUCCESS) == 1
 
     def test_log_records_script_result(self):
-        env = Env()
+        env = Env(transcript=True)
         env.run("log hi")
         kinds = [e.kind for e in env.shell.log.events]
         assert EventKind.SCRIPT_RESULT in kinds

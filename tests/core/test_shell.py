@@ -8,6 +8,12 @@ import pytest
 from repro.core import Ftsh, FtshSyntaxError
 from repro.core.backoff import BackoffPolicy
 from repro.core.realruntime import DEADLINE_ENV, RealDriver
+from repro.core.shell_log import (
+    LOG_TRACE,
+    TRANSCRIPT_EVENTS,
+    EventKind,
+    ShellLog,
+)
 
 FAST = BackoffPolicy(base=0.05, factor=2.0, ceiling=0.2,
                      jitter_low=1.0, jitter_high=1.0)
@@ -50,8 +56,17 @@ class TestRunResult:
         assert result.reason
 
     def test_log_attached(self, shell):
-        result = shell.run("x=1")
+        log = ShellLog(max_events=TRANSCRIPT_EVENTS, level=LOG_TRACE)
+        result = shell.run("x=1", log=log)
+        assert result.log is log
         assert len(result.log.events) > 0
+
+    def test_each_run_gets_a_fresh_counter(self, shell):
+        first = shell.run("x=1").log
+        second = shell.run("x=1").log
+        assert first is not second
+        assert len(first) == len(second) == 0
+        assert first.count(EventKind.SCRIPT_RESULT) == 1
 
     def test_runs_are_isolated(self, shell):
         shell.run("x=1")

@@ -82,11 +82,16 @@ class TestShellIntegration:
 
 class TestLogLevelIntegration:
     def test_shell_log_level_forwarded(self):
-        from repro.core.shell_log import EventKind, LOG_RESULTS
+        from repro.core.shell_log import (
+            LOG_RESULTS,
+            TRANSCRIPT_EVENTS,
+            EventKind,
+            ShellLog,
+        )
 
-        shell = Ftsh(driver=RealDriver(term_grace=0.2), policy=FAST,
-                     log_level=LOG_RESULTS)
-        result = shell.run("sh -c 'exit 0'")
+        shell = Ftsh(driver=RealDriver(term_grace=0.2), policy=FAST)
+        result = shell.run("sh -c 'exit 0'", log=ShellLog(
+            max_events=TRANSCRIPT_EVENTS, level=LOG_RESULTS))
         kinds = {e.kind for e in result.log.events}
         assert kinds == {EventKind.SCRIPT_RESULT}
 

@@ -90,8 +90,6 @@ class TestAttemptBudget:
         budget.start_attempt()
         assert budget.may_retry(99.0)
         assert not budget.may_retry(100.0)
-        assert budget.time_exhausted(100.0)
-        assert not budget.time_exhausted(99.0)
 
     def test_both_limits_whichever_first(self):
         # "try for 1 hour or 3 times ... whichever expires first"

@@ -8,6 +8,7 @@ asserting the *relationships* the paper reports.
 import pytest
 
 from repro.clients.base import ALOHA, ETHERNET, FIXED
+from repro.core.shell_log import LOG_TRACE
 from repro.experiments import (
     BufferParams,
     ReplicaParams,
@@ -162,13 +163,32 @@ class TestReplicaScenario:
         assert first.collisions == second.collisions
 
 
+def logs_built(monkeypatch, module, **overrides):
+    """Every ``ShellLog`` that ``module`` builds from here on, built with
+    ``overrides`` on top of the arguments it passes."""
+    from repro.core.shell_log import ShellLog
+
+    built = []
+
+    def make(*args, **kwargs):
+        built.append(ShellLog(*args, **{**kwargs, **overrides}))
+        return built[-1]
+
+    monkeypatch.setattr(module, "ShellLog", make)
+    return built
+
+
+#: A keep-everything transcript, patched in where a default log is built.
+FULL = {"level": LOG_TRACE, "max_events": 10**9}
+
+
 class TestHarnessLogOnlyCounts:
     """The harnesses read back one number, ``backoffs`` — the paper's
-    overload alarm — from a log that keeps no event.  A keep-everything
-    ``LOG_TRACE`` log patched in where the population makes its one log
-    must give the same result, so nothing the harness no longer keeps
-    was ever read, and the alarm does not saturate however many events
-    a jammed run records."""
+    overload alarm — from the default log, which keeps no event.  A
+    keep-everything ``LOG_TRACE`` log patched in where the default is
+    built must give the same result, so nothing the harness does not
+    keep was ever read, and the alarm does not saturate however many
+    events a jammed run records."""
 
     @pytest.mark.parametrize("module, run", [
         ("scenario_submit", lambda m: m.run_submission(m.SubmitParams(
@@ -183,31 +203,41 @@ class TestHarnessLogOnlyCounts:
     def test_result_equals_a_full_transcript(self, monkeypatch, module, run):
         import importlib
 
-        from repro.core.shell_log import LOG_TRACE, EventKind, ShellLog
+        from repro.core.shell_log import EventKind
         from repro.parallel.transport import to_jsonable
 
         from repro.experiments import population
 
         harness = importlib.import_module(f"repro.experiments.{module}")
-        logs = {"own": [], "full": []}
-
-        def own(*args, **kwargs):
-            logs["own"].append(ShellLog(*args, **kwargs))
-            return logs["own"][-1]
-
-        def full(*args, **kwargs):
-            logs["full"].append(ShellLog(level=LOG_TRACE, max_events=10**9))
-            return logs["full"][-1]
-
-        monkeypatch.setattr(population, "ShellLog", own)
+        own = logs_built(monkeypatch, population)
         counted = run(harness)
-        monkeypatch.setattr(population, "ShellLog", full)
+        full = logs_built(monkeypatch, population, **FULL)
         kept = run(harness)
 
-        [own_log], [full_log] = logs["own"], logs["full"]
+        [own_log], [full_log] = own, full
         assert len(own_log) == 0
         assert full_log.dropped == 0
         assert counted.backoffs == kept.backoffs > 0
         assert kept.backoffs == sum(
-            1 for _ in full_log.of_kind(EventKind.TRY_BACKOFF))
+            1 for e in full_log.events if e.kind is EventKind.TRY_BACKOFF)
+        assert to_jsonable(counted) == to_jsonable(kept)
+
+    def test_dag_result_equals_a_full_transcript(self, monkeypatch):
+        """The DAG dispatcher gives every task its own shell and passes
+        no log, so each task logs into a default counter."""
+        from repro.experiments.scenario_dag import DagParams, run_dag_scenario
+        from repro.parallel.transport import to_jsonable
+        from repro.simruntime import shell
+
+        params = DagParams(FIXED, n_users=2, layers=2, width=10)
+        own = logs_built(monkeypatch, shell)
+        counted = run_dag_scenario(params)
+        full = logs_built(monkeypatch, shell, **FULL)
+        kept = run_dag_scenario(params)
+
+        assert len(own) == len(full) > 0
+        assert counted.tasks_done == counted.tasks_total
+        assert sum(len(log) for log in own) == 0
+        assert sum(log.dropped for log in full) == 0
+        assert sum(len(log) for log in full) > 0
         assert to_jsonable(counted) == to_jsonable(kept)

@@ -5,6 +5,7 @@ import pytest
 from repro.core import Ftsh
 from repro.core.backoff import NO_BACKOFF, BackoffPolicy
 from repro.core.errors import SimulationError
+from repro.core.shell_log import LOG_TRACE, TRANSCRIPT_EVENTS, ShellLog
 from repro.faults.runtime import (
     CommandFault,
     CommandFaultPlan,
@@ -163,7 +164,10 @@ class TestDelayFaultOnTimerServedCommands:
             [CommandFault(command, "delay", always_schedule(), delay=delay)],
             horizon=100.0))
         shell = SimFtsh(engine, registry, world=world,
-                        policy=self.DETERMINISTIC, name="c")
+                        policy=self.DETERMINISTIC, name="c",
+                        log=ShellLog(clock=lambda: engine.now,
+                                     max_events=TRANSCRIPT_EVENTS,
+                                     level=LOG_TRACE))
         result = shell.run(script)
         return ((result.success, result.reason, result.elapsed,
                  result.timed_out, counted()),

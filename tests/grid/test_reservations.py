@@ -20,7 +20,7 @@ class TestSharedBufferReservations:
         buffer = self.make()
         assert buffer.reserve_space("c1", 4.0)
         assert buffer.used_mb == 4.0
-        assert buffer.total_reserved() == 4.0
+        assert sum(buffer.reservations.values()) == 4.0
 
     def test_reserve_denied_when_full(self):
         buffer = self.make(capacity=5.0)
@@ -41,7 +41,7 @@ class TestSharedBufferReservations:
         entry = buffer.create(goal_mb=3.0)
         assert buffer.write_reserved("c1", entry, 3.0)
         assert buffer.used_mb == 3.0
-        assert buffer.total_reserved() == 0.0
+        assert sum(buffer.reservations.values()) == 0.0
         assert entry.size_mb == 3.0
 
     def test_write_reserved_rejects_overdraw(self):
@@ -86,7 +86,7 @@ class TestReservationCommands:
         assert result.success
         assert world.buffer.collisions.count == 0
         assert len(world.buffer.complete_sizes()) == 1
-        assert world.buffer.total_reserved() == pytest.approx(0.0)
+        assert sum(world.buffer.reservations.values()) == pytest.approx(0.0)
 
     def test_store_reserved_without_reservation_fails(self):
         engine, world, shell = self.make_shell()

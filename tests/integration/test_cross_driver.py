@@ -12,7 +12,12 @@ import pytest
 from repro.core import Ftsh
 from repro.core.backoff import BackoffPolicy
 from repro.core.realruntime import RealDriver
-from repro.core.shell_log import EventKind
+from repro.core.shell_log import (
+    LOG_TRACE,
+    TRANSCRIPT_EVENTS,
+    EventKind,
+    ShellLog,
+)
 from repro.faults.runtime import (
     CommandFault,
     CommandFaultPlan,
@@ -30,9 +35,14 @@ POLICY = BackoffPolicy(base=0.05, factor=2.0, ceiling=0.4,
                        jitter_low=1.0, jitter_high=1.0)
 
 
-def run_real(script):
-    shell = Ftsh(driver=RealDriver(term_grace=0.2), policy=POLICY)
-    return shell.run(script)
+def transcript(clock):
+    """A log that keeps its events: the structural traces read them."""
+    return ShellLog(clock=clock, max_events=TRANSCRIPT_EVENTS, level=LOG_TRACE)
+
+
+def run_real(script, driver=None):
+    shell = Ftsh(driver=driver or RealDriver(term_grace=0.2), policy=POLICY)
+    return shell.run(script, log=transcript(shell.driver.now))
 
 
 def run_sim(script, plan=None):
@@ -51,7 +61,8 @@ def run_sim(script, plan=None):
 
     if plan is not None:
         apply_command_faults(registry, plan)
-    shell = SimFtsh(engine, registry, policy=POLICY)
+    shell = SimFtsh(engine, registry, policy=POLICY,
+                    log=transcript(lambda: engine.now))
     return shell.run(script), shell.log
 
 
@@ -149,9 +160,8 @@ FAULTED = {
 def test_same_meaning_under_command_faults(case):
     """Outcome and structural trace agree with the shim on both sides."""
     rule, script = FAULTED[case]
-    real = Ftsh(driver=make_faulting_real_driver(
-        CommandFaultPlan([rule], seed=2003), term_grace=0.2),
-        policy=POLICY).run(script)
+    real = run_real(script, make_faulting_real_driver(
+        CommandFaultPlan([rule], seed=2003), term_grace=0.2))
     sim, sim_log = run_sim(script, CommandFaultPlan([rule], seed=2003))
     assert (real.success, real.timed_out, real.reason) == (
         sim.success, sim.timed_out, sim.reason)

@@ -42,7 +42,7 @@ def test_jittered_delay_within_band(policy, failures, jitter):
     raw = policy.raw_delay(failures)
     delay = policy.delay(failures, lambda: jitter)
     assert policy.jitter_low * raw - 1e-9 <= delay <= policy.jitter_high * raw + 1e-9
-    assert delay <= policy.max_delay() + 1e-9
+    assert delay <= policy.ceiling * policy.jitter_high + 1e-9
 
 
 @given(failures=st.integers(min_value=1, max_value=60))
@@ -63,10 +63,11 @@ def test_paper_policy_closed_form(failures):
     ),
 )
 def test_state_total_wait_bounded(policy, jitters):
-    """Cumulative wait after N failures is bounded by N * max_delay."""
+    """Cumulative wait after N failures is bounded by N times the
+    largest delay, the ceiling at the top of the jitter range."""
     from repro.core.backoff import BackoffState
 
     state = BackoffState(policy)
     total = sum(state.next_delay(lambda j=j: j) for j in jitters)
-    assert total <= len(jitters) * policy.max_delay() + 1e-6
+    assert total <= len(jitters) * policy.ceiling * policy.jitter_high + 1e-6
     assert state.failures == len(jitters)

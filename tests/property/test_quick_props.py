@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from repro.core.backoff import BackoffPolicy
 from repro.core.effects import RunCommand
 from repro.core.errors import FtshCancelled
+from repro.core.shell_log import LOG_TRACE, TRANSCRIPT_EVENTS, ShellLog
 from repro.sim import Engine, Interrupt
 from repro.simruntime import CommandRegistry, SimFtsh
 from repro.simruntime.driver import SimDriver
@@ -102,7 +103,9 @@ def run_script(form, delay, rest, code, budget):
     registry = CommandRegistry()
     trace = []
     registry.add("work", handler(form, delay, rest, code, trace))
-    shell = SimFtsh(engine, registry, policy=DETERMINISTIC, name="c")
+    shell = SimFtsh(engine, registry, policy=DETERMINISTIC, name="c",
+                    log=ShellLog(clock=lambda: engine.now,
+                                 max_events=TRANSCRIPT_EVENTS, level=LOG_TRACE))
     result = shell.run(f"try for {budget} seconds\n  work\nend\n")
     engine.run()
     return (result.success, result.reason, result.elapsed,

@@ -240,12 +240,11 @@ class TestBudgetsAndTtl:
                                                   timeout=600.0))
             wait_terminal(store, later.job_id)
             clock[0] += 6.0  # 11 s after the first finish, 6 after this one
-            assert store.purge_expired() == 1
+            assert [job.job_id for job in store.jobs()] == [later.job_id]
             with pytest.raises(UnknownJob):
                 store.status(status.job_id)
             assert store.status(later.job_id).state == "done"
             clock[0] += 20.0
-            assert store.purge_expired() == 1
             assert store.jobs() == []
 
     def test_ttl_never_reaps_running_jobs(self):
@@ -259,7 +258,6 @@ class TestBudgetsAndTtl:
             with store._lock:
                 record.state = RUNNING
             clock[0] += 100.0
-            store.purge_expired()
             assert store.status(status.job_id).state == RUNNING
             with store._lock:
                 record.state = "done"
@@ -275,10 +273,10 @@ class TestBudgetsAndTtl:
             assert store.submit(sub).job_id == job.job_id
             assert wait_terminal(store, job.job_id).finished == 1005.0
             clock[0] += 7.0  # 12 s after the first finish, 7 after the second
-            assert store.purge_expired() == 0
+            assert [j.job_id for j in store.jobs()] == [job.job_id]
             assert store.status(job.job_id).state == "done"
             clock[0] += 4.0
-            assert store.purge_expired() == 1
+            assert store.jobs() == []
             with pytest.raises(UnknownJob):
                 store.status(job.job_id)
 
@@ -308,11 +306,11 @@ class TestBudgetsAndTtl:
                 store._records = Records(store._records)
             for _ in range(3):
                 clock[0] += 2.0
-                store.status(job.job_id)
-                store.purge_expired()
+                store.status(job.job_id)  # each status call purges first
             assert walks == []
             clock[0] += 10.0
-            assert store.purge_expired() == 1
+            with pytest.raises(UnknownJob):
+                store.status(job.job_id)
             assert walks == []
 
     def test_validation(self):
@@ -403,7 +401,8 @@ class TestLongPollWakeups:
             wait_terminal(store, job.job_id)
             thread, got, wakeup = follow(store, job.job_id)
             clock[0] += 11.0
-            assert store.purge_expired() == 1
+            with pytest.raises(UnknownJob):
+                store.status(job.job_id)  # purges the job first
             thread.join(timeout=5.0)
             assert not thread.is_alive()
             assert got == [] and wakeup.wakeups == 1

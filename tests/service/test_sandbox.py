@@ -279,8 +279,8 @@ class TestEventCountIsStable:
 
 
 class TestSandboxKeepsNoTranscript:
-    """``ScriptOutcome`` reads no log event, so the sandbox's log only
-    counts.  A short admitted script that fails every 10 ms would
+    """``ScriptOutcome`` reads no log event, so the sandbox's shell runs
+    with the default log, which only counts.  A short admitted script that fails every 10 ms would
     otherwise keep one event per record up to a million, inside each of
     the service's workers."""
 
@@ -290,8 +290,10 @@ class TestSandboxKeepsNoTranscript:
                                                             monkeypatch):
         import tracemalloc
 
-        from repro.core.shell_log import ShellLog
-        from repro.service import sandbox
+        from repro.core.shell_log import LOG_TRACE, TRANSCRIPT_EVENTS
+        from repro.simruntime import shell
+
+        from tests.experiments.test_scenarios import logs_built
 
         assert admit_script(script(self.SCRIPT), SandboxPolicy())
         run_script_cell(self.SCRIPT, (), "condor", 3600.0, 2003, 100)  # warm
@@ -306,7 +308,10 @@ class TestSandboxKeepsNoTranscript:
         assert peak < 5_000_000
         assert counted.budget_exceeded == "events"
 
-        monkeypatch.setattr(sandbox, "ShellLog", lambda **_: ShellLog())
+        # The same run with a transcript where the default log is built.
+        built = logs_built(monkeypatch, shell, level=LOG_TRACE,
+                           max_events=TRANSCRIPT_EVENTS)
         kept = run_script_cell(self.SCRIPT, (), "condor", 3600.0, 2003,
                                50_000)
+        assert len(built[0]) > 0
         assert counted == kept

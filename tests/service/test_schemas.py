@@ -11,7 +11,6 @@ from repro.service.schemas import (
     ScriptOutcome,
     ScriptSubmission,
     job_id_for,
-    submission_from_jsonable,
 )
 
 SCRIPT = 'try for 5 minutes\n    echo hello\nend\n'
@@ -92,22 +91,6 @@ class TestCampaignSubmission:
     def test_rejects(self, doc):
         with pytest.raises(SchemaError):
             CampaignSubmission.from_jsonable(doc)
-
-
-class TestDispatch:
-    def test_script_kind(self):
-        sub = submission_from_jsonable({"kind": "script", "script": SCRIPT})
-        assert isinstance(sub, ScriptSubmission)
-
-    def test_campaign_kind(self):
-        sub = submission_from_jsonable(
-            {"kind": "campaign", "scenario": "submit"})
-        assert isinstance(sub, CampaignSubmission)
-
-    @pytest.mark.parametrize("doc", [{}, {"kind": "job"}, "nope"])
-    def test_unknown_kind(self, doc):
-        with pytest.raises(SchemaError):
-            submission_from_jsonable(doc)
 
 
 class TestJobId:
