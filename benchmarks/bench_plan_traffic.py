@@ -1,6 +1,8 @@
-"""What the compiled plans' specialisations serve — counted, not timed.
+"""What the interpreter's specialisations serve — counted, not timed.
 
-A specialisation in ``repro/core/compile.py`` earns its lines by the
+A specialisation — a field the parser precomputes on a node
+(``repro/core/ast_nodes.py``, ``repro/core/tokens.py``) or the inlined
+command of the interpreter's ``try`` loop — earns its lines by the
 traffic it carries, and traffic is exact for a seed (counters over
 sampling: Lazarevic & Sacks, PAPERS.md), so an A/B of it is a diff, not
 a distribution.  This runs the two campaign grids the perf ledger times
@@ -14,8 +16,7 @@ prints per grid:
 * from counting wrappers applied here, outside ``src/`` (nothing in the
   package counts these): ``Scope.get`` / ``set`` / ``append`` calls,
   function calls, assignments, ``if`` conditions evaluated, and words
-  expanded that hold a substitution — by a plan or by the tree-walker,
-  which runs what plans leave to it;
+  expanded that hold a substitution;
 * how the simulated commands were served — as a process (the driver's
   own counter) or by a timer (a handler that answered ``Quick``: the
   rest of those started) — the deadline timers queued and withdrawn,
@@ -50,10 +51,9 @@ sys.path.insert(0, os.path.join(
     os.path.dirname(os.path.abspath(__file__)), os.pardir, "src"))
 
 from repro.clients.base import by_name  # noqa: E402
-from repro.core import compile as plans  # noqa: E402
-from repro.core import expressions, interpreter, variables  # noqa: E402
+from repro.core import interpreter  # noqa: E402
 from repro.core.shell_log import ShellLog  # noqa: E402
-from repro.core.tokens import VarRef  # noqa: E402
+from repro.core.tokens import Word  # noqa: E402
 from repro.core.variables import Scope  # noqa: E402
 from repro.experiments import chaos, runall  # noqa: E402
 from repro.obs.api import Observability  # noqa: E402
@@ -76,10 +76,6 @@ OBS_COUNTERS = {
 PROCESSES = "ftsh_sim_command_processes_total"
 
 
-def _holds_variable(word, _scope):
-    return any(part.__class__ is VarRef for part in word.parts)
-
-
 #: Row label -> the (owner, attribute, predicate over the call's
 #: arguments) sites counted under it.  ``Scope.append`` and ``lookup``
 #: read through ``get``, so an append or a function call's saved
@@ -91,12 +87,9 @@ WRAPPED = {
     "Scope.append calls": [(Scope, "append", None)],
     "function calls": [(interpreter.Interpreter, "call_function", None)],
     "assignments": [(interpreter.Interpreter, "eval_assignment", None)],
-    "if conditions evaluated": [
-        (module, "evaluate", None) for module in (plans, interpreter)],
+    "if conditions evaluated": [(interpreter, "evaluate", None)],
     "non-constant words expanded": [
-        (plans.CompiledWord, "expand", lambda word, _scope: bool(word.subs)),
-        *((module, "expand_word", _holds_variable)
-          for module in (expressions, interpreter, variables))],
+        (Word, "expand", lambda word, _scope: bool(word.subs))],
     # Not a wrapper: derived from the driver's counters, kept here for
     # its place in the report.
     "commands timer-served": None,

@@ -29,8 +29,8 @@ _EXPORTS = {
     "realruntime": ("DEADLINE_ENV", "RealDriver"),
     "shell": ("Ftsh", "RunResult"),
     "shell_log": ("EventKind", "LogEvent", "ShellLog"),
-    "timeline": ("AttemptBudget", "DeadlineStack", "UNBOUNDED"),
-    "variables": ("Scope", "expand_word", "expand_words"),
+    "timeline": ("DeadlineStack", "UNBOUNDED"),
+    "variables": ("Scope",),
 }
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

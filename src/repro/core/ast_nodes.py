@@ -3,6 +3,15 @@
 Every node is an immutable dataclass.  A *procedure* (any node) does not
 return a value — it succeeds or fails (paper, §4); the tree therefore has
 no expression nodes except inside ``if`` conditions.
+
+The tree is also the execution plan.  What the evaluator would otherwise
+re-derive on every run — a word's constant head, a command's constant
+argv and log string, the capture its redirects ask for, a ``try`` body
+that is one command — is computed once, when the parser makes the node
+(:func:`~repro.core.tokens.derived` fields), and ``parse_cached`` shares
+the nodes across runs.  Those fields are invisible to equality, hashing
+and ``repr``, so the linter, ``pretty`` and the parse cache see the tree
+the source describes.
 """
 
 from __future__ import annotations
@@ -10,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .tokens import Word
+from .tokens import Word, derived
 
 
 @dataclass(frozen=True, slots=True)
@@ -40,6 +49,11 @@ class Redirect:
     def merges_stderr(self) -> bool:
         return self.op.endswith("&")
 
+    @property
+    def var_name(self) -> str:
+        """The variable a ``-``-redirect names."""
+        return self.target.literal_text() or ""
+
 
 @dataclass(frozen=True, slots=True)
 class Command:
@@ -49,6 +63,40 @@ class Command:
     redirects: tuple[Redirect, ...] = ()
     line: int = 0
     column: int = 0
+    #: Argv template: a str for a constant word, the :class:`Word` for
+    #: one that holds a substitution.  An empty unquoted constant word
+    #: is elided here, once.
+    template: tuple = derived()
+    #: The argv and its log string when every word is constant, else None.
+    const_argv: Optional[tuple[str, ...]] = derived()
+    const_joined: Optional[str] = derived()
+    #: True when every redirect is a variable capture (``->`` and kin):
+    #: the effect is then built from the four fields below, with no
+    #: redirect replayed per run.
+    static_capture: bool = derived()
+    capture_flag: bool = derived()
+    merge_flag: bool = derived()
+    capture_name: Optional[str] = derived()
+    capture_append: bool = derived()
+
+    def __post_init__(self) -> None:
+        template = tuple(
+            word if word.subs else word.head for word in self.words
+            if word.subs or word.head or word.quoted)
+        constant = all(item.__class__ is str for item in template)
+        static = all(r.to_variable and not r.is_input for r in self.redirects)
+        last = self.redirects[-1] if static and self.redirects else None
+        for name, value in (
+            ("template", template),
+            ("const_argv", template if constant else None),
+            ("const_joined", " ".join(template) if constant else None),
+            ("static_capture", static),
+            ("capture_flag", last is not None),
+            ("merge_flag", last is not None and last.merges_stderr),
+            ("capture_name", last.var_name if last is not None else None),
+            ("capture_append", last is not None and last.appends),
+        ):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True, slots=True)
@@ -113,17 +161,15 @@ class TryLimits:
     backoff (an extension from the ftsh technical report).
     A ``try forever`` has all three None.
 
-    ``duration_unit`` / ``every_unit`` keep the unit word as written in
-    the source (``"seconds"``, ``"h"``, …) so style tools — the linter's
-    time-literal checks, notably — can tell ``86400 seconds`` from
-    ``1 day`` after normalization.
+    ``duration_unit`` keeps the window's unit word as written in the
+    source (``"seconds"``, ``"h"``, …) so the linter's time-literal
+    check can tell ``86400 seconds`` from ``1 day`` after normalization.
     """
 
     duration: Optional[float] = None
     attempts: Optional[int] = None
     every: Optional[float] = None
     duration_unit: Optional[str] = None
-    every_unit: Optional[str] = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -135,6 +181,16 @@ class Try:
     catch: Optional[Group] = None
     line: int = 0
     column: int = 0
+    #: The body's lone static-capture command, which the retry loop
+    #: drives inline (the paper's canonical ``try … / one command /
+    #: end``), or None.
+    inline: Optional[Command] = derived()
+
+    def __post_init__(self) -> None:
+        body = self.body.body
+        lone = body[0] if len(body) == 1 else None
+        object.__setattr__(self, "inline", lone if (
+            lone.__class__ is Command and lone.static_capture) else None)
 
 
 @dataclass(frozen=True, slots=True)

@@ -18,7 +18,7 @@ from typing import Callable
 
 from .ast_nodes import BoolOp, Comparison, Defined, Expr, Not, Truth
 from .errors import FtshFailure
-from .variables import Scope, expand_word
+from .variables import Scope
 
 _NUMERIC: dict[str, Callable[[float, float], bool]] = {
     ".lt.": operator.lt,
@@ -55,13 +55,13 @@ def evaluate(expr: Expr, scope: Scope) -> bool:
     failure.
     """
     if isinstance(expr, Comparison):
-        lhs = expand_word(expr.lhs, scope)
-        rhs = expand_word(expr.rhs, scope)
+        lhs = expr.lhs.expand(scope)
+        rhs = expr.rhs.expand(scope)
         if expr.op in _NUMERIC:
             return _NUMERIC[expr.op](_to_number(lhs, expr.op), _to_number(rhs, expr.op))
         return _STRING[expr.op](lhs, rhs)
     if isinstance(expr, Truth):
-        return truthy(expand_word(expr.operand, scope))
+        return truthy(expr.operand.expand(scope))
     if isinstance(expr, Not):
         return not evaluate(expr.operand, scope)
     if isinstance(expr, Defined):

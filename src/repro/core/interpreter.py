@@ -21,6 +21,14 @@ Key semantic rules implemented here (paper §4):
   variable keeps the winning value afterwards.
 * ``forall`` runs all alternatives in parallel; the first failure
   cancels the remaining branches and fails the construct.
+
+There is one evaluator, and the parsed tree is its plan: what does not
+change between runs (a command's constant argv and log string, the
+capture its redirects ask for, a ``try`` body that is one command) was computed
+when the parser made the node (:mod:`repro.core.ast_nodes`).  Span
+names and log details are built only when telemetry is on
+(``_obs_on``) and the log level keeps the event: a campaign shell
+builds neither.
 """
 
 from __future__ import annotations
@@ -50,9 +58,9 @@ from .errors import (
 from ..obs.api import NULL_OBS
 from ..obs.spans import Span
 from .expressions import evaluate
-from .shell_log import EventKind, ShellLog
-from .timeline import UNBOUNDED, AttemptBudget, DeadlineStack
-from .variables import Scope, expand_word, expand_words
+from .shell_log import LOG_COMMANDS, LOG_TRACE, EventKind, ShellLog
+from .timeline import UNBOUNDED, DeadlineStack
+from .variables import Scope
 
 EvalGen = Generator[Effect, Any, None]
 
@@ -62,6 +70,15 @@ ZERO_PROGRESS_QUANTUM = 0.001
 
 #: Guard against runaway recursive ftsh functions.
 MAX_FUNCTION_DEPTH = 64
+
+#: Field-less effects carry no state, so one instance serves every yield:
+#: drivers dispatch on type, never on identity or mutation.
+_GET_TIME = GetTime()
+_GET_RANDOM = GetRandom()
+#: Raw allocator for the static-capture RunCommand: the dataclass
+#: ``__init__`` spends its time on keyword plumbing for fields that path
+#: sets explicitly anyway.
+_RC_NEW = RunCommand.__new__
 
 
 class Interpreter:
@@ -90,47 +107,47 @@ class Interpreter:
         #: The span new spans nest under (a forall branch starts under
         #: its branch span; a top-level script starts at the root).
         self._span: Optional[Span] = span_parent
-        #: Fast guard the compiled plans use to skip span-name
-        #: construction entirely when telemetry is disabled.
+        #: With telemetry off no span is started, named or finished.
         self._obs_on = bool(getattr(obs, "enabled", True))
 
     # ------------------------------------------------------------------
     # Entry points
     # ------------------------------------------------------------------
-    def execute(self, script: Any, overall_deadline: float = UNBOUNDED) -> EvalGen:
-        """Evaluate a whole script, optionally under a global deadline.
-
-        ``script`` is either a parsed :class:`~repro.core.ast_nodes.Script`
-        (tree-walked) or a compiled
-        :class:`~repro.core.compile.ScriptPlan` (plan-dispatched); both
-        speak the same effect protocol with identical semantics.
-        """
-        if isinstance(script, ast.Script):
-            return self._execute_top(script.body, overall_deadline)
-        return script.execute(self, overall_deadline)
+    def execute(self, script: ast.Script,
+                overall_deadline: float = UNBOUNDED) -> EvalGen:
+        """Evaluate a whole script, optionally under a global deadline."""
+        return self._execute_top(script.body, overall_deadline)
 
     def _execute_top(self, body: ast.Group, overall_deadline: float) -> EvalGen:
         self.deadlines.push(overall_deadline)
-        tracer = self.obs.tracer
-        span = tracer.start("script", "script", parent=self._span)
-        outer, self._span = self._span, span
+        log = self.log
+        obs_on = self._obs_on
+        if obs_on:
+            tracer = self.obs.tracer
+            span = tracer.start("script", "script", parent=self._span)
+            outer, self._span = self._span, span
         try:
             yield from self.eval_group(body)
-            self.log.record(EventKind.SCRIPT_RESULT, "success")
-            tracer.finish(span, "ok")
+            log.record(EventKind.SCRIPT_RESULT, "success")
+            if obs_on:
+                tracer.finish(span, "ok")
         except FtshFailure as failure:
-            self.log.record(EventKind.SCRIPT_RESULT, f"failure: {failure.reason}")
-            tracer.finish(span, "failed", reason=failure.reason)
+            log.record(EventKind.SCRIPT_RESULT, f"failure: {failure.reason}")
+            if obs_on:
+                tracer.finish(span, "failed", reason=failure.reason)
             raise
         except FtshTimeout as timeout:
-            self.log.record(EventKind.SCRIPT_RESULT, f"timeout: {timeout.reason}")
-            tracer.finish(span, "timeout", reason=timeout.reason)
+            log.record(EventKind.SCRIPT_RESULT, f"timeout: {timeout.reason}")
+            if obs_on:
+                tracer.finish(span, "timeout", reason=timeout.reason)
             raise
         except BaseException:
-            tracer.finish(span, "cancelled")
+            if obs_on:
+                tracer.finish(span, "cancelled")
             raise
         finally:
-            self._span = outer
+            if obs_on:
+                self._span = outer
             self.deadlines.pop()
 
     # ------------------------------------------------------------------
@@ -140,8 +157,8 @@ class Interpreter:
         body = group.body
         if len(body) == 1:
             # A one-statement body is that statement's generator: one
-            # frame per nesting level, as a plan's collapsed group, so
-            # every nest the parser admits runs.
+            # frame per nesting level, so every nest the parser admits
+            # runs, and a retried body costs no delegation frame.
             return self.eval_statement(body[0])
         return self._eval_sequence(body)
 
@@ -156,24 +173,26 @@ class Interpreter:
         caller ``yield from``s the result at once either way, so it
         cannot tell the two apart.
         """
-        if isinstance(node, ast.Command):
+        kind = node.__class__
+        if kind is ast.Command:
             return self.eval_command(node)
-        if isinstance(node, ast.Try):
+        if kind is ast.Try:
             return self.eval_try(node)
-        if isinstance(node, ast.ForAny):
+        if kind is ast.ForAny:
             return self.eval_forany(node)
-        if isinstance(node, ast.If):
+        if kind is ast.If:
             return self.eval_if(node)
-        if isinstance(node, ast.ForAll):
+        if kind is ast.ForAll:
             return self.eval_forall(node)
-        if isinstance(node, ast.Assignment):
+        if kind is ast.Assignment:
             self.eval_assignment(node)
-        elif isinstance(node, ast.FailureAtom):
-            self.log.record(EventKind.FAILURE_ATOM, line=node.line)
+        elif kind is ast.FailureAtom:
+            if self.log.level >= LOG_COMMANDS:
+                self.log.record(EventKind.FAILURE_ATOM, line=node.line)
             raise FtshFailure("failure atom")
-        elif isinstance(node, ast.FunctionDef):
+        elif kind is ast.FunctionDef:
             self.functions[node.name] = node
-        elif not isinstance(node, ast.SuccessAtom):  # pragma: no cover
+        elif kind is not ast.SuccessAtom:  # pragma: no cover
             raise FtshRuntimeError(f"unknown statement node: {node!r}")
         return ()
 
@@ -181,77 +200,118 @@ class Interpreter:
     # Commands
     # ------------------------------------------------------------------
     def eval_assignment(self, node: ast.Assignment) -> None:
-        value = expand_word(node.value, self.scope)
+        value = node.value.expand(self.scope)
         self.scope.set(node.name, value)
-        self.log.record(EventKind.ASSIGNMENT, f"{node.name}={value!r}", node.line)
+        if self.log.level >= LOG_TRACE:
+            self.log.record(EventKind.ASSIGNMENT, f"{node.name}={value!r}",
+                            node.line)
 
     def eval_command(self, node: ast.Command) -> EvalGen:
-        argv = expand_words(node.words, self.scope)
+        scope = self.scope
+        const_argv = node.const_argv
+        if const_argv is not None:
+            argv = list(const_argv)
+            joined = node.const_joined
+        else:
+            argv = _expand(node.template, scope)
+            joined = None
         if not argv:
             raise FtshFailure("command expanded to nothing")
-        if argv[0] in self.functions:
-            yield from self.call_function(self.functions[argv[0]], argv, node)
+        name = argv[0]
+        if name in self.functions:
+            yield from self.call_function(self.functions[name], argv, node)
             return
-        tracer = self.obs.tracer
 
-        effect = RunCommand(argv=argv, deadline=self.deadlines.effective())
-        capture_var: str | None = None
-        capture_append = False
-        for redirect in node.redirects:
-            if redirect.to_variable:
-                name = redirect.target.literal_text() or ""
-                if redirect.is_input:  # -<
-                    effect.stdin_data = self.scope.get(name)
-                    effect.stdin_file = None
-                else:  # -> ->> ->& ->>&
-                    capture_var = name
-                    capture_append = redirect.appends
-                    effect.capture = True
-                    effect.merge_stderr = redirect.merges_stderr
-                    effect.stdout_file = None
-            else:
-                target = expand_word(redirect.target, self.scope)
-                if redirect.is_input:  # <
-                    effect.stdin_file = target
-                    effect.stdin_data = None
-                else:  # > >> >& >>&
-                    effect.stdout_file = target
-                    effect.stdout_append = redirect.appends
-                    effect.merge_stderr = redirect.merges_stderr
-                    effect.capture = False
-                    capture_var = None
+        stack = self.deadlines._stack  # effective(), inlined for the hot path
+        deadline = stack[-1] if stack else UNBOUNDED
+        if node.static_capture:
+            effect = _RC_NEW(RunCommand)
+            effect.argv = argv
+            effect.stdin_data = None
+            effect.stdin_file = None
+            effect.stdout_file = None
+            effect.stdout_append = False
+            effect.merge_stderr = node.merge_flag
+            effect.capture = node.capture_flag
+            effect.deadline = deadline
+            capture_name = node.capture_name
+            capture_append = node.capture_append
+        else:
+            effect = RunCommand(argv=argv, deadline=deadline)
+            capture_name = None
+            capture_append = False
+            for redirect in node.redirects:
+                if redirect.to_variable:
+                    if redirect.is_input:  # -<
+                        effect.stdin_data = scope.get(redirect.var_name)
+                        effect.stdin_file = None
+                    else:  # -> ->> ->& ->>&
+                        capture_name = redirect.var_name
+                        capture_append = redirect.appends
+                        effect.capture = True
+                        effect.merge_stderr = redirect.merges_stderr
+                        effect.stdout_file = None
+                else:
+                    target = redirect.target.expand(scope)
+                    if redirect.is_input:  # <
+                        effect.stdin_file = target
+                        effect.stdin_data = None
+                    else:  # > >> >& >>&
+                        effect.stdout_file = target
+                        effect.stdout_append = redirect.appends
+                        effect.merge_stderr = redirect.merges_stderr
+                        effect.capture = False
+                        capture_name = None
 
-        self.log.record(EventKind.COMMAND_START, " ".join(argv), node.line)
-        span = tracer.start(f"command:{argv[0]}", "command", parent=self._span,
-                            argv=" ".join(argv), line=node.line or None)
+        log = self.log
+        commands_on = log.level >= LOG_COMMANDS
+        if commands_on:
+            if joined is None:
+                joined = " ".join(argv)
+            log.record(EventKind.COMMAND_START, joined, node.line)
+        obs_on = self._obs_on
+        if obs_on:
+            tracer = self.obs.tracer
+            span = tracer.start(f"command:{name}", "command", parent=self._span,
+                                argv=joined if joined is not None else " ".join(argv),
+                                line=node.line or None)
         try:
             result: CommandResult = yield effect
         except BaseException:
             # FtshCancelled thrown in at the yield (losing forall branch),
             # or generator teardown: the command did not report a result.
-            tracer.finish(span, "cancelled")
+            if obs_on:
+                tracer.finish(span, "cancelled")
             raise
         if result.timed_out:
-            self.log.record(EventKind.COMMAND_TIMEOUT, " ".join(argv), node.line)
-            tracer.finish(span, "timeout", detail=result.detail or None)
-            raise FtshTimeout(self.deadlines.effective(), f"{argv[0]} hit time limit")
+            if commands_on:
+                log.record(EventKind.COMMAND_TIMEOUT, joined, node.line)
+            if obs_on:
+                tracer.finish(span, "timeout", detail=result.detail or None)
+            # Only this interpreter pushes or pops, so the deadline the
+            # command ran under is still the effective one.
+            raise FtshTimeout(deadline, f"{name} hit time limit")
         if result.exit_code != 0:
-            self.log.record(
-                EventKind.COMMAND_FAILED,
-                f"{' '.join(argv)} exited {result.exit_code} {result.detail}".rstrip(),
-                node.line,
-            )
-            tracer.finish(span, "failed", exit_code=result.exit_code,
-                          detail=result.detail or None)
-            raise FtshFailure(f"{argv[0]} exited {result.exit_code}")
-        if capture_var is not None:
+            if commands_on:
+                log.record(
+                    EventKind.COMMAND_FAILED,
+                    f"{joined} exited {result.exit_code} {result.detail}".rstrip(),
+                    node.line,
+                )
+            if obs_on:
+                tracer.finish(span, "failed", exit_code=result.exit_code,
+                              detail=result.detail or None)
+            raise FtshFailure(f"{name} exited {result.exit_code}")
+        if capture_name is not None:
             text = (result.output or "").rstrip("\n")
             if capture_append:
-                self.scope.append(capture_var, text)
+                scope.append(capture_name, text)
             else:
-                self.scope.set(capture_var, text)
-        self.log.record(EventKind.COMMAND_END, argv[0], node.line)
-        tracer.finish(span, "ok")
+                scope.set(capture_name, text)
+        if commands_on:
+            log.record(EventKind.COMMAND_END, name, node.line)
+        if obs_on:
+            tracer.finish(span, "ok")
 
     def call_function(
         self, function: ast.FunctionDef, argv: list[str], node: ast.Command
@@ -278,24 +338,23 @@ class Interpreter:
         for name, value in bindings.items():
             self.scope.set(name, value)
         self._call_depth += 1
-        tracer = self.obs.tracer
-        span = tracer.start(f"function:{function.name}", "function",
-                            parent=self._span, line=node.line or None)
-        caller_span, self._span = self._span, span
+        obs_on = self._obs_on
+        if obs_on:
+            tracer = self.obs.tracer
+            span = tracer.start(f"function:{function.name}", "function",
+                                parent=self._span, line=node.line or None)
+            caller_span, self._span = self._span, span
         try:
             yield from self.eval_group(function.body)
-            tracer.finish(span, "ok")
-        except FtshFailure:
-            tracer.finish(span, "failed")
-            raise
-        except FtshTimeout:
-            tracer.finish(span, "timeout")
-            raise
-        except BaseException:
-            tracer.finish(span, "cancelled")
+            if obs_on:
+                tracer.finish(span, "ok")
+        except BaseException as exc:
+            if obs_on:
+                tracer.finish(span, _verdict(exc))
             raise
         finally:
-            self._span = caller_span
+            if obs_on:
+                self._span = caller_span
             self._call_depth -= 1
             for name, previous in saved.items():
                 if previous is None:
@@ -307,203 +366,348 @@ class Interpreter:
     # try / catch
     # ------------------------------------------------------------------
     def eval_try(self, node: ast.Try) -> EvalGen:
-        now = yield GetTime()
-        tracer = self.obs.tracer
-        span = tracer.start(
-            "try", "try", parent=self._span, line=node.line or None,
-            limit_seconds=node.limits.duration,
-            limit_attempts=node.limits.attempts,
-        )
-        enclosing, self._span = self._span, span
-        try:
-            succeeded, attempts = yield from self._try_attempts(node, now, span)
-            if succeeded:
-                tracer.finish(span, "ok", attempts=attempts)
-                return
+        """The one retry loop.
 
-            # Exhausted.  The expired deadline is already popped, so the
-            # catch block runs under the *enclosing* limits only.
-            if node.catch is not None:
-                self.log.record(EventKind.CATCH_ENTERED, line=node.line)
-                catch_span = tracer.start("catch", "catch", parent=span,
-                                          line=node.line or None)
-                self._span = catch_span
-                try:
-                    yield from self.eval_group(node.catch)
-                    tracer.finish(catch_span, "ok")
-                except FtshFailure:
-                    tracer.finish(catch_span, "failed")
-                    raise
-                except FtshTimeout:
-                    tracer.finish(catch_span, "timeout")
-                    raise
-                except BaseException:
-                    tracer.finish(catch_span, "cancelled")
-                    raise
-                finally:
-                    self._span = span
-                tracer.finish(span, "ok", attempts=attempts, caught=True)
-                return
-            tracer.finish(span, "failed", attempts=attempts)
-            raise FtshFailure(f"try exhausted after {attempts} attempts")
-        except FtshTimeout:
-            tracer.finish(span, "timeout")
-            raise
-        except FtshFailure:
-            tracer.finish(span, "failed")
-            raise
-        except BaseException:
-            tracer.finish(span, "cancelled")
-            raise
-        finally:
-            self._span = enclosing
-
-    def _try_attempts(
-        self, node: ast.Try, now: float, span: Optional[Span]
-    ) -> Generator[Effect, Any, tuple[bool, int]]:
-        """The retry loop of one ``try``: returns (succeeded, attempts).
-
-        Re-raises timeouts belonging to enclosing windows; converts this
-        try's own expiry into ``(False, n)`` so the caller can run the
-        catch block.
+        When the body is a single static-capture command
+        (``node.inline``: ``try … / one command [-> var] / end``, the
+        paper's canonical retry shape) the loop drives it inline: no
+        per-attempt body generator, no delegation frame under the effect
+        send, and the attempt-failure ``FtshFailure`` this loop would
+        catch at once is never raised.  Any other body is one
+        ``yield from`` at the top of the attempt.  Both branches emit the
+        same log events, spans and effects.
         """
-        wanted = UNBOUNDED if node.limits.duration is None else now + node.limits.duration
-        clipped = self.deadlines.push(wanted)
-        budget = AttemptBudget(deadline=clipped, max_attempts=node.limits.attempts)
-        backoff = BackoffState(self.policy)
-        succeeded = False
-        attempt_start = now
-        tracer = self.obs.tracer
+        now = yield _GET_TIME
+        log = self.log
+        level = log.level
+        trace_on = level >= LOG_TRACE
+        commands_on = level >= LOG_COMMANDS
+        obs_on = self._obs_on
+        limits = node.limits
+        if obs_on:
+            tracer = self.obs.tracer
+            span = tracer.start(
+                "try", "try", parent=self._span, line=node.line or None,
+                limit_seconds=limits.duration, limit_attempts=limits.attempts,
+            )
+            enclosing, self._span = self._span, span
+        else:
+            tracer = None
+            span = None
+        deadlines = self.deadlines
+        scope = self.scope
+        cmd = node.inline
+        if cmd is not None:
+            const_argv = cmd.const_argv
+            capture_name = cmd.capture_name
+            capture_append = cmd.capture_append
+            capture_flag = cmd.capture_flag
+            merge_flag = cmd.merge_flag
+            cmd_line = cmd.line
+            functions = self.functions
         try:
-            while True:
-                budget.start_attempt()
-                self.log.record(
-                    EventKind.TRY_ATTEMPT, f"attempt {budget.attempts}", node.line
-                )
-                attempt_span = tracer.start(
-                    f"attempt:{budget.attempts}", "attempt", parent=span
-                )
-                self._span = attempt_span
-                try:
-                    yield from self.eval_group(node.body)
-                    succeeded = True
-                    tracer.finish(attempt_span, "ok")
-                    self.log.record(EventKind.TRY_SUCCESS, f"after {budget.attempts}", node.line)
-                    return True, budget.attempts
-                except FtshFailure:
-                    tracer.finish(attempt_span, "failed")
-                except FtshTimeout as timeout:
-                    tracer.finish(attempt_span, "timeout")
-                    if timeout.deadline < clipped:
-                        raise  # belongs to an enclosing try
-                    break  # our own window expired mid-attempt
-                except BaseException:
-                    tracer.finish(attempt_span, "cancelled")
-                    raise
-                finally:
-                    self._span = span
-                now = yield GetTime()
-                if not budget.may_retry(now):
-                    break
-                if node.limits.every is not None:
-                    delay = node.limits.every
-                else:
-                    jitter = yield GetRandom()
-                    delay = backoff.next_delay_from_jitter(jitter)
-                if delay <= 0 and now <= attempt_start:
-                    # A zero-delay retry of an attempt that consumed no time
-                    # would loop forever in a virtual clock (and spin a CPU
-                    # in a real one).  Impose a minimal scheduling quantum.
-                    delay = ZERO_PROGRESS_QUANTUM
-                attempt_start = now
-                delay = self.deadlines.clip(delay, now)
-                if delay > 0:
-                    self.log.record(
-                        EventKind.TRY_BACKOFF,
-                        f"failure {backoff.failures}: waiting {delay:.3f}s",
-                        node.line,
-                        value=delay,
-                    )
-                    sleep_span = tracer.start(
-                        f"backoff:{budget.attempts}", "backoff", parent=span,
-                        delay=delay,
-                    )
+            max_attempts = limits.attempts
+            if max_attempts is not None and max_attempts < 1:
+                raise ValueError(
+                    f"max_attempts must be >= 1, got {max_attempts}")
+            # After our push the stack top IS `clipped` between attempts
+            # (the stack is non-increasing), so clipping a delay to the
+            # effective deadline is max(0, min(delay, clipped - now)),
+            # and an inlined command, which never pushes, runs under
+            # `clipped` too.
+            wanted = UNBOUNDED if limits.duration is None else now + limits.duration
+            clipped = deadlines.push(wanted)
+            every = limits.every
+            line = node.line
+            backoff = BackoffState(self.policy)
+            succeeded = False
+            attempts = 0
+            attempt_start = now
+            try:
+                while True:
+                    attempts += 1
+                    if trace_on:
+                        log.record(EventKind.TRY_ATTEMPT,
+                                   f"attempt {attempts}", line)
+                    if obs_on:
+                        attempt_span = tracer.start(
+                            f"attempt:{attempts}", "attempt", parent=span
+                        )
+                        self._span = attempt_span
+                    # `failed` stands in for the FtshFailure a delegated
+                    # body raises across the frame boundary.
+                    failed = False
                     try:
-                        sleep_result: SleepResult = yield Sleep(delay, clipped)
+                        if cmd is None:
+                            yield from self.eval_group(node.body)
+                        else:
+                            if const_argv is not None:
+                                argv = list(const_argv)
+                                joined = cmd.const_joined
+                            else:
+                                argv = _expand(cmd.template, scope)
+                                joined = None
+                            if not argv:
+                                failed = True  # "command expanded to nothing"
+                            elif argv[0] in functions:
+                                yield from self.call_function(
+                                    functions[argv[0]], argv, cmd)
+                                # Function returned: the attempt succeeded.
+                            else:
+                                name = argv[0]
+                                effect = _RC_NEW(RunCommand)
+                                effect.argv = argv
+                                effect.stdin_data = None
+                                effect.stdin_file = None
+                                effect.stdout_file = None
+                                effect.stdout_append = False
+                                effect.merge_stderr = merge_flag
+                                effect.capture = capture_flag
+                                effect.deadline = clipped
+                                if commands_on:
+                                    if joined is None:
+                                        joined = " ".join(argv)
+                                    log.record(EventKind.COMMAND_START,
+                                               joined, cmd_line)
+                                if obs_on:
+                                    cmd_span = tracer.start(
+                                        f"command:{name}", "command",
+                                        parent=self._span,
+                                        argv=joined if joined is not None
+                                        else " ".join(argv),
+                                        line=cmd_line or None)
+                                try:
+                                    result = yield effect
+                                except BaseException:
+                                    if obs_on:
+                                        tracer.finish(cmd_span, "cancelled")
+                                    raise
+                                if result.timed_out:
+                                    if commands_on:
+                                        log.record(EventKind.COMMAND_TIMEOUT,
+                                                   joined, cmd_line)
+                                    if obs_on:
+                                        tracer.finish(cmd_span, "timeout",
+                                                      detail=result.detail or None)
+                                    raise FtshTimeout(clipped,
+                                                      f"{name} hit time limit")
+                                if result.exit_code != 0:
+                                    if commands_on:
+                                        log.record(
+                                            EventKind.COMMAND_FAILED,
+                                            f"{joined} exited {result.exit_code} "
+                                            f"{result.detail}".rstrip(),
+                                            cmd_line,
+                                        )
+                                    if obs_on:
+                                        tracer.finish(cmd_span, "failed",
+                                                      exit_code=result.exit_code,
+                                                      detail=result.detail or None)
+                                    failed = True
+                                else:
+                                    if capture_name is not None:
+                                        text = (result.output or "").rstrip("\n")
+                                        if capture_append:
+                                            scope.append(capture_name, text)
+                                        else:
+                                            scope.set(capture_name, text)
+                                    if commands_on:
+                                        log.record(EventKind.COMMAND_END,
+                                                   name, cmd_line)
+                                    if obs_on:
+                                        tracer.finish(cmd_span, "ok")
+                        if not failed:
+                            succeeded = True
+                            if obs_on:
+                                tracer.finish(attempt_span, "ok")
+                            if commands_on:
+                                log.record(EventKind.TRY_SUCCESS,
+                                           f"after {attempts}", line)
+                            break
+                        if obs_on:
+                            tracer.finish(attempt_span, "failed")
+                    except FtshFailure:
+                        if obs_on:
+                            tracer.finish(attempt_span, "failed")
+                    except FtshTimeout as timeout:
+                        if obs_on:
+                            tracer.finish(attempt_span, "timeout")
+                        if timeout.deadline < clipped:
+                            raise  # belongs to an enclosing try
+                        break  # our own window expired mid-attempt
                     except BaseException:
-                        tracer.finish(sleep_span, "cancelled")
+                        if obs_on:
+                            tracer.finish(attempt_span, "cancelled")
                         raise
-                    tracer.finish(sleep_span, "ok", slept=sleep_result.slept)
-                    if sleep_result.timed_out:
-                        break
-                    attempt_start = now + sleep_result.slept
+                    finally:
+                        if obs_on:
+                            self._span = span
+                    now = yield _GET_TIME
+                    if (max_attempts is not None and attempts >= max_attempts) \
+                            or now >= clipped:
+                        break  # the attempt budget or the window is spent
+                    if every is not None:
+                        delay = every
+                    else:
+                        jitter = yield _GET_RANDOM
+                        delay = backoff.next_delay_from_jitter(jitter)
+                    if delay <= 0 and now <= attempt_start:
+                        # A zero-delay retry of an attempt that consumed no
+                        # time would loop forever in a virtual clock (and
+                        # spin a CPU in a real one): impose a quantum.
+                        delay = ZERO_PROGRESS_QUANTUM
+                    attempt_start = now
+                    remaining = clipped - now
+                    if delay > remaining:
+                        delay = remaining
+                    if delay > 0:
+                        # The overload alarm: logged at every level.
+                        log.record(
+                            EventKind.TRY_BACKOFF,
+                            f"failure {attempts}: waiting {delay:.3f}s",
+                            line,
+                            value=delay,
+                        )
+                        if obs_on:
+                            sleep_span = tracer.start(
+                                f"backoff:{attempts}", "backoff",
+                                parent=span, delay=delay,
+                            )
+                        try:
+                            sleep_result: SleepResult = yield Sleep(delay, clipped)
+                        except BaseException:
+                            if obs_on:
+                                tracer.finish(sleep_span, "cancelled")
+                            raise
+                        if obs_on:
+                            tracer.finish(sleep_span, "ok", slept=sleep_result.slept)
+                        if sleep_result.timed_out:
+                            break
+                        attempt_start = now + sleep_result.slept
+            finally:
+                deadlines.pop()
+                if not succeeded and commands_on:
+                    log.record(EventKind.TRY_EXHAUSTED,
+                               f"after {attempts} attempts", line)
+            if succeeded:
+                if obs_on:
+                    tracer.finish(span, "ok", attempts=attempts)
+                return
+            yield from self._after_exhausted(node, attempts, span, tracer,
+                                             obs_on, commands_on)
+        except BaseException as exc:
+            if obs_on:
+                tracer.finish(span, _verdict(exc))
+            raise
         finally:
-            self.deadlines.pop()
-            if not succeeded:
-                self.log.record(
-                    EventKind.TRY_EXHAUSTED, f"after {budget.attempts} attempts", node.line
-                )
-        return False, budget.attempts
+            if obs_on:
+                self._span = enclosing
+
+    def _after_exhausted(self, node: ast.Try, attempts: int, span, tracer,
+                         obs_on: bool, commands_on: bool) -> EvalGen:
+        # The expired deadline is already popped, so the catch block runs
+        # under the *enclosing* limits only.  (Cold path: this frame only
+        # exists once exhaustion is certain.)
+        if node.catch is None:
+            if obs_on:
+                tracer.finish(span, "failed", attempts=attempts)
+            raise FtshFailure(f"try exhausted after {attempts} attempts")
+        if commands_on:
+            self.log.record(EventKind.CATCH_ENTERED, line=node.line)
+        if obs_on:
+            catch_span = tracer.start("catch", "catch", parent=span,
+                                      line=node.line or None)
+            self._span = catch_span
+        try:
+            yield from self.eval_group(node.catch)
+            if obs_on:
+                tracer.finish(catch_span, "ok")
+        except BaseException as exc:
+            if obs_on:
+                tracer.finish(catch_span, _verdict(exc))
+            raise
+        finally:
+            if obs_on:
+                self._span = span
+        if obs_on:
+            tracer.finish(span, "ok", attempts=attempts, caught=True)
 
     # ------------------------------------------------------------------
     # forany / forall
     # ------------------------------------------------------------------
     def eval_forany(self, node: ast.ForAny) -> EvalGen:
-        tracer = self.obs.tracer
-        span = tracer.start(f"forany:{node.var}", "forany", parent=self._span,
-                            line=node.line or None,
-                            alternatives=len(node.values))
-        enclosing, self._span = self._span, span
-        last_failure: FtshFailure | None = None
+        scope = self.scope
+        log = self.log
+        trace_on = log.level >= LOG_TRACE
+        obs_on = self._obs_on
+        if obs_on:
+            tracer = self.obs.tracer
+            span = tracer.start(f"forany:{node.var}", "forany",
+                                parent=self._span, line=node.line or None,
+                                alternatives=len(node.values))
+            enclosing, self._span = self._span, span
+        last_failure: Optional[FtshFailure] = None
         try:
             for value_word in node.values:
-                value = expand_word(value_word, self.scope)
-                self.scope.set(node.var, value)
-                self.log.record(EventKind.FORANY_PICK, f"{node.var}={value}", node.line)
-                alt_span = tracer.start(f"alt:{value}", "alt", parent=span)
-                self._span = alt_span
+                value = value_word.expand(scope)
+                scope.set(node.var, value)
+                if trace_on:
+                    log.record(EventKind.FORANY_PICK,
+                               f"{node.var}={value}", node.line)
+                if obs_on:
+                    alt_span = tracer.start(f"alt:{value}", "alt", parent=span)
+                    self._span = alt_span
                 try:
                     yield from self.eval_group(node.body)
-                    tracer.finish(alt_span, "ok")
-                    tracer.finish(span, "ok", winner=value)
+                    if obs_on:
+                        tracer.finish(alt_span, "ok")
+                        tracer.finish(span, "ok", winner=value)
                     return  # winner; node.var keeps the successful value
                 except FtshFailure as failure:
-                    tracer.finish(alt_span, "failed")
+                    if obs_on:
+                        tracer.finish(alt_span, "failed")
                     last_failure = failure
-                except FtshTimeout:
-                    tracer.finish(alt_span, "timeout")
-                    raise
-                except BaseException:
-                    tracer.finish(alt_span, "cancelled")
+                except BaseException as exc:
+                    if obs_on:
+                        tracer.finish(alt_span, _verdict(exc))
                     raise
                 finally:
-                    self._span = span
+                    if obs_on:
+                        self._span = span
             reason = last_failure.reason if last_failure else "no alternatives"
-            tracer.finish(span, "failed")
+            if obs_on:
+                tracer.finish(span, "failed")
             raise FtshFailure(f"forany exhausted all alternatives (last: {reason})")
-        except FtshTimeout:
-            tracer.finish(span, "timeout")
-            raise
-        except BaseException:
-            # finish() is idempotent, so an earlier ok/failed verdict sticks.
-            tracer.finish(span, "cancelled")
+        except BaseException as exc:
+            # finish() is idempotent, so an earlier ok/failed verdict
+            # sticks; a failure to expand a value cancels the span.
+            if obs_on:
+                tracer.finish(span, "timeout" if isinstance(exc, FtshTimeout)
+                              else "cancelled")
             raise
         finally:
-            self._span = enclosing
+            if obs_on:
+                self._span = enclosing
 
     def eval_forall(self, node: ast.ForAll) -> EvalGen:
+        trace_on = self.log.level >= LOG_TRACE
+        obs_on = self._obs_on
         tracer = self.obs.tracer
-        span = tracer.start(f"forall:{node.var}", "forall", parent=self._span,
-                            line=node.line or None, branches=len(node.values))
+        span = branch_span = None
+        if obs_on:
+            span = tracer.start(f"forall:{node.var}", "forall",
+                                parent=self._span, line=node.line or None,
+                                branches=len(node.values))
         branch_spans: list[Optional[Span]] = []
         branches: list[ParallelBranch] = []
         for index, value_word in enumerate(node.values):
-            value = expand_word(value_word, self.scope)
+            value = value_word.expand(self.scope)
             branch_scope = self.scope.child()
             branch_scope.set(node.var, value)
-            branch_span = tracer.start(f"branch:{node.var}={value}", "branch",
-                                       parent=span)
-            branch_spans.append(branch_span)
+            if obs_on:
+                branch_span = tracer.start(f"branch:{node.var}={value}",
+                                           "branch", parent=span)
+                branch_spans.append(branch_span)
             branch = Interpreter(branch_scope, self.policy, self.log,
                                  functions=self.functions,
                                  obs=self.obs, span_parent=branch_span)
@@ -511,52 +715,59 @@ class Interpreter:
             branch.deadlines.push(self.deadlines.effective())
             generator = branch._branch_body(node.body)
             branches.append(ParallelBranch(f"{node.var}={value}#{index}", generator))
-            self.log.record(EventKind.FORALL_SPAWN, f"{node.var}={value}", node.line)
+            if trace_on:
+                self.log.record(EventKind.FORALL_SPAWN, f"{node.var}={value}",
+                                node.line)
 
         try:
             result: ParallelResult = yield RunParallel(
                 branches, deadline=self.deadlines.effective()
             )
         except BaseException:
-            for branch_span in branch_spans:
-                tracer.finish(branch_span, "cancelled")
-            tracer.finish(span, "cancelled")
+            if obs_on:
+                for branch_span in branch_spans:
+                    tracer.finish(branch_span, "cancelled")
+                tracer.finish(span, "cancelled")
             raise
         if len(result.outcomes) != len(branches):
-            tracer.finish(span, "failed")
+            if obs_on:
+                tracer.finish(span, "failed")
             raise FtshRuntimeError(
                 f"driver returned {len(result.outcomes)} outcomes for "
                 f"{len(branches)} branches"
             )
-        timeout: FtshTimeout | None = None
-        failure: BaseException | None = None
-        for outcome, branch_span in zip(result.outcomes, branch_spans):
+        timeout: Optional[FtshTimeout] = None
+        failure: Optional[BaseException] = None
+        for index, outcome in enumerate(result.outcomes):
+            status = "ok"
             if outcome is None:
-                tracer.finish(branch_span, "ok")
-                continue
-            if isinstance(outcome, FtshTimeout):
+                pass
+            elif isinstance(outcome, FtshTimeout):
                 # Escaped every try inside the branch, so it belongs to one
                 # of *our* enclosing scopes; keep the earliest.
-                tracer.finish(branch_span, "timeout")
+                status = "timeout"
                 if timeout is None or outcome.deadline < timeout.deadline:
                     timeout = outcome
-            elif isinstance(outcome, FtshCancelled):
-                tracer.finish(branch_span, "cancelled")
-                failure = failure or outcome
-            elif isinstance(outcome, FtshFailure):
-                tracer.finish(branch_span, "failed")
+            elif isinstance(outcome, (FtshCancelled, FtshFailure)):
+                status = _verdict(outcome)
                 failure = failure or outcome
             else:
-                tracer.finish(branch_span, "failed")
-                tracer.finish(span, "failed")
+                if obs_on:
+                    tracer.finish(branch_spans[index], "failed")
+                    tracer.finish(span, "failed")
                 raise outcome  # driver bug or interpreter defect: surface it
+            if obs_on:
+                tracer.finish(branch_spans[index], status)
         if timeout is not None:
-            tracer.finish(span, "timeout")
+            if obs_on:
+                tracer.finish(span, "timeout")
             raise timeout
         if failure is not None:
-            tracer.finish(span, "failed")
+            if obs_on:
+                tracer.finish(span, "failed")
             raise FtshFailure(f"forall branch failed: {failure}")
-        tracer.finish(span, "ok")
+        if obs_on:
+            tracer.finish(span, "ok")
 
     def _branch_body(self, body: ast.Group) -> EvalGen:
         """Evaluate a forall branch body (run as its own effect generator)."""
@@ -567,8 +778,33 @@ class Interpreter:
     # ------------------------------------------------------------------
     def eval_if(self, node: ast.If) -> EvalGen:
         verdict = evaluate(node.condition, self.scope)
-        self.log.record(EventKind.CONDITION, str(verdict), node.line)
+        if self.log.level >= LOG_TRACE:
+            self.log.record(EventKind.CONDITION, str(verdict), node.line)
         if verdict:
             yield from self.eval_group(node.then)
         elif node.orelse is not None:
             yield from self.eval_group(node.orelse)
+
+
+def _expand(template: tuple, scope: Scope) -> list[str]:
+    """Expand a command's argv template; a word that expands to "" is
+    dropped unless it was quoted (shell-style elision, so
+    ``$maybe_flag`` can legitimately vanish)."""
+    argv = []
+    for item in template:
+        if item.__class__ is str:
+            argv.append(item)
+        else:
+            text = item.expand(scope)
+            if text or item.quoted:
+                argv.append(text)
+    return argv
+
+
+def _verdict(exc: BaseException) -> str:
+    """The status a span closes with when ``exc`` unwinds through it."""
+    if isinstance(exc, FtshFailure):
+        return "failed"
+    if isinstance(exc, FtshTimeout):
+        return "timeout"
+    return "cancelled"

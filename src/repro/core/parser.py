@@ -241,7 +241,6 @@ class Parser:
         attempts: int | None = None
         every: float | None = None
         duration_unit: str | None = None
-        every_unit: str | None = None
         saw_clause = False
         if self._peek_keyword() == "forever":
             self._advance()
@@ -260,7 +259,7 @@ class Parser:
                 if every is not None:
                     raise self._error("duplicate 'every' clause in try")
                 self._advance()
-                every, every_unit = self._parse_duration("try every")
+                every, _unit = self._parse_duration("try every")
             else:
                 # expect: NUMBER times
                 count = self._parse_count_clause()
@@ -278,7 +277,7 @@ class Parser:
                 "try needs a limit: 'for <time>', '<n> times' or 'forever'", try_token
             )
         return TryLimits(duration=duration, attempts=attempts, every=every,
-                         duration_unit=duration_unit, every_unit=every_unit)
+                         duration_unit=duration_unit)
 
     def _parse_duration(self, context: str) -> tuple[float, str]:
         """Parse ``NUMBER UNIT``; returns (seconds, unit-as-written)."""

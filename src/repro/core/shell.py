@@ -30,7 +30,6 @@ from typing import Any, Mapping, Optional
 
 from .ast_nodes import Script
 from .backoff import BackoffPolicy, PAPER_POLICY
-from .compile import compile_cached
 from .errors import FtshCancelled, FtshFailure, FtshTimeout
 from .interpreter import Interpreter
 from ..obs.api import NULL_OBS
@@ -130,9 +129,6 @@ class Ftsh:
         """
         if isinstance(script, str):
             script = parse_cached(script)
-        target: Any = script
-        if isinstance(script, Script):
-            target = compile_cached(script)
 
         scope = Scope(dict(variables or {}), spool=self.spool)
         interpreter = Interpreter(scope=scope, policy=self.policy, log=log,
@@ -142,7 +138,7 @@ class Ftsh:
         deadline = UNBOUNDED if timeout is None else start + timeout
         deadline = min(deadline, self._inherited_deadline(start))
 
-        generator = interpreter.execute(target, overall_deadline=deadline)
+        generator = interpreter.execute(script, overall_deadline=deadline)
         outcome = self.driver.run(generator)
         return run_result(outcome, scope, interpreter.log,
                           self.driver.now() - start)

@@ -68,37 +68,3 @@ class DeadlineStack:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"DeadlineStack({self._stack!r})"
-
-
-class AttemptBudget:
-    """The retry budget of one ``try`` construct.
-
-    A ``try`` may be limited by a time window, an attempt count, or both
-    ("``try for 1 hour or 3 times``" — whichever expires first).  The
-    budget answers one question: *may another attempt begin?*
-    """
-
-    __slots__ = ("deadline", "max_attempts", "attempts")
-
-    def __init__(self, deadline: float = UNBOUNDED, max_attempts: int | None = None) -> None:
-        if max_attempts is not None and max_attempts < 1:
-            raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
-        self.deadline = deadline
-        self.max_attempts = max_attempts
-        self.attempts = 0
-
-    def start_attempt(self) -> None:
-        """Record that an attempt is beginning."""
-        self.attempts += 1
-
-    def may_retry(self, now: float) -> bool:
-        """True if another attempt may begin at time ``now``."""
-        if self.max_attempts is not None and self.attempts >= self.max_attempts:
-            return False
-        return now < self.deadline
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"AttemptBudget(deadline={self.deadline!r}, "
-            f"max_attempts={self.max_attempts!r}, attempts={self.attempts})"
-        )

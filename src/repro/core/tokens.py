@@ -10,7 +10,7 @@ parser, driven by :meth:`Word.keyword`.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 _IDENT_FIRST = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
 _IDENT_REST = _IDENT_FIRST | set("0123456789")
@@ -41,13 +41,57 @@ class VarRef:
 WordPart = Literal | VarRef
 
 
+def derived():
+    """A field computed from a node's own fields in ``__post_init__``,
+    once, when the node is made: equality, hashing and ``repr`` do not
+    see it."""
+    return field(init=False, compare=False, repr=False)
+
+
 @dataclass(frozen=True, slots=True)
 class Word:
-    """One shell word: a concatenation of literal and variable parts."""
+    """One shell word: a concatenation of literal and variable parts.
+
+    The parts are pre-split once into a constant ``head`` and ``subs``,
+    ``(variable name, literal text after it)`` pairs, so :meth:`expand`
+    joins strings instead of walking parts.
+    """
 
     parts: tuple[WordPart, ...]
     line: int = 0
     column: int = 0
+    #: The literal text before the first substitution — the whole word
+    #: when ``subs`` is empty.
+    head: str = derived()
+    subs: tuple[tuple[str, str], ...] = derived()
+    #: True if any part was quoted: the word survives empty-word elision.
+    quoted: bool = derived()
+
+    def __post_init__(self) -> None:
+        head = ""
+        subs: list[tuple[str, str]] = []
+        quoted = False
+        for part in self.parts:
+            quoted = quoted or part.quoted
+            if isinstance(part, VarRef):
+                subs.append((part.name, ""))
+            elif subs:
+                name, tail = subs[-1]
+                subs[-1] = (name, tail + part.text)
+            else:
+                head += part.text
+        object.__setattr__(self, "head", head)
+        object.__setattr__(self, "subs", tuple(subs))
+        object.__setattr__(self, "quoted", quoted)
+
+    def expand(self, scope) -> str:
+        """The word's text under ``scope``; an unbound variable raises
+        :class:`~repro.core.errors.UndefinedVariableError`, an ordinary
+        ftsh failure."""
+        text = self.head
+        for name, tail in self.subs:
+            text += scope.get(name) + tail
+        return text
 
     def keyword(self) -> str | None:
         """The lowercase text of this word if it could be a keyword.

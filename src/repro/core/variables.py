@@ -1,11 +1,11 @@
-"""Variable scopes and word expansion.
+"""Variable scopes.
 
 A script runs in one flat scope; ``forall`` branches get child scopes so
 parallel writes cannot race each other (each branch sees the parent's
 bindings but writes locally — documented divergence-safe semantics).
 
-Expansion of an undefined variable raises
-:class:`~repro.core.errors.UndefinedVariableError`, which is an ordinary
+Expanding an undefined variable (:meth:`~repro.core.tokens.Word.expand`)
+raises :class:`~repro.core.errors.UndefinedVariableError`, an ordinary
 ftsh *failure*: an enclosing ``try`` may retry it, which matters when the
 variable is assigned by a redirection that failed last attempt.
 """
@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional
 
 from .errors import UndefinedVariableError
-from .tokens import Literal, VarRef, Word
 
 
 @dataclass(frozen=True, slots=True)
@@ -130,31 +129,3 @@ class Scope:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Scope {self._bindings!r} parent={self.parent is not None}>"
-
-
-def expand_word(word: Word, scope: Scope) -> str:
-    """Expand every part of ``word`` into a single string."""
-    chunks: list[str] = []
-    for part in word.parts:
-        if isinstance(part, VarRef):
-            chunks.append(scope.get(part.name))
-        else:
-            chunks.append(part.text)
-    return "".join(chunks)
-
-
-def word_is_quoted(word: Word) -> bool:
-    """True if any part of the word was quoted in the source."""
-    return any(part.quoted for part in word.parts)
-
-
-def expand_words(words: tuple[Word, ...], scope: Scope) -> list[str]:
-    """Expand an argv.  A word that expands to the empty string is dropped
-    unless it was quoted (shell-style elision, so ``$maybe_flag`` can
-    legitimately vanish)."""
-    argv: list[str] = []
-    for word in words:
-        text = expand_word(word, scope)
-        if text or word_is_quoted(word):
-            argv.append(text)
-    return argv

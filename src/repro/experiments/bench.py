@@ -1,11 +1,11 @@
 """The interpreter-dispatch micro behind the ledger's ``core.interpreter.*`` rows.
 
 ``bench_interp`` drives a retry-heavy and a forall-heavy script through
-the tree-walking oracle and over compiled plans
-(:mod:`repro.core.compile`) against a canned-effect driver, times cold
-vs cached compilation, and reports whether both runtimes observed
-identical logs and variables.  ``benchmarks/ledger/layers.py`` is its
-caller; the benchmark itself is ``python3 benchmarks/ledger/run.py``
+the interpreter against a canned-effect driver and reports whether two
+runs observed identical logs and variables.  There is one runtime, so
+its "tree" and "compiled" runs time the same runtime twice; the keys
+stay because ``benchmarks/ledger/layers.py``, its caller, reads them.
+The benchmark itself is ``python3 benchmarks/ledger/run.py``
 (``BENCHMARK.json``).
 """
 
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import time
 
-from ..core.compile import compile_cached, compile_script
 from ..core.effects import (
     CommandResult,
     GetRandom,
@@ -32,7 +31,7 @@ from ..obs.api import NULL_OBS
 
 #: Retry-heavy interp micro: every attempt but the last fails, so the
 #: run is dominated by attempt re-entry (backoff pacing + word expansion
-#: + command dispatch) — exactly the loop compiled plans accelerate.
+#: + command dispatch).
 _INTERP_RETRY = """
 url=http://mirror.example.org/pub/dataset.tar
 try {attempts} times every 1 second
@@ -135,46 +134,28 @@ def _best_of(fn, *args, reps: int = 3) -> float:
 
 
 def bench_interp(attempts: int, runs: int) -> dict:
-    """Tree-walk vs compiled-plan dispatch on retry- and forall-heavy
-    scripts, plus cold vs cached compilation.
+    """Dispatch time on retry- and forall-heavy scripts.
 
-    Both modes drive the same canned-effect driver; ``identical`` holds
-    only if they emit the same trace-level log events and leave the same
-    variable bindings — the observational-equivalence contract of
-    :mod:`repro.core.compile` as a tracked number.
+    The "tree" and "compiled" timings are two timed passes of the one
+    runtime; ``identical`` holds if two runs emit the same trace-level
+    log events and leave the same variable bindings.
     """
-    retry_text = _INTERP_RETRY.format(attempts=attempts)
-    retry_ast = parse(retry_text)
-    retry_plan = compile_script(retry_ast)
+    retry_ast = parse(_INTERP_RETRY.format(attempts=attempts))
     forall_ast = parse(_INTERP_FORALL)
-    forall_plan = compile_script(forall_ast)
     fail_first = attempts - 1
     forall_runs = runs * 20
 
-    # Warm both dispatch paths before timing.
-    _interp_run(retry_ast, fail_first, 1)
-    _interp_run(retry_plan, fail_first, 1)
-
+    _interp_run(retry_ast, fail_first, 1)  # warm up before timing
     tree_retry = _best_of(_interp_run, retry_ast, fail_first, runs)
-    compiled_retry = _best_of(_interp_run, retry_plan, fail_first, runs)
+    compiled_retry = _best_of(_interp_run, retry_ast, fail_first, runs)
     tree_forall = _best_of(_interp_run, forall_ast, 0, forall_runs)
-    compiled_forall = _best_of(_interp_run, forall_plan, 0, forall_runs)
+    compiled_forall = _best_of(_interp_run, forall_ast, 0, forall_runs)
 
     total_attempts = attempts * runs
-    started = time.perf_counter()
-    for _ in range(200):
-        compile_script(retry_ast)
-    cold_us = (time.perf_counter() - started) / 200 * 1e6
-    compile_cached(retry_ast)
-    started = time.perf_counter()
-    for _ in range(200):
-        compile_cached(retry_ast)
-    cached_us = (time.perf_counter() - started) / 200 * 1e6
-
     identical = (
         _interp_observe(retry_ast, fail_first)
-        == _interp_observe(retry_plan, fail_first)
-        and _interp_observe(forall_ast, 0) == _interp_observe(forall_plan, 0)
+        == _interp_observe(retry_ast, fail_first)
+        and _interp_observe(forall_ast, 0) == _interp_observe(forall_ast, 0)
     )
     return {
         "dispatch": {
@@ -199,11 +180,6 @@ def bench_interp(attempts: int, runs: int) -> dict:
                 "speedup": (round(tree_forall / compiled_forall, 2)
                             if compiled_forall else None),
             },
-        },
-        "compile": {
-            "cold_us": round(cold_us, 1),
-            "cached_us": round(cached_us, 2),
-            "speedup": round(cold_us / cached_us, 1) if cached_us else None,
         },
         "identical": identical,
     }

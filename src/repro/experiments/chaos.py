@@ -197,20 +197,19 @@ class Scenario:
 
     name: str
     run: Callable[..., tuple[float, TimeSeries]]
-    goodput_label: str
     duration: Callable[[ChaosScale], float]
     #: A goodput gap longer than this (seconds) counts as starvation.
     starvation_gap: float
 
 
 SCENARIOS = {
-    "submit": Scenario("submit", _run_submit, "jobs",
+    "submit": Scenario("submit", _run_submit,
                        lambda s: s.submit_duration, 15.0),
-    "buffer": Scenario("buffer", _run_buffer, "files",
+    "buffer": Scenario("buffer", _run_buffer,
                        lambda s: s.buffer_duration, 10.0),
-    "replica": Scenario("replica", _run_replica, "transfers",
+    "replica": Scenario("replica", _run_replica,
                         lambda s: s.replica_duration, 120.0),
-    "kangaroo": Scenario("kangaroo", _run_kangaroo, "archived",
+    "kangaroo": Scenario("kangaroo", _run_kangaroo,
                          lambda s: s.kangaroo_duration, 45.0),
 }
 

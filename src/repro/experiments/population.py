@@ -23,7 +23,7 @@ from ..sim.rng import RandomStreams
 from ..simruntime.registry import CommandRegistry
 from ..simruntime.shell import SimFtsh
 
-#: What client ``index`` runs next: a script (text or compiled plan)
+#: What client ``index`` runs next: a script (text or parsed ``Script``)
 #: and its variables.
 Cycle = Callable[[int], tuple[Any, Optional[Mapping[str, str]]]]
 

@@ -15,7 +15,6 @@ from typing import Any
 
 from ..clients.base import Discipline
 from ..clients.scripts import submit_script
-from ..core.compile import compile_cached
 from ..core.parser import parse_cached
 from ..faults.injectors import FaultSpec
 from ..grid.condor import CondorConfig, CondorWorld, register_condor_commands
@@ -67,14 +66,14 @@ def run_submission(params: SubmitParams) -> SubmitResult:
     population.install_faults(params.faults, params.duration,
                               schedd=world.schedd, fdtable=world.fdtable)
 
-    # One compiled plan shared by every client's every run.
-    script = compile_cached(parse_cached(
+    # One parsed script shared by every client's every run.
+    script = parse_cached(
         submit_script(
             params.discipline,
             window=min(params.script_window, params.duration),
             carrier_threshold=params.carrier_threshold,
         )
-    ))
+    )
 
     fd_series = TimeSeries("available-fds")
     sample(

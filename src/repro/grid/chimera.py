@@ -22,7 +22,6 @@ from typing import Iterable, Optional
 from ..clients.base import Discipline
 from ..clients.scripts import submit_script
 from ..core.errors import SimulationError
-from ..core.compile import compile_cached
 from ..core.parser import parse_cached
 from ..sim.engine import Engine
 from ..sim.process import Process
@@ -215,11 +214,11 @@ class DagDispatcher:
         self.pool = pool
         self.stats = DagStats()
         self._inflight = 0
-        # Every task submission re-enters one shared compiled plan.
-        self._script = compile_cached(parse_cached(
+        # Every task submission re-enters one shared parsed script.
+        self._script = parse_cached(
             submit_script(discipline, window=submit_window,
                           carrier_threshold=carrier_threshold)
-        ))
+        )
         self._shells = 0
 
     # ------------------------------------------------------------------

@@ -5,8 +5,8 @@ one optional argument instead of three, and so the disabled default
 (:data:`NULL_OBS`) can be passed around freely without ``if obs:``
 checks at every instrumentation point.
 
-The ``ftsh_*`` metrics are a view of the spans: the interpreter and the
-compiled plans open and close spans only, and the :class:`SpanFold`
+The ``ftsh_*`` metrics are a view of the spans: the interpreter opens
+and closes spans only, and the :class:`SpanFold`
 tracer an ``Observability`` builds counts each span into the metric it
 stands for.  This module is the one place that rule lives.
 """

@@ -30,7 +30,6 @@ from typing import IO, Optional
 
 from .core.analysis import analyze
 from .core.backoff import BackoffPolicy, PAPER_POLICY
-from .core.compile import compile_script
 from .core.errors import FtshSyntaxError
 from .core.interpreter import Interpreter
 from .core.lexer import tokenize
@@ -165,7 +164,7 @@ class Repl:
             functions=self.functions,
         )
         outcome = self.driver.run(
-            interpreter.execute(compile_script(script), UNBOUNDED))
+            interpreter.execute(script, UNBOUNDED))
         if outcome is None:
             self._emit("ok")
             return True

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..core.errors import BudgetExceeded, FtshSyntaxError
-from ..core.compile import compile_cached
 from ..core.parser import parse_cached
 from ..grid.condor import CondorWorld, register_condor_commands
 from ..grid.httpserver import ReplicaWorld, register_replica_commands
@@ -109,9 +108,6 @@ def admit_script(submission: ScriptSubmission,
         script = parse_cached(submission.script)
     except (FtshSyntaxError, RecursionError) as exc:
         raise SandboxRejection("syntax", f"script does not parse: {exc}")
-    # Warm the plan cache at admission so the first (in-process)
-    # execution of this submission dispatches over a ready plan.
-    compile_cached(script)
 
     if policy.lint:
         config = LintConfig(

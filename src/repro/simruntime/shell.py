@@ -17,7 +17,6 @@ from typing import Any, Mapping, Optional
 
 from ..core.ast_nodes import Script
 from ..core.backoff import BackoffPolicy, PAPER_POLICY
-from ..core.compile import compile_cached
 from ..core.interpreter import Interpreter
 from ..core.parser import parse_cached
 from ..core.shell import RunResult, run_result
@@ -72,14 +71,11 @@ class SimFtsh:
         """
         if isinstance(script, str):
             script = parse_cached(script)
-        target: Any = script
-        if isinstance(script, Script):
-            target = compile_cached(script)
         scope = Scope(dict(variables or {}))
         interpreter = Interpreter(scope=scope, policy=self.policy, log=self.log,
                                   obs=self.obs)
         deadline = UNBOUNDED if timeout is None else self.engine.now + timeout
-        generator = interpreter.execute(target, overall_deadline=deadline)
+        generator = interpreter.execute(script, overall_deadline=deadline)
         start = self.engine.now
         return self.driver.spawn(generator, name=f"{self.name}:script", finish=lambda outcome: run_result(
             outcome, scope, self.log, self.engine.now - start))

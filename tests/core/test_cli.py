@@ -97,6 +97,18 @@ class TestOptions:
         assert main(["--log", str(log), "-c", "x=1"]) == 0
         assert "script-result" in log.read_text()
 
+    def test_every_backoff_counts_the_failures(self, tmp_path):
+        # A fixed `every` delay draws no jitter, so the backoff state's
+        # failure count never moves; the alarm counts attempts instead.
+        log = tmp_path / "run.log"
+        script = "try 3 times every 0.01 seconds\n  sh -c 'exit 1'\nend"
+        assert main(["--log", str(log), "-c", script]) == 1
+        backoffs = [line.split("try-backoff")[1].strip()
+                    for line in log.read_text().splitlines()
+                    if "try-backoff" in line]
+        assert backoffs == ["failure 1: waiting 0.010s",
+                            "failure 2: waiting 0.010s"]
+
     def test_summary(self, capsys):
         assert main(["--summary", "-c", "x=1"]) == 0
         assert "execution log summary" in capsys.readouterr().err

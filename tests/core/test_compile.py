@@ -1,16 +1,19 @@
-"""``repro.core.compile``: compiled plans must be observationally
-identical to the tree-walking evaluator.
+"""The one interpreter against recorded observations of the tree-walker.
 
-The contract under test is strict: for any script and any deterministic
-driver, tree-walk and compiled execution produce the same outcome, the
-same :class:`ShellLog` event stream (at every log level), the same span
-tree, and the same final variable bindings.  The suite drives both
-modes over hand-written edge-case scripts, every shipped ``.ftsh``
-file, and Hypothesis-generated nested try/forany/forall scripts.
+Until the plan compiler was retired, every shell ran compiled plans and
+these suites checked them against the tree-walking evaluator.  Its
+observations are now data: ``golden_interpreter.jsonl`` holds, for every
+deterministic case below and for a fixed corpus of generated scripts
+(``tests/property/test_compile_props.py``), what the tree-walker did —
+outcome, ``ShellLog`` event stream (at every log level), span tree and
+final variable bindings — under :class:`ScriptedDriver`.  The
+interpreter, which now carries the plans' precompute on the parse tree,
+must reproduce each record exactly.
 """
 
 import inspect
 import itertools
+import json
 import pathlib
 import re
 from collections import deque
@@ -19,10 +22,6 @@ import pytest
 
 import repro
 from repro.cli import main as ftsh_main
-from repro.core.compile import (
-    compile_cached,
-    compile_script,
-)
 from repro.core.effects import (
     CommandResult,
     GetRandom,
@@ -54,9 +53,9 @@ SHIPPED = sorted(
     + list((ROOT / "tests" / "lint" / "fixtures").glob("**/*.ftsh"))
 )
 
-#: Every construct the compiler special-cases, in one script: retries
-#: with captures, try-for windows, forany/forall fan-out, functions,
-#: expressions, catch blocks, and a window expiring mid-command.
+#: Every construct in one script: retries with captures, try-for
+#: windows, forany/forall fan-out, functions, expressions, catch blocks,
+#: and a window expiring mid-command.
 KITCHEN_SINK = """
 greeting=hello
 mode=fast
@@ -93,9 +92,9 @@ catch
 end
 """
 
-#: Edge cases of the fused single-command try loop: a function call in
-#: the body, an empty argv from an empty variable, a nested window
-#: timing out, and exhaustion without a catch.
+#: Edge cases of the inlined single-command try loop (``Try.inline``): a
+#: function call in the body, an empty argv from an empty variable, a
+#: nested window timing out, and exhaustion without a catch.
 FUSED_EDGES = """
 function fetchit
     flaky inner-$1 -> got
@@ -121,14 +120,14 @@ end
 """
 
 
-#: The plan / tree-walker boundary: what plans hand to the tree-walker
-#: (an assignment, a function definition, a ``forall``) inside and
-#: beside what they run themselves.  A ``forall`` whose branches run a
-#: ``try`` under a plan-level window that expires; a function called
-#: from an inlined single-command ``try`` and from a ``forany``
-#: alternative; an assignment read by the next compiled command; and a
-#: condition with an undefined operand, then one with a non-numeric
-#: operand, whose reason ends the script.
+#: Where the retired plan compiler handed statements to the tree-walker
+#: (an assignment, a function definition, a ``forall``), inside and
+#: beside what it ran itself.  A ``forall`` whose branches run a
+#: ``try`` under an outer window that expires; a function called from
+#: an inlined single-command ``try`` and from a ``forany`` alternative;
+#: an assignment read by the next command; and a condition with an
+#: undefined operand, then one with a non-numeric operand, whose reason
+#: ends the script.
 MIXED_BOUNDARY = """
 function fetch
     flaky inner-$1 -> got
@@ -264,11 +263,8 @@ class ScriptedDriver:
             return ("raise", f"{type(exc).__name__}: {exc}")
 
 
-def observe(text, compiled, level=LOG_TRACE, with_obs=False,
-            fail_first=None):
-    """Run one mode and return its full observable surface."""
-    script = parse(text)
-    target = compile_script(script) if compiled else script
+def observe(text, level=LOG_TRACE, with_obs=False, fail_first=None):
+    """Run ``text`` and return its full observable surface."""
     scope = Scope()
     log = ShellLog(max_events=TRANSCRIPT_EVENTS, level=level)
     obs = Observability() if with_obs else NULL_OBS
@@ -277,7 +273,7 @@ def observe(text, compiled, level=LOG_TRACE, with_obs=False,
     log.clock = lambda: driver.t
     if with_obs:
         obs.tracer.clock = lambda: driver.t
-    outcome = driver.drive(interp.execute(target))
+    outcome = driver.drive(interp.execute(parse(text)))
     events = [(e.time, e.kind, e.detail, e.line, e.value)
               for e in log.events]
     spans = []
@@ -289,27 +285,57 @@ def observe(text, compiled, level=LOG_TRACE, with_obs=False,
     return outcome, events, spans, dict(sorted(scope.flatten().items()))
 
 
-def assert_equivalent(text, **kwargs):
-    tree = observe(text, compiled=False, **kwargs)
-    compiled = observe(text, compiled=True, **kwargs)
-    assert tree == compiled
+def observe_session(entries):
+    """A REPL session's shape: one scope, one function table and one log
+    carried across separately parsed entries."""
+    scope = Scope()
+    functions = {}
+    log = ShellLog(max_events=TRANSCRIPT_EVENTS, level=LOG_TRACE)
+    driver = ScriptedDriver(fail_first={})
+    log.clock = lambda: driver.t
+    outcomes = []
+    for text in entries:
+        interp = Interpreter(scope, log=log, functions=functions)
+        outcomes.append(driver.drive(interp.execute(parse(text))))
+    events = [(e.time, e.kind, e.detail, e.line, e.value)
+              for e in log.events]
+    return outcomes, events, dict(sorted(scope.flatten().items()))
+
+
+GOLDEN_PATH = pathlib.Path(__file__).with_name("golden_interpreter.jsonl")
+#: case name -> record (``observed``, plus the input of a corpus case).
+GOLDEN = {record["case"]: record for record in map(
+    json.loads, GOLDEN_PATH.read_text().splitlines())}
+
+
+def as_recorded(observation):
+    """An observation in the golden's JSON shape: tuples as lists, an
+    event kind by its name."""
+    return json.loads(json.dumps(observation, default=lambda kind: kind.name))
+
+
+def assert_as_recorded(case, observation):
+    assert as_recorded(observation) == GOLDEN[case]["observed"], case
 
 
 class TestDeepEquivalence:
-    """Both runtimes agree at every log level, with and without obs."""
+    """The deep scripts at every log level, with and without obs."""
 
-    @pytest.mark.parametrize("text", [KITCHEN_SINK, FUSED_EDGES, MIXED_BOUNDARY],
-                             ids=["kitchen-sink", "fused-edges",
-                                  "mixed-boundary"])
+    @pytest.mark.parametrize("text,name", [
+        (KITCHEN_SINK, "kitchen-sink"), (FUSED_EDGES, "fused-edges"),
+        (MIXED_BOUNDARY, "mixed-boundary")],
+        ids=["kitchen-sink", "fused-edges", "mixed-boundary"])
     @pytest.mark.parametrize("level",
                              [LOG_TRACE, LOG_COMMANDS, LOG_RESULTS])
     @pytest.mark.parametrize("with_obs", [False, True],
                              ids=["no-obs", "obs"])
-    def test_identical_observables(self, text, level, with_obs):
-        assert_equivalent(text, level=level, with_obs=with_obs)
+    def test_identical_observables(self, text, name, level, with_obs):
+        case = f"deep/{name}/{level}/{'obs' if with_obs else 'no-obs'}"
+        assert_as_recorded(case, observe(text, level=level,
+                                         with_obs=with_obs))
 
     def test_the_boundary_runs_what_it_names(self):
-        outcome, events, _spans, bindings = observe(MIXED_BOUNDARY, True)
+        outcome, events, _spans, bindings = observe(MIXED_BOUNDARY)
         assert outcome == ("raise", "FtshFailure: forany exhausted all "
                            "alternatives (last: non-numeric operand 'abc' "
                            "for .lt.)")
@@ -319,19 +345,19 @@ class TestDeepEquivalence:
         assert kinds.count("FORALL_SPAWN") == 2
         assert kinds.count("CATCH_ENTERED") == 2
 
-    @pytest.mark.parametrize("text,reason", [
-        ("if ${nope} .eq. 1\n    success\nend\n", "nope"),
-        ("x=abc\nif ${x} .lt. 3\n    success\nend\n",
+    @pytest.mark.parametrize("name,text,reason", [
+        ("undefined", "if ${nope} .eq. 1\n    success\nend\n", "nope"),
+        ("non-numeric", "x=abc\nif ${x} .lt. 3\n    success\nend\n",
          "non-numeric operand 'abc' for .lt."),
     ], ids=["undefined", "non-numeric"])
-    def test_condition_failure_reasons_match(self, text, reason):
-        tree = observe(text, compiled=False)
-        assert tree == observe(text, compiled=True)
-        assert tree[0][0] == "raise" and reason in tree[0][1]
+    def test_condition_failure_reasons_match(self, name, text, reason):
+        observed = observe(text)
+        assert_as_recorded(f"condition/{name}", observed)
+        assert observed[0][0] == "raise" and reason in observed[0][1]
 
 
 class TestShippedScriptSweep:
-    """Every ``.ftsh`` we ship runs identically under both modes."""
+    """Every ``.ftsh`` we ship runs as recorded."""
 
     def test_sweep_not_empty(self):
         assert len(SHIPPED) >= 5
@@ -342,45 +368,27 @@ class TestShippedScriptSweep:
         text = path.read_text()
         # Twice per script: everything succeeds immediately, then every
         # command fails twice first so retry/backoff paths execute.
-        assert_equivalent(text, fail_first={})
+        assert_as_recorded(f"shipped/{path.name}/plain",
+                           observe(text, fail_first={}))
         retry = {"nfs_read": 2, "condor_submit": 2, "wget": 2,
                  "store_output": 2, "touch": 2, "cut": 1}
-        assert_equivalent(text, fail_first=retry, with_obs=True)
-
-
-def observe_session(entries, compiled):
-    """A REPL session's shape: one scope, one function table and one log
-    carried across separately parsed (and compiled) entries."""
-    scope = Scope()
-    functions = {}
-    log = ShellLog(max_events=TRANSCRIPT_EVENTS, level=LOG_TRACE)
-    driver = ScriptedDriver(fail_first={})
-    log.clock = lambda: driver.t
-    outcomes = []
-    for text in entries:
-        script = parse(text)
-        target = compile_script(script) if compiled else script
-        interp = Interpreter(scope, log=log, functions=functions)
-        outcomes.append(driver.drive(interp.execute(target)))
-    events = [(e.time, e.kind, e.detail, e.line, e.value)
-              for e in log.events]
-    return outcomes, events, dict(sorted(scope.flatten().items()))
+        assert_as_recorded(f"shipped/{path.name}/retry",
+                           observe(text, fail_first=retry, with_obs=True))
 
 
 class TestAcrossEntries:
     def test_function_from_an_earlier_entry_appends_to_a_callers_variable(self):
-        # The body was compiled with another entry's plan; what it
-        # appends must be what the caller reads next, and its
-        # positionals must be unbound again on return.
+        # The body was parsed with another entry; what it appends must
+        # be what the caller reads next, and its positionals must be
+        # unbound again on return.
         entries = [
             "function gather\n    fetch $1 ->> seen\nend\n",
             "seen=start\ngather alpha\ngather beta extra\n"
             "report ${seen} -> said\n",
         ]
-        tree = observe_session(entries, compiled=False)
-        compiled = observe_session(entries, compiled=True)
-        assert tree == compiled
-        outcomes, _events, bindings = compiled
+        observed = observe_session(entries)
+        assert_as_recorded("session/function-append", observed)
+        outcomes, _events, bindings = observed
         assert outcomes == [("ok", None), ("ok", None)]
         assert bindings == {
             "seen": "startout:fetch alphaout:fetch beta",
@@ -388,63 +396,53 @@ class TestAcrossEntries:
         }
 
 
-class TestCompileCache:
-    def test_same_ast_compiles_once(self, monkeypatch):
-        from repro.core import compile as compile_module
-
-        compiles = []
-        real = compile_module.compile_script
-        monkeypatch.setattr(compile_module, "compile_script",
-                            lambda script: compiles.append(script)
-                            or real(script))
-        script = parse("probe alpha\n")
-        first = compile_cached(script)
-        second = compile_cached(script)
-        assert first is second
-        assert compiles == [script]
-
-    def test_distinct_asts_get_distinct_plans(self):
-        a = compile_cached(parse("probe alpha\n"))
-        b = compile_cached(parse("probe beta\n"))
-        assert a is not b
+def corpus(with_obs):
+    """The generated corpus' records, with or without telemetry."""
+    return [record for case, record in sorted(GOLDEN.items())
+            if case.startswith("corpus/") and record["with_obs"] is with_obs]
 
 
 class TestLayoutGuard:
     """One runtime, one retry loop: a source grep, in the style of
-    ``tests/service/test_http.py::TestLayoutGuard``, so the knob that
-    chose the tree-walker or a second compiled ``try`` loop cannot come
-    back unnoticed."""
+    ``tests/service/test_http.py::TestLayoutGuard``, so a knob that
+    chose a runtime, a second evaluator or a second ``try`` loop cannot
+    come back unnoticed."""
+
+    SRC = pathlib.Path(repro.__file__).parent
 
     def test_the_forks_stay_closed(self):
-        src = pathlib.Path(repro.__file__).parent
         knob = re.compile(r"REPRO_NO_COMPILE|no_compile|compilation_enabled")
-        assert [str(path.relative_to(src))
-                for path in sorted(src.rglob("*.py"))
+        assert [str(path.relative_to(self.SRC))
+                for path in sorted(self.SRC.rglob("*.py"))
                 if knob.search(path.read_text())] == []
         for shell in (Ftsh, SimFtsh, Repl):
             assert "compile" not in inspect.signature(shell).parameters
         with pytest.raises(SystemExit) as usage:
             ftsh_main(["--no-compile", "-c", "true"])
         assert usage.value.code == 2
-        compiler = (src / "core" / "compile.py").read_text()
-        assert compiler.count("BackoffState(") == 1
+        interpreter = (self.SRC / "core" / "interpreter.py").read_text()
+        assert interpreter.count("BackoffState(") == 1
 
     def test_every_variable_has_one_copy(self):
-        # Plans read and write the Scope they are handed; a slot table
-        # or a cell cache in front of it would be a second copy to keep
-        # coherent on append, unset, spool and across REPL entries.
-        compiler = (pathlib.Path(repro.__file__).parent
-                    / "core" / "compile.py").read_text()
-        assert not re.search(r"^class (Frame|_SlotTable)\b", compiler,
-                             re.MULTILINE)
-        assert ".cells" not in compiler
+        # The interpreter reads and writes the Scope it is handed; a
+        # slot table or a cell cache in front of it would be a second
+        # copy to keep coherent on append, unset, spool and across REPL
+        # entries.
+        for module in ("interpreter.py", "ast_nodes.py", "tokens.py"):
+            text = (self.SRC / "core" / module).read_text()
+            assert not re.search(r"^class (Frame|_SlotTable)\b", text,
+                                 re.MULTILINE), module
+            assert ".cells" not in text, module
 
-    def test_plans_shadow_only_what_campaigns_run(self):
-        # Assignments, functions, forall and condition expressions have
-        # one implementation, the tree-walker's; plans hand them over.
-        compiler = (pathlib.Path(repro.__file__).parent
-                    / "core" / "compile.py").read_text()
-        assert not re.search(
-            r"class (ForAllOp|FuncDefOp|FunctionPlan|AssignOp|_CmpNum|_CmpStr"
-            r"|_TruthExpr|_NotExpr|_DefinedExpr|_BoolExpr)\b"
-            r"|def (_call_function|_compile_expr|_run_branch)\b", compiler)
+    def test_one_runtime(self):
+        # The plan runtime is gone; ``compile_script`` is the identity,
+        # kept only for the perf ledger's ``core.compile.compile_us`` row.
+        retired = re.compile(r"compile_cached|ScriptPlan|WalkOp|CommandOp"
+                             r"|TryOp|CompiledWord|AttemptBudget")
+        assert [str(path.relative_to(self.SRC))
+                for path in sorted(self.SRC.rglob("*.py"))
+                if retired.search(path.read_text())] == []
+        residue = (self.SRC / "core" / "compile.py").read_text()
+        assert len(residue.splitlines()) <= 20
+        assert re.findall(r"^(?:def|class) (\w+)", residue,
+                          re.MULTILINE) == ["compile_script"]

@@ -384,10 +384,8 @@ class TestSourceSpans:
         assert limits.duration == 300.0
         assert limits.duration_unit == "minutes"
         assert limits.every == 30.0
-        assert limits.every_unit == "seconds"
 
     def test_units_absent_when_not_written(self):
         script = parse("try 3 times\n    cmd\nend\n")
         limits = script.body.body[0].limits
         assert limits.duration_unit is None
-        assert limits.every_unit is None

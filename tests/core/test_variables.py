@@ -3,9 +3,11 @@
 import pytest
 
 from repro.core.errors import UndefinedVariableError
+from repro.core.interpreter import Interpreter
 from repro.core.lexer import tokenize
+from repro.core.parser import parse
 from repro.core.tokens import TokenKind
-from repro.core.variables import Scope, expand_word, expand_words
+from repro.core.variables import Scope
 
 
 def first_word(text):
@@ -61,46 +63,45 @@ class TestScope:
 
 class TestExpansion:
     def test_literal(self):
-        assert expand_word(first_word("hello"), Scope()) == "hello"
+        assert first_word("hello").expand(Scope()) == "hello"
 
     def test_variable(self):
         scope = Scope({"host": "xxx"})
-        assert expand_word(first_word("http://${host}/f"), scope) == "http://xxx/f"
+        assert first_word("http://${host}/f").expand(scope) == "http://xxx/f"
 
     def test_bare_variable(self):
         scope = Scope({"host": "xxx"})
-        assert expand_word(first_word("$host"), scope) == "xxx"
+        assert first_word("$host").expand(scope) == "xxx"
 
     def test_quoted_mixture(self):
         scope = Scope({"server": "yyy"})
         assert (
-            expand_word(first_word('"got file from ${server}"'), scope)
+            first_word('"got file from ${server}"').expand(scope)
             == "got file from yyy"
         )
 
     def test_undefined_raises(self):
         with pytest.raises(UndefinedVariableError):
-            expand_word(first_word("${missing}"), Scope())
+            first_word("${missing}").expand(Scope())
 
 
 class TestArgvExpansion:
-    def words(self, text):
-        return tuple(t.word for t in tokenize(text) if t.kind is TokenKind.WORD)
+    """A command's argv, as the interpreter hands it to the driver."""
+
+    def argv(self, text, scope):
+        command = parse(text).body.body[0]
+        return next(Interpreter(scope).eval_command(command)).argv
 
     def test_basic(self):
-        argv = expand_words(self.words("wget url"), Scope())
-        assert argv == ["wget", "url"]
+        assert self.argv("wget url", Scope()) == ["wget", "url"]
 
     def test_empty_unquoted_variable_elides(self):
         scope = Scope({"flag": ""})
-        argv = expand_words(self.words("cmd ${flag} arg"), scope)
-        assert argv == ["cmd", "arg"]
+        assert self.argv("cmd ${flag} arg", scope) == ["cmd", "arg"]
 
     def test_empty_quoted_variable_kept(self):
         scope = Scope({"flag": ""})
-        argv = expand_words(self.words('cmd "${flag}" arg'), scope)
-        assert argv == ["cmd", "", "arg"]
+        assert self.argv('cmd "${flag}" arg', scope) == ["cmd", "", "arg"]
 
     def test_empty_literal_quotes_kept(self):
-        argv = expand_words(self.words('cmd ""'), Scope())
-        assert argv == ["cmd", ""]
+        assert self.argv('cmd ""', Scope()) == ["cmd", ""]

@@ -185,12 +185,24 @@ class TestCampaign:
         assert run_cell("buffer", "ethernet", None, 0, TINY, 11) == \
             (goodput, series)
 
-    def test_golden_reproduced_by_the_forced_tree_walker(self, tree_walker):
-        """The end-to-end oracle: every script is tree-walked (see the
-        ``tree_walker`` fixture) — and the scorecard must not move."""
+    def test_golden_reproduced_by_the_forced_tree_walker(self, monkeypatch):
+        """The end-to-end oracle: every script reaches the interpreter
+        as a parsed ``Script`` — and the scorecard must not move."""
+        from repro.core.ast_nodes import Script
+        from repro.core.interpreter import Interpreter
+
+        walked = []
+        execute = Interpreter.execute
+
+        def counting(self, script, *args, **kwargs):
+            assert isinstance(script, Script)
+            walked.append(script)
+            return execute(self, script, *args, **kwargs)
+
+        monkeypatch.setattr(Interpreter, "execute", counting)
         text = render_scorecard(run_chaos_campaign(TINY, seed=11, jobs=1))
         assert text == GOLDEN.read_text()
-        assert len(tree_walker) > 1000  # 2,936 scripts when this was written
+        assert len(walked) > 1000  # 2,936 scripts when this was written
 
     @pytest.mark.slow
     def test_smoke_scale_ordering_holds(self):

@@ -135,11 +135,11 @@ class TestParseOnlyRegression:
 
     @pytest.mark.parametrize("opener", ["try 1 times", "if 1 .eq. 1",
                                         "forany x in a", "forall x in a"])
-    def test_whatever_parses_runs(self, tmp_path, opener, request):
-        """The deepest nest the parser admits is one both runtimes
-        execute — at the top, in a function body and in a ``forall``
-        branch, which plans hand to the tree-walker: no script exits 0
-        under --parse-only and then dies of a RecursionError when run."""
+    def test_whatever_parses_runs(self, tmp_path, opener):
+        """The deepest nest the parser admits is one the interpreter
+        executes — at the top, in a function body and in a ``forall``
+        branch: no script exits 0 under --parse-only and then dies of a
+        RecursionError when run."""
         def nest(depth):
             return f"{opener}\n" * depth + "true\n" + "end\n" * depth
 
@@ -165,10 +165,6 @@ class TestParseOnlyRegression:
         for where, text in nests.items():
             assert main_at(text, "--parse-only") == 0, where
             assert main_at(text) == 0, where
-        walked = request.getfixturevalue("tree_walker")
-        for where, text in nests.items():
-            assert main_at(text) == 0, f"{where}, tree-walked"
-        assert len(walked) == len(nests)
 
     def test_deep_nesting_in_lint_module(self, tmp_path):
         depth = 4000

@@ -3,8 +3,8 @@ the *same span structure* under the real POSIX driver and the simulation
 driver — the obs-side analogue of tests/integration/test_cross_driver.py.
 
 And each metric is a view of a record the run keeps: the ``ftsh_*``
-families agree with the spans (under compiled plans and the
-tree-walker alike) and the ``grid_*`` ones with the substrate counters.
+families agree with the spans and the ``grid_*`` ones with the
+substrate counters.
 """
 
 import collections
@@ -137,20 +137,11 @@ def test_forall_branch_spans_nest_under_forall():
             assert kinds == ["command"]
 
 
-@pytest.fixture(params=["compiled", "tree-walker"])
-def runtime(request):
-    """Run under compiled plans, or force the tree-walker; returns the
-    list of walked scripts (``None`` for compiled plans)."""
-    if request.param == "tree-walker":
-        return request.getfixturevalue("tree_walker")
-    return None
-
-
 def value(obs, name):
     return obs.metrics.get(name).value
 
 
-def test_ftsh_and_grid_metrics_are_views_of_spans_and_substrate(runtime):
+def test_ftsh_and_grid_metrics_are_views_of_spans_and_substrate():
     """A faulted, contended submit run: every ``ftsh_*`` count equals the
     spans it folds, and every schedd counter the substrate's own."""
     obs = Observability()
@@ -158,8 +149,6 @@ def test_ftsh_and_grid_metrics_are_views_of_spans_and_substrate(runtime):
         ALOHA, n_clients=40, duration=120.0,
         condor=CondorConfig(fd_capacity=1000, restart_delay=10.0),
         faults=(FaultSpec("schedd-crash", Burst(30.0, 1.0)),), obs=obs))
-    if runtime is not None:
-        assert runtime, "no script was tree-walked"
     spans = list(obs.tracer)
     assert obs.tracer.dropped == 0
 
@@ -197,7 +186,7 @@ TRY_CASES = [
 @pytest.mark.parametrize("script,succeeds,exhausted,catches", TRY_CASES,
                          ids=["ok", "exhausted", "caught", "catch-failed"])
 def test_try_exhausted_counts_every_try_that_gave_up(
-        runtime, script, succeeds, exhausted, catches):
+        script, succeeds, exhausted, catches):
     """Exhausted counts a try whose retries ran out, caught or not; catch
     counts the catch blocks entered."""
     result, obs = run_sim(script)

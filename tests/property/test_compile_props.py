@@ -1,18 +1,19 @@
-"""Property: compiled plans are observationally identical to the
-tree-walk for arbitrary nested try/forany/forall scripts.
+"""The generated corpus, and properties of the one interpreter.
 
-Hypothesis builds random scripts from the constructs the compiler
-rewrites most aggressively — retry loops (fused when the body is a
-single command), fan-out loops, functions, assignments — plus a random
-per-command failure pattern, and asserts both modes emit the same
-ShellLog event stream, reach the same outcome, and leave the same
-variable bindings.
+Hypothesis builds random scripts from nested retry loops (inlined when
+the body is a single command), fan-out loops and assignments, plus a
+random per-command failure pattern.  A fixed corpus of 240 of them, drawn
+once from these strategies, is recorded with the tree-walker's
+observations in ``tests/core/golden_interpreter.jsonl``: the interpreter
+must reproduce each record exactly.  Fresh draws check what holds of any
+run: the ``ShellLog`` stream is well formed.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tests.core.test_compile import assert_equivalent
+from repro.core.shell_log import EventKind
+from tests.core.test_compile import as_recorded, corpus, observe
 
 #: Commands the generated scripts may invoke; the failure pattern maps
 #: each to how many invocations fail before the first success.
@@ -79,14 +80,41 @@ def failure_patterns(draw):
             for name in COMMANDS}
 
 
+def test_compiled_matches_tree_walk():
+    records = corpus(with_obs=False)
+    assert len(records) == 160
+    for record in records:
+        observed = observe(record["text"], fail_first=record["fail_first"])
+        assert as_recorded(observed) == record["observed"], record["text"]
+
+
+def test_compiled_matches_tree_walk_with_obs():
+    records = corpus(with_obs=True)
+    assert len(records) == 80
+    for record in records:
+        observed = observe(record["text"], fail_first=record["fail_first"],
+                           with_obs=True)
+        assert as_recorded(observed) == record["observed"], record["text"]
+
+
 @given(text=scripts(), fail_first=failure_patterns())
 @settings(max_examples=40, deadline=None)
-def test_compiled_matches_tree_walk(text, fail_first):
-    fail_first = dict(fail_first, cleanup_cmd=0)
-    assert_equivalent(text, fail_first=fail_first)
-
-
-@given(text=scripts(), fail_first=failure_patterns())
-@settings(max_examples=15, deadline=None)
-def test_compiled_matches_tree_walk_with_obs(text, fail_first):
-    assert_equivalent(text, fail_first=fail_first, with_obs=True)
+def test_log_stream_is_well_formed(text, fail_first):
+    """One script result, last; time never runs backwards; every command
+    started ends exactly once; attempts and backoffs pair with spans."""
+    outcome, events, spans, _bindings = observe(
+        text, fail_first=fail_first, with_obs=True)
+    kinds = [kind for _time, kind, *_rest in events]
+    assert kinds.count(EventKind.SCRIPT_RESULT) == 1
+    assert kinds[-1] is EventKind.SCRIPT_RESULT
+    times = [time for time, *_rest in events]
+    assert times == sorted(times)
+    # forall branches interleave, so commands pair up by count.
+    ended = sum(kinds.count(kind) for kind in (
+        EventKind.COMMAND_END, EventKind.COMMAND_FAILED,
+        EventKind.COMMAND_TIMEOUT))
+    assert kinds.count(EventKind.COMMAND_START) == ended
+    span_kinds = [kind for _name, kind, *_rest in spans]
+    assert kinds.count(EventKind.TRY_ATTEMPT) == span_kinds.count("attempt")
+    assert kinds.count(EventKind.TRY_BACKOFF) == span_kinds.count("backoff")
+    assert (outcome[0] == "ok") == (events[-1][2] == "success")

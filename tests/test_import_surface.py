@@ -92,7 +92,7 @@ print(json.dumps(sorted(sys.modules)))
 
 #: None of these is on the path of 33 cache hits and a render.
 WARM_RERUN_NEVER_LOADS = [
-    "repro.core.compile", "repro.core.interpreter", "repro.core.parser",
+    "repro.core.interpreter", "repro.core.parser",
     "repro.core.realruntime", "repro.simruntime.driver",
     "repro.experiments.scenario_submit", "repro.obs.exporters", "repro.lint",
     "repro.dist.backends", "repro.service.http",
@@ -105,7 +105,7 @@ def test_warm_chaos_rerun_loads_no_simulator_and_no_pool(tmp_path):
     cold_out, cold = fresh(_CHAOS_CLI, str(tmp_path))
     assert "cache: 0 hits, 33 misses" in cold_out
     # the check has teeth: the run that computes does load them
-    assert {"repro.core.compile", "repro.experiments.scenario_submit",
+    assert {"repro.core.interpreter", "repro.experiments.scenario_submit",
             "repro.simruntime.driver"} <= set(cold)
     scorecard = (tmp_path / "out" / "scorecard_smoke.txt").read_bytes()
 
@@ -130,7 +130,7 @@ print(json.dumps(sorted(sys.modules)))
 #: loads whatever it needs.)
 THIN_CLIENT_NEVER_LOADS = (
     "repro.sim.engine", "repro.simruntime", "repro.grid", "repro.faults",
-    "repro.experiments", "repro.core.compile", "repro.core.interpreter",
+    "repro.experiments", "repro.core.interpreter",
     "repro.core.parser", "repro.core.realruntime",
 )
 

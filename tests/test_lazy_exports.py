@@ -30,7 +30,7 @@ PUBLIC = {
         "by_name", "format_window", "producer_script", "reader_script",
         "submit_script"],
     "repro.core": [
-        "AttemptBudget", "BackoffPolicy", "BackoffState", "CommandResult",
+        "BackoffPolicy", "BackoffState", "CommandResult",
         "CommandStats", "DEADLINE_ENV", "DeadlineStack", "Effect",
         "EffectGenerator", "EventKind", "Ftsh", "FtshCancelled", "FtshError",
         "FtshFailure", "FtshRuntimeError", "FtshSyntaxError", "FtshTimeout",
@@ -38,8 +38,7 @@ PUBLIC = {
         "NO_BACKOFF", "PAPER_POLICY", "ParallelBranch", "ParallelResult",
         "RealDriver", "RunCommand", "RunParallel", "RunResult", "Scope",
         "Script", "ShellLog", "SimulationError", "Sleep", "SleepResult",
-        "UNBOUNDED", "UndefinedVariableError", "analyze", "expand_word",
-        "expand_words", "parse"],
+        "UNBOUNDED", "UndefinedVariableError", "analyze", "parse"],
     "repro.dist": [
         "BACKENDS", "BACKEND_ENV", "DEFAULT_BACKEND", "backend_names",
         "resolve_backend"],
