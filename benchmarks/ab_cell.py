@@ -5,9 +5,11 @@ run one cell of a shipped grid in a fresh interpreter per run, from two
 ``src`` trees in alternation, and print CPU seconds, the result digest,
 each side's median [q1, q3] and in how many pairs the change read
 lower.  Beside each run's CPU seconds go the cyclic collector's passes
-(gen0/1/2, from ``gc.callbacks`` around the cell) and the child's peak
-RSS (``ru_maxrss``): for a seed the passes repeat exactly, so they
-compare two trees where the seconds do not::
+(gen0/1/2, from ``gc.callbacks`` around the cell), the objects those
+passes collected, and the child's peak RSS (``ru_maxrss``): for a seed
+the passes and the objects repeat exactly, so they compare two trees
+where the seconds do not, and a change that leaves a new reference
+cycle shows as objects collected where the parent collected none::
 
     python3 benchmarks/ab_cell.py PARENT_SRC CHANGE_SRC \\
         [--cell fig1/fixed/n450] [--scale medium] [--pairs 12]
@@ -90,13 +92,16 @@ else:
         sys.exit(f"no cell {wanted!r} at scale {scale!r}; keys: {' '.join(sorted(by_key))}")
     cells = [by_key[wanted]]
 passes = [0, 0, 0]
+collected = [0]
 
 def count_pass(phase, info):
     if phase == "stop":
         passes[info["generation"]] += 1
+        collected[0] += info["collected"]
 
 for spec in cells:
     passes[:] = [0, 0, 0]
+    collected[0] = 0
     gc.callbacks.append(count_pass)
     start = time.process_time()
     result = spec.fn(*spec.args, **spec.kwargs)
@@ -104,15 +109,17 @@ for spec in cells:
     gc.callbacks.remove(count_pass)
     blob = json.dumps(to_jsonable(result), sort_keys=True, separators=(",", ":"))
     print(json.dumps({"cell": spec.key, "cpu_s": cpu_s, "gc": passes,
+                      "collected": collected[0],
                       "rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
                       "digest": hashlib.sha256(blob.encode()).hexdigest()}), flush=True)
 """
 
 
 def costs(row: dict) -> str:
-    """CPU seconds, collector passes gen0/1/2 and the child's peak RSS."""
+    """CPU seconds, collector passes gen0/1/2, the objects they
+    collected and the child's peak RSS."""
     return (f"{row['cpu_s']:7.3f} s gc {'/'.join(map(str, row['gc'])):>11}"
-            f" {row['rss_mb']:5.1f} MB")
+            f" {row['collected']:>7} obj {row['rss_mb']:5.1f} MB")
 
 
 def run_cells(src: str, cell: str, scale: str, chaos_scale: str) -> list[dict]:
@@ -155,7 +162,9 @@ def sweep(sources: dict[str, str], scale: str, chaos_scale: str, pairs: int) -> 
                       f"  change {costs(change)}  {'same' if same else 'DIFFERS'}")
         total = {side: sum(row["cpu_s"] for row in rows[side]) for side in rows}
         passes = {side: "/".join(str(sum(row["gc"][gen] for row in rows[side]))
-                                 for gen in range(3)) for side in rows}
+                                 for gen in range(3))
+                  + f" {sum(row['collected'] for row in rows[side])} obj"
+                  for side in rows}
         for side in rows:
             cpu[side].append(total[side])
         print(f"total {pair + 1:2d} ({order[0]} first)"

@@ -24,7 +24,10 @@ prints per grid:
   per command too;
 * ``ShellLog.record`` calls, and the events the logs still hold when
   each cell is done: a campaign cell reads back one tally, the
-  overload alarm, so it should keep none.
+  overload alarm, so it should keep none;
+* the objects each cell leaves in reference cycles — counted with the
+  collector off while the cell runs and ``gc.collect()`` after it — which
+  should be none: a finished world is freed by reference count.
 
 Each grid runs twice and the run fails if any count differs::
 
@@ -43,6 +46,7 @@ import argparse
 import contextlib
 import dataclasses
 import functools
+import gc
 import os
 import sys
 import types
@@ -56,6 +60,12 @@ from repro.core.shell_log import ShellLog  # noqa: E402
 from repro.core.tokens import Word  # noqa: E402
 from repro.core.variables import Scope  # noqa: E402
 from repro.experiments import chaos, runall  # noqa: E402
+# Imported before any count: a module's first import leaves garbage of
+# its own (a ``dataclass(slots=True)`` replaces the class it decorates),
+# which is not a cell's.
+from repro.experiments import (  # noqa: E402,F401
+    scenario_buffer, scenario_dag, scenario_kangaroo, scenario_replica,
+    scenario_submit)
 from repro.obs.api import Observability  # noqa: E402
 from repro.sim import engine as kernel  # noqa: E402
 from repro.sim.events import Timeout  # noqa: E402
@@ -171,6 +181,26 @@ def counting_kept_events():
         ShellLog.__init__ = real
 
 
+@contextlib.contextmanager
+def counting_cycles():
+    """Count the objects each cell leaves in reference cycles: the
+    collector is off while a cell runs, and the yielded ``settle``,
+    called after each cell, collects and counts what it left."""
+    tally = {"objects left in cycles": 0}
+
+    def settle():
+        gc.enable()
+        tally["objects left in cycles"] += gc.collect()
+        gc.disable()
+
+    gc.collect()
+    gc.disable()
+    try:
+        yield tally, settle
+    finally:
+        gc.enable()
+
+
 def runall_cells(seed):
     """``runall --scale medium``: every cell takes one params object."""
 
@@ -203,10 +233,12 @@ def count_grid(cells):
     # Counters only: no span is kept.
     obs = Observability(max_spans=0)
     with counting_wrappers() as tally, counting_events() as events, \
-            counting_kept_events() as (kept, settle):
+            counting_kept_events() as (kept, settle), \
+            counting_cycles() as (cycles, collect):
         for run in cells:
             run(obs)
             settle()
+            collect()
 
     def total(family_name):
         family = obs.metrics.get(family_name)
@@ -220,6 +252,7 @@ def count_grid(cells):
     counts.update(events)
     counts["log records"] = counts.pop("log records")  # beside "kept"
     counts.update(kept)
+    counts.update(cycles)
     return counts
 
 

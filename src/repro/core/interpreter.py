@@ -646,7 +646,8 @@ class Interpreter:
                                 parent=self._span, line=node.line or None,
                                 alternatives=len(node.values))
             enclosing, self._span = self._span, span
-        last_failure: Optional[FtshFailure] = None
+        # The reason, not the failure: its traceback holds this frame.
+        last_reason = "no alternatives"
         try:
             for value_word in node.values:
                 value = value_word.expand(scope)
@@ -666,7 +667,7 @@ class Interpreter:
                 except FtshFailure as failure:
                     if obs_on:
                         tracer.finish(alt_span, "failed")
-                    last_failure = failure
+                    last_reason = failure.reason
                 except BaseException as exc:
                     if obs_on:
                         tracer.finish(alt_span, _verdict(exc))
@@ -674,10 +675,9 @@ class Interpreter:
                 finally:
                     if obs_on:
                         self._span = span
-            reason = last_failure.reason if last_failure else "no alternatives"
             if obs_on:
                 tracer.finish(span, "failed")
-            raise FtshFailure(f"forany exhausted all alternatives (last: {reason})")
+            raise FtshFailure(f"forany exhausted all alternatives (last: {last_reason})")
         except BaseException as exc:
             # finish() is idempotent, so an earlier ok/failed verdict
             # sticks; a failure to expand a value cancels the span.

@@ -47,19 +47,6 @@ class DeadlineStack:
         """The earliest active deadline, or ``UNBOUNDED`` if none."""
         return self._stack[-1] if self._stack else UNBOUNDED
 
-    def expired(self, now: float) -> bool:
-        """True if the effective deadline has passed at time ``now``."""
-        return now >= self.effective()
-
-    def remaining(self, now: float) -> float:
-        """Seconds until the effective deadline (may be negative or inf)."""
-        return self.effective() - now
-
-    def clip(self, duration: float, now: float) -> float:
-        """Clip a desired sleep/timeout ``duration`` to the effective
-        deadline; never negative."""
-        return max(0.0, min(duration, self.remaining(now)))
-
     def __len__(self) -> int:
         return len(self._stack)
 

@@ -64,7 +64,10 @@ class Population:
         ``stagger-<index>``, then runs ``cycle(index)`` back to back.
         All clients log into one shared :class:`ShellLog` — the default
         log, a counter that keeps no event — whose backoff initiations,
-        the paper's overload alarm, are returned.
+        the paper's overload alarm, are returned.  The engine is closed
+        then: the clients still waiting at ``duration`` let go of the
+        world, which the harness frees by reference count once it has
+        read its counters.
         """
         engine = self.engine
         log = ShellLog()
@@ -77,7 +80,9 @@ class Population:
             engine.process(_client(engine, shell, cycle, index, stagger,
                                    duration), name=client)
         engine.run(until=duration)
-        return log.backoff_initiations()
+        backoffs = log.backoff_initiations()
+        engine.close()
+        return backoffs
 
 
 def _client(engine: Engine, shell: SimFtsh, cycle: Cycle, index: int,

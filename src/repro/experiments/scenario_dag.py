@@ -101,6 +101,7 @@ def run_dag_scenario(params: DagParams) -> DagResult:
 
     engine.run(until=engine.all_of(processes))
     stats: list[DagStats] = [p.value for p in processes]
+    engine.close()
     return DagResult(
         params=params,
         makespan=max(s.makespan for s in stats),

@@ -61,19 +61,21 @@ class TaskDAG:
 
     def _check_acyclic(self) -> None:
         state: dict[str, int] = {}
-
-        def visit(name: str) -> None:
-            if state.get(name) == 1:
-                raise SimulationError(f"dependency cycle through {name!r}")
-            if state.get(name) == 2:
-                return
-            state[name] = 1
-            for dep in self.tasks[name].deps:
-                visit(dep)
-            state[name] = 2
-
         for name in self.tasks:
-            visit(name)
+            self._visit(name, state)
+
+    def _visit(self, name: str, state: dict[str, int]) -> None:
+        """Depth-first from ``name``: 1 on the path, 2 done.  A method,
+        not a closure: a recursive closure is a reference cycle, and it
+        would hold the whole DAG until a collector pass."""
+        if state.get(name) == 1:
+            raise SimulationError(f"dependency cycle through {name!r}")
+        if state.get(name) == 2:
+            return
+        state[name] = 1
+        for dep in self.tasks[name].deps:
+            self._visit(dep, state)
+        state[name] = 2
 
     # ------------------------------------------------------------------
     def ready(self) -> list[Task]:

@@ -38,7 +38,7 @@ class Job:
 
     id: int
     exec_time: float
-    #: Event triggered when the job finally completes.
+    #: Event triggered (with ``None``) when the job finally completes.
     done: Event = None  # type: ignore[assignment]
     attempts: int = 0
 
@@ -128,4 +128,4 @@ class WorkerPool:
         worker.busy = False
         worker.jobs_run += 1
         self.jobs_completed.increment()
-        job.done.succeed(job)
+        job.done.succeed()  # not the job: it holds ``done``, a cycle

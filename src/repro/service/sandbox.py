@@ -323,14 +323,17 @@ def run_script_cell(
             counters=_world_counters(world_obj),
             budget_exceeded=exc.budget,
         )
-    return ScriptOutcome(
-        success=result.success,
-        reason=result.reason,
-        timed_out=result.timed_out,
-        sim_elapsed=result.elapsed,
-        events=events,
-        counters=_world_counters(world_obj),
-    )
+    else:
+        return ScriptOutcome(
+            success=result.success,
+            reason=result.reason,
+            timed_out=result.timed_out,
+            sim_elapsed=result.elapsed,
+            events=events,
+            counters=_world_counters(world_obj),
+        )
+    finally:
+        engine.close()  # once the outcome, counters and all, is built
 
 
 def cells_for(submission, policy: SandboxPolicy) -> list[CellSpec]:

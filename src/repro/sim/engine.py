@@ -84,6 +84,11 @@ class Engine:
         self._may_compact = True
         #: The process currently executing (for self-interrupt detection).
         self.active_process: Optional[Process] = None
+        #: Every process whose generator has not ended, in start order:
+        #: :class:`Process` adds itself and removes itself when its
+        #: generator returns or raises; :meth:`close` detaches the rest.
+        self._live: dict[Process, None] = {}
+        self._closed = False
         #: Named random streams shared by everything attached to this
         #: engine.  Substrates that need stochastic behaviour default to
         #: a stream named after themselves, so one master seed fully
@@ -225,6 +230,34 @@ class Engine:
             exc = event._value
             raise exc
 
+    def close(self) -> None:
+        """End this world: let go of everything a run left pending.
+
+        A process still waiting at the horizon and the event it waits on
+        reference each other, and its generator frame pins the rest of
+        the world; left alone, only a later full collection frees them.
+        Closing detaches every live process — its resume callback, its
+        target, its waiters and its generator, which Python then
+        finalizes here (``finally`` blocks run now, once) — and empties
+        the event list and the carrier pool, so a finished world is
+        freed by reference count.  Read the results first: a ``finally``
+        block may still touch the world.  Closing twice does nothing;
+        :meth:`run` after :meth:`close` raises :class:`SimulationError`.
+        """
+        if self._closed:
+            return
+        self._closed = True
+        live = self._live
+        while live:  # a finalizer may start another process
+            process = next(iter(live))
+            del live[process]
+            process._resume_cb = None
+            process._target = None
+            process.callbacks = None
+            process.generator = None  # finalized now, if nothing else holds it
+        self._heap.clear()
+        self._carriers.clear()
+
     def run(self, until: float | Event | None = None) -> Any:
         """Run until the queue drains, ``until`` time passes, or an event fires.
 
@@ -242,6 +275,8 @@ class Engine:
         error about to raise) — between empty-callback events nothing can
         read the clock.
         """
+        if self._closed:
+            raise SimulationError("run() on a closed engine")
         heap = self._heap
         pop = heapq.heappop
         horizon = INFINITY
@@ -307,6 +342,8 @@ class Engine:
         entries meanwhile: the count (a result byte of the service) must
         not depend on when compaction would have happened.
         """
+        if self._closed:
+            raise SimulationError("run_budgeted() on a closed engine")
         events = 0
         self._may_compact = False
         try:

@@ -73,10 +73,13 @@ class Process(Event):
         #: The one bound method used for every callback registration, so
         #: tombstoning can compare by identity (and each attach skips a
         #: bound-method allocation).  It makes the process a reference
-        #: cycle, so :meth:`_resume` drops it when the generator ends: a
-        #: finished process is then freed by reference count as soon as
-        #: its last waiter lets go, not by a later collector pass.
+        #: cycle, so it is dropped where the process stops: by
+        #: :meth:`_resume` when the generator ends, and by
+        #: :meth:`Engine.close` for a process still waiting when its world
+        #: ends.  Either way the process is freed by reference count as
+        #: soon as its last waiter lets go, not by a later collector pass.
         self._resume_cb = self._resume
+        engine._live[self] = None
         if not bootstrap:
             # Run to the first yield now, inside the caller's dispatch:
             # the generator's first request is made before anything else
@@ -140,11 +143,13 @@ class Process(Event):
         except StopIteration as stop:
             self.engine.active_process = None
             self._resume_cb = None
+            del self.engine._live[self]
             self.succeed(stop.value)
             return
         except BaseException as exc:
             self.engine.active_process = None
             self._resume_cb = None
+            del self.engine._live[self]
             self.fail(exc)
             return
         self.engine.active_process = None

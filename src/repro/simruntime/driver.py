@@ -193,7 +193,9 @@ class SimDriver:
         except StopIteration:
             outcome = None
         except FtshControl as control:
-            outcome = control
+            # Only the reason is ever read; the traceback would hold this
+            # frame, which holds ``outcome``: a cycle per failed script.
+            outcome = control.with_traceback(None)
         return outcome if finish is None else finish(outcome)
 
     @staticmethod

@@ -9,6 +9,7 @@ JSON (``to_jsonable``, sorted keys) — the digest the campaign cache and
 have no other tier-1 test of their exact numbers.
 """
 
+import gc
 import hashlib
 import json
 
@@ -23,6 +24,7 @@ from repro.experiments.scenario_submit import SubmitParams, run_submission
 from repro.faults.injectors import FaultSpec
 from repro.faults.schedule import Burst, Periodic
 from repro.parallel.transport import to_jsonable
+from repro.service.sandbox import run_script_cell
 
 RUNS = {
     "submit": lambda: run_submission(SubmitParams(
@@ -76,3 +78,27 @@ def digest(result) -> str:
 @pytest.mark.parametrize("scenario", sorted(RUNS))
 def test_result_bytes_are_pinned(scenario):
     assert digest(RUNS[scenario]()) == DIGESTS[scenario]
+
+
+#: Each harness once more, and one sandboxed script in the buffer world
+#: (whose consumer outlives the script), for the cycle check.
+WORLDS = dict(RUNS, sandbox=lambda: run_script_cell(
+    "try for 5 minutes\n    produce_output 10\n    store_output\nend\n",
+    (), "buffer", 600.0, 5, 100_000))
+
+
+@pytest.mark.parametrize("world", sorted(WORLDS))
+def test_a_finished_world_leaves_no_cycle(world):
+    """A run frees its whole world by reference count: processes still
+    waiting at the horizon are closed, and no control exception keeps
+    the frame that caught it.  The first run warms up what a run loads
+    lazily; the second, with the collector off, must leave nothing for
+    it."""
+    WORLDS[world]()
+    gc.collect()
+    gc.disable()
+    try:
+        WORLDS[world]()
+    finally:
+        gc.enable()
+    assert gc.collect() == 0

@@ -1,4 +1,7 @@
-"""Engine stepping, ordering, and run() modes."""
+"""Engine stepping, ordering, run() modes, and close()."""
+
+import gc
+import weakref
 
 import pytest
 
@@ -98,3 +101,68 @@ class TestRunModes:
         assert engine.peek() == float("inf")
         engine.timeout(4)
         assert engine.peek() == 4.0
+
+
+class TestClose:
+    """A world that ends with processes still waiting lets go of them:
+    each generator is finalized once, at ``close``, and the engine is
+    then freed by reference count."""
+
+    def test_releases_every_waiting_process(self):
+        engine = Engine()
+        finalized = []
+
+        def on_timer():
+            try:
+                yield engine.timeout(100.0)
+            finally:
+                finalized.append("timer")
+
+        def on_process(other):
+            try:
+                yield other
+            finally:
+                finalized.append("process")
+
+        def on_withdrawn(timer):
+            try:
+                yield timer
+            finally:
+                finalized.append("withdrawn")
+
+        def withdraw(timer):
+            yield engine.timeout(1.0)
+            timer.cancel()
+
+        withdrawn = engine.timeout(50.0)
+        engine.process(on_process(engine.process(on_timer())))
+        engine.process(on_withdrawn(withdrawn))
+        engine.process(withdraw(withdrawn))
+        del withdrawn
+        engine.run(until=10.0)
+        assert finalized == []
+
+        gc.disable()
+        try:
+            engine.close()
+            assert finalized == ["timer", "process", "withdrawn"]  # start order
+            engine.close()  # a second close is a no-op
+            assert len(finalized) == 3
+            with pytest.raises(SimulationError):
+                engine.run(until=20.0)
+            gone = weakref.ref(engine)
+            del engine
+            assert gone() is None
+        finally:
+            gc.enable()
+        assert len(finalized) == 3
+
+    def test_finished_processes_leave_nothing_to_detach(self, engine):
+        def body():
+            yield engine.timeout(1.0)
+
+        engine.process(body())
+        engine.run()
+        assert not engine._live
+        engine.close()
+        assert engine.peek() == float("inf")
