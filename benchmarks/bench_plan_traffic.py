@@ -7,8 +7,10 @@ traffic it carries, and traffic is exact for a seed (counters over
 sampling: Lazarevic & Sacks, PAPERS.md), so an A/B of it is a diff, not
 a distribution.  This runs the two campaign grids the perf ledger times
 — ``runall --scale medium`` (the ``figures_full`` workload) and
-``chaos --scale smoke`` (``chaos_cache``) — serially, in process, and
-prints per grid:
+``chaos --scale smoke`` (``chaos_cache``) — and the reproduction gate's
+extension cells at the seed (``validate.extension_cells``: the DAG,
+Kangaroo, reservation and ablation scenarios), serially, in process,
+and prints per grid:
 
 * from the interpreter's own ``repro.obs`` counters: script runs,
   commands, ``try`` attempts, backoffs, ``forany`` picks, ``forall``
@@ -59,7 +61,7 @@ from repro.core import interpreter  # noqa: E402
 from repro.core.shell_log import ShellLog  # noqa: E402
 from repro.core.tokens import Word  # noqa: E402
 from repro.core.variables import Scope  # noqa: E402
-from repro.experiments import chaos, runall  # noqa: E402
+from repro.experiments import chaos, runall, validate  # noqa: E402
 # Imported before any count: a module's first import leaves garbage of
 # its own (a ``dataclass(slots=True)`` replaces the class it decorates),
 # which is not a cell's.
@@ -69,6 +71,7 @@ from repro.experiments import (  # noqa: E402,F401
 from repro.obs.api import Observability  # noqa: E402
 from repro.sim import engine as kernel  # noqa: E402
 from repro.sim.events import Timeout  # noqa: E402
+from repro.simruntime.shell import SimFtsh  # noqa: E402
 
 #: Row label -> the interpreter's counter family behind it.
 OBS_COUNTERS = {
@@ -228,6 +231,42 @@ def chaos_cells(seed):
             for cell in chaos.campaign_cells(chaos.SCALES["smoke"], seed)]
 
 
+@contextlib.contextmanager
+def shells_reporting_to(obs):
+    """Hand ``obs`` to every ``SimFtsh`` built in the block without a
+    telemetry context of its own: the DAG harness takes none, and its
+    dispatchers build their shells themselves."""
+    real = SimFtsh.__init__
+
+    def init(self, *args, **kwargs):
+        if kwargs.get("obs") is None:
+            kwargs["obs"] = obs
+        real(self, *args, **kwargs)
+
+    SimFtsh.__init__ = init
+    try:
+        yield
+    finally:
+        SimFtsh.__init__ = real
+
+
+def extension_cells(seed):
+    """``validate.extension_cells``: a cell whose params carry ``obs``
+    gets ours there, a DAG cell through its shells."""
+
+    def run(cell, obs):
+        params = cell.args[0]
+        if hasattr(params, "obs"):
+            cell.fn(dataclasses.replace(params, obs=obs))
+        else:
+            with shells_reporting_to(obs):
+                cell.fn(params)
+
+    return [functools.partial(run, cell)
+            for cells in validate.extension_cells(seed).values()
+            for cell in cells]
+
+
 def count_grid(cells):
     """Run every cell against one telemetry context; return the counts."""
     # Counters only: no span is kept.
@@ -259,6 +298,7 @@ def count_grid(cells):
 GRIDS = {
     "runall --scale medium": runall_cells,
     "chaos --scale smoke": chaos_cells,
+    "validate extension cells": extension_cells,
 }
 
 

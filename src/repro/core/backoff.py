@@ -91,8 +91,11 @@ class BackoffPolicy:
 
     def delay(self, failures: int, random: RandomSource) -> float:
         """Jittered delay after ``failures`` consecutive failures."""
-        span = self.jitter_high - self.jitter_low
-        multiplier = self.jitter_low + span * random()
+        return self.delay_from_jitter(failures, random())
+
+    def delay_from_jitter(self, failures: int, jitter: float) -> float:
+        """:meth:`delay` with its U[0,1) draw already made."""
+        multiplier = self.jitter_low + (self.jitter_high - self.jitter_low) * jitter
         return self.raw_delay(failures) * multiplier
 
 
@@ -145,7 +148,7 @@ class BackoffState:
         a driver effect rather than calling a source itself.
         """
         self._failures += 1
-        delay = self.policy.delay(self._failures, lambda: jitter)
+        delay = self.policy.delay_from_jitter(self._failures, jitter)
         if self.on_delay is not None:
             self.on_delay(delay)
         return delay

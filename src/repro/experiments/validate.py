@@ -18,7 +18,8 @@ One table of claims, each row marked as the paper's or ours:
   parameters EXPERIMENTS.md reports them at, whatever the scale.
 
 ``--seed`` takes one seed or an inclusive range (``2003-2013``); every
-seed's cells go through one :func:`~repro.parallel.run_cells` call.  The
+seed's cells go through one :func:`~repro.parallel.run_cells` call, one
+worker process per CPU (the bytes do not depend on how many).  The
 gate prints each seed's PASS/FAIL table, then (for a range) how many
 seeds each row holds at, and exits 0 iff every row holds at every seed.
 ``medium`` is the smallest scale at which the figure claims hold;
@@ -307,7 +308,7 @@ def check_extensions(extensions: Extensions) -> list[Check]:
 
 def build(scale: runall.Scale, seeds: Sequence[int]) -> dict[int, Record]:
     """Every seed's figures and extension cells, run by one
-    :func:`~repro.parallel.run_cells` call."""
+    :func:`~repro.parallel.run_cells` call on one worker per CPU."""
     plans = {seed: (runall.campaign_cells(scale, seed), extension_cells(seed))
              for seed in seeds}
     # Cell keys name a cell to the executors, so they must differ by seed.
@@ -315,7 +316,7 @@ def build(scale: runall.Scale, seeds: Sequence[int]) -> dict[int, Record]:
         (seed, name): [dataclasses.replace(cell, key=f"{seed}/{cell.key}")
                        for cell in cells]
         for seed, plan in plans.items()
-        for groups in plan for name, cells in groups.items()})
+        for groups in plan for name, cells in groups.items()}, jobs=0)
     return {
         seed: Record(
             runall.assemble_figures(

@@ -62,7 +62,7 @@ class WanLink:
         validate_positive("wan bandwidth_mb_s", self.config.bandwidth_mb_s)
         self.rng = rng if rng is not None else engine.streams.stream("wan")
         self.up = True
-        self.outages = Counter(engine, "wan-outages")
+        self.outages = Counter(engine, "wan-outages", keep_series=False)
         #: Transfers the link killed mid-stream.
         self.broken_transfers = Counter(engine, "wan-broken", keep_series=False)
         self._active: list = []  # processes currently transferring

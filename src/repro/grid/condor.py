@@ -98,7 +98,7 @@ class Schedd:
         self.connections: dict[int, Connection] = {}
         self._conn_ids = itertools.count(1)
         self.jobs_submitted = Counter(engine, "jobs-submitted")
-        self.crashes = Counter(engine, "schedd-crashes")
+        self.crashes = Counter(engine, "schedd-crashes", keep_series=False)
         self.refused = Counter(engine, "connections-refused", keep_series=False)
         self.emfile = Counter(engine, "emfile-failures", keep_series=False)
         #: Telemetry: the counters above, read at export, and live gauges.

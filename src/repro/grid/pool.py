@@ -83,7 +83,7 @@ class WorkerPool:
         ]
         self.queue: list[Job] = []
         self._ids = itertools.count(1)
-        self.jobs_completed = Counter(engine, "jobs-completed")
+        self.jobs_completed = Counter(engine, "jobs-completed", keep_series=False)
         self.jobs_requeued = Counter(engine, "jobs-requeued", keep_series=False)
         engine.process(self._negotiator(), name="negotiator")
 

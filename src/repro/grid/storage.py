@@ -109,7 +109,7 @@ class SharedBuffer:
         #: spool); counts against capacity exactly like written bytes.
         self.seized_mb = 0.0
         self._done_order: list[str] = []
-        self.collisions = Counter(engine, "collisions")
+        self.collisions = Counter(engine, "collisions", keep_series=False)
         self.files_consumed = Counter(engine, "files-consumed")
         self.mb_consumed = 0.0
         self.mb_written = 0.0

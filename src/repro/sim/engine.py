@@ -38,16 +38,10 @@ from itertools import count
 from typing import Any, Callable, Optional
 
 from ..core.errors import BudgetExceeded, SimulationError
-from .events import AllOf, AnyOf, Carrier, Event, Timeout
+from .events import _CARRIER_POOL_MAX, _NORMAL, _SEQ_BITS, PRIORITY_NORMAL, AllOf, AnyOf, Carrier, Event, Timeout
+from .events import PRIORITY_URGENT  # noqa: F401 - re-exported beside PRIORITY_NORMAL
 from .process import Process, ProcessGenerator
 from .rng import RandomStreams
-
-#: Ordinary event priority; interrupts use :data:`PRIORITY_URGENT`.
-PRIORITY_NORMAL = 1
-PRIORITY_URGENT = 0
-
-#: Bits reserved for the sequence counter below the packed priority.
-_SEQ_BITS = 62
 
 #: Value returned by :meth:`Engine.peek` when no events remain.
 INFINITY = float("inf")
@@ -56,10 +50,6 @@ INFINITY = float("inf")
 #: (below it a rebuild costs more than carrying them) and they outnumber
 #: the live entries.
 _COMPACT_MIN = 64
-
-#: Upper bound on the carrier free list (enough for any realistic
-#: number of simultaneously in-flight resumes; excess is left to GC).
-_CARRIER_POOL_MAX = 64
 
 
 class Engine:
@@ -116,7 +106,7 @@ class Engine:
         and queued by :meth:`timeout_at` if ever: unused, it is no event."""
         if not delay >= 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        return self._now + delay, PRIORITY_NORMAL << _SEQ_BITS | self._seq()
+        return self._now + delay, _NORMAL | self._seq()
 
     def timeout_at(self, key: tuple[float, int]) -> Timeout:
         """A timer queued under a key from :meth:`reserve`, before its time."""
@@ -136,6 +126,9 @@ class Engine:
     # Scheduling and stepping
     # ------------------------------------------------------------------
     def _schedule(self, event: Event, delay: float = 0.0, priority: int = PRIORITY_NORMAL) -> None:
+        """Queue ``event`` ``delay`` seconds from now at any priority: a
+        :class:`Timeout`'s push (``Event.succeed``/``fail`` make theirs
+        inline)."""
         if not delay >= 0:  # written this way round so NaN is refused too
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         heapq.heappush(
@@ -149,7 +142,6 @@ class Engine:
         value: Any,
         callback: Callable[[Event], None],
         priority: int = PRIORITY_NORMAL,
-        delay: float = 0.0,
     ) -> Event:
         """Schedule ``callback`` for the current instant without a fresh event.
 
@@ -170,24 +162,30 @@ class Engine:
         carrier._ok = ok
         carrier._value = value
         carrier._defused = not ok
-        heapq.heappush(
-            self._heap,
-            (self._now + delay, priority << _SEQ_BITS | self._seq(), carrier),
-        )
+        heapq.heappush(self._heap, (self._now, priority << _SEQ_BITS | self._seq(), carrier))
         return carrier
 
     def later(self, delay: float, callback: Callable[[Event], None]) -> Event:
-        """:meth:`immediate`, ``delay`` seconds from now: a pooled timer
-        that cannot be withdrawn, recycled by its callback."""
+        """A successful :meth:`immediate`, ``delay`` seconds from now: a
+        pooled timer that cannot be withdrawn, recycled by its callback.
+        Armed here rather than through :meth:`immediate`: every
+        timer-served command's timer is queued here."""
         if not delay >= 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        return self.immediate(True, None, callback, delay=delay)
-
-    def _push(self, key: tuple[float, int], event: Event) -> None:
-        heapq.heappush(self._heap, (key[0], key[1], event))
+        carriers = self._carriers
+        carrier = carriers.pop() if carriers else Carrier(self)
+        cbs = carrier._cbs
+        cbs[0] = callback
+        carrier.callbacks = cbs
+        carrier._ok = True
+        carrier._value = None
+        carrier._defused = False
+        heapq.heappush(self._heap, (self._now + delay, _NORMAL | self._seq(), carrier))
+        return carrier
 
     def _recycle(self, carrier: Carrier) -> None:
-        """Return a consumed carrier to the free list (bounded)."""
+        """Return a consumed carrier to the free list (bounded);
+        ``Process._resume`` does the same inline."""
         if len(self._carriers) < _CARRIER_POOL_MAX:
             carrier._cbs[0] = None  # a pooled carrier pins nothing
             self._carriers.append(carrier)
@@ -269,8 +267,9 @@ class Engine:
 
         The modes share one loop — :meth:`step` inlined, the hottest path
         in every experiment — and differ in set-up and epilogue only.  The
-        heap invariant and the no-negative-delay check in :meth:`_schedule`
-        guarantee time never runs backwards here.  ``self._now`` is only
+        heap invariant and the negative-delay check where a delay is taken
+        (``_schedule``, ``later``, ``reserve``) guarantee time
+        never runs backwards here.  ``self._now`` is only
         stored when an observer exists (callbacks about to run, or an
         error about to raise) — between empty-callback events nothing can
         read the clock.

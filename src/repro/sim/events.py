@@ -15,6 +15,7 @@ construction: the engine runs one callback at a time in virtual time.
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from ..core.errors import SimulationError
@@ -24,6 +25,21 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
 
 #: Sentinel distinguishing "no value yet" from a legitimate ``None`` value.
 _PENDING = object()
+
+#: Ordinary event priority; interrupts use :data:`PRIORITY_URGENT`.
+PRIORITY_NORMAL = 1
+PRIORITY_URGENT = 0
+
+#: Bits reserved for the sequence counter below the packed priority
+#: (the queue key is described in :mod:`repro.sim.engine`).
+_SEQ_BITS = 62
+
+#: An ordinary entry's packed priority, ready to ``|`` with a sequence number.
+_NORMAL = PRIORITY_NORMAL << _SEQ_BITS
+
+#: Upper bound on the carrier free list (enough for any realistic
+#: number of simultaneously in-flight resumes; excess is left to GC).
+_CARRIER_POOL_MAX = 64
 
 Callback = Callable[["Event"], None]
 
@@ -71,11 +87,14 @@ class Event:
 
     def succeed(self, value: Any = None) -> "Event":
         """Trigger the event successfully with ``value``."""
-        if self.triggered:
+        if self._value is not _PENDING:
             raise SimulationError(f"{self!r} already triggered")
         self._ok = True
         self._value = value
-        self.engine._schedule(self)
+        # Engine._schedule(self), inlined: every process exit and race
+        # settles through here.
+        engine = self.engine
+        heappush(engine._heap, (engine._now, _NORMAL | engine._seq(), self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -88,11 +107,12 @@ class Event:
         """
         if not isinstance(exception, BaseException):
             raise SimulationError(f"fail() needs an exception, got {exception!r}")
-        if self.triggered:
+        if self._value is not _PENDING:
             raise SimulationError(f"{self!r} already triggered")
         self._ok = False
         self._value = exception
-        self.engine._schedule(self)
+        engine = self.engine
+        heappush(engine._heap, (engine._now, _NORMAL | engine._seq(), self))
         return self
 
     def defuse(self) -> None:
@@ -113,8 +133,8 @@ class Event:
 class Timeout(Event):
     """An event that fires ``delay`` simulated seconds after creation.
 
-    Negative delays are rejected by the one authoritative check in
-    :meth:`Engine._schedule` (every scheduling path funnels through it).
+    A negative or NaN delay is refused by :meth:`Engine._schedule`; a
+    ``key`` from :meth:`Engine.reserve` was checked when it was drawn.
     """
 
     __slots__ = ("delay",)
@@ -124,7 +144,10 @@ class Timeout(Event):
         self.delay = delay
         self._ok = True
         self._value = value
-        engine._schedule(self, delay=delay) if key is None else engine._push(key, self)
+        if key is None:
+            engine._schedule(self, delay=delay)
+        else:
+            heappush(engine._heap, (key[0], key[1], self))
 
     def cancel(self) -> None:
         """Withdraw a timer that lost its race: it will run no callback.

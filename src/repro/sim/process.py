@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Generator
 
 from ..core.errors import SimulationError
-from .events import Carrier, Event, Interrupt
+from .events import _CARRIER_POOL_MAX, _PENDING, Carrier, Event, Interrupt
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import Engine
@@ -98,7 +98,7 @@ class Process(Event):
     @property
     def is_alive(self) -> bool:
         """True until the generator has returned or raised."""
-        return not self.triggered
+        return self._value is _PENDING
 
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at its next resumption.
@@ -114,7 +114,7 @@ class Process(Event):
 
     def _resume(self, event: Event) -> None:
         """Advance the generator with ``event``'s outcome."""
-        if self.triggered:
+        if self._value is not _PENDING:
             return  # a queued interrupt arrived after termination; drop it
         # Detach from the event we were waiting on (relevant for interrupts:
         # the original target may still fire later and must not resume us).
@@ -130,45 +130,50 @@ class Process(Event):
         ok = event._ok
         value = event._value
         if not ok:
-            event.defuse()
+            event._defused = True
+        engine = self.engine
         if type(event) is Carrier:
-            self.engine._recycle(event)
+            # Engine._recycle(event), inlined.
+            carriers = engine._carriers
+            if len(carriers) < _CARRIER_POOL_MAX:
+                event._cbs[0] = None
+                carriers.append(event)
 
-        self.engine.active_process = self
+        engine.active_process = self
         try:
             if ok:
                 target = self.generator.send(value)
             else:
                 target = self.generator.throw(value)
         except StopIteration as stop:
-            self.engine.active_process = None
+            engine.active_process = None
             self._resume_cb = None
-            del self.engine._live[self]
+            del engine._live[self]
             self.succeed(stop.value)
             return
         except BaseException as exc:
-            self.engine.active_process = None
+            engine.active_process = None
             self._resume_cb = None
-            del self.engine._live[self]
+            del engine._live[self]
             self.fail(exc)
             return
-        self.engine.active_process = None
+        engine.active_process = None
 
         if not isinstance(target, Event):
             # Nudge the generator with a clear error at its own yield point.
             error = SimulationError(
                 f"process {self.name!r} yielded {target!r}; processes must yield events"
             )
-            self.engine.immediate(False, error, self._resume_cb)
+            engine.immediate(False, error, self._resume_cb)
             return
-        if target.engine is not self.engine:
+        if target.engine is not engine:
             raise SimulationError("process yielded an event from a different engine")
         callbacks = target.callbacks
         if callbacks is None:
             # Already resolved: resume immediately (next engine step).
             if not target._ok:
-                target.defuse()
-            self.engine.immediate(target._ok, target._value, self._resume_cb)
+                target._defused = True
+            engine.immediate(target._ok, target._value, self._resume_cb)
         else:
             self._target_slot = len(callbacks)
             callbacks.append(self._resume_cb)

@@ -115,15 +115,18 @@ class SimDriver:
         effect is answered in this loop, and a command or a sleep is
         waited on by its own ``yield`` (only ``RunParallel`` delegates)."""
         engine = self.engine
+        handlers = self.registry._handlers
+        spawned = self._m_spawned.inc
         try:
             effect = generator.send(None)
             while True:
                 kind = type(effect)
                 try:
                     if kind is RunCommand:
-                        name = effect.argv[0]
-                        handler = self.registry.get(name)
-                        remaining = effect.deadline - engine.now
+                        argv = effect.argv
+                        name = argv[0]
+                        handler = handlers.get(name)
+                        remaining = effect.deadline - engine._now
                         if handler is None:
                             self._m_unknown.inc()
                             result = CommandResult(exit_code=127, detail=f"unknown simulated command {name!r}")
@@ -135,13 +138,14 @@ class SimDriver:
                         elif remaining <= 0:
                             result = CommandResult(exit_code=-1, timed_out=True, detail="deadline already passed")
                         else:
-                            context = CommandContext(argv=list(effect.argv), engine=engine, world=self.world,
-                                                     stdin_data=effect.stdin_data, client=self.client)
+                            # The interpreter builds a fresh argv for every effect: the
+                            # handler's context can own it.
+                            context = CommandContext(argv, engine, self.world, effect.stdin_data, self.client)
                             # The deadline's queue key is drawn before the handler is called,
                             # so order cannot depend on what a handler does when it is called.
                             key = None if effect.deadline == UNBOUNDED else engine.reserve(remaining)
                             answer = handler(context)
-                            self._m_spawned.inc()
+                            spawned()
                             expiry = None  # no deadline, or one a Quick command races itself
                             if type(answer) is Quick:
                                 command = wait = _QuickCommand(engine, answer, name, key)
@@ -172,14 +176,14 @@ class SimDriver:
                                 if result.exit_code == 0:
                                     result.exit_code = -1
                     elif kind is GetTime:
-                        result = engine.now
+                        result = engine._now
                     elif kind is Sleep:
-                        start = engine.now
+                        start = engine._now
                         limit = min(effect.duration, max(effect.deadline - start, 0.0))
                         if limit > 0:
                             yield engine.timeout(limit)
                         result = SleepResult(
-                            slept=engine.now - start, timed_out=effect.deadline - start < effect.duration)
+                            slept=engine._now - start, timed_out=effect.deadline - start < effect.duration)
                     elif kind is GetRandom:
                         result = self.rng.random()
                     elif kind is RunParallel:
@@ -282,9 +286,10 @@ class _QuickCommand(_FirstOf):
         self._answer, self._name, self._key = answer, name, key  # key None: no race
         self._expiry = self._process = None
         self._result: Any = _PENDING
-        if key is not None and key[0] <= engine.now + answer.delay:
+        delay = answer.delay
+        if key is not None and key[0] <= engine._now + delay:
             self._queue_expiry()
-        engine.later(answer.delay, self._fire)
+        engine.later(delay, self._fire)
 
     def _queue_expiry(self) -> None:
         self._expiry = expiry = self.engine.timeout_at(self._key)
@@ -319,19 +324,20 @@ class _QuickCommand(_FirstOf):
             self.engine.immediate(True, None, self._fire, priority=PRIORITY_URGENT)
 
     def _fire(self, carrier: Event) -> None:
-        self.engine._recycle(carrier)
+        engine = self.engine
+        engine._recycle(carrier)
         if self._result is not _PENDING:
             return  # killed first
         value = self._answer.outcome()
         if isinstance(value, GeneratorType):
             self._process = process = Process(
-                self.engine, SimDriver._shield(value, self._name), name=f"cmd:{self._name}", bootstrap=False)
+                engine, SimDriver._shield(value, self._name), name=f"cmd:{self._name}", bootstrap=False)
             process.callbacks.append(self._exited)
             if self._key is not None and self._expiry is None:
                 self._queue_expiry()
         else:
             self._result = value
-            self.succeed(value) if self._key is None else self.engine.immediate(True, None, self._exit)
+            self.succeed(value) if self._key is None else engine.immediate(True, None, self._exit)
 
     def _exit(self, carrier: Event) -> None:
         self.engine._recycle(carrier)

@@ -122,10 +122,10 @@ class CommandContext:
 
 def normalize_result(value: HandlerReturn, command: str) -> CommandResult:
     """Coerce a handler's return value into a :class:`CommandResult`."""
+    if isinstance(value, CommandResult):  # the common case first
+        return value
     if value is None:
         return CommandResult(exit_code=0)
-    if isinstance(value, CommandResult):
-        return value
     if isinstance(value, int):
         return CommandResult(exit_code=value)
     if isinstance(value, tuple) and len(value) == 2:

@@ -16,6 +16,7 @@ import json
 import pytest
 
 from repro.clients.base import ALOHA, ETHERNET, FIXED
+from repro.experiments import scenario_buffer
 from repro.experiments.scenario_buffer import BufferParams, run_buffer
 from repro.experiments.scenario_dag import DagParams, run_dag_scenario
 from repro.experiments.scenario_kangaroo import KangarooParams, run_kangaroo
@@ -36,6 +37,10 @@ RUNS = {
                           severity=4.0),))),
     "buffer-reserved": lambda: run_buffer(BufferParams(
         ALOHA, 80, duration=60.0, seed=5, reserved=True,
+        faults=(FaultSpec("enospc", Burst(at=8.0, duration=6.0),
+                          severity=60.0),))),
+    "buffer-enospc": lambda: run_buffer(BufferParams(
+        FIXED, 60, duration=60.0, seed=5,
         faults=(FaultSpec("enospc", Burst(at=8.0, duration=6.0),
                           severity=60.0),))),
     "replica": lambda: run_replica(ReplicaParams(
@@ -60,6 +65,8 @@ DIGESTS = {
         "76d679068d04e37f06e89a2ad1fba43e60a64241e948daa34f629e9dd50198c6",
     "buffer-reserved":
         "d139a0e0313c9ebc0ff5e752c246f7b06eceb74ac5f904b1f31e384958ce76c8",
+    "buffer-enospc":
+        "c9b3d5fc025405f56c85df2b7192d51a68026ab1f6c4dfbebf52012d02742cf1",
     "replica":
         "6dd0f1eefc8f191d6c4c085a1acd4761b68a016d518cbf92345cd475c77ab8bb",
     "kangaroo":
@@ -78,6 +85,23 @@ def digest(result) -> str:
 @pytest.mark.parametrize("scenario", sorted(RUNS))
 def test_result_bytes_are_pinned(scenario):
     assert digest(RUNS[scenario]()) == DIGESTS[scenario]
+
+
+def test_a_jammed_buffer_counts_collisions_without_a_series(monkeypatch):
+    """Only the count of the buffer's collisions is read, so pushed into
+    ENOSPC (``buffer-enospc``, pinned above) it keeps no time series."""
+    worlds = []
+
+    class Kept(scenario_buffer.BufferWorld):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            worlds.append(self)
+
+    monkeypatch.setattr(scenario_buffer, "BufferWorld", Kept)
+    result = RUNS["buffer-enospc"]()
+    (world,) = worlds
+    assert result.collisions == world.buffer.collisions.count > 10_000
+    assert world.buffer.collisions.series is None
 
 
 #: Each harness once more, and one sandboxed script in the buffer world

@@ -159,8 +159,9 @@ class TestLayoutGuard:
 
 
 class TestNegativeDelay:
-    """One authoritative check, in Engine._schedule, one message — and
-    written ``not delay >= 0`` so that NaN is refused with it."""
+    """One check and one message wherever a delay is taken (Engine._schedule,
+    later, reserve) — written ``not delay >= 0`` so that NaN is
+    refused with it."""
 
     MESSAGE = "cannot schedule into the past"
 
@@ -356,6 +357,18 @@ class TestCarrierPool:
     def test_pool_is_bounded(self, engine):
         for _ in range(2 * _CARRIER_POOL_MAX):
             engine._recycle(Carrier(engine))
+        assert len(engine._carriers) == _CARRIER_POOL_MAX
+
+    def test_resume_path_keeps_the_bound(self, engine):
+        """Process._resume recycles inline: twice the bound of processes
+        bootstrapped in one instant hold that many carriers at once, and
+        the pool keeps no more than the bound of them."""
+        def hopper():
+            yield engine.timeout(1)
+
+        for _ in range(2 * _CARRIER_POOL_MAX):
+            engine.process(hopper())
+        engine.run()
         assert len(engine._carriers) == _CARRIER_POOL_MAX
 
     def test_failed_immediate_arrives_predefused(self, engine):

@@ -2,13 +2,14 @@
 
 import pytest
 
-from repro.core.backoff import BackoffPolicy
+from repro.core.backoff import NO_BACKOFF, PAPER_POLICY, BackoffPolicy
 from repro.core.effects import RunCommand, Sleep
 from repro.core.errors import BudgetExceeded, FtshFailure
 from repro.grid.condor import CondorConfig, CondorWorld, register_condor_commands
 from repro.grid.storage import BufferWorld, register_buffer_commands
 from repro.obs.api import Observability
 from repro.sim import Engine, Interrupt, Process, Resource
+from repro.sim.events import _CARRIER_POOL_MAX
 from repro.simruntime import CommandRegistry, SimFtsh
 from repro.simruntime.driver import SimDriver
 from repro.simruntime.registry import Quick
@@ -264,7 +265,7 @@ class TestTimerServedShape:
     a process that never waits: bootstrap, exit, race — reads 6."""
 
     @staticmethod
-    def events(script, state=None, timeout=10.0):
+    def events(script, state=None, timeout=10.0, policy=PAPER_POLICY):
         engine = Engine()
         registry = CommandRegistry()
         world = CondorWorld(engine, CondorConfig(maintenance_interval=1e6))
@@ -273,7 +274,7 @@ class TestTimerServedShape:
             world.schedd.up = False
         elif state == "full":
             world.fdtable.allocate(world.fdtable.capacity)
-        shell = SimFtsh(engine, registry, world=world, name="c")
+        shell = SimFtsh(engine, registry, world=world, name="c", policy=policy)
         process = shell.spawn(script, timeout=timeout)
         result, events = engine.run_budgeted(process)
         return events, result.success, engine.now
@@ -286,6 +287,34 @@ class TestTimerServedShape:
         """Its timer, the exit hop and the race hop — four while it was
         a process, whose bootstrap hop came first."""
         assert self.events("condor_submit job", state) == (6, False, latency)
+
+    @pytest.mark.parametrize("attempts", [1, 2, 5])
+    def test_each_refused_attempt_is_three_events(self, attempts):
+        """The fixed discipline's loop against a down schedd: the three
+        per-script events, then a timer, an exit hop and a race hop per
+        attempt — no backoff timer (``NO_BACKOFF`` never waits) and no
+        expiry (the script's deadline is out of every timer's reach)."""
+        script = f"try {attempts} times\n  condor_submit job\nend\n"
+        assert self.events(script, "down", policy=NO_BACKOFF) == (
+            3 + 3 * attempts, False, float(attempts))
+
+    def test_many_timer_served_commands_keep_the_pool_bound(self):
+        """Twice the pool's bound of refused submits in flight at once:
+        their timers and exit hops are recycled, the pool stays bounded."""
+        engine = Engine()
+        registry = CommandRegistry()
+        world = CondorWorld(engine, CondorConfig(maintenance_interval=1e6))
+        register_condor_commands(registry, world)
+        world.schedd.up = False
+        shells = [
+            SimFtsh(engine, registry, world=world, name=f"c{index}",
+                    policy=NO_BACKOFF).spawn(
+                "try 3 times\n  condor_submit job\nend\n", timeout=10.0)
+            for index in range(2 * _CARRIER_POOL_MAX)]
+        engine.run(until=engine.all_of(shells))
+        assert engine.now == 3.0
+        assert not any(shell.value.success for shell in shells)
+        assert len(engine._carriers) == _CARRIER_POOL_MAX
 
     def test_without_a_deadline_there_is_no_race_hop(self):
         assert self.events("condor_submit job", "down", None) == (5, False, 1.0)
