@@ -21,6 +21,10 @@ The worker protocol (all JSON unless noted)::
     GET  /queue/status           queue + store + wire counters, task states
     GET  /healthz                liveness
 
+Each body is decoded into its declared dataclass (below) by
+:mod:`repro.service.codec`; one that does not fit answers 400
+``bad-request`` naming the field, and changes nothing.
+
 A claim leases up to ``"max"`` tasks in one exchange (each under its
 *own* per-task lease), ``ack_many``/``nack_many`` settle whole batches,
 every batched call piggybacks a heartbeat on the worker's other leases,
@@ -47,12 +51,19 @@ nobody.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from ..obs.metrics import MetricsRegistry
+from ..service.codec import (
+    EMPTY_IS_DEFAULT,
+    NON_EMPTY,
+    POSITIVE,
+    BadRequest,
+    decode,
+)
 from ..service.http import (
     JSON,
-    BadRequest,
     Reply,
     bind_server,
     dumps,
@@ -68,6 +79,46 @@ MAX_LEASE_FACTOR = 10.0
 
 #: Most tasks a single claim may lease, whatever the worker asks for.
 MAX_CLAIM_BATCH = 64
+
+
+# -- the request documents (decoded by repro.service.codec) --------------
+
+@dataclass(frozen=True)
+class Heartbeat:
+    worker: str = field(metadata=NON_EMPTY)
+
+
+@dataclass(frozen=True)
+class ClaimRequest:
+    worker: str = field(metadata=NON_EMPTY)
+    max: int
+    lease: Optional[float] = field(default=None, metadata=POSITIVE)
+
+
+@dataclass(frozen=True)
+class Ack:
+    task_id: str
+    result: str  # a wire blob (repro.dist.wire.encode_blob)
+    source: str = field(default="computed", metadata=EMPTY_IS_DEFAULT)
+
+
+@dataclass(frozen=True)
+class AckBatch:
+    worker: str = field(metadata=NON_EMPTY)
+    acks: tuple[Ack, ...]
+
+
+@dataclass(frozen=True)
+class Nack:
+    task_id: str
+    error: str
+    requeue: bool = True
+
+
+@dataclass(frozen=True)
+class NackBatch:
+    worker: str = field(metadata=NON_EMPTY)
+    nacks: tuple[Nack, ...]
 
 
 class CoordinatorApp:
@@ -139,24 +190,21 @@ class CoordinatorApp:
         except Exception:  # noqa: BLE001 - degrade to an unstored ack
             self._store_errors.labels(op="publish").inc()
 
-    def _acked_result(self, worker: str, task_id: str,
-                      doc: dict[str, Any]) -> tuple[Any, str]:
-        """Decode one ack's ``(result, source)``.  Raises
-        WireError/BadRequest when undecodable.
+    def _acked_result(self, worker: str, ack: Ack) -> Any:
+        """Decode one ack's result blob.  Raises WireError when
+        undecodable.
 
         A ``computed`` result is published *before* the caller acks the
         queue, so a finished campaign never races its own store — and
         only ever from the decoded result of a pure cell, so a
         duplicate publish is byte-identical to the first.
         """
-        text = _require_str(doc, "result")
-        result, _, raw = decode_blob_ex(text)
-        self._blob_bytes.labels(encoding="wire").inc(len(text))
+        result, _, raw = decode_blob_ex(ack.result)
+        self._blob_bytes.labels(encoding="wire").inc(len(ack.result))
         self._blob_bytes.labels(encoding="raw").inc(raw)
-        source = str(doc.get("source") or "computed")
-        if source == "computed":
-            self._publish(worker, task_id, result)
-        return result, source
+        if ack.source == "computed":
+            self._publish(worker, ack.task_id, result)
+        return result
 
     def _dispatch(self, method: str, parts: list[str],
                   body: bytes) -> Reply:
@@ -164,68 +212,51 @@ class CoordinatorApp:
             return 200, JSON, dumps({"status": "ok"})
 
         if parts == ["queue", "claim"] and method == "POST":
-            doc = json_object(body)
-            worker = _worker_id(doc)
-            lease = doc.get("lease")
+            claim = decode(ClaimRequest, json_object(body))
+            lease = claim.lease
             if lease is not None:
-                lease = min(float(lease),
-                            self.queue.lease * MAX_LEASE_FACTOR)
-            want = doc.get("max")
-            if not isinstance(want, int) or isinstance(want, bool):
-                raise BadRequest("field 'max' must be an integer")
+                lease = min(lease, self.queue.lease * MAX_LEASE_FACTOR)
             tasks = self.queue.claim_many(
-                worker, max(1, min(want, MAX_CLAIM_BATCH)), lease=lease)
+                claim.worker, max(1, min(claim.max, MAX_CLAIM_BATCH)),
+                lease=lease)
             if not tasks:
                 if self.queue.draining:
                     return 410, JSON, error_doc("drained", "queue is drained")
                 return 204, JSON, b""
-            self._ops.labels(worker=worker, op="claim").inc(len(tasks))
+            self._ops.labels(worker=claim.worker, op="claim").inc(len(tasks))
             return 200, JSON, dumps(
                 {"tasks": [self._task_doc(task) for task in tasks]})
 
         if parts == ["queue", "ack_many"] and method == "POST":
-            doc = json_object(body)
-            worker = _worker_id(doc)
-            entries = _require_list(doc, "acks")
+            batch = decode(AckBatch, json_object(body))
             triples: list[tuple[str, Any, str]] = []
             rejected: list[str] = []
-            for entry in entries:
-                if not isinstance(entry, dict):
-                    raise BadRequest("each ack must be an object")
-                task_id = _require_str(entry, "task_id")
+            for ack in batch.acks:
                 try:
-                    result, source = self._acked_result(
-                        worker, task_id, entry)
-                except (WireError, BadRequest):
+                    result = self._acked_result(batch.worker, ack)
+                except WireError:
                     # One undecodable result must not void the batch;
                     # the task stays leased and expires back to pending.
-                    rejected.append(task_id)
+                    rejected.append(ack.task_id)
                     continue
-                triples.append((task_id, result, source))
-            acked, stale = self.queue.ack_many(worker, triples)
-            self._ops.labels(worker=worker, op="ack").inc(len(acked))
+                triples.append((ack.task_id, result, ack.source))
+            acked, stale = self.queue.ack_many(batch.worker, triples)
+            self._ops.labels(worker=batch.worker, op="ack").inc(len(acked))
             return 200, JSON, dumps(
                 {"acked": acked, "stale": stale, "rejected": rejected})
 
         if parts == ["queue", "nack_many"] and method == "POST":
-            doc = json_object(body)
-            worker = _worker_id(doc)
-            entries = _require_list(doc, "nacks")
-            triples = []
-            for entry in entries:
-                if not isinstance(entry, dict):
-                    raise BadRequest("each nack must be an object")
-                triples.append((_require_str(entry, "task_id"),
-                                _require_str(entry, "error"),
-                                bool(entry.get("requeue", True))))
-            states = self.queue.nack_many(worker, triples)
+            batch = decode(NackBatch, json_object(body))
+            states = self.queue.nack_many(
+                batch.worker, [(nack.task_id, nack.error, nack.requeue)
+                               for nack in batch.nacks])
             settled = sum(1 for state in states.values() if state != "stale")
-            self._ops.labels(worker=worker, op="nack").inc(settled)
+            self._ops.labels(worker=batch.worker, op="nack").inc(settled)
             return 200, JSON, dumps({"states": states})
 
         if parts == ["queue", "heartbeat"] and method == "POST":
-            doc = json_object(body)
-            extended = self.queue.heartbeat(_worker_id(doc))
+            beat = decode(Heartbeat, json_object(body))
+            extended = self.queue.heartbeat(beat.worker)
             return 200, JSON, dumps({"extended": extended})
 
         if parts == ["queue", "status"] and method == "GET":
@@ -270,27 +301,6 @@ class CoordinatorApp:
             },
             "tasks": [task.describe() for task in self.queue.tasks()],
         }
-
-
-def _worker_id(doc: dict[str, Any]) -> str:
-    worker = doc.get("worker")
-    if not isinstance(worker, str) or not worker:
-        raise BadRequest("field 'worker' must be a non-empty string")
-    return worker
-
-
-def _require_str(doc: dict[str, Any], field: str) -> str:
-    value = doc.get(field)
-    if not isinstance(value, str):
-        raise BadRequest(f"field {field!r} must be a string")
-    return value
-
-
-def _require_list(doc: dict[str, Any], field: str) -> list[Any]:
-    value = doc.get(field)
-    if not isinstance(value, list):
-        raise BadRequest(f"field {field!r} must be a list")
-    return value
 
 
 class CoordinatorServer:

@@ -36,11 +36,15 @@ number, and its constant labels; the records that follow belong to that
 source.  Values are *totals*, not deltas, applied only when ``seq`` is
 at least the last applied sequence for that key (a hello's labels
 likewise), so out-of-order and replayed batches can never regress a
-counter.  Each line is parsed as
-strict JSON (no ``NaN``/``Infinity``, as at the other HTTP doors) and
-every number must be finite; a line that fails — or a record with no
-valid ``hello`` before it, or a new key past the source's cap — is
-counted malformed and skipped, and never poisons the rest of its batch.
+counter.  Each line is parsed as strict JSON (no ``NaN``/``Infinity``,
+as at the other HTTP doors) and decoded into its record's dataclass
+(:class:`Hello`, :class:`Sample`, :class:`HistSample`) by
+:mod:`repro.service.codec`, the other doors' decoder: a ``source`` is a
+non-empty string, a ``seq`` or a count an integer, every other number
+finite, and labels an object of strings.  A line that fails — or a
+record with no valid ``hello`` before it, or a new key past the
+source's cap — is counted malformed and skipped, and never poisons the
+rest of its batch.
 
 :meth:`FleetAggregator.handle` is the aggregator's whole HTTP surface
 (``POST /obs/ingest``, ``GET /obs/fleet``, ``GET /healthz``) as a pure
@@ -52,11 +56,12 @@ function; the service plane forwards its ``/obs/*`` routes to it.  See
 from __future__ import annotations
 
 import json
-import math
 import threading
 import time
+from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Optional
 
+from ..service.codec import NON_EMPTY, decode
 from ..service.http import JSON, Reply, _not_json, dumps, error_doc
 from .push import SPANS_COUNTER
 
@@ -92,15 +97,35 @@ QUANTILES = (0.5, 0.9, 0.99)
 Hist = tuple[dict[float, int], float, int]
 
 
-def _finite(value: Any) -> float:
-    number = float(value)
-    if not math.isfinite(number):
-        raise ValueError(f"not a finite number: {value!r}")
-    return number
+# -- the wire records (decoded by repro.service.codec) -------------------
+
+@dataclass(frozen=True)
+class Hello:
+    source: str = field(metadata=NON_EMPTY)
+    seq: int
+    labels: tuple[tuple[str, str], ...] = ()  # sorted by name
 
 
-def _count(value: Any) -> int:
-    return int(_finite(value))
+@dataclass(frozen=True)
+class Sample:
+    """A ``counter`` or ``gauge`` record."""
+
+    name: str
+    value: float
+    labels: tuple[tuple[str, str], ...] = ()  # sorted by name
+
+
+@dataclass(frozen=True)
+class HistSample:
+    name: str
+    buckets: tuple[tuple[float, int], ...]
+    sum: float
+    count: int
+    labels: tuple[tuple[str, str], ...] = ()  # sorted by name
+
+
+#: The record each metric ``type`` decodes to.
+RECORDS = {"counter": Sample, "gauge": Sample, "hist": HistSample}
 
 
 def merge_histograms(hists: Iterable[Hist]) -> dict[str, Any]:
@@ -155,19 +180,15 @@ class _SourceState:
         #: is a :data:`Hist`.
         self.metrics: dict[tuple, list[Any]] = {}
 
-    def fold(self, seq: int, row: dict[str, Any]) -> None:
-        """Apply one metric record; raises on a malformed one."""
-        kind = row["type"]
-        labels = row.get("labels") or {}
-        if not isinstance(labels, dict):
-            raise ValueError("labels must be an object")
-        key = (kind, str(row["name"]), tuple(sorted(
-            (str(k), str(v)) for k, v in labels.items())))
-        if kind == "hist":
-            value: Any = ({_finite(b): _count(n) for b, n in row["buckets"]},
-                          _finite(row["sum"]), _count(row["count"]))
+    def fold(self, seq: int, kind: str,
+             record: Sample | HistSample) -> None:
+        """Apply one decoded metric record; raises ValueError past the
+        source's key cap."""
+        key = (kind, record.name, record.labels)
+        if isinstance(record, HistSample):
+            value: Any = (dict(record.buckets), record.sum, record.count)
         else:
-            value = _finite(row["value"])
+            value = record.value
         entry = self.metrics.get(key)
         if entry is None:
             if len(self.metrics) >= MAX_KEYS_PER_SOURCE:
@@ -217,17 +238,6 @@ def _total(states: Iterable[_SourceState],
     return sum(state.counter_sum(match) for state in states)
 
 
-def _parse_hello(row: dict[str, Any]) -> tuple[str, int, dict[str, str]]:
-    """``(source, seq, labels)`` of a hello; raises before any state is
-    touched, so a bad hello never selects (or creates) a source."""
-    seq = int(row.get("seq", 0))
-    labels = row.get("labels") or {}
-    if not isinstance(labels, dict):
-        raise ValueError("labels must be an object")
-    return (str(row["source"]), seq,
-            {str(k): str(v) for k, v in labels.items()})
-
-
 class FleetAggregator:
     """Online aggregation of pushed telemetry batches; thread-safe."""
 
@@ -264,16 +274,18 @@ class FleetAggregator:
                     continue
                 try:
                     row = json.loads(line, parse_constant=_not_json)
-                    if not isinstance(row, dict):
-                        raise ValueError("not an object")
-                    if row["type"] == "hello":
+                    kind = row.get("type") if isinstance(row, dict) else None
+                    if kind == "hello":
                         # a hello that fails leaves the rows after it
-                        # with no source: they are malformed too
+                        # with no source: they are malformed too.  It
+                        # is decoded whole before any state is touched,
+                        # so it never selects (or creates) a source.
                         state = None
-                        source, seq, labels = _parse_hello(row)
-                        state = self._source(source, now)
+                        hello = decode(Hello, row)
+                        seq = hello.seq
+                        state = self._source(hello.source, now)
                         if seq >= state.last_seq:
-                            state.labels = labels
+                            state.labels = dict(hello.labels)
                         if seq > state.last_seq:
                             state.last_seq = seq
                         else:
@@ -281,13 +293,15 @@ class FleetAggregator:
                         state.batches += 1
                         state.last_seen = now
                         self.batches += 1
-                    elif row["type"] in ("counter", "gauge", "hist"):
+                    elif isinstance(kind, str) and kind in RECORDS:
                         if state is None:
                             raise ValueError("metric before hello")
-                        state.fold(seq, row)
+                        state.fold(seq, kind, decode(RECORDS[kind], row))
                     else:
-                        raise ValueError(f"unknown record type {row['type']!r}")
-                except (KeyError, TypeError, ValueError, OverflowError):
+                        raise ValueError(f"unknown record type {kind!r}")
+                except (ValueError, RecursionError):
+                    # (the codec's BadRequest is a ValueError; so is
+                    # every json.loads refusal but a too-deep nesting)
                     malformed += 1
                     continue
                 accepted += 1

@@ -11,8 +11,10 @@ serves.
 
 Layering (the diracx routers/logic/client split):
 
-* :mod:`repro.service.schemas` — request/response dataclasses with
-  canonical JSON round-trips;
+* :mod:`repro.service.codec` — the one JSON decoder/encoder every
+  plane's doors use, driven by dataclass field annotations;
+* :mod:`repro.service.schemas` — the service's request/response
+  dataclasses (the codec's input) and the content-addressed job id;
 * :mod:`repro.service.sandbox` — admission control: budgets, seed
   pinning, lint; plus the pure script cell the executor runs;
 * :mod:`repro.service.jobs` — the in-process job store: worker threads
@@ -32,11 +34,11 @@ from .._lazy import lazy_exports
 
 _EXPORTS = {
     "client": ("ServiceClient", "ServiceError"),
+    "codec": ("BadRequest",),
     "jobs": ("JobStore",),
     "sandbox": ("SandboxPolicy", "SandboxRejection"),
     "schemas": (
-        "CampaignSubmission", "JobResult", "JobStatus", "SchemaError",
-        "ScriptSubmission"),
+        "CampaignSubmission", "JobResult", "JobStatus", "ScriptSubmission"),
 }
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, _EXPORTS)

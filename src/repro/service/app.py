@@ -36,9 +36,9 @@ from urllib.parse import parse_qs, urlsplit
 
 from ..obs.aggregator import FleetAggregator
 from ..obs.exporters import prometheus_text
+from .codec import BadRequest, decode, encode
 from .http import (
     JSON,
-    BadRequest,
     Reply,
     ThreadingHTTPServer,
     bind_server,
@@ -48,12 +48,7 @@ from .http import (
 )
 from .jobs import JobStore, NotFinished, UnknownJob
 from .sandbox import SandboxRejection
-from .schemas import (
-    CampaignSubmission,
-    SchemaError,
-    ScriptSubmission,
-    TERMINAL,
-)
+from .schemas import SUBMISSION_ROUTES, TERMINAL
 
 PROM = "text/plain; version=0.0.4; charset=utf-8"
 
@@ -100,7 +95,7 @@ class ServiceApp:
                 f"job {exc.job_id} is {exc.state}; result not ready")
         except SandboxRejection as exc:
             response = 422, JSON, error_doc(exc.code, str(exc), exc.details)
-        except (SchemaError, BadRequest) as exc:
+        except BadRequest as exc:
             response = 400, JSON, error_doc("schema", str(exc))
         except Exception as exc:  # noqa: BLE001 - the HTTP 500 boundary
             response = 500, JSON, error_doc(
@@ -117,28 +112,23 @@ class ServiceApp:
             raise UnknownRoute()
         head = parts[0]
 
-        if method == "POST" and parts == ["scripts"]:
-            submission = ScriptSubmission.from_jsonable(json_object(body))
-            return 202, JSON, dumps(
-                self.store.submit(submission).to_jsonable())
-        if method == "POST" and parts == ["campaigns"]:
-            submission = CampaignSubmission.from_jsonable(json_object(body))
-            return 202, JSON, dumps(
-                self.store.submit(submission).to_jsonable())
+        if method == "POST" and len(parts) == 1 and head in SUBMISSION_ROUTES:
+            submission = decode(SUBMISSION_ROUTES[head], json_object(body))
+            return 202, JSON, dumps(encode(self.store.submit(submission)))
 
         if head == "jobs":
             if method == "GET" and len(parts) == 1:
                 jobs = sorted(self.store.jobs(), key=lambda s: -s.created)
                 return 200, JSON, dumps(
-                    {"jobs": [status.to_jsonable() for status in jobs]})
+                    {"jobs": [encode(status) for status in jobs]})
             if len(parts) >= 2:
                 job_id = parts[1]
                 if method == "GET" and len(parts) == 2:
                     return 200, JSON, dumps(
-                        self.store.status(job_id).to_jsonable())
+                        encode(self.store.status(job_id)))
                 if method == "GET" and parts[2:] == ["result"]:
                     return 200, JSON, dumps(
-                        self.store.result(job_id).to_jsonable())
+                        encode(self.store.result(job_id)))
                 if method == "GET" and parts[2:] == ["events"]:
                     since = _int_param(query, "since", 0)
                     wait = min(_float_param(query, "wait", 0.0),
@@ -147,15 +137,13 @@ class ServiceApp:
                                                wait=wait)
                     return 200, JSON, dumps({
                         "job_id": job_id,
-                        "events": [event.to_jsonable() for event in events],
+                        "events": [encode(event) for event in events],
                         "next": events[-1].seq if events else since,
                     })
-                if method == "DELETE" and len(parts) == 2:
+                if (method == "DELETE" and len(parts) == 2
+                        or method == "POST" and parts[2:] == ["cancel"]):
                     return 200, JSON, dumps(
-                        self.store.cancel(job_id).to_jsonable())
-                if method == "POST" and parts[2:] == ["cancel"]:
-                    return 200, JSON, dumps(
-                        self.store.cancel(job_id).to_jsonable())
+                        encode(self.store.cancel(job_id)))
 
         if head == "obs":
             return self.aggregator.handle(
@@ -190,7 +178,7 @@ def _int_param(query: dict, name: str, default: int) -> int:
     try:
         return int(values[-1])
     except ValueError:
-        raise SchemaError(f"query parameter {name!r} must be an integer")
+        raise BadRequest(f"query parameter {name!r} must be an integer")
 
 
 def _float_param(query: dict, name: str, default: float) -> float:
@@ -200,9 +188,9 @@ def _float_param(query: dict, name: str, default: float) -> float:
     try:
         value = float(values[-1])
     except ValueError:
-        raise SchemaError(f"query parameter {name!r} must be a number")
+        raise BadRequest(f"query parameter {name!r} must be a number")
     if not 0 <= value < math.inf:  # written this way round so NaN fails
-        raise SchemaError(
+        raise BadRequest(
             f"query parameter {name!r} must be a finite number >= 0")
     return value
 

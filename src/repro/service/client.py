@@ -2,7 +2,8 @@
 
 :class:`ServiceClient` is a thin stdlib HTTP wrapper (built on the
 shared :func:`repro.service.http.http_request` core) that decodes wire
-documents back into the :mod:`.schemas` dataclasses.  Idempotent GETs
+documents back into the :mod:`.schemas` dataclasses with the codec the
+service decodes its requests with (:mod:`.codec`).  Idempotent GETs
 retry transient transport failures with capped exponential backoff —
 the paper's client discipline applied to our own tooling — while
 mutating requests (submit/cancel) are attempted exactly once.  The CLI
@@ -23,6 +24,7 @@ import sys
 import time
 from typing import Any, Iterable, Optional
 
+from .codec import decode, encode
 from .http import HttpTransportError, http_request
 from .schemas import (
     CampaignSubmission,
@@ -30,6 +32,7 @@ from .schemas import (
     JobResult,
     JobStatus,
     ScriptSubmission,
+    SUBMISSION_ROUTES,
     TERMINAL,
 )
 
@@ -104,15 +107,11 @@ class ServiceClient:
     # ------------------------------------------------------------------
     def submit(self, submission) -> JobStatus:
         """Submit either kind; returns the (possibly deduped) status."""
-        if isinstance(submission, ScriptSubmission):
-            path = "/scripts"
-        elif isinstance(submission, CampaignSubmission):
-            path = "/campaigns"
-        else:
-            raise TypeError(
-                f"cannot submit {type(submission).__name__}")
-        return JobStatus.from_jsonable(
-            self._request("POST", path, submission.to_jsonable()))
+        for route, kind in SUBMISSION_ROUTES.items():
+            if isinstance(submission, kind):
+                return decode(JobStatus, self._request(
+                    "POST", "/" + route, encode(submission)))
+        raise TypeError(f"cannot submit {type(submission).__name__}")
 
     def submit_script(self, script: str,
                       variables: Optional[dict] = None,
@@ -141,12 +140,11 @@ class ServiceClient:
     # Inspection
     # ------------------------------------------------------------------
     def status(self, job_id: str) -> JobStatus:
-        return JobStatus.from_jsonable(
-            self._request("GET", f"/jobs/{job_id}"))
+        return decode(JobStatus, self._request("GET", f"/jobs/{job_id}"))
 
     def result(self, job_id: str) -> JobResult:
-        return JobResult.from_jsonable(
-            self._request("GET", f"/jobs/{job_id}/result"))
+        return decode(JobResult,
+                      self._request("GET", f"/jobs/{job_id}/result"))
 
     def events(self, job_id: str, since: int = 0,
                wait: Optional[float] = None) -> list[JobEvent]:
@@ -160,11 +158,10 @@ class ServiceClient:
             # Leave headroom over the server-side hold.
             timeout = self.timeout + float(wait)
         doc = self._request("GET", path, timeout=timeout)
-        return [JobEvent.from_jsonable(event) for event in doc["events"]]
+        return [decode(JobEvent, event) for event in doc["events"]]
 
     def cancel(self, job_id: str) -> JobStatus:
-        return JobStatus.from_jsonable(
-            self._request("DELETE", f"/jobs/{job_id}"))
+        return decode(JobStatus, self._request("DELETE", f"/jobs/{job_id}"))
 
     def healthz(self) -> dict:
         return self._request("GET", "/healthz")
@@ -227,7 +224,7 @@ def finish(client: ServiceClient, status: JobStatus,
     this CLI's ``--wait`` and ``ftsh --submit`` end here."""
     final = client.wait(status.job_id, timeout=wait_timeout)
     result = client.result(status.job_id)
-    _print_doc(result.to_jsonable())
+    _print_doc(encode(result))
     if final.state != "done":
         print(f"ftsh-service: job {final.state}: {final.error or ''}",
               file=sys.stderr)
@@ -308,7 +305,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                 timeout=args.timeout, seed=args.seed)
             if args.wait:
                 return finish(client, status, args.wait_timeout)
-            _print_doc(status.to_jsonable())
+            _print_doc(encode(status))
             return 0
         if args.command == "campaign":
             overrides = {}
@@ -330,16 +327,16 @@ def main(argv: Optional[list[str]] = None) -> int:
                 scale=args.scale, seed=args.seed, overrides=overrides)
             if args.wait:
                 return finish(client, status, args.wait_timeout)
-            _print_doc(status.to_jsonable())
+            _print_doc(encode(status))
             return 0
         if args.command == "status":
-            _print_doc(client.status(args.job_id).to_jsonable())
+            _print_doc(encode(client.status(args.job_id)))
             return 0
         if args.command == "result":
-            _print_doc(client.result(args.job_id).to_jsonable())
+            _print_doc(encode(client.result(args.job_id)))
             return 0
         if args.command == "cancel":
-            _print_doc(client.cancel(args.job_id).to_jsonable())
+            _print_doc(encode(client.cancel(args.job_id)))
             return 0
         if args.command == "events":
             for event in client.events(args.job_id, since=args.since,
@@ -349,7 +346,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             return 0
         if args.command == "wait":
             final = client.wait(args.job_id, timeout=args.wait_timeout)
-            _print_doc(final.to_jsonable())
+            _print_doc(encode(final))
             return 0 if final.state == "done" else 1
         if args.command == "health":
             _print_doc(client.healthz())

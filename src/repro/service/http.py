@@ -41,8 +41,10 @@ the skin itself answers, before any plane logic runs:
 An empty 204/304 carries no ``Content-Type``.  Every error any plane
 sends is ``{"error": {"code", "message", "details": [...]}}``
 (:func:`error_doc`); JSON goes out through :func:`dumps` (sorted keys,
-compact, one trailing newline) and a JSON-object body comes in through
-:func:`json_object`.  Which 4xx answers which condition is plane logic,
+compact, one trailing newline), and a JSON-object body comes in through
+:func:`json_object` and becomes a declared dataclass through
+:func:`repro.service.codec.decode`, which raises the same
+:class:`BadRequest`.  Which 4xx answers which condition is plane logic,
 listed in each plane's module docstring; 500 ``internal`` is every
 plane's catch-all.
 
@@ -66,6 +68,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Mapping, Optional
 
 from ..core.backoff import BackoffPolicy
+from .codec import BadRequest
 
 #: Spacing of transport retries: 0.05 s doubling to 2 s, unjittered.
 TRANSPORT_BACKOFF = BackoffPolicy(base=0.05, ceiling=2.0,
@@ -293,10 +296,6 @@ def serve_in_thread(server, name: str = "repro-http-server"
 # The JSON vocabulary and the server kit (wire contract: module docstring)
 # ---------------------------------------------------------------------------
 
-class BadRequest(ValueError):
-    """A request a plane cannot parse; planes answer it 400."""
-
-
 def dumps(doc: Any) -> bytes:
     """Deterministic wire form: sorted keys, compact, trailing newline."""
     return (json.dumps(doc, sort_keys=True, separators=(",", ":"))
@@ -325,7 +324,11 @@ def json_object(body: bytes) -> dict[str, Any]:
         raise BadRequest("empty request body")
     try:
         doc = json.loads(body.decode("utf-8"), parse_constant=_not_json)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except BadRequest:
+        raise
+    except (ValueError, RecursionError) as exc:
+        # a bad byte or token, an integer of 4300+ digits, or nesting
+        # past the interpreter's recursion limit
         raise BadRequest(f"body is not valid JSON ({exc})")
     if not isinstance(doc, dict):
         raise BadRequest("body must be a JSON object")

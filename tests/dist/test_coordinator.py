@@ -5,6 +5,8 @@ import sys
 import threading
 import time
 
+import pytest
+
 from repro.dist.coordinator import CoordinatorApp, CoordinatorServer
 from repro.dist.queue import TaskQueue
 from repro.dist.store import MemoryArtifactStore
@@ -211,6 +213,67 @@ class TestBatchedProtocol:
         assert body["error"]["code"] == "bad-request"
 
 
+class TestDeclaredRequests:
+    """Each body decodes into its declared dataclass before anything
+    moves: a value that does not fit answers 400 and changes nothing."""
+
+    @pytest.mark.parametrize("lease", [
+        "[1]", '"5"', "true", "0", "-100.0", "-1e999", "1e999"])
+    def test_lease_must_be_a_positive_finite_number(self, lease):
+        """(``1e999`` parses to ``inf`` without passing through the
+        body parser's NaN/Infinity guard; the codec refuses it.)"""
+        app, queue = make_app()
+        queue.submit({}, key="a")
+        status, _, payload = app.handle(
+            "POST", "/queue/claim",
+            ('{"worker": "w0", "max": 1, "lease": %s}' % lease).encode())
+        assert status == 400
+        assert json.loads(payload) == {"error": {
+            "code": "bad-request", "details": [],
+            "message": "claim request: field 'lease' must be a positive "
+                       "finite number"}}
+        assert (queue.in_flight(), queue.depth()) == (0, 1)
+        # the next good claim is the task's first attempt, not a
+        # re-delivery charged toward its poison bound
+        status, body = claim(app, "w0")
+        assert status == 200 and body["tasks"][0]["attempt"] == 1
+        assert queue.stats.as_dict()["expired"] == 0
+
+    def test_max_keeps_its_message(self):
+        app, _ = make_app()
+        status, body = post(app, "/queue/claim",
+                            {"worker": "w0", "max": 1.5})
+        assert status == 400
+        assert body["error"]["message"] \
+            == "claim request: field 'max' must be an integer"
+
+    @pytest.mark.parametrize("requeue", ["no", 0, [], {}])
+    def test_requeue_must_be_a_boolean(self, requeue):
+        app, queue = make_app()
+        task = queue.submit({}, key="a")
+        claim(app, "w0")
+        status, body = post(app, "/queue/nack_many", {
+            "worker": "w0",
+            "nacks": [{"task_id": task.task_id, "error": "boom",
+                       "requeue": requeue}]})
+        assert status == 400
+        assert body["error"]["message"] == (
+            "nack batch: field 'nacks[0].requeue' must be a boolean")
+        assert task.state == "claimed"
+
+    def test_a_malformed_entry_names_its_path(self):
+        app, queue = make_app()
+        task = queue.submit({}, key="a")
+        claim(app, "w0")
+        status, body = post(app, "/queue/ack_many", {
+            "worker": "w0",
+            "acks": [ack_doc(task, 1), {"task_id": 7, "result": "x"}]})
+        assert status == 400
+        assert body["error"]["message"] == (
+            "ack batch: field 'acks[1].task_id' must be a string")
+        assert task.state == "claimed"
+
+
 class TestValidationAndStatus:
     def test_missing_worker_is_400(self):
         app, _ = make_app()
@@ -219,13 +282,21 @@ class TestValidationAndStatus:
         # The error document every plane shares, ``details`` included.
         assert body == {"error": {
             "code": "bad-request", "details": [],
-            "message": "field 'worker' must be a non-empty string"}}
+            "message": "claim request: field 'worker' must be a non-empty "
+                       "string"}}
 
     def test_garbage_body_is_400(self):
+        """(An integer of 4300+ digits and nesting past the recursion
+        limit raise ValueError and RecursionError from ``json.loads``,
+        not JSONDecodeError: both used to be 500s.)"""
         app, _ = make_app()
-        for garbage in (b"not json", b"", b"[1, 2]"):
-            status, _, _ = app.handle("POST", "/queue/claim", garbage)
+        for garbage in (b"not json", b"", b"[1, 2]",
+                        b'{"worker": "w0", "max": ' + b"9" * 5000 + b"}",
+                        b'{"worker": ' + b"[" * 100_000 + b"]" * 100_000
+                        + b"}"):
+            status, _, payload = app.handle("POST", "/queue/claim", garbage)
             assert status == 400
+            assert json.loads(payload)["error"]["code"] == "bad-request"
 
     def test_unknown_route_is_404(self):
         """``/payload/<digest>`` went with payload-by-digest: it is one

@@ -131,10 +131,12 @@ class TestIngest:
             # spans fold at the source; a span row is no record type
             json.dumps({"type": "span", "kind": "command",
                         "start": 0.0, "end": 1.0}),
+            # json.loads raises RecursionError here, not ValueError
+            "[" * 100_000 + "]" * 100_000,
         ]
         summary = agg.ingest(("\n".join(rows) + "\n").encode())
-        assert summary == {"accepted": 2, "malformed": 6}
-        assert agg.snapshot()["totals"]["malformed"] == 6
+        assert summary == {"accepted": 2, "malformed": 7}
+        assert agg.snapshot()["totals"]["malformed"] == 7
 
     def test_records_before_hello_are_malformed(self):
         agg = FleetAggregator(clock=FakeClock())
@@ -163,6 +165,46 @@ class TestIngest:
         assert set(snap["sources"]) == {"a"}
         assert snap["totals"]["batches"] == 1
         assert list(agg._sources["a"].metrics.values()) == [[1, 1.0]]
+
+    @pytest.mark.parametrize("source", [{"id": 1}, "", 5, ["s"], True])
+    def test_a_hello_source_must_be_a_non_empty_string(self, source):
+        """An object used to become a source id through ``str()`` and
+        take one of the ``max_sources`` slots."""
+        agg = FleetAggregator(clock=FakeClock())
+        hello = {"type": "hello", "source": source, "seq": 1, "labels": {}}
+        body = (json.dumps(hello) + "\n"
+                + json.dumps(counter("x_total", 1)) + "\n").encode()
+        assert agg.ingest(body) == {"accepted": 0, "malformed": 2}
+        snap = agg.snapshot()
+        assert snap["totals"]["malformed"] == 2
+        assert snap["sources"] == {}
+
+    @pytest.mark.parametrize("seq", [1.5, "7", True, -0.0])
+    def test_a_hello_seq_must_be_an_integer(self, seq):
+        agg = FleetAggregator(clock=FakeClock())
+        hello = {"type": "hello", "source": "s", "seq": seq, "labels": {}}
+        body = (json.dumps(hello) + "\n"
+                + json.dumps(counter("x_total", 1)) + "\n").encode()
+        assert agg.ingest(body) == {"accepted": 0, "malformed": 2}
+        snap = agg.snapshot()
+        assert snap["totals"]["malformed"] == 2
+        assert snap["sources"] == {}
+
+    @pytest.mark.parametrize("record", [
+        counter("c_total", "5"), gauge("g", True), counter("c_total", [1]),
+        counter(7, 1), counter("c_total", 1, labels={"host": 1}),
+        hist("h", [[1.0, 2.5]], 1.0, 2), hist("h", [[1.0, 2]], 1.0, 2.0),
+        hist("h", [[1.0]], 1.0, 1), hist("h", [[1.0, 1]], "1", 1),
+    ])
+    def test_a_metric_value_must_be_a_number(self, record):
+        """``float()`` used to read ``"5"`` and ``true`` as values and
+        ``int()`` a fractional count; ``str()`` made a name or a label
+        value of anything."""
+        agg = FleetAggregator(clock=FakeClock())
+        assert agg.ingest(batch("s", 1, record)) == {
+            "accepted": 1, "malformed": 1}
+        assert agg.snapshot()["totals"]["malformed"] == 1
+        assert agg._sources["s"].metrics == {}
 
     @pytest.mark.parametrize("line", [
         '{"type":"counter","name":"c_total","labels":{},"value":NaN}',

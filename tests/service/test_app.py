@@ -14,6 +14,7 @@ from repro.parallel.cache import ResultCache
 from repro.parallel.executor import run_cells
 from repro.parallel.transport import to_jsonable
 from repro.service.app import ServiceApp, make_server
+from repro.service.codec import decode
 from repro.service.http import serve_in_thread
 from repro.service.jobs import JobStore
 from repro.service.sandbox import SandboxPolicy, admit_campaign, cells_for
@@ -227,8 +228,8 @@ class TestSocketEndToEnd:
 
                 # The same cells, run directly through the executor.
                 admitted = admit_campaign(
-                    CampaignSubmission.from_jsonable(
-                        dict(CAMPAIGN_DOC, kind="campaign")),
+                    decode(CampaignSubmission,
+                           dict(CAMPAIGN_DOC, kind="campaign")),
                     policy)
                 direct = [to_jsonable(result) for result in
                           run_cells(cells_for(admitted, policy))]

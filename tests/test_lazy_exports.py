@@ -88,8 +88,8 @@ PUBLIC = {
         "canonical_json", "code_fingerprint", "default_cache_dir",
         "resolve_jobs", "run_cells", "strip_observability", "to_jsonable"],
     "repro.service": [
-        "CampaignSubmission", "JobResult", "JobStatus", "JobStore",
-        "SandboxPolicy", "SandboxRejection", "SchemaError",
+        "BadRequest", "CampaignSubmission", "JobResult", "JobStatus",
+        "JobStore", "SandboxPolicy", "SandboxRejection",
         "ScriptSubmission", "ServiceClient", "ServiceError"],
     "repro.sim": [
         "AllOf", "AnyOf", "Condition", "ConditionValue", "Counter", "Engine",
