@@ -71,7 +71,6 @@ from repro.experiments import (  # noqa: E402,F401
 from repro.obs.api import Observability  # noqa: E402
 from repro.sim import engine as kernel  # noqa: E402
 from repro.sim.events import Timeout  # noqa: E402
-from repro.simruntime.shell import SimFtsh  # noqa: E402
 
 #: Row label -> the interpreter's counter family behind it.
 OBS_COUNTERS = {
@@ -204,15 +203,19 @@ def counting_cycles():
         gc.enable()
 
 
-def runall_cells(seed):
-    """``runall --scale medium``: every cell takes one params object."""
+def with_obs(groups):
+    """Cells that each take one params object, run with our own obs."""
 
     def run(cell, obs):
         cell.fn(dataclasses.replace(cell.args[0], obs=obs))
 
-    groups = runall.campaign_cells(runall.SCALES["medium"], seed)
     return [functools.partial(run, cell)
             for cells in groups.values() for cell in cells]
+
+
+def runall_cells(seed):
+    """``runall --scale medium``."""
+    return with_obs(runall.campaign_cells(runall.SCALES["medium"], seed))
 
 
 def chaos_cells(seed):
@@ -231,40 +234,9 @@ def chaos_cells(seed):
             for cell in chaos.campaign_cells(chaos.SCALES["smoke"], seed)]
 
 
-@contextlib.contextmanager
-def shells_reporting_to(obs):
-    """Hand ``obs`` to every ``SimFtsh`` built in the block without a
-    telemetry context of its own: the DAG harness takes none, and its
-    dispatchers build their shells themselves."""
-    real = SimFtsh.__init__
-
-    def init(self, *args, **kwargs):
-        if kwargs.get("obs") is None:
-            kwargs["obs"] = obs
-        real(self, *args, **kwargs)
-
-    SimFtsh.__init__ = init
-    try:
-        yield
-    finally:
-        SimFtsh.__init__ = real
-
-
 def extension_cells(seed):
-    """``validate.extension_cells``: a cell whose params carry ``obs``
-    gets ours there, a DAG cell through its shells."""
-
-    def run(cell, obs):
-        params = cell.args[0]
-        if hasattr(params, "obs"):
-            cell.fn(dataclasses.replace(params, obs=obs))
-        else:
-            with shells_reporting_to(obs):
-                cell.fn(params)
-
-    return [functools.partial(run, cell)
-            for cells in validate.extension_cells(seed).values()
-            for cell in cells]
+    """``validate.extension_cells``."""
+    return with_obs(validate.extension_cells(seed))
 
 
 def count_grid(cells):

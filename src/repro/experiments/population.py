@@ -3,7 +3,9 @@
 The paper's scenarios (§5) are one experiment: N clients, each looping
 an ftsh script against one shared resource.  :class:`Population` owns
 what that takes — the seeded engine, the telemetry clock, the command
-registry, the fault install — and runs the clients.  A harness builds
+registry, the fault install, one shared log — and builds every shell put
+on a simulated world (:meth:`Population.shell`: the looping clients, the
+DAG dispatcher's tasks, the service sandbox's script).  A harness builds
 its world on ``engine``/``registry``/``obs``, starts whatever else the
 world needs (samplers, a consumer, an uploader), says what one cycle of
 a client runs, and folds the world's counters into its result.
@@ -11,9 +13,10 @@ a client runs, and folds the world's counters into its result.
 
 from __future__ import annotations
 
+import random
 from typing import Any, Callable, Mapping, Optional
 
-from ..core.backoff import BackoffPolicy
+from ..core.backoff import PAPER_POLICY, BackoffPolicy
 from ..core.shell_log import ShellLog
 from ..faults.injectors import install_faults
 from ..obs.api import NULL_OBS
@@ -29,7 +32,7 @@ Cycle = Callable[[int], tuple[Any, Optional[Mapping[str, str]]]]
 
 
 class Population:
-    """A seeded engine, its command registry, and N looping clients."""
+    """A seeded engine, its command registry, and the shells on it."""
 
     def __init__(self, seed: int, obs: Any = None) -> None:
         self.streams = RandomStreams(seed)
@@ -38,6 +41,9 @@ class Population:
         self.obs = obs if obs is not None else NULL_OBS
         self.obs.set_clock(engine_clock(self.engine))
         self.registry = CommandRegistry()
+        #: One log for every shell: the default, a counter that keeps no
+        #: event, whose backoff initiations are the paper's overload alarm.
+        self.log = ShellLog()
 
     def install_faults(self, faults, horizon: float, **substrates) -> None:
         """Start one injector per spec against the world's ``substrates``."""
@@ -55,6 +61,15 @@ class Population:
             return script, {"size_mb": f"{size:.6f}"}
         return cycle
 
+    def shell(self, name: str, world: Any,
+              policy: BackoffPolicy = PAPER_POLICY,
+              rng: Optional[random.Random] = None) -> SimFtsh:
+        """A shell named ``name`` on ``world``, drawing from ``rng``
+        (default: the ``name`` stream)."""
+        return SimFtsh(self.engine, self.registry, world=world,
+                       rng=self.streams.stream(name) if rng is None else rng,
+                       policy=policy, name=name, log=self.log, obs=self.obs)
+
     def run(self, n: int, name: str, world: Any, policy: BackoffPolicy,
             cycle: Cycle, duration: float) -> int:
         """Run ``n`` clients until ``duration``; return the backoffs.
@@ -62,25 +77,20 @@ class Population:
         Client ``index`` is ``name.format(index)`` (its shell, rng stream
         and process), starts after a stagger of up to 1 s drawn from
         ``stagger-<index>``, then runs ``cycle(index)`` back to back.
-        All clients log into one shared :class:`ShellLog` — the default
-        log, a counter that keeps no event — whose backoff initiations,
-        the paper's overload alarm, are returned.  The engine is closed
-        then: the clients still waiting at ``duration`` let go of the
-        world, which the harness frees by reference count once it has
-        read its counters.
+        The backoff initiations of the shared log are returned.  The
+        engine is closed then: the clients still waiting at ``duration``
+        let go of the world, which the harness frees by reference count
+        once it has read its counters.
         """
         engine = self.engine
-        log = ShellLog()
         for index in range(n):
             client = name.format(index)
-            shell = SimFtsh(engine, self.registry, world=world,
-                            rng=self.streams.stream(client), policy=policy,
-                            name=client, log=log, obs=self.obs)
+            shell = self.shell(client, world, policy)
             stagger = self.streams.stream(f"stagger-{index}").uniform(0.0, 1.0)
             engine.process(_client(engine, shell, cycle, index, stagger,
                                    duration), name=client)
         engine.run(until=duration)
-        backoffs = log.backoff_initiations()
+        backoffs = self.log.backoff_initiations()
         engine.close()
         return backoffs
 

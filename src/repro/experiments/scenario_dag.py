@@ -9,6 +9,7 @@ the discipline that crashes the schedd pays in time-to-finish.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any
 
 from ..clients.base import Discipline
 from ..faults.injectors import FaultSpec
@@ -37,6 +38,9 @@ class DagParams:
     pool_failure_rate: float = 0.0
     #: Injected faults (schedd-crash, fd-squeeze, worker-flaky).
     faults: tuple[FaultSpec, ...] = ()
+    #: Optional :class:`repro.obs.Observability`: every task's shell
+    #: reports to it, and the schedd registers its counters on it.
+    obs: Any = None
 
 
 @dataclass(slots=True)
@@ -53,9 +57,9 @@ class DagResult:
 
 def run_dag_scenario(params: DagParams) -> DagResult:
     """Run the workflow race and report the aggregate makespan."""
-    population = Population(params.seed)
+    population = Population(params.seed, params.obs)
     engine, streams = population.engine, population.streams
-    world = CondorWorld(engine, params.condor)
+    world = CondorWorld(engine, params.condor, obs=population.obs)
     register_condor_commands(population.registry, world)
 
     pool = None
@@ -70,7 +74,6 @@ def run_dag_scenario(params: DagParams) -> DagResult:
                               schedd=world.schedd, fdtable=world.fdtable,
                               pool=pool)
 
-    dispatchers = []
     processes = []
     total_tasks = 0
     for user in range(params.n_users):
@@ -84,19 +87,11 @@ def run_dag_scenario(params: DagParams) -> DagResult:
         )
         total_tasks += len(dag)
         dispatcher = DagDispatcher(
-            engine,
-            population.registry,
-            world,
-            dag,
-            params.discipline,
-            rng=streams.stream(f"dispatch-{user}"),
-            name=f"user{user}",
+            population, world, dag, params.discipline,
+            rng=streams.stream(f"dispatch-{user}"), name=f"user{user}",
             max_inflight=params.max_inflight,
             carrier_threshold=params.carrier_threshold,
-            deadline=params.horizon,
-            pool=pool,
-        )
-        dispatchers.append(dispatcher)
+            deadline=params.horizon, pool=pool)
         processes.append(dispatcher.start())
 
     engine.run(until=engine.all_of(processes))

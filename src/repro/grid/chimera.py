@@ -17,16 +17,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Any, Iterable, Optional
 
 from ..clients.base import Discipline
 from ..clients.scripts import submit_script
 from ..core.errors import SimulationError
 from ..core.parser import parse_cached
-from ..sim.engine import Engine
 from ..sim.process import Process
-from ..simruntime.registry import CommandRegistry
-from ..simruntime.shell import SimFtsh
 from .condor import CondorWorld
 from .pool import WorkerPool
 
@@ -182,13 +179,14 @@ class DagDispatcher:
     ``max_inflight`` submission shells at once, each retrying per the
     discipline until the schedd accepts the job; the job then executes on
     the (uncontended) pool for its ``exec_time`` and completes, releasing
-    dependents.
+    dependents.  It runs on ``population`` (a
+    :class:`repro.experiments.population.Population`: its ``engine``,
+    ``streams`` and ``shell``), which builds each task's shell.
     """
 
     def __init__(
         self,
-        engine: Engine,
-        registry: CommandRegistry,
+        population: Any,
         world: CondorWorld,
         dag: TaskDAG,
         discipline: Discipline,
@@ -201,12 +199,13 @@ class DagDispatcher:
         deadline: float = 1e9,
         pool: Optional[WorkerPool] = None,
     ) -> None:
-        self.engine = engine
-        self.registry = registry
+        self.population = population
+        self.engine = population.engine
         self.world = world
         self.dag = dag
         self.discipline = discipline
-        self.rng = rng if rng is not None else engine.streams.stream("dag-dispatcher")
+        self.rng = (rng if rng is not None
+                    else population.streams.stream("dag-dispatcher"))
         self.name = name
         self.max_inflight = max_inflight
         self.poll_interval = poll_interval
@@ -221,7 +220,6 @@ class DagDispatcher:
             submit_script(discipline, window=submit_window,
                           carrier_threshold=carrier_threshold)
         )
-        self._shells = 0
 
     # ------------------------------------------------------------------
     def start(self) -> Process:
@@ -248,15 +246,9 @@ class DagDispatcher:
 
     def _submit_and_execute(self, task: Task):
         """One task's life: submit (with retries) then run on the pool."""
-        self._shells += 1
-        shell = SimFtsh(
-            self.engine,
-            self.registry,
-            world=self.world,
-            rng=random.Random(self.rng.getrandbits(64)),
-            policy=self.discipline.policy,
-            name=f"{self.name}:{task.name}",
-        )
+        shell = self.population.shell(
+            f"{self.name}:{task.name}", self.world, self.discipline.policy,
+            random.Random(self.rng.getrandbits(64)))
         try:
             while self.engine.now < self.deadline:
                 self.stats.submissions_attempted += 1

@@ -18,6 +18,11 @@ state *as it arrives*.  The snapshot derives from those totals:
   registry shares :data:`~repro.obs.metrics.DEFAULT_BUCKETS`, so
   merging is bucket-wise addition, never sample buffering).
 
+Every number the snapshot derives — a sum over keys and sources, a
+mean, a ratio — saturates at the largest finite float (:func:`_saturated`),
+so no accepted batch can make it overflow: the document stays strict
+JSON whatever the sources claim.
+
 Nothing is buffered unboundedly: a source keeps one value per (type,
 family, labels) key, at most :data:`MAX_KEYS_PER_SOURCE` of them, and
 the source table itself is capped (least-recently-seen eviction).
@@ -56,6 +61,7 @@ function; the service plane forwards its ``/obs/*`` routes to it.  See
 from __future__ import annotations
 
 import json
+import sys
 import threading
 import time
 from dataclasses import dataclass, field
@@ -95,6 +101,14 @@ QUANTILES = (0.5, 0.9, 0.99)
 
 #: A histogram value: (bound -> count, sum, count).
 Hist = tuple[dict[float, int], float, int]
+
+_FLOAT_MAX = sys.float_info.max
+
+
+def _saturated(value: float) -> float:
+    """``value`` (a float, or an integer of any size) clamped into the
+    finite floats; a value inside them is returned as it is."""
+    return max(-_FLOAT_MAX, min(value, _FLOAT_MAX))
 
 
 # -- the wire records (decoded by repro.service.codec) -------------------
@@ -143,10 +157,11 @@ def merge_histograms(hists: Iterable[Hist]) -> dict[str, Any]:
             buckets[bound] = buckets.get(bound, 0) + n
         total += hist_sum
         count += hist_count
+    total = _saturated(total)
     summary: dict[str, Any] = {
         "count": count,
         "sum": round(total, 9),
-        "mean": round(total / count, 9) if count else 0.0,
+        "mean": round(total / _saturated(count), 9) if count else 0.0,
     }
     bounded = sorted(buckets.items())
     for quantile in QUANTILES:
@@ -154,7 +169,7 @@ def merge_histograms(hists: Iterable[Hist]) -> dict[str, Any]:
         if not count or not bounded:
             summary[key] = 0.0
             continue
-        rank = quantile * count
+        rank = quantile * _saturated(count)
         running = 0
         value = bounded[-1][0]
         for bound, n in bounded:
@@ -198,9 +213,9 @@ class _SourceState:
             entry[:] = [seq, value]
 
     def counter_sum(self, match: Callable[[str], bool]) -> float:
-        return sum(entry[1] for (kind, name, _labels), entry
-                   in self.metrics.items()
-                   if kind == "counter" and match(name))
+        return _saturated(sum(entry[1] for (kind, name, _labels), entry
+                              in self.metrics.items()
+                              if kind == "counter" and match(name)))
 
     def hists(self, name: str) -> list[Hist]:
         return [entry[1] for (kind, hist_name, _labels), entry
@@ -212,7 +227,7 @@ class _SourceState:
         if window <= 0:
             return None
         busy = self.counter_sum(lambda n: n.endswith(BUSY_SUFFIX))
-        return round(busy / window, 6)
+        return round(_saturated(busy / window), 6)
 
     def to_jsonable(self, now: float) -> dict[str, Any]:
         return {
@@ -235,7 +250,7 @@ def _is_collision_counter(name: str) -> bool:
 
 def _total(states: Iterable[_SourceState],
            match: Callable[[str], bool]) -> float:
-    return sum(state.counter_sum(match) for state in states)
+    return _saturated(sum(state.counter_sum(match) for state in states))
 
 
 class FleetAggregator:
@@ -382,8 +397,8 @@ class FleetAggregator:
                 "sources": len(states),
                 "collisions": collisions,
                 "attempts": attempts,
-                "collision_rate": (round(collisions / attempts, 6)
-                                   if attempts else None),
+                "collision_rate": (round(_saturated(collisions / attempts),
+                                         6) if attempts else None),
                 "backoffs": _total(
                     states, lambda n: n == "ftsh_backoff_initiations_total"),
                 "exhausted": _total(

@@ -21,16 +21,13 @@ from typing import Optional
 
 from ..core.errors import BudgetExceeded, FtshSyntaxError
 from ..core.parser import parse_cached
+from ..experiments.population import Population
 from ..grid.condor import CondorWorld, register_condor_commands
 from ..grid.httpserver import ReplicaWorld, register_replica_commands
 from ..grid.storage import BufferWorld, register_buffer_commands
 from ..lint.diagnostics import Severity
 from ..lint.engine import LintConfig, lint_script
 from ..parallel.executor import CellSpec
-from ..sim.engine import Engine
-from ..sim.rng import RandomStreams
-from ..simruntime.registry import CommandRegistry
-from ..simruntime.shell import SimFtsh
 from .schemas import CampaignSubmission, ScriptOutcome, ScriptSubmission
 
 
@@ -271,7 +268,9 @@ def _world_counters(world) -> tuple[tuple[str, float], ...]:
     return tuple(rows)
 
 
-def _build_world(kind: str, engine: Engine, registry: CommandRegistry):
+def _build_world(kind: str, population: Population):
+    """The ``kind`` world on ``population``, its commands registered."""
+    engine, registry = population.engine, population.registry
     if kind == "condor":
         world = CondorWorld(engine)
         register_condor_commands(registry, world)
@@ -303,12 +302,11 @@ def run_script_cell(
     script's *own* timeout machinery fires first and a budget overrun
     only triggers on runaway event churn.
     """
-    streams = RandomStreams(seed)
-    engine = Engine(streams=streams)
-    registry = CommandRegistry()
-    world_obj = _build_world(world, engine, registry)
-    shell = SimFtsh(engine, registry, world=world_obj,
-                    rng=streams.stream("service-client"), name="service")
+    population = Population(seed)
+    engine = population.engine
+    world_obj = _build_world(world, population)
+    shell = population.shell("service", world_obj,
+                             rng=population.streams.stream("service-client"))
     process = shell.spawn(script, variables=dict(variables), timeout=window)
     try:
         result, events = engine.run_budgeted(

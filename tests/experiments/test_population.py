@@ -72,7 +72,7 @@ DIGESTS = {
     "kangaroo":
         "ff615e7eb9547b5ac46cb37b02c493e32c18957e184016586377337c76e443a2",
     "dag":
-        "51dd167e889d2788ce9b3cc6953f90863a4314a691dc1dedc025f4e9967f6427",
+        "b081453263ecffe0b007d339d266e9beb40185fe5384bc1b5fe04181f8c35322",
 }
 
 

@@ -223,16 +223,16 @@ class TestHarnessLogOnlyCounts:
         assert to_jsonable(counted) == to_jsonable(kept)
 
     def test_dag_result_equals_a_full_transcript(self, monkeypatch):
-        """The DAG dispatcher gives every task its own shell and passes
-        no log, so each task logs into a default counter."""
+        """The DAG dispatcher gives every task its own shell, each from
+        the population, so every task logs into its one default counter."""
+        from repro.experiments import population
         from repro.experiments.scenario_dag import DagParams, run_dag_scenario
         from repro.parallel.transport import to_jsonable
-        from repro.simruntime import shell
 
         params = DagParams(FIXED, n_users=2, layers=2, width=10)
-        own = logs_built(monkeypatch, shell)
+        own = logs_built(monkeypatch, population)
         counted = run_dag_scenario(params)
-        full = logs_built(monkeypatch, shell, **FULL)
+        full = logs_built(monkeypatch, population, **FULL)
         kept = run_dag_scenario(params)
 
         assert len(own) == len(full) > 0

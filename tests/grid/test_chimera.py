@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.clients.base import ALOHA, ETHERNET
+from repro.clients.base import ALOHA, ETHERNET, FIXED
 from repro.core.errors import SimulationError
 from repro.grid.chimera import (
     DagDispatcher,
@@ -14,10 +14,10 @@ from repro.grid.chimera import (
     chain,
     layered_dag,
 )
+from repro.experiments.population import Population
 from repro.experiments.scenario_dag import DagParams, run_dag_scenario
 from repro.grid.condor import CondorConfig, CondorWorld, register_condor_commands
-from repro.sim import Engine
-from repro.simruntime import CommandRegistry
+from repro.obs.api import Observability
 
 
 class TestTaskDAG:
@@ -91,16 +91,15 @@ class TestWorkloadShapes:
 
 class TestDispatcher:
     def make_world(self):
-        engine = Engine()
-        world = CondorWorld(engine, CondorConfig())
-        registry = CommandRegistry()
-        register_condor_commands(registry, world)
-        return engine, world, registry
+        population = Population(seed=0)  # a bare Engine()'s streams
+        world = CondorWorld(population.engine, CondorConfig())
+        register_condor_commands(population.registry, world)
+        return population.engine, world, population
 
     def test_chain_executes_in_order(self):
-        engine, world, registry = self.make_world()
+        engine, world, population = self.make_world()
         dag = chain(3, exec_time=10.0)
-        dispatcher = DagDispatcher(engine, registry, world, dag, ETHERNET)
+        dispatcher = DagDispatcher(population, world, dag, ETHERNET)
         process = dispatcher.start()
         stats = engine.run(until=process)
         assert stats.finished
@@ -109,9 +108,9 @@ class TestDispatcher:
         assert stats.makespan >= 30.0
 
     def test_bag_runs_in_parallel(self):
-        engine, world, registry = self.make_world()
+        engine, world, population = self.make_world()
         dag = bag_of_tasks(20, exec_time=10.0)
-        dispatcher = DagDispatcher(engine, registry, world, dag, ETHERNET,
+        dispatcher = DagDispatcher(population, world, dag, ETHERNET,
                                    max_inflight=20)
         stats = engine.run(until=dispatcher.start())
         assert stats.finished
@@ -119,9 +118,9 @@ class TestDispatcher:
         assert stats.makespan < 100.0
 
     def test_inflight_cap_respected(self):
-        engine, world, registry = self.make_world()
+        engine, world, population = self.make_world()
         dag = bag_of_tasks(10, exec_time=5.0)
-        dispatcher = DagDispatcher(engine, registry, world, dag, ETHERNET,
+        dispatcher = DagDispatcher(population, world, dag, ETHERNET,
                                    max_inflight=2)
         stats = engine.run(until=dispatcher.start())
         assert stats.finished
@@ -147,6 +146,26 @@ class TestScenario:
         second = run_dag_scenario(DagParams(discipline=ALOHA, **params))
         assert first.makespan == second.makespan
         assert first.submissions_attempted == second.submissions_attempted
+
+    @pytest.mark.parametrize("discipline", [ETHERNET, FIXED],
+                             ids=lambda d: d.name)
+    def test_every_task_shell_and_the_schedd_report_to_the_obs(
+            self, discipline):
+        """A finished DAG's submission scripts all reach the run's
+        telemetry, one finished script per attempt, and so does the
+        schedd's job counter."""
+        obs = Observability()
+        result = run_dag_scenario(DagParams(
+            discipline, n_users=3, layers=3, width=6,
+            exec_time_range=(5.0, 10.0), seed=5, obs=obs))
+
+        def total(name):
+            return sum(child.value
+                       for child in obs.metrics.get(name).children())
+
+        assert result.all_finished
+        assert total("ftsh_scripts_total") == result.submissions_attempted
+        assert total("grid_jobs_submitted_total") == result.tasks_done > 0
 
     @pytest.mark.slow
     def test_burst_above_cliff_backoff_survives(self):

@@ -7,6 +7,7 @@ matter what arrives.
 """
 
 import json
+import sys
 
 import pytest
 
@@ -343,6 +344,55 @@ class TestSnapshot:
         assert sources["worker/w0"]["utilisation"] == pytest.approx(0.75)
         assert sources["cell/a"]["utilisation"] == pytest.approx(2.0)
         assert sources["cell/idle"]["utilisation"] is None
+
+
+class TestSaturation:
+    """Every number the snapshot derives saturates at the largest finite
+    float, so whatever values the door accepts, ``GET /obs/fleet``
+    answers 200 with strict JSON."""
+
+    MAX = sys.float_info.max
+
+    def fleet(self, agg):
+        status, _, payload = agg.handle("GET", "/obs/fleet")
+        assert status == 200, payload
+        return strict_loads(payload)
+
+    def test_span_totals_past_the_float_range(self):
+        # (an OverflowError converting the summed infinity to int, a 500)
+        agg = FleetAggregator(clock=FakeClock())
+        for source in ("cell/a", "cell/b"):
+            agg.ingest(batch(source, 1, counter("obs_spans_total", 1e308)))
+        assert self.fleet(agg)["totals"]["spans"] == int(self.MAX)
+
+    def test_collision_totals_past_the_float_range(self):
+        # (``"collisions":Infinity``, which no strict parser reads)
+        agg = FleetAggregator(clock=FakeClock())
+        for source in ("cell/a", "cell/b"):
+            agg.ingest(batch(
+                source, 1, counter("grid_buffer_collisions_total", 1e308),
+                labels={"discipline": "aloha"}))
+        doc = self.fleet(agg)
+        assert doc["totals"]["collisions"] == self.MAX
+        assert doc["disciplines"]["aloha"]["collisions"] == self.MAX
+
+    def test_ratios_and_histogram_counts_past_the_float_range(self):
+        agg = FleetAggregator(clock=FakeClock())
+        agg.ingest(batch(
+            "s", 1, *spans(1, busy=1e300, elapsed=1e-300),
+            counter("grid_buffer_collisions_total", 1e300),
+            counter("ftsh_try_attempts_total", 1e-300),
+            hist("ftsh_backoff_seconds", [[1.0, 10**400]], 1e308, 10**400),
+            hist("ftsh_backoff_seconds", [[1.0, 1]], 1e308, 1,
+                 labels={"site": "b"}),
+            labels={"discipline": "aloha"}))
+        doc = self.fleet(agg)
+        assert doc["sources"]["s"]["utilisation"] == self.MAX
+        aloha = doc["disciplines"]["aloha"]
+        assert aloha["collision_rate"] == self.MAX
+        assert aloha["backoff_seconds"]["count"] == 10**400 + 1
+        assert aloha["backoff_seconds"]["sum"] == self.MAX
+        assert aloha["backoff_seconds"]["p50"] == 1.0
 
 
 class TestHandle:

@@ -3,8 +3,9 @@
 * Round trip: any value a door's dataclass can hold survives
   ``encode`` -> JSON text -> ``decode`` unchanged.
 * Outside input: arbitrary JSON posted to the service and the
-  coordinator is answered 2xx or 4xx, never 500, and fed to the fleet
-  aggregator it never raises.
+  coordinator is answered 2xx or 4xx, never 500; fed to the fleet
+  aggregator it never raises, and the fleet snapshot after it is a 200
+  in strict JSON.
 
 The value strategies are derived from the same annotations and bounds
 the codec reads, so a new door type only has to be listed in
@@ -192,11 +193,22 @@ records = st.sampled_from(sorted(RECORD_TYPES)).flatmap(
         lambda row: {**row, "type": kind} if isinstance(row, dict) else row))
 
 
-@given(rows=st.lists(records, max_size=6))
-def test_ingest_never_raises_and_counts_every_line(rows):
+def _refuse(token):
+    raise ValueError(f"not strict JSON: {token}")
+
+
+@given(batches=st.lists(st.lists(records, max_size=6), min_size=1,
+                        max_size=3))
+def test_ingest_never_raises_and_counts_every_line(batches):
+    """Any batches, each counted line by line; after them the fleet
+    snapshot is a 200 whose body a strict parser reads."""
     agg = FleetAggregator(clock=lambda: 0.0)
-    lines = [json.dumps(row) for row in rows]
-    body = "\n".join(['{"type":"hello","source":"s","seq":1}', *lines])
-    summary = agg.ingest(body.encode())
-    assert summary["accepted"] + summary["malformed"] == len(lines) + 1
-    json.loads(agg.handle("GET", "/obs/fleet")[2])
+    for index, rows in enumerate(batches):
+        lines = [json.dumps(row) for row in rows]
+        hello = json.dumps({"type": "hello", "source": f"s{index % 2}",
+                            "seq": index})
+        summary = agg.ingest("\n".join([hello, *lines]).encode())
+        assert summary["accepted"] + summary["malformed"] == len(lines) + 1
+    status, _, payload = agg.handle("GET", "/obs/fleet")
+    assert status == 200, payload
+    json.loads(payload, parse_constant=_refuse)

@@ -210,9 +210,9 @@ class TestRunScriptCell:
                 except Interrupt:
                     pass
 
-        def build(world, engine, registry):
-            registry.add("stubborn", stubborn)
-            return real(world, engine, registry)
+        def build(world, population):
+            population.registry.add("stubborn", stubborn)
+            return real(world, population)
 
         real = sandbox._build_world
         monkeypatch.setattr(sandbox, "_build_world", build)
@@ -291,7 +291,7 @@ class TestSandboxKeepsNoTranscript:
         import tracemalloc
 
         from repro.core.shell_log import LOG_TRACE, TRANSCRIPT_EVENTS
-        from repro.simruntime import shell
+        from repro.experiments import population
 
         from tests.experiments.test_scenarios import logs_built
 
@@ -309,7 +309,7 @@ class TestSandboxKeepsNoTranscript:
         assert counted.budget_exceeded == "events"
 
         # The same run with a transcript where the default log is built.
-        built = logs_built(monkeypatch, shell, level=LOG_TRACE,
+        built = logs_built(monkeypatch, population, level=LOG_TRACE,
                            max_events=TRANSCRIPT_EVENTS)
         kept = run_script_cell(self.SCRIPT, (), "condor", 3600.0, 2003,
                                50_000)

@@ -167,6 +167,8 @@ SCENARIO_RUNS = {
                "discipline, n_clients=3, duration=60.0))",
     "kangaroo": "module.run_kangaroo(module.KangarooParams("
                 "discipline, n_producers=5, duration=30.0))",
+    "dag": "module.run_dag_scenario(module.DagParams("
+           "discipline, n_users=2, layers=2, width=5))",
 }
 
 _SCRIPT_CELL = """
