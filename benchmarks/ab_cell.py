@@ -42,7 +42,9 @@ figure grids (``fig1/fixed/n450``, ``fig45/ethernet/p50``, ...),
 gate's extension cells (``dag/fixed``, ``kangaroo/fixed``,
 ``ablation/...``; ``--scale`` does not size them).  Which side goes first alternates from pair to pair.
 The timed region is ``time.process_time`` around the cell function only
-(imports and grid construction are outside it), and the digest is the
+(imports and grid construction are outside it, and one ``gc.collect()``
+after them keeps their garbage out of every cell's ``obj``), and the
+digest is the
 sha256 of the result's canonical JSON (``to_jsonable``, sorted keys) —
 the equality the determinism suite asserts.  Exits 1 if any two runs
 disagree on the digest, 2 on a bad cell name.  The sweep is the check a
@@ -66,6 +68,13 @@ import gc, hashlib, json, os, resource, sys, time
 # One CPU, for the reason the module docstring gives.
 os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 from repro.experiments import chaos, runall, validate
+# The scenario modules the cells would load lazily, imported up front:
+# a module's first import leaves garbage of its own (a
+# ``dataclass(slots=True)`` replaces the class it decorates), which is
+# not a cell's.
+from repro.experiments import (
+    scenario_buffer, scenario_dag, scenario_kangaroo, scenario_replica,
+    scenario_submit)
 from repro.parallel.transport import to_jsonable
 scale, chaos_scale, wanted = sys.argv[1:4]
 
@@ -93,6 +102,9 @@ else:
     cells = [by_key[wanted]]
 passes = [0, 0, 0]
 collected = [0]
+# What the imports and the grid left, swept before the first cell, so
+# the ``obj`` column counts only what each cell leaves in cycles.
+gc.collect()
 
 def count_pass(phase, info):
     if phase == "stop":

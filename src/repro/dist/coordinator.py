@@ -65,13 +65,15 @@ from ..service.codec import (
 from ..service.http import (
     JSON,
     Reply,
+    Request,
+    Routes,
     bind_server,
-    dumps,
     error_doc,
     json_object,
+    json_reply,
     serve_in_thread,
 )
-from .queue import CLAIMED, QueueError, Task, TaskQueue
+from .queue import CLAIMED, QueueError, TaskQueue
 from .wire import WireError, decode_blob_ex
 
 #: Longest lease a worker may ask for, as a multiple of the queue default.
@@ -79,6 +81,12 @@ MAX_LEASE_FACTOR = 10.0
 
 #: Most tasks a single claim may lease, whatever the worker asks for.
 MAX_CLAIM_BATCH = 64
+
+ERRORS = {
+    QueueError: lambda exc: (409, "queue", str(exc), None),
+    WireError: lambda exc: (400, "wire", str(exc), None),
+    BadRequest: lambda exc: (400, "bad-request", str(exc), None),
+}
 
 
 # -- the request documents (decoded by repro.service.codec) --------------
@@ -145,34 +153,24 @@ class CoordinatorApp:
             "dist_store_errors_total",
             "store calls that raised; the cell was acked anyway",
             labels=("op",))
+        self.routes = Routes([
+            ("GET", "/healthz", lambda req: json_reply({"status": "ok"})),
+            ("POST", "/queue/claim", self._claim),
+            ("POST", "/queue/ack_many", self._ack_many),
+            ("POST", "/queue/nack_many", self._nack_many),
+            ("POST", "/queue/heartbeat", self._heartbeat),
+            ("GET", "/queue/status", self._status),
+        ], ERRORS)
 
     # ------------------------------------------------------------------
     def handle(self, method: str, target: str,
                body: bytes = b"") -> Reply:
-        parts = [part for part in target.split("?")[0].split("/") if part]
         self._http_bytes.labels(direction="in").inc(len(body))
-        try:
-            response = self._dispatch(method, parts, body)
-        except QueueError as exc:
-            response = 409, JSON, error_doc("queue", str(exc))
-        except WireError as exc:
-            response = 400, JSON, error_doc("wire", str(exc))
-        except BadRequest as exc:
-            response = 400, JSON, error_doc("bad-request", str(exc))
-        except Exception as exc:  # noqa: BLE001 - the HTTP 500 boundary
-            response = 500, JSON, error_doc(
-                "internal", f"{type(exc).__name__}: {exc}")
+        response = self.routes.handle(method, target, body)
         self._http_bytes.labels(direction="out").inc(len(response[2]))
         return response
 
     # ------------------------------------------------------------------
-    def _task_doc(self, task: Task) -> dict[str, Any]:
-        return {
-            "task_id": task.task_id,
-            "attempt": task.attempts,
-            "cell": task.payload,
-        }
-
     def _publish(self, worker: str, task_id: str, result: Any) -> None:
         """Store a freshly computed result, if its task is cacheable and
         still leased to ``worker`` (a stale ack publishes nothing).  A
@@ -206,67 +204,56 @@ class CoordinatorApp:
             self._publish(worker, ack.task_id, result)
         return result
 
-    def _dispatch(self, method: str, parts: list[str],
-                  body: bytes) -> Reply:
-        if parts == ["healthz"] and method == "GET":
-            return 200, JSON, dumps({"status": "ok"})
+    def _claim(self, req: Request) -> Reply:
+        claim = decode(ClaimRequest, json_object(req.body))
+        lease = claim.lease
+        if lease is not None:
+            lease = min(lease, self.queue.lease * MAX_LEASE_FACTOR)
+        tasks = self.queue.claim_many(
+            claim.worker, max(1, min(claim.max, MAX_CLAIM_BATCH)),
+            lease=lease)
+        if not tasks:
+            if self.queue.draining:
+                return 410, JSON, error_doc("drained", "queue is drained")
+            return 204, JSON, b""
+        self._ops.labels(worker=claim.worker, op="claim").inc(len(tasks))
+        return json_reply({"tasks": [
+            {"task_id": task.task_id, "attempt": task.attempts,
+             "cell": task.payload} for task in tasks]})
 
-        if parts == ["queue", "claim"] and method == "POST":
-            claim = decode(ClaimRequest, json_object(body))
-            lease = claim.lease
-            if lease is not None:
-                lease = min(lease, self.queue.lease * MAX_LEASE_FACTOR)
-            tasks = self.queue.claim_many(
-                claim.worker, max(1, min(claim.max, MAX_CLAIM_BATCH)),
-                lease=lease)
-            if not tasks:
-                if self.queue.draining:
-                    return 410, JSON, error_doc("drained", "queue is drained")
-                return 204, JSON, b""
-            self._ops.labels(worker=claim.worker, op="claim").inc(len(tasks))
-            return 200, JSON, dumps(
-                {"tasks": [self._task_doc(task) for task in tasks]})
+    def _ack_many(self, req: Request) -> Reply:
+        batch = decode(AckBatch, json_object(req.body))
+        triples: list[tuple[str, Any, str]] = []
+        rejected: list[str] = []
+        for ack in batch.acks:
+            try:
+                result = self._acked_result(batch.worker, ack)
+            except WireError:
+                # One undecodable result must not void the batch;
+                # the task stays leased and expires back to pending.
+                rejected.append(ack.task_id)
+                continue
+            triples.append((ack.task_id, result, ack.source))
+        acked, stale = self.queue.ack_many(batch.worker, triples)
+        self._ops.labels(worker=batch.worker, op="ack").inc(len(acked))
+        return json_reply(
+            {"acked": acked, "stale": stale, "rejected": rejected})
 
-        if parts == ["queue", "ack_many"] and method == "POST":
-            batch = decode(AckBatch, json_object(body))
-            triples: list[tuple[str, Any, str]] = []
-            rejected: list[str] = []
-            for ack in batch.acks:
-                try:
-                    result = self._acked_result(batch.worker, ack)
-                except WireError:
-                    # One undecodable result must not void the batch;
-                    # the task stays leased and expires back to pending.
-                    rejected.append(ack.task_id)
-                    continue
-                triples.append((ack.task_id, result, ack.source))
-            acked, stale = self.queue.ack_many(batch.worker, triples)
-            self._ops.labels(worker=batch.worker, op="ack").inc(len(acked))
-            return 200, JSON, dumps(
-                {"acked": acked, "stale": stale, "rejected": rejected})
+    def _nack_many(self, req: Request) -> Reply:
+        batch = decode(NackBatch, json_object(req.body))
+        states = self.queue.nack_many(
+            batch.worker, [(nack.task_id, nack.error, nack.requeue)
+                           for nack in batch.nacks])
+        settled = sum(1 for state in states.values() if state != "stale")
+        self._ops.labels(worker=batch.worker, op="nack").inc(settled)
+        return json_reply({"states": states})
 
-        if parts == ["queue", "nack_many"] and method == "POST":
-            batch = decode(NackBatch, json_object(body))
-            states = self.queue.nack_many(
-                batch.worker, [(nack.task_id, nack.error, nack.requeue)
-                               for nack in batch.nacks])
-            settled = sum(1 for state in states.values() if state != "stale")
-            self._ops.labels(worker=batch.worker, op="nack").inc(settled)
-            return 200, JSON, dumps({"states": states})
-
-        if parts == ["queue", "heartbeat"] and method == "POST":
-            beat = decode(Heartbeat, json_object(body))
-            extended = self.queue.heartbeat(beat.worker)
-            return 200, JSON, dumps({"extended": extended})
-
-        if parts == ["queue", "status"] and method == "GET":
-            return 200, JSON, dumps(self._status_doc())
-
-        return 404, JSON, error_doc(
-            "unknown-route", f"no route {method} /{'/'.join(parts)}")
+    def _heartbeat(self, req: Request) -> Reply:
+        beat = decode(Heartbeat, json_object(req.body))
+        return json_reply({"extended": self.queue.heartbeat(beat.worker)})
 
     # ------------------------------------------------------------------
-    def _status_doc(self) -> dict[str, Any]:
+    def _status(self, req: Request) -> Reply:
         """The fleet-dashboard view: queue, leases, workers, wire."""
         workers: dict[str, dict[str, int]] = {}
         for child in self._ops.children():
@@ -278,7 +265,7 @@ class CoordinatorApp:
         def _count(family: Any, **labels: str) -> int:
             return int(family.labels(**labels).value)
 
-        return {
+        return json_reply({
             "draining": self.queue.draining,
             "outstanding": self.queue.outstanding(),
             "queue": {
@@ -300,7 +287,7 @@ class CoordinatorApp:
                 "blob_raw_bytes": _count(self._blob_bytes, encoding="raw"),
             },
             "tasks": [task.describe() for task in self.queue.tasks()],
-        }
+        })
 
 
 class CoordinatorServer:

@@ -53,7 +53,7 @@ rest of its batch.
 
 :meth:`FleetAggregator.handle` is the aggregator's whole HTTP surface
 (``POST /obs/ingest``, ``GET /obs/fleet``, ``GET /healthz``) as a pure
-function; the service plane forwards its ``/obs/*`` routes to it.  See
+function; the service mounts its ``/obs/*`` rows in its own table.  See
 :mod:`repro.obs.push` for the client half and
 :mod:`repro.obs.dashboard` for the terminal view.
 """
@@ -68,7 +68,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Optional
 
 from ..service.codec import NON_EMPTY, decode
-from ..service.http import JSON, Reply, _not_json, dumps, error_doc
+from ..service.http import Reply, Routes, _not_json, json_reply
 from .push import SPANS_COUNTER
 
 #: Snapshot schema version, bumped on breaking shape changes.
@@ -268,6 +268,11 @@ class FleetAggregator:
         self.malformed = 0
         self.stale_batches = 0
         self.evicted = 0
+        self.routes = Routes([
+            *self.obs_routes(),
+            ("GET", "/healthz", lambda req: json_reply(
+                {"status": "ok", "sources": len(self._sources)})),
+        ])
 
     # ------------------------------------------------------------------
     def ingest(self, body: bytes | str) -> dict[str, int]:
@@ -336,24 +341,18 @@ class FleetAggregator:
         return state
 
     # ------------------------------------------------------------------
+    def obs_routes(self) -> list[tuple[str, str, Callable]]:
+        """The ``/obs/*`` rows, which the service mounts in its table."""
+        return [
+            ("POST", "/obs/ingest",
+             lambda req: json_reply(self.ingest(req.body), 202)),
+            ("GET", "/obs/fleet", lambda req: json_reply(self.snapshot())),
+        ]
+
     def handle(self, method: str, target: str,
                body: bytes = b"") -> Reply:
         """The aggregator's HTTP routes, socket-free; never raises."""
-        path = target.split("?")[0]
-        parts = [part for part in path.split("/") if part]
-        try:
-            if method == "POST" and parts == ["obs", "ingest"]:
-                return 202, JSON, dumps(self.ingest(body))
-            if method == "GET" and parts == ["obs", "fleet"]:
-                return 200, JSON, dumps(self.snapshot())
-            if method == "GET" and parts == ["healthz"]:
-                return 200, JSON, dumps(
-                    {"status": "ok", "sources": len(self._sources)})
-        except Exception as exc:  # noqa: BLE001 - the HTTP 500 boundary
-            return 500, JSON, error_doc(
-                "internal", f"{type(exc).__name__}: {exc}")
-        return 404, JSON, error_doc(
-            "unknown-route", f"no route {method} {path}")
+        return self.routes.handle(method, target, body)
 
     # ------------------------------------------------------------------
     def snapshot(self) -> dict[str, Any]:

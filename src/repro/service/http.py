@@ -22,8 +22,17 @@ on a fresh socket *without* consuming a retry; that can re-execute a
 request the server already processed, which every caller here tolerates
 (worker verbs are at-least-once, service GETs idempotent).
 
-**Server side.**  :func:`bind_server` mounts a pure ``handle(method,
-target, body) -> (status, content_type, payload)`` on a stdlib
+**Server side.**  Each plane declares one :class:`Routes` table of
+``(method, pattern, handler)`` rows (``{name}`` matches one non-empty
+path segment; empty ones are skipped) and an error map, exception class
+-> ``(status, code, message, details)``.  Its ``handle(method, target,
+body)`` calls the first row matching method and path with a
+:class:`Request`, renders a mapped exception through the map and any
+other as 500 ``internal``, and answers 404 ``unknown-route`` (``no route
+METHOD PATH``, the path as sent) when no row matches.  ``dispatch`` also
+names the pattern, or :data:`UNMATCHED`: a label that stays bounded.
+
+:func:`bind_server` mounts a plane's ``handle`` on a stdlib
 ``ThreadingHTTPServer``: HTTP/1.1 keep-alive, GET/POST/DELETE, a thread
 per connection, no access log (each plane's metrics are its log).  What
 the skin itself answers, before any plane logic runs:
@@ -44,9 +53,8 @@ sends is ``{"error": {"code", "message", "details": [...]}}``
 compact, one trailing newline), and a JSON-object body comes in through
 :func:`json_object` and becomes a declared dataclass through
 :func:`repro.service.codec.decode`, which raises the same
-:class:`BadRequest`.  Which 4xx answers which condition is plane logic,
-listed in each plane's module docstring; 500 ``internal`` is every
-plane's catch-all.
+:class:`BadRequest`.  Which 4xx answers which exception is each plane's
+error map, the ``ERRORS`` of its module.
 
 Both ends set ``TCP_NODELAY``, on every plane: the pool on each socket
 it connects, the kit on each socket it accepts.  A request and a reply
@@ -58,14 +66,16 @@ from __future__ import annotations
 
 import http.client
 import json
+import math
 import os
+import re
 import socket
 import threading
 import time
 import urllib.parse
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Callable, Mapping, Optional
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Optional
 
 from ..core.backoff import BackoffPolicy
 from .codec import BadRequest
@@ -302,6 +312,11 @@ def dumps(doc: Any) -> bytes:
             + "\n").encode()
 
 
+def json_reply(doc: Any, status: int = 200) -> Reply:
+    """A JSON document as a route's reply."""
+    return status, JSON, dumps(doc)
+
+
 def error_doc(code: str, message: str,
               details: Optional[list[str]] = None) -> bytes:
     """The one error body every plane sends."""
@@ -333,6 +348,73 @@ def json_object(body: bytes) -> dict[str, Any]:
     if not isinstance(doc, dict):
         raise BadRequest("body must be a JSON object")
     return doc
+
+
+class Request(NamedTuple):
+    """What a route's handler is called with."""
+
+    params: dict[str, str]  # the pattern's {name} segments
+    query: dict[str, list[str]]  # urllib.parse.parse_qs of the query
+    body: bytes
+
+    def int_param(self, name: str, default: int) -> int:
+        try:
+            return int(self.query.get(name, [default])[-1])
+        except ValueError:
+            raise BadRequest(f"query parameter {name!r} must be an integer")
+
+    def float_param(self, name: str, default: float) -> float:
+        try:
+            value = float(self.query.get(name, [default])[-1])
+        except ValueError:
+            raise BadRequest(f"query parameter {name!r} must be a number")
+        if not 0 <= value < math.inf:  # written this way round so NaN fails
+            raise BadRequest(
+                f"query parameter {name!r} must be a finite number >= 0")
+        return value
+
+
+#: The pattern :meth:`Routes.dispatch` names when no row matches.
+UNMATCHED = "unmatched"
+
+
+class Routes:
+    """One plane's route table and error map (module doc: Server side)."""
+
+    def __init__(self, rows: Iterable[tuple[str, str, Callable]],
+                 errors: Optional[Mapping[type, Callable]] = None) -> None:
+        self.rows = [(method, pattern, re.compile("/".join(
+            f"(?P<{part[1:-1]}>[^/]+)" if part.startswith("{")
+            else re.escape(part) for part in pattern.split("/") if part)),
+            handler) for method, pattern, handler in rows]
+        self.errors = errors or {}
+
+    def dispatch(self, method: str, target: str,
+                 body: bytes = b"") -> tuple[str, Reply]:
+        """``(pattern, reply)``; :data:`UNMATCHED` if no row matched."""
+        path, _, query = target.partition("?")
+        joined = "/".join(part for part in path.split("/") if part)
+        for row_method, pattern, regex, handler in self.rows:
+            found = row_method == method and regex.fullmatch(joined)
+            if found:
+                break
+        else:
+            return UNMATCHED, (404, JSON, error_doc(
+                "unknown-route", f"no route {method} {path}"))
+        try:
+            return pattern, handler(Request(
+                found.groupdict(), urllib.parse.parse_qs(query), body))
+        except Exception as exc:  # noqa: BLE001 - the HTTP 500 boundary
+            for cls, render in self.errors.items():
+                if isinstance(exc, cls):
+                    status, code, message, details = render(exc)
+                    return pattern, (status, JSON,
+                                     error_doc(code, message, details))
+            return pattern, (500, JSON, error_doc(
+                "internal", f"{type(exc).__name__}: {exc}"))
+
+    def handle(self, method: str, target: str, body: bytes = b"") -> Reply:
+        return self.dispatch(method, target, body)[1]
 
 
 class _Handler(BaseHTTPRequestHandler):
