@@ -6,26 +6,23 @@ and an artifact store through the same framework-agnostic
 of :mod:`repro.service.http` mounts it (its docstring is the wire
 contract), tests can call it without a socket.
 
-The worker protocol (all JSON unless noted)::
+The worker protocol (all JSON unless noted; each document is a
+dataclass declared in :mod:`repro.dist.wire`)::
 
-    POST /queue/claim            {"worker", "max", "lease"?}
-                                                       -> 200 {"tasks": [...]}
-                                                       |  204 idle
-                                                       |  410 drained
-    POST /queue/ack_many         {"worker", "acks": [{task_id, result,
-                                  source}]}  -> {"acked": [...], "stale": [...],
-                                                 "rejected": [...]}
-    POST /queue/nack_many        {"worker", "nacks": [{task_id, error,
-                                  requeue}]} -> {"states": {...}}
-    POST /queue/heartbeat        {"worker"}            -> {"extended": n}
-    GET  /queue/status           queue + store + wire counters, task states
-    GET  /healthz                liveness
+    POST /queue/claim      ClaimRequest  -> 200 ClaimReply | 204 idle
+                                                           | 410 drained
+    POST /queue/ack_many   AckBatch      -> AckReply
+    POST /queue/nack_many  NackBatch     -> {"states": {task_id: state}}
+    POST /queue/heartbeat  Heartbeat     -> {"extended": n}
+    GET  /queue/status     queue + store + wire counters, task states
+    GET  /healthz          liveness
 
-Each body is decoded into its declared dataclass (below) by
+Each body is decoded into its declared dataclass by
 :mod:`repro.service.codec`; one that does not fit answers 400
-``bad-request`` naming the field, and changes nothing.
+``bad-request`` naming the field, and changes nothing.  Each reply the
+worker reads is encoded from its declared dataclass too.
 
-A claim leases up to ``"max"`` tasks in one exchange (each under its
+A claim leases up to ``max`` tasks in one exchange (each under its
 *own* per-task lease), ``ack_many``/``nack_many`` settle whole batches,
 every batched call piggybacks a heartbeat on the worker's other leases,
 and every task document carries its cell inline (see
@@ -51,17 +48,10 @@ nobody.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from ..obs.metrics import MetricsRegistry
-from ..service.codec import (
-    EMPTY_IS_DEFAULT,
-    NON_EMPTY,
-    POSITIVE,
-    BadRequest,
-    decode,
-)
+from ..service.codec import BadRequest, decode, encode
 from ..service.http import (
     JSON,
     Reply,
@@ -74,7 +64,18 @@ from ..service.http import (
     serve_in_thread,
 )
 from .queue import CLAIMED, QueueError, TaskQueue
-from .wire import WireError, decode_blob_ex
+from .wire import (
+    Ack,
+    AckBatch,
+    AckReply,
+    ClaimedTask,
+    ClaimReply,
+    ClaimRequest,
+    Heartbeat,
+    NackBatch,
+    WireError,
+    decode_blob_ex,
+)
 
 #: Longest lease a worker may ask for, as a multiple of the queue default.
 MAX_LEASE_FACTOR = 10.0
@@ -87,46 +88,6 @@ ERRORS = {
     WireError: lambda exc: (400, "wire", str(exc), None),
     BadRequest: lambda exc: (400, "bad-request", str(exc), None),
 }
-
-
-# -- the request documents (decoded by repro.service.codec) --------------
-
-@dataclass(frozen=True)
-class Heartbeat:
-    worker: str = field(metadata=NON_EMPTY)
-
-
-@dataclass(frozen=True)
-class ClaimRequest:
-    worker: str = field(metadata=NON_EMPTY)
-    max: int
-    lease: Optional[float] = field(default=None, metadata=POSITIVE)
-
-
-@dataclass(frozen=True)
-class Ack:
-    task_id: str
-    result: str  # a wire blob (repro.dist.wire.encode_blob)
-    source: str = field(default="computed", metadata=EMPTY_IS_DEFAULT)
-
-
-@dataclass(frozen=True)
-class AckBatch:
-    worker: str = field(metadata=NON_EMPTY)
-    acks: tuple[Ack, ...]
-
-
-@dataclass(frozen=True)
-class Nack:
-    task_id: str
-    error: str
-    requeue: bool = True
-
-
-@dataclass(frozen=True)
-class NackBatch:
-    worker: str = field(metadata=NON_EMPTY)
-    nacks: tuple[Nack, ...]
 
 
 class CoordinatorApp:
@@ -217,9 +178,9 @@ class CoordinatorApp:
                 return 410, JSON, error_doc("drained", "queue is drained")
             return 204, JSON, b""
         self._ops.labels(worker=claim.worker, op="claim").inc(len(tasks))
-        return json_reply({"tasks": [
-            {"task_id": task.task_id, "attempt": task.attempts,
-             "cell": task.payload} for task in tasks]})
+        return json_reply(encode(ClaimReply(tuple(
+            ClaimedTask(task.task_id, task.attempts, task.payload)
+            for task in tasks))))
 
     def _ack_many(self, req: Request) -> Reply:
         batch = decode(AckBatch, json_object(req.body))
@@ -236,8 +197,8 @@ class CoordinatorApp:
             triples.append((ack.task_id, result, ack.source))
         acked, stale = self.queue.ack_many(batch.worker, triples)
         self._ops.labels(worker=batch.worker, op="ack").inc(len(acked))
-        return json_reply(
-            {"acked": acked, "stale": stale, "rejected": rejected})
+        return json_reply(encode(AckReply(
+            tuple(acked), tuple(stale), tuple(rejected))))
 
     def _nack_many(self, req: Request) -> Reply:
         batch = decode(NackBatch, json_object(req.body))

@@ -11,8 +11,9 @@ semantics the socket backend is built on:
   per-task.  An ack stores the result; a nack either re-enqueues the
   task (transient failure) or fails it for good.  Every batched call
   piggybacks a heartbeat on the worker's other leases;
-* **heartbeat** — extends every lease a worker holds, so long-running
-  cells survive short lease windows;
+* **heartbeat** — extends every lease a worker holds, each by the
+  window its claim asked for, so long-running cells survive short lease
+  windows;
 * **reap** — expired leases (a worker that stopped heartbeating: crashed,
   hung, partitioned) put their tasks back on the queue, up to
   ``max_attempts`` per task.
@@ -76,6 +77,8 @@ class Task:
     attempts: int = 0
     worker: Optional[str] = None
     deadline: Optional[float] = None
+    #: The seconds this claim's lease runs: each extension grants them.
+    lease: float = 0.0
     result: Any = None
     error: Optional[str] = None
     #: How the result was obtained: ``computed`` or ``store``.
@@ -211,6 +214,7 @@ class TaskQueue:
                 task.state = CLAIMED
                 task.worker = worker
                 task.attempts += 1
+                task.lease = window
                 task.deadline = now + window
                 self.stats.claims += 1
                 claimed.append(task)
@@ -290,12 +294,13 @@ class TaskQueue:
 
     def _extend_held_locked(self, worker: str, now: float) -> int:
         """The piggybacked heartbeat: refresh every lease held by
-        ``worker``.  Counted in ``stats.heartbeats`` only when the
-        caller is an explicit heartbeat request."""
+        ``worker``, each by the window its claim asked for.  Counted in
+        ``stats.heartbeats`` only when the caller is an explicit
+        heartbeat request."""
         extended = 0
         for task in self._tasks.values():
             if task.state == CLAIMED and task.worker == worker:
-                task.deadline = now + self.lease
+                task.deadline = now + task.lease
                 extended += 1
         return extended
 

@@ -27,6 +27,12 @@ name ``__main__``; a cell that does still runs on forked workers, which
 inherit the parent's ``__main__``, and is refused by a subprocess
 worker with a terminal nack.
 
+The worker protocol's JSON documents (end of this module) are declared
+once for both ends: the coordinator and ``CoordinatorClient`` each
+encode what they send and decode what they read with
+:mod:`repro.service.codec`.  A claimed task's ``cell`` is checked by
+:func:`decode_cell`, so one bad cell is nacked alone.
+
 Trust model: pickle execution means the coordinator and its workers
 must trust each other.  The coordinator binds loopback by default and
 the docs say so loudly; this layer adds no authentication.
@@ -38,9 +44,11 @@ import base64
 import importlib
 import pickle
 import zlib
-from typing import Any, Callable, Mapping
+from dataclasses import dataclass, field
+from typing import Any, Callable, Mapping, Optional
 
 from ..parallel.executor import CellSpec
+from ..service.codec import EMPTY_IS_DEFAULT, NON_EMPTY, POSITIVE
 
 #: Pickles at or past this many bytes are candidates for compression.
 COMPRESS_MIN = 512
@@ -127,9 +135,9 @@ def decode_cell(doc: Mapping[str, Any]) -> CellSpec:
     """Rebuild the cell a worker should execute."""
     if not isinstance(doc, Mapping):
         raise WireError("task payload must be an object")
-    for field in ("key", "fn", "blob"):
-        if not isinstance(doc.get(field), str):
-            raise WireError(f"task payload needs string field {field!r}")
+    for name in ("key", "fn", "blob"):
+        if not isinstance(doc.get(name), str):
+            raise WireError(f"task payload needs string field {name!r}")
     args, kwargs = decode_blob(doc["blob"])
     return CellSpec(
         key=doc["key"],
@@ -138,3 +146,64 @@ def decode_cell(doc: Mapping[str, Any]) -> CellSpec:
         kwargs=dict(kwargs),
         cacheable=bool(doc.get("cacheable", True)),
     )
+
+
+# ---------------------------------------------------------------------------
+# The worker protocol's documents (repro.service.codec reads them)
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Heartbeat:
+    worker: str = field(metadata=NON_EMPTY)
+
+
+@dataclass(frozen=True)
+class ClaimRequest:
+    worker: str = field(metadata=NON_EMPTY)
+    max: int
+    lease: Optional[float] = field(default=None, metadata=POSITIVE)
+
+
+@dataclass(frozen=True)
+class ClaimedTask:
+    task_id: str
+    attempt: int
+    cell: Any = None  # an encode_cell document; decode_cell checks it
+
+
+@dataclass(frozen=True)
+class ClaimReply:
+    tasks: tuple[ClaimedTask, ...]
+
+
+@dataclass(frozen=True)
+class Ack:
+    task_id: str
+    result: str  # an encode_blob text
+    source: str = field(default="computed", metadata=EMPTY_IS_DEFAULT)
+
+
+@dataclass(frozen=True)
+class AckBatch:
+    worker: str = field(metadata=NON_EMPTY)
+    acks: tuple[Ack, ...]
+
+
+@dataclass(frozen=True)
+class AckReply:
+    acked: tuple[str, ...]
+    stale: tuple[str, ...]
+    rejected: tuple[str, ...]
+
+
+@dataclass(frozen=True)
+class Nack:
+    task_id: str
+    error: str
+    requeue: bool = True
+
+
+@dataclass(frozen=True)
+class NackBatch:
+    worker: str = field(metadata=NON_EMPTY)
+    nacks: tuple[Nack, ...]

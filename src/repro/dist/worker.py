@@ -34,7 +34,6 @@ computing, and each result crosses the wire once.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import random
 import sys
@@ -45,8 +44,22 @@ from typing import Any, Optional
 from ..core.backoff import BackoffPolicy, BackoffState
 from ..obs.push import push_observability, resolve_push_url
 from ..parallel.executor import CellSpec
-from ..service.http import HttpTransportError, http_request
-from .wire import WireError, decode_cell, encode_blob
+from ..service.codec import encode
+from ..service.http import BadReply, HttpTransportError, json_exchange
+from .wire import (
+    Ack,
+    AckBatch,
+    AckReply,
+    ClaimedTask,
+    ClaimReply,
+    ClaimRequest,
+    Heartbeat,
+    Nack,
+    NackBatch,
+    WireError,
+    decode_cell,
+    encode_blob,
+)
 
 #: Base seconds between claim attempts while the queue is idle.
 DEFAULT_POLL = 0.1
@@ -81,7 +94,7 @@ class _Heartbeat:
         while not self._stop.wait(self._interval):
             try:
                 self._client.heartbeat()
-            except HttpTransportError:
+            except (HttpTransportError, WorkerError):
                 # A missed heartbeat is survivable (the lease has slack);
                 # a dead coordinator will fail the next claim loudly.
                 pass
@@ -110,20 +123,14 @@ class CoordinatorClient:
         self.lease = lease
         self.timeout = timeout
 
-    def _post(self, path: str, doc: dict[str, Any],
-              retries: int = 0) -> tuple[int, Any]:
-        response = http_request(
-            self.url + path, method="POST",
-            body=json.dumps(doc).encode(),
-            headers={"Content-Type": "application/json"},
-            timeout=self.timeout, retries=retries)
-        payload: Any = None
-        if response.body:
-            try:
-                payload = json.loads(response.body.decode())
-            except (ValueError, UnicodeDecodeError):
-                payload = None
-        return response.status, payload
+    def _exchange(self, path: str, request: Any,
+                  reply: Optional[type] = None,
+                  retries: int = 0) -> tuple[int, Any]:
+        try:
+            return json_exchange(self.url + path, "POST", request, reply,
+                                 timeout=self.timeout, retries=retries)
+        except BadReply as exc:
+            raise WorkerError(f"{path}: {exc}") from None
 
     # -- protocol verbs --------------------------------------------------
     # claim/heartbeat are idempotent and ack_many/nack_many are
@@ -131,53 +138,48 @@ class CoordinatorClient:
     # of them retry on transport failures.
     def claim(self, max_tasks: int = 1
               ) -> tuple[str, list[dict[str, Any]]]:
-        """``("tasks", docs)``, ``("idle", [])`` or ``("drained", [])``."""
-        status, payload = self._post(
+        """``("tasks", docs)``, ``("idle", [])`` or ``("drained", [])``;
+        each doc an encoded :class:`~repro.dist.wire.ClaimedTask`."""
+        status, reply = self._exchange(
             "/queue/claim",
-            {"worker": self.worker_id, "lease": self.lease,
-             "max": max_tasks},
-            retries=3)
-        if status == 200 and isinstance(payload, dict):
-            tasks = payload.get("tasks")
-            if isinstance(tasks, list):
-                return "tasks", [t for t in tasks if isinstance(t, dict)]
+            ClaimRequest(self.worker_id, max_tasks, self.lease),
+            ClaimReply, retries=3)
+        if status == 200:
+            return "tasks", [encode(task) for task in reply.tasks]
         if status == 204:
             return "idle", []
         if status == 410:
             return "drained", []
-        raise WorkerError(f"claim failed: HTTP {status} {payload!r}")
+        raise WorkerError(f"claim failed: HTTP {status} {reply!r}")
 
     def ack_many(self, acks: list[tuple[str, Any, str]]) -> list[str]:
         """Settle a batch of results; returns the stale task ids."""
         if not acks:
             return []
-        status, doc = self._post(
+        status, reply = self._exchange(
             "/queue/ack_many",
-            {"worker": self.worker_id,
-             "acks": [{"task_id": task_id, "result": encode_blob(result),
-                       "source": source}
-                      for task_id, result, source in acks]},
-            retries=2)
-        if status != 200 or not isinstance(doc, dict):
-            raise WorkerError(f"ack_many failed: HTTP {status} {doc!r}")
-        stale = doc.get("stale")
-        return [str(t) for t in stale] if isinstance(stale, list) else []
+            AckBatch(self.worker_id, tuple(
+                Ack(task_id, encode_blob(result), source)
+                for task_id, result, source in acks)),
+            AckReply, retries=2)
+        if status != 200:
+            raise WorkerError(f"ack_many failed: HTTP {status} {reply!r}")
+        return list(reply.stale)
 
     def nack_many(self, nacks: list[tuple[str, str, bool]]) -> None:
         if not nacks:
             return
-        status, doc = self._post(
+        status, reply = self._exchange(
             "/queue/nack_many",
-            {"worker": self.worker_id,
-             "nacks": [{"task_id": task_id, "error": error,
-                        "requeue": requeue}
-                       for task_id, error, requeue in nacks]},
+            NackBatch(self.worker_id, tuple(
+                Nack(task_id, error, requeue)
+                for task_id, error, requeue in nacks)),
             retries=2)
         if status != 200:
-            raise WorkerError(f"nack_many failed: HTTP {status} {doc!r}")
+            raise WorkerError(f"nack_many failed: HTTP {status} {reply!r}")
 
     def heartbeat(self) -> None:
-        self._post("/queue/heartbeat", {"worker": self.worker_id})
+        self._exchange("/queue/heartbeat", Heartbeat(self.worker_id))
 
 
 class WorkerTelemetry:
@@ -286,12 +288,10 @@ def process_batch(
     nacks: list[tuple[str, str, bool]] = []
     outcomes: dict[str, str] = {}
     with _Heartbeat(client, interval=max(client.lease / 3.0, 0.5)):
-        for doc in docs:
-            task_id = str(doc.get("task_id"))
-            cell_doc = doc.get("cell")
+        for task in (ClaimedTask(**doc) for doc in docs):
+            task_id = task.task_id
             try:
-                spec = decode_cell(
-                    cell_doc if isinstance(cell_doc, dict) else {})
+                spec = decode_cell(task.cell)
             except WireError as exc:
                 # Undecodable cells will not improve with retries.
                 nacks.append((task_id, f"wire: {exc}", False))

@@ -27,34 +27,20 @@ Nothing is buffered unboundedly: a source keeps one value per (type,
 family, labels) key, at most :data:`MAX_KEYS_PER_SOURCE` of them, and
 the source table itself is capped (least-recently-seen eviction).
 
-Wire format — one JSON object per line (batched JSONL), the body of
-``POST /obs/ingest``::
-
-    {"type":"hello","source":"chaos/...","seq":1,"labels":{...}}
-    {"type":"counter","name":"ftsh_try_attempts_total","labels":{},"value":41}
-    {"type":"gauge","name":"grid_fds_free","labels":{},"value":12}
-    {"type":"hist","name":"ftsh_backoff_seconds","labels":{},
-     "buckets":[[0.1,3],[1.0,9]],"sum":7.5,"count":14}
-
-A batch opens with a ``hello`` naming the source, its batch sequence
-number, and its constant labels; the records that follow belong to that
-source.  Values are *totals*, not deltas, applied only when ``seq`` is
-at least the last applied sequence for that key (a hello's labels
-likewise), so out-of-order and replayed batches can never regress a
-counter.  Each line is parsed as strict JSON (no ``NaN``/``Infinity``,
-as at the other HTTP doors) and decoded into its record's dataclass
-(:class:`Hello`, :class:`Sample`, :class:`HistSample`) by
-:mod:`repro.service.codec`, the other doors' decoder: a ``source`` is a
-non-empty string, a ``seq`` or a count an integer, every other number
-finite, and labels an object of strings.  A line that fails — or a
-record with no valid ``hello`` before it, or a new key past the
-source's cap — is counted malformed and skipped, and never poisons the
-rest of its batch.
+The wire format (batched JSONL: a ``hello``, then metric records) is
+declared in :mod:`repro.obs.push`, the client half, whose dataclasses
+this module decodes each line into with :mod:`repro.service.codec`
+after a strict JSON parse (no ``NaN``/``Infinity``).  Values are
+*totals*, not deltas, applied only when ``seq`` is at least the last
+applied sequence for that key (a hello's labels likewise), so
+out-of-order and replayed batches can never regress a counter.  A line
+that fails — or a record with no valid ``hello`` before it, or a new
+key past the source's cap — is counted malformed and skipped, and
+never poisons the rest of its batch.
 
 :meth:`FleetAggregator.handle` is the aggregator's whole HTTP surface
 (``POST /obs/ingest``, ``GET /obs/fleet``, ``GET /healthz``) as a pure
 function; the service mounts its ``/obs/*`` rows in its own table.  See
-:mod:`repro.obs.push` for the client half and
 :mod:`repro.obs.dashboard` for the terminal view.
 """
 
@@ -64,12 +50,11 @@ import json
 import sys
 import threading
 import time
-from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Optional
 
-from ..service.codec import NON_EMPTY, decode
+from ..service.codec import decode
 from ..service.http import Reply, Routes, _not_json, json_reply
-from .push import SPANS_COUNTER
+from .push import RECORDS, SPANS_COUNTER, Hello, HistSample, Sample
 
 #: Snapshot schema version, bumped on breaking shape changes.
 SNAPSHOT_VERSION = 2
@@ -109,37 +94,6 @@ def _saturated(value: float) -> float:
     """``value`` (a float, or an integer of any size) clamped into the
     finite floats; a value inside them is returned as it is."""
     return max(-_FLOAT_MAX, min(value, _FLOAT_MAX))
-
-
-# -- the wire records (decoded by repro.service.codec) -------------------
-
-@dataclass(frozen=True)
-class Hello:
-    source: str = field(metadata=NON_EMPTY)
-    seq: int
-    labels: tuple[tuple[str, str], ...] = ()  # sorted by name
-
-
-@dataclass(frozen=True)
-class Sample:
-    """A ``counter`` or ``gauge`` record."""
-
-    name: str
-    value: float
-    labels: tuple[tuple[str, str], ...] = ()  # sorted by name
-
-
-@dataclass(frozen=True)
-class HistSample:
-    name: str
-    buckets: tuple[tuple[float, int], ...]
-    sum: float
-    count: int
-    labels: tuple[tuple[str, str], ...] = ()  # sorted by name
-
-
-#: The record each metric ``type`` decodes to.
-RECORDS = {"counter": Sample, "gauge": Sample, "hist": HistSample}
 
 
 def merge_histograms(hists: Iterable[Hist]) -> dict[str, Any]:

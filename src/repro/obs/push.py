@@ -28,13 +28,24 @@ Batches are *cumulative*, not deltas: a long-lived source (the dist
 worker) re-sends current totals under an increasing ``seq``, and the
 aggregator's sequence guard makes replays and reordering harmless.
 One-shot sources (a finished chaos cell) push a single ``seq=1`` batch.
+
+The wire format is batched JSONL, the body of ``POST /obs/ingest``: a
+``hello`` line (the source, its batch ``seq`` and constant labels), then
+that source's metric records.  Each line is its ``type`` plus the fields
+of one dataclass declared here (:class:`Hello`; :class:`Sample` or
+:class:`HistSample` by ``type``, :data:`RECORDS`), encoded with
+:func:`repro.service.codec.encode`; the aggregator decodes the same
+classes with the same codec.  docs/OBSERVABILITY.md shows a batch.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping, Optional
+
+from ..service.codec import NON_EMPTY, encode
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..service.http import HttpConnectionPool
@@ -72,8 +83,45 @@ def normalize_push_url(url: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Serialisation: Observability -> wire records
+# The wire records, and Observability -> records
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Hello:
+    source: str = field(metadata=NON_EMPTY)
+    seq: int
+    labels: tuple[tuple[str, str], ...] = ()  # sorted by name
+
+
+@dataclass(frozen=True)
+class Sample:
+    """A ``counter`` or ``gauge`` record."""
+
+    name: str
+    value: float
+    labels: tuple[tuple[str, str], ...] = ()  # sorted by name
+
+
+@dataclass(frozen=True)
+class HistSample:
+    name: str
+    buckets: tuple[tuple[float, int], ...]
+    sum: float
+    count: int
+    labels: tuple[tuple[str, str], ...] = ()  # sorted by name
+
+
+#: The record each metric ``type`` decodes to.
+RECORDS = {"counter": Sample, "gauge": Sample, "hist": HistSample}
+
+
+def _record(kind: str, record: Any) -> dict[str, Any]:
+    return {"type": kind, **encode(record)}
+
+
+def _labels(labels: Mapping[str, str]) -> tuple[tuple[str, str], ...]:
+    return tuple(sorted(labels.items()))
+
 
 def span_counters(obs: "Observability") -> list[dict[str, Any]]:
     """The tracer's running totals as :data:`SPANS_COUNTER`,
@@ -82,7 +130,7 @@ def span_counters(obs: "Observability") -> list[dict[str, Any]]:
     tracer = obs.tracer
     if not tracer.started:
         return []
-    return [{"type": "counter", "name": name, "labels": {}, "value": value}
+    return [_record("counter", Sample(name, value))
             for name, value in ((SPANS_COUNTER, tracer.started),
                                 (BUSY_COUNTER, tracer.busy),
                                 (ELAPSED_COUNTER, tracer.last - tracer.first))]
@@ -99,34 +147,27 @@ def observability_records(obs: "Observability") -> Iterator[dict[str, Any]]:
     yield from span_counters(obs)
     for family in obs.metrics.families():
         for child in family.children():
-            labels = child.labels_dict()
-            if family.kind == "counter":
-                yield {"type": "counter", "name": family.name,
-                       "labels": labels, "value": child.value}
-            elif family.kind == "gauge":
-                yield {"type": "gauge", "name": family.name,
-                       "labels": labels, "value": child.value}
+            labels = _labels(child.labels_dict())
+            if family.kind == "histogram":
+                yield _record("hist", HistSample(
+                    family.name, tuple(
+                        (bound, count) for bound, count
+                        in zip(family.buckets, child.bucket_counts)
+                        if count),
+                    child.total, child.count, labels))
             else:
-                buckets = [[bound, count] for bound, count
-                           in zip(family.buckets, child.bucket_counts)
-                           if count]
-                yield {"type": "hist", "name": family.name,
-                       "labels": labels, "buckets": buckets,
-                       "sum": child.total, "count": child.count}
+                yield _record(family.kind,
+                              Sample(family.name, child.value, labels))
 
 
 def encode_batch(source: str, seq: int,
                  records: Iterable[Mapping[str, Any]],
                  labels: Optional[Mapping[str, str]] = None) -> bytes:
     """One wire batch: a ``hello`` header line, then the records."""
-    lines = [json.dumps(
-        {"type": "hello", "source": source, "seq": int(seq),
-         "labels": dict(labels or {})},
-        sort_keys=True, separators=(",", ":"))]
-    lines.extend(json.dumps(dict(row), sort_keys=True,
-                            separators=(",", ":"))
-                 for row in records)
-    return ("\n".join(lines) + "\n").encode()
+    hello = _record("hello", Hello(source, int(seq), _labels(labels or {})))
+    return "".join(json.dumps(dict(row), sort_keys=True,
+                              separators=(",", ":")) + "\n"
+                   for row in (hello, *records)).encode()
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from .http import (
 )
 from .jobs import JobStore, NotFinished, UnknownJob
 from .sandbox import SandboxRejection
-from .schemas import SUBMISSION_ROUTES, TERMINAL
+from .schemas import SUBMISSION_ROUTES, TERMINAL, EventsReply
 
 PROM = "text/plain; version=0.0.4; charset=utf-8"
 
@@ -105,11 +105,8 @@ class ServiceApp:
         since = req.int_param("since", 0)
         wait = min(req.float_param("wait", 0.0), MAX_EVENT_WAIT)
         events = self.store.events(job_id, since=since, wait=wait)
-        return json_reply({
-            "job_id": job_id,
-            "events": [encode(event) for event in events],
-            "next": events[-1].seq if events else since,
-        })
+        return json_reply(encode(EventsReply(
+            job_id, tuple(events), events[-1].seq if events else since)))
 
     def _cancel(self, req: Request) -> Reply:
         return json_reply(encode(self.store.cancel(req.params["id"])))

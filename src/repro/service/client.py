@@ -1,8 +1,8 @@
 """Sync client for the service plane, plus the submit CLI.
 
-:class:`ServiceClient` is a thin stdlib HTTP wrapper (built on the
-shared :func:`repro.service.http.http_request` core) that decodes wire
-documents back into the :mod:`.schemas` dataclasses with the codec the
+:class:`ServiceClient` is a thin stdlib HTTP wrapper: each call sends a
+:mod:`.schemas` dataclass and reads the declared reply through the
+kit's :func:`repro.service.http.json_exchange`, with the codec the
 service decodes its requests with (:mod:`.codec`).  Idempotent GETs
 retry transient transport failures with capped exponential backoff —
 the paper's client discipline applied to our own tooling — while
@@ -24,10 +24,17 @@ import sys
 import time
 from typing import Any, Iterable, Optional
 
-from .codec import decode, encode
-from .http import HttpTransportError, http_request
+from .codec import encode
+from .http import (
+    BadReply,
+    ErrorBody,
+    HttpTransportError,
+    http_request,
+    json_exchange,
+)
 from .schemas import (
     CampaignSubmission,
+    EventsReply,
     JobEvent,
     JobResult,
     JobStatus,
@@ -74,33 +81,26 @@ class ServiceClient:
         self.retries = retries
 
     # ------------------------------------------------------------------
-    def _request(self, method: str, path: str,
-                 doc: Optional[Any] = None,
+    def _request(self, method: str, path: str, reply: Optional[type],
+                 request: Any = None,
                  timeout: Optional[float] = None) -> Any:
-        body = json.dumps(doc).encode() if doc is not None else None
+        """The reply to one exchange, decoded as ``reply`` (or parsed
+        JSON); an error reply, a transport failure or a reply that does
+        not decode raises :class:`ServiceError`."""
         try:
-            response = http_request(
-                self.url + path, method=method, body=body,
-                headers={"Content-Type": "application/json"} if body else {},
+            status, doc = json_exchange(
+                self.url + path, method, request, reply,
                 timeout=timeout if timeout is not None else self.timeout,
                 retries=self.retries if method == "GET" else 0)
         except HttpTransportError as exc:
             raise ServiceError(
                 0, "unreachable", f"{self.url}: {exc.reason}") from None
-        if response.status >= 400:
-            try:
-                error = json.loads(response.body.decode()).get("error") or {}
-            except (ValueError, UnicodeDecodeError):
-                error = {}
-            raise ServiceError(
-                response.status,
-                str(error.get("code") or "http"),
-                str(error.get("message") or f"HTTP {response.status}"),
-                error.get("details") or (),
-            )
-        if path == "/metricsz":
-            return response.body.decode()
-        return json.loads(response.body.decode())
+        except BadReply as exc:
+            raise ServiceError(exc.status, "bad-reply", str(exc)) from None
+        if isinstance(doc, ErrorBody):
+            raise ServiceError(status, doc.error.code, doc.error.message,
+                               doc.error.details)
+        return doc
 
     # ------------------------------------------------------------------
     # Submission
@@ -109,8 +109,8 @@ class ServiceClient:
         """Submit either kind; returns the (possibly deduped) status."""
         for route, kind in SUBMISSION_ROUTES.items():
             if isinstance(submission, kind):
-                return decode(JobStatus, self._request(
-                    "POST", "/" + route, encode(submission)))
+                return self._request("POST", "/" + route, JobStatus,
+                                     submission)
         raise TypeError(f"cannot submit {type(submission).__name__}")
 
     def submit_script(self, script: str,
@@ -140,11 +140,10 @@ class ServiceClient:
     # Inspection
     # ------------------------------------------------------------------
     def status(self, job_id: str) -> JobStatus:
-        return decode(JobStatus, self._request("GET", f"/jobs/{job_id}"))
+        return self._request("GET", f"/jobs/{job_id}", JobStatus)
 
     def result(self, job_id: str) -> JobResult:
-        return decode(JobResult,
-                      self._request("GET", f"/jobs/{job_id}/result"))
+        return self._request("GET", f"/jobs/{job_id}/result", JobResult)
 
     def events(self, job_id: str, since: int = 0,
                wait: Optional[float] = None) -> list[JobEvent]:
@@ -157,17 +156,28 @@ class ServiceClient:
             path += f"&wait={float(wait):g}"
             # Leave headroom over the server-side hold.
             timeout = self.timeout + float(wait)
-        doc = self._request("GET", path, timeout=timeout)
-        return [decode(JobEvent, event) for event in doc["events"]]
+        return list(self._request("GET", path, EventsReply,
+                                  timeout=timeout).events)
 
     def cancel(self, job_id: str) -> JobStatus:
-        return decode(JobStatus, self._request("DELETE", f"/jobs/{job_id}"))
+        return self._request("DELETE", f"/jobs/{job_id}", JobStatus)
 
     def healthz(self) -> dict:
-        return self._request("GET", "/healthz")
+        return self._request("GET", "/healthz", None)
 
     def metrics(self) -> str:
-        return self._request("GET", "/metricsz")
+        """``/metricsz``, the one reply that is Prometheus text, not JSON."""
+        try:
+            response = http_request(self.url + "/metricsz",
+                                    timeout=self.timeout,
+                                    retries=self.retries)
+        except HttpTransportError as exc:
+            raise ServiceError(
+                0, "unreachable", f"{self.url}: {exc.reason}") from None
+        if response.status != 200:
+            raise ServiceError(response.status, "http",
+                               f"HTTP {response.status}")
+        return response.body.decode()
 
     def wait(self, job_id: str, timeout: Optional[float] = None) -> JobStatus:
         """Follow the job's event stream until a terminal state, then

@@ -47,14 +47,21 @@ the skin itself answers, before any plane logic runs:
   writes, never handler work (a long-poll may outlive it); the pool's
   free replay makes the reap invisible to clients.
 
-An empty 204/304 carries no ``Content-Type``.  Every error any plane
-sends is ``{"error": {"code", "message", "details": [...]}}``
+A request target in absolute form (``GET http://host/healthz``, which
+RFC 9112 section 3.2.2 has servers accept) is routed by its path; its
+scheme and authority are dropped unread.  An empty 204/304 carries no
+``Content-Type``.  Every error any plane sends is the declared
+:class:`ErrorBody`, ``{"error": {"code", "message", "details": [...]}}``
 (:func:`error_doc`); JSON goes out through :func:`dumps` (sorted keys,
 compact, one trailing newline), and a JSON-object body comes in through
 :func:`json_object` and becomes a declared dataclass through
 :func:`repro.service.codec.decode`, which raises the same
 :class:`BadRequest`.  Which 4xx answers which exception is each plane's
 error map, the ``ERRORS`` of its module.
+
+**Both ends** of a JSON door read one declaration: a client sends a
+declared request and reads the declared reply through
+:func:`json_exchange`.
 
 Both ends set ``TCP_NODELAY``, on every plane: the pool on each socket
 it connects, the kit on each socket it accepts.  A request and a reply
@@ -78,7 +85,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Optional
 
 from ..core.backoff import BackoffPolicy
-from .codec import BadRequest
+from .codec import BadRequest, decode, encode
 
 #: Spacing of transport retries: 0.05 s doubling to 2 s, unjittered.
 TRANSPORT_BACKOFF = BackoffPolicy(base=0.05, ceiling=2.0,
@@ -317,11 +324,60 @@ def json_reply(doc: Any, status: int = 200) -> Reply:
     return status, JSON, dumps(doc)
 
 
+@dataclass(frozen=True)
+class ErrorInfo:
+    code: str
+    message: str
+    details: tuple[str, ...] = ()
+
+
+@dataclass(frozen=True)
+class ErrorBody:
+    """The one error document every plane sends."""
+
+    error: ErrorInfo
+
+
 def error_doc(code: str, message: str,
-              details: Optional[list[str]] = None) -> bytes:
-    """The one error body every plane sends."""
-    return dumps({"error": {"code": code, "message": message,
-                            "details": details or []}})
+              details: Optional[Iterable[str]] = None) -> bytes:
+    """An :class:`ErrorBody`, encoded."""
+    return dumps(encode(ErrorBody(ErrorInfo(code, message,
+                                            tuple(details or ())))))
+
+
+class BadReply(ValueError):
+    """A reply that is not JSON, or not the document its door declares."""
+
+    def __init__(self, status: int, problem: object) -> None:
+        self.status = status
+        super().__init__(f"HTTP {status} reply: {problem}")
+
+
+def json_exchange(url: str, method: str = "GET", request: Any = None,
+                  reply: Optional[type] = None, timeout: float = 30.0,
+                  retries: int = 0) -> tuple[int, Any]:
+    """Send the dataclass ``request`` (if any); ``(status, document)``.
+
+    A 204 reads None, any other 2xx decodes as ``reply`` (None: parsed
+    JSON), any other status as an :class:`ErrorBody`; a reply that does
+    not fit raises :class:`BadReply`.  Transport: as
+    :func:`http_request`.
+    """
+    body = None if request is None else dumps(encode(request))
+    response = http_request(
+        url, method=method, body=body,
+        headers={"Content-Type": JSON} if body else {},
+        timeout=timeout, retries=retries)
+    status = response.status
+    if status == 204:
+        return status, None
+    try:
+        doc = json.loads(response.body.decode(), parse_constant=_not_json)
+        if not 200 <= status < 300:
+            return status, decode(ErrorBody, doc)
+        return status, doc if reply is None else decode(reply, doc)
+    except (ValueError, RecursionError) as exc:
+        raise BadReply(status, exc) from None
 
 
 def _not_json(token: str) -> Any:
@@ -377,6 +433,9 @@ class Request(NamedTuple):
 #: The pattern :meth:`Routes.dispatch` names when no row matches.
 UNMATCHED = "unmatched"
 
+#: The ``scheme://authority`` of an absolute-form request target.
+_ABSOLUTE_FORM = re.compile(r"[A-Za-z][A-Za-z0-9+.-]*://[^/]*")
+
 
 class Routes:
     """One plane's route table and error map (module doc: Server side)."""
@@ -393,6 +452,9 @@ class Routes:
                  body: bytes = b"") -> tuple[str, Reply]:
         """``(pattern, reply)``; :data:`UNMATCHED` if no row matched."""
         path, _, query = target.partition("?")
+        absolute = _ABSOLUTE_FORM.match(path)
+        if absolute:
+            path = path[absolute.end():] or "/"
         joined = "/".join(part for part in path.split("/") if part)
         for row_method, pattern, regex, handler in self.rows:
             found = row_method == method and regex.fullmatch(joined)

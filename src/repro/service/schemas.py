@@ -2,7 +2,7 @@
 
 Plain frozen dataclasses, declared once: :mod:`repro.service.codec`
 reads their field annotations to decode a request body (``POST
-/scripts``, ``POST /campaigns``) and every reply the client gets back,
+/scripts``, ``POST /campaigns``) and every reply the client reads,
 and to encode each of them on the way out — no framework types, no
 hand-written round-trips.  The decoder's normalisations (an integer
 ``timeout`` stored as a float, ``variables`` and ``overrides`` sorted
@@ -115,6 +115,16 @@ class JobEvent:
     ts: float
     state: str
     message: str = ""
+
+
+@dataclass(frozen=True)
+class EventsReply:
+    """What ``GET /jobs/{id}/events`` reports: the events with ``seq``
+    past the asked one, and the ``seq`` to ask from next."""
+
+    job_id: str
+    events: tuple[JobEvent, ...]
+    next: int
 
 
 @dataclass(frozen=True)

@@ -168,6 +168,19 @@ class TestBatchedLeases:
         tasks = queue.claim_many("w0", 2, lease=3.0)
         assert all(t.deadline == clock.now + 3.0 for t in tasks)
 
+    def test_a_heartbeat_keeps_the_lease_the_claim_asked_for(self):
+        """A worker that asked for 120 s and heartbeats every 40 s must
+        not lose its task between heartbeats to the 10 s default."""
+        queue, clock = make_queue(lease=10.0)
+        queue.submit({}, key="slow")
+        (task,) = queue.claim_many("w0", 1, lease=120.0)
+        clock.advance(40.0)
+        assert queue.heartbeat("w0") == 1
+        assert task.deadline == clock.now + 120.0
+        clock.advance(40.0)
+        assert queue.reap_expired() == []
+        assert task.state == CLAIMED and task.worker == "w0"
+
     def test_claim_many_validates_inputs(self):
         queue, _ = make_queue()
         with pytest.raises(QueueError):

@@ -45,7 +45,7 @@ class StubClient:
 
 
 def task_doc(task_id, spec):
-    return {"task_id": task_id, "cell": encode_cell(spec)}
+    return {"task_id": task_id, "attempt": 1, "cell": encode_cell(spec)}
 
 
 class TestNextBatchSize:
@@ -72,7 +72,8 @@ class TestProcessBatch:
             task_doc("t2", CellSpec(key="nc", fn=square, args=(3,),
                                     cacheable=False)),
             task_doc("t3", CellSpec(key="crash", fn=boom, args=(1,))),
-            {"task_id": "t4", "cell": {"key": "bad"}},  # undecodable
+            {"task_id": "t4", "attempt": 1,
+             "cell": {"key": "bad"}},  # undecodable
         ]
         outcomes = process_batch(client, docs)
         assert outcomes == {"t1": "computed", "t2": "computed",

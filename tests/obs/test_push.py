@@ -151,6 +151,51 @@ class TestSerialisation:
         assert "ethernet" in snap["disciplines"]
 
 
+def fixed_observability():
+    """Spans on a stepped clock, a labelled counter, a gauge and a
+    histogram with an observation past its last finite bound."""
+    clock = StepClock()
+    obs = Observability(clock=clock, const_labels={"discipline": "ethernet"})
+    for kind, start, end, status in (("try", 1.0, 9.5, "ok"),
+                                     ("command", 2.0, 5.25, "ok"),
+                                     ("command", 4.0, 8.0, "failed"),
+                                     ("backoff", 8.0, 9.0, "ok")):
+        timed_span(obs, clock, kind, start, end, status)
+    fetches = obs.metrics.counter("grid_fetch_total", labels=("host",))
+    fetches.labels(host="b").inc(3)
+    fetches.labels(host="a").inc(0.5)
+    obs.metrics.gauge("dist_queue_depth").set(2)
+    hist = obs.metrics.histogram("ftsh_backoff_seconds")
+    for value in (0.05, 0.5, 0.7, 30.0, 1e9):
+        hist.observe(value)
+    return obs
+
+
+#: What ``encode_batch`` wrote for :func:`fixed_observability` when its
+#: records were dict literals, before they were declared dataclasses.
+PINNED_BATCH = (
+    b'{"labels":{"discipline":"ethernet","scenario":"submit"},"seq":3,"source":"cell/a","type":"hello"}\n'
+    b'{"labels":{},"name":"obs_spans_total","type":"counter","value":4}\n'
+    b'{"labels":{},"name":"obs_command_busy_seconds_total","type":"counter","value":7.25}\n'
+    b'{"labels":{},"name":"obs_span_elapsed_seconds_total","type":"counter","value":8.5}\n'
+    b'{"labels":{},"name":"dist_queue_depth","type":"gauge","value":2.0}\n'
+    b'{"labels":{},"name":"ftsh_backoff_initiations_total","type":"counter","value":1.0}\n'
+    b'{"buckets":[[0.001,1],[0.05,1],[0.5,1],[1.0,1],[30.0,1]],"count":6,"labels":{},"name":"ftsh_backoff_seconds","sum":1000000031.25,"type":"hist"}\n'
+    b'{"buckets":[[5.0,1]],"count":1,"labels":{"command":""},"name":"ftsh_command_seconds","sum":3.25,"type":"hist"}\n'
+    b'{"labels":{"command":"","outcome":"failed"},"name":"ftsh_commands_total","type":"counter","value":1.0}\n'
+    b'{"labels":{"command":"","outcome":"ok"},"name":"ftsh_commands_total","type":"counter","value":1.0}\n'
+    b'{"labels":{"host":"a"},"name":"grid_fetch_total","type":"counter","value":0.5}\n'
+    b'{"labels":{"host":"b"},"name":"grid_fetch_total","type":"counter","value":3.0}\n'
+)
+
+
+def test_a_pushed_batch_is_the_bytes_the_literal_records_made():
+    assert encode_batch(
+        "cell/a", 3, observability_records(fixed_observability()),
+        labels={"scenario": "submit", "discipline": "ethernet"},
+    ) == PINNED_BATCH
+
+
 class TestTransport:
     def test_push_observability_live(self, obs, live_aggregator):
         agg, url = live_aggregator

@@ -21,28 +21,28 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.dist.coordinator import (
+from repro.dist.coordinator import CoordinatorApp
+from repro.dist.queue import TaskQueue
+from repro.dist.wire import (
     Ack,
     AckBatch,
+    AckReply,
+    ClaimedTask,
+    ClaimReply,
     ClaimRequest,
-    CoordinatorApp,
     Heartbeat,
     Nack,
     NackBatch,
 )
-from repro.dist.queue import TaskQueue
-from repro.obs.aggregator import (
-    RECORDS,
-    FleetAggregator,
-    Hello,
-    HistSample,
-    Sample,
-)
+from repro.obs.aggregator import FleetAggregator
+from repro.obs.push import RECORDS, Hello, HistSample, Sample
 from repro.service.app import ServiceApp
 from repro.service.codec import NON_EMPTY, POSITIVE, decode, encode
+from repro.service.http import ErrorBody, ErrorInfo
 from repro.service.jobs import JobStore
 from repro.service.schemas import (
     CampaignSubmission,
+    EventsReply,
     JobEvent,
     JobResult,
     JobStatus,
@@ -51,7 +51,9 @@ from repro.service.schemas import (
 
 DOOR_TYPES = [
     ScriptSubmission, CampaignSubmission, JobStatus, JobResult, JobEvent,
-    ClaimRequest, Heartbeat, Ack, AckBatch, Nack, NackBatch,
+    EventsReply, ErrorInfo, ErrorBody,
+    ClaimRequest, ClaimedTask, ClaimReply, Heartbeat, Ack, AckBatch,
+    AckReply, Nack, NackBatch,
     Hello, Sample, HistSample,
 ]
 

@@ -151,7 +151,7 @@ class TestClientRetries:
             calls.append(kwargs.get("retries", 0))
             return real(request_url, **kwargs)
 
-        monkeypatch.setattr("repro.service.client.http_request", spying)
+        monkeypatch.setattr("repro.service.http.http_request", spying)
         client.healthz()
         client.submit_script(GOOD)
         assert calls == [2, 0], "GET retries; POST must not"
