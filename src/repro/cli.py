@@ -9,6 +9,7 @@ Usage::
     ftsh --lint script.ftsh          # static analysis (repro.lint)
     ftsh -D host=xxx script.ftsh     # preset variables
     ftsh --log run.log script.ftsh   # write the execution log
+    ftsh --analyze script.ftsh       # post-mortem report to stderr
 
 Exit status: 0 on script success, 1 on script failure/timeout,
 2 on syntax or usage errors — mirroring the success/failure dichotomy
@@ -131,8 +132,9 @@ def build_argparser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--analyze",
         action="store_true",
-        help="print a post-mortem analysis (per-command failure rates, "
-        "backoff totals, branch frequencies) to stderr",
+        help="print a post-mortem report of the run's spans (per-command "
+        "failure rates, backoff totals, forany picks, slowest commands) "
+        "to stderr, at any --log-level",
     )
     parser.add_argument(
         "--trace",
@@ -150,12 +152,6 @@ def build_argparser() -> argparse.ArgumentParser:
         "--metrics",
         metavar="FILE",
         help="write run metrics in Prometheus text exposition format",
-    )
-    parser.add_argument(
-        "--obs-report",
-        action="store_true",
-        help="print a telemetry summary (span stats, slowest commands, "
-        "backoff totals) to stderr",
     )
     parser.add_argument(
         "--inject-fault",
@@ -296,7 +292,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
 
     obs = None
-    if args.trace or args.spans or args.metrics or args.obs_report:
+    if args.trace or args.spans or args.metrics or args.analyze:
         from .obs.api import Observability
 
         obs = Observability()
@@ -321,8 +317,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         driver = RealDriver(max_parallel=args.max_parallel, obs=obs)
     level = {"results": LOG_RESULTS, "commands": LOG_COMMANDS,
              "trace": LOG_TRACE}[args.log_level]
-    # --log and --analyze read events; --summary reads only counts.
-    keep = TRANSCRIPT_EVENTS if args.log or args.analyze else 0
+    # --log reads events; --summary reads only counts.
+    keep = TRANSCRIPT_EVENTS if args.log else 0
     log = ShellLog(clock=driver.now, max_events=keep, level=level)
     spool = SpoolPolicy(args.spool_dir) if args.spool_dir else None
     shell = Ftsh(driver=driver, spool=spool, obs=obs)
@@ -336,10 +332,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"ftsh: cannot write log {args.log}: {exc}", file=sys.stderr)
     if args.summary:
         print(result.log.summary(), file=sys.stderr)
-    if args.analyze:
-        from .core.analysis import analyze
-
-        print(analyze(result.log).report(), file=sys.stderr)
     if obs is not None:
         from .obs.exporters import (
             write_chrome_trace,
@@ -359,7 +351,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 writer(source, path)
             except OSError as exc:
                 print(f"ftsh: cannot write {path}: {exc}", file=sys.stderr)
-        if args.obs_report:
+        if args.analyze:
             from .obs.report import render_report
 
             print(render_report(tracer=obs.tracer, registry=obs.metrics),

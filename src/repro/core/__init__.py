@@ -13,7 +13,6 @@ The package splits along the sans-IO boundary:
 from .._lazy import lazy_exports
 
 _EXPORTS = {
-    "analysis": ("CommandStats", "LogAnalysis", "analyze"),
     "ast_nodes": ("Script",),
     "backoff": ("BackoffPolicy", "BackoffState", "NO_BACKOFF", "PAPER_POLICY"),
     "effects": (

@@ -14,8 +14,9 @@ stores no event while :meth:`ShellLog.backoff_initiations` stays exact,
 so a campaign cell, the service sandbox or any shell nobody configured
 runs in bounded memory.  A transcript is asked for by name, with
 ``max_events=TRANSCRIPT_EVENTS`` and the level to keep — ``ftsh --log``
-and ``--analyze``, the REPL's ``:analyze`` and the tests that read
-``events`` do.
+and the tests that read ``events`` do.  The post-mortem report
+(``ftsh --analyze``, :mod:`repro.obs.report`) reads the run's spans,
+not this log.
 """
 
 from __future__ import annotations

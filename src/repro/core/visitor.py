@@ -5,15 +5,13 @@ immutable dataclasses; this module gives every consumer (the linter,
 analysis passes, future optimizers) one canonical way to walk it instead
 of each growing its own ``isinstance`` ladder.
 
-Three entry points:
+Two entry points:
 
 * :func:`iter_children` — the direct child *nodes* of one node
   (statement-bearing structure only; words and expressions are leaves
   from the walker's point of view and are inspected by the consumer);
 * :func:`walk` — pre-order traversal yielding ``(node, parents)`` pairs,
-  where ``parents`` is the tuple of enclosing nodes outermost-first;
-* :class:`Visitor` — dispatch-by-class visiting (``visit_Try`` etc.)
-  with a default :meth:`~Visitor.generic_visit` that recurses.
+  where ``parents`` is the tuple of enclosing nodes outermost-first.
 """
 
 from __future__ import annotations
@@ -68,22 +66,3 @@ def walk(node: Node, parents: tuple[Node, ...] = ()) -> Iterator[tuple[Node, tup
     for child in iter_children(node):
         yield from walk(child, child_parents)
 
-
-class Visitor:
-    """Dispatch-by-class visitor (``visit_<ClassName>`` methods).
-
-    Unhandled node classes fall through to :meth:`generic_visit`, which
-    recurses into children — so a subclass only implements the node
-    kinds it cares about and still sees the whole tree.
-    """
-
-    def visit(self, node: Node) -> None:
-        method = getattr(self, f"visit_{type(node).__name__}", None)
-        if method is not None:
-            method(node)
-        else:
-            self.generic_visit(node)
-
-    def generic_visit(self, node: Node) -> None:
-        for child in iter_children(node):
-            self.visit(child)

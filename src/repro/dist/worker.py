@@ -192,8 +192,8 @@ class WorkerTelemetry:
     on the coordinator becomes as measurable as the simulated
     scenarios.  Each :meth:`push` ships the current cumulative totals
     under the next ``seq``; pushes are best-effort (``failed`` tallies
-    the ones that did not land).  With no URL, :meth:`disabled`
-    instances keep every call a cheap no-op.
+    the ones that did not land).  With no URL every call is a cheap
+    no-op.
     """
 
     def __init__(self, url: Optional[str], worker_id: str) -> None:
@@ -227,10 +227,6 @@ class WorkerTelemetry:
         self.timeout = 10.0
         self.seq = self.pushed = self.failed = 0
         self._mark = time.perf_counter()
-
-    @classmethod
-    def disabled(cls) -> "WorkerTelemetry":
-        return cls(None, "")
 
     def claim(self, kind: str) -> None:
         if self.enabled:

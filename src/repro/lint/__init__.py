@@ -5,7 +5,7 @@ script*: an unbounded ``try`` livelocks, a zero-backoff loop melts the
 shared resource, a missing carrier-sense probe regresses Ethernet to
 Aloha.  This package rejects those anti-patterns before a single real or
 simulated process is spawned — the pre-flight counterpart to the
-post-mortem digests in :mod:`repro.core.analysis`.
+post-mortem report in :mod:`repro.obs.report`.
 
 Public surface:
 

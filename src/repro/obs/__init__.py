@@ -18,8 +18,8 @@ Pieces:
   ``grid_*`` ones read the substrate's own counters.
 * :mod:`repro.obs.exporters` — JSONL span log, Chrome ``trace_event``
   JSON (load in chrome://tracing / Perfetto), Prometheus-style text.
-* :mod:`repro.obs.report` — post-run summarizer extending
-  :mod:`repro.core.analysis`.
+* :mod:`repro.obs.report` — the post-mortem report (``ftsh
+  --analyze``, the REPL's ``:analyze``) over a run's spans.
 * :class:`Observability` — the bundle everything accepts; pass
   :data:`NULL_OBS` (the default everywhere) for zero-cost no-ops.
 * :mod:`repro.obs.aggregator` / :mod:`repro.obs.push` /

@@ -11,11 +11,10 @@ backs the live loop, the CI artifact, and the tests.
 
 from __future__ import annotations
 
-import json
 import time
 from typing import Any, Optional
 
-from ..service.http import HttpTransportError, http_request
+from ..service.http import BadReply, ErrorBody, HttpTransportError, json_exchange
 
 FLEET_PATH = "/obs/fleet"
 
@@ -29,12 +28,15 @@ def normalize_fleet_url(url: str) -> str:
 
 
 def fetch_snapshot(url: str, timeout: float = 10.0) -> dict[str, Any]:
-    """GET the fleet snapshot; raises on transport failure or bad body."""
-    response = http_request(normalize_fleet_url(url), timeout=timeout,
-                            retries=2)
-    if response.status != 200:
-        raise HttpTransportError(url, f"HTTP {response.status}")
-    return json.loads(response.body.decode())
+    """GET the fleet snapshot: :class:`HttpTransportError` when no reply
+    comes, :class:`BadReply` when one is not a 200 JSON object."""
+    status, doc = json_exchange(normalize_fleet_url(url), timeout=timeout,
+                                retries=2)
+    if isinstance(doc, ErrorBody):
+        raise BadReply(status, f"{doc.error.code}: {doc.error.message}")
+    if status != 200 or not isinstance(doc, dict):
+        raise BadReply(status, "not a fleet snapshot (a JSON object)")
+    return doc
 
 
 def _fmt(value: Any, digits: int = 3) -> str:
@@ -123,7 +125,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     while True:
         try:
             snapshot = fetch_snapshot(args.url)
-        except (HttpTransportError, ValueError) as exc:
+        except (HttpTransportError, BadReply) as exc:
             print(f"fleet fetch failed: {exc}", flush=True)
             if args.once:
                 return 1

@@ -13,11 +13,12 @@
     hello world
     ok
 
-State persists across entries: variables, function definitions, and the
-execution log (``:log`` shows a summary, ``:analyze`` the post-mortem
-digest).  Multi-line constructs are detected lexically — the prompt
-continues until every ``try``/``forany``/``forall``/``if``/``function``
-has its ``end``.  Detection tokenizes (so quoting and comments are
+State persists across entries: variables, function definitions, the
+execution log's tally (``:log`` shows it) and the session's spans
+(``:analyze`` prints their post-mortem report,
+:func:`repro.obs.report.render_report`).  Multi-line constructs are
+detected lexically — the prompt continues until every
+``try``/``forany``/``forall``/``if``/``function`` has its ``end``.  Detection tokenizes (so quoting and comments are
 respected) and recognizes openers only in statement position — exactly
 the parser's keyword rule — which keeps ``echo try`` from opening a
 phantom block.
@@ -28,17 +29,17 @@ from __future__ import annotations
 import sys
 from typing import IO, Optional
 
-from .core.analysis import analyze
 from .core.backoff import BackoffPolicy, PAPER_POLICY
 from .core.errors import FtshSyntaxError
 from .core.interpreter import Interpreter
 from .core.lexer import tokenize
 from .core.parser import parse
 from .core.realruntime import RealDriver
-from .core.shell_log import LOG_TRACE, TRANSCRIPT_EVENTS, ShellLog
+from .core.shell_log import LOG_TRACE, ShellLog
 from .core.timeline import UNBOUNDED
 from .core.tokens import TokenKind
 from .core.variables import Scope
+from .obs.api import Observability
 
 PROMPT = "ftsh> "
 CONTINUATION = "....> "
@@ -107,7 +108,10 @@ class Repl:
         prompt: bool = True,
         lint: bool = True,
     ) -> None:
-        self.driver = driver or RealDriver()
+        #: Every entry's spans: ``:analyze`` reports them.
+        self.obs = Observability()
+        self.driver = driver or RealDriver(obs=self.obs)
+        self.obs.set_clock(self.driver.now)
         self.policy = policy
         self.stdin = stdin or sys.stdin
         self.stdout = stdout or sys.stdout
@@ -116,9 +120,8 @@ class Repl:
         self.scope = Scope()
         #: Shared by every entry of the session; holds function definitions.
         self.functions: dict = {}
-        #: A transcript: ``:analyze`` reads its events.
-        self.log = ShellLog(clock=self.driver.now,
-                            max_events=TRANSCRIPT_EVENTS, level=LOG_TRACE)
+        #: A counter at full detail: ``:log`` reads its tally.
+        self.log = ShellLog(clock=self.driver.now, level=LOG_TRACE)
 
     # ------------------------------------------------------------------
     def _emit(self, text: str) -> None:
@@ -162,6 +165,7 @@ class Repl:
             policy=self.policy,
             log=self.log,
             functions=self.functions,
+            obs=self.obs,
         )
         outcome = self.driver.run(
             interpreter.execute(script, UNBOUNDED))
@@ -195,7 +199,10 @@ class Repl:
         if command == ":log":
             self._emit(self.log.summary())
         elif command == ":analyze":
-            self._emit(analyze(self.log).report())
+            from .obs.report import render_report
+
+            self._emit(render_report(tracer=self.obs.tracer,
+                                     registry=self.obs.metrics))
         elif command == ":vars":
             for name, value in sorted(self.scope.flatten().items()):
                 self._emit(f"{name}={value!r}")

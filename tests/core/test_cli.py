@@ -160,9 +160,22 @@ class TestObservabilityFlags:
         assert "# TYPE ftsh_commands_total counter" in text
         assert "ftsh_try_attempts_total 2" in text
 
-    def test_obs_report_prints_to_stderr(self, capsys):
-        assert main(["--obs-report", "-c", "sh -c 'exit 0'"]) == 0
+    def test_analyze_prints_report_to_stderr(self, capsys):
+        assert main(["--analyze", "-c", "sh -c 'exit 0'"]) == 0
         assert "ftsh telemetry report" in capsys.readouterr().err
+
+    def test_analyze_reads_spans_at_any_log_level(self, capsys):
+        """At ``results`` the log records no attempt; the spans do."""
+        code = main(["--analyze", "--log-level", "results",
+                     "-c", "try 2 times\n  sh -c 'exit 1'\nend"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "2 attempts: try (line 1) [failed]" in err
+        assert "ftsh_try_attempts_total = 2" in err
+        row = next(line for line in err.splitlines()
+                   if line.split()[:1] == ["sh"])
+        assert row.split()[1:6] == ["2", "0", "2", "0", "100.0"]
+        assert "max_wait=" in err
 
     def test_unwritable_export_warns_not_crashes(self, capsys):
         code = main(["--trace", "/nonexistent/dir/run.json",

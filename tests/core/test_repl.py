@@ -190,7 +190,16 @@ class TestDirectives:
 
     def test_analyze(self):
         _, output, _ = run_session("sh -c 'exit 0'\n:analyze\n:q\n")
-        assert "post-mortem" in output
+        assert "ftsh telemetry report" in output
+
+    def test_analyze_reports_spans_and_the_log_keeps_no_events(self):
+        _, output, repl = run_session(
+            "try 2 times\n  sh -c 'exit 1'\nend\n:analyze\n:q\n")
+        assert "failed: try exhausted after 2 attempts" in output
+        assert "2 attempts: try (line 1) [failed]" in output
+        assert "OVERLOAD SIGNAL" in output
+        assert repl.log.max_events == 0 and not repl.log.events
+        assert repl.log.backoff_initiations() == 1
 
     def test_help_and_unknown(self):
         _, output, _ = run_session(":help\n:wat\n:q\n")

@@ -1,8 +1,8 @@
-"""Generic AST traversal: iter_children, walk, and class dispatch."""
+"""Generic AST traversal: iter_children and walk."""
 
 from repro.core import ast_nodes as ast
 from repro.core.parser import parse
-from repro.core.visitor import Visitor, iter_children, walk
+from repro.core.visitor import iter_children, walk
 
 SOURCE = (
     "x=1\n"
@@ -71,38 +71,3 @@ class TestWalk:
         (root, parents), *_ = walk(script)
         assert root is script and parents == ()
 
-
-class TestVisitor:
-    def test_dispatch_by_class(self):
-        commands = []
-
-        class Collector(Visitor):
-            def visit_Command(self, node):
-                commands.append(node.words[0].parts[0].text)
-
-        Collector().visit(parse(SOURCE, "<test>"))
-        assert commands == ["wget", "echo"]
-
-    def test_generic_visit_recurses_by_default(self):
-        seen = []
-
-        class Spy(Visitor):
-            def generic_visit(self, node):
-                seen.append(type(node).__name__)
-                super().generic_visit(node)
-
-        Spy().visit(parse("try forever\n    cmd\nend\n", "<test>"))
-        assert "Try" in seen and "Command" in seen
-
-    def test_handler_controls_recursion(self):
-        seen = []
-
-        class Prune(Visitor):
-            def visit_Try(self, node):
-                seen.append("Try")  # do not recurse into the body
-
-            def visit_Command(self, node):
-                seen.append("Command")
-
-        Prune().visit(parse("try forever\n    cmd\nend\n", "<test>"))
-        assert seen == ["Try"]

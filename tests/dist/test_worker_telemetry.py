@@ -21,7 +21,7 @@ def live_aggregator():
 
 class TestDisabled:
     def test_disabled_is_a_cheap_noop(self):
-        telemetry = WorkerTelemetry.disabled()
+        telemetry = WorkerTelemetry(None, "w0")
         assert telemetry.enabled is False
         # Every hook must be callable without a registry behind it.
         telemetry.claim("lease")

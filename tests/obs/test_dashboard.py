@@ -9,7 +9,13 @@ from repro.obs.dashboard import (
     normalize_fleet_url,
     render_text,
 )
-from repro.service.http import HttpTransportError, bind_server, serve_in_thread
+from repro.service.http import (
+    JSON,
+    BadReply,
+    bind_server,
+    error_doc,
+    serve_in_thread,
+)
 
 SNAPSHOT = {
     "version": 2,
@@ -99,7 +105,7 @@ class TestFetchAndCli:
         assert snap["totals"]["sources"] == 1
 
     def test_fetch_raises_on_bad_route(self, live):
-        with pytest.raises(HttpTransportError):
+        with pytest.raises(BadReply, match="HTTP 404 reply: unknown-route"):
             fetch_snapshot(live + "/nope/obs/fleet")
 
     def test_cli_once_prints_one_frame(self, live, capsys):
@@ -112,3 +118,39 @@ class TestFetchAndCli:
     def test_cli_once_fails_cleanly_when_unreachable(self, capsys):
         assert main(["http://127.0.0.1:9", "--once"]) == 1
         assert "fleet fetch failed" in capsys.readouterr().out
+
+
+class TestRepliesThatAreNotSnapshots:
+    """Whatever a server answers, ``--once`` prints one failure line and
+    exits 1: a reply is read through the HTTP kit's ``json_exchange``."""
+
+    @pytest.fixture
+    def stub(self):
+        servers = []
+
+        def serve(status, payload):
+            server = bind_server(lambda method, target, body:
+                                 (status, JSON, payload), "127.0.0.1", 0)
+            host, port = server.server_address[:2]
+            servers.append(serve_in_thread(server))
+            return f"http://{host}:{port}"
+
+        yield serve
+        for stop in servers:
+            stop()
+
+    def test_a_json_list_is_a_bad_reply(self, stub, capsys):
+        url = stub(200, b"[]")
+        with pytest.raises(BadReply, match="not a fleet snapshot"):
+            fetch_snapshot(url)
+        assert main([url, "--once"]) == 1
+        assert "fleet fetch failed: HTTP 200 reply" in capsys.readouterr().out
+
+    def test_an_error_document_is_a_bad_reply(self, stub, capsys):
+        url = stub(503, error_doc("unavailable", "aggregator draining"))
+        with pytest.raises(BadReply, match="HTTP 503 reply: unavailable"):
+            fetch_snapshot(url)
+        assert main([url, "--once"]) == 1
+        out = capsys.readouterr().out
+        assert "fleet fetch failed: HTTP 503 reply: unavailable: " \
+            "aggregator draining" in out

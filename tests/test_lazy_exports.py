@@ -31,14 +31,14 @@ PUBLIC = {
         "submit_script"],
     "repro.core": [
         "BackoffPolicy", "BackoffState", "CommandResult",
-        "CommandStats", "DEADLINE_ENV", "DeadlineStack", "Effect",
+        "DEADLINE_ENV", "DeadlineStack", "Effect",
         "EffectGenerator", "EventKind", "Ftsh", "FtshCancelled", "FtshError",
         "FtshFailure", "FtshRuntimeError", "FtshSyntaxError", "FtshTimeout",
-        "GetRandom", "GetTime", "Interpreter", "LogAnalysis", "LogEvent",
+        "GetRandom", "GetTime", "Interpreter", "LogEvent",
         "NO_BACKOFF", "PAPER_POLICY", "ParallelBranch", "ParallelResult",
         "RealDriver", "RunCommand", "RunParallel", "RunResult", "Scope",
         "Script", "ShellLog", "SimulationError", "Sleep", "SleepResult",
-        "UNBOUNDED", "UndefinedVariableError", "analyze", "parse"],
+        "UNBOUNDED", "UndefinedVariableError", "parse"],
     "repro.dist": [
         "BACKENDS", "BACKEND_ENV", "DEFAULT_BACKEND", "backend_names",
         "resolve_backend"],
