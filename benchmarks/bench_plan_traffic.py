@@ -56,7 +56,6 @@ import types
 sys.path.insert(0, os.path.join(
     os.path.dirname(os.path.abspath(__file__)), os.pardir, "src"))
 
-from repro.clients.base import by_name  # noqa: E402
 from repro.core import interpreter  # noqa: E402
 from repro.core.shell_log import ShellLog  # noqa: E402
 from repro.core.tokens import Word  # noqa: E402
@@ -219,19 +218,9 @@ def runall_cells(seed):
 
 
 def chaos_cells(seed):
-    """``chaos --scale smoke``: ``chaos.run_cell`` with our own obs."""
-
-    def run(cell, obs):
-        scenario_name, discipline, fault, level, scale, cell_seed = \
-            cell.args[:6]
-        scenario = chaos.SCENARIOS[scenario_name]
-        specs = (() if fault is None or level == 0 else
-                 chaos.FAULT_BY_NAME[fault].build(
-                     level, scenario.duration(scale)))
-        scenario.run(by_name(discipline), specs, scale, cell_seed, obs)
-
-    return [functools.partial(run, cell)
-            for cell in chaos.campaign_cells(chaos.SCALES["smoke"], seed)]
+    """``chaos --scale smoke``."""
+    return with_obs({"chaos": chaos.campaign_cells(chaos.SCALES["smoke"],
+                                                   seed)})
 
 
 def extension_cells(seed):

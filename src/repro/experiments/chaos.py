@@ -40,20 +40,21 @@ from ..faults.injectors import FaultSpec
 from ..faults.schedule import FaultWindow, Periodic
 from ..grid.condor import CondorConfig
 from ..grid.storage import BufferConfig
-from ..obs.push import push_observability, resolve_push_url
 from ..parallel.cache import ResultCache
 from ..parallel.executor import (
     CellSpec,
     add_executor_arguments,
+    add_telemetry_arguments,
     cache_from_args,
-    run_cells,
+    run_campaign,
 )
 from ..sim.monitor import TimeSeries
 
 # The import rule (docs/INTERNALS.md "What a path imports"): what every
 # complete path through this module uses is imported above; what some
 # complete path never touches — the four scenario harnesses (a cell is
-# one scenario; a warm rerun is none) and the telemetry exports — is
+# one scenario; a warm rerun is none) and the telemetry exports
+# (``run_campaign`` loads them for ``--obs-dir``/``--obs-push``) — is
 # imported by the function that uses it, once per cell or per campaign.
 
 
@@ -368,86 +369,60 @@ class ChaosReport:
 # Campaign
 # ---------------------------------------------------------------------------
 
-def _cell_obs(wanted: bool, discipline: Discipline,
-              fault: str, scenario: str, intensity: int):
-    if not wanted:
-        return None, None
-    from ..obs.api import Observability
-
-    # A fault class targets one scenario; the fault-free baseline runs in
-    # each, so its stem names the scenario or four bundles share a file.
-    cell = fault if intensity else f"{scenario}-baseline"
-    stem = f"chaos_{cell}_{discipline.name}_i{intensity}"
-    obs = Observability(const_labels=discipline.labels(
-        scenario=scenario, fault=fault, intensity=str(intensity)))
-    return obs, stem
-
-
 #: Fault classes by name, for worker-side cell reconstruction.
 FAULT_BY_NAME = {fc.name: fc for fc in FAULT_CLASSES}
 
 
-def run_cell(
-    scenario_name: str,
-    discipline_name: str,
-    fault_name: Optional[str],
-    level: int,
-    scale: ChaosScale,
-    seed: int,
-    bundle: bool = False,
-    obs_push: Optional[str] = None,
-) -> tuple[float, TimeSeries] | tuple[float, TimeSeries, dict[str, str]]:
-    """One campaign cell, rebuilt from names so it pickles to workers.
+@dataclass(frozen=True)
+class ChaosParams:
+    """One campaign cell, named so it pickles to workers: a scenario
+    and a discipline under one fault class at one intensity
+    (``fault=None`` or ``level=0`` is the fault-free baseline)."""
 
-    ``fault_name=None`` (or ``level=0``) is the fault-free baseline.
+    scenario: str
+    discipline: str
+    fault: Optional[str]
+    level: int
+    scale: ChaosScale
+    seed: int
+    #: Optional :class:`repro.obs.Observability`, handed to the scenario.
+    obs: Any = None
+
+    @property
+    def baseline(self) -> bool:
+        return self.fault is None or self.level == 0
+
+    def labels(self) -> dict[str, str]:
+        """The const labels of this cell's telemetry."""
+        return by_name(self.discipline).labels(
+            scenario=self.scenario,
+            fault="none" if self.baseline else self.fault,
+            intensity=str(0 if self.baseline else self.level))
+
+
+def run_cell(params: ChaosParams) -> tuple[float, TimeSeries]:
+    """One campaign cell: ``(goodput, series)``.
+
     Fault specs are regenerated from the class registry rather than
     shipped — their schedules are pure functions of (level, duration),
-    so parent and worker always agree.  Returns ``(goodput, series)``;
-    with ``bundle`` the cell's telemetry rides along as a third element,
-    an :func:`~repro.obs.exporters.obs_bundle` the parent writes, so a
-    worker on another filesystem still delivers it.  With ``obs_push``
-    the same telemetry is pushed (best-effort) to that fleet aggregator
-    from inside the cell; live telemetry never crosses the process
-    boundary.
+    so parent and worker always agree.
     """
-    scenario = SCENARIOS[scenario_name]
-    discipline = by_name(discipline_name)
-    duration = scenario.duration(scale)
-    wanted = bundle or obs_push is not None
-    if fault_name is None or level == 0:
-        specs: tuple[FaultSpec, ...] = ()
-        obs, stem = _cell_obs(wanted, discipline, "none", scenario_name, 0)
-    else:
-        specs = FAULT_BY_NAME[fault_name].build(level, duration)
-        obs, stem = _cell_obs(wanted, discipline, fault_name,
-                              scenario_name, level)
-    goodput, series = scenario.run(discipline, specs, scale, seed, obs)
-    if obs_push is not None:
-        push_observability(obs_push, obs,
-                           source=f"chaos/{scenario_name}/{stem}")
-    if bundle:
-        from ..obs.exporters import obs_bundle
-
-        return goodput, series, obs_bundle(obs, stem)
-    return goodput, series
+    scenario = SCENARIOS[params.scenario]
+    specs: tuple[FaultSpec, ...] = ()
+    if not params.baseline:
+        specs = FAULT_BY_NAME[params.fault].build(
+            params.level, scenario.duration(params.scale))
+    return scenario.run(by_name(params.discipline), specs, params.scale,
+                        params.seed, params.obs)
 
 
-def campaign_cells(
-    scale: ChaosScale,
-    seed: int,
-    obs_dir: Optional[str] = None,
-    obs_push: Optional[str] = None,
-) -> list[CellSpec]:
+def campaign_cells(scale: ChaosScale, seed: int) -> list[CellSpec]:
     """Every unique (scenario, discipline, fault, level) measurement.
 
     Baselines come first, one per (scenario, discipline) — shared by
     every fault class that targets the scenario — then the fault cells
-    in report order.  Cells carrying a live telemetry export (an
-    ``obs_dir`` bundle or an aggregator push) are not cacheable — their
-    point is the telemetry.
+    in report order.
     """
-    bundle = obs_dir is not None
-    plain = not bundle and obs_push is None
     specs: list[CellSpec] = []
     seen_baselines: set[tuple[str, str]] = set()
     for fault_class in FAULT_CLASSES:
@@ -459,9 +434,8 @@ def campaign_cells(
             specs.append(CellSpec(
                 key=f"chaos/{fault_class.scenario}/baseline/{discipline.name}",
                 fn=run_cell,
-                args=(fault_class.scenario, discipline.name, None, 0,
-                      scale, seed, bundle, obs_push),
-                cacheable=plain,
+                args=(ChaosParams(fault_class.scenario, discipline.name,
+                                  None, 0, scale, seed),),
             ))
     for fault_class in FAULT_CLASSES:
         for level in scale.levels:
@@ -469,10 +443,8 @@ def campaign_cells(
                 specs.append(CellSpec(
                     key=f"chaos/{fault_class.name}/i{level}/{discipline.name}",
                     fn=run_cell,
-                    args=(fault_class.scenario, discipline.name,
-                          fault_class.name, level, scale, seed, bundle,
-                          obs_push),
-                    cacheable=plain,
+                    args=(ChaosParams(fault_class.scenario, discipline.name,
+                                      fault_class.name, level, scale, seed),),
                 ))
     return specs
 
@@ -493,26 +465,26 @@ def run_chaos_campaign(
     and anchor the ``retained`` column.  The report is a pure function
     of ``(scale, seed)`` — for any ``jobs`` value and any cache state,
     because each cell owns its engine and seeds its own named random
-    streams (see docs/PERFORMANCE.md).
+    streams (see docs/PERFORMANCE.md).  ``obs_dir``/``obs_push``
+    instrument every cell (:func:`~repro.parallel.executor.run_campaign`)
+    and leave the report as it is.
     """
     say = progress if progress is not None else (lambda _line: None)
 
-    specs = campaign_cells(scale, seed, obs_dir=obs_dir, obs_push=obs_push)
-    results = run_cells(
+    specs = campaign_cells(scale, seed)
+    results = run_campaign(
         specs, jobs=jobs, cache=cache, backend=backend,
         progress=lambda key, status: (say(f"  {key} [{status}]")
                                       if status != "done" else None),
+        instrument=lambda spec: spec.args[0].labels(),
+        obs_dir=obs_dir, obs_push=obs_push,
     )
     measured: dict[tuple[str, str, Optional[str], int],
                    tuple[float, TimeSeries]] = {}
     for spec, outcome in zip(specs, results):
-        scenario_name, discipline_name, fault_name, level = spec.args[:4]
-        measured[(scenario_name, discipline_name, fault_name, level)] = \
-            outcome[:2]
-    if obs_dir is not None:
-        from ..obs.exporters import write_obs_files
-
-        write_obs_files(obs_dir, (outcome[2] for outcome in results))
+        cell = spec.args[0]
+        measured[(cell.scenario, cell.discipline, cell.fault,
+                  cell.level)] = outcome
 
     def baseline(scenario: Scenario, discipline: Discipline):
         return measured[(scenario.name, discipline.name, None, 0)]
@@ -623,16 +595,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="chaos_reports")
     parser.add_argument("--seed", type=int, default=2003)
     add_executor_arguments(parser)
-    parser.add_argument(
-        "--obs-dir", default=None, metavar="DIR",
-        help="write per-cell telemetry bundles (Chrome trace, spans "
-             "JSONL, Prometheus text) into DIR",
-    )
-    parser.add_argument(
-        "--obs-push", default=None, metavar="URL",
-        help="push per-cell telemetry to a fleet aggregator "
-             "(the service's /obs/ingest; default $REPRO_OBS_PUSH, or off)",
-    )
+    add_telemetry_arguments(parser, "every cell")
     args = parser.parse_args(argv)
 
     scale = SCALES[args.scale]
@@ -642,7 +605,7 @@ def main(argv=None) -> int:
     report = run_chaos_campaign(
         scale, seed=args.seed, obs_dir=args.obs_dir, progress=print,
         jobs=args.jobs, cache=cache, backend=args.backend,
-        obs_push=resolve_push_url(args.obs_push))
+        obs_push=args.obs_push)
     if cache is not None:
         print(f"cache: {cache.hits} hits, {cache.misses} misses "
               f"({cache.root})")

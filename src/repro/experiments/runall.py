@@ -30,20 +30,16 @@ import os
 import sys
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Optional, TypeVar
+from typing import Any, Mapping, Optional, TypeVar
 
-from ..clients.base import ALL_DISCIPLINES, ALOHA, ETHERNET, by_name
-from ..obs.api import Observability
-from ..obs.exporters import obs_bundle, write_obs_files
-from ..obs.push import push_observability, resolve_push_url
-from ..obs.report import render_report
-from ..parallel.cache import ResultCache
+from ..clients.base import ALOHA, ETHERNET
 from ..parallel.executor import (
     CellSpec,
     add_executor_arguments,
+    add_telemetry_arguments,
     cache_from_args,
     resolve_jobs,
-    run_cells,
+    run_campaign,
 )
 from .figure1 import (
     Figure1Result,
@@ -72,7 +68,7 @@ from .figure6 import (
 )
 from .report import series_csv, sweep_csv
 from .scenario_replica import run_replica
-from .scenario_submit import SubmitParams, run_submission
+from .scenario_submit import run_submission
 
 K = TypeVar("K")
 
@@ -123,77 +119,6 @@ SCALES = {
 }
 
 
-def _observability_cell(discipline_name: str, n_clients: int,
-                        duration: float, seed: int,
-                        obs_push: str | None = None) -> dict[str, str]:
-    """One fully-instrumented exemplar submission run (worker-safe).
-
-    The telemetry is rendered to text *inside* the cell — a live
-    Observability cannot cross a process boundary — and returned as a
-    ``{filename: contents}`` bundle.  Returning contents instead of
-    writing files is what closes the socket-backend gap: the bundle
-    rides the queue/artifact store back to the coordinator like any
-    other cell result, so a worker that does not share a filesystem
-    with ``--obs-dir`` still contributes its telemetry.  ``obs_push``
-    additionally ships the live telemetry to a fleet aggregator,
-    best-effort, from inside the cell for the same reason.
-    """
-    discipline = by_name(discipline_name)
-    obs = Observability(const_labels=discipline.labels(scenario="submit"))
-    params = SubmitParams(
-        discipline=discipline,
-        n_clients=n_clients,
-        duration=duration,
-        seed=seed,
-        obs=obs,
-    )
-    run_submission(params)
-    stem = f"submit_{discipline.name}"
-    if obs_push is not None:
-        push_observability(obs_push, obs, source=f"runall/{stem}")
-    bundle = obs_bundle(obs, stem)
-    bundle[f"{stem}.report.txt"] = \
-        render_report(tracer=obs.tracer, registry=obs.metrics) + "\n"
-    return bundle
-
-
-def write_observability(
-    obs_dir: str | None,
-    n_clients: int,
-    duration: float,
-    seed: int = 2003,
-    jobs: int | None = None,
-    backend: str | None = None,
-    obs_push: str | None = None,
-) -> list[str]:
-    """Fully-instrumented exemplar runs, one per discipline.
-
-    Each discipline gets a Figure-1-style submission run with a live
-    :class:`~repro.obs.Observability` attached (const-labeled with the
-    discipline and scenario), exported as a Chrome trace, a spans JSONL,
-    a Prometheus text file, and a telemetry report.  Cells return their
-    bundles as text (shipped back through whichever ``backend`` ran
-    them, including socket workers on another filesystem); the parent
-    writes them under ``obs_dir`` and merges them into one
-    ``combined.*`` bundle.  With ``obs_push`` each cell also ships its
-    live telemetry to a fleet aggregator; ``obs_dir=None`` pushes
-    without writing files.  Returns the paths written.
-    """
-    cells = [
-        CellSpec(
-            key=f"obs/{discipline.name}",
-            fn=_observability_cell,
-            args=(discipline.name, n_clients, duration, seed, obs_push),
-            cacheable=False,
-        )
-        for discipline in ALL_DISCIPLINES
-    ]
-    bundles = run_cells(cells, jobs=jobs, backend=backend)
-    if obs_dir is None:
-        return []
-    return write_obs_files(obs_dir, bundles)
-
-
 def campaign_cells(scale: Scale, seed: int) -> dict[str, list[CellSpec]]:
     """Every cell of the figure campaign, grouped by figure."""
     return {
@@ -238,10 +163,10 @@ class Figures:
 
 def run_groups(groups: Mapping[K, list[CellSpec]],
                **run_options: Any) -> dict[K, list]:
-    """Run every group's cells in one :func:`run_cells` call and hand
-    the results back grouped as the cells were (``run_options`` are
-    its ``jobs``/``cache``/``backend``/``progress``)."""
-    results = iter(run_cells(
+    """Run every group's cells in one
+    :func:`~repro.parallel.executor.run_campaign` call and hand the
+    results back grouped as the cells were (``run_options`` are its)."""
+    results = iter(run_campaign(
         [cell for cells in groups.values() for cell in cells], **run_options))
     return {name: [next(results) for _ in cells]
             for name, cells in groups.items()}
@@ -261,23 +186,14 @@ def assemble_figures(scale: Scale, runs: Mapping[str, list]) -> Figures:
     )
 
 
-def build_figures(
-    scale: Scale,
-    seed: int,
-    jobs: Optional[int] = None,
-    cache: Optional[ResultCache] = None,
-    backend: Optional[str] = None,
-    progress: Optional[Callable[[str, str], None]] = None,
-) -> Figures:
+def build_figures(scale: Scale, seed: int, **run_options: Any) -> Figures:
     """Run every cell of :func:`campaign_cells` once and assemble the figures.
 
-    ``jobs``/``cache``/``backend``/``progress`` follow
-    :func:`repro.parallel.run_cells`; the figures are identical for any
-    of them.
+    ``run_options`` go to :func:`run_groups`; the figures are identical
+    for any of them.
     """
-    return assemble_figures(scale, run_groups(
-        campaign_cells(scale, seed),
-        jobs=jobs, cache=cache, backend=backend, progress=progress))
+    return assemble_figures(scale, run_groups(campaign_cells(scale, seed),
+                                              **run_options))
 
 
 def main(argv=None) -> int:
@@ -290,17 +206,7 @@ def main(argv=None) -> int:
         "--csv", action="store_true",
         help="also write machine-readable .csv files per figure",
     )
-    parser.add_argument(
-        "--obs-dir", default=None, metavar="DIR",
-        help="also run one instrumented submission per discipline and "
-             "write Chrome traces, span logs and Prometheus text there",
-    )
-    parser.add_argument(
-        "--obs-push", default=None, metavar="URL",
-        help="push the instrumented runs' telemetry to a fleet "
-             "aggregator (the service's /obs/ingest; default "
-             "$REPRO_OBS_PUSH, or off)",
-    )
+    add_telemetry_arguments(parser, "the top-count fig1 cells")
     args = parser.parse_args(argv)
 
     scale = SCALES[args.scale]
@@ -326,8 +232,19 @@ def main(argv=None) -> int:
         if status != "done":
             print(f"  {key} [{status}]")
 
-    figures = build_figures(scale, args.seed, jobs=args.jobs, cache=cache,
-                            backend=args.backend, progress=progress)
+    top = f"/n{scale.fig1_counts[-1]}"
+
+    def instrument(cell: CellSpec) -> Optional[dict[str, str]]:
+        # The cells --obs-dir/--obs-push instrument: fig1's at the top
+        # count, one per discipline.
+        if cell.key.startswith("fig1/") and cell.key.endswith(top):
+            return cell.args[0].discipline.labels(scenario="submit")
+        return None
+
+    figures = build_figures(
+        scale, args.seed, jobs=args.jobs, cache=cache, backend=args.backend,
+        progress=progress, instrument=instrument, obs_dir=args.obs_dir,
+        obs_push=args.obs_push)
 
     print("Figure 1: job-submission sweep ...")
     fig1 = figures.fig1
@@ -420,31 +337,18 @@ def main(argv=None) -> int:
         f"collisions={fig7.run.collisions} deferrals={fig7.run.deferrals}"
     )
 
-    push_url = resolve_push_url(args.obs_push)
-    if args.obs_dir or push_url:
-        print("Telemetry: instrumented submission runs ...")
-        for path in write_observability(
-            args.obs_dir,
-            n_clients=scale.fig1_counts[-1],
-            duration=scale.fig1_duration,
-            seed=args.seed,
-            jobs=args.jobs,
-            backend=args.backend,
-            obs_push=push_url,
-        ):
-            print(f"  wrote {path}")
-        if args.obs_dir:
-            summary.append(f"telemetry: {args.obs_dir}")
-
     elapsed = time.time() - started
     if cache is not None:
         print(f"cache: {cache.hits} hits, {cache.misses} misses "
               f"({cache.root})")
-    # Wall time goes to stdout only: the saved summary must be
-    # byte-identical across --jobs values and cache states.
+    # Wall time and the telemetry directory go to stdout only: the saved
+    # summary must be byte-identical across --jobs values, cache states
+    # and telemetry flags.
     text = "\n".join(summary)
     save("summary", text)
     print("\n" + text)
+    if args.obs_dir:
+        print(f"telemetry: {args.obs_dir}")
     print(f"wall time: {elapsed:.1f}s")
     return 0
 

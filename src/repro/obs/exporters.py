@@ -11,18 +11,25 @@ Three write-only views of one run's telemetry:
   nesting as a flame graph.
 * :func:`prometheus_text` — the text exposition format, suitable for
   ``promtool check metrics``-style tooling or a textfile collector.
+
+A campaign instruments its cells through :func:`run_instrumented`, the
+one path behind ``runall``'s and ``chaos``'s ``--obs-dir`` and
+``--obs-push``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
-from typing import TYPE_CHECKING, Any, Iterable, Union
+from typing import (TYPE_CHECKING, Any, Callable, Iterable, Mapping,
+                    Optional, Sequence, Union)
 
 from .metrics import COUNTER, GAUGE, HISTOGRAM, MetricsRegistry
 from .spans import Span, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ..parallel.executor import CellSpec
     from .api import Observability
 
 TracerLike = Union[Tracer, Iterable[Span]]
@@ -188,10 +195,7 @@ def obs_bundle(obs: "Observability", stem: str) -> dict[str, str]:
     """Every export of one run as ``{filename: contents}``.
 
     Trace JSON, spans JSONL and Prometheus text, rendered where the run
-    happened.  A campaign cell returns this instead of writing files, so
-    the bundle travels back to the parent like any other cell result —
-    a socket worker need not share a filesystem with ``--obs-dir`` —
-    and the parent writes it with :func:`write_obs_files`.
+    happened; :func:`write_obs_bundle` writes them.
     """
     spans = spans_jsonl(obs.tracer)
     return {
@@ -216,23 +220,95 @@ def write_obs_bundle(obs: "Observability", directory: str, stem: str) -> list[st
     """Write one run's :func:`obs_bundle` into ``directory``.
 
     Returns the paths written, for logging.  Handy from notebooks and
-    scripts; campaigns use :func:`write_obs_files`.
+    scripts; campaigns use :func:`run_instrumented`.
     """
     return _write_bundle(obs_bundle(obs, stem), directory)
 
 
-def write_obs_files(directory: str,
-                    bundles: Iterable[dict[str, str]]) -> list[str]:
-    """Write a campaign's cell bundles, then merge them into ``combined.*``.
+# ---------------------------------------------------------------------------
+# Instrumented campaign cells
+# ---------------------------------------------------------------------------
 
-    Returns every path written: each bundle's files in name order, then
-    the merged ones (see :func:`merge_obs_bundles`).
+def instrumented_cell(fn: Callable[[Any], Any], params: Any,
+                      labels: Mapping[str, str], key: str,
+                      push_url: Optional[str] = None,
+                      export: bool = True) -> tuple[Any, dict[str, str]]:
+    """Run one campaign cell, ``fn(params)``, with its own telemetry.
+
+    The cell runs on a copy of ``params`` whose ``obs`` is a fresh
+    :class:`~repro.obs.api.Observability` const-labeled with ``labels``.
+    With ``push_url`` that telemetry goes to a fleet aggregator
+    (best-effort) under the cell ``key`` as its source.  Returns
+    ``(value, bundle)``: the cell's own value, its live telemetry
+    detached, and — with ``export`` — the cell's trace, spans,
+    Prometheus text and :func:`~repro.obs.report.render_report` text as
+    ``{filename: contents}``, the stem taken from the key.  Live
+    telemetry never crosses a process boundary: the bundle travels back
+    as the cell's result, so a socket worker need not share a
+    filesystem with ``--obs-dir``.
     """
-    os.makedirs(directory, exist_ok=True)
-    paths: list[str] = []
-    for bundle in bundles:
-        paths.extend(_write_bundle(bundle, directory))
-    return paths + merge_obs_bundles(directory)
+    from ..parallel.transport import strip_observability
+    from .api import Observability
+
+    obs = Observability(const_labels=dict(labels))
+    value = strip_observability(fn(dataclasses.replace(params, obs=obs)))
+    if push_url is not None:
+        from .push import push_observability
+
+        push_observability(push_url, obs, source=key)
+    if not export:
+        return value, {}
+    from .report import render_report
+
+    stem = key.replace("/", "_")
+    bundle = obs_bundle(obs, stem)
+    bundle[f"{stem}.report.txt"] = \
+        render_report(tracer=obs.tracer, registry=obs.metrics) + "\n"
+    return value, bundle
+
+
+def run_instrumented(
+    cells: Sequence["CellSpec"],
+    instrument: Callable[["CellSpec"], Optional[Mapping[str, str]]],
+    obs_dir: Optional[str] = None,
+    push_url: Optional[str] = None,
+    **run_options: Any,
+) -> list[Any]:
+    """Run a campaign's cells, the ones ``instrument`` picks with telemetry.
+
+    ``instrument(cell)`` gives a picked cell's const labels, or ``None``
+    to run it plain.  Each picked cell — its ``args`` one params object
+    with an ``obs`` field — runs through :func:`instrumented_cell`,
+    never cached: its point is the telemetry.  Every cell goes through
+    one :func:`~repro.parallel.run_cells` call (``run_options`` are its
+    ``jobs``/``cache``/``backend``/``progress``).  Each bundle is written
+    under ``obs_dir`` and merged into ``combined.*``; returns the cells'
+    plain values in cell order.
+    """
+    from ..parallel.executor import run_cells
+
+    export = obs_dir is not None
+    picked: list[int] = []
+    specs = list(cells)
+    for index, cell in enumerate(specs):
+        labels = instrument(cell)
+        if labels is not None:
+            picked.append(index)
+            specs[index] = dataclasses.replace(
+                cell, fn=instrumented_cell, cacheable=False,
+                args=(cell.fn, cell.args[0], labels, cell.key, push_url,
+                      export))
+    values = run_cells(specs, **run_options)
+    bundles = []
+    for index in picked:
+        values[index], bundle = values[index]
+        bundles.append(bundle)
+    if export:
+        os.makedirs(obs_dir, exist_ok=True)
+        for bundle in bundles:
+            _write_bundle(bundle, obs_dir)
+        merge_obs_bundles(obs_dir)
+    return values
 
 
 def merge_obs_bundles(directory: str, stem: str = "combined") -> list[str]:

@@ -178,8 +178,7 @@ def push_batch(url: str, body: bytes,
                timeout: float = 10.0,
                pool: Optional[HttpConnectionPool] = None) -> bool:
     """POST one encoded batch; ``False`` on transport failure or non-2xx."""
-    # Imported here, not at module load: the campaign CLIs import this
-    # module for ``resolve_push_url`` and only a run that pushes should
+    # Imported here, not at module load: only a run that pushes should
     # pay for the HTTP client and server kit behind ``service.http``.
     from ..service.http import HttpTransportError, http_request
 
@@ -199,7 +198,8 @@ def push_observability(url: str, obs: "Observability", source: str,
                        pool: Optional[HttpConnectionPool] = None) -> bool:
     """Serialise and push one Observability as a single batch.
 
-    Every push site — the runall and chaos cells, the dist worker —
+    Every push site — an instrumented campaign cell
+    (:func:`repro.obs.exporters.instrumented_cell`), the dist worker —
     calls this.  Labels default to the registry's const labels (the
     run's scenario/discipline/fault tags), merged under any explicit
     ones.  Best-effort: returns ``False`` instead of raising when the

@@ -165,6 +165,9 @@ def render_report(
                 f"{stats.timeout:>7} {stats.mean_duration:>8.3f} "
                 f"{stats.max_duration:>8.3f}"
             )
+        # A live tracer knows what it kept; a span file does not.
+        if isinstance(tracer, Tracer) and tracer.dropped:
+            lines.append(f"  spans dropped past the cap: {tracer.dropped}")
         overload = " ** OVERLOAD SIGNAL **" if trace.backoff_initiations else ""
         lines.append(
             f"  backoff: initiations={trace.backoff_initiations} "

@@ -132,6 +132,25 @@ def add_executor_arguments(parser: argparse.ArgumentParser,
     )
 
 
+def add_telemetry_arguments(parser: argparse.ArgumentParser,
+                            cells: str) -> None:
+    """Declare ``--obs-dir / --obs-push``, the two flags that ask a
+    campaign CLI to instrument ``cells`` (:func:`run_campaign`)."""
+    parser.add_argument(
+        "--obs-dir", default=None, metavar="DIR",
+        help=f"write a telemetry bundle for {cells} (Chrome trace, span "
+             "log, Prometheus text, report) and combined.* into DIR",
+    )
+    parser.add_argument(
+        # The push module's $REPRO_OBS_PUSH, read here so a run that
+        # asks for no telemetry never imports it.
+        "--obs-push", default=os.environ.get("REPRO_OBS_PUSH") or None,
+        metavar="URL",
+        help=f"push the telemetry of {cells} to a fleet aggregator "
+             "(the service's /obs/ingest; default $REPRO_OBS_PUSH, or off)",
+    )
+
+
 def cache_from_args(args: argparse.Namespace) -> Optional[ResultCache]:
     """The CLIs' cache policy: on by default, ``--no-cache`` to disable."""
     if args.no_cache:
@@ -139,6 +158,25 @@ def cache_from_args(args: argparse.Namespace) -> Optional[ResultCache]:
     from .cache import ResultCache
 
     return ResultCache(args.cache_dir)
+
+
+def run_campaign(
+    cells: Sequence[CellSpec],
+    instrument: Optional[Callable[[CellSpec], Optional[Mapping[str, str]]]] = None,
+    obs_dir: Optional[str] = None,
+    obs_push: Optional[str] = None,
+    **run_options: Any,
+) -> list[Any]:
+    """:func:`run_cells`, with the cells ``instrument`` labels carrying
+    their own telemetry when ``obs_dir`` or ``obs_push`` asks for it
+    (:func:`repro.obs.exporters.run_instrumented`).  Only a run that
+    asks loads the telemetry exporters."""
+    if instrument is None or (obs_dir is None and not obs_push):
+        return run_cells(cells, **run_options)
+    from ..obs.exporters import run_instrumented
+
+    return run_instrumented(cells, instrument, obs_dir, obs_push or None,
+                            **run_options)
 
 
 def _execute(spec: CellSpec) -> Any:

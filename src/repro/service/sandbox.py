@@ -343,7 +343,7 @@ def cells_for(submission, policy: SandboxPolicy) -> list[CellSpec]:
             args=(submission.script, submission.variables, submission.world,
                   submission.timeout, submission.seed, policy.max_events),
         )]
-    from ..experiments.chaos import run_cell
+    from ..experiments.chaos import ChaosParams, run_cell
 
     scale = build_scale(submission)
     specs: list[CellSpec] = []
@@ -351,8 +351,8 @@ def cells_for(submission, policy: SandboxPolicy) -> list[CellSpec]:
         specs.append(CellSpec(
             key=f"service/{submission.scenario}/baseline/{discipline}",
             fn=run_cell,
-            args=(submission.scenario, discipline, None, 0, scale,
-                  submission.seed, False),
+            args=(ChaosParams(submission.scenario, discipline, None, 0,
+                              scale, submission.seed),),
         ))
     for level in submission.levels:
         for discipline in submission.disciplines:
@@ -360,7 +360,8 @@ def cells_for(submission, policy: SandboxPolicy) -> list[CellSpec]:
                 key=(f"service/{submission.scenario}/{submission.fault}"
                      f"/i{level}/{discipline}"),
                 fn=run_cell,
-                args=(submission.scenario, discipline, submission.fault,
-                      level, scale, submission.seed, False),
+                args=(ChaosParams(submission.scenario, discipline,
+                                  submission.fault, level, scale,
+                                  submission.seed),),
             ))
     return specs

@@ -13,6 +13,7 @@ from repro.experiments.chaos import (
     FAULT_CLASSES,
     SCALES,
     ChaosCell,
+    ChaosParams,
     ChaosScale,
     campaign_cells,
     check_ordering,
@@ -23,6 +24,7 @@ from repro.experiments.chaos import (
     starvation_events,
 )
 from repro.faults.schedule import FaultWindow
+from repro.obs.exporters import instrumented_cell
 from repro.sim.monitor import TimeSeries
 
 
@@ -155,35 +157,39 @@ class TestCampaign:
         assert text == GOLDEN.read_text()
 
     def test_obs_dir_holds_one_bundle_per_cell(self, tmp_path):
-        """Every instrumented cell delivers its own bundle, through the
-        socket fleet too, and the parent merges them: the baseline, run
-        once per scenario, names its scenario in the stem."""
+        """Every instrumented cell delivers its own four-file bundle,
+        named by its key, through the socket fleet too; the parent
+        merges them, and the scorecard is the plain run's."""
         obs_dir = tmp_path / "obs"
-        run_chaos_campaign(TINY, seed=11, jobs=2, backend="socket",
-                           obs_dir=str(obs_dir))
+        report = run_chaos_campaign(TINY, seed=11, jobs=2, backend="socket",
+                                    obs_dir=str(obs_dir))
+        assert render_scorecard(report) == GOLDEN.read_text()
+        stems = {cell.key.replace("/", "_")
+                 for cell in campaign_cells(TINY, 11)}
+        assert "chaos_kangaroo_baseline_fixed" in stems
         names = {path.name for path in obs_dir.iterdir()}
-        stems = {name.split(".")[0] for name in names} - {"combined"}
-        assert len(stems) == len(campaign_cells(TINY, 11))
-        assert "chaos_kangaroo-baseline_fixed_i0" in stems
-        assert names == {f"{stem}.{ext}"
-                         for stem in stems | {"combined"}
-                         for ext in ("prom", "spans.jsonl", "trace.json")}
+        assert names == {f"{stem}.{ext}" for stem in stems
+                         for ext in ("prom", "spans.jsonl", "trace.json",
+                                     "report.txt")} | \
+            {f"combined.{ext}" for ext in ("prom", "spans.jsonl",
+                                           "trace.json")}
 
     def test_a_cell_returns_its_bundle_and_writes_nothing(self, tmp_path,
                                                           monkeypatch):
         """The bundle travels back as the cell's result, so a worker on
         another filesystem still delivers it; the parent writes it."""
         monkeypatch.chdir(tmp_path)
-        goodput, series, bundle = run_cell("buffer", "ethernet", None, 0,
-                                           TINY, 11, bundle=True)
+        params = ChaosParams("buffer", "ethernet", None, 0, TINY, 11)
+        (goodput, series), bundle = instrumented_cell(
+            run_cell, params, params.labels(), "chaos/buffer/baseline/ethernet")
         assert list(tmp_path.iterdir()) == []
-        stem = "chaos_buffer-baseline_ethernet_i0"
-        assert sorted(bundle) == [f"{stem}.prom", f"{stem}.spans.jsonl",
-                                  f"{stem}.trace.json"]
-        assert 'discipline="ethernet"' in bundle[f"{stem}.prom"]
-        # A telemetry-free cell returns exactly the measurement.
-        assert run_cell("buffer", "ethernet", None, 0, TINY, 11) == \
-            (goodput, series)
+        stem = "chaos_buffer_baseline_ethernet"
+        assert sorted(bundle) == [f"{stem}.prom", f"{stem}.report.txt",
+                                  f"{stem}.spans.jsonl", f"{stem}.trace.json"]
+        prom = bundle[f"{stem}.prom"]
+        assert 'discipline="ethernet"' in prom and 'fault="none"' in prom
+        # Telemetry changes nothing the cell measures.
+        assert run_cell(params) == (goodput, series)
 
     def test_golden_reproduced_by_the_forced_tree_walker(self, monkeypatch):
         """The end-to-end oracle: every script reaches the interpreter
@@ -275,4 +281,16 @@ assert not loaded, loaded
 from repro.obs.push import push_batch
 assert push_batch("http://127.0.0.1:9", b"{}", timeout=1.0) is False
 assert "http.client" in sys.modules
+""")
+
+    @pytest.mark.parametrize("module", ["chaos", "runall"])
+    def test_import_leaves_the_telemetry_out(self, module):
+        """Only ``--obs-dir``/``--obs-push`` (or ``$REPRO_OBS_PUSH``)
+        load the exporters, the report and the pusher with its codec."""
+        _python("-c", f"""
+import sys
+import repro.experiments.{module}
+loaded = {{"repro.obs.exporters", "repro.obs.report", "repro.obs.push",
+          "repro.service.codec"}} & set(sys.modules)
+assert not loaded, loaded
 """)

@@ -8,6 +8,7 @@ from repro.obs.api import Observability
 from repro.obs.exporters import (
     chrome_trace_events,
     chrome_trace_json,
+    instrumented_cell,
     prometheus_text,
     read_spans_jsonl,
     spans_jsonl,
@@ -16,6 +17,8 @@ from repro.obs.exporters import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import STATUS_FAILED, STATUS_OK, Tracer
+
+from tests.experiments.test_chaos import TINY as TINY_CHAOS
 
 
 class FakeClock:
@@ -158,3 +161,34 @@ class TestBundle:
         trace = json.load(open(str(tmp_path / "out" / "run.trace.json")))
         assert trace[0]["name"] == "script"
         assert "jobs_total 1" in open(str(tmp_path / "out" / "run.prom")).read()
+
+
+class TestInstrumentedCell:
+    """A campaign cell run through ``instrumented_cell`` measures what
+    its plain run measures: telemetry only watches."""
+
+    @pytest.mark.parametrize("pick", ["fig1", "chaos"])
+    def test_same_result_as_the_plain_run(self, pick):
+        from repro.experiments import chaos
+        from repro.experiments.figure1 import submit_cells
+        from repro.parallel.transport import to_jsonable
+
+        cell = (submit_cells((20,), 10.0, 2003)[0] if pick == "fig1" else
+                chaos.campaign_cells(TINY_CHAOS, 11)[-1])
+        (params,) = cell.args
+        plain = to_jsonable(cell.fn(params))
+        value, bundle = instrumented_cell(
+            cell.fn, params, {"cell": cell.key}, cell.key)
+        assert to_jsonable(value) == plain
+        stem = cell.key.replace("/", "_")
+        assert f'cell="{cell.key}"' in bundle[f"{stem}.prom"]
+        assert bundle[f"{stem}.spans.jsonl"]
+
+    def test_no_export_no_bundle(self):
+        from repro.experiments import chaos
+
+        cell = chaos.campaign_cells(TINY_CHAOS, 11)[0]
+        value, bundle = instrumented_cell(cell.fn, cell.args[0], {},
+                                          cell.key, export=False)
+        assert bundle == {}
+        assert value == cell.fn(cell.args[0])

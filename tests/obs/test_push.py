@@ -245,3 +245,24 @@ class TestTransport:
         telemetry.push()
         assert (telemetry.seq, telemetry.pushed, telemetry.failed) == \
             (1, 0, 1)
+
+
+class TestCampaignPush:
+    def test_every_chaos_cell_arrives_under_its_key(self, live_aggregator):
+        """``chaos --obs-push``: each instrumented cell pushes from
+        inside the cell, as the source its key names, carrying its
+        discipline label; the scorecard is the plain run's."""
+        from repro.experiments.chaos import (
+            campaign_cells, render_scorecard, run_chaos_campaign)
+
+        from tests.experiments.test_chaos import GOLDEN, TINY
+
+        agg, url = live_aggregator
+        report = run_chaos_campaign(TINY, seed=11, obs_push=url)
+        assert render_scorecard(report) == GOLDEN.read_text()
+        sources = agg.snapshot()["sources"]
+        keys = [cell.key for cell in campaign_cells(TINY, 11)]
+        assert sorted(sources) == sorted(keys)
+        for key in keys:
+            assert sources[key]["labels"]["discipline"] == \
+                key.rsplit("/", 1)[1]

@@ -305,3 +305,15 @@ class TestReadsSpansNotTheLog:
         live = render_report(tracer=obs.tracer)
         assert render_report(tracer=read_spans_jsonl(path)) == live
         assert "x=b" in live and "max_wait=" in live
+
+    def test_a_capped_tracer_says_how_many_spans_it_dropped(self):
+        """Past ``max_spans`` the span sections undercount, and the
+        report says by how much; a span file records no drops."""
+        obs = Observability(max_spans=10)
+        shell = SimFtsh(Engine(), CommandRegistry(), policy=DETERMINISTIC,
+                        obs=obs)
+        shell.run("forany x in 1 2 3 4 5 6 7 8\n  false\nend")
+        assert obs.tracer.dropped == 8
+        live = render_report(tracer=obs.tracer, registry=obs.metrics)
+        assert "  spans dropped past the cap: 8" in live.splitlines()
+        assert "dropped" not in render_report(tracer=list(obs.tracer.spans))

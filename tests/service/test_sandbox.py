@@ -169,6 +169,27 @@ class TestCells:
         assert len(cells) == 6
         assert len({cell.key for cell in cells}) == 6
 
+    def test_campaign_cells_share_the_chaos_cache(self, tmp_path):
+        """A submitted campaign's cells are the chaos CLI's own, so each
+        finds the other's cache entries."""
+        from repro.experiments import chaos
+        from repro.parallel.cache import ResultCache
+
+        policy = SandboxPolicy()
+        sub = admit_campaign(
+            CampaignSubmission(scenario="buffer", fault="enospc",
+                               levels=(3,)),
+            policy)
+        store = ResultCache(str(tmp_path), fingerprint="test")
+
+        def keys(cells):
+            return {store.key_for(cell.fn, cell.args) for cell in cells}
+
+        submitted = keys(cells_for(sub, policy))
+        assert len(submitted) == 6
+        assert submitted <= keys(chaos.campaign_cells(chaos.SCALES["smoke"],
+                                                      sub.seed))
+
 
 class TestRunScriptCell:
     def test_deterministic(self):
