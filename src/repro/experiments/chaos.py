@@ -78,6 +78,9 @@ class ChaosScale:
     kangaroo_duration: float
 
 
+#: The intensity levels every fault class defines, mildest first.
+LEVELS = (1, 2, 3)
+
 SCALES = {
     "smoke": ChaosScale(
         "smoke",
@@ -93,7 +96,7 @@ SCALES = {
     ),
     "quick": ChaosScale(
         "quick",
-        levels=(1, 2, 3),
+        levels=LEVELS,
         submit_clients=400,
         submit_duration=90.0,
         buffer_producers=30,
@@ -105,7 +108,7 @@ SCALES = {
     ),
     "full": ChaosScale(
         "full",
-        levels=(1, 2, 3),
+        levels=LEVELS,
         submit_clients=400,
         submit_duration=300.0,
         buffer_producers=50,
@@ -236,64 +239,44 @@ def _periodic(duration: float, n_windows: int, width_fraction: float) -> Periodi
 
 @dataclass(frozen=True)
 class FaultClass:
-    """One failure mode the campaign sweeps: which scenario it hits and
-    how intensity levels 1..3 translate into schedules/severities."""
+    """One failure mode the campaign sweeps: which scenario it hits and,
+    per intensity level (one tuple entry each, :data:`LEVELS` order),
+    how many windows it opens, how wide each is as a fraction of its
+    period, and the severity it applies (``None``: the target's own)."""
 
     name: str
     scenario: str
-    build: Callable[[int, float], tuple[FaultSpec, ...]]
+    windows: tuple[int, ...]
+    width: tuple[float, ...]
+    severity: tuple[Optional[float], ...]
 
-
-def _crash_faults(level: int, duration: float) -> tuple[FaultSpec, ...]:
-    # Level = forced crash/restart cycles on top of organic FD crashes.
-    n = (1, 2, 3)[level - 1]
-    return (FaultSpec("schedd-crash", _periodic(duration, n, 0.02)),)
-
-
-def _fd_squeeze_faults(level: int, duration: float) -> tuple[FaultSpec, ...]:
-    fraction = (0.4, 0.65, 0.9)[level - 1]
-    severity = int(CondorConfig().fd_capacity * fraction)
-    return (FaultSpec("fd-squeeze", _periodic(duration, 2, 0.45), severity),)
-
-
-def _enospc_faults(level: int, duration: float) -> tuple[FaultSpec, ...]:
-    fraction = (0.3, 0.6, 0.9)[level - 1]
-    severity = BufferConfig().capacity_mb * fraction
-    return (FaultSpec("enospc", _periodic(duration, 2, 0.45), severity),)
-
-
-def _slow_disk_faults(level: int, duration: float) -> tuple[FaultSpec, ...]:
-    factor = (2.0, 4.0, 8.0)[level - 1]
-    return (FaultSpec("slow-disk", _periodic(duration, 2, 0.45), factor),)
-
-
-def _http_5xx_faults(level: int, duration: float) -> tuple[FaultSpec, ...]:
-    # Short frequent bursts: the damage is doomed requests churning the
-    # single service slot, not one long blackout.
-    reset_fraction = (0.25, 0.5, 0.9)[level - 1]
-    return (FaultSpec("http-5xx", _periodic(duration, 6, 0.2), reset_fraction),)
-
-
-def _accept_queue_faults(level: int, duration: float) -> tuple[FaultSpec, ...]:
-    # Windows longer than the clients' 60 s data window, so every waiter
-    # times out and the disciplines' retry behaviour actually diverges.
-    parked = (1.0, 3.0, 6.0)[level - 1]
-    return (FaultSpec("accept-queue", _periodic(duration, 3, 0.4), parked),)
-
-
-def _wan_partition_faults(level: int, duration: float) -> tuple[FaultSpec, ...]:
-    width = (0.15, 0.3, 0.45)[level - 1]
-    return (FaultSpec("wan-partition", _periodic(duration, 3, width)),)
+    def build(self, level: int, duration: float) -> tuple[FaultSpec, ...]:
+        """The specs of one ``level`` cell over a ``duration``-second run."""
+        at = level - 1
+        return (FaultSpec(self.name,
+                          _periodic(duration, self.windows[at], self.width[at]),
+                          self.severity[at]),)
 
 
 FAULT_CLASSES = (
-    FaultClass("schedd-crash", "submit", _crash_faults),
-    FaultClass("fd-squeeze", "submit", _fd_squeeze_faults),
-    FaultClass("enospc", "buffer", _enospc_faults),
-    FaultClass("slow-disk", "buffer", _slow_disk_faults),
-    FaultClass("http-5xx", "replica", _http_5xx_faults),
-    FaultClass("accept-queue", "replica", _accept_queue_faults),
-    FaultClass("wan-partition", "kangaroo", _wan_partition_faults),
+    # Level = forced crash/restart cycles on top of organic FD crashes.
+    FaultClass("schedd-crash", "submit", (1, 2, 3), (0.02,) * 3, (None,) * 3),
+    FaultClass("fd-squeeze", "submit", (2,) * 3, (0.45,) * 3,
+               tuple(int(CondorConfig().fd_capacity * fraction)
+                     for fraction in (0.4, 0.65, 0.9))),
+    FaultClass("enospc", "buffer", (2,) * 3, (0.45,) * 3,
+               tuple(BufferConfig().capacity_mb * fraction
+                     for fraction in (0.3, 0.6, 0.9))),
+    FaultClass("slow-disk", "buffer", (2,) * 3, (0.45,) * 3, (2.0, 4.0, 8.0)),
+    # Short frequent bursts: the damage is doomed requests churning the
+    # single service slot, not one long blackout.
+    FaultClass("http-5xx", "replica", (6,) * 3, (0.2,) * 3, (0.25, 0.5, 0.9)),
+    # Windows longer than the clients' 60 s data window, so every waiter
+    # times out and the disciplines' retry behaviour actually diverges.
+    FaultClass("accept-queue", "replica", (3,) * 3, (0.4,) * 3,
+               (1.0, 3.0, 6.0)),
+    FaultClass("wan-partition", "kangaroo", (3,) * 3, (0.15, 0.3, 0.45),
+               (None,) * 3),
 )
 
 
@@ -392,6 +375,17 @@ class ChaosParams:
     def baseline(self) -> bool:
         return self.fault is None or self.level == 0
 
+    @property
+    def key(self) -> str:
+        """The cell's name in progress lines, bundles and job events."""
+        if self.baseline:
+            return f"chaos/{self.scenario}/baseline/{self.discipline}"
+        return f"chaos/{self.fault}/i{self.level}/{self.discipline}"
+
+    def cell(self) -> CellSpec:
+        """This measurement as an executor cell: :func:`run_cell` on it."""
+        return CellSpec(key=self.key, fn=run_cell, args=(self,))
+
     def labels(self) -> dict[str, str]:
         """The const labels of this cell's telemetry."""
         return by_name(self.discipline).labels(
@@ -423,30 +417,16 @@ def campaign_cells(scale: ChaosScale, seed: int) -> list[CellSpec]:
     every fault class that targets the scenario — then the fault cells
     in report order.
     """
-    specs: list[CellSpec] = []
-    seen_baselines: set[tuple[str, str]] = set()
-    for fault_class in FAULT_CLASSES:
-        for discipline in ALL_DISCIPLINES:
-            key = (fault_class.scenario, discipline.name)
-            if key in seen_baselines:
-                continue
-            seen_baselines.add(key)
-            specs.append(CellSpec(
-                key=f"chaos/{fault_class.scenario}/baseline/{discipline.name}",
-                fn=run_cell,
-                args=(ChaosParams(fault_class.scenario, discipline.name,
-                                  None, 0, scale, seed),),
-            ))
-    for fault_class in FAULT_CLASSES:
-        for level in scale.levels:
-            for discipline in ALL_DISCIPLINES:
-                specs.append(CellSpec(
-                    key=f"chaos/{fault_class.name}/i{level}/{discipline.name}",
-                    fn=run_cell,
-                    args=(ChaosParams(fault_class.scenario, discipline.name,
-                                      fault_class.name, level, scale, seed),),
-                ))
-    return specs
+    baselines = dict.fromkeys((fault_class.scenario, discipline.name)
+                              for fault_class in FAULT_CLASSES
+                              for discipline in ALL_DISCIPLINES)
+    return ([ChaosParams(scenario, discipline, None, 0, scale, seed).cell()
+             for scenario, discipline in baselines]
+            + [ChaosParams(fault_class.scenario, discipline.name,
+                           fault_class.name, level, scale, seed).cell()
+               for fault_class in FAULT_CLASSES
+               for level in scale.levels
+               for discipline in ALL_DISCIPLINES])
 
 
 def run_chaos_campaign(

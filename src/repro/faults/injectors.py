@@ -9,23 +9,12 @@ The substrates expose deliberately small hooks (``Schedd.crash``,
 into private state.
 
 Injectors are resolved from :class:`FaultSpec` descriptions by
-:func:`install_faults`, which scenario harnesses call with whatever
-substrate objects their world actually has — a spec naming a target the
-world cannot satisfy fails fast.
-
-Severity semantics per target (dimensionless in the schedule, concrete
-here):
-
-===============  ==========================================================
-``schedd-crash``   ignored; each window start forces one crash/restart
-``fd-squeeze``     descriptors pinned for the window's duration
-``enospc``         megabytes of buffer space seized for the window
-``slow-disk``      disk slowdown factor while the window is open
-``http-5xx``       fraction of the transfer served before the reset
-``accept-queue``   bogus connections parked on each server's accept queue
-``wan-partition``  ignored; the link is down for the window
-``worker-flaky``   worker mid-job failure probability during the window
-===============  ==========================================================
+:func:`install_faults` through :data:`TARGETS`, one row per target:
+the keyword naming the substrate it needs and the injector class.
+Scenario harnesses pass whatever substrate objects their world actually
+has — a spec naming a target the world cannot satisfy fails fast.
+Severity is dimensionless in the schedule and concrete at the hook
+(each class says what it means; docs/FAULTS.md §2 tabulates them).
 """
 
 from __future__ import annotations
@@ -55,26 +44,37 @@ class FaultSpec:
 
 
 class Injector:
-    """Base: compiles a schedule into apply/restore against one target."""
+    """Base: compiles a schedule into apply/restore against one target.
 
-    #: Stable name used for process/counter naming; subclasses override.
-    name = "fault"
+    ``name`` is the :data:`TARGETS` key (process and counter naming);
+    ``target`` is the substrate the hook acts on, as
+    :func:`install_faults` was given it.
+    """
+
+    #: Severity used when the spec gives none; ``None`` leaves the
+    #: schedule's window severity in force.
+    default_severity: Optional[float] = None
 
     def __init__(
         self,
         engine: Engine,
+        name: str,
+        target,
         schedule: FaultSchedule,
         rng: random.Random,
         severity: Optional[float] = None,
         horizon: float = UNBOUNDED,
     ) -> None:
         self.engine = engine
+        self.name = name
+        self.target = target
         self.schedule = schedule
         self.rng = rng
-        self.severity = severity
+        self.severity = (severity if severity is not None
+                         else self.default_severity)
         self.horizon = horizon
         #: Windows applied so far (scorecards read this after the run).
-        self.windows_applied = Counter(engine, f"fault-{self.name}",
+        self.windows_applied = Counter(engine, f"fault-{name}",
                                        keep_series=False)
 
     def start(self):
@@ -102,21 +102,16 @@ class Injector:
 
 
 class ScheddCrashInjector(Injector):
-    """Force the schedd down at each window start (it restarts itself).
+    """Force the schedd down at each window start (it restarts itself);
+    severity is ignored.
 
     Models operational failures the FD feedback loop does not produce on
     its own: OOM kills, power loss, administrative restarts.
     """
 
-    name = "schedd-crash"
-
-    def __init__(self, engine, schedd, schedule, rng, **kwargs) -> None:
-        super().__init__(engine, schedule, rng, **kwargs)
-        self.schedd = schedd
-
     def apply(self, window: FaultWindow) -> None:
-        if self.schedd.up:
-            self.schedd.crash()
+        if self.target.up:
+            self.target.crash()
 
 
 class FDSqueezeInjector(Injector):
@@ -127,60 +122,44 @@ class FDSqueezeInjector(Injector):
     unmanaged resource" failure mode.
     """
 
-    name = "fd-squeeze"
-
-    def __init__(self, engine, fdtable, schedule, rng, **kwargs) -> None:
-        super().__init__(engine, schedule, rng, **kwargs)
-        self.fdtable = fdtable
-        self._held = 0
+    _held = 0
 
     def apply(self, window: FaultWindow) -> None:
         want = int(window.severity)
-        got = min(want, self.fdtable.free)
-        if got > 0 and self.fdtable.allocate(got):
+        got = min(want, self.target.free)
+        if got > 0 and self.target.allocate(got):
             self._held = got
 
     def restore(self, window: FaultWindow) -> None:
         if self._held:
-            self.fdtable.release(self._held)
+            self.target.release(self._held)
             self._held = 0
 
 
 class EnospcInjector(Injector):
-    """Seize buffer megabytes for the window — a neighbour filling the
-    spool.  Producers see the shrunken free space through ``df`` and the
-    Ethernet estimator alike."""
+    """Seize ``severity`` buffer megabytes for the window — a neighbour
+    filling the spool.  Producers see the shrunken free space through
+    ``df`` and the Ethernet estimator alike."""
 
-    name = "enospc"
-
-    def __init__(self, engine, buffer, schedule, rng, **kwargs) -> None:
-        super().__init__(engine, schedule, rng, **kwargs)
-        self.buffer = buffer
-        self._seized = 0.0
+    _seized = 0.0
 
     def apply(self, window: FaultWindow) -> None:
-        self._seized = self.buffer.seize(window.severity)
+        self._seized = self.target.seize(window.severity)
 
     def restore(self, window: FaultWindow) -> None:
         if self._seized > 0:
-            self.buffer.release_seized(self._seized)
+            self.target.release_seized(self._seized)
             self._seized = 0.0
 
 
 class SlowDiskInjector(Injector):
-    """Scale the file server's IO time by the window severity."""
-
-    name = "slow-disk"
-
-    def __init__(self, engine, disk, schedule, rng, **kwargs) -> None:
-        super().__init__(engine, schedule, rng, **kwargs)
-        self.disk = disk
+    """Scale the buffer's disk IO time by the window severity."""
 
     def apply(self, window: FaultWindow) -> None:
-        self.disk.slowdown = max(window.severity, 1.0)
+        self.target.disk.slowdown = max(window.severity, 1.0)
 
     def restore(self, window: FaultWindow) -> None:
-        self.disk.slowdown = 1.0
+        self.target.disk.slowdown = 1.0
 
 
 class HttpErrorInjector(Injector):
@@ -192,25 +171,21 @@ class HttpErrorInjector(Injector):
     left alone; they are already a worse failure.
     """
 
-    name = "http-5xx"
-
-    def __init__(self, engine, servers, schedule, rng, **kwargs) -> None:
-        if kwargs.get("severity") is None:
-            kwargs["severity"] = 0.5
-        super().__init__(engine, schedule, rng, **kwargs)
-        self.servers = [s for s in servers if not s.black_hole]
+    default_severity = 0.5
 
     def apply(self, window: FaultWindow) -> None:
         fraction = validate_fraction(
             "http-5xx severity (reset fraction)", window.severity
         )
-        for server in self.servers:
-            server.failing = True
-            server.reset_fraction = fraction
+        for server in self.target:
+            if not server.black_hole:
+                server.failing = True
+                server.reset_fraction = fraction
 
     def restore(self, window: FaultWindow) -> None:
-        for server in self.servers:
-            server.failing = False
+        for server in self.target:
+            if not server.black_hole:
+                server.failing = False
 
 
 class AcceptQueueInjector(Injector):
@@ -221,23 +196,17 @@ class AcceptQueueInjector(Injector):
     the saturation that makes carrier-sense probes pay off.
     """
 
-    name = "accept-queue"
-
-    def __init__(self, engine, servers, schedule, rng, **kwargs) -> None:
-        super().__init__(engine, schedule, rng, **kwargs)
-        self.servers = list(servers)
-        self._held: list = []
+    _held = ()
 
     def apply(self, window: FaultWindow) -> None:
         per_server = max(int(window.severity), 1)
-        for server in self.servers:
-            for _ in range(per_server):
-                self._held.append((server, server.slot.request()))
+        self._held = [(server, server.slot.request())
+                      for server in self.target for _ in range(per_server)]
 
     def restore(self, window: FaultWindow) -> None:
         for server, request in self._held:
             server.slot.release(request)
-        self._held = []
+        self._held = ()
 
 
 class WanPartitionInjector(Injector):
@@ -245,42 +214,47 @@ class WanPartitionInjector(Injector):
 
     Replaces the link's own random weather (configure the link with
     outages disabled) so a campaign can place partitions exactly where it
-    wants them.
+    wants them.  Severity is ignored: the link is down for the window.
     """
 
-    name = "wan-partition"
-
-    def __init__(self, engine, link, schedule, rng, **kwargs) -> None:
-        super().__init__(engine, schedule, rng, **kwargs)
-        self.link = link
-
     def apply(self, window: FaultWindow) -> None:
-        self.link.fail("injected partition")
+        self.target.fail("injected partition")
 
     def restore(self, window: FaultWindow) -> None:
-        self.link.restore()
+        self.target.restore()
 
 
 class WorkerFlakyInjector(Injector):
-    """Raise every worker's mid-job failure probability for the window."""
+    """Set every worker's mid-job failure probability to the severity
+    for the window."""
 
-    name = "worker-flaky"
-
-    def __init__(self, engine, pool, schedule, rng, **kwargs) -> None:
-        super().__init__(engine, schedule, rng, **kwargs)
-        self.pool = pool
-        self._saved: list[float] = []
+    _saved = ()
 
     def apply(self, window: FaultWindow) -> None:
         rate = validate_probability("worker-flaky severity", window.severity)
-        self._saved = [worker.failure_rate for worker in self.pool.workers]
-        for worker in self.pool.workers:
+        workers = self.target.workers
+        self._saved = [worker.failure_rate for worker in workers]
+        for worker in workers:
             worker.failure_rate = rate
 
     def restore(self, window: FaultWindow) -> None:
-        for worker, rate in zip(self.pool.workers, self._saved):
+        for worker, rate in zip(self.target.workers, self._saved):
             worker.failure_rate = rate
-        self._saved = []
+        self._saved = ()
+
+
+#: Every fault target: the :func:`install_faults` keyword whose
+#: substrate it acts on, and the injector that drives it.
+TARGETS = {
+    "schedd-crash": ("schedd", ScheddCrashInjector),
+    "fd-squeeze": ("fdtable", FDSqueezeInjector),
+    "enospc": ("buffer", EnospcInjector),
+    "slow-disk": ("buffer", SlowDiskInjector),
+    "http-5xx": ("servers", HttpErrorInjector),
+    "accept-queue": ("servers", AcceptQueueInjector),
+    "wan-partition": ("link", WanPartitionInjector),
+    "worker-flaky": ("pool", WorkerFlakyInjector),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -309,41 +283,28 @@ def install_faults(
     client behaviour.  Returns the started injectors (their
     ``windows_applied`` counters are useful post-run).
     """
-    available = {
-        "schedd-crash": (schedd, lambda s, rng, kw: ScheddCrashInjector(
-            engine, schedd, s.schedule, rng, **kw)),
-        "fd-squeeze": (fdtable, lambda s, rng, kw: FDSqueezeInjector(
-            engine, fdtable, s.schedule, rng, **kw)),
-        "enospc": (buffer, lambda s, rng, kw: EnospcInjector(
-            engine, buffer, s.schedule, rng, **kw)),
-        "slow-disk": (buffer, lambda s, rng, kw: SlowDiskInjector(
-            engine, buffer.disk, s.schedule, rng, **kw)),
-        "http-5xx": (servers, lambda s, rng, kw: HttpErrorInjector(
-            engine, servers, s.schedule, rng, **kw)),
-        "accept-queue": (servers, lambda s, rng, kw: AcceptQueueInjector(
-            engine, servers, s.schedule, rng, **kw)),
-        "wan-partition": (link, lambda s, rng, kw: WanPartitionInjector(
-            engine, link, s.schedule, rng, **kw)),
-        "worker-flaky": (pool, lambda s, rng, kw: WorkerFlakyInjector(
-            engine, pool, s.schedule, rng, **kw)),
+    substrates = {
+        "schedd": schedd, "fdtable": fdtable, "buffer": buffer,
+        "servers": None if servers is None else tuple(servers),
+        "link": link, "pool": pool,
     }
     injectors: list[Injector] = []
     for index, spec in enumerate(specs):
-        if spec.target not in available:
+        if spec.target not in TARGETS:
             raise SimulationError(
-                f"fault target must be one of {sorted(available)}, "
+                f"fault target must be one of {sorted(TARGETS)}, "
                 f"got {spec.target!r}"
             )
-        substrate, build = available[spec.target]
+        keyword, injector_class = TARGETS[spec.target]
+        substrate = substrates[keyword]
         if substrate is None:
             raise SimulationError(
                 f"fault target {spec.target!r} is not available in this "
                 "scenario (no matching substrate)"
             )
         rng = streams.stream(f"fault-{spec.target}-{index}")
-        injector = build(
-            spec, rng, {"severity": spec.severity, "horizon": horizon}
-        )
+        injector = injector_class(engine, spec.target, substrate,
+                                  spec.schedule, rng, spec.severity, horizon)
         injector.start()
         injectors.append(injector)
     return injectors

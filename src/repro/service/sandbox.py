@@ -135,7 +135,7 @@ def admit_campaign(submission: CampaignSubmission,
                    policy: SandboxPolicy) -> CampaignSubmission:
     """Validate and normalize one campaign submission."""
     from ..clients.base import ALL_DISCIPLINES
-    from ..experiments.chaos import FAULT_BY_NAME, SCALES, SCENARIOS
+    from ..experiments.chaos import FAULT_BY_NAME, LEVELS, SCALES, SCENARIOS
 
     if submission.scenario not in SCENARIOS:
         raise SandboxRejection(
@@ -173,9 +173,10 @@ def admit_campaign(submission: CampaignSubmission,
     if submission.levels and submission.fault is None:
         raise SandboxRejection("invalid", "levels given without a fault")
     for level in submission.levels:
-        if level not in (1, 2, 3):
+        if level not in LEVELS:
             raise SandboxRejection(
-                "invalid", f"intensity level {level} outside 1..3")
+                "invalid", f"intensity level {level} outside "
+                f"{LEVELS[0]}..{LEVELS[-1]}")
     if len(set(submission.levels)) != len(submission.levels):
         raise SandboxRejection("invalid", "duplicate intensity levels")
     if submission.scale not in SCALES:
@@ -190,13 +191,27 @@ def admit_campaign(submission: CampaignSubmission,
         f.name for f in dataclasses.fields(scale) if f.name != "name"
         and f.name != "levels"
     }
-    for name, _value in submission.overrides:
+    for name, value in submission.overrides:
         if name not in numeric_fields:
             raise SandboxRejection(
                 "invalid",
                 f"override {name!r} is not a scale field "
                 f"(expected one of {', '.join(sorted(numeric_fields))})",
             )
+        if not isinstance(getattr(scale, name), int):
+            continue
+        # A count of clients or producers: each is a shell and a process
+        # built before the cell's first event, so the largest shipped
+        # scale's count bounds a cell's memory.
+        ceiling = max(getattr(named, name) for named in SCALES.values())
+        if not float(value).is_integer() or value < 1:
+            raise SandboxRejection(
+                "invalid", f"{name} must be a whole number >= 1, "
+                           f"got {value:g}")
+        if value > ceiling:
+            raise SandboxRejection(
+                "budget", f"{name}={value:g} exceeds {ceiling}, the most "
+                          "any chaos scale runs")
     scale = build_scale(submission)
     for field_ in dataclasses.fields(scale):
         if field_.name.endswith("_duration"):
@@ -343,25 +358,11 @@ def cells_for(submission, policy: SandboxPolicy) -> list[CellSpec]:
             args=(submission.script, submission.variables, submission.world,
                   submission.timeout, submission.seed, policy.max_events),
         )]
-    from ..experiments.chaos import ChaosParams, run_cell
+    from ..experiments.chaos import ChaosParams
 
     scale = build_scale(submission)
-    specs: list[CellSpec] = []
-    for discipline in submission.disciplines:
-        specs.append(CellSpec(
-            key=f"service/{submission.scenario}/baseline/{discipline}",
-            fn=run_cell,
-            args=(ChaosParams(submission.scenario, discipline, None, 0,
-                              scale, submission.seed),),
-        ))
-    for level in submission.levels:
-        for discipline in submission.disciplines:
-            specs.append(CellSpec(
-                key=(f"service/{submission.scenario}/{submission.fault}"
-                     f"/i{level}/{discipline}"),
-                fn=run_cell,
-                args=(ChaosParams(submission.scenario, discipline,
-                                  submission.fault, level, scale,
-                                  submission.seed),),
-            ))
-    return specs
+    grid = [(None, 0)] + [(submission.fault, level)
+                          for level in submission.levels]
+    return [ChaosParams(submission.scenario, discipline, fault, level, scale,
+                        submission.seed).cell()
+            for fault, level in grid for discipline in submission.disciplines]

@@ -11,6 +11,7 @@ import pytest
 
 from repro.experiments.chaos import (
     FAULT_CLASSES,
+    LEVELS,
     SCALES,
     ChaosCell,
     ChaosParams,
@@ -23,7 +24,8 @@ from repro.experiments.chaos import (
     run_chaos_campaign,
     starvation_events,
 )
-from repro.faults.schedule import FaultWindow
+from repro.faults.injectors import FaultSpec
+from repro.faults.schedule import FaultWindow, Periodic
 from repro.obs.exporters import instrumented_cell
 from repro.sim.monitor import TimeSeries
 
@@ -106,6 +108,68 @@ class TestCheckOrdering:
                  cell(name, "aloha", 2.0, intensity=1),
                  cell(name, "ethernet", 3.0, intensity=1)]
         assert check_ordering(cells, 3) == []
+
+
+#: Every spec the campaign builds over a 600 s run, written out:
+#: (class, level) -> (period, window duration, first start, severity).
+#: The golden and CI's smoke scale run level 3 only; this pins 1 and 2.
+SPECS_600 = {
+    ("schedd-crash", 1): (600.0, 12.0, 240.0, None),
+    ("schedd-crash", 2): (300.0, 6.0, 120.0, None),
+    ("schedd-crash", 3): (200.0, 4.0, 80.0, None),
+    ("fd-squeeze", 1): (300.0, 135.0, 120.0, 3276),
+    ("fd-squeeze", 2): (300.0, 135.0, 120.0, 5324),
+    ("fd-squeeze", 3): (300.0, 135.0, 120.0, 7372),
+    ("enospc", 1): (300.0, 135.0, 120.0, 36.0),
+    ("enospc", 2): (300.0, 135.0, 120.0, 72.0),
+    ("enospc", 3): (300.0, 135.0, 120.0, 108.0),
+    ("slow-disk", 1): (300.0, 135.0, 120.0, 2.0),
+    ("slow-disk", 2): (300.0, 135.0, 120.0, 4.0),
+    ("slow-disk", 3): (300.0, 135.0, 120.0, 8.0),
+    ("http-5xx", 1): (100.0, 20.0, 40.0, 0.25),
+    ("http-5xx", 2): (100.0, 20.0, 40.0, 0.5),
+    ("http-5xx", 3): (100.0, 20.0, 40.0, 0.9),
+    ("accept-queue", 1): (200.0, 80.0, 80.0, 1.0),
+    ("accept-queue", 2): (200.0, 80.0, 80.0, 3.0),
+    ("accept-queue", 3): (200.0, 80.0, 80.0, 6.0),
+    ("wan-partition", 1): (200.0, 30.0, 80.0, None),
+    ("wan-partition", 2): (200.0, 60.0, 80.0, None),
+    ("wan-partition", 3): (200.0, 90.0, 80.0, None),
+}
+
+
+class TestFaultClasses:
+    def test_every_spec_at_every_level(self):
+        built = {(fc.name, level): fc.build(level, 600.0)
+                 for fc in FAULT_CLASSES for level in LEVELS}
+        assert built == {
+            (name, level): (FaultSpec(name, Periodic(period=period,
+                                                     duration=duration,
+                                                     start=start),
+                                      severity),)
+            for (name, level), (period, duration, start, severity)
+            in SPECS_600.items()}
+
+
+class TestCellKeys:
+    def test_a_cell_is_named_by_its_params(self):
+        scale = SCALES["smoke"]
+        baseline = ChaosParams("buffer", "fixed", None, 0, scale, 1).cell()
+        faulted = ChaosParams("buffer", "aloha", "enospc", 2, scale, 1).cell()
+        assert baseline.key == "chaos/buffer/baseline/fixed"
+        assert faulted.key == "chaos/enospc/i2/aloha"
+        assert faulted.fn is run_cell
+        assert faulted.args == (
+            ChaosParams("buffer", "aloha", "enospc", 2, scale, 1),)
+
+    def test_campaign_keys_are_the_params_keys(self):
+        cells = campaign_cells(SCALES["quick"], 2003)
+        assert [cell.key for cell in cells] == [cell.args[0].key
+                                                for cell in cells]
+        assert len(cells) == 12 + 7 * 3 * 3
+        assert cells[0].key == "chaos/submit/baseline/fixed"
+        assert cells[12].key == "chaos/schedd-crash/i1/fixed"
+        assert cells[-1].key == "chaos/wan-partition/i3/ethernet"
 
 
 GOLDEN = pathlib.Path(__file__).parent / "golden_chaos_tiny.txt"

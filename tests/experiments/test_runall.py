@@ -136,7 +136,8 @@ def tree(root):
 @pytest.mark.slow
 class TestRunAllQuick:
     def test_writes_every_report(self, tmp_path, capsys):
-        code = main(["--scale", "quick", "--out", str(tmp_path)])
+        code = main(["--scale", "quick", "--no-cache", "--out",
+                     str(tmp_path)])
         assert code == 0
         names = sorted(os.listdir(tmp_path))
         assert names == [

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.errors import SimulationError
-from repro.faults.injectors import FaultSpec, install_faults
+from repro.faults.injectors import TARGETS, FaultSpec, Injector, install_faults
 from repro.faults.schedule import Burst, Periodic
 from repro.grid.archive import WanConfig, WanLink
 from repro.grid.condor import CondorConfig, CondorWorld
@@ -215,3 +215,49 @@ class TestInstallFaults:
             streams=streams, horizon=35.0, buffer=world.buffer)
         engine.run(until=100.0)
         assert [i.windows_applied.count for i in injectors] == [4]
+
+
+def every_substrate(engine, streams):
+    """One of each substrate ``install_faults`` takes, by keyword."""
+    condor = CondorWorld(engine, CondorConfig())
+    return {
+        "schedd": condor.schedd,
+        "fdtable": condor.fdtable,
+        "buffer": BufferWorld(engine, BufferConfig()).buffer,
+        "servers": list(ReplicaWorld(engine, ReplicaConfig()).servers.values()),
+        "link": WanLink(engine, WanConfig(mean_time_between_outages=0.0),
+                        rng=streams.stream("wan")),
+        "pool": WorkerPool(engine, n_workers=2, failure_rate=0.01,
+                           rng=streams.stream("pool")),
+    }
+
+
+class TestTargets:
+    @pytest.mark.parametrize("target", sorted(TARGETS))
+    def test_its_keyword_alone_suffices(self, target):
+        engine, streams = make_engine()
+        keyword, injector_class = TARGETS[target]
+        substrate = every_substrate(engine, streams)[keyword]
+        (injector,) = install_faults(
+            engine, (FaultSpec(target, Burst(5.0, 10.0), severity=0.5),),
+            streams=streams, horizon=100.0, **{keyword: substrate})
+        assert type(injector) is injector_class
+        assert injector.name == target
+        engine.run(until=100.0)
+        assert injector.windows_applied.count == 1
+
+    @pytest.mark.parametrize("target", sorted(TARGETS))
+    def test_every_other_substrate_is_not_enough(self, target):
+        engine, streams = make_engine()
+        keyword, _ = TARGETS[target]
+        others = every_substrate(engine, streams)
+        del others[keyword]
+        with pytest.raises(SimulationError, match="not available"):
+            install_faults(engine, (FaultSpec(target, Burst(5.0, 10.0)),),
+                           streams=streams, **others)
+
+    def test_subclasses_only_apply_and_restore(self):
+        for _, injector_class in TARGETS.values():
+            assert issubclass(injector_class, Injector)
+            declared = vars(injector_class)
+            assert "__init__" not in declared and "name" not in declared

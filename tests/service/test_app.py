@@ -95,6 +95,15 @@ class TestRouting:
         assert status == 422
         assert doc["error"]["code"] == "syntax"
 
+    @pytest.mark.parametrize("clients, code", [(1e7, "budget"),
+                                               (20.5, "invalid")])
+    def test_population_override_rejected_422(self, app, clients, code):
+        status, doc = call(app, "POST", "/campaigns",
+                           {"scenario": "submit",
+                            "overrides": {"submit_clients": clients}})
+        assert status == 422
+        assert doc["error"]["code"] == code
+
     def test_result_before_done_409(self, app):
         _, doc = call(app, "POST", "/scripts",
                       {"script": GOOD, "timeout": 600})

@@ -138,6 +138,36 @@ class TestAdmitCampaign:
             admit_campaign(sub, SandboxPolicy(max_cells=6))
         assert exc.value.code == "budget"
 
+    @pytest.mark.parametrize("value, code", [
+        (1e7, "budget"),    # ~12 KB a client: ~120 GB before one event
+        (401.0, "budget"),  # one past the most any chaos scale runs
+        (20.5, "invalid"),  # would run as 20 under another job id
+        (-3.0, "invalid"),
+        (0.0, "invalid"),
+    ])
+    def test_population_overrides_are_bounded(self, value, code):
+        sub = CampaignSubmission(scenario="submit",
+                                 overrides=(("submit_clients", value),))
+        with pytest.raises(SandboxRejection) as exc:
+            admit_campaign(sub, SandboxPolicy())
+        assert exc.value.code == code
+
+    @pytest.mark.parametrize("name, ceiling", [
+        ("submit_clients", 400), ("buffer_producers", 50),
+        ("replica_clients", 15), ("kangaroo_producers", 40),
+    ])
+    def test_each_count_admits_up_to_the_largest_scale(self, name,
+                                                       ceiling):
+        policy = SandboxPolicy()
+        for value in (1.0, float(ceiling)):
+            admit_campaign(CampaignSubmission(
+                scenario="submit", overrides=((name, value),)), policy)
+        with pytest.raises(SandboxRejection) as exc:
+            admit_campaign(CampaignSubmission(
+                scenario="submit", overrides=((name, ceiling + 1.0),)),
+                policy)
+        assert exc.value.code == "budget"
+
     def test_overrides_build_scale(self):
         sub = CampaignSubmission(
             scenario="submit",
@@ -168,6 +198,15 @@ class TestCells:
         # 2 baselines + 2 levels x 2 disciplines
         assert len(cells) == 6
         assert len({cell.key for cell in cells}) == 6
+
+    def test_campaign_cells_are_named_as_chaos_names_them(self):
+        policy = SandboxPolicy()
+        sub = admit_campaign(
+            CampaignSubmission(scenario="submit", disciplines=("aloha",),
+                               fault="schedd-crash", levels=(3,)),
+            policy)
+        assert [cell.key for cell in cells_for(sub, policy)] == [
+            "chaos/submit/baseline/aloha", "chaos/schedd-crash/i3/aloha"]
 
     def test_campaign_cells_share_the_chaos_cache(self, tmp_path):
         """A submitted campaign's cells are the chaos CLI's own, so each
