@@ -27,19 +27,26 @@ a byte-identical scorecard.
 
 from __future__ import annotations
 
+if __name__ == "__main__":  # pragma: no cover
+    # ``python -m`` runs the importable copy of this module and nothing
+    # of this ``__main__`` one: cache keys carry each cell function's
+    # module, so the CLI and the library must name it alike to find each
+    # other's results, and the body below is then executed only once.
+    import sys
+
+    from repro.experiments.chaos import main
+
+    sys.exit(main())
+
 import argparse
 import os
 import random
-import sys
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from ..clients.base import ALL_DISCIPLINES, Discipline, by_name
-from ..faults.injectors import FaultSpec
 from ..faults.schedule import FaultWindow, Periodic
-from ..grid.condor import CondorConfig
-from ..grid.storage import BufferConfig
 from ..parallel.cache import ResultCache
 from ..parallel.executor import (
     CellSpec,
@@ -50,12 +57,17 @@ from ..parallel.executor import (
 )
 from ..sim.monitor import TimeSeries
 
+if TYPE_CHECKING:  # pragma: no cover
+    from ..faults.injectors import FaultSpec
+
 # The import rule (docs/INTERNALS.md "What a path imports"): what every
 # complete path through this module uses is imported above; what some
-# complete path never touches — the four scenario harnesses (a cell is
-# one scenario; a warm rerun is none) and the telemetry exports
-# (``run_campaign`` loads them for ``--obs-dir``/``--obs-push``) — is
-# imported by the function that uses it, once per cell or per campaign.
+# complete path never touches — the four scenario harnesses, the fault
+# specs and the substrate configs a severity is sized from (a cell
+# builds one of each; a warm rerun reads only the fault windows) and the
+# telemetry exports (``run_campaign`` loads them for
+# ``--obs-dir``/``--obs-push``) — is imported by the function that uses
+# it, once per cell or per campaign.
 
 
 # ---------------------------------------------------------------------------
@@ -237,36 +249,61 @@ def _periodic(duration: float, n_windows: int, width_fraction: float) -> Periodi
     )
 
 
+def _descriptors(fraction: float) -> int:
+    """``fraction`` of a schedd's descriptor table, in descriptors."""
+    from ..grid.condor import CondorConfig
+
+    return int(CondorConfig().fd_capacity * fraction)
+
+
+def _spool_mb(fraction: float) -> float:
+    """``fraction`` of the shared buffer's capacity, in MB."""
+    from ..grid.storage import BufferConfig
+
+    return BufferConfig().capacity_mb * fraction
+
+
 @dataclass(frozen=True)
 class FaultClass:
     """One failure mode the campaign sweeps: which scenario it hits and,
     per intensity level (one tuple entry each, :data:`LEVELS` order),
     how many windows it opens, how wide each is as a fraction of its
-    period, and the severity it applies (``None``: the target's own)."""
+    period, and the severity it applies (``None``: the target's own).
+
+    A class that sizes its severity from its substrate names the sizing
+    function (``sized``) and lists fractions; the cell resolves them,
+    so a rerun that only reads the windows never loads the substrate
+    (docs/INTERNALS.md "What a path imports")."""
 
     name: str
     scenario: str
     windows: tuple[int, ...]
     width: tuple[float, ...]
     severity: tuple[Optional[float], ...]
+    sized: Optional[Callable[[float], float]] = None
+
+    def schedule(self, level: int, duration: float) -> Periodic:
+        """The windows of one ``level`` cell over a ``duration``-second run."""
+        at = level - 1
+        return _periodic(duration, self.windows[at], self.width[at])
 
     def build(self, level: int, duration: float) -> tuple[FaultSpec, ...]:
         """The specs of one ``level`` cell over a ``duration``-second run."""
-        at = level - 1
-        return (FaultSpec(self.name,
-                          _periodic(duration, self.windows[at], self.width[at]),
-                          self.severity[at]),)
+        from ..faults.injectors import FaultSpec
+
+        severity = self.severity[level - 1]
+        if self.sized is not None:
+            severity = self.sized(severity)
+        return (FaultSpec(self.name, self.schedule(level, duration), severity),)
 
 
 FAULT_CLASSES = (
     # Level = forced crash/restart cycles on top of organic FD crashes.
     FaultClass("schedd-crash", "submit", (1, 2, 3), (0.02,) * 3, (None,) * 3),
     FaultClass("fd-squeeze", "submit", (2,) * 3, (0.45,) * 3,
-               tuple(int(CondorConfig().fd_capacity * fraction)
-                     for fraction in (0.4, 0.65, 0.9))),
-    FaultClass("enospc", "buffer", (2,) * 3, (0.45,) * 3,
-               tuple(BufferConfig().capacity_mb * fraction
-                     for fraction in (0.3, 0.6, 0.9))),
+               (0.4, 0.65, 0.9), _descriptors),
+    FaultClass("enospc", "buffer", (2,) * 3, (0.45,) * 3, (0.3, 0.6, 0.9),
+               _spool_mb),
     FaultClass("slow-disk", "buffer", (2,) * 3, (0.45,) * 3, (2.0, 4.0, 8.0)),
     # Short frequent bursts: the damage is doomed requests churning the
     # single service slot, not one long blackout.
@@ -283,14 +320,6 @@ FAULT_CLASSES = (
 # ---------------------------------------------------------------------------
 # Cell metrics
 # ---------------------------------------------------------------------------
-
-def _fault_windows(specs: tuple[FaultSpec, ...], horizon: float) -> list[FaultWindow]:
-    """Materialise the (jitter-free) windows a spec list will produce."""
-    windows: list[FaultWindow] = []
-    for spec in specs:
-        windows.extend(spec.schedule.windows(random.Random(0), horizon))
-    return windows
-
 
 def recovery_time(series: TimeSeries, windows: list[FaultWindow],
                   horizon: float) -> float:
@@ -486,8 +515,9 @@ def run_chaos_campaign(
                 starvation=0,
             ))
         for level in scale.levels:
-            specs_for_level = fault_class.build(level, duration)
-            windows = _fault_windows(specs_for_level, duration)
+            # Jitter-free, so the stream is never drawn from.
+            windows = list(fault_class.schedule(level, duration).windows(
+                random.Random(0), duration))
             for discipline in ALL_DISCIPLINES:
                 goodput, series = measured[(scenario.name, discipline.name,
                                             fault_class.name, level)]
@@ -598,11 +628,3 @@ def main(argv=None) -> int:
     print(f"\nwrote {path}  ({time.time() - started:.1f}s wall)")
     return 1 if report.violations else 0
 
-
-if __name__ == "__main__":  # pragma: no cover
-    # Run the importable copy of this module, not this ``__main__`` one:
-    # cache keys carry each cell function's module, so ``python -m`` and
-    # the library must name it alike to find each other's results.
-    from repro.experiments.chaos import main as _main
-
-    sys.exit(_main())

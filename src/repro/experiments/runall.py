@@ -25,9 +25,19 @@ seed (see docs/PERFORMANCE.md).
 
 from __future__ import annotations
 
+if __name__ == "__main__":  # pragma: no cover
+    # ``python -m`` runs the importable copy of this module and nothing
+    # of this ``__main__`` one: cache keys carry each cell function's
+    # module, so the CLI and the library must name it alike to find each
+    # other's results, and the body below is then executed only once.
+    import sys
+
+    from repro.experiments.runall import main
+
+    sys.exit(main())
+
 import argparse
 import os
-import sys
 import time
 from dataclasses import dataclass
 from typing import Any, Mapping, Optional, TypeVar
@@ -352,11 +362,3 @@ def main(argv=None) -> int:
     print(f"wall time: {elapsed:.1f}s")
     return 0
 
-
-if __name__ == "__main__":  # pragma: no cover
-    # Run the importable copy of this module, not this ``__main__`` one:
-    # cache keys carry each cell function's module, so ``python -m`` and
-    # the library must name it alike to find each other's results.
-    from repro.experiments.runall import main as _main
-
-    sys.exit(_main())

@@ -21,13 +21,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from ..core.errors import SimulationError
-from ..sim.engine import Engine
 from ..sim.monitor import Counter
 from .config import validate_fraction, validate_probability
 from .schedule import UNBOUNDED, FaultSchedule, FaultWindow, drive_schedule
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..sim.engine import Engine
 
 
 @dataclass(frozen=True, slots=True)

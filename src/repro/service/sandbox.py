@@ -236,7 +236,14 @@ def admit_campaign(submission: CampaignSubmission,
 
     seed = (policy.pinned_seed if policy.pinned_seed is not None
             else submission.seed)
-    return dataclasses.replace(submission, seed=seed)
+    # Chaos's own order (``campaign_cells``): levels ascending, the
+    # disciplines as ``ALL_DISCIPLINES`` lists them.  Reordered twins
+    # normalize to one job id, and the result lists its cells in this
+    # order whatever order the submission named them in.
+    return dataclasses.replace(
+        submission, seed=seed, levels=tuple(sorted(submission.levels)),
+        disciplines=tuple(d.name for d in ALL_DISCIPLINES
+                          if d.name in submission.disciplines))
 
 
 def build_scale(submission: CampaignSubmission):

@@ -1,13 +1,17 @@
 """Job store lifecycle: dedupe, warm-cache resubmission, cancel, TTL."""
 
+import dataclasses
 import threading
 import time
 
 import pytest
 
+from repro.experiments.chaos import ChaosParams
 from repro.parallel.cache import ResultCache
+from repro.parallel.executor import run_cells
+from repro.parallel.transport import to_jsonable
 from repro.service.jobs import JobStore, NotFinished, UnknownJob
-from repro.service.sandbox import SandboxPolicy, SandboxRejection
+from repro.service.sandbox import SandboxPolicy, SandboxRejection, build_scale
 from repro.service.schemas import (
     CampaignSubmission,
     RUNNING,
@@ -146,6 +150,21 @@ class TestDedupe:
             variables=(("b", "2"), ("a", "1"))))
         assert b.job_id == a.job_id
 
+    def test_reordered_campaign_twins_share_a_job_in_chaos_order(self,
+                                                                 store):
+        """The result lists the cells in chaos's order (fixed, aloha,
+        ethernet), not in the order the submission named them."""
+        twins = [store.submit(dataclasses.replace(
+            TINY_CAMPAIGN, disciplines=disciplines))
+            for disciplines in (("ethernet", "fixed"), ("fixed", "ethernet"))]
+        assert twins[0].job_id == twins[1].job_id
+        wait_terminal(store, twins[0].job_id)
+        cells = [ChaosParams("submit", name, None, 0,
+                             build_scale(TINY_CAMPAIGN), 2003).cell()
+                 for name in ("fixed", "ethernet")]
+        assert store.result(twins[0].job_id).result == [
+            to_jsonable(value) for value in run_cells(cells)]
+
 
 class TestWarmCache:
     def test_resubmission_is_a_cache_hit(self, tmp_path):
@@ -215,11 +234,13 @@ class TestBudgetsAndTtl:
         # One uninterruptible ~1 s cell against a 0.25 s budget, on the
         # only worker.  The job behind it must not start (and burn its
         # own budget) while the written-off cell is still computing.
+        # (240 simulated seconds: 60 compute in ~0.25 s, too close to
+        # the budget to overrun it on every run.)
         with JobStore(policy=SandboxPolicy(wall_budget=0.25),
                       workers=1) as store:
             overrun = store.submit(CampaignSubmission(
                 scenario="submit", disciplines=("fixed",),
-                overrides=(("submit_duration", 60.0),)))
+                overrides=(("submit_duration", 240.0),)))
             victim = store.submit(ScriptSubmission(script=GOOD,
                                                    timeout=600.0))
             final = wait_terminal(store, overrun.job_id)

@@ -13,7 +13,11 @@ from repro.service.sandbox import (
     cells_for,
     run_script_cell,
 )
-from repro.service.schemas import CampaignSubmission, ScriptSubmission
+from repro.service.schemas import (
+    CampaignSubmission,
+    ScriptSubmission,
+    job_id_for,
+)
 
 GOOD = 'try for 5 minutes\n    echo hello\nend\n'
 #: Grabs a shared resource in a retry loop with no probe -> FTL010 warning.
@@ -207,6 +211,31 @@ class TestCells:
             policy)
         assert [cell.key for cell in cells_for(sub, policy)] == [
             "chaos/submit/baseline/aloha", "chaos/schedd-crash/i3/aloha"]
+
+    @pytest.mark.parametrize("field, spellings", [
+        ("levels", ((1, 3), (3, 1))),
+        ("disciplines", (("aloha", "fixed"), ("fixed", "aloha"))),
+    ])
+    def test_reordered_twins_are_one_job_in_chaos_order(self, field,
+                                                        spellings):
+        """Levels ascending, disciplines in ``ALL_DISCIPLINES`` order:
+        either spelling is the same job, and its cells come in the order
+        ``chaos.campaign_cells`` runs them."""
+        policy = SandboxPolicy()
+        admitted = [admit_campaign(CampaignSubmission(
+            scenario="submit", fault="schedd-crash",
+            **{"levels": (1, 3), "disciplines": ("aloha", "fixed"),
+               field: spelling}), policy) for spelling in spellings]
+        assert len({job_id_for(sub, "code") for sub in admitted}) == 1
+        for sub in admitted:
+            assert [cell.key for cell in cells_for(sub, policy)] == [
+                "chaos/submit/baseline/fixed",
+                "chaos/submit/baseline/aloha",
+                "chaos/schedd-crash/i1/fixed",
+                "chaos/schedd-crash/i1/aloha",
+                "chaos/schedd-crash/i3/fixed",
+                "chaos/schedd-crash/i3/aloha",
+            ]
 
     def test_campaign_cells_share_the_chaos_cache(self, tmp_path):
         """A submitted campaign's cells are the chaos CLI's own, so each

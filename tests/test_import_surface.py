@@ -11,6 +11,7 @@ imported, running a cell imports nothing more.
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -64,6 +65,65 @@ def test_entry_point_runs_without_a_runpy_warning(entry):
 
 
 # ---------------------------------------------------------------------------
+# ``python -m`` runs a campaign module's body once
+# ---------------------------------------------------------------------------
+
+#: One ``python -m <module>`` run through runpy, then the library's
+#: ``main`` on the same cache.  A profile hook sees every execution of
+#: the module's code and records whether that copy defined ``main``
+#: itself, i.e. ran the body rather than just the hand-off.
+_M_THEN_LIBRARY = """
+import importlib, importlib.util, json, runpy, sys
+
+name, root = sys.argv[1], sys.argv[2]
+path = importlib.util.find_spec(name).origin
+bodies = []
+
+def profile(frame, event, _arg):
+    code = frame.f_code
+    if (event == "return" and code.co_name == "<module>"
+            and code.co_filename == path):
+        main = frame.f_globals.get("main")
+        bodies.append(getattr(main, "__globals__", None) is frame.f_globals)
+
+sys.setprofile(profile)
+if name == "repro.experiments.chaos":
+    import repro.experiments.chaos as chaos
+    chaos.SCALES["smoke"] = chaos.ChaosScale(
+        "smoke", levels=(3,), submit_clients=30, submit_duration=30.0,
+        buffer_producers=5, buffer_duration=20.0, replica_clients=3,
+        replica_duration=120.0, kangaroo_producers=5,
+        kangaroo_duration=60.0)
+    argv = ["--scale", "smoke", "--seed", "11"]
+else:
+    argv = ["--scale", "quick", "--seed", "11"]
+argv += ["--out", root + "/out", "--cache-dir", root + "/cache"]
+sys.argv = [name] + argv
+try:
+    runpy.run_module(name, run_name="__main__", alter_sys=True)
+except SystemExit as done:
+    assert done.code == 0, done.code
+sys.setprofile(None)
+assert importlib.import_module(name).main(argv) == 0
+print(json.dumps(bodies))
+"""
+
+
+@pytest.mark.parametrize("module", ["repro.experiments.chaos",
+                                    "repro.experiments.runall"])
+def test_a_dash_m_campaign_runs_its_body_once(tmp_path, module):
+    """The ``__main__`` copy hands off to the importable module before
+    its body, so the body runs once; and the cells are the importable
+    module's, so the library run finds every one in the cache."""
+    out, bodies = fresh(_M_THEN_LIBRARY, module, str(tmp_path))
+    assert sorted(bodies) == [False, True]
+    tallies = re.findall(r"cache: (\d+) hits, (\d+) misses", out)
+    cells = int(tallies[0][1])
+    assert cells > 0
+    assert tallies == [("0", str(cells)), (str(cells), "0")]
+
+
+# ---------------------------------------------------------------------------
 # a warm campaign rerun
 # ---------------------------------------------------------------------------
 
@@ -90,15 +150,22 @@ except SystemExit as done:
 print(json.dumps(sorted(sys.modules)))
 """
 
-#: None of these is on the path of 33 cache hits and a render.
-WARM_RERUN_NEVER_LOADS = [
+#: None of these is on the path of 33 cache hits and a render: it reads
+#: the cell keys, the cache, the fault windows and the renderer.  A
+#: package prefix covers every module under it — the kernel, the grid
+#: substrates a fault severity is sized from, telemetry and the driver.
+WARM_RERUN_NEVER_LOADS = (
+    "repro.sim.engine", "repro.grid", "repro.obs", "repro.simruntime",
     "repro.core.interpreter", "repro.core.parser",
-    "repro.core.realruntime", "repro.simruntime.driver",
-    "repro.experiments.scenario_submit", "repro.obs.exporters", "repro.lint",
-    "repro.dist.backends", "repro.service.http",
+    "repro.core.realruntime", "repro.experiments.scenario_submit",
+    "repro.lint", "repro.dist.backends", "repro.service",
     "concurrent.futures.process", "multiprocessing", "http.client",
     "socketserver",
-]
+)
+
+#: The ``repro`` modules of a warm rerun (39 while two fault classes
+#: sized themselves from the grid's configs at import time).
+WARM_RERUN_MAX_REPRO_MODULES = 20
 
 
 def test_warm_chaos_rerun_loads_no_simulator_and_no_pool(tmp_path):
@@ -106,12 +173,15 @@ def test_warm_chaos_rerun_loads_no_simulator_and_no_pool(tmp_path):
     assert "cache: 0 hits, 33 misses" in cold_out
     # the check has teeth: the run that computes does load them
     assert {"repro.core.interpreter", "repro.experiments.scenario_submit",
-            "repro.simruntime.driver"} <= set(cold)
+            "repro.simruntime.driver", "repro.sim.engine",
+            "repro.grid.condor", "repro.grid.storage",
+            "repro.obs.api"} <= set(cold)
     scorecard = (tmp_path / "out" / "scorecard_smoke.txt").read_bytes()
 
     warm_out, warm = fresh(_CHAOS_CLI, str(tmp_path))
     assert "cache: 33 hits, 0 misses" in warm_out
-    assert sorted(set(WARM_RERUN_NEVER_LOADS) & set(warm)) == []
+    assert prefixed(warm, *WARM_RERUN_NEVER_LOADS) == []
+    assert len(prefixed(warm, "repro")) <= WARM_RERUN_MAX_REPRO_MODULES
     assert (tmp_path / "out" / "scorecard_smoke.txt").read_bytes() == scorecard
 
 
@@ -141,6 +211,14 @@ def test_thin_client_import_stays_thin(module):
     _out, loaded = fresh(_IMPORT_ONLY, module)
     assert module in loaded
     assert prefixed(loaded, *THIN_CLIENT_NEVER_LOADS) == []
+
+
+def test_declaring_a_fault_loads_no_kernel():
+    """``FaultSpec`` is what every harness and the chaos cell import from
+    ``repro.faults.injectors``; ``Engine`` is an annotation there."""
+    _out, loaded = fresh(_IMPORT_ONLY, "repro.faults.injectors")
+    assert "repro.faults.injectors" in loaded
+    assert prefixed(loaded, "repro.sim.engine") == []
 
 
 # ---------------------------------------------------------------------------
